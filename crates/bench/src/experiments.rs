@@ -3920,15 +3920,17 @@ impl E17Data {
              each client pipelining up to 16 ops in flight on both transports — \
              the wire clients corked, flushing every 8 issues) at \
              1/4/16/64 connections. Each wire op crosses frame encode → socket → \
-             decode → per-connection ingestion queue → service → reply-pump frame, \
+             decode → per-connection ingestion queue → service → reply frame, \
              so throughput_vs_inproc prices the transport end to end; the latency \
-             columns are issue-to-completion, including pipeline queueing. On \
-             few-core hosts the wire side saturates on its per-op thread-hop \
-             chain (client → server reader → drainer → reply pump → reply \
-             reader, each hop a scheduler pass when every thread shares one \
-             CPU) while the in-process baseline keeps gaining from coalescing, \
-             so the ratio at high connection counts is scheduler-bound, not \
-             wire-CPU-bound — read it alongside the absolute kops/s. The chaos run \
+             columns are issue-to-completion, including pipeline queueing. The \
+             backend is wait-free, so a connection's own server thread runs the \
+             service pipeline and sends the replies (two thread wake-ups per \
+             round trip). That is what a lone connection wants; with many \
+             connections each thread serves the few requests it just read, \
+             where slower hand-offs used to let requests from all connections \
+             pile up into one union scan and one batch, so the in-process \
+             baseline keeps gaining from coalescing faster than the wire side \
+             does — read the ratio alongside the absolute kops/s. The chaos run \
              kills connections mid-request and checks the wire layer's accounting: \
              every client ticket resolves (applied or ConnectionLost — hung must \
              be 0), no reply is duplicated or misattributed, and the server's \
@@ -4322,9 +4324,8 @@ fn e17_chaos(m: usize, connections: usize, ops: usize) -> E17Chaos {
                     }
                 }
                 let (mut ok, mut lost, mut busy, mut hung) = (0u64, 0u64, 0u64, 0u64);
-                for ticket in tickets {
-                    match psnap_serve::block_on_timeout(ticket, std::time::Duration::from_secs(10))
-                    {
+                for mut ticket in tickets {
+                    match ticket.wait_timeout(std::time::Duration::from_secs(10)) {
                         Some(Ok(())) => ok += 1,
                         Some(Err(WireError::ConnectionLost(_))) => lost += 1,
                         // Backpressure arrives as a resolved `busy` reply

@@ -6,7 +6,9 @@
 //! unrelated tasks do not contend on one global lock), wakers built on
 //! [`std::task::Wake`], and a **timer wheel** driven by a dedicated tick
 //! thread for `sleep`-style futures (the scan coalescing window). A
-//! [`block_on`] bridge lets synchronous client threads await service tickets.
+//! [`block_on`] bridge lets synchronous client threads await service tickets,
+//! and [`Handle::help`] lets a thread that is about to block poll queued
+//! tasks itself instead of waiting for a worker to be woken for them.
 //!
 //! The design favours auditability over raw scheduler throughput: every
 //! scheduling transition is a small state machine on one atomic
@@ -16,8 +18,10 @@
 //! simply stop polling — pipeline owners are expected to shut their tasks
 //! down first (see `SnapshotService::shutdown`).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::Future;
+use std::marker::PhantomData;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -34,8 +38,8 @@ pub struct ExecutorConfig {
     /// Number of worker threads (and run-queue shards). Clamped to ≥ 1.
     pub workers: usize,
     /// Granularity of the timer wheel: deadlines are rounded up to the next
-    /// tick, so this bounds both the wheel's precision and the tick thread's
-    /// wake-up rate.
+    /// tick, so this bounds the wheel's precision. The tick thread wakes
+    /// only at ticks that hold an entry, never more often than this.
     pub timer_granularity: Duration,
     /// If set, every worker thread enables the chaos layer with
     /// `(seed + worker index, config)` for its whole life, so service
@@ -137,23 +141,58 @@ struct Shared {
     next_home: AtomicUsize,
     timer: TimerWheel,
     chaos: Option<(u64, ChaosConfig)>,
+    /// Helper registrations so far; offsets each helper's chaos seed past
+    /// the workers' (see [`Handle::helper`]).
+    helpers: AtomicUsize,
+}
+
+thread_local! {
+    /// Identity ([`Shared::id`]) of the executor the calling thread is a
+    /// registered [`Helper`] of and currently *outside* a task poll; 0
+    /// otherwise. Compared, never dereferenced.
+    static HELPER_OF: Cell<usize> = const { Cell::new(0) };
 }
 
 impl Shared {
+    /// Address of this executor's shared state: stable for as long as any
+    /// `Arc` or `Weak` to it exists, which every [`Helper`] guarantees.
+    fn id(&self) -> usize {
+        self as *const Shared as usize
+    }
+
     fn push(&self, home: usize, task: Arc<Task>) {
         self.shards[home % self.shards.len()]
             .queue
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push_back(task);
+        // A registered helper pops this task itself before it blocks (or
+        // hands it over, see `Helper`), so waking a worker for it would buy
+        // only a context switch and a race for the queue lock.
+        if HELPER_OF.get() == self.id() {
+            return;
+        }
+        self.notify_sleeper();
+    }
+
+    /// Wakes one parked worker, if any might be parked.
+    fn notify_sleeper(&self) {
         // If a worker might be parked (or about to park), synchronize with
         // it through the sleep lock; a parking worker increments `sleepers`
         // under that lock *before* its final has-work re-check, so either it
-        // sees this push in the re-check, or this load sees its increment
-        // and the locked notify below reaches its wait.
+        // sees the caller's push in the re-check, or this load sees its
+        // increment and the locked notify below reaches its wait.
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _g = self.sleep.lock().unwrap_or_else(|e| e.into_inner());
             self.wakeup.notify_one();
+        }
+    }
+
+    /// Wakes one parked worker if tasks are queued: the caller leaves them
+    /// behind (it is about to sit in a poll, or is done helping).
+    fn hand_over(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 && self.has_work() {
+            self.notify_sleeper();
         }
     }
 
@@ -176,6 +215,15 @@ impl Shared {
             .any(|s| !s.queue.lock().unwrap_or_else(|e| e.into_inner()).is_empty())
     }
 }
+
+/// How long a worker parks before it re-checks the queues unprompted. This
+/// crate's unit tests run without the net, so a lost wake-up hangs them
+/// instead of costing 20 ms.
+const PARK_TIMEOUT: Duration = if cfg!(test) {
+    Duration::from_secs(3600)
+} else {
+    Duration::from_millis(20)
+};
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
     let _chaos_guard = shared
@@ -204,7 +252,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         }
         // The timeout is pure belt-and-braces; correctness rests on the
         // re-check above.
-        let _ = shared.wakeup.wait_timeout(guard, Duration::from_millis(20));
+        let _ = shared.wakeup.wait_timeout(guard, PARK_TIMEOUT);
         shared.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -260,10 +308,16 @@ struct WheelState {
     /// tick actually arrives.
     slots: Vec<Vec<WheelEntry>>,
     current_tick: u64,
+    /// Smallest `deadline_tick` of any entry, `None` while the wheel is
+    /// empty: what the tick thread sleeps to.
+    earliest: Option<u64>,
 }
 
 struct TimerWheel {
     state: Mutex<WheelState>,
+    /// Wakes the tick thread when `earliest` moves forward in time (an
+    /// earlier registration, or the first one) and at shutdown.
+    rearm: Condvar,
     start: Instant,
     granularity: Duration,
     shutdown: AtomicBool,
@@ -275,7 +329,9 @@ impl TimerWheel {
             state: Mutex::new(WheelState {
                 slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
                 current_tick: 0,
+                earliest: None,
             }),
+            rearm: Condvar::new(),
             start: Instant::now(),
             granularity: granularity.max(Duration::from_micros(10)),
             shutdown: AtomicBool::new(false),
@@ -300,6 +356,10 @@ impl TimerWheel {
             deadline_tick: tick,
             waker,
         });
+        if state.earliest.is_none_or(|earliest| tick < earliest) {
+            state.earliest = Some(tick);
+            self.rearm.notify_one();
+        }
         true
     }
 
@@ -326,6 +386,12 @@ impl TimerWheel {
                 }
             }
             state.current_tick = target;
+            state.earliest = state
+                .slots
+                .iter()
+                .flatten()
+                .map(|entry| entry.deadline_tick)
+                .min();
         }
         for waker in fired {
             waker.wake();
@@ -333,11 +399,33 @@ impl TimerWheel {
     }
 }
 
+/// The tick thread: sleeps to the earliest registered tick — parked while
+/// the wheel is empty, re-armed by an earlier registration — so an idle
+/// wheel costs no wake-ups at all.
 fn timer_loop(shared: Arc<Shared>) {
-    while !shared.timer.shutdown.load(Ordering::Acquire) {
-        std::thread::sleep(shared.timer.granularity);
-        shared.timer.advance(Instant::now());
+    let timer = &shared.timer;
+    let mut state = timer.state.lock().unwrap_or_else(|e| e.into_inner());
+    while !timer.shutdown.load(Ordering::Acquire) {
+        let Some(tick) = state.earliest else {
+            state = timer.rearm.wait(state).unwrap_or_else(|e| e.into_inner());
+            continue;
+        };
+        let due = timer.start
+            + Duration::from_nanos((timer.granularity.as_nanos() as u64).saturating_mul(tick));
+        let now = Instant::now();
+        if now < due {
+            state = timer
+                .rearm
+                .wait_timeout(state, due - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            continue;
+        }
+        drop(state);
+        timer.advance(now);
+        state = timer.state.lock().unwrap_or_else(|e| e.into_inner());
     }
+    drop(state);
     // Final sweep so no sleeper is stranded across shutdown.
     shared
         .timer
@@ -409,6 +497,94 @@ impl Handle {
             deadline: Instant::now() + duration,
         }
     }
+
+    /// Polls queued tasks on the calling thread until the run queues are
+    /// empty or `done()` holds (checked before each task is taken), and
+    /// returns how many it polled. For a thread that is about to block on
+    /// results those tasks produce: it does the work it would otherwise
+    /// wait for, instead of paying a hand-off to a worker and one back.
+    ///
+    /// Any thread is a legal poller — the task state machine does not care
+    /// who runs a poll — but a helped task occupies the caller for as long
+    /// as its poll takes, exactly as it would occupy a worker: help only
+    /// when the tasks' polls are bounded. Tasks are never stranded behind
+    /// the caller: whenever it takes a task and more remain queued, or
+    /// stops with tasks still queued, it wakes a parked worker for them.
+    pub fn help(&self, mut done: impl FnMut() -> bool) -> usize {
+        let Some(shared) = self.shared.upgrade() else {
+            return 0;
+        };
+        let mut polled = 0;
+        while !done() {
+            let Some(task) = shared.pop(0) else {
+                return polled;
+            };
+            shared.hand_over();
+            // Inside the poll this thread is an ordinary poller: what the
+            // task spawns or wakes may need a worker *now* (parallel union
+            // jobs), so those pushes notify.
+            let registered = HELPER_OF.replace(0);
+            poll_task(task);
+            HELPER_OF.set(registered);
+            polled += 1;
+        }
+        shared.hand_over();
+        polled
+    }
+
+    /// Registers the calling thread as a helper until the guard drops.
+    ///
+    /// A helper promises to call [`help`](Handle::help) before it next
+    /// blocks. In exchange, tasks it wakes or spawns *outside* a task poll
+    /// do not wake a parked worker: the helper pops them itself. Dropping
+    /// the guard hands whatever is still queued to a worker, so the promise
+    /// cannot be broken by an early return. Like a worker thread, a helper
+    /// runs under [`ExecutorConfig::chaos`] when that is set.
+    pub fn helper(&self) -> Helper {
+        let shared = self.shared.upgrade();
+        // Seeds continue past the workers' (`seed + worker index`); a thread
+        // that already runs under its own chaos keeps it.
+        let chaos = shared.as_ref().and_then(|shared| {
+            let (seed, cfg) = shared.chaos.clone().filter(|_| !chaos::is_enabled())?;
+            let n = shared.shards.len() + shared.helpers.fetch_add(1, Ordering::Relaxed);
+            Some(chaos::enable(seed.wrapping_add(n as u64), cfg))
+        });
+        let id = shared.as_ref().map_or(0, |shared| shared.id());
+        Helper {
+            handle: self.clone(),
+            outer: HELPER_OF.replace(id),
+            _chaos: chaos,
+            _not_send: PhantomData,
+        }
+    }
+}
+
+/// Registration of the current thread as a helper of one executor; see
+/// [`Handle::helper`].
+pub struct Helper {
+    /// Keeps the executor's allocation (hence its identity) alive.
+    handle: Handle,
+    /// The registration this one shadows, restored on drop.
+    outer: usize,
+    _chaos: Option<chaos::ChaosGuard>,
+    /// The registration lives in a thread-local.
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Helper {
+    /// [`Handle::help`] on the executor this thread is registered with.
+    pub fn help(&self, done: impl FnMut() -> bool) -> usize {
+        self.handle.help(done)
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        HELPER_OF.set(self.outer);
+        if let Some(shared) = self.handle.shared.upgrade() {
+            shared.hand_over();
+        }
+    }
 }
 
 /// The hand-rolled executor: worker threads over sharded run queues plus a
@@ -446,6 +622,7 @@ impl Executor {
             next_home: AtomicUsize::new(0),
             timer: TimerWheel::new(config.timer_granularity),
             chaos: config.chaos,
+            helpers: AtomicUsize::new(0),
         });
         let worker_handles = (0..workers)
             .map(|i| {
@@ -489,7 +666,13 @@ impl Executor {
 impl Drop for Executor {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.timer.shutdown.store(true, Ordering::Release);
+        {
+            // Under the wheel lock, so the tick thread is either before its
+            // shutdown check or already waiting on `rearm`.
+            let _g = (self.shared.timer.state.lock()).unwrap_or_else(|e| e.into_inner());
+            self.shared.timer.shutdown.store(true, Ordering::Release);
+            self.shared.timer.rearm.notify_one();
+        }
         {
             let _g = self.shared.sleep.lock().unwrap_or_else(|e| e.into_inner());
             self.shared.wakeup.notify_all();
@@ -842,5 +1025,147 @@ mod tests {
             assert!(Instant::now() < deadline, "chaos worker starved");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+    /// Spins until every worker of `exec` is parked (or about to park with
+    /// the queues re-checked empty).
+    fn wait_until_workers_park(exec: &Executor) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while exec.shared.sleepers.load(Ordering::SeqCst) < exec.workers.len() {
+            assert!(Instant::now() < deadline, "workers never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Holds the only worker of `exec` inside a poll until the returned
+    /// sender is dropped: whatever runs meanwhile runs on another thread.
+    fn pin_the_worker(exec: &Executor) -> std::sync::mpsc::Sender<()> {
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (pinned_tx, pinned_rx) = std::sync::mpsc::channel::<()>();
+        exec.spawn(async move {
+            pinned_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        });
+        pinned_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("worker never started the pinning task");
+        release_tx
+    }
+
+    #[test]
+    fn a_task_queued_by_a_helper_runs_on_the_helpers_thread() {
+        let exec = Executor::new(1);
+        let release = pin_the_worker(&exec);
+
+        let handle = exec.handle();
+        let helper = handle.helper();
+        let ran_on = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&ran_on);
+        handle.spawn(async move {
+            *slot.lock().unwrap() = Some(std::thread::current().id());
+        });
+        assert_eq!(helper.help(|| false), 1);
+        assert_eq!(
+            *ran_on.lock().unwrap(),
+            Some(std::thread::current().id()),
+            "the helper did not poll the task it queued"
+        );
+        // `done` is checked before a task is taken.
+        handle.spawn(async {});
+        assert_eq!(helper.help(|| true), 0);
+        drop(helper);
+        drop(release);
+    }
+
+    #[test]
+    fn a_helper_stuck_in_its_first_task_does_not_strand_the_second() {
+        let exec = Executor::new(1);
+        wait_until_workers_park(&exec);
+        let handle = exec.handle();
+        let helper = handle.helper();
+        // Both pushes are quiet: the parked worker hears of neither.
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (second_tx, second_rx) = std::sync::mpsc::channel();
+        handle.spawn(async move {
+            // Blocks the helper's thread until the second task has run —
+            // which only another thread can do.
+            second_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("second task stranded behind the stuck helper");
+            release_tx.send(()).unwrap();
+        });
+        handle.spawn(async move {
+            second_tx.send(std::thread::current().id()).unwrap();
+        });
+        // Taking the first task with the second still queued wakes the
+        // worker (PARK_TIMEOUT is an hour here: nothing else would).
+        assert_eq!(helper.help(|| false), 1);
+        release_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("first task never finished");
+    }
+
+    #[test]
+    fn tasks_spawned_inside_a_helped_poll_start_on_a_worker_meanwhile() {
+        let exec = Executor::new(1);
+        wait_until_workers_park(&exec);
+        let handle = exec.handle();
+        let helper = handle.helper();
+        let helper_thread = std::thread::current().id();
+        let inner = handle.clone();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        handle.spawn(async move {
+            let (child_tx, child_rx) = std::sync::mpsc::channel();
+            // A union job fanned out from the scan server: it must not wait
+            // for this poll to end.
+            inner.spawn(async move {
+                child_tx.send(std::thread::current().id()).unwrap();
+            });
+            let child_thread = child_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("child task did not start while its parent was still being polled");
+            done_tx.send(child_thread).unwrap();
+        });
+        assert_eq!(helper.help(|| false), 1);
+        let child_thread = done_rx.try_recv().expect("parent task did not complete");
+        assert_ne!(child_thread, helper_thread);
+    }
+
+    #[test]
+    fn dropping_a_helper_hands_its_queued_tasks_to_a_worker() {
+        let exec = Executor::new(1);
+        wait_until_workers_park(&exec);
+        let handle = exec.handle();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = handle.helper();
+        handle.spawn(async move {
+            tx.send(()).unwrap();
+        });
+        drop(helper); // never helped
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("task queued by a dropped helper was stranded");
+    }
+
+    #[test]
+    fn a_helper_polls_under_the_executors_chaos_config() {
+        let exec = Executor::with_config(ExecutorConfig {
+            workers: 1,
+            chaos: Some((7, ChaosConfig::light())),
+            ..ExecutorConfig::default()
+        });
+        // So that the probe can only run on this thread.
+        let release = pin_the_worker(&exec);
+        assert!(!chaos::is_enabled());
+        let handle = exec.handle();
+        let helper = handle.helper();
+        let seen = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&seen);
+        handle.spawn(async move {
+            flag.store(chaos::is_enabled(), Ordering::SeqCst);
+        });
+        assert_eq!(helper.help(|| false), 1);
+        assert!(seen.load(Ordering::SeqCst), "helped poll ran without chaos");
+        drop(helper);
+        assert!(!chaos::is_enabled(), "chaos outlived the registration");
+        drop(release);
     }
 }

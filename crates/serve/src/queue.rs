@@ -221,7 +221,7 @@ impl<V> OpCell<V> {
         }
     }
 
-    /// True once a value has been stored (racy; for diagnostics).
+    /// True once a value has been stored and not yet taken.
     pub fn is_complete(&self) -> bool {
         self.state
             .lock()
@@ -241,6 +241,11 @@ impl<V> Ticket<V> {
     /// Wraps a cell into its waiter future.
     pub fn new(cell: Arc<OpCell<V>>) -> Ticket<V> {
         Ticket { cell }
+    }
+
+    /// True once the operation has completed: the next poll is `Ready`.
+    pub fn is_complete(&self) -> bool {
+        self.cell.is_complete()
     }
 
     /// Blocks the calling thread until the operation completes.

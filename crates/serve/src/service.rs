@@ -1676,6 +1676,16 @@ where
         self.core.snapshot.components()
     }
 
+    /// Whether the backing object is wait-free *right now*
+    /// ([`PartialSnapshot::is_wait_free`]; a coordinated sharded store loses
+    /// the property when a reshard takes it past one shard). While it holds,
+    /// every pipeline task finishes its poll in a bounded number of its own
+    /// steps, so a transport thread may [`help`](crate::Handle::help)
+    /// instead of waiting for a worker.
+    pub fn is_wait_free(&self) -> bool {
+        self.core.snapshot.is_wait_free()
+    }
+
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
         stats_of(&self.core.counters)

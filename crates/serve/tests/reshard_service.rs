@@ -84,10 +84,18 @@ fn reshard_driver_splits_a_hot_shard_under_live_traffic() {
         "post-split scan must see the post-split writes exactly"
     );
 
-    let obs = service.obs();
+    // Stop the driver before comparing two readings of the generation, and
+    // bracket the snapshot: a split it had already begun may still land.
+    driver.stop();
+    let (obs, generation) = loop {
+        let before = backing.generation();
+        let obs = service.obs();
+        if backing.generation() == before {
+            break (obs, before);
+        }
+    };
     assert_eq!(
-        obs.generation,
-        backing.generation(),
+        obs.generation, generation,
         "obs must expose the live partition-map generation"
     );
     assert!(obs.generation > start_generation);
@@ -99,7 +107,6 @@ fn reshard_driver_splits_a_hot_shard_under_live_traffic() {
     assert_eq!(obs.shard_heat_rate.len(), obs.shard_heat.len());
     assert!(backing.reshards() >= 1);
 
-    driver.stop();
     service.shutdown();
 }
 

@@ -776,6 +776,12 @@ where
                 let component = state.router.component_of(shard, sub[0].0);
                 let value = sub[0].1.clone();
                 drop(guard);
+                // `update` enters the latch itself. Entering it a second
+                // time from here deadlocks as soon as a coordinated scan
+                // asks for the write side in between: std's RwLock queues
+                // new readers behind a waiting writer, and that writer is
+                // waiting for this guard.
+                drop(_latch);
                 return self.update(pid, component, value);
             }
             if by_shard.len() == 1 {
@@ -1062,6 +1068,75 @@ mod tests {
         ShardedSnapshot::with_factory(m, n, 0u64, config, |_, sm, sn, init| {
             CasPartialSnapshot::new(sm, sn, init)
         })
+    }
+
+    /// A one-write batch delegates to `update`; it must not carry its read
+    /// side of the coordination latch into that call (see `update_many`).
+    /// Chaos parks the batcher at `update`'s first step, i.e. between the
+    /// two latch entries, while a free-running updater tears every
+    /// optimistic round of two scanners, so a coordinated scan is always
+    /// running or asking for the write side.
+    #[test]
+    fn one_write_batches_do_not_reenter_the_latch_under_coordinated_scans() {
+        use psnap_shmem::chaos::{self, ChaosConfig};
+        let snap = Arc::new(cas_sharded(
+            8,
+            4,
+            ShardConfig {
+                max_optimistic_retries: 0,
+                ..ShardConfig::contiguous(2)
+            },
+        ));
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut background: Vec<_> = (1..=2)
+            .map(|pid| {
+                let snap = Arc::clone(&snap);
+                let stop = Arc::clone(&stop);
+                thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        snap.scan(ProcessId(pid), &[0, 7]);
+                    }
+                })
+            })
+            .collect();
+        background.push({
+            let snap = Arc::clone(&snap);
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                let mut v = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    v += 1;
+                    snap.update(ProcessId(3), (v % 2 * 7) as usize, v);
+                }
+            })
+        });
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let batcher = {
+            let snap = Arc::clone(&snap);
+            thread::spawn(move || {
+                let _chaos = chaos::enable(
+                    7,
+                    ChaosConfig {
+                        perturb_probability: 1.0,
+                        sleep_probability: 1.0,
+                        max_sleep_us: 100,
+                        ..ChaosConfig::default()
+                    },
+                );
+                for k in 0..40u64 {
+                    snap.update_many(ProcessId(0), &[(3, k)]);
+                }
+                done_tx.send(()).unwrap();
+            })
+        };
+        let finished = done_rx.recv_timeout(std::time::Duration::from_secs(60));
+        stop.store(true, Ordering::Relaxed);
+        finished.expect("a one-write batch deadlocked against a coordinated scan");
+        batcher.join().unwrap();
+        for thread in background {
+            thread.join().unwrap();
+        }
+        assert_eq!(snap.scan(ProcessId(0), &[3]), vec![39]);
     }
 
     #[test]

@@ -1003,6 +1003,13 @@ mod tests {
                         bounds.dedup();
                         reg.prune(&bounds);
                         i += 3;
+                        // Six busy threads on fewer cores: a reader that is
+                        // descheduled while announced pins the chain, and
+                        // writers that never yield grow it by millions of
+                        // versions per time slice — which the reader then
+                        // has to walk, falling further behind (minutes, one
+                        // run in four on a 2-core box).
+                        std::thread::yield_now();
                     }
                 });
             }

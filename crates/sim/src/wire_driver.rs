@@ -247,3 +247,88 @@ fn retry_busy<T>(mut op: impl FnMut() -> Result<T, WireError>) -> T {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use psnap_core::CasPartialSnapshot;
+    use psnap_lincheck::check_history;
+    use psnap_shmem::{chaos, ProcessId};
+
+    /// Counts the service's calls into the object by whether the calling
+    /// thread was under the chaos layer.
+    struct ChaosProbe {
+        inner: CasPartialSnapshot<u64>,
+        perturbed: AtomicU64,
+        calm: AtomicU64,
+    }
+
+    impl ChaosProbe {
+        fn note(&self) {
+            let counter = if chaos::is_enabled() {
+                &self.perturbed
+            } else {
+                &self.calm
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl PartialSnapshot<u64> for ChaosProbe {
+        fn components(&self) -> usize {
+            self.inner.components()
+        }
+        fn max_processes(&self) -> usize {
+            self.inner.max_processes()
+        }
+        fn update(&self, pid: ProcessId, component: usize, value: u64) {
+            self.note();
+            self.inner.update(pid, component, value)
+        }
+        fn update_many(&self, pid: ProcessId, writes: &[(usize, u64)]) {
+            self.note();
+            self.inner.update_many(pid, writes)
+        }
+        fn scan(&self, pid: ProcessId, components: &[usize]) -> Vec<u64> {
+            self.note();
+            self.inner.scan(pid, components)
+        }
+        fn is_wait_free(&self) -> bool {
+            self.inner.is_wait_free()
+        }
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    /// Over the wire the pipeline runs wherever a thread is about to block
+    /// on it — an executor worker or the server's connection thread — and
+    /// `chaos_in_service` must perturb it in both places.
+    #[test]
+    fn chaos_in_service_perturbs_the_pipeline_wherever_the_wire_runs_it() {
+        for seed in 0..4 {
+            let scenario = Scenario::random_small(seed ^ 0xC4A05);
+            assert!(scenario.chaos.is_some());
+            let probe = Arc::new(ChaosProbe {
+                inner: CasPartialSnapshot::new(scenario.components, 2, 0u64),
+                perturbed: AtomicU64::new(0),
+                calm: AtomicU64::new(0),
+            });
+            let history = run_scenario_via_wire(
+                Arc::clone(&probe),
+                &scenario,
+                &ServiceDriverConfig::default(),
+                WireTransport::Unix,
+            );
+            assert!(check_history(&history).is_linearizable());
+            assert!(probe.perturbed.load(Ordering::Relaxed) > 0);
+            assert_eq!(
+                probe.calm.load(Ordering::Relaxed),
+                0,
+                "seed {seed}: a pipeline task touched the object outside the chaos layer"
+            );
+        }
+    }
+}

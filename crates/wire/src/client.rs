@@ -3,12 +3,19 @@
 //!
 //! One [`RemoteClientHandle`] owns one connection. Requests are
 //! multiplexed by client-chosen ids: a submit or scan returns a ticket
-//! immediately (the frame is written under a writer lock), and a single
-//! **reader thread** resolves tickets as reply frames arrive, in whatever
-//! order the server finishes them. If the connection dies — reset, server
-//! shutdown, [`kill`](RemoteClientHandle::kill) — every outstanding ticket
-//! resolves with [`WireError::ConnectionLost`] rather than hanging: a
-//! caller blocked on `wait()` always gets an answer.
+//! immediately (the frame is written under a writer lock). There is **no
+//! reader thread**: a caller that waits on a ticket reads the connection
+//! itself — it takes the read half, reads reply frames and completes
+//! tickets by id until its own is complete, one frame per turn, so a
+//! waiter whose reply another waiter read returns at once. One wake-up
+//! (socket → the calling thread) stands where two stood (socket → reader
+//! thread → caller).
+//!
+//! If the connection dies — reset, server shutdown,
+//! [`kill`](RemoteClientHandle::kill) — whoever observes it (a waiter's
+//! read, or [`is_dead`](RemoteClientHandle::is_dead)'s probe) resolves
+//! every outstanding ticket with [`WireError::ConnectionLost`]: a caller
+//! blocked in `wait()` always gets an answer.
 //!
 //! The error surface is wider than in-process: `Busy` and `Closed` arrive
 //! asynchronously in the reply rather than synchronously from the submit
@@ -18,18 +25,16 @@
 //! [`ClientHandle`]: psnap_serve::ClientHandle
 
 use std::collections::HashMap;
-use std::future::Future;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use psnap_json::Json;
-use psnap_serve::{Freshness, OpCell, Ticket};
+use psnap_serve::Freshness;
 
 use crate::frame::{encode_frame, encode_frame_into, read_frame, read_frame_into, FrameError};
 use crate::proto::{
@@ -84,7 +89,21 @@ impl From<WireErrorKind> for WireError {
     }
 }
 
-type ReplyCell = Arc<OpCell<Result<ReplyBody, WireError>>>;
+type ReplyResult = Result<ReplyBody, WireError>;
+
+/// Where one request's reply lands; filled by whichever waiter reads it.
+#[derive(Default)]
+struct ReplySlot(Mutex<Option<ReplyResult>>);
+
+impl ReplySlot {
+    fn complete(&self, result: ReplyResult) {
+        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+    }
+
+    fn take(&self) -> Option<ReplyResult> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).take()
+    }
+}
 
 /// The client's outbound buffer for corked mode: while corked, request
 /// frames accumulate here and go out in one write on
@@ -94,14 +113,27 @@ struct OutBuf {
     buf: Vec<u8>,
 }
 
+/// The connection's read half. Buffered: a batched flush from the server
+/// costs one read syscall per buffer fill instead of two per frame.
+struct ReadHalf {
+    stream: BufReader<Stream>,
+    payload: Vec<u8>,
+}
+
 struct ClientInner {
-    /// For severing the connection (kill / close).
+    /// For severing the connection (kill / close) and probing it.
     stream: Stream,
     writer: Mutex<Stream>,
     out: Mutex<OutBuf>,
-    /// Outstanding request id → its reply cell. The reader thread resolves
-    /// entries; a dead connection resolves them all with `ConnectionLost`.
-    pending: Mutex<HashMap<u64, ReplyCell>>,
+    /// The read half, or `None` while a waiter is inside a socket read with
+    /// it. Waiters without it sleep on `turn_over`.
+    reader: Mutex<Option<ReadHalf>>,
+    /// Signalled each time the read half comes back, i.e. after every
+    /// frame: some slot was completed, and the turn is free.
+    turn_over: Condvar,
+    /// Outstanding request id → its reply slot. Waiters resolve entries as
+    /// they read; a dead connection resolves them all with `ConnectionLost`.
+    pending: Mutex<HashMap<u64, Arc<ReplySlot>>>,
     next_id: AtomicU64,
     dead: AtomicBool,
     /// Replies whose id matched no pending request — a duplicated or
@@ -113,16 +145,121 @@ struct ClientInner {
 
 impl ClientInner {
     /// Resolves every outstanding ticket with `ConnectionLost` and marks
-    /// the connection dead. Idempotent; called by the reader thread on any
-    /// exit path so no caller is left hanging.
+    /// the connection dead. Idempotent; called by whoever observes the
+    /// connection's end, so no caller is left hanging.
     fn fail_all_pending(&self, why: &str) {
         self.dead.store(true, Ordering::Release);
-        let drained: Vec<ReplyCell> = {
+        let drained: Vec<Arc<ReplySlot>> = {
             let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-            pending.drain().map(|(_, cell)| cell).collect()
+            pending.drain().map(|(_, slot)| slot).collect()
         };
-        for cell in drained {
-            cell.complete(Err(WireError::ConnectionLost(why.to_string())));
+        for slot in drained {
+            slot.complete(Err(WireError::ConnectionLost(why.to_string())));
+        }
+    }
+
+    fn lock_reader(&self) -> MutexGuard<'_, Option<ReadHalf>> {
+        self.reader.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// One turn at the read half: reads one reply frame and completes its
+    /// slot; a connection that has ended fails every pending slot instead.
+    /// `deadline` bounds the wait for the frame's first byte only — a frame
+    /// that has started arriving is read whole — and past it nothing is
+    /// read.
+    fn read_reply(&self, half: &mut ReadHalf, deadline: Option<Instant>) {
+        if let Some(deadline) = deadline.filter(|_| half.stream.buffer().is_empty()) {
+            // `SO_RCVTIMEO` is per socket, but only the holder of the read
+            // half reads, and the timeout is cleared before the half goes
+            // back. (A zero timeout is rejected, i.e. would wait forever.)
+            let left = deadline.saturating_duration_since(Instant::now());
+            let socket = half.stream.get_ref();
+            socket.set_read_timeout(Some(left.max(Duration::from_micros(1))));
+            let first = half.stream.fill_buf().map(|_| ());
+            half.stream.get_ref().set_read_timeout(None);
+            // Any other outcome (bytes, EOF, a dead socket) is the frame
+            // read's to report.
+            if first.is_err_and(|e| {
+                matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                )
+            }) {
+                return;
+            }
+        }
+        match read_frame_into(&mut half.stream, self.max_frame, &mut half.payload) {
+            Ok(()) => {}
+            Err(FrameError::Eof) => return self.fail_all_pending("server closed the connection"),
+            Err(e) => return self.fail_all_pending(&format!("read: {e}")),
+        }
+        // Fast path first (the canonical shape), general JSON route for
+        // everything else (stats replies in particular).
+        let reply = std::str::from_utf8(&half.payload).ok().and_then(|text| {
+            Reply::parse_wire(text).or_else(|| {
+                Json::parse(text)
+                    .ok()
+                    .and_then(|json| Reply::from_json(&json))
+            })
+        });
+        let Some(reply) = reply else {
+            self.fail_all_pending("undecodable reply frame");
+            self.stream.shutdown(Shutdown::Both);
+            return;
+        };
+        let slot = self
+            .pending
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&reply.id);
+        match slot {
+            Some(slot) => slot.complete(reply.result.map_err(WireError::from)),
+            // An unknown id is a duplicated or misattributed response (the
+            // server's id-0 bad_request for an unattributable frame also
+            // lands here); count it so chaos harnesses can assert zero.
+            None => {
+                self.unknown_replies.fetch_add(1, Ordering::AcqRel);
+            }
+        }
+    }
+
+    /// Takes turns at the read half until `done()` returns a value or
+    /// `deadline` passes. A turn is one frame, after which every waiter
+    /// re-checks its own slot: a waiter whose reply was read by another
+    /// returns without waiting for that waiter's own reply.
+    fn drive<V>(
+        &self,
+        deadline: Option<Instant>,
+        mut done: impl FnMut() -> Option<V>,
+    ) -> Option<V> {
+        let mut reader = self.lock_reader();
+        loop {
+            if let Some(value) = done() {
+                return Some(value);
+            }
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                return None;
+            }
+            match reader.take() {
+                Some(mut half) => {
+                    drop(reader);
+                    self.read_reply(&mut half, deadline);
+                    reader = self.lock_reader();
+                    *reader = Some(half);
+                    self.turn_over.notify_all();
+                }
+                None => {
+                    reader = match deadline {
+                        None => (self.turn_over.wait(reader)).unwrap_or_else(|e| e.into_inner()),
+                        Some(deadline) => {
+                            let left = deadline.saturating_duration_since(Instant::now());
+                            (self.turn_over.wait_timeout(reader, left))
+                                .unwrap_or_else(|e| e.into_inner())
+                                .0
+                        }
+                    };
+                }
+            }
         }
     }
 }
@@ -151,9 +288,10 @@ impl RemoteClientHandle {
     }
 
     fn establish(stream: Stream) -> Result<RemoteClientHandle, WireError> {
-        let mut reader = stream
+        let reader = stream
             .try_clone()
             .map_err(|e| WireError::ConnectionLost(format!("clone: {e}")))?;
+        let mut reader = BufReader::with_capacity(64 * 1024, reader);
         let writer = stream
             .try_clone()
             .map_err(|e| WireError::ConnectionLost(format!("clone: {e}")))?;
@@ -186,6 +324,11 @@ impl RemoteClientHandle {
                 corked: false,
                 buf: Vec::new(),
             }),
+            reader: Mutex::new(Some(ReadHalf {
+                stream: reader,
+                payload: Vec::new(),
+            })),
+            turn_over: Condvar::new(),
             pending: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             dead: AtomicBool::new(false),
@@ -193,8 +336,6 @@ impl RemoteClientHandle {
             components,
             max_frame,
         });
-        let reader_inner = Arc::clone(&inner);
-        std::thread::spawn(move || reply_reader(reader_inner, reader));
         Ok(RemoteClientHandle { inner })
     }
 
@@ -212,8 +353,18 @@ impl RemoteClientHandle {
     }
 
     /// True once the connection has died (any outstanding and future
-    /// requests resolve `ConnectionLost`).
+    /// requests resolve `ConnectionLost`). Prompt even with nobody waiting:
+    /// if no waiter is inside a read, this probes the socket for its end
+    /// without blocking (a waiter that is would observe it itself).
     pub fn is_dead(&self) -> bool {
+        let reader = self.inner.lock_reader();
+        if let Some(half) = reader.as_ref() {
+            // Replies already buffered are still deliverable.
+            if half.stream.buffer().is_empty() && half.stream.get_ref().peer_closed() {
+                self.inner.fail_all_pending("server closed the connection");
+            }
+        }
+        drop(reader);
         self.inner.dead.load(Ordering::Acquire)
     }
 
@@ -224,7 +375,7 @@ impl RemoteClientHandle {
         self.inner.unknown_replies.load(Ordering::Acquire)
     }
 
-    fn send(&self, body: RequestBody) -> Result<ReplyCell, WireError> {
+    fn send(&self, body: RequestBody) -> Result<Pending, WireError> {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let text = Request { id, body }.to_wire_string();
         // Enforce the server's advertised frame cap before anything is
@@ -235,22 +386,27 @@ impl RemoteClientHandle {
         if text.len() > self.inner.max_frame {
             return Err(WireError::BadRequest);
         }
-        let cell: ReplyCell = OpCell::new();
+        let slot = Arc::<ReplySlot>::default();
         {
             // The dead check and the insert share one pending-lock critical
             // section. `fail_all_pending` marks the connection dead before
-            // draining under this same lock, so either this cell lands
+            // draining under this same lock, so either this slot lands
             // before the drain (and the drain resolves it) or the drain ran
             // first and the dead flag is visible here. Checking dead before
-            // inserting (the old shape) left a window where the cell landed
+            // inserting (the old shape) left a window where the slot landed
             // after the drain and, if the write below still succeeded
             // against a half-closed socket, its ticket never resolved.
             let mut pending = self.inner.pending.lock().unwrap_or_else(|e| e.into_inner());
             if self.inner.dead.load(Ordering::Acquire) {
                 return Err(WireError::ConnectionLost("connection is dead".to_string()));
             }
-            pending.insert(id, Arc::clone(&cell));
+            pending.insert(id, Arc::clone(&slot));
         }
+        let pending = Pending {
+            inner: Arc::clone(&self.inner),
+            slot,
+            spent: false,
+        };
         // One buffered frame, one write: the server's reader wakes once
         // with the whole frame instead of once for the header and once for
         // the payload.
@@ -260,7 +416,7 @@ impl RemoteClientHandle {
                 // Corked: accumulate straight into the batch buffer; the
                 // bytes (and any write error) go out on the next `flush`.
                 encode_frame_into(text.as_bytes(), &mut out.buf);
-                return Ok(cell);
+                return Ok(pending);
             }
         }
         let frame = encode_frame(text.as_bytes());
@@ -276,7 +432,7 @@ impl RemoteClientHandle {
                 .remove(&id);
             return Err(WireError::ConnectionLost(format!("write: {e}")));
         }
-        Ok(cell)
+        Ok(pending)
     }
 
     /// Corks (or uncorks) the connection's writes. While corked, requests
@@ -328,10 +484,8 @@ impl RemoteClientHandle {
 
     /// Submits a batch of writes, applied as one atomic `update_many`.
     pub fn submit_batch(&self, writes: Vec<(usize, u64)>) -> Result<RemoteSubmitTicket, WireError> {
-        let cell = self.send(RequestBody::Submit { writes })?;
-        Ok(RemoteSubmitTicket {
-            inner: Ticket::new(cell),
-        })
+        let pending = self.send(RequestBody::Submit { writes })?;
+        Ok(RemoteSubmitTicket { pending })
     }
 
     /// Requests a partial scan; the ticket resolves with one value per
@@ -341,13 +495,11 @@ impl RemoteClientHandle {
         components: Vec<usize>,
         freshness: Freshness,
     ) -> Result<RemoteScanTicket, WireError> {
-        let cell = self.send(RequestBody::Scan {
+        let pending = self.send(RequestBody::Scan {
             components,
             freshness,
         })?;
-        Ok(RemoteScanTicket {
-            inner: Ticket::new(cell),
-        })
+        Ok(RemoteScanTicket { pending })
     }
 
     /// Blocking submit: send and wait for the applied acknowledgement.
@@ -366,8 +518,7 @@ impl RemoteClientHandle {
 
     /// Fetches the server's observability snapshot (blocking).
     pub fn stats(&self) -> Result<Json, WireError> {
-        let cell = self.send(RequestBody::Stats)?;
-        match Ticket::new(cell).wait() {
+        match self.send(RequestBody::Stats)?.wait() {
             Ok(ReplyBody::Stats(json)) => Ok(json),
             Ok(_) => Err(WireError::Protocol(
                 "stats reply carried no stats".to_string(),
@@ -377,85 +528,31 @@ impl RemoteClientHandle {
     }
 
     /// Graceful close: half-close the sending direction so the server
-    /// drains in-flight requests and flushes their replies, then wait for
-    /// the reader to see the server's EOF (all tickets resolved).
+    /// drains in-flight requests and flushes their replies, then read them
+    /// until every ticket has resolved (or the server's EOF resolves the
+    /// rest).
     pub fn close(self) {
         // Corked requests still buffered client-side go out first; their
         // tickets are outstanding and the drain below waits on them.
         let _ = self.flush();
         self.inner.stream.shutdown(Shutdown::Write);
-        // The reader thread exits once the server closes its side; bound
-        // the wait so a wedged server cannot hang the caller forever.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while !self.inner.dead.load(Ordering::Acquire)
-            && !self
-                .inner
-                .pending
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty()
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
+        // Bounded, so a wedged server cannot hang the caller forever.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let inner = &self.inner;
+        inner.drive(Some(deadline), || {
+            let pending = inner.pending.lock().unwrap_or_else(|e| e.into_inner());
+            pending.is_empty().then_some(())
+        });
         self.inner.stream.shutdown(Shutdown::Both);
     }
 
     /// Abrupt close (chaos testing): sever both directions immediately.
-    /// Outstanding tickets resolve `ConnectionLost`; requests the server
+    /// Outstanding tickets resolve `ConnectionLost` — now for a waiter
+    /// inside a read, otherwise as soon as anyone waits or asks
+    /// [`is_dead`](RemoteClientHandle::is_dead); requests the server
     /// already accepted still apply and resolve server-side.
     pub fn kill(&self) {
         self.inner.stream.shutdown(Shutdown::Both);
-    }
-}
-
-/// The reader thread: resolves pending tickets as reply frames arrive; on
-/// any exit path fails everything still outstanding so no waiter hangs.
-fn reply_reader(inner: Arc<ClientInner>, reader: Stream) {
-    // Buffered: a batched pump flush from the server costs one read syscall
-    // per buffer fill instead of two per frame (header + payload).
-    let mut reader = std::io::BufReader::with_capacity(64 * 1024, reader);
-    let mut payload = Vec::new();
-    loop {
-        match read_frame_into(&mut reader, inner.max_frame, &mut payload) {
-            Ok(()) => {}
-            Err(FrameError::Eof) => {
-                inner.fail_all_pending("server closed the connection");
-                return;
-            }
-            Err(e) => {
-                inner.fail_all_pending(&format!("read: {e}"));
-                return;
-            }
-        };
-        // Fast path first (the canonical shape), general JSON route for
-        // everything else (stats replies in particular).
-        let reply = std::str::from_utf8(&payload).ok().and_then(|text| {
-            Reply::parse_wire(text).or_else(|| {
-                Json::parse(text)
-                    .ok()
-                    .and_then(|json| Reply::from_json(&json))
-            })
-        });
-        let Some(reply) = reply else {
-            inner.fail_all_pending("undecodable reply frame");
-            inner.stream.shutdown(Shutdown::Both);
-            return;
-        };
-        let cell = inner
-            .pending
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&reply.id);
-        match cell {
-            Some(cell) => cell.complete(reply.result.map_err(WireError::from)),
-            // An unknown id is a duplicated or misattributed response (the
-            // server's id-0 bad_request for an unattributable frame also
-            // lands here); count it so chaos harnesses can assert zero.
-            None => {
-                inner.unknown_replies.fetch_add(1, Ordering::AcqRel);
-            }
-        }
     }
 }
 
@@ -465,26 +562,58 @@ impl Drop for ClientInner {
     }
 }
 
+/// An issued request: its reply slot, and the connection to read it from.
+struct Pending {
+    inner: Arc<ClientInner>,
+    slot: Arc<ReplySlot>,
+    /// Set once `wait_timeout` has handed the reply out: a later wait must
+    /// not sit reading for a reply that already came.
+    spent: bool,
+}
+
+impl Pending {
+    fn wait_until(&mut self, deadline: Option<Instant>) -> Option<ReplyResult> {
+        if self.spent {
+            return Some(Err(WireError::Protocol(
+                "this ticket's reply was already taken".to_string(),
+            )));
+        }
+        let reply = self.inner.drive(deadline, || self.slot.take());
+        self.spent = reply.is_some();
+        reply
+    }
+
+    fn wait(mut self) -> ReplyResult {
+        self.wait_until(None)
+            .expect("a wait without a deadline ends only with the reply")
+    }
+
+    fn wait_timeout(&mut self, timeout: Duration) -> Option<ReplyResult> {
+        self.wait_until(Some(Instant::now() + timeout))
+    }
+}
+
 /// Ticket for a remote submit; resolves `Ok(())` once applied server-side.
 pub struct RemoteSubmitTicket {
-    inner: Ticket<Result<ReplyBody, WireError>>,
+    pending: Pending,
 }
 
 impl RemoteSubmitTicket {
-    /// Blocks until the reply arrives (or the connection dies).
+    /// Blocks until the reply arrives (or the connection dies), reading
+    /// the connection on the calling thread.
     pub fn wait(self) -> Result<(), WireError> {
-        map_submit(self.inner.wait())
+        map_submit(self.pending.wait())
+    }
+
+    /// Like [`wait`](RemoteSubmitTicket::wait), but gives up — `None`, the
+    /// ticket still good for another wait — if no reply has started to
+    /// arrive within `timeout`.
+    pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<(), WireError>> {
+        self.pending.wait_timeout(timeout).map(map_submit)
     }
 }
 
-impl Future for RemoteSubmitTicket {
-    type Output = Result<(), WireError>;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.inner).poll(cx).map(map_submit)
-    }
-}
-
-fn map_submit(reply: Result<ReplyBody, WireError>) -> Result<(), WireError> {
+fn map_submit(reply: ReplyResult) -> Result<(), WireError> {
     match reply {
         Ok(ReplyBody::Submitted) => Ok(()),
         Ok(_) => Err(WireError::Protocol(
@@ -496,24 +625,25 @@ fn map_submit(reply: Result<ReplyBody, WireError>) -> Result<(), WireError> {
 
 /// Ticket for a remote scan; resolves with the scanned values.
 pub struct RemoteScanTicket {
-    inner: Ticket<Result<ReplyBody, WireError>>,
+    pending: Pending,
 }
 
 impl RemoteScanTicket {
-    /// Blocks until the reply arrives (or the connection dies).
+    /// Blocks until the reply arrives (or the connection dies), reading
+    /// the connection on the calling thread.
     pub fn wait(self) -> Result<Vec<u64>, WireError> {
-        map_scan(self.inner.wait())
+        map_scan(self.pending.wait())
+    }
+
+    /// Like [`wait`](RemoteScanTicket::wait), but gives up — `None`, the
+    /// ticket still good for another wait — if no reply has started to
+    /// arrive within `timeout`.
+    pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<Vec<u64>, WireError>> {
+        self.pending.wait_timeout(timeout).map(map_scan)
     }
 }
 
-impl Future for RemoteScanTicket {
-    type Output = Result<Vec<u64>, WireError>;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.inner).poll(cx).map(map_scan)
-    }
-}
-
-fn map_scan(reply: Result<ReplyBody, WireError>) -> Result<Vec<u64>, WireError> {
+fn map_scan(reply: ReplyResult) -> Result<Vec<u64>, WireError> {
     match reply {
         Ok(ReplyBody::Values(values)) => Ok(values),
         Ok(_) => Err(WireError::Protocol(

@@ -19,8 +19,40 @@
 //!   listener closes). Each request roots a flight-recorder span at frame
 //!   decode, so wire requests appear in span trees end to end.
 //! * **Client** ([`client`]): [`RemoteClientHandle`] mirrors the in-process
-//!   `ClientHandle` API; a reader thread resolves tickets out of order, and
-//!   a dead connection fails every outstanding ticket rather than hanging.
+//!   `ClientHandle` API; tickets resolve out of order, and a dead
+//!   connection fails every outstanding ticket rather than hanging.
+//!
+//! # Threads: two wake-ups per round trip
+//!
+//! A request/reply round trip costs what its hand-offs between sleeping
+//! threads cost, so there are two of them — request → server thread, reply
+//! → calling thread — and one rule at both ends: **a thread that is about
+//! to block first does the work it would otherwise wait for.**
+//!
+//! * *Who reads.* Server side, one **connection thread** per connection
+//!   reads and decodes. Client side, nobody until somebody waits: the
+//!   caller inside `wait()` takes the connection's read half and reads
+//!   frames — completing other callers' tickets on the way — until its own
+//!   reply is in. There is no client reader thread.
+//! * *Who runs the request.* While the hosted object is **wait-free**
+//!   ([`PartialSnapshot::is_wait_free`](psnap_core::PartialSnapshot::is_wait_free),
+//!   read per request), the connection thread itself: before it blocks in
+//!   a socket read with requests in flight it polls the service's pipeline
+//!   tasks ([`Handle::help`](psnap_serve::Handle::help)) — the same queues,
+//!   drainer, coalescer and scan server, on a different thread. Wait-freedom
+//!   gates it because only then is every poll bounded by the poller's own
+//!   steps; a thread that must get back to its socket cannot afford to
+//!   park behind a lock holder or a gated scan. On any other object the
+//!   connection thread only dispatches and executor workers apply.
+//!   (`help` polls *any* task on the executor: a blocking co-tenant service
+//!   can occupy a helping connection thread as it can a worker.)
+//! * *Who writes.* The connection thread, with one non-blocking send of the
+//!   replies it just completed — **it never waits in a write**, or a client
+//!   flushing a batch larger than both socket buffers would deadlock
+//!   against it. Bytes the socket does not take, replies still pending
+//!   when the thread goes back to reading, and every ticket-backed reply of
+//!   a non-wait-free object go to the connection's **reply pump**, a writer
+//!   thread that is started the first time it is handed something.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -12,18 +12,38 @@
 //!   so one slow or hostile connection exhausts *its* queue and sees
 //!   `busy` replies while other connections keep their own capacity (the
 //!   in-process backpressure contract, verbatim, over the wire);
-//! * a blocking **reader thread** that decodes frames, roots a
-//!   [`SpanKind::WireRequest`] span at decode time (the in-process request
-//!   tree assembles beneath it), and dispatches requests;
-//! * a **reply pump** on its own writer thread: one per connection,
-//!   draining a FIFO of in-flight tickets. Consecutive completed replies
-//!   are serialized into one buffer and flushed with a single write, so a
-//!   burst of completions costs one wake-up and one syscall instead of
-//!   one of each per reply. Flushes block the pump's own thread only —
-//!   a peer that stops reading its replies wedges *its* connection
-//!   (bounded by the configured write timeout, which severs it), never
-//!   an executor worker, so other connections and the service's own
-//!   pipeline tasks keep running;
+//! * one **connection thread** that reads the socket, decodes frames,
+//!   roots a [`SpanKind::WireRequest`] span at decode time (the in-process
+//!   request tree assembles beneath it), and dispatches requests. While
+//!   the backing object is **wait-free** it also answers them: every time
+//!   it is about to block in a socket read with requests in flight, it
+//!   first does the work it would otherwise wait for — it polls the
+//!   service's pipeline tasks itself ([`Handle::help`]: drainer, scan
+//!   server, whatever is queued), serializes the replies that are now
+//!   complete and sends them with one non-blocking send. A round trip then
+//!   wakes this thread and nobody else. Wait-freedom is the licence: each
+//!   pipeline poll finishes in a bounded number of the poller's own steps,
+//!   so the thread that must get back to reading cannot be held by a lock
+//!   holder or a gated scan. (`help` polls *any* task queued on the
+//!   executor, so a blocking service sharing it can occupy this thread as
+//!   it can occupy a worker.) **The connection thread never waits in a
+//!   write**: a client may flush a corked batch larger than both socket
+//!   buffers before it reads a single reply, and a server that stopped
+//!   reading to write would deadlock against it;
+//! * a **reply pump** on its own writer thread, started by the first
+//!   entry it is handed: the bytes a non-blocking send did not take, the
+//!   replies still pending when the connection thread went back to
+//!   reading (a worker got there first, a coalescing window is open) and —
+//!   while the backing object is *not* wait-free (the property is read per
+//!   request) — every ticket-backed reply: nothing is helped then, the
+//!   connection thread dispatches, executor workers apply, the pump
+//!   replies. It drains its FIFO in order; consecutive completed
+//!   replies are serialized into one buffer and flushed with a single
+//!   write. Flushes block the pump's own thread only — a peer that stops
+//!   reading its replies wedges *its* connection (bounded by the
+//!   configured write timeout, which severs it), never an executor worker
+//!   and never the thread that reads, so other connections and the
+//!   service's own pipeline tasks keep running;
 //! * an optional **idle watchdog task** on the executor: a far-deadline
 //!   timer that severs connections with no activity — no inbound frame,
 //!   no outbound flush, nothing in flight — for the configured timeout.
@@ -45,20 +65,22 @@
 
 use std::collections::VecDeque;
 use std::future::Future;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll};
+use std::sync::{Arc, Condvar, Mutex, TryLockError};
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use psnap_core::PartialSnapshot;
 use psnap_json::Json;
 use psnap_obs::{span, Span, SpanKind};
-use psnap_serve::{ClientHandle, Executor, Handle, OpCell, SnapshotService, SubmitError, Ticket};
+use psnap_serve::{
+    ClientHandle, Executor, Handle, Helper, OpCell, SnapshotService, SubmitError, Ticket,
+};
 
 use crate::frame::{
     encode_frame, encode_frame_into, read_frame, read_frame_into, FrameError, MAX_FRAME_LEN,
@@ -131,6 +153,13 @@ enum PendingTicket {
 }
 
 impl PendingTicket {
+    fn is_complete(&self) -> bool {
+        match self {
+            PendingTicket::Submit(t) => t.is_complete(),
+            PendingTicket::Scan(t) => t.is_complete(),
+        }
+    }
+
     fn poll_body(&mut self, cx: &mut Context<'_>) -> Poll<ReplyBody> {
         match self {
             PendingTicket::Submit(t) => Pin::new(t).poll(cx).map(|()| ReplyBody::Submitted),
@@ -147,6 +176,15 @@ struct PendingReply {
     /// (by drop) once its reply has been serialized — the flight-recorder
     /// tree completes when the wire layer is done with the request.
     _span: Span,
+}
+
+/// Appends the reply frame of request `id` to `out`.
+fn encode_reply_into(id: u64, body: ReplyBody, out: &mut Vec<u8>) {
+    let reply = Reply {
+        id,
+        result: Ok(body),
+    };
+    encode_frame_into(reply.to_wire_string().as_bytes(), out);
 }
 
 /// Awaits a [`PendingTicket`] to completion.
@@ -174,16 +212,66 @@ impl Future for TryTicketBody<'_> {
     }
 }
 
-/// The reply pump's FIFO, shared between the reader thread (producer) and
-/// the pump task (consumer).
+/// What the connection thread hands the reply pump.
+enum PumpEntry {
+    /// A request whose ticket the pump waits on.
+    Pending(PendingReply),
+    /// Frames the connection thread serialised itself, answering `replies`
+    /// in-flight requests, that the socket would not take at once: `bytes`
+    /// if the pump was inside a write at the time, otherwise they sit in
+    /// the [`ReplyWriter`]'s backlog (and `bytes` is empty), which any
+    /// flush writes out first.
+    Frames { bytes: Vec<u8>, replies: u64 },
+}
+
+/// The reply pump's FIFO, shared between the connection thread (producer)
+/// and the pump (consumer).
 struct PumpQueue {
-    entries: VecDeque<PendingReply>,
+    entries: VecDeque<PumpEntry>,
     /// Set while the pump is parked on an empty queue; the producer rings
     /// it to wake the pump.
     doorbell: Option<Arc<OpCell<()>>>,
-    /// Set when the reader thread exits: the pump drains what is left and
-    /// stops.
+    /// Set when the connection thread exits: the pump drains what is left
+    /// and stops.
     closed: bool,
+    /// The pump thread exists: it is spawned by the first entry, so a
+    /// connection whose replies all leave from its own thread never has
+    /// one.
+    started: bool,
+}
+
+/// The connection's write half. Whole frames only, in the order they were
+/// accepted: whatever a non-blocking send left over goes out before
+/// anything else does.
+struct ReplyWriter {
+    stream: Stream,
+    /// Accepted by [`write_now`](ReplyWriter::write_now) and not yet taken
+    /// by the socket.
+    backlog: Vec<u8>,
+}
+
+impl ReplyWriter {
+    /// Writes the backlog, then `bytes`, waiting for the peer as long as
+    /// the socket's write timeout allows.
+    fn write_all(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        if !self.backlog.is_empty() {
+            let backlog = std::mem::take(&mut self.backlog);
+            self.stream.write_all(&backlog)?;
+        }
+        self.stream.write_all(bytes)
+    }
+
+    /// Never waits: one non-blocking send, the remainder kept as backlog.
+    /// `Ok(false)` if a backlog remains for a blocking writer to flush.
+    fn write_now(&mut self, bytes: &[u8]) -> std::io::Result<bool> {
+        let sent = if self.backlog.is_empty() {
+            self.stream.try_write(bytes)?
+        } else {
+            0
+        };
+        self.backlog.extend_from_slice(&bytes[sent..]);
+        Ok(self.backlog.is_empty())
+    }
 }
 
 /// Flush the pump's write buffer once it crosses this size even if more
@@ -197,9 +285,9 @@ struct Conn {
     /// The accepted socket (this handle is used for severing only; reads
     /// and writes go through clones).
     stream: Stream,
-    /// Serialized reply writer (inline error replies from the reader
-    /// thread interleave with pump flushes; ids correlate).
-    writer: Mutex<Stream>,
+    /// Serialized reply writer (replies sent from the connection thread
+    /// interleave with pump flushes; ids correlate).
+    writer: Mutex<ReplyWriter>,
     /// Requests accepted but not yet replied to, with a condvar for the
     /// drain to wait on.
     in_flight: Mutex<u64>,
@@ -226,7 +314,8 @@ impl Conn {
     }
 
     fn touch(&self) {
-        self.last_activity_ns.store(self.now_ns(), Ordering::Release);
+        self.last_activity_ns
+            .store(self.now_ns(), Ordering::Release);
     }
 
     /// Stops intake and severs both socket directions; the reader wakes
@@ -255,19 +344,29 @@ impl Conn {
         }
     }
 
-    /// Hands one ticket-backed request to the reply pump (counted as in
-    /// flight until its reply frame is flushed).
-    fn push_reply(&self, entry: PendingReply) {
-        self.begin_request();
+    /// Queues `entry` for the reply pump, whose thread the first entry
+    /// starts: one dedicated writer per connection that needs one (see
+    /// [`reply_pump`] — its flushes block on the socket, so it must not
+    /// occupy an executor worker, nor the thread that reads the
+    /// connection).
+    fn push_pump(self: &Arc<Self>, entry: PumpEntry) {
         let mut q = self.pump.lock().unwrap_or_else(|e| e.into_inner());
         q.entries.push_back(entry);
         if let Some(bell) = q.doorbell.take() {
             bell.complete(());
         }
+        if !q.started {
+            q.started = true;
+            let conn = Arc::clone(self);
+            std::thread::Builder::new()
+                .name("psnap-wire-pump".into())
+                .spawn(move || psnap_serve::block_on(reply_pump(conn)))
+                .expect("spawning a connection's reply pump");
+        }
     }
 
-    /// Tells the pump to drain what is queued and exit (reader is gone; no
-    /// more entries can arrive).
+    /// Tells the pump to drain what is queued and exit (the connection
+    /// thread is gone; no more entries can arrive).
     fn close_pump(&self) {
         let mut q = self.pump.lock().unwrap_or_else(|e| e.into_inner());
         q.closed = true;
@@ -292,11 +391,20 @@ impl Conn {
         }
     }
 
-    fn send_reply(&self, reply: &Reply) {
-        // One buffered frame, one write: the peer's reader wakes once with
-        // the whole frame instead of once for the header and once for the
-        // payload.
+    /// Answers one request that never reached the service (an error, or
+    /// stats) from the connection thread. `never_wait` is the thread's
+    /// promise for replies it sends while the backing object is wait-free:
+    /// the reply leaves like the ticket-backed ones around it. Otherwise it
+    /// is written here and now, waiting for the peer if the socket is full —
+    /// ticket-backed replies may then be parked in the pump behind work
+    /// that blocks, and an explicit `busy` must not queue behind them.
+    fn reply_inline(self: &Arc<Self>, reply: &Reply, never_wait: bool) {
+        // One buffered frame, one write: the peer wakes once with the whole
+        // frame instead of once for the header and once for the payload.
         let frame = encode_frame(reply.to_wire_string().as_bytes());
+        if never_wait {
+            return self.send_now(&frame, 0);
+        }
         let ok = {
             let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
             w.write_all(&frame).is_ok()
@@ -310,13 +418,45 @@ impl Conn {
             self.sever();
         }
     }
+
+    /// Sends `frames` (answering `replies` in-flight requests) from the
+    /// calling thread **without ever waiting**: one non-blocking send, and
+    /// what the socket does not take — or all of it, if the pump is inside
+    /// a write — is the pump's to flush.
+    fn send_now(self: &Arc<Self>, frames: &[u8], replies: u64) {
+        let sent = match self.writer.try_lock() {
+            Ok(mut w) => w.write_now(frames),
+            Err(TryLockError::Poisoned(e)) => e.into_inner().write_now(frames),
+            Err(TryLockError::WouldBlock) => {
+                return self.push_pump(PumpEntry::Frames {
+                    bytes: frames.to_vec(),
+                    replies,
+                });
+            }
+        };
+        match sent {
+            Ok(true) => {
+                self.touch();
+                self.end_requests(replies);
+            }
+            Ok(false) => self.push_pump(PumpEntry::Frames {
+                bytes: Vec::new(),
+                replies,
+            }),
+            Err(_) => {
+                self.end_requests(replies);
+                self.sever();
+            }
+        }
+    }
 }
 
-/// The per-connection reply pump: drains ticket-backed requests in dispatch
-/// order, serializing consecutive completed replies into one buffer and
-/// flushing them with a single write. The buffer is flushed before the pump
-/// suspends on a still-pending ticket (no completed reply waits behind a
-/// pending one) and when it crosses [`PUMP_FLUSH_BYTES`].
+/// The per-connection reply pump: drains its FIFO in order, serializing
+/// consecutive completed replies (and frames the connection thread could
+/// not send) into one buffer and flushing them with a single write. The
+/// buffer is flushed before the pump suspends on a still-pending ticket (no
+/// completed reply waits behind a pending one) and when it crosses
+/// [`PUMP_FLUSH_BYTES`].
 ///
 /// Runs under [`block_on`](psnap_serve::block_on) on a dedicated writer
 /// thread, NOT as an executor task: flushes block on the socket, and a
@@ -327,14 +467,17 @@ impl Conn {
 /// and the socket write timeout severs it.
 async fn reply_pump(conn: Arc<Conn>) {
     enum Step {
-        Entry(Box<PendingReply>),
+        Entry(Box<PumpEntry>),
         Park(Arc<OpCell<()>>),
         Exit,
     }
     let mut buf: Vec<u8> = Vec::new();
     let mut unflushed = 0u64;
-    let flush = |buf: &mut Vec<u8>, unflushed: &mut u64| {
-        if *unflushed == 0 {
+    // Something was taken off the FIFO since the last flush: `buf`, the
+    // writer's backlog, or both may hold bytes.
+    let mut dirty = false;
+    let flush = |buf: &mut Vec<u8>, unflushed: &mut u64, dirty: &mut bool| {
+        if !std::mem::take(dirty) {
             return;
         }
         let ok = {
@@ -344,8 +487,7 @@ async fn reply_pump(conn: Arc<Conn>) {
             w.write_all(buf).is_ok()
         };
         buf.clear();
-        conn.end_requests(*unflushed);
-        *unflushed = 0;
+        conn.end_requests(std::mem::take(unflushed));
         if ok {
             // An outbound flush is activity: the idle watchdog must not
             // sever a peer the moment its last slow reply lands.
@@ -371,36 +513,41 @@ async fn reply_pump(conn: Arc<Conn>) {
                 Step::Park(bell)
             }
         };
-        match step {
+        let mut entry = match step {
             Step::Exit => {
-                flush(&mut buf, &mut unflushed);
+                flush(&mut buf, &mut unflushed, &mut dirty);
                 return;
             }
             Step::Park(bell) => {
-                flush(&mut buf, &mut unflushed);
+                flush(&mut buf, &mut unflushed, &mut dirty);
                 Ticket::new(bell).await;
+                continue;
             }
-            Step::Entry(mut entry) => {
-                let body = match TryTicketBody(&mut entry.ticket).await {
+            Step::Entry(entry) => *entry,
+        };
+        match &mut entry {
+            PumpEntry::Frames { bytes, replies } => {
+                buf.extend_from_slice(bytes);
+                unflushed += *replies;
+            }
+            PumpEntry::Pending(pending) => {
+                let body = match TryTicketBody(&mut pending.ticket).await {
                     Some(body) => body,
                     None => {
                         // Genuinely pending: everything serialized so far
                         // goes out before we suspend.
-                        flush(&mut buf, &mut unflushed);
-                        TicketBody(&mut entry.ticket).await
+                        flush(&mut buf, &mut unflushed, &mut dirty);
+                        TicketBody(&mut pending.ticket).await
                     }
                 };
-                let reply = Reply {
-                    id: entry.id,
-                    result: Ok(body),
-                };
-                encode_frame_into(reply.to_wire_string().as_bytes(), &mut buf);
+                encode_reply_into(pending.id, body, &mut buf);
                 unflushed += 1;
-                drop(entry); // ends the wire span: the request tree is complete
-                if buf.len() >= PUMP_FLUSH_BYTES {
-                    flush(&mut buf, &mut unflushed);
-                }
             }
+        }
+        dirty = true;
+        drop(entry); // ends the wire span: the request tree is complete
+        if buf.len() >= PUMP_FLUSH_BYTES {
+            flush(&mut buf, &mut unflushed, &mut dirty);
         }
     }
 }
@@ -641,13 +788,17 @@ where
     };
     let conn = Arc::new(Conn {
         stream,
-        writer: Mutex::new(writer),
+        writer: Mutex::new(ReplyWriter {
+            stream: writer,
+            backlog: Vec::new(),
+        }),
         in_flight: Mutex::new(0),
         drained: Condvar::new(),
         pump: Mutex::new(PumpQueue {
             entries: VecDeque::new(),
             doorbell: None,
             closed: false,
+            started: false,
         }),
         intake_closed: AtomicBool::new(false),
         epoch: shared.epoch,
@@ -655,7 +806,7 @@ where
         finished: AtomicBool::new(false),
     });
     // One socket-level write timeout covers every clone (pump flushes and
-    // the reader thread's inline error replies alike): a peer that stops
+    // the connection thread's blocking replies alike): a peer that stops
     // reading can wedge only its own connection, and only this long.
     conn.stream.set_write_timeout(shared.config.write_timeout);
     shared
@@ -663,11 +814,6 @@ where
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .push(Arc::clone(&conn));
-    // The reply pump: one dedicated writer thread for the connection's
-    // lifetime (see `reply_pump` — its flushes block on the socket, so it
-    // must not occupy an executor worker).
-    let conn_pump = Arc::clone(&conn);
-    std::thread::spawn(move || psnap_serve::block_on(reply_pump(conn_pump)));
     // Idle watchdog: a far-deadline timer on the executor's wheel (an idle
     // timeout of seconds spans many 256-slot laps at the default
     // granularity). It re-arms after activity — inbound frames, outbound
@@ -706,18 +852,90 @@ where
         });
     }
     let shared = Arc::clone(shared);
-    std::thread::spawn(move || {
-        run_connection(&shared, &conn, reader);
-        // No more dispatches can arrive: let the pump drain and exit.
-        conn.close_pump();
-        conn.finished.store(true, Ordering::Release);
-        conn.drained.notify_all();
-    });
+    std::thread::Builder::new()
+        .name("psnap-wire-conn".into())
+        .spawn(move || {
+            run_connection(&shared, &conn, reader);
+            // No more dispatches can arrive: let the pump drain and exit.
+            conn.close_pump();
+            conn.finished.store(true, Ordering::Release);
+            conn.drained.notify_all();
+        })
+        .expect("spawning a connection thread");
 }
 
-/// The connection reader: handshake, then the request loop. Runs on its own
-/// OS thread (frame reads block); everything it dispatches completes on the
-/// executor.
+/// The connection thread's read half, and the requests it has in flight.
+///
+/// Reading the socket is the only place this thread may block, so that is
+/// where it [`settle`](ConnReader::settle)s: every read of the socket
+/// (through the `BufReader` around this type — a buffered frame costs no
+/// read) first answers what was dispatched since the last one.
+struct ConnReader<'a> {
+    stream: Stream,
+    conn: &'a Arc<Conn>,
+    handle: &'a Handle,
+    /// Requests this thread dispatched against a wait-free object since
+    /// the last socket read, oldest first.
+    batch: Vec<PendingReply>,
+    /// Held from the first such dispatch until the batch settles: the
+    /// wake-ups those dispatches fired reached no worker, because this
+    /// thread runs the tasks itself.
+    helper: Option<Helper>,
+    /// Scratch for the frames `settle` sends.
+    frames: Vec<u8>,
+}
+
+impl ConnReader<'_> {
+    /// Answers the batch from this thread: runs the service pipeline until
+    /// the batch's tickets are complete (or the run queues are empty — a
+    /// worker got there first, a coalescing window is open), sends the
+    /// replies at the head of the batch that are complete with one
+    /// non-blocking send, and leaves the rest, in order, to the reply pump.
+    fn settle(&mut self) {
+        let Some(helper) = self.helper.take() else {
+            return;
+        };
+        let batch = &mut self.batch;
+        helper.help(|| batch.iter().all(|entry| entry.ticket.is_complete()));
+        drop(helper); // whatever is still queued goes to a worker
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut replies = 0u64;
+        self.frames.clear();
+        let mut rest = batch.drain(..);
+        let first_pending = loop {
+            let Some(mut entry) = rest.next() else {
+                break None;
+            };
+            match entry.ticket.poll_body(&mut cx) {
+                Poll::Ready(body) => {
+                    encode_reply_into(entry.id, body, &mut self.frames);
+                    replies += 1;
+                }
+                Poll::Pending => break Some(entry),
+            }
+        };
+        if replies > 0 {
+            self.conn.send_now(&self.frames, replies);
+        }
+        for entry in first_pending.into_iter().chain(rest) {
+            self.conn.push_pump(PumpEntry::Pending(entry));
+        }
+    }
+}
+
+impl Read for ConnReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.settle();
+        self.stream.read(buf)
+    }
+}
+
+/// The connection thread: handshake, then the request loop. Runs on its own
+/// OS thread (frame reads block). Against a wait-free backing object it
+/// answers its own requests — [`ConnReader::settle`] runs the service
+/// pipeline on this thread and sends the replies without ever waiting on
+/// the socket; otherwise everything it dispatches completes on the
+/// executor and is answered by the reply pump.
 fn run_connection<S>(shared: &Arc<ServerShared<S>>, conn: &Arc<Conn>, mut reader: Stream)
 where
     S: PartialSnapshot<u64> + 'static,
@@ -763,7 +981,17 @@ where
     // --- Request loop ----------------------------------------------------
     // Buffered from here on: a burst of pipelined frames costs one read
     // syscall per buffer fill instead of two per frame (header + payload).
-    let mut reader = std::io::BufReader::with_capacity(64 * 1024, reader);
+    let mut reader = std::io::BufReader::with_capacity(
+        64 * 1024,
+        ConnReader {
+            stream: reader,
+            conn,
+            handle: &shared.handle,
+            batch: Vec::new(),
+            helper: None,
+            frames: Vec::new(),
+        },
+    );
     let client = shared.service.client();
     let components = shared.service.components();
     let mut payload = Vec::new();
@@ -782,7 +1010,10 @@ where
                 // Died mid-frame (reset, truncation, oversized, idle
                 // severance). Accepted submissions are already in the
                 // service pipeline and will resolve server-side; nothing
-                // can be replied on a broken framing layer.
+                // can be replied on a broken framing layer. (A frame cut
+                // short inside the buffer never reached a socket read:
+                // settle, so nothing dispatched is left without a poller.)
+                reader.get_mut().settle();
                 conn.intake_closed.store(true, Ordering::Release);
                 conn.stream.shutdown(Shutdown::Both);
                 return;
@@ -790,48 +1021,62 @@ where
         };
         conn.touch();
 
-        // Root the request tree at frame decode: the service's own request
-        // root (ingest / scan request) nests beneath this span, so a wire
-        // request shows up in the flight recorder as one tree from byte
-        // arrival to reply.
-        let mut wire_span = Span::root(SpanKind::WireRequest);
+        // Read per request: a coordinated store loses the property when a
+        // reshard takes it past one shard.
+        let helping = shared.service.is_wait_free();
+        let attempt = |reader: &mut ConnReader<'_>| {
+            // Root the request tree at frame decode: the service's own
+            // request root (ingest / scan request) nests beneath this span,
+            // so a wire request shows up in the flight recorder as one tree
+            // from byte arrival to reply.
+            let mut wire_span = Span::root(SpanKind::WireRequest);
 
-        // Fast path first: the canonical document shape parses with a
-        // strict scanner; anything else (whitespace, reordered keys,
-        // foreign clients) takes the general JSON route.
-        let request = std::str::from_utf8(&payload).ok().and_then(|text| {
-            Request::parse_wire(text).or_else(|| {
-                Json::parse(text)
-                    .ok()
-                    .and_then(|json| Request::from_json(&json))
-            })
-        });
-        let Some(request) = request else {
+            // Fast path first: the canonical document shape parses with a
+            // strict scanner; anything else (whitespace, reordered keys,
+            // foreign clients) takes the general JSON route.
+            let request = std::str::from_utf8(&payload).ok().and_then(|text| {
+                Request::parse_wire(text).or_else(|| {
+                    Json::parse(text)
+                        .ok()
+                        .and_then(|json| Request::from_json(&json))
+                })
+            });
             // Undecodable request: answer `bad_request` with id 0 (the id,
             // if any, did not parse) and keep the connection — framing is
             // intact, only this payload was malformed.
-            conn.send_reply(&Reply {
-                id: 0,
-                result: Err(WireErrorKind::BadRequest),
-            });
-            continue;
+            let request = request.ok_or((0, WireErrorKind::BadRequest))?;
+            wire_span.set_args(request.body.opcode(), payload.len() as u64);
+            let id = request.id;
+            if conn.intake_closed.load(Ordering::Acquire) {
+                return Err((id, WireErrorKind::Closed));
+            }
+            let helping = helping.then_some(reader);
+            dispatch(
+                shared, conn, &client, components, request, wire_span, helping,
+            )
+            .map_err(|kind| (id, kind))
         };
-        wire_span.set_args(request.body.opcode(), payload.len() as u64);
-
-        if conn.intake_closed.load(Ordering::Acquire) {
-            conn.send_reply(&Reply {
-                id: request.id,
-                result: Err(WireErrorKind::Closed),
-            });
-            continue;
+        let mut outcome = attempt(reader.get_mut());
+        if matches!(outcome, Err((_, WireErrorKind::Busy))) && !reader.get_ref().batch.is_empty() {
+            // About to refuse for want of room that this thread's own
+            // unsettled batch may be holding: do that work first.
+            reader.get_mut().settle();
+            outcome = attempt(reader.get_mut());
         }
-        dispatch(shared, conn, &client, components, request, wire_span);
+        if let Err((id, kind)) = outcome {
+            let reply = Reply {
+                id,
+                result: Err(kind),
+            };
+            conn.reply_inline(&reply, helping);
+        }
     }
 }
 
-/// Validates and dispatches one decoded request. Ticket-backed completions
-/// for submits and scans go to the connection's reply pump; errors and
-/// stats answer inline from the reader thread.
+/// Validates and dispatches one decoded request; an `Err` is the caller's
+/// to answer. A ticket-backed request joins `helping`'s batch, which the
+/// connection thread answers itself, or without one goes to the
+/// connection's reply pump. Stats answer inline.
 fn dispatch<S>(
     shared: &Arc<ServerShared<S>>,
     conn: &Arc<Conn>,
@@ -839,74 +1084,60 @@ fn dispatch<S>(
     components: usize,
     request: Request,
     wire_span: Span,
-) where
+    mut helping: Option<&mut ConnReader<'_>>,
+) -> Result<(), WireErrorKind>
+where
     S: PartialSnapshot<u64> + 'static,
 {
     let id = request.id;
+    if let Some(reader) = helping.as_deref_mut() {
+        // Ahead of the dispatch: the wake-up it fires must find this thread
+        // registered.
+        let handle = reader.handle;
+        reader.helper.get_or_insert_with(|| handle.helper());
+    }
     // The wire span is entered around the service call so the in-process
-    // request root parents beneath it; it then travels into the reply pump
-    // and ends once the reply frame is serialized — the tree completes when
+    // request root parents beneath it; it then travels with the request and
+    // ends once the reply frame is serialized — the tree completes when
     // the wire layer is truly done with the request.
-    match request.body {
+    let ticket = match request.body {
         RequestBody::Submit { writes } => {
             if writes.iter().any(|(c, _)| *c >= components) {
-                conn.send_reply(&Reply {
-                    id,
-                    result: Err(WireErrorKind::BadRequest),
-                });
-                return;
+                return Err(WireErrorKind::BadRequest);
             }
-            let pushed = {
-                let _in = span::enter(wire_span.context());
-                client.submit_batch(writes)
-            };
-            match pushed {
-                Ok(ticket) => conn.push_reply(PendingReply {
-                    id,
-                    ticket: PendingTicket::Submit(ticket),
-                    _span: wire_span,
-                }),
-                Err(e) => conn.send_reply(&Reply {
-                    id,
-                    result: Err(submit_error(e)),
-                }),
-            }
+            let _in = span::enter(wire_span.context());
+            PendingTicket::Submit(client.submit_batch(writes).map_err(submit_error)?)
         }
         RequestBody::Scan {
             components: requested,
             freshness,
         } => {
             if requested.iter().any(|c| *c >= components) {
-                conn.send_reply(&Reply {
-                    id,
-                    result: Err(WireErrorKind::BadRequest),
-                });
-                return;
+                return Err(WireErrorKind::BadRequest);
             }
-            let pushed = {
-                let _in = span::enter(wire_span.context());
-                client.scan(requested, freshness)
-            };
-            match pushed {
-                Ok(ticket) => conn.push_reply(PendingReply {
-                    id,
-                    ticket: PendingTicket::Scan(ticket),
-                    _span: wire_span,
-                }),
-                Err(e) => conn.send_reply(&Reply {
-                    id,
-                    result: Err(submit_error(e)),
-                }),
-            }
+            let _in = span::enter(wire_span.context());
+            PendingTicket::Scan(client.scan(requested, freshness).map_err(submit_error)?)
         }
         RequestBody::Stats => {
-            let stats = shared.service.obs().to_json();
-            conn.send_reply(&Reply {
+            let reply = Reply {
                 id,
-                result: Ok(ReplyBody::Stats(stats)),
-            });
+                result: Ok(ReplyBody::Stats(shared.service.obs().to_json())),
+            };
+            conn.reply_inline(&reply, helping.is_some());
+            return Ok(());
         }
+    };
+    conn.begin_request();
+    let entry = PendingReply {
+        id,
+        ticket,
+        _span: wire_span,
+    };
+    match helping {
+        Some(reader) => reader.batch.push(entry),
+        None => conn.push_pump(PumpEntry::Pending(entry)),
     }
+    Ok(())
 }
 
 fn submit_error(e: SubmitError) -> WireErrorKind {

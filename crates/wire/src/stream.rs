@@ -1,10 +1,33 @@
 //! A TCP or unix-domain stream behind one type, so the connection
 //! machinery (server and client side) is written once.
 
+use std::ffi::{c_int, c_void};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
+
+// The two socket calls std has no per-call non-blocking form of. std already
+// links libc; `set_nonblocking` is not a substitute, because it flips the
+// open file description that the thread blocked on the other half of the
+// connection shares.
+extern "C" {
+    fn send(fd: c_int, buf: *const c_void, len: usize, flags: c_int) -> isize;
+    fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+}
+
+const MSG_PEEK: c_int = 0x2;
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const MSG_DONTWAIT: c_int = 0x40;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const MSG_DONTWAIT: c_int = 0x80;
+/// A write to a closed peer is an `EPIPE` error, not a signal (std's own
+/// writes pass the same flag where it exists).
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const MSG_NOSIGNAL: c_int = 0x4000;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const MSG_NOSIGNAL: c_int = 0;
 
 pub(crate) enum Stream {
     Tcp(TcpStream),
@@ -31,6 +54,68 @@ impl Stream {
             Stream::Tcp(s) => s.set_read_timeout(t),
             Stream::Unix(s) => s.set_read_timeout(t),
         };
+    }
+
+    fn fd(&self) -> RawFd {
+        match self {
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Unix(s) => s.as_raw_fd(),
+        }
+    }
+
+    /// Sends as much of `buf` as the socket takes without waiting: `Ok(n)`
+    /// with `n < buf.len()` (possibly 0) when its send buffer is full.
+    pub(crate) fn try_write(&self, buf: &[u8]) -> io::Result<usize> {
+        loop {
+            // SAFETY: `fd` is this stream's open socket for the whole call
+            // (`&self` keeps it from closing), and `buf` is valid for reads
+            // of `buf.len()` bytes; `send` neither keeps the pointer nor
+            // writes through it.
+            let n = unsafe {
+                send(
+                    self.fd(),
+                    buf.as_ptr().cast(),
+                    buf.len(),
+                    MSG_DONTWAIT | MSG_NOSIGNAL,
+                )
+            };
+            if n >= 0 {
+                return Ok(n as usize);
+            }
+            let e = io::Error::last_os_error();
+            match e.kind() {
+                io::ErrorKind::Interrupted => continue,
+                io::ErrorKind::WouldBlock => return Ok(0),
+                _ => return Err(e),
+            }
+        }
+    }
+
+    /// True if the peer has closed its sending direction (or the connection
+    /// has failed) and nothing is left to read; never waits, consumes
+    /// nothing.
+    pub(crate) fn peer_closed(&self) -> bool {
+        let mut byte = 0u8;
+        loop {
+            // SAFETY: `fd` is this stream's open socket for the whole call,
+            // and `byte` is one writable byte that outlives it.
+            let n = unsafe {
+                recv(
+                    self.fd(),
+                    (&raw mut byte).cast(),
+                    1,
+                    MSG_PEEK | MSG_DONTWAIT,
+                )
+            };
+            if n >= 0 {
+                return n == 0;
+            }
+            match io::Error::last_os_error().kind() {
+                io::ErrorKind::Interrupted => continue,
+                io::ErrorKind::WouldBlock => return false,
+                _ => return true,
+            }
+        }
     }
 
     /// Socket-level (`SO_SNDTIMEO`): applies to every clone of this stream.
