@@ -1447,7 +1447,7 @@ impl E11Data {
              a write stream; uniform and Zipf(0.9) component placement of the query \
              shapes; Cas and 4-way-sharded backends). The `none` baseline answers \
              every scan request with its own backing scan; `drain` merges whatever \
-             is pending via ShardRouter::plan_union into one deduplicated backing \
+             is pending via ScanUnion into one deduplicated backing \
              scan; `window` first accumulates 200µs. The coalescing ratio is client \
              scans per backing scan (> 1 = merging), and throughput_vs_uncoalesced \
              compares each mode against `none` at the same point — under churn the \

@@ -13,11 +13,13 @@
 //!   client batches kept atomic) into single
 //!   [`update_many`](psnap_core::PartialSnapshot::update_many) calls, the
 //!   PR-3 batch path;
-//! * **scan coalescing** — concurrent partial-scan requests are merged with
-//!   [`psnap_shard::ShardRouter::plan_union`] into one deduplicated backing
-//!   scan whose results fan back out per request, the Kallimanis & Kanellou
+//! * **scan coalescing** — concurrent partial-scan requests are merged
+//!   into one deduplicated [`psnap_shard::ScanUnion`] and one backing scan
+//!   whose results fan back out per request, the Kallimanis & Kanellou
 //!   operation-combining idea applied at the request level, with per-request
-//!   freshness bounds;
+//!   freshness bounds. The union is a flat O(requested) pass and its cut is
+//!   moved, not copied, into the freshness cache: the one task every service
+//!   scan passes through pays for slots, not for trees;
 //! * **backpressure** — full queues reject immediately with
 //!   [`SubmitError::Busy`]; accepted work always completes and the stats
 //!   counters partition exactly, mirroring the sharded store's discipline.

@@ -16,11 +16,18 @@
 //! 2. **Scan coalescing** — [`ClientHandle::scan`] enqueues a scan request.
 //!    The scan server drains all pending requests (optionally waiting a
 //!    [`Coalescing::Window`] to accumulate more), merges their component
-//!    sets with [`ShardRouter::plan_union`] into one deduplicated union, runs
-//!    **one** backing scan, and fans each requester's subset back out. A
-//!    projection of one linearizable scan is itself a legal scan at the same
-//!    linearization point, which is what the lincheck conformance suite
-//!    verifies end to end.
+//!    sets into one deduplicated [`ScanUnion`], runs **one** backing scan,
+//!    and fans each requester's subset back out. A projection of one
+//!    linearizable scan is itself a legal scan at the same linearization
+//!    point, which is what the lincheck conformance suite verifies end to
+//!    end. A union job is *plan → scan → fan out → publish*, and only the
+//!    scan costs more than the slots requested: the union is one flat pass
+//!    with no routing (the backing object plans per shard itself), per-job
+//!    bookkeeping (clock, counters, span vectors) is paid once per job, and
+//!    the cut enters the freshness cache by **moving** the two vectors the
+//!    job already holds — the lookup index is built by the first stale
+//!    reader, if one ever comes. `{prefix}.scan.plan_ns`, `.backing_latency_ns`,
+//!    `.fanout_ns` and `.publish_ns` time the four stages per job.
 //! 3. **Backpressure** — both queue families are bounded; a full queue fails
 //!    the submit with [`SubmitError::Busy`] immediately and enqueues
 //!    nothing. Accepted work is never dropped: every ticket resolves, even
@@ -59,7 +66,7 @@ use psnap_obs::{
     flight, span, trace, AnomalyKind, Counter, Gauge, Histogram, HistogramSnapshot, Metric,
     RateTracker, Registry, Span, SpanKind, TraceKind,
 };
-use psnap_shard::{Partition, ReshardPolicy, ReshardPolicyConfig, ShardRouter};
+use psnap_shard::{last_write_wins, ReshardPolicy, ReshardPolicyConfig, ScanUnion};
 
 use crate::executor::{block_on_timeout, Executor, Handle};
 use crate::queue::{BoundedQueue, Notify, OpCell, SubmitError, Ticket};
@@ -212,15 +219,68 @@ struct ScanRequest<T> {
 /// union jobs have different linearization points, and a merged map could
 /// show a cut no single scan ever saw.
 struct ScanCache<T> {
-    values: BTreeMap<usize, T>,
+    /// The cut as the scan that took it held it: distinct components and
+    /// their values, in parallel, moved in rather than copied.
+    components: Vec<usize>,
+    values: Vec<T>,
     taken_at: Instant,
     /// Partition-map generation the entry was taken under, with each
-    /// component's shard at that time. On a later generation, only
-    /// components whose shard assignment actually moved are dropped
-    /// (a projection of an atomic cut is still atomic); unmigrated
-    /// components keep serving.
+    /// component's shard at that time (parallel to `components`). On a
+    /// later generation, only components whose shard assignment actually
+    /// moved are dropped (a projection of an atomic cut is still atomic);
+    /// unmigrated components keep serving. The shards cannot wait for a
+    /// reader the way `by_component` does: once the generation moves, the
+    /// assignment the entry was taken under is gone.
     generation: u64,
-    shard_at_insert: BTreeMap<usize, usize>,
+    shards: Vec<u32>,
+    /// Positions of `components` in ascending component order — the lookup
+    /// index. Empty until the first stale reader consults the entry; most
+    /// entries are evicted without ever being read.
+    by_component: Vec<u32>,
+}
+
+impl<T: Clone> ScanCache<T> {
+    /// The values of `components` if the entry covers them all.
+    fn lookup(&mut self, components: &[usize]) -> Option<Vec<T>> {
+        if self.by_component.is_empty() {
+            self.by_component = (0..self.components.len() as u32).collect();
+            self.by_component
+                .sort_unstable_by_key(|&at| self.components[at as usize]);
+        }
+        components
+            .iter()
+            .map(|component| {
+                self.by_component
+                    .binary_search_by_key(component, |&at| self.components[at as usize])
+                    .ok()
+                    .map(|found| self.values[self.by_component[found] as usize].clone())
+            })
+            .collect()
+    }
+
+    /// Moves the entry to `generation`, dropping every component whose
+    /// shard is no longer the one it was published under. Returns how many
+    /// were dropped.
+    fn revalidate(&mut self, generation: u64, shard_of: impl Fn(usize) -> usize) -> usize {
+        self.generation = generation;
+        let before = self.components.len();
+        let mut kept = 0;
+        for at in 0..before {
+            if shard_of(self.components[at]) == self.shards[at] as usize {
+                self.components.swap(kept, at);
+                self.values.swap(kept, at);
+                self.shards.swap(kept, at);
+                kept += 1;
+            }
+        }
+        if kept < before {
+            self.components.truncate(kept);
+            self.values.truncate(kept);
+            self.shards.truncate(kept);
+            self.by_component.clear();
+        }
+        before - kept
+    }
 }
 
 /// Cache entries kept (newest first). Parallel union jobs and mv-served
@@ -270,6 +330,12 @@ struct Counters {
     /// Coalescing-window width chosen per serve round (nanoseconds),
     /// including the zero decisions — the adaptive controller's output.
     window_ns: Arc<Histogram>,
+    /// Per union job, beside `backing_latency`: building the deduplicated
+    /// union, answering every request of the job, and publishing the cut
+    /// to the freshness cache (nanoseconds each).
+    plan_ns: Arc<Histogram>,
+    fanout_ns: Arc<Histogram>,
+    publish_ns: Arc<Histogram>,
     /// Submissions currently queued across all clients.
     ingest_depth: Arc<Gauge>,
     /// Scan requests currently queued.
@@ -303,6 +369,9 @@ impl Default for Counters {
             scan_latency: Arc::new(Histogram::new()),
             backing_latency: Arc::new(Histogram::new()),
             window_ns: Arc::new(Histogram::new()),
+            plan_ns: Arc::new(Histogram::new()),
+            fanout_ns: Arc::new(Histogram::new()),
+            publish_ns: Arc::new(Histogram::new()),
             ingest_depth: Arc::new(Gauge::new()),
             scan_depth: Arc::new(Gauge::new()),
         }
@@ -377,6 +446,13 @@ pub struct ServiceStats {
     /// Coalescing-window widths chosen per serve round (nanoseconds),
     /// zero decisions included.
     pub window_ns: HistogramSnapshot,
+    /// Per-union-job time to build the deduplicated union (nanoseconds).
+    pub plan_ns: HistogramSnapshot,
+    /// Per-union-job time to answer every request of the job (nanoseconds).
+    pub fanout_ns: HistogramSnapshot,
+    /// Per-union-job time to publish the cut to the freshness cache
+    /// (nanoseconds).
+    pub publish_ns: HistogramSnapshot,
 }
 
 impl ServiceStats {
@@ -498,6 +574,9 @@ impl ServiceObs {
             ("scan_latency_ns", hist(&self.stats.scan_latency)),
             ("backing_latency_ns", hist(&self.stats.backing_latency)),
             ("window_ns", hist(&self.stats.window_ns)),
+            ("plan_ns", hist(&self.stats.plan_ns)),
+            ("fanout_ns", hist(&self.stats.fanout_ns)),
+            ("publish_ns", hist(&self.stats.publish_ns)),
             ("coalescing_ratio", Json::Num(self.coalescing_ratio)),
             (
                 "component_dedup_ratio",
@@ -546,9 +625,6 @@ struct ClientRegistry<T> {
 
 struct ServiceCore<T, S> {
     snapshot: S,
-    /// Trivial single-shard router over the component space: reused purely
-    /// for its union planning (dedup + per-request fan-out positions).
-    router: ShardRouter,
     config: ServiceConfig,
     clients: Mutex<ClientRegistry<T>>,
     ingest_notify: Arc<Notify>,
@@ -586,54 +662,47 @@ where
             if entry.generation == current_generation {
                 continue;
             }
-            let before = entry.values.len();
-            let shard_at_insert = std::mem::take(&mut entry.shard_at_insert);
-            entry.values.retain(|component, _| {
-                shard_at_insert.get(component) == Some(&self.snapshot.shard_of(*component))
+            let dropped = entry.revalidate(current_generation, |component| {
+                self.snapshot.shard_of(component)
             });
-            entry.shard_at_insert = shard_at_insert
-                .into_iter()
-                .filter(|(component, _)| entry.values.contains_key(component))
-                .collect();
-            entry.generation = current_generation;
             self.counters.cache_revalidated.inc();
             self.counters
                 .cache_invalidated_components
-                .add((before - entry.values.len()) as u64);
+                .add(dropped as u64);
         }
-        cache.retain(|entry| !entry.values.is_empty());
+        cache.retain(|entry| !entry.components.is_empty());
         // Newest-first insertion order is only approximate under parallel
         // jobs, so every entry is checked for both age and coverage.
-        cache.iter().find_map(|entry| {
+        cache.iter_mut().find_map(|entry| {
             if entry.taken_at.elapsed() > bound {
                 return None;
             }
-            components
-                .iter()
-                .map(|c| entry.values.get(c).cloned())
-                .collect()
+            entry.lookup(components)
         })
     }
 
-    /// Publishes one scan's atomic union as the newest cache entry, tagged
+    /// Publishes one scan's atomic cut — distinct `components` and their
+    /// `values`, moved in as they are — as the newest cache entry, tagged
     /// with the current partition generation and each component's shard
     /// (the inputs of lazy revalidation — see [`try_cache`]).
     ///
     /// [`try_cache`]: ServiceCore::try_cache
-    fn push_cache(&self, values: BTreeMap<usize, T>, taken_at: Instant) {
+    fn push_cache(&self, components: Vec<usize>, values: Vec<T>, taken_at: Instant) {
         let generation = self.snapshot.generation();
-        let shard_at_insert = values
-            .keys()
-            .map(|&component| (component, self.snapshot.shard_of(component)))
+        let shards = components
+            .iter()
+            .map(|&component| self.snapshot.shard_of(component) as u32)
             .collect();
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         cache.insert(
             0,
             ScanCache {
+                components,
                 values,
                 taken_at,
                 generation,
-                shard_at_insert,
+                shards,
+                by_component: Vec::new(),
             },
         );
         cache.truncate(CACHE_ENTRIES);
@@ -646,9 +715,20 @@ where
     /// owns the root [`Span`] — ends the tree, which is the moment the
     /// flight recorder assembles it. Breaching [`ServiceConfig::scan_slo`]
     /// fires the latency trigger *after* the tree is collected, so the
-    /// dump always contains the offending request.
-    fn complete_scan(&self, mut request: ScanRequest<T>, tier: u64, tier_b: u64, values: Vec<T>) {
-        let latency_ns = request.submitted.elapsed().as_nanos() as u64;
+    /// dump always contains the offending request. `answered` is the
+    /// instant the latency is measured to; a union job reads the clock once
+    /// for all its requests.
+    fn complete_scan(
+        &self,
+        mut request: ScanRequest<T>,
+        answered: Instant,
+        tier: u64,
+        tier_b: u64,
+        values: Vec<T>,
+    ) {
+        let latency_ns = answered
+            .saturating_duration_since(request.submitted)
+            .as_nanos() as u64;
         self.counters.scan_latency.record(latency_ns);
         {
             let _in_span = span::enter(request.span.context());
@@ -695,7 +775,7 @@ where
             // with an empty union.
             if request.components.is_empty() {
                 self.counters.scans_served_empty.inc();
-                self.complete_scan(request, 2, 0, Vec::new());
+                self.complete_scan(request, Instant::now(), 2, 0, Vec::new());
                 continue;
             }
             if let Freshness::AtMostStale(bound) = request.freshness {
@@ -705,7 +785,7 @@ where
                 // pipeline untouched.
                 if let Some(values) = self.try_cache(&request.components, bound) {
                     self.counters.scans_served_cache.inc();
-                    self.complete_scan(request, 1, 0, values);
+                    self.complete_scan(request, Instant::now(), 1, 0, values);
                     continue;
                 }
                 let taken_at = Instant::now();
@@ -718,17 +798,21 @@ where
                 if let Some((ts, values)) = stale {
                     // The cut linearizes inside this call, so it is fresher
                     // than any bound; publish it for the next stale reader.
-                    let map: BTreeMap<usize, T> = request
-                        .components
-                        .iter()
-                        .copied()
-                        .zip(values.iter().cloned())
-                        .collect();
-                    self.push_cache(map, taken_at);
+                    // A union's positions count up one at a time, so the
+                    // value of each distinct component is the one at the
+                    // position that first names it.
+                    let union = ScanUnion::of([request.components.as_slice()]);
+                    let mut cut = Vec::with_capacity(union.components.len());
+                    for (&at, value) in union.positions.iter().zip(&values) {
+                        if at == cut.len() {
+                            cut.push(value.clone());
+                        }
+                    }
+                    self.push_cache(union.components, cut, taken_at);
                     stale_span.set_args(ts, values.len() as u64);
                     drop(stale_span);
                     self.counters.scans_served_mv.inc();
-                    self.complete_scan(request, 3, ts, values);
+                    self.complete_scan(request, Instant::now(), 3, ts, values);
                     continue;
                 }
                 drop(stale_span);
@@ -839,73 +923,78 @@ where
         (backing_requests, count, total_ns)
     }
 
-    /// Runs one union backing scan for `requests` on `pid`: plans the
-    /// deduplicated union, scans it, publishes the union as a cache entry,
-    /// and fans each requester's subset back out. Returns the backing
-    /// scan's duration in nanoseconds.
+    /// Runs one union backing scan for `requests` on `pid`: builds the
+    /// deduplicated union, scans it, fans each requester's subset back out,
+    /// and publishes the union as a cache entry. Returns the backing scan's
+    /// duration in nanoseconds.
     fn run_union_job(&self, requests: Vec<ScanRequest<T>>, pid: ProcessId) -> u64 {
-        let sets: Vec<&[usize]> = requests.iter().map(|r| r.components.as_slice()).collect();
-        let plan = self.router.plan_union(&sets);
-        let requested_total: u64 = sets.iter().map(|s| s.len() as u64).sum();
-        drop(sets);
-        // One group per shard of the trivial router — i.e. exactly one
-        // backing scan of the deduplicated union. The cache timestamp is
-        // taken *before* the scan starts: the scan's linearization point is
-        // no earlier than this instant, so `AtMostStale(d)` measured against
-        // it never under-reports staleness, however long the scan itself
-        // takes under contention.
+        let started = Instant::now();
+        let union = ScanUnion::of(requests.iter().map(|r| r.components.as_slice()));
+        // Exactly one backing scan of the deduplicated union. The cache
+        // timestamp is taken *before* the scan starts: the scan's
+        // linearization point is no earlier than this instant, so
+        // `AtMostStale(d)` measured against it never under-reports
+        // staleness, however long the scan itself takes under contention.
         let taken_at = Instant::now();
-        let group_components = plan.group_components(&self.router);
         // One `BackingScan` child per request in the job: each request's
         // tree carries the union-scan interval it waited on, wherever the
         // job ran (this may be an executor worker, not the scan server).
         // Entering the first one attributes the backing object's own
         // events (scan retries, fallbacks) to this job's trees.
-        let mut backing_spans: Vec<Span> = requests
-            .iter()
-            .map(|r| Span::child(r.span.context(), SpanKind::BackingScan))
-            .collect();
-        let results: Vec<Vec<T>> = {
+        let mut backing_spans: Vec<Span> = if psnap_obs::span_enabled() {
+            requests
+                .iter()
+                .map(|r| Span::child(r.span.context(), SpanKind::BackingScan))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let values: Vec<T> = {
             let _in_span =
                 span::enter(backing_spans.first().map(Span::context).unwrap_or_default());
-            group_components
-                .iter()
-                .map(|components| self.snapshot.scan(pid, components))
-                .collect()
+            self.snapshot.scan(pid, &union.components)
         };
-        let elapsed_ns = taken_at.elapsed().as_nanos() as u64;
+        // The one clock read every request's latency is measured to.
+        let scanned_at = Instant::now();
+        let elapsed_ns = scanned_at.duration_since(taken_at).as_nanos() as u64;
+        let (served, forwarded) = (requests.len() as u64, union.components.len() as u64);
         self.counters.backing_scans.inc();
         self.counters.backing_latency.record(elapsed_ns);
+        self.counters.backing_components.add(forwarded);
         self.counters
-            .backing_components
-            .add(plan.forwarded_slots() as u64);
-        self.counters.requested_components.add(requested_total);
-        trace::emit(
-            TraceKind::Coalesce,
-            requests.len() as u64,
-            plan.forwarded_slots() as u64,
-        );
+            .requested_components
+            .add(union.positions.len() as u64);
+        self.counters.scans_served_backing.add(served);
+        trace::emit(TraceKind::Coalesce, served, forwarded);
         for backing_span in &mut backing_spans {
-            backing_span.set_args(requests.len() as u64, plan.forwarded_slots() as u64);
+            backing_span.set_args(served, forwarded);
         }
         drop(backing_spans);
-        {
-            let mut values = BTreeMap::new();
-            for (components, result) in group_components.iter().zip(&results) {
-                for (c, v) in components.iter().zip(result) {
-                    values.insert(*c, v.clone());
-                }
-            }
-            self.push_cache(values, taken_at);
-        }
-        for (k, request) in requests.into_iter().enumerate() {
+        let mut positions = union.positions.as_slice();
+        for request in requests {
+            let (own, rest) = positions.split_at(request.components.len());
+            positions = rest;
             let mut merge_span = Span::child(request.span.context(), SpanKind::Merge);
-            let values = plan.assemble(k, &results);
-            merge_span.set_args(values.len() as u64, 0);
+            let answer: Vec<T> = own.iter().map(|&at| values[at].clone()).collect();
+            merge_span.set_args(answer.len() as u64, 0);
             drop(merge_span);
-            self.counters.scans_served_backing.inc();
-            self.complete_scan(request, 0, 0, values);
+            self.complete_scan(request, scanned_at, 0, 0, answer);
         }
+        let fanned_out_at = Instant::now();
+        // Answers first, then the cache: the vectors are free to move once
+        // the last request has copied out of them, and no stale reader can
+        // miss the entry — stale requests are served by the scan server
+        // task, which gets to them only after this job has returned.
+        self.push_cache(union.components, values, taken_at);
+        let published_at = Instant::now();
+        let ns = |from: Instant, to: Instant| to.duration_since(from).as_nanos() as u64;
+        self.counters.plan_ns.record(ns(started, taken_at));
+        self.counters
+            .fanout_ns
+            .record(ns(scanned_at, fanned_out_at));
+        self.counters
+            .publish_ns
+            .record(ns(fanned_out_at, published_at));
         elapsed_ns
     }
 
@@ -965,25 +1054,16 @@ where
 }
 
 /// Concatenates the chunk's writes in arrival order and keeps only the last
-/// write per component. All surviving components are distinct, so one
-/// `update_many` applies them atomically; the dropped writes are exactly
-/// those a sequential observer could never have distinguished (each
+/// write per component ([`last_write_wins`], the definition the sharded
+/// stores' own `update_many` uses). All surviving components are distinct,
+/// so one `update_many` applies them atomically; the dropped writes are
+/// exactly those a sequential observer could never have distinguished (each
 /// linearizes immediately before the write that superseded it).
 fn coalesce_last_write_wins<T: Clone>(chunk: &[Submission<T>]) -> Vec<(usize, T)> {
-    let mut out: Vec<(usize, T)> = Vec::new();
-    let mut index_of: BTreeMap<usize, usize> = BTreeMap::new();
-    for submission in chunk {
-        for (component, value) in &submission.writes {
-            match index_of.get(component) {
-                Some(&i) => out[i].1 = value.clone(),
-                None => {
-                    index_of.insert(*component, out.len());
-                    out.push((*component, value.clone()));
-                }
-            }
-        }
-    }
-    out
+    last_write_wins(chunk.iter().map(|submission| submission.writes.as_slice()))
+        .into_iter()
+        .map(|(component, value)| (component, value.clone()))
+        .collect()
 }
 
 /// Partitions `requests` into groups whose shard footprints
@@ -1361,11 +1441,9 @@ where
                 || config.drain_pid.index() > last_scan_pid,
             "drainer and scan server pids must not overlap"
         );
-        let m = snapshot.components();
         let scan_notify = Arc::new(Notify::new());
         let core = Arc::new(ServiceCore {
             snapshot,
-            router: ShardRouter::new(m, 1, Partition::Contiguous),
             scan_queue: BoundedQueue::new(config.scan_capacity, Arc::clone(&scan_notify)),
             config,
             clients: Mutex::new(ClientRegistry {
@@ -1555,6 +1633,9 @@ fn stats_of(c: &Counters) -> ServiceStats {
         scan_latency: c.scan_latency.snapshot(),
         backing_latency: c.backing_latency.snapshot(),
         window_ns: c.window_ns.snapshot(),
+        plan_ns: c.plan_ns.snapshot(),
+        fanout_ns: c.fanout_ns.snapshot(),
+        publish_ns: c.publish_ns.snapshot(),
         cache_revalidated: c.cache_revalidated.get(),
         cache_invalidated_components: c.cache_invalidated_components.get(),
     }
@@ -1772,22 +1853,21 @@ where
                 Metric::Counter(Arc::clone(counter)),
             );
         }
-        registry.register(
-            &format!("{prefix}.ingest.latency_ns"),
-            Metric::Histogram(Arc::clone(&c.submit_latency)),
-        );
-        registry.register(
-            &format!("{prefix}.scan.latency_ns"),
-            Metric::Histogram(Arc::clone(&c.scan_latency)),
-        );
-        registry.register(
-            &format!("{prefix}.scan.backing_latency_ns"),
-            Metric::Histogram(Arc::clone(&c.backing_latency)),
-        );
-        registry.register(
-            &format!("{prefix}.scan.window_ns"),
-            Metric::Histogram(Arc::clone(&c.window_ns)),
-        );
+        let histograms: [(&str, &Arc<Histogram>); 7] = [
+            ("ingest.latency_ns", &c.submit_latency),
+            ("scan.latency_ns", &c.scan_latency),
+            ("scan.backing_latency_ns", &c.backing_latency),
+            ("scan.window_ns", &c.window_ns),
+            ("scan.plan_ns", &c.plan_ns),
+            ("scan.fanout_ns", &c.fanout_ns),
+            ("scan.publish_ns", &c.publish_ns),
+        ];
+        for (name, histogram) in histograms {
+            registry.register(
+                &format!("{prefix}.{name}"),
+                Metric::Histogram(Arc::clone(histogram)),
+            );
+        }
         registry.register(
             &format!("{prefix}.ingest.depth"),
             Metric::Gauge(Arc::clone(&c.ingest_depth)),

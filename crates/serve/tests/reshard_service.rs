@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use psnap_core::PartialSnapshot;
+use psnap_core::{PartialSnapshot, ReshardOp};
 use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
 use psnap_shard::{MvShardedSnapshot, ReshardPolicyConfig, ShardConfig};
 
@@ -106,6 +106,87 @@ fn reshard_driver_splits_a_hot_shard_under_live_traffic() {
     );
     assert_eq!(obs.shard_heat_rate.len(), obs.shard_heat.len());
     assert!(backing.reshards() >= 1);
+
+    service.shutdown();
+}
+
+/// Cache entries are published by moving a union job's vectors in, with no
+/// lookup index until a stale reader asks — and no stale reader asks here
+/// until the cache has turned over completely and the layout has moved
+/// under it. That first reader must still get lazy per-shard revalidation:
+/// components that stayed on their shard are served from the cached cut,
+/// components that migrated are not.
+#[test]
+fn stale_reader_after_a_reshard_is_served_from_the_cache_for_unmigrated_components_only() {
+    let backing = Arc::new(MvShardedSnapshot::new(
+        M,
+        2,
+        0u64,
+        ShardConfig::multiversioned(2),
+    ));
+    let executor = Executor::new(2);
+    let service = SnapshotService::start(Arc::clone(&backing), ServiceConfig::default(), &executor);
+    let client = service.client();
+    for component in 0..M {
+        assert!(client.submit_blocking(component, 100 + component as u64));
+    }
+
+    // Shard 0 owns 0..32 and shard 1 owns 32..64; splitting shard 0 keeps
+    // 0..16 in place and moves 16..32 to a new shard. Twelve Fresh union
+    // jobs (more than the cache holds), every one covering two components
+    // that will stay (0 and 5), one that will migrate (20) and one on the
+    // untouched shard (40), plus a component of its own.
+    let jobs = 12;
+    for job in 0..jobs {
+        let request = [0, 5, 20, 40, 6 + job];
+        let values = client.scan_blocking(&request, Freshness::Fresh).unwrap();
+        let expected: Vec<u64> = request.iter().map(|&c| 100 + c as u64).collect();
+        assert_eq!(values, expected);
+    }
+    // An answer may reach its client before its cut reaches the cache; an
+    // empty scan is served strictly after the job before it has finished.
+    assert!(client
+        .scan_blocking(&[], Freshness::Fresh)
+        .unwrap()
+        .is_empty());
+    let before = service.stats();
+    assert_eq!(before.backing_scans, jobs as u64);
+    assert_eq!(before.scans_served_cache, 0, "no stale reader so far");
+    assert_eq!(before.cache_revalidated, 0);
+
+    // Overwrite everything the stale reads below touch, then move the
+    // layout: a cached answer is now recognisable by its old values.
+    for component in [0, 5, 20, 40] {
+        assert!(client.submit_blocking(component, 900 + component as u64));
+    }
+    assert!(backing.reshard(ReshardOp::Split { shard: 0 }));
+    assert_eq!(backing.shard_of(5), 0);
+    assert_eq!(backing.shard_of(20), 2);
+
+    let bound = Freshness::AtMostStale(Duration::from_secs(600));
+    // Unmigrated components, duplicates and all: the pre-reshard cut.
+    assert_eq!(
+        client.scan_blocking(&[40, 0, 5, 0], bound).unwrap(),
+        vec![140, 100, 105, 100]
+    );
+    let after_hit = service.stats();
+    assert_eq!(after_hit.scans_served_cache, 1, "{after_hit:?}");
+    assert_eq!(after_hit.backing_scans, jobs as u64);
+    // Every entry the cache still held was revalidated, and each of them
+    // lost (at least) the migrated component 20.
+    assert_eq!(after_hit.cache_revalidated, 8, "{after_hit:?}");
+    assert!(after_hit.cache_invalidated_components >= 8, "{after_hit:?}");
+
+    // A request touching the migrated component is not served from any
+    // cached cut (the version chains answer it, with the new values).
+    assert_eq!(
+        client.scan_blocking(&[5, 20], bound).unwrap(),
+        vec![905, 920]
+    );
+    let after_miss = service.stats();
+    assert_eq!(after_miss.scans_served_cache, 1, "{after_miss:?}");
+    assert_eq!(after_miss.scans_served_mv, 1, "{after_miss:?}");
+    assert_eq!(after_miss.cache_revalidated, 8, "revalidation happens once");
 
     service.shutdown();
 }

@@ -64,6 +64,6 @@ pub mod reshard;
 pub mod sharded;
 
 pub use mv_sharded::{MvShardedParked, MvShardedSnapshot};
-pub use partition::{Partition, PartitionMap, ScanPlan, ShardRouter, UnionPlan};
+pub use partition::{last_write_wins, Partition, PartitionMap, ScanPlan, ScanUnion, ShardRouter};
 pub use reshard::{ReshardPolicy, ReshardPolicyConfig};
 pub use sharded::{CoordinationStats, CrossShardPath, ShardConfig, ShardedSnapshot};

@@ -421,8 +421,8 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
         let state = self.state(&pin);
         let by_shard = state.router.group_last_write_wins(writes);
         let stamp = MvStamp::pending_batch();
-        for (&shard, sub_batch) in &by_shard {
-            state.inner[shard].install_pending(pid, sub_batch, &stamp);
+        for (shard, sub_batch) in &by_shard {
+            state.inner[*shard].install_pending(pid, sub_batch, &stamp);
         }
         let touched = by_shard
             .into_iter()
@@ -668,7 +668,7 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
         let state = self.state(&guard);
         let by_shard = state.router.group_last_write_wins(writes);
         let scope = psnap_obs::enabled().then(StepScope::start);
-        for &shard in by_shard.keys() {
+        for &(shard, _) in &by_shard {
             state.heat[shard].inc();
         }
         // All installs under the serializer, then one finalize — the single
@@ -676,16 +676,16 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
         // protocol. No per-shard write phases, no marks for scans to
         // validate; the single-shard case is simply the one-group instance.
         let stamp = MvStamp::pending_batch();
-        for (&shard, sub_batch) in &by_shard {
-            state.inner[shard].install_pending(pid, sub_batch, &stamp);
+        for (shard, sub_batch) in &by_shard {
+            state.inner[*shard].install_pending(pid, sub_batch, &stamp);
         }
         stamp.finalize(&self.camera);
-        for (&shard, sub_batch) in &by_shard {
+        for (shard, sub_batch) in &by_shard {
             let slots: Vec<usize> = sub_batch.iter().map(|(slot, _)| *slot).collect();
-            state.inner[shard].prune_components(&slots);
+            state.inner[*shard].prune_components(&slots);
         }
         let groups = by_shard.len() as u64;
-        let total = by_shard.values().map(Vec::len).sum::<usize>() as u64;
+        let total = by_shard.iter().map(|(_, sub)| sub.len()).sum::<usize>() as u64;
         drop(serial);
         trace::emit(TraceKind::BatchCommit, total, groups);
         if let Some(scope) = scope {

@@ -1,7 +1,180 @@
 //! Component-space partitioning: which shard owns which component, and how a
 //! multi-component scan decomposes into per-shard sub-scans.
+//!
+//! Planning costs what the request costs: every dedupe on the scan and write
+//! paths — [`ShardRouter::plan`], [`ScanUnion`], [`last_write_wins`] —
+//! numbers its keys through one [`FlatIndex`], a per-thread stamped hash
+//! table sized to the call's own key count. A plan over `r` components does
+//! O(r) expected work and touches O(r) memory whether the object has 2⁸
+//! components or 2²⁰, and builds no tree.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+
+/// Numbers distinct keys `0, 1, 2, …` in first-seen order — the one dedupe
+/// behind scan planning, union building and last-write-wins batching.
+///
+/// An open-addressing table in which a slot belongs to the current pass only
+/// if it carries the pass's stamp, so starting a pass is O(1) however full the
+/// last one left the table, and a pass probes only the first
+/// `2 × keys`-rounded-up slots, so its footprint follows its own key count
+/// rather than the largest request the thread ever saw. Keys are component
+/// indices chosen by clients, possibly remote ones: the multiply-shift hash
+/// draws its odd multiplier at random per thread (a universal family), so no
+/// peer can aim a request at one probe chain.
+struct FlatIndex {
+    slots: Vec<IndexSlot>,
+    stamp: u32,
+    len: u32,
+    /// `64 - log2(slots in use)`: the hash keeps the product's top bits.
+    shift: u32,
+    multiplier: u64,
+}
+
+#[derive(Clone, Copy, Default)]
+struct IndexSlot {
+    key: usize,
+    stamp: u32,
+    index: u32,
+}
+
+impl FlatIndex {
+    fn new() -> FlatIndex {
+        FlatIndex {
+            slots: Vec::new(),
+            stamp: 0,
+            len: 0,
+            shift: 0,
+            multiplier: RandomState::new().hash_one(0u64) | 1,
+        }
+    }
+
+    /// Starts a pass over at most `keys` distinct keys, forgetting the last.
+    fn begin(&mut self, keys: usize) {
+        assert!(keys <= u32::MAX as usize / 2, "too many keys in one plan");
+        let in_use = (keys * 2).next_power_of_two().max(8);
+        if self.slots.len() < in_use {
+            self.slots.resize(in_use, IndexSlot::default());
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // The stamp wrapped: slots written 2³² passes ago would read as
+            // current. Stamp 0 is what a never-written slot carries.
+            self.slots.fill(IndexSlot::default());
+            self.stamp = 1;
+        }
+        self.len = 0;
+        self.shift = 64 - in_use.trailing_zeros();
+    }
+
+    /// The number of `key` in first-seen order, and whether this call was
+    /// the first to see it.
+    #[inline]
+    fn intern(&mut self, key: usize) -> (usize, bool) {
+        let mask = (1usize << (64 - self.shift)) - 1;
+        let mut at = ((key as u64).wrapping_mul(self.multiplier) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[at];
+            if slot.stamp != self.stamp {
+                *slot = IndexSlot {
+                    key,
+                    stamp: self.stamp,
+                    index: self.len,
+                };
+                self.len += 1;
+                return (slot.index as usize, true);
+            }
+            if slot.key == key {
+                return (slot.index as usize, false);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+}
+
+/// The calling thread's planning scratch. Nothing in it outlives a call:
+/// every user starts its own [`FlatIndex::begin`] pass, which is what makes
+/// reuse across routers, generations and callers safe.
+struct PlanScratch {
+    components: FlatIndex,
+    shards: FlatIndex,
+    /// `(group, index in group)` of each distinct component of the plan
+    /// being built, by component number.
+    located: Vec<(usize, usize)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<PlanScratch> = RefCell::new(PlanScratch {
+        components: FlatIndex::new(),
+        shards: FlatIndex::new(),
+        located: Vec::new(),
+    });
+}
+
+/// Resolves duplicate components **last-write-wins**: the surviving
+/// `(component, value)` pairs in first-written order, each carrying the value
+/// of its component's final occurrence. `batches` are read in order, as if
+/// concatenated. The single definition of batch semantics for the service's
+/// ingestion drainer and both sharded stores' `update_many` paths.
+pub fn last_write_wins<'a, T: 'a>(
+    batches: impl IntoIterator<Item = &'a [(usize, T)], IntoIter: Clone>,
+) -> Vec<(usize, &'a T)> {
+    let batches = batches.into_iter();
+    let total = batches.clone().map(<[_]>::len).sum();
+    let mut latest: Vec<(usize, &T)> = Vec::with_capacity(total);
+    SCRATCH.with_borrow_mut(|scratch| {
+        let index = &mut scratch.components;
+        index.begin(total);
+        for (component, value) in batches.flatten() {
+            let (i, first) = index.intern(*component);
+            if first {
+                latest.push((*component, value));
+            } else {
+                latest[i].1 = value;
+            }
+        }
+    });
+    latest
+}
+
+/// The deduplicated union of several scan requests, with the map that fans
+/// one scan of the union back out to each request — the planning half of
+/// scan coalescing for a caller that scans through the *outer* object and so
+/// needs no routing (the object plans per shard itself).
+#[derive(Clone, Debug)]
+pub struct ScanUnion {
+    /// The distinct requested components, in first-use order.
+    pub components: Vec<usize>,
+    /// For every requested position — the requests laid end to end — the
+    /// index in [`components`](Self::components) that answers it.
+    pub positions: Vec<usize>,
+}
+
+impl ScanUnion {
+    /// Builds the union of `requests` (each unordered, duplicates allowed).
+    pub fn of<'a>(requests: impl IntoIterator<Item = &'a [usize], IntoIter: Clone>) -> ScanUnion {
+        let requests = requests.into_iter();
+        let total = requests.clone().map(<[_]>::len).sum();
+        let mut components = Vec::with_capacity(total);
+        let mut positions = Vec::with_capacity(total);
+        SCRATCH.with_borrow_mut(|scratch| {
+            let index = &mut scratch.components;
+            index.begin(total);
+            for &component in requests.flatten() {
+                let (i, first) = index.intern(component);
+                if first {
+                    components.push(component);
+                }
+                positions.push(i);
+            }
+        });
+        ScanUnion {
+            components,
+            positions,
+        }
+    }
+}
 
 /// How the component space `0..m` is split across shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -284,26 +457,29 @@ impl ShardRouter {
         self.inverse[shard][slot]
     }
 
-    /// Resolves a batch's duplicate components **last-write-wins** and
-    /// groups the surviving writes by shard as `(shard → [(slot, value)])`,
-    /// slots in ascending component order — the write-side counterpart of
-    /// [`plan`](Self::plan), shared by both sharded stores' `update_many`
-    /// paths so the batch semantics cannot drift apart.
+    /// Resolves a batch's duplicate components [`last_write_wins`] and
+    /// groups the surviving writes by shard as `(shard, [(slot, value)])`,
+    /// shards ascending and slots ascending within each — the write-side
+    /// counterpart of [`plan`](Self::plan), shared by both sharded stores'
+    /// `update_many` paths so the batch semantics cannot drift apart.
     pub fn group_last_write_wins<T: Clone>(
         &self,
         writes: &[(usize, T)],
-    ) -> BTreeMap<usize, Vec<(usize, T)>> {
-        let mut latest: BTreeMap<usize, &T> = BTreeMap::new();
-        for (component, value) in writes {
-            latest.insert(*component, value);
-        }
-        let mut by_shard: BTreeMap<usize, Vec<(usize, T)>> = BTreeMap::new();
-        for (component, value) in latest {
-            let (shard, slot) = self.route(component);
-            by_shard
-                .entry(shard)
-                .or_default()
-                .push((slot, value.clone()));
+    ) -> Vec<(usize, Vec<(usize, T)>)> {
+        let mut routed: Vec<(usize, usize, &T)> = last_write_wins([writes])
+            .into_iter()
+            .map(|(component, value)| {
+                let (shard, slot) = self.route(component);
+                (shard, slot, value)
+            })
+            .collect();
+        routed.sort_unstable_by_key(|&(shard, slot, _)| (shard, slot));
+        let mut by_shard: Vec<(usize, Vec<(usize, T)>)> = Vec::new();
+        for (shard, slot, value) in routed {
+            match by_shard.last_mut() {
+                Some((last, sub)) if *last == shard => sub.push((slot, value.clone())),
+                _ => by_shard.push((shard, vec![(slot, value.clone())])),
+            }
         }
         by_shard
     }
@@ -318,52 +494,44 @@ impl ShardRouter {
     ///
     /// Duplicate components are **deduplicated at planning time**: each
     /// `(shard, slot)` pair appears at most once in the sub-scan argument of
-    /// its shard (the `slot_pos` memo below), so a scan like `[15, 0, 15]`
-    /// issues slot 15's read to the inner shard once and `assemble` fans the
-    /// single value back out to every requesting position. Inner shards never
-    /// pay for a duplicate twice.
-    pub fn plan(&self, components: &[usize]) -> ScanPlan {
-        let mut union = self.plan_union(&[components]);
-        ScanPlan {
-            groups: union.groups,
-            positions: union.positions.pop().expect("exactly one request planned"),
-        }
-    }
-
-    /// Merges several scan requests into one **deduplicated union plan**: the
-    /// slot sets forwarded to the inner shards cover the union of every
-    /// request's components, with each `(shard, slot)` pair appearing at most
-    /// once across the whole plan, and [`UnionPlan::assemble`] fans the
-    /// single set of sub-scan results back out to each request in its own
-    /// order (duplicates answered per occurrence).
+    /// its shard, so a scan like `[15, 0, 15]` issues slot 15's read to the
+    /// inner shard once and `assemble` fans the single value back out to
+    /// every requesting position. Inner shards never pay for a duplicate
+    /// twice. (Several requests share one plan by way of [`ScanUnion`].)
     ///
-    /// This is the planning half of scan coalescing: `K` concurrent partial
-    /// scans can be answered by *one* backing scan of the union, in the
-    /// spirit of Kallimanis & Kanellou's operation combining — the inner
-    /// shards never read a slot twice however many requests asked for it.
-    /// [`ShardRouter::plan`] is the single-request special case.
-    pub fn plan_union(&self, requests: &[&[usize]]) -> UnionPlan {
+    /// One pass over the requested components, each numbered through the
+    /// calling thread's [`FlatIndex`] scratch: O(r) expected work, nothing
+    /// proportional to `m`, no base object touched.
+    pub fn plan(&self, components: &[usize]) -> ScanPlan {
         let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut group_of_shard: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut slot_pos: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        let mut positions = Vec::with_capacity(requests.len());
-        for &request in requests {
-            let mut request_positions = Vec::with_capacity(request.len());
-            for &c in request {
-                let (shard, slot) = self.route(c);
-                let g = *group_of_shard.entry(shard).or_insert_with(|| {
-                    groups.push((shard, Vec::new()));
-                    groups.len() - 1
-                });
-                let pos = *slot_pos.entry((shard, slot)).or_insert_with(|| {
+        let mut positions = Vec::with_capacity(components.len());
+        SCRATCH.with_borrow_mut(|scratch| {
+            let PlanScratch {
+                components: distinct,
+                shards,
+                located,
+            } = scratch;
+            distinct.begin(components.len());
+            shards.begin(components.len().min(self.shards()));
+            located.clear();
+            for &c in components {
+                let (i, first) = distinct.intern(c);
+                if first {
+                    let (shard, slot) = self.route(c);
+                    let (g, new_group) = shards.intern(shard);
+                    if new_group {
+                        // Room for everything that can still land here, so
+                        // a group's slots are allocated once.
+                        let room = (components.len() - i).min(self.sizes[shard]);
+                        groups.push((shard, Vec::with_capacity(room)));
+                    }
+                    located.push((g, groups[g].1.len()));
                     groups[g].1.push(slot);
-                    groups[g].1.len() - 1
-                });
-                request_positions.push((g, pos));
+                }
+                positions.push(located[i]);
             }
-            positions.push(request_positions);
-        }
-        UnionPlan { groups, positions }
+        });
+        ScanPlan { groups, positions }
     }
 }
 
@@ -371,7 +539,7 @@ impl ShardRouter {
 #[derive(Clone, Debug)]
 pub struct ScanPlan {
     /// `(shard index, deduplicated slots to scan on that shard)`, in first-use
-    /// order.
+    /// order. No `(shard, slot)` pair appears twice.
     pub groups: Vec<(usize, Vec<usize>)>,
     /// For each position of the original request: which group and which index
     /// inside that group's sub-scan result holds its value.
@@ -390,61 +558,6 @@ impl ScanPlan {
         self.positions
             .iter()
             .map(|&(g, pos)| results[g][pos].clone())
-            .collect()
-    }
-}
-
-/// Several scan requests merged into one deduplicated plan
-/// (see [`ShardRouter::plan_union`]).
-#[derive(Clone, Debug)]
-pub struct UnionPlan {
-    /// `(shard index, deduplicated slots to scan on that shard)`, in first-use
-    /// order across all requests. No `(shard, slot)` pair appears twice.
-    pub groups: Vec<(usize, Vec<usize>)>,
-    /// `positions[k][j]` locates request `k`'s `j`-th component in the
-    /// sub-scan results: which group, and which index inside that group's
-    /// result vector.
-    pub positions: Vec<Vec<(usize, usize)>>,
-}
-
-impl UnionPlan {
-    /// True if the union touched more than one shard.
-    pub fn is_cross_shard(&self) -> bool {
-        self.groups.len() > 1
-    }
-
-    /// Number of requests merged into the plan.
-    pub fn requests(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// Total number of deduplicated slots forwarded to inner shards — the
-    /// work one backing scan of the union performs.
-    pub fn forwarded_slots(&self) -> usize {
-        self.groups.iter().map(|(_, slots)| slots.len()).sum()
-    }
-
-    /// Rebuilds request `request`'s answer, in its own order, from per-group
-    /// sub-scan results (`results[g]` must be the values for `groups[g].1`).
-    pub fn assemble<T: Clone>(&self, request: usize, results: &[Vec<T>]) -> Vec<T> {
-        self.positions[request]
-            .iter()
-            .map(|&(g, pos)| results[g][pos].clone())
-            .collect()
-    }
-
-    /// The component indices behind each group's slots, resolved through
-    /// `router` — what a caller scanning the union through the *outer*
-    /// object (rather than per shard) must request.
-    pub fn group_components(&self, router: &ShardRouter) -> Vec<Vec<usize>> {
-        self.groups
-            .iter()
-            .map(|(shard, slots)| {
-                slots
-                    .iter()
-                    .map(|&slot| router.component_of(*shard, slot))
-                    .collect()
-            })
             .collect()
     }
 }
@@ -562,65 +675,108 @@ mod tests {
     }
 
     #[test]
-    fn union_plan_never_duplicates_slots() {
-        // The satellite requirement: however many overlapping requests are
-        // merged, every (shard, slot) pair is forwarded at most once.
+    fn union_never_duplicates_components() {
+        // However many overlapping requests are merged, every component is
+        // in the union once, so the backing scan's plan forwards every
+        // (shard, slot) pair at most once.
+        let requests: Vec<Vec<usize>> = vec![
+            vec![0, 5, 10, 15],
+            vec![5, 5, 0],
+            vec![],
+            vec![10, 11, 12, 0],
+            vec![15],
+        ];
+        let union = ScanUnion::of(requests.iter().map(Vec::as_slice));
+        // First-use order, each component once.
+        assert_eq!(union.components, vec![0, 5, 10, 15, 11, 12]);
+        assert_eq!(
+            union.positions.len(),
+            requests.iter().map(Vec::len).sum::<usize>()
+        );
         for partition in [Partition::Contiguous, Partition::Hashed] {
             let router = ShardRouter::new(16, 4, partition);
-            let requests: Vec<Vec<usize>> = vec![
-                vec![0, 5, 10, 15],
-                vec![5, 5, 0],
-                vec![10, 11, 12, 0],
-                vec![15],
-            ];
-            let refs: Vec<&[usize]> = requests.iter().map(Vec::as_slice).collect();
-            let plan = router.plan_union(&refs);
-            let mut seen = std::collections::BTreeSet::new();
-            for (shard, slots) in &plan.groups {
-                for &slot in slots {
-                    assert!(
-                        seen.insert((*shard, slot)),
-                        "{partition:?}: slot ({shard}, {slot}) forwarded twice"
-                    );
+            let plan = router.plan(&union.components);
+            let forwarded: usize = plan.groups.iter().map(|(_, slots)| slots.len()).sum();
+            assert_eq!(forwarded, union.components.len(), "{partition:?}");
+        }
+    }
+
+    #[test]
+    fn union_fans_results_back_per_request() {
+        let requests: Vec<Vec<usize>> = vec![vec![15, 0, 15], vec![3, 9], vec![], vec![9, 0]];
+        let union = ScanUnion::of(requests.iter().map(Vec::as_slice));
+        // Give component c the value 100 + c and check each request's answer
+        // positionally: requests own consecutive runs of `positions`.
+        let values: Vec<u64> = union.components.iter().map(|&c| 100 + c as u64).collect();
+        let mut positions = union.positions.as_slice();
+        for (k, request) in requests.iter().enumerate() {
+            let (own, rest) = positions.split_at(request.len());
+            positions = rest;
+            let answer: Vec<u64> = own.iter().map(|&at| values[at]).collect();
+            let expected: Vec<u64> = request.iter().map(|&c| 100 + c as u64).collect();
+            assert_eq!(answer, expected, "request {k}");
+        }
+        assert!(positions.is_empty());
+    }
+
+    #[test]
+    fn last_write_wins_keeps_first_written_order_and_final_values() {
+        let first = [(7usize, 'a'), (2, 'b'), (7, 'c')];
+        let second = [(2usize, 'd'), (9, 'e')];
+        let latest = last_write_wins([&first[..], &[][..], &second[..]]);
+        assert_eq!(latest, vec![(7, &'c'), (2, &'d'), (9, &'e')]);
+        assert!(last_write_wins::<char>([]).is_empty());
+    }
+
+    #[test]
+    fn grouped_writes_are_ascending_by_shard_then_slot() {
+        for partition in [Partition::Contiguous, Partition::Hashed] {
+            let router = ShardRouter::new(32, 4, partition);
+            let writes: Vec<(usize, u64)> = [31usize, 4, 17, 4, 0, 25, 9, 31, 16]
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (c, i as u64))
+                .collect();
+            let by_shard = router.group_last_write_wins(&writes);
+            assert!(
+                by_shard.windows(2).all(|w| w[0].0 < w[1].0),
+                "{partition:?}"
+            );
+            let mut seen = Vec::new();
+            for (shard, sub) in &by_shard {
+                assert!(sub.windows(2).all(|w| w[0].0 < w[1].0), "{partition:?}");
+                for &(slot, value) in sub {
+                    seen.push((router.component_of(*shard, slot), value));
                 }
             }
-            // The union covers exactly the distinct requested components.
-            let distinct: std::collections::BTreeSet<usize> =
-                requests.iter().flatten().copied().collect();
-            assert_eq!(plan.forwarded_slots(), distinct.len(), "{partition:?}");
-            assert_eq!(plan.requests(), requests.len());
+            seen.sort_unstable();
+            // Components 4 and 31 keep their last value (3 and 7).
+            assert_eq!(
+                seen,
+                vec![(0, 4), (4, 3), (9, 6), (16, 8), (17, 2), (25, 5), (31, 7)],
+                "{partition:?}"
+            );
         }
     }
 
     #[test]
-    fn union_plan_fans_results_back_per_request() {
-        let router = ShardRouter::new(16, 4, Partition::Contiguous);
-        let requests: Vec<Vec<usize>> = vec![vec![15, 0, 15], vec![3, 9], vec![9, 0]];
-        let refs: Vec<&[usize]> = requests.iter().map(Vec::as_slice).collect();
-        let plan = router.plan_union(&refs);
-        // Give component c the value 100 + c and check each request's answer
-        // positionally.
-        let results: Vec<Vec<u64>> = plan
-            .group_components(&router)
-            .into_iter()
-            .map(|comps| comps.into_iter().map(|c| 100 + c as u64).collect())
-            .collect();
-        for (k, request) in requests.iter().enumerate() {
-            let expected: Vec<u64> = request.iter().map(|&c| 100 + c as u64).collect();
-            assert_eq!(plan.assemble(k, &results), expected, "request {k}");
+    fn flat_index_survives_growth_shrinkage_and_stamp_wrap() {
+        let mut index = FlatIndex::new();
+        // A large pass leaves its slots behind; a small pass after it must
+        // not see them, nor must the pass after the stamp wraps.
+        index.begin(1000);
+        for key in 0..1000 {
+            assert_eq!(index.intern(key * 7), (key, true));
         }
-    }
-
-    #[test]
-    fn plan_matches_single_request_union_plan() {
-        for partition in [Partition::Contiguous, Partition::Hashed] {
-            let router = ShardRouter::new(24, 3, partition);
-            let request = [7usize, 1, 7, 20, 3, 1];
-            let single = router.plan(&request);
-            let union = router.plan_union(&[&request]);
-            assert_eq!(single.groups, union.groups, "{partition:?}");
-            assert_eq!(single.positions, union.positions[0], "{partition:?}");
-        }
+        assert_eq!(index.intern(21), (3, false));
+        index.begin(2);
+        assert_eq!(index.intern(21), (0, true));
+        assert_eq!(index.intern(0), (1, true));
+        index.stamp = u32::MAX;
+        index.begin(2);
+        assert_eq!(index.stamp, 1);
+        assert_eq!(index.intern(0), (0, true));
+        assert_eq!(index.intern(0), (0, false));
     }
 
     #[test]

@@ -770,9 +770,9 @@ where
             // semantics). Grouping is generation-specific, hence inside the
             // retry loop.
             let by_shard = state.router.group_last_write_wins(writes);
-            let total: usize = by_shard.values().map(Vec::len).sum();
+            let total: usize = by_shard.iter().map(|(_, sub)| sub.len()).sum();
             if total == 1 {
-                let (&shard, sub) = by_shard.iter().next().expect("one shard");
+                let (shard, ref sub) = by_shard[0];
                 let component = state.router.component_of(shard, sub[0].0);
                 let value = sub[0].1.clone();
                 drop(guard);
@@ -789,7 +789,7 @@ where
                 // makes it atomic on that shard; bracket it exactly like an
                 // update (including the reshard recheck) so cross-shard
                 // scans involving this shard revalidate.
-                let (&shard, sub_batch) = by_shard.iter().next().expect("one shard");
+                let (shard, ref sub_batch) = by_shard[0];
                 let e = &state.epochs[shard];
                 steps::record(OpKind::FetchInc);
                 e.writers.fetch_add(1, Ordering::SeqCst);
@@ -836,7 +836,7 @@ where
                 std::thread::yield_now();
                 continue;
             }
-            for &shard in by_shard.keys() {
+            for &(shard, _) in &by_shard {
                 state.heat[shard].inc();
                 let e = &state.epochs[shard];
                 steps::record(OpKind::FetchInc);
@@ -844,10 +844,10 @@ where
                 steps::record(OpKind::FetchInc);
                 e.batch_writers.fetch_add(1, Ordering::SeqCst);
             }
-            for (&shard, sub_batch) in &by_shard {
-                state.inner[shard].update_many(pid, sub_batch);
+            for (shard, sub_batch) in &by_shard {
+                state.inner[*shard].update_many(pid, sub_batch);
             }
-            for &shard in by_shard.keys() {
+            for &(shard, _) in &by_shard {
                 let e = &state.epochs[shard];
                 steps::record(OpKind::FetchInc);
                 e.epoch.fetch_add(1, Ordering::SeqCst);

@@ -4,7 +4,9 @@
 //! * partition/route round-trips: `route` and `component_of` are mutually
 //!   inverse bijections for arbitrary `(m, k, partition)`;
 //! * scan planning: for arbitrary component lists — duplicated, unordered —
-//!   the plan reassembles exactly the identity mapping of the request;
+//!   the plan reassembles exactly the identity mapping of the request, and
+//!   the flat planner ([`ScanUnion`] + [`ShardRouter::plan`]) equals the
+//!   tree-based reference planner kept here, across split/merge sequences;
 //! * epoch-validation retry logic: arbitrary retry budgets (including zero,
 //!   which forces the coordinated path) under a chaos schedule still produce
 //!   exact sequential semantics and untorn cross-shard scans.
@@ -15,7 +17,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use psnap_core::{CasPartialSnapshot, PartialSnapshot, ReshardOp};
 use psnap_shard::{
-    MvShardedSnapshot, Partition, PartitionMap, ShardConfig, ShardRouter, ShardedSnapshot,
+    MvShardedSnapshot, Partition, PartitionMap, ScanUnion, ShardConfig, ShardRouter,
+    ShardedSnapshot,
 };
 use psnap_shmem::{chaos, ProcessId};
 
@@ -93,6 +96,125 @@ proptest! {
             sorted.sort_unstable();
             sorted.dedup();
             prop_assert_eq!(sorted.len(), slots.len(), "duplicate slot in sub-scan");
+        }
+    }
+}
+
+/// `(shard, slots)` groups, and `(group, index in group)` per requested
+/// position of every request.
+type ReferencePlan = (Vec<(usize, Vec<usize>)>, Vec<Vec<(usize, usize)>>);
+
+/// The reference union planner: the tree-based planner the flat one
+/// replaced, kept for comparison only. Groups in first-use order, each
+/// `(shard, slot)` once, one `(group, index)` per requested position.
+fn reference_plan(router: &ShardRouter, requests: &[Vec<usize>]) -> ReferencePlan {
+    use std::collections::BTreeMap;
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    let mut group_of_shard: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut slot_pos: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    let mut positions = Vec::new();
+    for request in requests {
+        let mut request_positions = Vec::new();
+        for &c in request {
+            let (shard, slot) = router.route(c);
+            let g = *group_of_shard.entry(shard).or_insert_with(|| {
+                groups.push((shard, Vec::new()));
+                groups.len() - 1
+            });
+            let pos = *slot_pos.entry((shard, slot)).or_insert_with(|| {
+                groups[g].1.push(slot);
+                groups[g].1.len() - 1
+            });
+            request_positions.push((g, pos));
+        }
+        positions.push(request_positions);
+    }
+    (groups, positions)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The flat planner equals the reference planner — same groups in the
+    /// same first-use order, no `(shard, slot)` twice, every request
+    /// rebuilt in its own order with duplicates answered per occurrence —
+    /// for single requests through `plan` and for multi-request unions
+    /// through `ScanUnion` + `plan` (how the service and the object compose),
+    /// with duplicates and empty requests, on every router of an arbitrary
+    /// split/merge sequence. All planning runs on this one thread, so every
+    /// router of the sequence reuses the scratch the previous generation's
+    /// plans left behind.
+    #[test]
+    fn flat_planner_equals_the_reference_planner(
+        m in 1usize..150,
+        k in 1usize..8,
+        partition in partition_strategy(),
+        ops in proptest::collection::vec((0usize..16, 0usize..16, 0u8..2), 0..8),
+        raw in proptest::collection::vec(
+            proptest::collection::vec(0usize..1000, 0..24),
+            0..7,
+        ),
+    ) {
+        let requests: Vec<Vec<usize>> = raw
+            .into_iter()
+            .map(|request| request.into_iter().map(|c| c % m).collect())
+            .collect();
+        let mut map = PartitionMap::new(m, k, partition);
+        let mut maps = vec![map.clone()];
+        for (a, b, split_flag) in ops {
+            let shards = map.shards();
+            let next = if split_flag == 1 {
+                map.split(a % shards)
+            } else {
+                map.merge(a % shards, b % shards)
+            };
+            if let Some(next) = next {
+                map = next;
+                maps.push(map.clone());
+            }
+        }
+        for map in &maps {
+            let router = ShardRouter::from_map(map);
+            // Each request on its own.
+            for request in &requests {
+                let (groups, positions) = reference_plan(&router, std::slice::from_ref(request));
+                let plan = router.plan(request);
+                prop_assert_eq!(&plan.groups, &groups);
+                prop_assert_eq!(&plan.positions, &positions[0]);
+            }
+            // All of them as one union.
+            let (groups, positions) = reference_plan(&router, &requests);
+            let union = ScanUnion::of(requests.iter().map(Vec::as_slice));
+            let plan = router.plan(&union.components);
+            prop_assert_eq!(&plan.groups, &groups);
+            let mut seen = std::collections::BTreeSet::new();
+            for (shard, slots) in &plan.groups {
+                for &slot in slots {
+                    prop_assert!(seen.insert((*shard, slot)), "slot forwarded twice");
+                }
+            }
+            // Sub-scan results where each slot reports its own component,
+            // assembled into the union's values, fanned out per request.
+            let results: Vec<Vec<usize>> = plan
+                .groups
+                .iter()
+                .map(|(shard, slots)| {
+                    slots.iter().map(|&slot| router.component_of(*shard, slot)).collect()
+                })
+                .collect();
+            let values = plan.assemble(&results);
+            prop_assert_eq!(&values, &union.components);
+            let mut own = union.positions.as_slice();
+            for (request, reference) in requests.iter().zip(&positions) {
+                let (mine, rest) = own.split_at(request.len());
+                own = rest;
+                let answer: Vec<usize> = mine.iter().map(|&at| values[at]).collect();
+                prop_assert_eq!(&answer, request);
+                let located: Vec<(usize, usize)> =
+                    mine.iter().map(|&at| plan.positions[at]).collect();
+                prop_assert_eq!(&located, reference);
+            }
+            prop_assert!(own.is_empty());
         }
     }
 }

@@ -472,7 +472,9 @@ fn oversized_requests_fail_locally_and_spare_the_connection() {
     assert_eq!(first.wait(), Ok(()));
     assert_eq!(second.wait(), Ok(()));
     assert_eq!(
-        client.scan_blocking(vec![0, 1, 2], Freshness::Fresh).unwrap(),
+        client
+            .scan_blocking(vec![0, 1, 2], Freshness::Fresh)
+            .unwrap(),
         vec![7, 11, 22]
     );
 
@@ -608,7 +610,8 @@ fn a_peer_that_stops_reading_stalls_only_its_own_connection() {
     // into sockets nobody reads and are (or are about to be) blocked in
     // write with more queued behind them.
     assert!(
-        wait_until(Duration::from_secs(30), || service.obs().stats.scans_ok >= 12),
+        wait_until(Duration::from_secs(30), || service.obs().stats.scans_ok
+            >= 12),
         "wedged connections' scans never started resolving"
     );
 
