@@ -40,8 +40,7 @@ pub enum ImplKind {
     /// behaviour (the Wei et al. constant-time-snapshot direction).
     Mv,
     /// `MvShardedSnapshot`: `shards` multiversioned shards sharing one
-    /// timestamp camera — the wait-free cross-shard path
-    /// (`CrossShardPath::Multiversioned`).
+    /// timestamp camera — the wait-free cross-shard path.
     MvSharded {
         /// Number of shards (clamped to the component count at build time).
         shards: usize,

@@ -208,9 +208,15 @@ impl<T: Clone + Send + Sync + 'static, S: PartialSnapshot<T> + ?Sized> PartialSn
     }
 }
 
-/// Validates the arguments of a batched update; shared by all
-/// implementations.
-pub(crate) fn validate_batch_args<T>(m: usize, n: usize, pid: ProcessId, writes: &[(usize, T)]) {
+/// Validates the arguments of a batched update against an object of `m`
+/// components and `n` processes; shared by all implementations, in this
+/// crate and in the sharded stores built on it.
+///
+/// # Panics
+///
+/// If `pid` is not below `n` ("process id … out of range") or a written
+/// component is not below `m` ("component … out of range").
+pub fn validate_batch_args<T>(m: usize, n: usize, pid: ProcessId, writes: &[(usize, T)]) {
     assert!(
         pid.index() < n,
         "process id {pid} out of range: object configured for {n} processes"
@@ -223,8 +229,10 @@ pub(crate) fn validate_batch_args<T>(m: usize, n: usize, pid: ProcessId, writes:
     }
 }
 
-/// Validates scan/update arguments; shared by all implementations.
-pub(crate) fn validate_args(m: usize, n: usize, pid: ProcessId, components: &[usize]) {
+/// Validates scan/update arguments against an object of `m` components and
+/// `n` processes; shared by all implementations, like
+/// [`validate_batch_args`], and panicking the same way.
+pub fn validate_args(m: usize, n: usize, pid: ProcessId, components: &[usize]) {
     assert!(
         pid.index() < n,
         "process id {pid} out of range: object configured for {n} processes"

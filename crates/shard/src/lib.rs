@@ -19,24 +19,37 @@
 //!
 //! The coordinated fallback waits on in-flight writers, so multi-shard
 //! placements of `ShardedSnapshot` are blocking in the strict asynchronous
-//! model. [`MvShardedSnapshot`] is the wait-free alternative
-//! ([`CrossShardPath::Multiversioned`]): every shard is a multiversioned
-//! [`psnap_core::MvSnapshot`] sharing one timestamp camera, and a
-//! cross-shard scan draws a single timestamp and reads the newest version
-//! at or below it on every shard — bounded steps under any writer
-//! behaviour, no retries, no latch (experiment E12 measures the trade).
+//! model. [`MvShardedSnapshot`] is the wait-free alternative: every shard is
+//! a multiversioned [`psnap_core::MvSnapshot`] sharing one timestamp camera,
+//! and a cross-shard scan draws a single timestamp and reads the newest
+//! version at or below it on every shard — bounded steps under any writer
+//! behaviour, no retries, no latch (experiment E12 measures the trade). The
+//! type a deployment builds chooses the path; [`ShardConfig`] only seeds it.
+//!
+//! # One generation mechanism
 //!
 //! Both stores route through an **epoch-versioned [`PartitionMap`]** (a
-//! generation number plus the component→shard assignment) held behind an
-//! `AtomicPtr` and reclaimed through `psnap_shmem::epoch`, so the layout
+//! generation number plus the component→shard assignment), so the layout
 //! can change while traffic is live: [`psnap_core::ReshardOp`] splits a hot
-//! shard or merges a cold one away. `MvShardedSnapshot` migrates version
-//! history behind a single camera-cutover timestamp with scans and updates
-//! still running (see its module docs for the protocol); `ShardedSnapshot`
-//! has no history to migrate and implements the naive drain-and-rebuild
-//! baseline. [`ReshardPolicy`] is the pure decision core that turns
-//! windowed shard-heat rates into split/merge proposals (experiment E15
-//! measures live migration against the baseline under skewed load).
+//! shard or merges a cold one away. Everything about that which does not
+//! depend on what a shard *is* lives once, in the crate-private
+//! `generations` module: the routing state of one generation (map, router,
+//! inner shards, per-shard writer gates, heat counters), the pointer to the
+//! live one and its reclamation through `psnap_shmem::epoch`, the pinned
+//! load, the writer entry that raises a shard's gate and *then* re-checks
+//! that the shard is not frozen and the generation not replaced, and the
+//! skeleton of a reshard (serialize, split or merge the map, quiesce, build
+//! the successor sharing every unaffected shard, swap, release, retire).
+//! It is also the only module exempt from the crate-wide lint below.
+//!
+//! Each store adds its own protocol on top. `MvShardedSnapshot` migrates
+//! version history behind a single camera-cutover timestamp with scans and
+//! updates still running (see its module docs); `ShardedSnapshot` has no
+//! history to migrate and implements the naive drain-and-rebuild baseline
+//! behind its coordination latch. [`ReshardPolicy`] is the pure decision
+//! core that turns windowed shard-heat rates into split/merge proposals
+//! (experiment E15 measures live migration against the baseline under
+//! skewed load).
 //!
 //! ```
 //! use psnap_core::PartialSnapshot;
@@ -57,7 +70,10 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
+#[allow(unsafe_code)]
+mod generations;
 pub mod mv_sharded;
 pub mod partition;
 pub mod reshard;
@@ -66,4 +82,4 @@ pub mod sharded;
 pub use mv_sharded::{MvShardedParked, MvShardedSnapshot};
 pub use partition::{last_write_wins, Partition, PartitionMap, ScanPlan, ScanUnion, ShardRouter};
 pub use reshard::{ReshardPolicy, ReshardPolicyConfig};
-pub use sharded::{CoordinationStats, CrossShardPath, ShardConfig, ShardedSnapshot};
+pub use sharded::{CoordinationStats, ShardConfig, ShardedSnapshot};

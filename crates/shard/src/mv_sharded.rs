@@ -31,31 +31,35 @@
 //! # Online resharding
 //!
 //! The component→shard assignment is not fixed at construction: the whole
-//! routing state (a [`PartitionMap`] generation, its [`ShardRouter`], the
-//! inner shard objects, and per-shard writer gates) lives in one immutable
-//! [`RouterState`] behind an `AtomicPtr`. Operations pin the epoch
-//! ([`psnap_shmem::epoch`]), load the pointer, and work against that
-//! coherent generation; [`reshard`](PartialSnapshot::reshard) builds the
-//! next generation and swaps the pointer, retiring the old state through
-//! the epoch module so in-flight readers keep a dereferenceable view.
+//! routing state (a [`PartitionMap`] generation, its router, the inner shard
+//! objects, and per-shard writer gates) is one immutable generation of the
+//! crate's shared generation core, the same one
+//! [`ShardedSnapshot`](crate::ShardedSnapshot) routes through. Operations
+//! pin the epoch ([`psnap_shmem::epoch`]), load the live generation, and
+//! work against that coherent view; single updates enter their shard's
+//! writer gate through the core's raise-then-recheck;
+//! [`reshard`](PartialSnapshot::reshard) runs the core's skeleton — build
+//! the next generation, swap the pointer, retire the old state through the
+//! epoch module so in-flight readers keep a dereferenceable view — and adds
+//! only the multiversioned store's own steps (marked *ours* below).
 //!
 //! A live reshard never stops scans. The protocol (per affected shard):
 //!
-//! 1. **exclude batches** — take the shared batch serializer (in-flight
-//!    batches complete first; new ones queue);
+//! 1. **exclude batches** *(ours)* — take the shared batch serializer
+//!    (in-flight batches complete first; new ones queue);
 //! 2. **freeze + drain writers** — set the affected shards' gate flags and
 //!    wait for their in-flight single updates to finish (updates to other
 //!    shards continue untouched);
-//! 3. **cutover** — draw one boundary timestamp with
+//! 3. **cutover** *(ours)* — draw one boundary timestamp with
 //!    [`TimestampCamera::cutover`]: every version finalized before it sits
 //!    strictly below, every write after the swap lands at or above;
-//! 4. **copy** — build the replacement shard objects
+//! 4. **copy** *(ours)* — build the replacement shard objects
 //!    ([`MvSnapshot::with_shared`], same camera and serializer) and install
 //!    the moved components' finalized version history with its original
 //!    timestamps ([`MvSnapshot::install_frozen`]) — the copies win exactly
 //!    the scans the originals did and can never shadow a post-cutover write;
-//! 5. **swap + retire** — publish the new `RouterState`, unfreeze the
-//!    gates, and retire the old state epoch-style.
+//! 5. **swap + retire** — publish the new generation, unfreeze the gates,
+//!    and retire the old state epoch-style.
 //!
 //! Scans are kept correct across the swap by a **post-tick generation
 //! recheck**: after drawing `s`, a scan re-reads the live generation. If it
@@ -68,88 +72,30 @@
 //! before the cutover, so their old chains are immutable below the
 //! boundary.
 //!
-//! Which path a deployment gets is chosen by
-//! [`ShardConfig::cross_shard`](crate::ShardConfig): `Coordinated` builds
-//! the epoch-validated [`ShardedSnapshot`](crate::ShardedSnapshot),
-//! `Multiversioned` builds this type (see
-//! [`ImplKind`](../psnap_bench/enum.ImplKind.html)'s `MvSharded` kinds and
+//! Which path a deployment gets is chosen by the type it builds:
+//! [`ShardedSnapshot`](crate::ShardedSnapshot) is the epoch-validated
+//! coordinated path, this type the multiversioned one; both are seeded from
+//! a [`ShardConfig`] (see `psnap-bench`'s `ImplKind::MvSharded*` kinds and
 //! experiments E12/E15 for the measured trades).
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use psnap_core::traits::{validate_args, validate_batch_args};
 use psnap_core::{MvSnapshot, PartialSnapshot, ReshardOp};
 use psnap_obs::{trace, Counter, Histogram, Metric, Registry, TraceKind};
-use psnap_shmem::epoch::{self, Guard};
+use psnap_shmem::epoch;
 use psnap_shmem::{MvStamp, ProcessId, StepScope, TimestampCamera};
 
-use crate::partition::{PartitionMap, ShardRouter};
+use crate::generations::Generations;
+use crate::partition::PartitionMap;
 use crate::sharded::ShardConfig;
-
-/// Per-shard writer gate: lets a reshard drain in-flight single updates of
-/// the shards it rebuilds without touching writers elsewhere. Shared (by
-/// `Arc`) between consecutive router states of the same shard id, so a
-/// writer counted against generation `g` is still visible to a reshard
-/// running at generation `g + 1`.
-#[repr(align(64))]
-struct ShardGate {
-    /// Single updates currently mutating the shard.
-    writers: AtomicU64,
-    /// Raised while a reshard is rebuilding this shard: writers back off
-    /// (decrement and retry on the fresh state) instead of mutating a chain
-    /// that is being copied out.
-    frozen: AtomicBool,
-}
-
-impl ShardGate {
-    fn new() -> Self {
-        ShardGate {
-            writers: AtomicU64::new(0),
-            frozen: AtomicBool::new(false),
-        }
-    }
-}
-
-/// One generation of the routing state: everything an operation needs to
-/// run coherently against a single partition map. Immutable once published;
-/// unchanged shards share their inner objects, gates and heat counters with
-/// the previous generation via `Arc`.
-struct RouterState<T> {
-    map: PartitionMap,
-    router: ShardRouter,
-    inner: Vec<Arc<MvSnapshot<T>>>,
-    gates: Vec<Arc<ShardGate>>,
-    /// Per-shard operation heat. Survivors keep their counter across
-    /// generations; shards appended by a split start cold, which is what
-    /// makes post-split skew directly observable.
-    heat: Vec<Arc<Counter>>,
-}
-
-impl<T> RouterState<T> {
-    /// Raises the writer count on `shard`, unless it is frozen by a
-    /// reshard. On refusal nothing is held.
-    fn enter_writer(&self, shard: usize) -> bool {
-        let gate = &self.gates[shard];
-        gate.writers.fetch_add(1, Ordering::SeqCst);
-        if gate.frozen.load(Ordering::SeqCst) {
-            gate.writers.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-        true
-    }
-
-    fn exit_writer(&self, shard: usize) {
-        self.gates[shard].writers.fetch_sub(1, Ordering::SeqCst);
-    }
-}
 
 /// A partial snapshot object sharded over multiversioned shards that share
 /// one timestamp camera, routed by an epoch-versioned partition map that
 /// supports live split/merge. See the module docs.
 pub struct MvShardedSnapshot<T> {
-    /// The live routing state. Readers pin the epoch, load, and use;
-    /// [`reshard`](PartialSnapshot::reshard) swaps and retires.
-    state: AtomicPtr<RouterState<T>>,
+    /// The routing state, generation by generation.
+    gens: Generations<MvSnapshot<T>, ()>,
     camera: Arc<TimestampCamera>,
     /// Serializes whole batches across the family — the same `Arc` every
     /// shard holds, so single-shard batches entering through an inner shard
@@ -157,16 +103,12 @@ pub struct MvShardedSnapshot<T> {
     /// installs. A reshard holds it across its whole migration, which is
     /// what lets batches skip the writer gates entirely.
     batches: Arc<Mutex<()>>,
-    /// Serializes reshard operations against each other.
-    reshard_lock: Mutex<()>,
     /// The initial component value (new shard objects need it before the
     /// migration copy overwrites the slots that have history).
     initial: T,
     /// Cross-shard scans served (diagnostics; every one of them is answered
     /// by the one-shot timestamp path — there is no other path to count).
     stats_cross: Arc<Counter>,
-    /// Reshard operations that changed the layout.
-    stats_reshards: Arc<Counter>,
     /// Scan attempts retried because a reshard swapped the generation
     /// between their planning and their tick.
     stats_scan_regen: Arc<Counter>,
@@ -174,15 +116,6 @@ pub struct MvShardedSnapshot<T> {
     update_steps: Arc<Histogram>,
     m: usize,
     n: usize,
-}
-
-impl<T> Drop for MvShardedSnapshot<T> {
-    fn drop(&mut self) {
-        // Retired predecessors are owned by the epoch module; the live
-        // state is ours.
-        let ptr = self.state.load(Ordering::Acquire);
-        drop(unsafe { Box::from_raw(ptr) });
-    }
 }
 
 impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
@@ -194,43 +127,23 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
     pub fn new(m: usize, max_processes: usize, initial: T, config: ShardConfig) -> Self {
         assert!(m > 0, "a snapshot object needs at least one component");
         assert!(max_processes > 0, "at least one process must be allowed");
-        assert!(
-            config.cross_shard == crate::CrossShardPath::Multiversioned,
-            "MvShardedSnapshot implements the multiversioned cross-shard path; a \
-             config requesting CrossShardPath::Coordinated needs ShardedSnapshot \
-             (use ShardConfig::multiversioned)"
-        );
         let map = PartitionMap::new(m, config.shards, config.partition);
-        let router = ShardRouter::from_map(&map);
         let camera = Arc::new(TimestampCamera::new());
         let batches = Arc::new(Mutex::new(()));
-        let inner: Vec<Arc<MvSnapshot<T>>> = (0..router.shards())
-            .map(|s| {
-                Arc::new(MvSnapshot::with_shared(
-                    router.shard_size(s),
+        MvShardedSnapshot {
+            gens: Generations::new(map, |_, size| {
+                MvSnapshot::with_shared(
+                    size,
                     max_processes,
                     initial.clone(),
                     Arc::clone(&camera),
                     Arc::clone(&batches),
-                ))
-            })
-            .collect();
-        let shards = router.shards();
-        let state = RouterState {
-            map,
-            router,
-            inner,
-            gates: (0..shards).map(|_| Arc::new(ShardGate::new())).collect(),
-            heat: (0..shards).map(|_| Arc::new(Counter::new())).collect(),
-        };
-        MvShardedSnapshot {
-            state: AtomicPtr::new(Box::into_raw(Box::new(state))),
+                )
+            }),
             camera,
             batches,
-            reshard_lock: Mutex::new(()),
             initial,
             stats_cross: Arc::new(Counter::new()),
-            stats_reshards: Arc::new(Counter::new()),
             stats_scan_regen: Arc::new(Counter::new()),
             scan_steps: Arc::new(Histogram::new()),
             update_steps: Arc::new(Histogram::new()),
@@ -239,39 +152,21 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
         }
     }
 
-    /// The live routing state. The returned reference is valid for the
-    /// guard's lifetime: a concurrent reshard retires the state through the
-    /// epoch module, which never frees under an active pin.
-    fn state<'g>(&self, _guard: &'g Guard) -> &'g RouterState<T> {
-        unsafe { &*self.state.load(Ordering::Acquire) }
-    }
-
-    /// The generation currently routing the object. Callers must be pinned
-    /// (any loaded state stays dereferenceable), which every use site is.
-    fn live_generation(&self) -> u64 {
-        unsafe { &*self.state.load(Ordering::Acquire) }
-            .router
-            .generation()
-    }
-
     /// Number of inner shards in the current generation's id space (some
     /// may be empty after a merge).
     pub fn shards(&self) -> usize {
-        let guard = epoch::pin();
-        self.state(&guard).inner.len()
+        self.gens.shards()
     }
 
     /// A clone of the current partition map (diagnostics and tests).
     pub fn partition_map(&self) -> PartitionMap {
-        let guard = epoch::pin();
-        self.state(&guard).map.clone()
+        self.gens.partition_map()
     }
 
     /// Access to one inner shard of the current generation (diagnostics and
     /// tests); the `Arc` stays valid across subsequent reshards.
     pub fn shard(&self, s: usize) -> Arc<MvSnapshot<T>> {
-        let guard = epoch::pin();
-        Arc::clone(&self.state(&guard).inner[s])
+        self.gens.shard(s)
     }
 
     /// The shared timestamp camera.
@@ -286,7 +181,7 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
 
     /// Number of reshard operations that changed the layout.
     pub fn reshards(&self) -> u64 {
-        self.stats_reshards.get()
+        self.gens.reshards()
     }
 
     /// Number of scan attempts retried across a generation swap.
@@ -299,8 +194,7 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
     /// shard. Survivors carry their count across reshards; shards appended
     /// by a split start at zero.
     pub fn heat(&self) -> Vec<u64> {
-        let guard = epoch::pin();
-        self.state(&guard).heat.iter().map(|c| c.get()).collect()
+        self.gens.heat()
     }
 
     /// Registers this store's live metric handles into `registry` under
@@ -314,10 +208,6 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
             Metric::Counter(Arc::clone(&self.stats_cross)),
         );
         registry.register(
-            &format!("{prefix}.reshards"),
-            Metric::Counter(Arc::clone(&self.stats_reshards)),
-        );
-        registry.register(
             &format!("{prefix}.scan.regen_retries"),
             Metric::Counter(Arc::clone(&self.stats_scan_regen)),
         );
@@ -329,43 +219,23 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
             &format!("{prefix}.update.steps"),
             Metric::Histogram(Arc::clone(&self.update_steps)),
         );
-        let guard = epoch::pin();
-        for (i, heat) in self.state(&guard).heat.iter().enumerate() {
-            registry.register(
-                &format!("{prefix}.heat.{i}"),
-                Metric::Counter(Arc::clone(heat)),
-            );
-        }
-    }
-
-    fn validate(&self, pid: ProcessId, components: &[usize]) {
-        assert!(
-            pid.index() < self.n,
-            "process id {pid} out of range: object configured for {} processes",
-            self.n
-        );
-        for &c in components {
-            assert!(
-                c < self.m,
-                "component {c} out of range: object has {} components",
-                self.m
-            );
-        }
+        self.gens.register_obs(registry, prefix);
     }
 
     /// The one-shot cross-shard read protocol with the post-tick generation
     /// recheck, shared by `scan` and `scan_stale`. Returns the timestamp
     /// alongside the assembled values.
     fn scan_with_stamp(&self, pid: ProcessId, components: &[usize]) -> (u64, Vec<T>) {
+        let scope = psnap_obs::enabled().then(StepScope::start);
         loop {
             let guard = epoch::pin();
-            let state = self.state(&guard);
-            let plan = state.router.plan(components);
+            let layout = self.gens.load(&guard);
+            let plan = layout.router.plan(components);
             // Announce on every involved shard *before* drawing the
             // timestamp: each announcement lower-bounds `s`, keeping every
             // shard's pruners away from the versions this scan may select.
             for &(shard, _) in &plan.groups {
-                state.inner[shard].announce_scan(pid);
+                layout.inner[shard].announce_scan(pid);
             }
             let s = self.camera.tick();
             // The reshard seam: if the generation moved since planning, a
@@ -375,15 +245,15 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
             // events). If the generation is unchanged, any later swap
             // happens after this tick, so every write the old state misses
             // is stamped ≥ s and legally ordered after this scan.
-            if self.live_generation() != state.router.generation() {
+            if !self.gens.is_live(layout) {
                 for &(shard, _) in &plan.groups {
-                    state.inner[shard].clear_announcement(pid);
+                    layout.inner[shard].clear_announcement(pid);
                 }
                 self.stats_scan_regen.inc();
                 continue;
             }
             for (shard, _) in &plan.groups {
-                state.heat[*shard].inc();
+                layout.heat[*shard].inc();
             }
             if plan.is_cross_shard() {
                 self.stats_cross.inc();
@@ -392,10 +262,13 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
             let results: Vec<Vec<T>> = plan
                 .groups
                 .iter()
-                .map(|(shard, slots)| state.inner[*shard].scan_at(pid, slots, s))
+                .map(|(shard, slots)| layout.inner[*shard].scan_at(pid, slots, s))
                 .collect();
             for &(shard, _) in &plan.groups {
-                state.inner[shard].clear_announcement(pid);
+                layout.inner[shard].clear_announcement(pid);
+            }
+            if let Some(scope) = scope {
+                self.scan_steps.record(scope.finish().total());
             }
             return (s, plan.assemble(&results));
         }
@@ -415,20 +288,20 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
         pid: ProcessId,
         writes: &[(usize, T)],
     ) -> MvShardedParked<'_, T> {
-        self.validate(pid, &writes.iter().map(|(c, _)| *c).collect::<Vec<_>>());
+        validate_batch_args(self.m, self.n, pid, writes);
         let guard = self.batches.lock().unwrap_or_else(|e| e.into_inner());
         let pin = epoch::pin();
-        let state = self.state(&pin);
-        let by_shard = state.router.group_last_write_wins(writes);
+        let layout = self.gens.load(&pin);
+        let by_shard = layout.router.group_last_write_wins(writes);
         let stamp = MvStamp::pending_batch();
         for (shard, sub_batch) in &by_shard {
-            state.inner[*shard].install_pending(pid, sub_batch, &stamp);
+            layout.inner[*shard].install_pending(pid, sub_batch, &stamp);
         }
         let touched = by_shard
             .into_iter()
             .map(|(shard, sub)| {
                 (
-                    Arc::clone(&state.inner[shard]),
+                    Arc::clone(&layout.inner[shard]),
                     sub.into_iter().map(|(slot, _)| slot).collect(),
                 )
             })
@@ -439,137 +312,6 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
             touched,
             _serial: guard,
         }
-    }
-
-    /// Applies a split or merge to the live object. See the module docs for
-    /// the protocol and its correctness argument. Returns `false` (layout
-    /// unchanged) for degenerate requests: splitting a shard with fewer
-    /// than two components, merging a shard into itself, or out-of-range
-    /// ids.
-    fn reshard_live(&self, op: ReshardOp) -> bool {
-        // Lock order: reshard_lock → batch serializer → gate freeze. Batch
-        // writers take the serializer before routing, so a batch in flight
-        // completes before the freeze and no new one starts until the swap
-        // is published.
-        let _reshard = self.reshard_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let _serial = self.batches.lock().unwrap_or_else(|e| e.into_inner());
-        let guard = epoch::pin();
-        let old_ptr = self.state.load(Ordering::Acquire);
-        let old = unsafe { &*old_ptr };
-        let new_map = match op {
-            ReshardOp::Split { shard } => old.map.split(shard),
-            ReshardOp::Merge { from, into } => old.map.merge(from, into),
-        };
-        let Some(new_map) = new_map else {
-            return false;
-        };
-        let affected: Vec<usize> = match op {
-            ReshardOp::Split { shard } => vec![shard],
-            ReshardOp::Merge { from, into } => vec![from, into],
-        };
-        // Freeze the affected shards and drain their in-flight single
-        // updates (each is a bounded store-and-finalize; writers that
-        // arrive after the freeze back off and retry against the new state
-        // once it is published). Writers to unaffected shards continue
-        // untouched throughout.
-        for &s in &affected {
-            old.gates[s].frozen.store(true, Ordering::SeqCst);
-        }
-        for &s in &affected {
-            while old.gates[s].writers.load(Ordering::SeqCst) != 0 {
-                std::thread::yield_now();
-            }
-        }
-        // The migration boundary: every version finalized before this call
-        // is strictly below it, every post-swap write at or above it. The
-        // affected shards are quiescent from here until the swap, so their
-        // chains are frozen below the boundary.
-        let boundary = self.camera.cutover();
-        let new_router = ShardRouter::from_map(&new_map);
-        let mut inner = Vec::with_capacity(new_map.shards());
-        let mut gates = Vec::with_capacity(new_map.shards());
-        let mut heat = Vec::with_capacity(new_map.shards());
-        for s in 0..new_map.shards() {
-            let is_new = s >= old.inner.len();
-            if !is_new && !affected.contains(&s) {
-                inner.push(Arc::clone(&old.inner[s]));
-                gates.push(Arc::clone(&old.gates[s]));
-                heat.push(Arc::clone(&old.heat[s]));
-                continue;
-            }
-            // Gates are shared by shard id so writer counts survive the
-            // swap; heat likewise, so survivors keep their history while a
-            // freshly appended shard starts cold.
-            gates.push(if is_new {
-                Arc::new(ShardGate::new())
-            } else {
-                Arc::clone(&old.gates[s])
-            });
-            heat.push(if is_new {
-                Arc::new(Counter::new())
-            } else {
-                Arc::clone(&old.heat[s])
-            });
-            let size = new_router.shard_size(s);
-            if size == 0 {
-                // The emptied side of a merge: keep the drained old object
-                // in the slot — no route leads to it, and keeping it spares
-                // a degenerate zero-component construction.
-                inner.push(Arc::clone(&old.inner[s]));
-                continue;
-            }
-            // Rebuilt shard: fresh object on the shared camera/serializer,
-            // then copy each owned component's finalized history with its
-            // original timestamps. All copied stamps sit below the
-            // boundary, so a copy can never shadow a post-swap write; old
-            // -generation scans still in flight keep reading the old
-            // objects, which stay alive until the epoch frees them.
-            let fresh = Arc::new(MvSnapshot::with_shared(
-                size,
-                self.n,
-                self.initial.clone(),
-                Arc::clone(&self.camera),
-                Arc::clone(&self.batches),
-            ));
-            for slot in 0..size {
-                let component = new_router.component_of(s, slot);
-                let (old_shard, old_slot) = old.router.route(component);
-                for (t, v) in old.inner[old_shard].slot_versions(old_slot) {
-                    debug_assert!(
-                        t < boundary,
-                        "version stamped {t} at or above the cutover boundary {boundary}"
-                    );
-                    fresh.install_frozen(slot, t, v);
-                }
-            }
-            inner.push(fresh);
-        }
-        let migrated = (0..self.m)
-            .filter(|&c| old.map.shard_of(c) != new_map.shard_of(c))
-            .count() as u64;
-        let generation = new_map.generation();
-        let new_state = Box::into_raw(Box::new(RouterState {
-            map: new_map,
-            router: new_router,
-            inner,
-            gates,
-            heat,
-        }));
-        self.state.store(new_state, Ordering::Release);
-        // Unfreeze through the shared gate Arcs — backed-off writers
-        // reload the pointer and land on the new state.
-        for &s in &affected {
-            old.gates[s].frozen.store(false, Ordering::SeqCst);
-        }
-        // Safety: `old_ptr` was just unlinked from the only shared
-        // location, nobody can load it anymore, and it is retired once.
-        // Our own pin (and any concurrent reader's) keeps it alive until
-        // every straddling operation is done with it.
-        unsafe { epoch::retire(old_ptr) };
-        drop(guard);
-        self.stats_reshards.inc();
-        trace::emit(TraceKind::Reshard, generation, migrated);
-        true
     }
 }
 
@@ -612,49 +354,34 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
     }
 
     fn update(&self, pid: ProcessId, component: usize, value: T) {
-        self.validate(pid, &[component]);
-        let mut value = Some(value);
+        validate_args(self.m, self.n, pid, &[component]);
+        let scope = psnap_obs::enabled().then(StepScope::start);
         loop {
             let guard = epoch::pin();
-            let state = self.state(&guard);
-            let (shard, slot) = state.router.route(component);
+            let layout = self.gens.load(&guard);
+            let (shard, slot) = layout.router.route(component);
             // The writer gate: counted writers are what a reshard drains
-            // before copying this shard's chains. A frozen gate means a
-            // reshard is mid-migration on this shard — back off and retry
-            // on the state it is about to publish.
-            if !state.enter_writer(shard) {
+            // before copying this shard's chains. A refused entry means a
+            // reshard is mid-migration on this shard, or has replaced this
+            // generation since the load above — back off and retry on the
+            // state it has published or is about to.
+            let Some(permit) = self.gens.enter_writer(layout, shard) else {
                 drop(guard);
                 std::thread::yield_now();
                 continue;
-            }
-            // Recheck the pointer *after* raising the count: a reshard that
-            // froze, drained (seeing our count not yet raised), swapped and
-            // unfroze between our load above and the gate entry would leave
-            // `state` pointing at a retired generation — writing there loses
-            // the update, since no route reaches it and the frozen cut was
-            // captured without it. Seeing the old pointer here proves no
-            // swap completed; any reshard still in flight must now drain
-            // our raised count before it captures its cut.
-            if !std::ptr::eq(self.state.load(Ordering::SeqCst), state) {
-                state.exit_writer(shard);
-                drop(guard);
-                std::thread::yield_now();
-                continue;
-            }
-            state.heat[shard].inc();
-            let scope = psnap_obs::enabled().then(StepScope::start);
-            state.inner[shard].update(pid, slot, value.take().expect("moved once"));
-            state.exit_writer(shard);
-            if let Some(scope) = scope {
-                self.update_steps.record(scope.finish().total());
-            }
-            return;
+            };
+            layout.heat[shard].inc();
+            layout.inner[shard].update(pid, slot, value);
+            drop(permit);
+            break;
+        }
+        if let Some(scope) = scope {
+            self.update_steps.record(scope.finish().total());
         }
     }
 
     fn update_many(&self, pid: ProcessId, writes: &[(usize, T)]) {
-        let components: Vec<usize> = writes.iter().map(|(c, _)| *c).collect();
-        self.validate(pid, &components);
+        validate_batch_args(self.m, self.n, pid, writes);
         if writes.is_empty() {
             return;
         }
@@ -665,11 +392,11 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
         // need no writer gates.)
         let serial = self.batches.lock().unwrap_or_else(|e| e.into_inner());
         let guard = epoch::pin();
-        let state = self.state(&guard);
-        let by_shard = state.router.group_last_write_wins(writes);
+        let layout = self.gens.load(&guard);
+        let by_shard = layout.router.group_last_write_wins(writes);
         let scope = psnap_obs::enabled().then(StepScope::start);
         for &(shard, _) in &by_shard {
-            state.heat[shard].inc();
+            layout.heat[shard].inc();
         }
         // All installs under the serializer, then one finalize — the single
         // timestamp every shard's versions share is the whole commit
@@ -677,12 +404,12 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
         // validate; the single-shard case is simply the one-group instance.
         let stamp = MvStamp::pending_batch();
         for (shard, sub_batch) in &by_shard {
-            state.inner[*shard].install_pending(pid, sub_batch, &stamp);
+            layout.inner[*shard].install_pending(pid, sub_batch, &stamp);
         }
         stamp.finalize(&self.camera);
         for (shard, sub_batch) in &by_shard {
             let slots: Vec<usize> = sub_batch.iter().map(|(slot, _)| *slot).collect();
-            state.inner[*shard].prune_components(&slots);
+            layout.inner[*shard].prune_components(&slots);
         }
         let groups = by_shard.len() as u64;
         let total = by_shard.iter().map(|(_, sub)| sub.len()).sum::<usize>() as u64;
@@ -694,20 +421,15 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
     }
 
     fn scan(&self, pid: ProcessId, components: &[usize]) -> Vec<T> {
-        self.validate(pid, components);
+        validate_args(self.m, self.n, pid, components);
         if components.is_empty() {
             return Vec::new();
         }
-        let scope = psnap_obs::enabled().then(StepScope::start);
-        let (_, values) = self.scan_with_stamp(pid, components);
-        if let Some(scope) = scope {
-            self.scan_steps.record(scope.finish().total());
-        }
-        values
+        self.scan_with_stamp(pid, components).1
     }
 
     fn scan_stale(&self, pid: ProcessId, components: &[usize]) -> Option<(u64, Vec<T>)> {
-        self.validate(pid, components);
+        validate_args(self.m, self.n, pid, components);
         if components.is_empty() {
             return Some((self.camera.timestamp(), Vec::new()));
         }
@@ -715,17 +437,11 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
         // only the requested registers, and the single published timestamp
         // makes the combined cut consistent across shards exactly as in
         // `scan`.
-        let scope = psnap_obs::enabled().then(StepScope::start);
-        let (s, values) = self.scan_with_stamp(pid, components);
-        if let Some(scope) = scope {
-            self.scan_steps.record(scope.finish().total());
-        }
-        Some((s, values))
+        Some(self.scan_with_stamp(pid, components))
     }
 
     fn shard_of(&self, component: usize) -> usize {
-        let guard = epoch::pin();
-        self.state(&guard).router.route(component).0
+        self.gens.shard_of(component)
     }
 
     fn is_wait_free(&self) -> bool {
@@ -745,21 +461,73 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
     }
 
     fn shard_heat(&self) -> Vec<u64> {
-        self.heat()
+        self.gens.heat()
     }
 
     fn shard_sizes(&self) -> Vec<usize> {
-        let guard = epoch::pin();
-        self.state(&guard).map.shard_sizes()
+        self.gens.shard_sizes()
     }
 
     fn generation(&self) -> u64 {
-        let _guard = epoch::pin();
-        self.live_generation()
+        self.gens.generation()
     }
 
+    /// Applies a split or merge to the live object. See the module docs for
+    /// the protocol and its correctness argument. Returns `false` (layout
+    /// unchanged) for degenerate requests: splitting a shard with fewer
+    /// than two components, merging a shard into itself, or out-of-range
+    /// ids.
     fn reshard(&self, op: ReshardOp) -> bool {
-        self.reshard_live(op)
+        self.gens.reshard(
+            op,
+            |old, affected| {
+                // Lock order: the core's reshard lock → batch serializer →
+                // gate freeze. Batch writers take the serializer before
+                // routing, so a batch in flight completes before the freeze
+                // and no new one starts until the swap is published.
+                let serial = self.batches.lock().unwrap_or_else(|e| e.into_inner());
+                // Each drained update is a bounded store-and-finalize;
+                // writers that arrive after the freeze back off and retry
+                // against the new state once it is published.
+                old.freeze_and_drain(affected);
+                // The migration boundary: every version finalized before
+                // this call is strictly below it, every post-swap write at
+                // or above it. The affected shards are quiescent from here
+                // until the swap, so their chains are frozen below the
+                // boundary.
+                (serial, self.camera.cutover())
+            },
+            |&(_, boundary), _, sources| {
+                // Rebuilt shard: fresh object on the shared camera and
+                // serializer, then copy each owned component's finalized
+                // history with its original timestamps. All copied stamps
+                // sit below the boundary, so a copy can never shadow a
+                // post-swap write; old-generation scans still in flight
+                // keep reading the old objects, which stay alive until the
+                // epoch frees them.
+                let fresh = MvSnapshot::with_shared(
+                    sources.len(),
+                    self.n,
+                    self.initial.clone(),
+                    Arc::clone(&self.camera),
+                    Arc::clone(&self.batches),
+                );
+                for (slot, (from, from_slot)) in sources.iter().enumerate() {
+                    for (t, v) in from.slot_versions(*from_slot) {
+                        debug_assert!(
+                            t < boundary,
+                            "version stamped {t} at or above the cutover boundary {boundary}"
+                        );
+                        fresh.install_frozen(slot, t, v);
+                    }
+                }
+                fresh
+            },
+            |(serial, _), old, affected| {
+                old.unfreeze(affected);
+                drop(serial);
+            },
+        )
     }
 }
 
@@ -768,7 +536,7 @@ mod tests {
     use super::*;
     use crate::Partition;
     use psnap_shmem::StepScope;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::thread;
 
     fn mv_sharded(m: usize, n: usize, shards: usize) -> MvShardedSnapshot<u64> {
@@ -1128,5 +896,55 @@ mod tests {
         let splits = resharder.join().unwrap();
         assert!(splits > 0, "the reshard storm never actually resharded");
         assert!(snap.reshards() >= splits as u64);
+    }
+
+    #[test]
+    fn acknowledged_updates_survive_a_reshard_storm_under_chaos() {
+        // The window of PR 8's lost update is between a writer's load of
+        // the generation, its gate raise and the recheck; chaos perturbs at
+        // base-object steps, and the writer entry records its three, so an
+        // aggressive schedule parks this writer inside that window while
+        // the storm keeps rebuilding the very shard it writes to. Single
+        // writer, increasing values: once `update` returns, a scan must
+        // return exactly that value.
+        use psnap_shmem::chaos::{self, ChaosConfig};
+        const COMPONENT: usize = 3;
+        let snap = Arc::new(mv_sharded(8, 2, 2));
+        let stop = Arc::new(AtomicBool::new(false));
+        let resharder = {
+            let snap = Arc::clone(&snap);
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let home = snap.shard_of(COMPONENT);
+                    if snap.reshard(ReshardOp::Split { shard: home }) {
+                        let newest = snap.shards() - 1;
+                        let into = snap.shard_of(COMPONENT);
+                        let from = if into == newest { home } else { newest };
+                        assert!(snap.reshard(ReshardOp::Merge { from, into }));
+                    }
+                    thread::yield_now();
+                }
+            })
+        };
+        let _chaos = chaos::enable(0x5EED_0008, ChaosConfig::aggressive());
+        let mut v = 0u64;
+        // At least 2000 writes, and keep going until the storm has really
+        // been resharding underneath them (capped, so a wedged resharder
+        // fails the final assert instead of hanging the test).
+        while v < 2000 || (snap.reshards() < 100 && v < 200_000) {
+            v += 1;
+            snap.update(ProcessId(0), COMPONENT, v);
+            let got = snap.scan(ProcessId(0), &[COMPONENT])[0];
+            assert_eq!(
+                got,
+                v,
+                "acknowledged update {v} lost across a reshard (generation {})",
+                snap.generation()
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+        resharder.join().unwrap();
+        assert!(snap.reshards() >= 100, "the storm never got going");
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Planning costs what the request costs: every dedupe on the scan and write
 //! paths — [`ShardRouter::plan`], [`ScanUnion`], [`last_write_wins`] —
-//! numbers its keys through one [`FlatIndex`], a per-thread stamped hash
+//! numbers its keys through one `FlatIndex`, a per-thread stamped hash
 //! table sized to the call's own key count. A plan over `r` components does
 //! O(r) expected work and touches O(r) memory whether the object has 2⁸
 //! components or 2²⁰, and builds no tree.
@@ -197,8 +197,9 @@ pub enum Partition {
 /// generation is produced by [`split`](PartitionMap::split) /
 /// [`merge`](PartitionMap::merge), which reassign components explicitly and
 /// **strictly increase the generation number**. The map itself is immutable —
-/// a live store swaps an `AtomicPtr` to a new map and retires the old one
-/// through the epoch module, so in-flight operations keep a coherent view.
+/// a live store swaps the pointer to its current generation and retires the
+/// old one through the epoch module, so in-flight operations keep a coherent
+/// view.
 ///
 /// Invariants (the `partition_map` proptest suite holds every op sequence to
 /// these): each component of `0..m` is owned by exactly one shard id below
@@ -500,7 +501,7 @@ impl ShardRouter {
     /// twice. (Several requests share one plan by way of [`ScanUnion`].)
     ///
     /// One pass over the requested components, each numbered through the
-    /// calling thread's [`FlatIndex`] scratch: O(r) expected work, nothing
+    /// calling thread's `FlatIndex` scratch: O(r) expected work, nothing
     /// proportional to `m`, no base object touched.
     pub fn plan(&self, components: &[usize]) -> ScanPlan {
         let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();

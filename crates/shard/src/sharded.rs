@@ -69,52 +69,47 @@
 //! Concurrent multi-shard batches are serialized by a batch lock; without it
 //! two batches could commit in opposite orders on different shards, producing
 //! a final state no serialization explains.
+//!
+//! # What is shared with the multiversioned store
+//!
+//! The routing state — partition map, router, inner shards, the per-shard
+//! registers above, heat counters — is one generation of the crate's shared
+//! generation core, which also owns the raise-then-recheck every
+//! `writers += 1` above goes through and the skeleton of a reshard. This
+//! module adds only the coordinated store's own protocol: the
+//! epoch-validated rounds, the coordination latch, the two-phase cross-shard
+//! batch, and how it quiesces and rebuilds (see [`ShardedSnapshot`]).
+//!
+//! [`ShardRouter`]: crate::ShardRouter
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
+use psnap_core::traits::{validate_args, validate_batch_args};
 use psnap_core::{PartialSnapshot, ReshardOp};
 use psnap_obs::{trace, Counter, Histogram, Metric, Registry, TraceKind};
-use psnap_shmem::epoch::{self, Guard};
+use psnap_shmem::epoch;
 use psnap_shmem::steps::{self, OpKind};
 use psnap_shmem::{ProcessId, StepScope};
 
-use crate::partition::{Partition, PartitionMap, ScanPlan, ShardRouter};
+use crate::generations::{Generations, Layout};
+use crate::partition::{Partition, PartitionMap, ScanPlan};
 
-/// Which cross-shard scan discipline a sharded deployment uses — the knob
-/// that selects between the two sharded types of this crate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CrossShardPath {
-    /// Epoch-validated optimistic scans with the bounded-retry/coordinated
-    /// fallback of [`ShardedSnapshot`]: scans are free of extra per-scan
-    /// base objects when quiet, but the fallback waits on in-flight writers
-    /// (blocking in the strict model).
-    #[default]
-    Coordinated,
-    /// Multiversioned one-shot scans
-    /// ([`MvShardedSnapshot`](crate::MvShardedSnapshot)): every scan draws
-    /// one shared-camera timestamp and reads the newest version `≤` it —
-    /// bounded steps under any writer behaviour, at the cost of a version
-    /// chain per register and one fetch&add per scan (measured by E12).
-    Multiversioned,
-}
-
-/// Configuration of a sharded snapshot ([`ShardedSnapshot`] or
-/// [`MvShardedSnapshot`](crate::MvShardedSnapshot), per
-/// [`cross_shard`](ShardConfig::cross_shard)).
+/// Configuration of a sharded snapshot. The *type* chooses the cross-shard
+/// discipline — [`ShardedSnapshot`] validates epochs and falls back to a
+/// coordinated scan, [`MvShardedSnapshot`](crate::MvShardedSnapshot) reads
+/// at one timestamp — and both are seeded from this.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
     /// Requested number of shards (clamped to `1..=m`).
     pub shards: usize,
     /// How components map to shards.
     pub partition: Partition,
-    /// Optimistic validation rounds a cross-shard scan attempts before
-    /// escalating to the coordinated path. `0` escalates immediately (useful
-    /// for testing the coordinated path). Irrelevant under
-    /// [`CrossShardPath::Multiversioned`], which never retries.
+    /// Optimistic validation rounds a cross-shard scan of [`ShardedSnapshot`]
+    /// attempts before escalating to the coordinated path. `0` escalates
+    /// immediately (useful for testing the coordinated path). Irrelevant to
+    /// [`MvShardedSnapshot`](crate::MvShardedSnapshot), which never retries.
     pub max_optimistic_retries: usize,
-    /// The cross-shard scan discipline this configuration asks for.
-    pub cross_shard: CrossShardPath,
 }
 
 impl ShardConfig {
@@ -124,26 +119,21 @@ impl ShardConfig {
             shards,
             partition: Partition::Contiguous,
             max_optimistic_retries: 8,
-            cross_shard: CrossShardPath::Coordinated,
         }
     }
 
     /// `shards` hash-partitioned shards with the default retry budget.
     pub fn hashed(shards: usize) -> Self {
         ShardConfig {
-            shards,
             partition: Partition::Hashed,
-            max_optimistic_retries: 8,
-            cross_shard: CrossShardPath::Coordinated,
+            ..ShardConfig::contiguous(shards)
         }
     }
 
-    /// `shards` contiguous shards on the multiversioned cross-shard path.
+    /// `shards` contiguous shards, under the name callers building a
+    /// [`MvShardedSnapshot`](crate::MvShardedSnapshot) use.
     pub fn multiversioned(shards: usize) -> Self {
-        ShardConfig {
-            cross_shard: CrossShardPath::Multiversioned,
-            ..ShardConfig::contiguous(shards)
-        }
+        ShardConfig::contiguous(shards)
     }
 
     /// Overrides the optimistic retry budget.
@@ -153,12 +143,16 @@ impl ShardConfig {
     }
 }
 
-/// Per-shard coordination registers, padded to avoid false sharing between
-/// shards (the update pair is written on every update of its shard).
-#[repr(align(64))]
+/// The coordinated store's per-shard registers, kept on the cache line of
+/// the shard's writer gate — whose `writers` count is the other half of the
+/// `(epoch, writers)` pair — so the update pair written on every update of
+/// a shard never shares a line with another shard's. Shared **by shard id**
+/// across generations: an old-generation scan still in flight must validate
+/// against the same `(epoch, writers)` counters that new-generation updates
+/// bump, or it could combine a stale affected-shard read with a fresh
+/// sibling read and never notice.
+#[derive(Default)]
 struct ShardEpoch {
-    /// Updates currently mutating the shard.
-    writers: AtomicU64,
     /// Updates completed on the shard.
     epoch: AtomicU64,
     /// Cross-shard batches whose window currently covers the shard. Raised
@@ -171,17 +165,6 @@ struct ShardEpoch {
     batch_writers: AtomicU64,
     /// Cross-shard batch windows completed on the shard.
     batch_epoch: AtomicU64,
-}
-
-impl ShardEpoch {
-    fn new() -> Self {
-        ShardEpoch {
-            writers: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            batch_writers: AtomicU64::new(0),
-            batch_epoch: AtomicU64::new(0),
-        }
-    }
 }
 
 /// Counters describing how often scans needed which path (diagnostics for
@@ -215,21 +198,8 @@ impl CoordinationStats {
     }
 }
 
-/// One generation of the coordinated store's routing state. Immutable once
-/// published behind the `AtomicPtr`; unchanged shards share their inner
-/// objects with the previous generation via `Arc`, and the coordination
-/// registers and heat counters are shared **by shard id** across
-/// generations — an old-generation scan still in flight must validate
-/// against the same `(epoch, writers)` counters that new-generation updates
-/// bump, or it could combine a stale affected-shard read with a fresh
-/// sibling read and never notice.
-struct CoordState<S> {
-    map: PartitionMap,
-    router: ShardRouter,
-    inner: Vec<Arc<S>>,
-    epochs: Vec<Arc<ShardEpoch>>,
-    heat: Vec<Arc<Counter>>,
-}
+/// One generation of the coordinated store's routing state.
+type CoordLayout<S> = Layout<S, ShardEpoch>;
 
 /// A partial snapshot object sharded over `K` inner partial snapshot objects.
 ///
@@ -239,8 +209,8 @@ struct CoordState<S> {
 ///
 /// # Resharding (drain-and-rebuild)
 ///
-/// The component→shard assignment lives in an epoch-versioned
-/// [`CoordState`] behind an `AtomicPtr`, so this store also accepts
+/// The component→shard assignment lives in an epoch-versioned generation
+/// (see the module docs), so this store also accepts
 /// [`reshard`](PartialSnapshot::reshard) — but unlike
 /// [`MvShardedSnapshot`](crate::MvShardedSnapshot)'s live migration, the
 /// coordinated store has no version history to copy at a timestamp
@@ -253,8 +223,8 @@ struct CoordState<S> {
 /// exactly like updates — the availability gap experiment E15 measures
 /// against the multiversioned live path.
 pub struct ShardedSnapshot<T, S> {
-    /// The live routing state; readers pin the epoch, load, and use.
-    state: AtomicPtr<CoordState<S>>,
+    /// The routing state, generation by generation.
+    gens: Generations<S, ShardEpoch>,
     /// Rebuilds need to construct fresh inner shards.
     factory: Box<dyn Fn(usize, usize, usize, T) -> S + Send + Sync>,
     initial: T,
@@ -271,8 +241,6 @@ pub struct ShardedSnapshot<T, S> {
     /// opposite orders on different shards, leaving a final state no
     /// serialization produces.
     batch_lock: Mutex<()>,
-    /// Serializes reshard operations against each other.
-    reshard_lock: Mutex<()>,
     stats_clean: Arc<Counter>,
     stats_retried: Arc<Counter>,
     stats_retries: Arc<Counter>,
@@ -280,23 +248,12 @@ pub struct ShardedSnapshot<T, S> {
     /// Total cross-shard scans (the whole the three outcome counters
     /// partition), so the partition is checkable as a registry invariant.
     stats_cross: Arc<Counter>,
-    /// Reshard operations that changed the layout.
-    stats_reshards: Arc<Counter>,
     /// Base-object steps per scan / per update family, via [`StepScope`].
     scan_steps: Arc<Histogram>,
     update_steps: Arc<Histogram>,
     max_retries: usize,
     m: usize,
     n: usize,
-}
-
-impl<T, S> Drop for ShardedSnapshot<T, S> {
-    fn drop(&mut self) {
-        // Retired predecessors belong to the epoch module; the live state
-        // is ours to free.
-        let ptr = self.state.load(Ordering::Acquire);
-        drop(unsafe { Box::from_raw(ptr) });
-    }
 }
 
 impl<T, S> ShardedSnapshot<T, S>
@@ -318,47 +275,22 @@ where
     ) -> Self {
         assert!(m > 0, "a snapshot object needs at least one component");
         assert!(max_processes > 0, "at least one process must be allowed");
-        assert!(
-            config.cross_shard == CrossShardPath::Coordinated,
-            "ShardedSnapshot implements the coordinated cross-shard path; a config \
-             requesting CrossShardPath::Multiversioned needs MvShardedSnapshot"
-        );
         let map = PartitionMap::new(m, config.shards, config.partition);
-        let router = ShardRouter::from_map(&map);
-        let inner: Vec<Arc<S>> = (0..router.shards())
-            .map(|s| {
-                let shard = factory(s, router.shard_size(s), max_processes, initial.clone());
-                assert_eq!(
-                    shard.components(),
-                    router.shard_size(s),
-                    "factory built shard {s} with the wrong number of components"
-                );
-                Arc::new(shard)
-            })
-            .collect();
-        let shards = router.shards();
-        let state = CoordState {
-            map,
-            router,
-            inner,
-            epochs: (0..shards).map(|_| Arc::new(ShardEpoch::new())).collect(),
-            heat: (0..shards).map(|_| Arc::new(Counter::new())).collect(),
-        };
         ShardedSnapshot {
-            state: AtomicPtr::new(Box::into_raw(Box::new(state))),
+            gens: Generations::new(map, |s, size| {
+                Self::build_shard(&factory, s, size, max_processes, initial.clone())
+            }),
             factory: Box::new(factory),
             initial,
             coord_waiters: AtomicU64::new(0),
             reshard_waiters: AtomicU64::new(0),
             coord_latch: RwLock::new(()),
             batch_lock: Mutex::new(()),
-            reshard_lock: Mutex::new(()),
             stats_clean: Arc::new(Counter::new()),
             stats_retried: Arc::new(Counter::new()),
             stats_retries: Arc::new(Counter::new()),
             stats_coordinated: Arc::new(Counter::new()),
             stats_cross: Arc::new(Counter::new()),
-            stats_reshards: Arc::new(Counter::new()),
             scan_steps: Arc::new(Histogram::new()),
             update_steps: Arc::new(Histogram::new()),
             max_retries: config.max_optimistic_retries,
@@ -367,44 +299,42 @@ where
         }
     }
 
-    /// The live routing state; valid for the guard's lifetime (a concurrent
-    /// reshard retires the old state through the epoch module, which never
-    /// frees under an active pin).
-    fn state<'g>(&self, _guard: &'g Guard) -> &'g CoordState<S> {
-        unsafe { &*self.state.load(Ordering::Acquire) }
-    }
-
-    /// The generation currently routing the object (callers must be
-    /// pinned, which every use site is).
-    fn live_generation(&self) -> u64 {
-        unsafe { &*self.state.load(Ordering::Acquire) }
-            .router
-            .generation()
+    fn build_shard(
+        factory: &(impl Fn(usize, usize, usize, T) -> S + ?Sized),
+        s: usize,
+        size: usize,
+        n: usize,
+        initial: T,
+    ) -> S {
+        let shard = factory(s, size, n, initial);
+        assert_eq!(
+            shard.components(),
+            size,
+            "factory built shard {s} with the wrong number of components"
+        );
+        shard
     }
 
     /// Number of inner shards in the current generation's id space (some
     /// may be empty after a merge).
     pub fn shards(&self) -> usize {
-        let guard = epoch::pin();
-        self.state(&guard).inner.len()
+        self.gens.shards()
     }
 
     /// A clone of the current partition map (diagnostics and tests).
     pub fn partition_map(&self) -> PartitionMap {
-        let guard = epoch::pin();
-        self.state(&guard).map.clone()
+        self.gens.partition_map()
     }
 
     /// Access to one inner shard of the current generation (diagnostics and
     /// tests); the `Arc` stays valid across subsequent reshards.
     pub fn shard(&self, s: usize) -> Arc<S> {
-        let guard = epoch::pin();
-        Arc::clone(&self.state(&guard).inner[s])
+        self.gens.shard(s)
     }
 
     /// Number of reshard operations that changed the layout.
     pub fn reshards(&self) -> u64 {
-        self.stats_reshards.get()
+        self.gens.reshards()
     }
 
     /// Snapshot of the scan-path counters.
@@ -421,26 +351,18 @@ where
     /// `{prefix}.*`, and declares the scan-outcome partition (`clean +
     /// retried + coordinated == cross`) as a checkable invariant.
     pub fn register_obs(&self, registry: &Registry, prefix: &str) {
-        registry.register(
-            &format!("{prefix}.scan.clean"),
-            Metric::Counter(Arc::clone(&self.stats_clean)),
-        );
-        registry.register(
-            &format!("{prefix}.scan.retried"),
-            Metric::Counter(Arc::clone(&self.stats_retried)),
-        );
-        registry.register(
-            &format!("{prefix}.scan.retries"),
-            Metric::Counter(Arc::clone(&self.stats_retries)),
-        );
-        registry.register(
-            &format!("{prefix}.scan.coordinated"),
-            Metric::Counter(Arc::clone(&self.stats_coordinated)),
-        );
-        registry.register(
-            &format!("{prefix}.scan.cross"),
-            Metric::Counter(Arc::clone(&self.stats_cross)),
-        );
+        for (name, counter) in [
+            ("scan.clean", &self.stats_clean),
+            ("scan.retried", &self.stats_retried),
+            ("scan.retries", &self.stats_retries),
+            ("scan.coordinated", &self.stats_coordinated),
+            ("scan.cross", &self.stats_cross),
+        ] {
+            registry.register(
+                &format!("{prefix}.{name}"),
+                Metric::Counter(Arc::clone(counter)),
+            );
+        }
         registry.register(
             &format!("{prefix}.scan.steps"),
             Metric::Histogram(Arc::clone(&self.scan_steps)),
@@ -449,17 +371,7 @@ where
             &format!("{prefix}.update.steps"),
             Metric::Histogram(Arc::clone(&self.update_steps)),
         );
-        registry.register(
-            &format!("{prefix}.reshards"),
-            Metric::Counter(Arc::clone(&self.stats_reshards)),
-        );
-        let guard = epoch::pin();
-        for (i, heat) in self.state(&guard).heat.iter().enumerate() {
-            registry.register(
-                &format!("{prefix}.heat.{i}"),
-                Metric::Counter(Arc::clone(heat)),
-            );
-        }
+        self.gens.register_obs(registry, prefix);
         let clean = format!("{prefix}.scan.clean");
         let retried = format!("{prefix}.scan.retried");
         let coordinated = format!("{prefix}.scan.coordinated");
@@ -476,23 +388,116 @@ where
     /// shard. Survivors carry their count across reshards; shards appended
     /// by a split start at zero.
     pub fn heat(&self) -> Vec<u64> {
-        let guard = epoch::pin();
-        self.state(&guard).heat.iter().map(|c| c.get()).collect()
+        self.gens.heat()
     }
 
-    fn validate(&self, pid: ProcessId, components: &[usize]) {
-        let m = self.m;
-        assert!(
-            pid.index() < self.n,
-            "process id {pid} out of range: object configured for {} processes",
-            self.n
-        );
-        for &c in components {
-            assert!(
-                c < m,
-                "component {c} out of range: object has {m} components"
-            );
+    /// How every mutator starts. Fast path: one flag read. Slow path (a
+    /// coordinated scan or a reshard is waiting or running): enter the read
+    /// side of the latch so the drain stays bounded. The guard must be
+    /// released before anything asks for the latch again — std's RwLock
+    /// queues new readers behind a waiting writer, so a second entry from
+    /// the same thread deadlocks as soon as a coordinated scan asks for the
+    /// write side in between.
+    fn writer_latch(&self) -> Option<RwLockReadGuard<'_, ()>> {
+        steps::record(OpKind::Read);
+        (self.coord_waiters.load(Ordering::SeqCst) != 0
+            || self.reshard_waiters.load(Ordering::SeqCst) != 0)
+            .then(|| self.coord_latch.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// The writer bracket of one shard: `writers += 1` through the shared
+    /// entry (which rechecks that no reshard has frozen or replaced
+    /// `layout`), the mutation, `epoch += 1`, `writers -= 1`. Returns
+    /// `false`, having mutated nothing, if the entry was refused.
+    #[inline]
+    fn write_shard(&self, layout: &CoordLayout<S>, shard: usize, mutate: impl FnOnce(&S)) -> bool {
+        let Some(permit) = self.gens.enter_writer(layout, shard) else {
+            return false;
+        };
+        layout.heat[shard].inc();
+        mutate(&layout.inner[shard]);
+        steps::record(OpKind::FetchInc);
+        layout.gates[shard]
+            .regs
+            .epoch
+            .fetch_add(1, Ordering::SeqCst);
+        drop(permit);
+        true
+    }
+
+    /// One attempt of `update_many` against one load of the generation.
+    /// Returns `false`, having written nothing and released everything it
+    /// took, if a reshard froze an involved shard or replaced the
+    /// generation underneath.
+    fn try_update_many(&self, pid: ProcessId, writes: &[(usize, T)]) -> bool {
+        // Same fast/slow latch split as `update`.
+        let _latch = self.writer_latch();
+        let guard = epoch::pin();
+        let layout = self.gens.load(&guard);
+        // Resolve duplicates last-write-wins and group by shard (shared
+        // router helper, so both sharded stores keep identical semantics).
+        // Grouping is generation-specific, hence once per attempt.
+        let by_shard = layout.router.group_last_write_wins(writes);
+        let total: usize = by_shard.iter().map(|(_, sub)| sub.len()).sum();
+        if let [(shard, sub_batch)] = &by_shard[..] {
+            // Single-shard batch: the inner object's own `update_many`
+            // makes it atomic on that shard (and treats a one-write batch
+            // as the update it is); bracket it exactly like an update so
+            // cross-shard scans involving this shard revalidate. The
+            // bracket is entered here, under the latch guard this call
+            // already holds — never by way of `self.update`, which would
+            // enter the latch a second time (see `writer_latch`).
+            let entered =
+                self.write_shard(layout, *shard, |inner| inner.update_many(pid, sub_batch));
+            if entered {
+                trace::emit(TraceKind::BatchCommit, total as u64, 1);
+            }
+            return entered;
         }
+        // Cross-shard batch, two-phase. Phase 1 raises `writers`
+        // (cross-shard scan validation) and `batch_writers` (single-shard
+        // scan validation) on every involved shard before any shard
+        // mutates, so a concurrent scan of *either kind* that overlaps any
+        // part of the batch revalidates and sees either the whole batch or
+        // none of it. Phase 2 applies the per-shard sub-batches (each
+        // atomic on its shard via the inner `update_many`). Phase 3 bumps
+        // the epochs and releases the marks. The batch lock serializes
+        // overlapping multi-shard batches, which could otherwise commit in
+        // opposite per-shard orders — and a resharder holds it across its
+        // whole rebuild, so the batch may have blocked through an entire
+        // rebuild by the time it owns the lock: every `writers` raise goes
+        // through the shared entry, whose recheck refuses a layout that is
+        // no longer live. Once the entries pass, the held batch lock itself
+        // excludes any new resharder until the batch commits.
+        let _serial = self.batch_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let permits: Vec<_> = by_shard
+            .iter()
+            .map_while(|&(shard, _)| self.gens.enter_writer(layout, shard))
+            .collect();
+        if permits.len() < by_shard.len() {
+            return false;
+        }
+        for &(shard, _) in &by_shard {
+            layout.heat[shard].inc();
+            steps::record(OpKind::FetchInc);
+            let marks = &layout.gates[shard].regs.batch_writers;
+            marks.fetch_add(1, Ordering::SeqCst);
+        }
+        for (shard, sub_batch) in &by_shard {
+            layout.inner[*shard].update_many(pid, sub_batch);
+        }
+        for (&(shard, _), permit) in by_shard.iter().zip(permits) {
+            let e = &layout.gates[shard].regs;
+            steps::record(OpKind::FetchInc);
+            e.epoch.fetch_add(1, Ordering::SeqCst);
+            steps::record(OpKind::FetchInc);
+            e.batch_epoch.fetch_add(1, Ordering::SeqCst);
+            drop(permit);
+            steps::record(OpKind::FetchInc);
+            e.batch_writers.fetch_sub(1, Ordering::SeqCst);
+        }
+        trace::emit(TraceKind::BatchCommit, total as u64, by_shard.len() as u64);
+        true
     }
 
     /// Reads the epoch of every involved shard; `None` if a writer is active.
@@ -506,53 +511,49 @@ where
     /// mutator finished before the writers load has already bumped the epoch
     /// the subsequent load reads, and one still in flight shows a non-zero
     /// count.
-    fn collect_epochs(state: &CoordState<S>, plan: &ScanPlan) -> Option<Vec<u64>> {
+    fn collect_epochs(layout: &CoordLayout<S>, plan: &ScanPlan) -> Option<Vec<u64>> {
         let mut snapshot = Vec::with_capacity(plan.groups.len());
         for &(shard, _) in &plan.groups {
-            let e = &state.epochs[shard];
+            let e = &layout.gates[shard];
             steps::record(OpKind::Read);
-            if e.writers.load(Ordering::SeqCst) != 0 {
+            if e.writers() != 0 {
                 return None;
             }
             steps::record(OpKind::Read);
-            snapshot.push(e.epoch.load(Ordering::SeqCst));
+            snapshot.push(e.regs.epoch.load(Ordering::SeqCst));
         }
         Some(snapshot)
     }
 
-    /// Runs the per-shard sub-scans of `plan`.
-    fn run_sub_scans(state: &CoordState<S>, pid: ProcessId, plan: &ScanPlan) -> Vec<Vec<T>> {
-        plan.groups
-            .iter()
-            .map(|(shard, slots)| state.inner[*shard].scan(pid, slots))
-            .collect()
-    }
-
     /// One optimistic round: validate-scan-revalidate. Returns the assembled
     /// values on success.
-    fn optimistic_round(state: &CoordState<S>, pid: ProcessId, plan: &ScanPlan) -> Option<Vec<T>> {
-        let before = Self::collect_epochs(state, plan)?;
-        let results = Self::run_sub_scans(state, pid, plan);
-        let after = Self::collect_epochs(state, plan)?;
-        if before == after {
-            Some(plan.assemble(&results))
-        } else {
-            None
-        }
+    fn optimistic_round(
+        layout: &CoordLayout<S>,
+        pid: ProcessId,
+        plan: &ScanPlan,
+    ) -> Option<Vec<T>> {
+        let before = Self::collect_epochs(layout, plan)?;
+        let results: Vec<Vec<T>> = plan
+            .groups
+            .iter()
+            .map(|(shard, slots)| layout.inner[*shard].scan(pid, slots))
+            .collect();
+        let after = Self::collect_epochs(layout, plan)?;
+        (before == after).then(|| plan.assemble(&results))
     }
 
     /// The coordinated fallback: hold back new updates via the latch, then
     /// keep validating until the bounded set of straggler updates has
     /// drained. The caller records the scan's outcome counters (after its
     /// generation recheck, so a discarded attempt counts nothing).
-    fn coordinated_scan(&self, state: &CoordState<S>, pid: ProcessId, plan: &ScanPlan) -> Vec<T> {
+    fn coordinated_scan(&self, layout: &CoordLayout<S>, pid: ProcessId, plan: &ScanPlan) -> Vec<T> {
         self.coord_waiters.fetch_add(1, Ordering::SeqCst);
         let latch = self.coord_latch.write().unwrap_or_else(|e| e.into_inner());
         let result = loop {
             // Only updates that sampled the flag before it rose can still be
             // in flight; each failed round means one of them completed, so
             // this loop is bounded by the number of processes.
-            if let Some(values) = Self::optimistic_round(state, pid, plan) {
+            if let Some(values) = Self::optimistic_round(layout, pid, plan) {
                 break values;
             }
             std::thread::yield_now();
@@ -562,334 +563,23 @@ where
         result
     }
 
-    /// Drain-and-rebuild resharding: quiesce every mutator, read the
-    /// affected components out of the frozen object, rebuild the affected
-    /// shards through the stored factory, swap, retire. Deliberately
-    /// stop-the-world — the baseline the multiversioned live protocol is
-    /// measured against (E15). Returns `false` (layout unchanged) for
-    /// degenerate requests.
-    fn reshard_rebuild(&self, op: ReshardOp) -> bool {
-        let _reshard = self.reshard_lock.lock().unwrap_or_else(|e| e.into_inner());
-        // Raise the flag first: updates and scans that sample it hold back
-        // on the latch's read side; the write acquisition below then waits
-        // only for operations already past their flag check.
-        self.reshard_waiters.fetch_add(1, Ordering::SeqCst);
-        let latch = self.coord_latch.write().unwrap_or_else(|e| e.into_inner());
-        let serial = self.batch_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let guard = epoch::pin();
-        let old_ptr = self.state.load(Ordering::Acquire);
-        let old = unsafe { &*old_ptr };
-        let new_map = match op {
-            ReshardOp::Split { shard } => old.map.split(shard),
-            ReshardOp::Merge { from, into } => old.map.merge(from, into),
-        };
-        let Some(new_map) = new_map else {
-            drop(serial);
-            drop(latch);
-            self.reshard_waiters.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        };
-        let affected: Vec<usize> = match op {
-            ReshardOp::Split { shard } => vec![shard],
-            ReshardOp::Merge { from, into } => vec![from, into],
-        };
-        // Drain: every mutator past its flag check is bracketed by a raised
-        // counter (SeqCst — either the drain observes the raise, or the
-        // mutator observes the flag / the swapped pointer and backs off).
-        for e in &old.epochs {
-            while e.writers.load(Ordering::SeqCst) != 0
-                || e.batch_writers.load(Ordering::SeqCst) != 0
-            {
-                std::thread::yield_now();
-            }
-        }
-        // The object is frozen: read the moved components, rebuild.
-        let new_router = ShardRouter::from_map(&new_map);
-        let mut inner = Vec::with_capacity(new_map.shards());
-        let mut epochs = Vec::with_capacity(new_map.shards());
-        let mut heat = Vec::with_capacity(new_map.shards());
-        for s in 0..new_map.shards() {
-            let is_new = s >= old.inner.len();
-            if !is_new && !affected.contains(&s) {
-                inner.push(Arc::clone(&old.inner[s]));
-                epochs.push(Arc::clone(&old.epochs[s]));
-                heat.push(Arc::clone(&old.heat[s]));
-                continue;
-            }
-            // Coordination registers and heat are shared by shard id so
-            // operations straddling the swap validate against (and account
-            // to) the same counters; a freshly appended shard starts cold.
-            epochs.push(if is_new {
-                Arc::new(ShardEpoch::new())
-            } else {
-                Arc::clone(&old.epochs[s])
-            });
-            heat.push(if is_new {
-                Arc::new(Counter::new())
-            } else {
-                Arc::clone(&old.heat[s])
-            });
-            let size = new_router.shard_size(s);
-            if size == 0 {
-                // The emptied side of a merge: keep the drained old object
-                // in the slot — no route leads to it.
-                inner.push(Arc::clone(&old.inner[s]));
-                continue;
-            }
-            let shard_obj = (self.factory)(s, size, self.n, self.initial.clone());
-            assert_eq!(
-                shard_obj.components(),
-                size,
-                "factory built shard {s} with the wrong number of components"
-            );
-            for slot in 0..size {
-                let component = new_router.component_of(s, slot);
-                let (old_shard, old_slot) = old.router.route(component);
-                let value = old.inner[old_shard]
-                    .scan(ProcessId(0), &[old_slot])
-                    .pop()
-                    .expect("sub-scan returns one value per requested slot");
-                shard_obj.update(ProcessId(0), slot, value);
-            }
-            inner.push(Arc::new(shard_obj));
-        }
-        let migrated = (0..self.m)
-            .filter(|&c| old.map.shard_of(c) != new_map.shard_of(c))
-            .count() as u64;
-        let generation = new_map.generation();
-        let new_state = Box::into_raw(Box::new(CoordState {
-            map: new_map,
-            router: new_router,
-            inner,
-            epochs,
-            heat,
-        }));
-        self.state.store(new_state, Ordering::Release);
-        // Safety: `old_ptr` was just unlinked from the only shared location
-        // and is retired once; our pin (and any straddling reader's) keeps
-        // it alive until every in-flight operation is done with it.
-        unsafe { epoch::retire(old_ptr) };
-        drop(guard);
-        drop(serial);
-        drop(latch);
-        self.reshard_waiters.fetch_sub(1, Ordering::SeqCst);
-        self.stats_reshards.inc();
-        trace::emit(TraceKind::Reshard, generation, migrated);
-        true
-    }
-}
-
-impl<T, S> PartialSnapshot<T> for ShardedSnapshot<T, S>
-where
-    T: Clone + Send + Sync + 'static,
-    S: PartialSnapshot<T> + 'static,
-{
-    fn components(&self) -> usize {
-        self.m
-    }
-
-    fn max_processes(&self) -> usize {
-        self.n
-    }
-
-    fn update(&self, pid: ProcessId, component: usize, value: T) {
-        self.validate(pid, &[component]);
-        let scope = psnap_obs::enabled().then(StepScope::start);
-        let mut value = Some(value);
-        loop {
-            // Fast path: one flag read. Slow path (a coordinated scan or a
-            // reshard is waiting or running): enter the read side of the
-            // latch so the drain stays bounded.
-            steps::record(OpKind::Read);
-            let _latch = if self.coord_waiters.load(Ordering::SeqCst) != 0
-                || self.reshard_waiters.load(Ordering::SeqCst) != 0
-            {
-                Some(self.coord_latch.read().unwrap_or_else(|e| e.into_inner()))
-            } else {
-                None
-            };
-            let guard = epoch::pin();
-            let ptr = self.state.load(Ordering::Acquire);
-            let state = unsafe { &*ptr };
-            let (shard, slot) = state.router.route(component);
-            let e = &state.epochs[shard];
-            steps::record(OpKind::FetchInc);
-            e.writers.fetch_add(1, Ordering::SeqCst);
-            // Raise-then-recheck against the resharder's flag-then-drain:
-            // either its drain observes our raised counter (and waits for
-            // this write to land before copying), or we observe the flag —
-            // or, if the flag already fell, the swapped pointer — and back
-            // off rather than write to a state that is being (or has been)
-            // replaced.
-            steps::record(OpKind::Read);
-            if self.reshard_waiters.load(Ordering::SeqCst) != 0
-                || self.state.load(Ordering::SeqCst) != ptr
-            {
-                e.writers.fetch_sub(1, Ordering::SeqCst);
-                drop(guard);
-                std::thread::yield_now();
-                continue;
-            }
-            state.heat[shard].inc();
-            state.inner[shard].update(pid, slot, value.take().expect("moved once"));
-            steps::record(OpKind::FetchInc);
-            e.epoch.fetch_add(1, Ordering::SeqCst);
-            steps::record(OpKind::FetchInc);
-            e.writers.fetch_sub(1, Ordering::SeqCst);
-            break;
-        }
-        if let Some(scope) = scope {
-            self.update_steps.record(scope.finish().total());
-        }
-    }
-
-    fn update_many(&self, pid: ProcessId, writes: &[(usize, T)]) {
-        let components: Vec<usize> = writes.iter().map(|(c, _)| *c).collect();
-        self.validate(pid, &components);
-        if writes.is_empty() {
-            return;
-        }
-        let scope = psnap_obs::enabled().then(StepScope::start);
-        loop {
-            // Same fast/slow latch split as `update`: hold the read side
-            // while a coordinated scan or a reshard is pending so the drain
-            // stays bounded.
-            steps::record(OpKind::Read);
-            let _latch = if self.coord_waiters.load(Ordering::SeqCst) != 0
-                || self.reshard_waiters.load(Ordering::SeqCst) != 0
-            {
-                Some(self.coord_latch.read().unwrap_or_else(|e| e.into_inner()))
-            } else {
-                None
-            };
-            let guard = epoch::pin();
-            let ptr = self.state.load(Ordering::Acquire);
-            let state = unsafe { &*ptr };
-            // Resolve duplicates last-write-wins and group by shard (shared
-            // router helper, so both sharded stores keep identical
-            // semantics). Grouping is generation-specific, hence inside the
-            // retry loop.
-            let by_shard = state.router.group_last_write_wins(writes);
-            let total: usize = by_shard.iter().map(|(_, sub)| sub.len()).sum();
-            if total == 1 {
-                let (shard, ref sub) = by_shard[0];
-                let component = state.router.component_of(shard, sub[0].0);
-                let value = sub[0].1.clone();
-                drop(guard);
-                // `update` enters the latch itself. Entering it a second
-                // time from here deadlocks as soon as a coordinated scan
-                // asks for the write side in between: std's RwLock queues
-                // new readers behind a waiting writer, and that writer is
-                // waiting for this guard.
-                drop(_latch);
-                return self.update(pid, component, value);
-            }
-            if by_shard.len() == 1 {
-                // Single-shard batch: the inner object's own `update_many`
-                // makes it atomic on that shard; bracket it exactly like an
-                // update (including the reshard recheck) so cross-shard
-                // scans involving this shard revalidate.
-                let (shard, ref sub_batch) = by_shard[0];
-                let e = &state.epochs[shard];
-                steps::record(OpKind::FetchInc);
-                e.writers.fetch_add(1, Ordering::SeqCst);
-                steps::record(OpKind::Read);
-                if self.reshard_waiters.load(Ordering::SeqCst) != 0
-                    || self.state.load(Ordering::SeqCst) != ptr
-                {
-                    e.writers.fetch_sub(1, Ordering::SeqCst);
-                    drop(guard);
-                    std::thread::yield_now();
-                    continue;
-                }
-                state.heat[shard].inc();
-                state.inner[shard].update_many(pid, sub_batch);
-                steps::record(OpKind::FetchInc);
-                e.epoch.fetch_add(1, Ordering::SeqCst);
-                steps::record(OpKind::FetchInc);
-                e.writers.fetch_sub(1, Ordering::SeqCst);
-                trace::emit(TraceKind::BatchCommit, total as u64, 1);
-                break;
-            }
-            // Cross-shard batch, two-phase. Phase 1 raises `writers`
-            // (cross-shard scan validation) and `batch_writers`
-            // (single-shard scan validation) on every involved shard before
-            // any shard mutates, so a concurrent scan of *either kind* that
-            // overlaps any part of the batch revalidates and sees either
-            // the whole batch or none of it. Phase 2 applies the per-shard
-            // sub-batches (each atomic on its shard via the inner
-            // `update_many`). Phase 3 bumps the epochs and releases the
-            // marks. The batch lock serializes overlapping multi-shard
-            // batches, which could otherwise commit in opposite per-shard
-            // orders — and a resharder holds it across its whole rebuild,
-            // so after acquiring it the batch re-checks that the state it
-            // planned against is still live (it may have blocked through an
-            // entire rebuild). Once the recheck passes, the held batch lock
-            // itself excludes any new resharder until the batch commits.
-            let serial = self.batch_lock.lock().unwrap_or_else(|e| e.into_inner());
-            steps::record(OpKind::Read);
-            if self.reshard_waiters.load(Ordering::SeqCst) != 0
-                || self.state.load(Ordering::SeqCst) != ptr
-            {
-                drop(serial);
-                drop(guard);
-                std::thread::yield_now();
-                continue;
-            }
-            for &(shard, _) in &by_shard {
-                state.heat[shard].inc();
-                let e = &state.epochs[shard];
-                steps::record(OpKind::FetchInc);
-                e.writers.fetch_add(1, Ordering::SeqCst);
-                steps::record(OpKind::FetchInc);
-                e.batch_writers.fetch_add(1, Ordering::SeqCst);
-            }
-            for (shard, sub_batch) in &by_shard {
-                state.inner[*shard].update_many(pid, sub_batch);
-            }
-            for &(shard, _) in &by_shard {
-                let e = &state.epochs[shard];
-                steps::record(OpKind::FetchInc);
-                e.epoch.fetch_add(1, Ordering::SeqCst);
-                steps::record(OpKind::FetchInc);
-                e.batch_epoch.fetch_add(1, Ordering::SeqCst);
-                steps::record(OpKind::FetchInc);
-                e.writers.fetch_sub(1, Ordering::SeqCst);
-                steps::record(OpKind::FetchInc);
-                e.batch_writers.fetch_sub(1, Ordering::SeqCst);
-            }
-            drop(serial);
-            trace::emit(TraceKind::BatchCommit, total as u64, by_shard.len() as u64);
-            break;
-        }
-        if let Some(scope) = scope {
-            self.update_steps.record(scope.finish().total());
-        }
-    }
-
-    fn scan(&self, pid: ProcessId, components: &[usize]) -> Vec<T> {
-        self.validate(pid, components);
-        if components.is_empty() {
-            return Vec::new();
-        }
-        let scope = psnap_obs::enabled().then(StepScope::start);
+    /// The scan protocol: plan against the live generation, take the
+    /// locality fast path or the validated cross-shard rounds, and start
+    /// over whenever a reshard replaced the generation underneath.
+    fn scan_attempts(&self, pid: ProcessId, components: &[usize]) -> Vec<T> {
         'attempt: loop {
             // While a reshard is rebuilding, scans wait behind the latch
             // exactly like updates — drain-and-rebuild quiesces *all*
             // traffic, which is precisely the availability gap E15 measures
             // against the multiversioned live-reshard path.
             steps::record(OpKind::Read);
-            let _latch = if self.reshard_waiters.load(Ordering::SeqCst) != 0 {
-                Some(self.coord_latch.read().unwrap_or_else(|e| e.into_inner()))
-            } else {
-                None
-            };
+            let latch = (self.reshard_waiters.load(Ordering::SeqCst) != 0)
+                .then(|| self.coord_latch.read().unwrap_or_else(|e| e.into_inner()));
             let guard = epoch::pin();
-            let state = self.state(&guard);
-            let generation = state.router.generation();
-            let plan = state.router.plan(components);
+            let layout = self.gens.load(&guard);
+            let plan = layout.router.plan(components);
             for (shard, _) in &plan.groups {
-                state.heat[*shard].inc();
+                layout.heat[*shard].inc();
             }
             if !plan.is_cross_shard() {
                 // Locality fast path: the inner object's linearizability
@@ -906,7 +596,7 @@ where
                 // workload, and blocks only while a cross-shard batch
                 // covers the scanned shard.
                 let (shard, ref slots) = plan.groups[0];
-                let e = &state.epochs[shard];
+                let e = &layout.gates[shard].regs;
                 loop {
                     // `batch_writers` before `batch_epoch`, both ends of the
                     // window: a batch ends with `batch_epoch += 1;
@@ -924,7 +614,7 @@ where
                     }
                     steps::record(OpKind::Read);
                     let before = e.batch_epoch.load(Ordering::SeqCst);
-                    let values = state.inner[shard].scan(pid, slots);
+                    let values = layout.inner[shard].scan(pid, slots);
                     steps::record(OpKind::Read);
                     let clean = if e.batch_writers.load(Ordering::SeqCst) != 0 {
                         false
@@ -937,11 +627,8 @@ where
                         // come from a retired shard object that misses
                         // post-swap writes to its shared epoch registers'
                         // new counterpart; discard and replan.
-                        if self.live_generation() != generation {
+                        if !self.gens.is_live(layout) {
                             continue 'attempt;
-                        }
-                        if let Some(scope) = scope {
-                            self.scan_steps.record(scope.finish().total());
                         }
                         return plan.assemble(&[values]);
                     }
@@ -954,8 +641,8 @@ where
             // generation recheck passes, so an attempt discarded across a
             // reshard counts nothing and the partition invariant holds.
             for round in 0..=self.max_retries {
-                if let Some(values) = Self::optimistic_round(state, pid, &plan) {
-                    if self.live_generation() != generation {
+                if let Some(values) = Self::optimistic_round(layout, pid, &plan) {
+                    if !self.gens.is_live(layout) {
                         continue 'attempt;
                     }
                     self.stats_cross.inc();
@@ -964,9 +651,6 @@ where
                     } else {
                         self.stats_retried.inc();
                         self.stats_retries.add(round as u64);
-                    }
-                    if let Some(scope) = scope {
-                        self.scan_steps.record(scope.finish().total());
                     }
                     return values;
                 }
@@ -979,7 +663,7 @@ where
             // (and wedge every op queued behind a waiting resharder). The
             // generation recheck below already covers any reshard that
             // slips in between the release and the coordinated round.
-            drop(_latch);
+            drop(latch);
             self.stats_retries.add(self.max_retries as u64 + 1);
             trace::emit(TraceKind::ScanFallback, self.max_retries as u64 + 1, 0);
             // Every optimistic round tore its validation — the flight
@@ -996,17 +680,77 @@ where
                     Some(Registry::global()),
                 );
             }
-            let values = self.coordinated_scan(state, pid, &plan);
-            if self.live_generation() != generation {
+            let values = self.coordinated_scan(layout, pid, &plan);
+            if !self.gens.is_live(layout) {
                 continue 'attempt;
             }
             self.stats_cross.inc();
             self.stats_coordinated.inc();
-            if let Some(scope) = scope {
-                self.scan_steps.record(scope.finish().total());
-            }
             return values;
         }
+    }
+}
+
+impl<T, S> PartialSnapshot<T> for ShardedSnapshot<T, S>
+where
+    T: Clone + Send + Sync + 'static,
+    S: PartialSnapshot<T> + 'static,
+{
+    fn components(&self) -> usize {
+        self.m
+    }
+
+    fn max_processes(&self) -> usize {
+        self.n
+    }
+
+    fn update(&self, pid: ProcessId, component: usize, value: T) {
+        validate_args(self.m, self.n, pid, &[component]);
+        let scope = psnap_obs::enabled().then(StepScope::start);
+        let mut value = Some(value);
+        loop {
+            let _latch = self.writer_latch();
+            let guard = epoch::pin();
+            let layout = self.gens.load(&guard);
+            let (shard, slot) = layout.router.route(component);
+            if self.write_shard(layout, shard, |inner| {
+                inner.update(pid, slot, value.take().expect("moved once"))
+            }) {
+                break;
+            }
+            drop(guard);
+            std::thread::yield_now();
+        }
+        if let Some(scope) = scope {
+            self.update_steps.record(scope.finish().total());
+        }
+    }
+
+    fn update_many(&self, pid: ProcessId, writes: &[(usize, T)]) {
+        validate_batch_args(self.m, self.n, pid, writes);
+        if writes.is_empty() {
+            return;
+        }
+        let scope = psnap_obs::enabled().then(StepScope::start);
+        while !self.try_update_many(pid, writes) {
+            std::thread::yield_now();
+        }
+        if let Some(scope) = scope {
+            self.update_steps.record(scope.finish().total());
+        }
+    }
+
+    fn scan(&self, pid: ProcessId, components: &[usize]) -> Vec<T> {
+        validate_args(self.m, self.n, pid, components);
+        if components.is_empty() {
+            return Vec::new();
+        }
+        let scope = psnap_obs::enabled().then(StepScope::start);
+        let values = self.scan_attempts(pid, components);
+        if let Some(scope) = scope {
+            self.scan_steps.record(scope.finish().total());
+        }
+        values
     }
 
     fn is_wait_free(&self) -> bool {
@@ -1020,8 +764,8 @@ where
         // single-shard scans remain step-bounded regardless. Full cross-shard
         // wait-freedom needs multiversioned registers — `MvShardedSnapshot`.
         let guard = epoch::pin();
-        let state = self.state(&guard);
-        state.inner.len() == 1 && state.inner.iter().all(|s| s.is_wait_free())
+        let layout = self.gens.load(&guard);
+        layout.inner.len() == 1 && layout.inner.iter().all(|s| s.is_wait_free())
     }
 
     fn name(&self) -> &'static str {
@@ -1029,26 +773,79 @@ where
     }
 
     fn shard_heat(&self) -> Vec<u64> {
-        self.heat()
+        self.gens.heat()
     }
 
     fn shard_sizes(&self) -> Vec<usize> {
-        let guard = epoch::pin();
-        self.state(&guard).map.shard_sizes()
+        self.gens.shard_sizes()
     }
 
     fn shard_of(&self, component: usize) -> usize {
-        let guard = epoch::pin();
-        self.state(&guard).router.route(component).0
+        self.gens.shard_of(component)
     }
 
     fn generation(&self) -> u64 {
-        let _guard = epoch::pin();
-        self.live_generation()
+        self.gens.generation()
     }
 
+    /// Drain-and-rebuild resharding: quiesce every mutator, read the
+    /// affected components out of the frozen object, rebuild the affected
+    /// shards through the stored factory, swap, retire. Deliberately
+    /// stop-the-world — the baseline the multiversioned live protocol is
+    /// measured against (E15). Returns `false` (layout unchanged) for
+    /// degenerate requests.
     fn reshard(&self, op: ReshardOp) -> bool {
-        self.reshard_rebuild(op)
+        self.gens.reshard(
+            op,
+            |old, _| {
+                // Raise the flag first: updates and scans that sample it
+                // hold back on the latch's read side; the write acquisition
+                // below then waits only for operations already past their
+                // flag check.
+                self.reshard_waiters.fetch_add(1, Ordering::SeqCst);
+                let latch = self.coord_latch.write().unwrap_or_else(|e| e.into_inner());
+                let serial = self.batch_lock.lock().unwrap_or_else(|e| e.into_inner());
+                // Stop the world, not just the affected shards: every
+                // mutator past its flag check either is drained here or
+                // backs off its frozen gate. Cross-shard batches raise
+                // their marks under the batch lock we now hold, so none is
+                // in flight.
+                let all: Vec<usize> = (0..old.gates.len()).collect();
+                old.freeze_and_drain(&all);
+                debug_assert!(
+                    old.gates
+                        .iter()
+                        .all(|g| g.regs.batch_writers.load(Ordering::SeqCst) == 0),
+                    "a cross-shard batch is in flight without the batch lock"
+                );
+                (latch, serial, all)
+            },
+            |_, s, sources| {
+                // The object is frozen: read each moved component out of
+                // the slot that held it, write it into the slot that will.
+                let shard = Self::build_shard(
+                    &*self.factory,
+                    s,
+                    sources.len(),
+                    self.n,
+                    self.initial.clone(),
+                );
+                for (slot, (from, from_slot)) in sources.iter().enumerate() {
+                    let value = from
+                        .scan(ProcessId(0), &[*from_slot])
+                        .pop()
+                        .expect("sub-scan returns one value per requested slot");
+                    shard.update(ProcessId(0), slot, value);
+                }
+                shard
+            },
+            |(latch, serial, all), old, _| {
+                old.unfreeze(&all);
+                drop(serial);
+                drop(latch);
+                self.reshard_waiters.fetch_sub(1, Ordering::SeqCst);
+            },
+        )
     }
 }
 
@@ -1070,12 +867,13 @@ mod tests {
         })
     }
 
-    /// A one-write batch delegates to `update`; it must not carry its read
-    /// side of the coordination latch into that call (see `update_many`).
-    /// Chaos parks the batcher at `update`'s first step, i.e. between the
-    /// two latch entries, while a free-running updater tears every
-    /// optimistic round of two scanners, so a coordinated scan is always
-    /// running or asking for the write side.
+    /// A one-write batch enters the read side of the coordination latch
+    /// exactly once; a second entry from the same call — by delegating to
+    /// `update`, say — deadlocks (see `writer_latch`). Chaos parks the
+    /// batcher at its first steps, where such a second entry would sit,
+    /// while a free-running updater tears every optimistic round of two
+    /// scanners, so a coordinated scan is always running or asking for the
+    /// write side.
     #[test]
     fn one_write_batches_do_not_reenter_the_latch_under_coordinated_scans() {
         use psnap_shmem::chaos::{self, ChaosConfig};

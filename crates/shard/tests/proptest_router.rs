@@ -260,7 +260,6 @@ proptest! {
             shards: k,
             partition,
             max_optimistic_retries: retries,
-            ..ShardConfig::contiguous(k)
         };
         let snap = ShardedSnapshot::with_factory(m, 2, 0u64, config, |_, sm, sn, init| {
             CasPartialSnapshot::new(sm, sn, init)
