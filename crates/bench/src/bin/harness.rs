@@ -4,7 +4,12 @@
 //!
 //! ```text
 //! harness [--quick] [--json] <experiment id | all> [more ids...]
+//! harness pair <bin-a> <bin-b> --workload <w> --pairs <n> [--seconds <s>] [--quick] …
 //! ```
+//!
+//! `pair` alternates two prebuilt `psnap-benchmark` binaries and prints the
+//! comparison table (see [`psnap_bench::pair`]); it exits 0 only if every
+//! run succeeded.
 //!
 //! `--quick` runs each point with a small number of operations (for smoke
 //! testing the harness itself); without it, the full effort used for
@@ -38,8 +43,27 @@ fn write_atomically(path: &str, contents: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
+/// `harness pair …`: run the pairs, print the table.
+fn pair(args: &[String]) -> Result<bool, String> {
+    let opts = psnap_bench::pair::PairOpts::parse(args)?;
+    let [a, b] = psnap_bench::pair::run_pairs(&opts)?;
+    println!("{}", psnap_bench::pair::table(&opts, &a, &b).to_markdown());
+    let failed = a.iter().chain(&b).filter(|run| !run.ok).count();
+    println!("{} runs, {failed} not ok", a.len() + b.len());
+    Ok(failed == 0)
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "pair") {
+        match pair(&args[1..]) {
+            Ok(ok) => std::process::exit(if ok { 0 } else { 1 }),
+            Err(e) => {
+                eprintln!("{e}\nusage: {}", psnap_bench::pair::USAGE);
+                std::process::exit(2);
+            }
+        }
+    }
     let mut effort = Effort::full();
     let mut json = false;
     args.retain(|a| match a.as_str() {

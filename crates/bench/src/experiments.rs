@@ -3924,8 +3924,11 @@ impl E17Data {
              so throughput_vs_inproc prices the transport end to end; the latency \
              columns are issue-to-completion, including pipeline queueing. The \
              backend is wait-free, so a connection's own server thread runs the \
-             service pipeline and sends the replies (two thread wake-ups per \
-             round trip). That is what a lone connection wants; with many \
+             service pipeline and sends the replies, and every thread that \
+             waits — a socket read at either end, a `Ticket::wait`, a worker \
+             out of tasks — polls for up to 50 µs before it parks, yielding \
+             between probes (at 64 connections 128 threads share this box's \
+             cores). That is what a lone connection wants; with many \
              connections each thread serves the few requests it just read, \
              where slower hand-offs used to let requests from all connections \
              pile up into one union scan and one batch, so the in-process \

@@ -20,6 +20,7 @@
 
 pub mod experiments;
 pub mod implementations;
+pub mod pair;
 pub mod runner;
 pub mod stats;
 

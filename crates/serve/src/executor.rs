@@ -9,6 +9,9 @@
 //! [`block_on`] bridge lets synchronous client threads await service tickets,
 //! and [`Handle::help`] lets a thread that is about to block poll queued
 //! tasks itself instead of waiting for a worker to be woken for them.
+//! Every thread that waits here — a worker out of tasks, a `block_on`
+//! caller — waits through one primitive, [`WaitSite`]: poll briefly, then
+//! park.
 //!
 //! The design favours auditability over raw scheduler throughput: every
 //! scheduling transition is a small state machine on one atomic
@@ -24,10 +27,11 @@ use std::future::Future;
 use std::marker::PhantomData;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
+use psnap_obs::{Counter, Registry};
 use psnap_shmem::chaos::{self, ChaosConfig};
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
@@ -230,6 +234,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         .chaos
         .clone()
         .map(|(seed, cfg)| chaos::enable(seed.wrapping_add(index as u64), cfg));
+    let mut site = WaitSite::new(serve_waits());
     loop {
         if let Some(task) = shared.pop(index) {
             poll_task(task);
@@ -238,22 +243,34 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let guard = shared.sleep.lock().unwrap_or_else(|e| e.into_inner());
-        // Announce intent to sleep *before* the final re-check: a producer
-        // that misses this increment (reads sleepers == 0, skips the locked
-        // notify) pushed before it, and SeqCst ordering then guarantees the
-        // re-check below sees that push; a producer that sees the increment
-        // takes the sleep lock, which we hold until `wait` releases it, so
-        // its notify cannot fire in the gap before we park.
-        shared.sleepers.fetch_add(1, Ordering::SeqCst);
-        if shared.has_work() || shared.shutdown.load(Ordering::Acquire) {
-            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-            continue;
+        // Polls its queues first: a producer that finds no sleeper skips
+        // the locked notify, so a push caught here costs neither side a
+        // futex call. The probe is unlocked and racy; the park protocol
+        // behind it is the one correctness rests on.
+        let task = site.wait(
+            || shared.pop(index).map(Some),
+            || {
+                let guard = shared.sleep.lock().unwrap_or_else(|e| e.into_inner());
+                // Announce intent to sleep *before* the final re-check: a
+                // producer that misses this increment (reads sleepers == 0,
+                // skips the locked notify) pushed before it, and SeqCst
+                // ordering then guarantees the re-check below sees that
+                // push; a producer that sees the increment takes the sleep
+                // lock, which we hold until `wait` releases it, so its
+                // notify cannot fire in the gap before we park.
+                shared.sleepers.fetch_add(1, Ordering::SeqCst);
+                if !shared.has_work() && !shared.shutdown.load(Ordering::Acquire) {
+                    // The timeout is pure belt-and-braces; correctness rests
+                    // on the re-check above.
+                    let _ = shared.wakeup.wait_timeout(guard, PARK_TIMEOUT);
+                }
+                shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+                None
+            },
+        );
+        if let Some(task) = task {
+            poll_task(task);
         }
-        // The timeout is pure belt-and-braces; correctness rests on the
-        // re-check above.
-        let _ = shared.wakeup.wait_timeout(guard, PARK_TIMEOUT);
-        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -687,13 +704,121 @@ impl Drop for Executor {
 }
 
 // ---------------------------------------------------------------------------
+// Waiting: poll, then park
+// ---------------------------------------------------------------------------
+
+/// Longest a wait polls before it parks: about twice what a hand-off to a
+/// sleeping thread costs on a slow box (17–27 µs measured), so a reply that
+/// is on its way is caught, and a wait that outlasts it was going to pay
+/// for a sleep anyway.
+const POLL_CAP: Duration = Duration::from_micros(50);
+
+/// Long waits in a row a [`WaitSite`] pays a poll phase for before it
+/// stops polling: an idle site costs at most `CREDIT × POLL_CAP`, once.
+const CREDIT: u8 = 3;
+
+/// The three counters of one family of waiting sites, created in (and so
+/// readable from) the global [`Registry`]: `<family>.polled` — waits that
+/// ended in the poll phase, nobody slept; `<family>.parked` — waits that
+/// reached the park protocol; `<family>.poll_ns` — time spent in poll
+/// phases, whether they hit or not.
+pub struct WaitCounters {
+    polled: Arc<Counter>,
+    parked: Arc<Counter>,
+    poll_ns: Arc<Counter>,
+}
+
+impl WaitCounters {
+    /// The counters `<family>.{polled, parked, poll_ns}` of the global
+    /// registry, created if absent.
+    pub fn named(family: &str) -> WaitCounters {
+        let counter = |name: &str| Registry::global().counter(&format!("{family}.{name}"));
+        WaitCounters {
+            polled: counter("polled"),
+            parked: counter("parked"),
+            poll_ns: counter("poll_ns"),
+        }
+    }
+}
+
+/// `serve.wait.*`: executor workers out of tasks, and [`block_on`] callers.
+fn serve_waits() -> &'static WaitCounters {
+    static COUNTERS: OnceLock<WaitCounters> = OnceLock::new();
+    COUNTERS.get_or_init(|| WaitCounters::named("serve.wait"))
+}
+
+/// One place where one thread at a time waits for another to produce
+/// something: it polls for up to `POLL_CAP` (probe, `yield_now`, probe …)
+/// and only then runs the site's park protocol, which is what correctness
+/// rests on — the poll phase may be deleted without losing a wake-up.
+///
+/// A sleeping thread is expensive to hand work to (the waker pays a futex
+/// call, the sleeper a wake-up: 1 µs to tens of µs either side), while a
+/// polling one takes it in the time of a cache miss. Polling is only worth
+/// a core when the wait is short, so the site sizes itself: a wait that
+/// ends within `POLL_CAP`, polled or parked, refills a small credit; one
+/// that does not spends one; at zero the site parks at once, and the next
+/// short wait re-arms it. A busy site never sleeps, an idle one polls
+/// `CREDIT` times and then costs what a plain park costs. `yield_now`
+/// between probes hands the core to any runnable thread, so pollers on an
+/// oversubscribed box do not starve the threads they wait for. Probes are
+/// not base-object steps.
+pub struct WaitSite {
+    credit: u8,
+    counters: &'static WaitCounters,
+}
+
+impl WaitSite {
+    /// A site with full credit, counted under `counters`.
+    pub fn new(counters: &'static WaitCounters) -> WaitSite {
+        WaitSite {
+            credit: CREDIT,
+            counters,
+        }
+    }
+
+    /// Waits for what `probe` looks for. `probe` never blocks and returns
+    /// `Some` once the awaited thing is there (consuming it); `park` is the
+    /// site's blocking protocol, complete by itself, called at most once
+    /// and only after the poll phase came up empty.
+    pub fn wait<T>(&mut self, mut probe: impl FnMut() -> Option<T>, park: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        if self.credit > 0 {
+            let polled_for = loop {
+                if let Some(found) = probe() {
+                    self.credit = CREDIT;
+                    self.counters.polled.inc();
+                    self.counters.poll_ns.add(start.elapsed().as_nanos() as u64);
+                    return found;
+                }
+                let elapsed = start.elapsed();
+                if elapsed >= POLL_CAP {
+                    break elapsed;
+                }
+                std::thread::yield_now();
+            };
+            self.counters.poll_ns.add(polled_for.as_nanos() as u64);
+        }
+        let found = park();
+        self.counters.parked.inc();
+        self.credit = if start.elapsed() <= POLL_CAP {
+            CREDIT
+        } else {
+            self.credit.saturating_sub(1)
+        };
+        found
+    }
+}
+
+// ---------------------------------------------------------------------------
 // block_on
 // ---------------------------------------------------------------------------
 
 struct ThreadWaker {
     thread: std::thread::Thread,
-    /// Set by `wake`, consumed by the parked thread: closes the race where an
-    /// unpark lands between the poll and the park.
+    /// Set by `wake`, consumed by the waiting thread: closes the race where
+    /// an unpark lands between the poll and the park, and is what a waiter
+    /// in its poll phase probes.
     notified: AtomicBool,
 }
 
@@ -707,55 +832,99 @@ impl Wake for ThreadWaker {
     }
 }
 
-/// Drives a future to completion on the calling thread, parking between
-/// polls. The synchronous bridge for client threads waiting on service
-/// tickets.
-pub fn block_on<F: Future>(future: F) -> F::Output {
-    let mut future = Box::pin(future);
-    let thread_waker = Arc::new(ThreadWaker {
-        thread: std::thread::current(),
-        notified: AtomicBool::new(false),
-    });
-    let waker = Waker::from(Arc::clone(&thread_waker));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        if let Poll::Ready(v) = future.as_mut().poll(&mut cx) {
-            return v;
-        }
-        // Park until woken; `notified` absorbs wakes that landed before the
-        // park (unpark tokens also accumulate, this is belt-and-braces for
-        // spurious unparks consumed elsewhere).
-        while !thread_waker.notified.swap(false, Ordering::AcqRel) {
-            std::thread::park();
-        }
+/// What a thread needs to wait in [`block_on`]: built once per thread,
+/// lent to one `block_on` at a time.
+struct Parker {
+    flag: Arc<ThreadWaker>,
+    waker: Waker,
+    site: WaitSite,
+}
+
+thread_local! {
+    /// The calling thread's parker, or `None` while a `block_on` on this
+    /// thread holds it (a future that itself calls `block_on` builds a
+    /// second one: two waits must not consume each other's wake-ups).
+    static PARKER: Cell<Option<Parker>> = const { Cell::new(None) };
+}
+
+/// The thread's [`Parker`] on loan; goes back when dropped.
+struct LentParker(Option<Parker>);
+
+impl LentParker {
+    fn take() -> LentParker {
+        let cached = PARKER.try_with(Cell::take).ok().flatten();
+        LentParker(Some(cached.unwrap_or_else(|| {
+            let flag = Arc::new(ThreadWaker {
+                thread: std::thread::current(),
+                notified: AtomicBool::new(false),
+            });
+            Parker {
+                waker: Waker::from(Arc::clone(&flag)),
+                flag,
+                site: WaitSite::new(serve_waits()),
+            }
+        })))
     }
+}
+
+impl Drop for LentParker {
+    fn drop(&mut self) {
+        let parker = self.0.take();
+        let _ = PARKER.try_with(|slot| slot.set(parker));
+    }
+}
+
+/// Drives a future to completion on the calling thread, waiting between
+/// polls (see [`WaitSite`]: briefly polling, then parked). The synchronous
+/// bridge for client threads waiting on service tickets.
+pub fn block_on<F: Future>(future: F) -> F::Output {
+    drive(future, None).expect("a wait without a deadline ends only with the output")
 }
 
 /// Like [`block_on`], but gives up after `timeout`, returning `None` with
 /// the future dropped. Used for best-effort shutdown paths that must not
 /// hang if the executor driving the other side is already gone.
 pub fn block_on_timeout<F: Future>(future: F, timeout: Duration) -> Option<F::Output> {
-    let deadline = Instant::now() + timeout;
-    let mut future = Box::pin(future);
-    let thread_waker = Arc::new(ThreadWaker {
-        thread: std::thread::current(),
-        notified: AtomicBool::new(false),
-    });
-    let waker = Waker::from(Arc::clone(&thread_waker));
-    let mut cx = Context::from_waker(&waker);
+    drive(future, Some(Instant::now() + timeout))
+}
+
+fn drive<F: Future>(future: F, deadline: Option<Instant>) -> Option<F::Output> {
+    let mut future = std::pin::pin!(future);
+    let mut lent = LentParker::take();
+    let Parker { flag, waker, site } = lent.0.as_mut().expect("held until drop");
+    // A wake-up left over from an earlier future on this thread.
+    flag.notified.store(false, Ordering::Relaxed);
+    let mut cx = Context::from_waker(waker);
     loop {
         if let Poll::Ready(v) = future.as_mut().poll(&mut cx) {
             return Some(v);
         }
-        loop {
-            if thread_waker.notified.swap(false, Ordering::AcqRel) {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            std::thread::park_timeout(deadline - now);
+        // Both phases consume `notified` and nothing else: the completer
+        // needs the future's own lock (an `OpCell` mutex) to get to the
+        // waker, so a waiter must not be polling the future meanwhile.
+        let woken = site.wait(
+            || flag.notified.swap(false, Ordering::AcqRel).then_some(true),
+            || loop {
+                // `notified` absorbs wakes that landed before the park
+                // (unpark tokens also accumulate; this is belt-and-braces
+                // for spurious unparks and tokens consumed elsewhere).
+                if flag.notified.swap(false, Ordering::AcqRel) {
+                    return true;
+                }
+                match deadline {
+                    None => std::thread::park(),
+                    Some(deadline) => {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            return false;
+                        }
+                        std::thread::park_timeout(deadline - now);
+                    }
+                }
+            },
+        );
+        if !woken {
+            return None;
         }
     }
 }
@@ -1167,5 +1336,181 @@ mod tests {
         drop(helper);
         assert!(!chaos::is_enabled(), "chaos outlived the registration");
         drop(release);
+    }
+
+    // --- WaitSite and its two sites in this crate --------------------------
+
+    #[test]
+    fn a_wake_during_the_poll_phase_costs_no_park() {
+        let mut site = WaitSite::new(serve_waits());
+        let mut probes = 0;
+        let found = site.wait(
+            || {
+                probes += 1;
+                (probes == 3).then_some("polled")
+            },
+            || panic!("parked although the probe found it"),
+        );
+        assert_eq!((found, probes), ("polled", 3));
+        assert_eq!(site.credit, CREDIT);
+    }
+
+    #[test]
+    fn a_wake_after_the_poll_phase_costs_exactly_one_park() {
+        let mut site = WaitSite::new(serve_waits());
+        let (mut probes, mut parks) = (0, 0);
+        let t0 = Instant::now();
+        let found = site.wait(
+            || {
+                probes += 1;
+                None
+            },
+            || {
+                parks += 1;
+                "parked"
+            },
+        );
+        assert_eq!((found, parks), ("parked", 1));
+        assert!(probes >= 1 && t0.elapsed() >= POLL_CAP);
+        assert_eq!(site.credit, CREDIT - 1, "a long wait spends one credit");
+    }
+
+    #[test]
+    fn credit_decays_to_zero_stops_all_probing_and_one_short_wait_rearms_it() {
+        let mut site = WaitSite::new(serve_waits());
+        for spent in 1..=CREDIT {
+            site.wait(|| None, || ());
+            assert_eq!(site.credit, CREDIT - spent);
+        }
+        // Out of credit: no probe at all, however long the parks take.
+        let mut probes = 0;
+        for _ in 0..5 {
+            site.wait(
+                || {
+                    probes += 1;
+                    None
+                },
+                || std::thread::sleep(POLL_CAP * 2),
+            );
+            assert_eq!((site.credit, probes), (0, 0));
+        }
+        // One wait that a park ends quickly: the site polls again.
+        site.wait(|| -> Option<()> { panic!("probed without credit") }, || ());
+        assert_eq!(site.credit, CREDIT);
+        site.wait(
+            || {
+                probes += 1;
+                Some(())
+            },
+            || panic!("parked although the probe found it"),
+        );
+        assert_eq!(probes, 1);
+    }
+
+    #[test]
+    fn block_on_is_ready_at_once_and_reuses_the_threads_parker() {
+        assert_eq!(block_on(async { 1 }), 1);
+        let first = PARKER.with(|slot| {
+            let parker = slot.take().expect("block_on left its parker behind");
+            let id = Arc::as_ptr(&parker.flag);
+            slot.set(Some(parker));
+            id
+        });
+        assert_eq!(block_on(async { 2 }), 2);
+        let second = PARKER.with(|slot| slot.take().map(|p| Arc::as_ptr(&p.flag)));
+        assert_eq!(second, Some(first), "a second wait built a second waker");
+    }
+
+    #[test]
+    fn a_nested_block_on_does_not_eat_the_outer_wake_up() {
+        use crate::queue::{OpCell, Ticket};
+        // So that the thread has a parker to share, if sharing is the bug.
+        block_on(async {});
+        let (outer, inner) = (OpCell::new(), OpCell::new());
+        let (go, gone) = std::sync::mpsc::channel::<()>();
+        let inner_tx = Arc::clone(&inner);
+        let completer = std::thread::spawn(move || {
+            gone.recv().unwrap();
+            inner_tx.complete(2u64);
+        });
+        let outer_tx = Arc::clone(&outer);
+        let mut outer = Ticket::new(outer);
+        let mut nested = Some(Ticket::new(inner));
+        let sum = block_on(std::future::poll_fn(move |cx| {
+            // Pending, with this thread's waker registered …
+            let first = Pin::new(&mut outer).poll(cx);
+            // … which fires before a wait nested in the same poll begins.
+            let second = nested.take().map_or(0, |inner| {
+                outer_tx.complete(1u64);
+                go.send(()).unwrap();
+                block_on(inner)
+            });
+            first.map(|v| v + second)
+        }));
+        // The re-poll the outer wake-up caused; had the nested wait shared
+        // the outer one's flag, it would have consumed it and this hangs.
+        assert_eq!(sum, 1);
+        completer.join().unwrap();
+    }
+
+    #[test]
+    fn block_on_timeout_returns_within_its_deadline_plus_the_poll_cap() {
+        for timeout in [Duration::ZERO, POLL_CAP / 2, Duration::from_millis(3)] {
+            // Twice per timeout: with credit and (after enough long waits)
+            // without, the bound is the same.
+            for _ in 0..=CREDIT {
+                let t0 = Instant::now();
+                assert_eq!(
+                    block_on_timeout(std::future::pending::<()>(), timeout),
+                    None
+                );
+                let took = t0.elapsed();
+                assert!(took >= timeout, "gave up early: {took:?} < {timeout:?}");
+                // Generous against a descheduled test thread, far below the
+                // next thing it could be confused with (a 1 h park).
+                assert!(
+                    took <= timeout + POLL_CAP + Duration::from_millis(250),
+                    "{took:?} for a {timeout:?} timeout"
+                );
+            }
+        }
+    }
+
+    /// 100 000 round trips between this thread (`block_on`) and a task on a
+    /// one-worker executor. Every fourth request is held back for 44–60 µs,
+    /// in 0.1 µs steps: it lands while the worker, its poll phase spent, is
+    /// between its last look at the queues and its park — the window the
+    /// locked re-check closes. `PARK_TIMEOUT` is an hour here, so a wake-up
+    /// lost by either site hangs the test instead of costing 20 ms.
+    #[test]
+    fn a_hundred_thousand_round_ping_pong_finishes() {
+        use crate::queue::{Notify, OpCell, Ticket};
+        let exec = Executor::new(1);
+        type Inbox = Mutex<VecDeque<(u64, Arc<OpCell<u64>>)>>;
+        let inbox: Arc<Inbox> = Arc::default();
+        let bell = Arc::new(Notify::new());
+        let (task_inbox, task_bell) = (Arc::clone(&inbox), Arc::clone(&bell));
+        exec.spawn(async move {
+            loop {
+                task_bell.wait().await;
+                let mut batch = std::mem::take(&mut *task_inbox.lock().unwrap());
+                for (round, cell) in batch.drain(..) {
+                    cell.complete(round + 1);
+                }
+            }
+        });
+        for round in 0..100_000u64 {
+            if round % 4 == 0 {
+                let pause = Duration::from_nanos(44_000 + round / 4 % 160 * 100);
+                let t0 = Instant::now();
+                while t0.elapsed() < pause {
+                    std::hint::spin_loop();
+                }
+            }
+            let cell = OpCell::new();
+            inbox.lock().unwrap().push_back((round, Arc::clone(&cell)));
+            bell.notify();
+            assert_eq!(Ticket::new(cell).wait(), round + 1);
+        }
     }
 }

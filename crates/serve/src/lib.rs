@@ -53,7 +53,10 @@ pub mod queue;
 pub mod service;
 pub mod testing;
 
-pub use executor::{block_on, block_on_timeout, Executor, ExecutorConfig, Handle, Helper, Sleep};
+pub use executor::{
+    block_on, block_on_timeout, Executor, ExecutorConfig, Handle, Helper, Sleep, WaitCounters,
+    WaitSite,
+};
 pub use queue::{BoundedQueue, Notify, OpCell, SubmitError, Ticket};
 pub use service::{
     ClientHandle, Coalescing, FlightAuditor, Freshness, ReshardDriver, ScanTicket, ServiceConfig,

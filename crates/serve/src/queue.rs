@@ -128,9 +128,10 @@ impl<I> BoundedQueue<I> {
     }
 
     /// Enqueues `item`, or rejects it with `Busy` (full) / `Closed` (shut
-    /// down). On success the consumer is notified.
-    pub fn try_push(&self, item: I) -> Result<(), SubmitError> {
-        {
+    /// down). On success the consumer is notified, and the caller gets the
+    /// depth of the queue with its item in it.
+    pub fn try_push(&self, item: I) -> Result<usize, SubmitError> {
+        let depth = {
             let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             if q.closed {
                 return Err(SubmitError::Closed);
@@ -139,9 +140,10 @@ impl<I> BoundedQueue<I> {
                 return Err(SubmitError::Busy);
             }
             q.items.push_back(item);
-        }
+            q.items.len()
+        };
         self.notify.notify();
-        Ok(())
+        Ok(depth)
     }
 
     /// Moves every queued item into `sink`, preserving FIFO order. Returns
@@ -276,13 +278,13 @@ mod tests {
     #[test]
     fn try_push_hits_capacity_then_busy() {
         let q = BoundedQueue::new(2, Arc::new(Notify::new()));
-        assert_eq!(q.try_push(1), Ok(()));
-        assert_eq!(q.try_push(2), Ok(()));
+        assert_eq!(q.try_push(1), Ok(1));
+        assert_eq!(q.try_push(2), Ok(2));
         assert_eq!(q.try_push(3), Err(SubmitError::Busy));
         let mut sink = Vec::new();
         assert_eq!(q.drain_into(&mut sink), 2);
         assert_eq!(sink, vec![1, 2]);
-        assert_eq!(q.try_push(3), Ok(()));
+        assert_eq!(q.try_push(3), Ok(1));
     }
 
     #[test]

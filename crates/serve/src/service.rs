@@ -2017,12 +2017,12 @@ where
             })
         };
         match result {
-            Ok(()) => {
+            Ok(depth) => {
                 self.busy_streak.store(0, Ordering::Relaxed);
                 self.core.counters.submits_ok.inc();
                 self.core.counters.writes_submitted.add(width);
                 self.core.counters.ingest_depth.inc();
-                trace::emit(TraceKind::QueuePush, 0, self.queue.len() as u64);
+                trace::emit(TraceKind::QueuePush, 0, depth as u64);
                 Ok(Ticket::new(cell))
             }
             Err(e) => {
@@ -2114,11 +2114,11 @@ where
             })
         };
         match result {
-            Ok(()) => {
+            Ok(depth) => {
                 self.busy_streak.store(0, Ordering::Relaxed);
                 self.core.counters.scans_ok.inc();
                 self.core.counters.scan_depth.inc();
-                trace::emit(TraceKind::QueuePush, 1, self.core.scan_queue.len() as u64);
+                trace::emit(TraceKind::QueuePush, 1, depth as u64);
                 Ok(Ticket::new(cell))
             }
             Err(e) => {

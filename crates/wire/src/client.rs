@@ -277,14 +277,14 @@ impl RemoteClientHandle {
         let stream = TcpStream::connect(addr)
             .map_err(|e| WireError::ConnectionLost(format!("connect: {e}")))?;
         let _ = stream.set_nodelay(true);
-        Self::establish(Stream::Tcp(stream))
+        Self::establish(Stream::tcp(stream))
     }
 
     /// Connects over a unix-domain socket and performs the handshake.
     pub fn connect_unix(path: impl AsRef<Path>) -> Result<RemoteClientHandle, WireError> {
         let stream = UnixStream::connect(path)
             .map_err(|e| WireError::ConnectionLost(format!("connect: {e}")))?;
-        Self::establish(Stream::Unix(stream))
+        Self::establish(Stream::unix(stream))
     }
 
     fn establish(stream: Stream) -> Result<RemoteClientHandle, WireError> {

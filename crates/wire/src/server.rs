@@ -100,7 +100,9 @@ pub struct WireServerConfig {
     /// flush, or in-flight request) for this long. `None` disables the
     /// watchdog.
     pub idle_timeout: Option<Duration>,
-    /// How long the acceptor sleeps between listener polls.
+    /// How long the acceptor sleeps between listener polls once the
+    /// listener has been quiet for a while (it polls faster right after the
+    /// bind and after each accept).
     pub accept_poll: Duration,
     /// Handshake read deadline: a connection that does not complete its
     /// hello within this window is dropped.
@@ -135,11 +137,11 @@ impl Listener {
             Listener::Tcp(l) => {
                 let (stream, _) = l.accept()?;
                 let _ = stream.set_nodelay(true);
-                Ok(Stream::Tcp(stream))
+                Ok(Stream::tcp(stream))
             }
             Listener::Unix(l) => {
                 let (stream, _) = l.accept()?;
-                Ok(Stream::Unix(stream))
+                Ok(Stream::unix(stream))
             }
         }
     }
@@ -746,11 +748,16 @@ where
 
 /// The acceptor task: polls the non-blocking listener, sleeping on the
 /// executor's timer wheel between polls, and spawns a reader thread per
-/// accepted connection.
+/// accepted connection. The pause between polls starts (and restarts after
+/// every accept) at a sixteenth of [`WireServerConfig::accept_poll`] and
+/// doubles up to it: a peer that connects right behind the bind, or right
+/// behind another peer, does not wait out a whole idle-rate pause.
 async fn acceptor<S>(shared: Arc<ServerShared<S>>, listener: Listener)
 where
     S: PartialSnapshot<u64> + 'static,
 {
+    let idle_pause = shared.config.accept_poll;
+    let mut pause = idle_pause / 16;
     while !shared.stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok(stream) => {
@@ -762,14 +769,13 @@ where
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .retain(|c| !c.finished.load(Ordering::Acquire));
+                pause = idle_pause / 16;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                shared.handle.sleep(shared.config.accept_poll).await;
-            }
+            // Nobody there, or a transient accept error (aborted
+            // handshakes, fd pressure): back off rather than spin.
             Err(_) => {
-                // Transient accept errors (aborted handshakes, fd pressure):
-                // back off one poll interval rather than spinning.
-                shared.handle.sleep(shared.config.accept_poll).await;
+                shared.handle.sleep(pause).await;
+                pause = (pause * 2).min(idle_pause);
             }
         }
     }
