@@ -1,9 +1,7 @@
-//! The experiment harness: regenerates the E1–E10 tables of EXPERIMENTS.md.
-//!
-//! Usage:
+//! The experiment harness.
 //!
 //! ```text
-//! harness [--quick] [--json] <experiment id | all> [more ids...]
+//! harness [--quick] [--json] <e15 | e17 | all> [more ids...]
 //! harness pair <bin-a> <bin-b> --workload <w> --pairs <n> [--seconds <s>] [--quick] …
 //! ```
 //!
@@ -11,37 +9,16 @@
 //! comparison table (see [`psnap_bench::pair`]); it exits 0 only if every
 //! run succeeded.
 //!
-//! `--quick` runs each point with a small number of operations (for smoke
-//! testing the harness itself); without it, the full effort used for
-//! EXPERIMENTS.md is applied. `--json` additionally writes machine-readable
-//! results for the experiments that define a JSON schema (E8 →
-//! `BENCH_E8.json`, E9 → `BENCH_E9.json`, E10 → `BENCH_E10.json`, E11 →
-//! `BENCH_E11.json`, E12 → `BENCH_E12.json`, E13 → `BENCH_E13.json` plus a
-//! `BENCH_E13_REGISTRY.json` scrape of the live metric registry, E14 →
-//! `BENCH_E14.json`, E15 → `BENCH_E15.json`, E16 → `BENCH_E16.json`, E17 → `BENCH_E17.json`), so the
-//! performance trajectory of the sharded store, the lock-free cell, the
-//! batched-update path, the service frontend, the multiversioned scan path,
-//! the observability layer itself, the fast-path serving tiers, the
-//! online-resharding path and the span-tracing layer can be tracked across
-//! commits. JSON files are written atomically (temp file
-//! in the same directory, then rename), so an interrupted run can never
-//! leave a truncated `BENCH_*.json` behind.
+//! `--quick` runs each point with a handful of operations (a smoke of the
+//! harness itself). `--json` also writes each experiment's JSON document —
+//! derived from the same rows as the printed tables, under a provenance
+//! header — atomically, and before the tables print, so neither a killed
+//! run nor an early-closed stdout (`| head`) loses or truncates it. A
+//! full-effort run writes `BENCH_<id>.json` in the current directory; a
+//! quick run's numbers are noise and always go to `target/bench/<id>.json`,
+//! so a smoke can never replace a checked-in result.
 
-use psnap_bench::{
-    e10_batched_updates_data, e11_service_data, e12_multiversion_data, e13_obs_overhead_data,
-    e14_fastpath_data, e15_reshard_data, e16_span_tracing_data, e17_wire_data, e8_sharding_data,
-    e9_cell_contention_data, run_experiment, Effort, ALL_EXPERIMENTS,
-};
-
-/// Writes `contents` to `path` atomically: the bytes land in a temporary
-/// sibling file first and only a successful rename publishes them, so a
-/// crash mid-write leaves either the old file or the new one, never a
-/// truncated hybrid.
-fn write_atomically(path: &str, contents: &str) -> std::io::Result<()> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
-}
+use psnap_bench::{run_experiment, Effort, EXPERIMENTS};
 
 /// `harness pair …`: run the pairs, print the table.
 fn pair(args: &[String]) -> Result<bool, String> {
@@ -64,11 +41,11 @@ fn main() {
             }
         }
     }
-    let mut effort = Effort::full();
+    let mut effort = Effort::Full;
     let mut json = false;
     args.retain(|a| match a.as_str() {
         "--quick" => {
-            effort = Effort::smoke();
+            effort = Effort::Quick;
             false
         }
         "--json" => {
@@ -77,129 +54,30 @@ fn main() {
         }
         _ => true,
     });
+    let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
     if args.is_empty() {
-        eprintln!("usage: harness [--quick] [--json] <E1..E17 | all> [more ids...]");
+        eprintln!(
+            "usage: harness [--quick] [--json] <{} | all> [more ids...]",
+            known.join(" | ")
+        );
         std::process::exit(2);
     }
     let ids: Vec<String> = if args.iter().any(|a| a.eq_ignore_ascii_case("all")) {
-        ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect()
+        known.iter().map(|id| id.to_string()).collect()
     } else {
         args
     };
     for id in ids {
-        // Experiments with a JSON schema: run the measurement once and
-        // derive both the JSON document and the table from the same data.
-        let measured_with_json = match id.to_ascii_uppercase().as_str() {
-            "E8" if json => {
-                let data = e8_sharding_data(effort);
-                Some((
-                    "BENCH_E8.json",
-                    data.to_json(),
-                    psnap_bench::experiments::e8_sharding_table(&data),
-                ))
-            }
-            "E9" if json => {
-                let data = e9_cell_contention_data(effort);
-                Some((
-                    "BENCH_E9.json",
-                    data.to_json(),
-                    psnap_bench::experiments::e9_cell_contention_table(&data),
-                ))
-            }
-            "E10" if json => {
-                let data = e10_batched_updates_data(effort);
-                Some((
-                    "BENCH_E10.json",
-                    data.to_json(),
-                    psnap_bench::experiments::e10_batched_updates_table(&data),
-                ))
-            }
-            "E11" if json => {
-                let data = e11_service_data(effort);
-                Some((
-                    "BENCH_E11.json",
-                    data.to_json(),
-                    psnap_bench::experiments::e11_service_table(&data),
-                ))
-            }
-            "E12" if json => {
-                let data = e12_multiversion_data(effort);
-                Some((
-                    "BENCH_E12.json",
-                    data.to_json(),
-                    psnap_bench::experiments::e12_multiversion_table(&data),
-                ))
-            }
-            "E13" if json => {
-                let data = e13_obs_overhead_data(effort);
-                // The workload just ran fully instrumented; dump the global
-                // registry alongside the overhead numbers so a harness run
-                // also exercises (and preserves) one real registry scrape.
-                let registry = psnap_obs::Registry::global();
-                psnap_shmem::metrics::register_metrics(registry);
-                write_atomically(
-                    "BENCH_E13_REGISTRY.json",
-                    &registry.to_json().to_string_pretty(),
-                )
-                .unwrap_or_else(|e| panic!("failed to write BENCH_E13_REGISTRY.json: {e}"));
-                eprintln!("wrote BENCH_E13_REGISTRY.json");
-                Some((
-                    "BENCH_E13.json",
-                    data.to_json(),
-                    psnap_bench::experiments::e13_obs_overhead_table(&data),
-                ))
-            }
-            "E14" if json => {
-                let data = e14_fastpath_data(effort);
-                Some((
-                    "BENCH_E14.json",
-                    data.to_json(),
-                    psnap_bench::experiments::e14_fastpath_table(&data),
-                ))
-            }
-            "E15" if json => {
-                let data = e15_reshard_data(effort);
-                Some((
-                    "BENCH_E15.json",
-                    data.to_json(),
-                    psnap_bench::experiments::e15_reshard_table(&data),
-                ))
-            }
-            "E16" if json => {
-                let data = e16_span_tracing_data(effort);
-                Some((
-                    "BENCH_E16.json",
-                    data.to_json(),
-                    psnap_bench::experiments::e16_span_tracing_table(&data),
-                ))
-            }
-            "E17" if json => {
-                let data = e17_wire_data(effort);
-                Some((
-                    "BENCH_E17.json",
-                    data.to_json(),
-                    psnap_bench::experiments::e17_wire_table(&data),
-                ))
-            }
-            _ => None,
+        let Some(report) = run_experiment(&id, effort) else {
+            eprintln!("unknown experiment id: {id} (expected one of {known:?}, all, or pair)");
+            std::process::exit(2);
         };
-        if let Some((path, doc, table)) = measured_with_json {
-            // The file is written before the table prints so an early-closed
-            // stdout (e.g. `| head`) cannot lose the machine-readable results.
-            write_atomically(path, &doc.to_string_pretty())
-                .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-            eprintln!("wrote {path}");
-            println!("{}", table.to_markdown());
-            continue;
+        if json {
+            let path = report.write_json().unwrap_or_else(|e| {
+                panic!("failed to write {}: {e}", report.json_path().display())
+            });
+            eprintln!("wrote {}", path.display());
         }
-        match run_experiment(&id, effort) {
-            Some(table) => {
-                println!("{}", table.to_markdown());
-            }
-            None => {
-                eprintln!("unknown experiment id: {id} (expected one of {ALL_EXPERIMENTS:?})");
-                std::process::exit(2);
-            }
-        }
+        println!("{}", report.to_markdown());
     }
 }

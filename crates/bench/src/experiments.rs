@@ -1,28 +1,39 @@
-//! The E1–E10 experiments of EXPERIMENTS.md.
+//! The two experiments the repo benchmark cannot express, and the one row
+//! model both report through.
 //!
-//! Each function returns a [`Table`] that the harness binary prints as
-//! GitHub-flavoured markdown. The experiments measure the paper's cost metric
-//! — base-object operations per implemented operation — plus wall-clock
-//! latency and throughput as secondary metrics.
+//! * **E15** — a heat-targeted reshard storm under live Zipf traffic, on the
+//!   live-migration backend and the drain-and-rebuild baseline.
+//! * **E17** — the wire transport against in-process clients at 1/4/16/64
+//!   connections, plus a connection-kill storm audited for lost, hung and
+//!   duplicated replies.
+//!
+//! Everything else this crate used to measure is a `benchmark/` rung or an
+//! assertion over exact step counts in `tests/paper_claims.rs`; speed claims
+//! are made with `benchmark/` and `harness pair`, not here.
+//!
+//! A measured point is a [`Row`]: an ordered list of `(name, value)`. A
+//! [`Report`] derives its markdown tables *and* its JSON document from the
+//! same rows, so a column cannot appear in one and not the other.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use psnap_activeset::{ActiveSet, CasActiveSet, CollectActiveSet};
-use psnap_core::{CasPartialSnapshot, PartialSnapshot, ProcessId};
-use psnap_shmem::StepScope;
-use psnap_workloads::{Market, MarketConfig, DEFAULT_M_SWEEP, DEFAULT_R_SWEEP};
+use psnap_core::{CasPartialSnapshot, ProcessId};
+use psnap_json::Json;
+use psnap_workloads::IndexDist;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::implementations::ImplKind;
-use crate::runner::{run_point, PointConfig};
 use crate::stats::Summary;
 
-/// A printable experiment table.
+/// A printable table.
 #[derive(Clone, Debug)]
 pub struct Table {
-    /// Experiment identifier (e.g. `"E1"`).
+    /// What the table belongs to (e.g. `"E15"`).
     pub id: String,
-    /// What the experiment demonstrates.
+    /// What it shows.
     pub title: String,
     /// Column headers.
     pub headers: Vec<String>,
@@ -47,2811 +58,281 @@ impl Table {
     }
 }
 
-fn fmt_steps(s: &Summary) -> String {
-    if s.count == 0 {
-        "—".to_string()
+/// `a / b`, or 0 when there is nothing to divide by.
+fn ratio(a: f64, b: f64) -> f64 {
+    if b > 0.0 {
+        a / b
     } else {
-        format!("{:.0}", s.mean)
+        0.0
     }
 }
 
-fn fmt_us(s: &Summary) -> String {
-    if s.count == 0 {
-        "—".to_string()
-    } else {
-        format!("{:.1}", s.mean / 1000.0)
+/// A number at the precision a table cell needs.
+pub(crate) fn sig(x: f64) -> String {
+    match x.abs() {
+        a if a >= 1000.0 => format!("{x:.0}"),
+        a if a >= 10.0 => format!("{x:.2}"),
+        _ => format!("{x:.4}"),
     }
 }
 
-/// How many operations each role performs per measurement point.
-#[derive(Clone, Copy, Debug)]
-pub struct Effort {
-    /// Operations per role per point.
-    pub ops: usize,
+/// One measured value. The name it is stored under carries the unit
+/// (`_ns`, `_per_sec`), so a value prints the same way wherever it lands.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// A label.
+    Text(String),
+    /// A counter.
+    Int(u64),
+    /// A measurement.
+    Num(f64),
+    /// An invariant that held or did not.
+    Flag(bool),
+}
+
+impl Value {
+    fn cell(&self) -> String {
+        match self {
+            Value::Text(s) => s.clone(),
+            Value::Int(n) => n.to_string(),
+            Value::Num(x) => sig(*x),
+            Value::Flag(b) => b.to_string(),
+        }
+    }
+
+    fn to_json(&self) -> Json {
+        match self {
+            Value::Text(s) => Json::Str(s.clone()),
+            Value::Int(n) => Json::u64(*n),
+            Value::Num(x) => Json::Num(*x),
+            Value::Flag(b) => Json::Bool(*b),
+        }
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Text(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Text(s)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        Value::Int(n)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::Int(n as u64)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(x: f64) -> Value {
+        Value::Num(x)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Flag(b)
+    }
+}
+
+/// An ordered list of named values: one measured point, one parameter
+/// block, one provenance header.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Row(Vec<(&'static str, Value)>);
+
+impl Row {
+    /// Appends `name = value`.
+    pub fn with(mut self, name: &'static str, value: impl Into<Value>) -> Row {
+        self.0.push((name, value.into()));
+        self
+    }
+
+    /// The value stored under `name`.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.0.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+
+    /// The names, in order.
+    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.0.iter().map(|(n, _)| *n)
+    }
+
+    fn cells(&self) -> Vec<String> {
+        self.0.iter().map(|(_, v)| v.cell()).collect()
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj(self.0.iter().map(|(n, v)| (*n, v.to_json())))
+    }
+}
+
+/// How much work each measurement point does, and where its results may go.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Effort {
+    /// A smoke run: enough operations to exercise every path, too few to
+    /// mean anything. Its JSON never leaves `target/bench/`.
+    Quick,
+    /// The effort behind the checked-in `BENCH_E*.json` files.
+    Full,
 }
 
 impl Effort {
-    /// The effort used when regenerating EXPERIMENTS.md.
-    pub fn full() -> Self {
-        Effort { ops: 1000 }
-    }
-
-    /// A tiny effort used by the test suite to keep CI fast.
-    pub fn smoke() -> Self {
-        Effort { ops: 30 }
-    }
-}
-
-/// E1 — locality: partial-scan cost vs object width `m`, `r` fixed.
-pub fn e1_locality(effort: Effort) -> Table {
-    let kinds = [
-        ImplKind::Cas,
-        ImplKind::Register,
-        ImplKind::AfekFull,
-        ImplKind::Lock,
-    ];
-    let mut headers = vec!["m".to_string()];
-    for k in kinds {
-        headers.push(format!("{} scan steps", k.label()));
-        headers.push(format!("{} scan µs", k.label()));
-    }
-    let mut rows = Vec::new();
-    for &m in DEFAULT_M_SWEEP {
-        let mut row = vec![m.to_string()];
-        for kind in kinds {
-            let snapshot = kind.build(m, 4, 0);
-            let cfg = PointConfig::new(m, 8, 2, 2, effort.ops);
-            let result = run_point(&snapshot, &cfg);
-            row.push(fmt_steps(&result.scan_steps));
-            row.push(fmt_us(&result.scan_latency_ns));
-        }
-        rows.push(row);
-    }
-    Table {
-        id: "E1".into(),
-        title: "partial-scan cost vs object width m (r = 8, 2 updaters + 2 scanners). \
-                Figure 3 and Figure 1 are local; the full-snapshot baseline grows with m."
-            .into(),
-        headers,
-        rows,
-    }
-}
-
-/// E2 — worst-case scan cost vs scan width `r` under focused update pressure.
-pub fn e2_scan_width(effort: Effort) -> Table {
-    let mut rows = Vec::new();
-    for &r in DEFAULT_R_SWEEP {
-        let snapshot = ImplKind::Cas.build(256, 4, 0);
-        // Updates target exactly the components being scanned to force the
-        // helping path (condition 2) as often as possible.
-        let mut contended = PointConfig::new(256, r, 2, 1, effort.ops);
-        contended.update_range = Some(r.max(1));
-        let contended_result = run_point(&snapshot, &contended);
-
-        let quiet_snapshot = ImplKind::Cas.build(256, 4, 0);
-        let quiet = PointConfig::new(256, r, 0, 1, effort.ops);
-        let quiet_result = run_point(&quiet_snapshot, &quiet);
-
-        rows.push(vec![
-            r.to_string(),
-            fmt_steps(&quiet_result.scan_steps),
-            fmt_steps(&contended_result.scan_steps),
-            format!("{:.0}", contended_result.scan_steps.max),
-            format!("{}", 2 * r * r + 3 * r + 8),
-        ]);
-    }
-    Table {
-        id: "E2".into(),
-        title: "Figure 3 scan steps vs scan width r (m = 256). Quiet scans are linear in r; \
-                under focused update pressure the worst case stays within the O(r²) budget \
-                of Theorem 3."
-            .into(),
-        headers: vec![
-            "r".into(),
-            "scan steps (no updates)".into(),
-            "scan steps (contended, mean)".into(),
-            "scan steps (contended, max)".into(),
-            "Theorem 3 budget ≈ 2r²+3r+8".into(),
-        ],
-        rows,
-    }
-}
-
-/// E3 — update cost vs number of concurrent scanners.
-pub fn e3_update_cost(effort: Effort) -> Table {
-    let mut rows = Vec::new();
-    for &scanners in &[0usize, 1, 2, 4, 6] {
-        let mut row = vec![scanners.to_string()];
-        for m in [256usize, 4096] {
-            let snapshot = ImplKind::Cas.build(m, 1 + scanners, 0);
-            let cfg = PointConfig {
-                m,
-                r: 8,
-                updaters: 1,
-                scanners,
-                ops_per_updater: effort.ops,
-                ops_per_scanner: effort.ops,
-                update_batch: 1,
-                update_range: None,
-                zipf_s: None,
-                seed: 0xE3,
-            };
-            let result = run_point(&snapshot, &cfg);
-            row.push(fmt_steps(&result.update_steps));
-        }
-        rows.push(row);
-    }
-    Table {
-        id: "E3".into(),
-        title: "Figure 3 update steps vs concurrent scanners (r = 8). The cost scales with \
-                the announced components of active scanners (Cs·rmax), not with the object \
-                width m."
-            .into(),
-        headers: vec![
-            "concurrent scanners".into(),
-            "update steps (m=256)".into(),
-            "update steps (m=4096)".into(),
-        ],
-        rows,
-    }
-}
-
-/// Measures one active-set implementation under churn.
-///
-/// Churners are rate-bounded (a yield per cycle and a hard cycle cap): each
-/// Figure 2 `join` permanently consumes a fresh slot, so unthrottled churners
-/// outpace the single measured `getSet` reader and its cost diverges — the
-/// amortized bound of Theorem 2 charges that work to the *joins*, not to the
-/// reader, and holds either way; the throttle only keeps the measurement
-/// finite.
-fn active_set_point<A: ActiveSet>(
-    set: &A,
-    churners: usize,
-    ops: usize,
-) -> (Summary, Summary, Summary) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let started = Arc::new(AtomicUsize::new(0));
-    let set_ref: &A = set;
-    let churn_cap = ops * 100;
-    std::thread::scope(|scope| {
-        // Churning threads join/leave continuously (rate-bounded, see above).
-        for c in 0..churners {
-            let stop = Arc::clone(&stop);
-            let started = Arc::clone(&started);
-            scope.spawn(move || {
-                started.fetch_add(1, Ordering::SeqCst);
-                let mut cycles = 0usize;
-                while !stop.load(Ordering::Relaxed) && cycles < churn_cap {
-                    let t = set_ref.join(ProcessId(c + 1));
-                    std::hint::spin_loop();
-                    set_ref.leave(ProcessId(c + 1), t);
-                    cycles += 1;
-                    std::thread::yield_now();
-                }
-            });
-        }
-        while started.load(Ordering::SeqCst) < churners {
-            std::hint::spin_loop();
-        }
-        // The measured process alternates join / getSet / leave.
-        let mut join_steps = Vec::with_capacity(ops);
-        let mut leave_steps = Vec::with_capacity(ops);
-        let mut getset_steps = Vec::with_capacity(ops);
-        for _ in 0..ops {
-            let scope_steps = StepScope::start();
-            let t = set_ref.join(ProcessId(0));
-            join_steps.push(scope_steps.finish().total());
-
-            let scope_steps = StepScope::start();
-            let _ = set_ref.get_set();
-            getset_steps.push(scope_steps.finish().total());
-
-            let scope_steps = StepScope::start();
-            set_ref.leave(ProcessId(0), t);
-            leave_steps.push(scope_steps.finish().total());
-        }
-        stop.store(true, Ordering::Relaxed);
-        (
-            Summary::of_u64(&join_steps),
-            Summary::of_u64(&leave_steps),
-            Summary::of_u64(&getset_steps),
-        )
-    })
-}
-
-/// E4 — the Figure 2 active set vs the register-based collect baseline.
-pub fn e4_active_set(effort: Effort) -> Table {
-    let mut rows = Vec::new();
-    for &churners in &[0usize, 2, 4, 6] {
-        let cas_set = CasActiveSet::new();
-        let (cj, cl, cg) = active_set_point(&cas_set, churners, effort.ops);
-        let collect_set = CollectActiveSet::new(64);
-        let (bj, bl, bg) = active_set_point(&collect_set, churners, effort.ops);
-        rows.push(vec![
-            churners.to_string(),
-            fmt_steps(&cj),
-            fmt_steps(&cl),
-            format!("{:.1}", cg.mean),
-            format!("{:.0}", cg.max),
-            fmt_steps(&bj),
-            fmt_steps(&bl),
-            format!("{:.1}", bg.mean),
-        ]);
-    }
-    Table {
-        id: "E4".into(),
-        title: "active set operations vs concurrent churners (Theorem 2). Figure 2: O(1) \
-                join/leave, amortized getSet bounded by contention; collect baseline: getSet \
-                always reads all n = 64 flags."
-            .into(),
-        headers: vec![
-            "churners".into(),
-            "fig2 join steps".into(),
-            "fig2 leave steps".into(),
-            "fig2 getSet steps (mean)".into(),
-            "fig2 getSet steps (max)".into(),
-            "collect join steps".into(),
-            "collect leave steps".into(),
-            "collect getSet steps (mean)".into(),
-        ],
-        rows,
-    }
-}
-
-/// E5 — the register-only algorithm (Figure 1) vs update contention.
-pub fn e5_register_snapshot(effort: Effort) -> Table {
-    let mut rows = Vec::new();
-    for &updaters in &[0usize, 1, 2, 4] {
-        let snapshot = ImplKind::Register.build(128, updaters + 2, 0);
-        let cfg = PointConfig {
-            m: 128,
-            r: 4,
-            updaters,
-            scanners: 2,
-            ops_per_updater: effort.ops,
-            ops_per_scanner: effort.ops,
-            update_batch: 1,
-            update_range: Some(8),
-            zipf_s: None,
-            seed: 0xE5,
-        };
-        let result = run_point(&snapshot, &cfg);
-        rows.push(vec![
-            updaters.to_string(),
-            fmt_steps(&result.scan_steps),
-            format!("{:.0}", result.scan_steps.max),
-            fmt_steps(&result.update_steps),
-            fmt_us(&result.scan_latency_ns),
-        ]);
-    }
-    Table {
-        id: "E5".into(),
-        title: "Figure 1 (registers only) vs number of concurrent updaters (r = 4, m = 128, \
-                updates focused on 8 components). Scan cost grows with update contention Cu \
-                as Theorem 1 predicts; it never depends on m."
-            .into(),
-        headers: vec![
-            "updaters (Cu)".into(),
-            "scan steps (mean)".into(),
-            "scan steps (max)".into(),
-            "update steps (mean)".into(),
-            "scan latency µs".into(),
-        ],
-        rows,
-    }
-}
-
-/// E6 — the stock-portfolio motivation: naive reads are inconsistent, partial
-/// scans are consistent and stay cheap as the market grows.
-pub fn e6_portfolio(effort: Effort) -> Table {
-    let mut rows = Vec::new();
-    for &stocks in &[64usize, 1024] {
-        let config = MarketConfig {
-            stocks,
-            portfolios: 8,
-            holdings_per_portfolio: 8,
-            ..Default::default()
-        };
-        let outcome = portfolio_consistency_run(config, effort.ops.max(200));
-        rows.push(vec![
-            stocks.to_string(),
-            outcome.valuations.to_string(),
-            outcome.naive_violations.to_string(),
-            outcome.snapshot_violations.to_string(),
-            format!("{:.0}", outcome.snapshot_scan_steps.mean),
-            format!("{:.0}", outcome.full_scan_steps.mean),
-        ]);
-    }
-    Table {
-        id: "E6".into(),
-        title: "stock-portfolio workload (8 holdings per portfolio). Transfers between stocks \
-                of one portfolio keep its true value constant; naive read-one-by-one valuation \
-                observes phantom gains/losses, partial-snapshot valuation never does, and its \
-                cost does not grow with the market size."
-            .into(),
-        headers: vec![
-            "stocks (m)".into(),
-            "valuations".into(),
-            "naive-read violations".into(),
-            "partial-scan violations".into(),
-            "partial-scan steps".into(),
-            "full-scan steps".into(),
-        ],
-        rows,
-    }
-}
-
-/// The outcome of the portfolio consistency demonstration (also used by the
-/// `stock_portfolio` example).
-pub struct PortfolioOutcome {
-    /// Number of valuations performed with each method.
-    pub valuations: usize,
-    /// Valuations outside the invariant band using naive per-component reads.
-    pub naive_violations: usize,
-    /// Valuations outside the invariant band using partial scans.
-    pub snapshot_violations: usize,
-    /// Steps per partial scan of one portfolio.
-    pub snapshot_scan_steps: Summary,
-    /// Steps per full scan of the whole market (baseline).
-    pub full_scan_steps: Summary,
-}
-
-/// Runs the portfolio consistency experiment: an updater thread transfers
-/// value between stocks of the same portfolio (keeping each portfolio's total
-/// invariant up to one in-flight transfer), while a valuation thread prices
-/// one portfolio with (a) naive one-by-one reads and (b) partial scans.
-pub fn portfolio_consistency_run(config: MarketConfig, valuations: usize) -> PortfolioOutcome {
-    let market = Market::generate(config.clone(), 0xF0110);
-    // One share of each holding keeps the invariant exact: a transfer moves
-    // `delta` from one stock of the portfolio to another.
-    let snapshot: Arc<CasPartialSnapshot<u64>> = Arc::new(CasPartialSnapshot::new(
-        config.stocks,
-        4,
-        config.initial_price,
-    ));
-    let portfolio = &market.portfolios[0];
-    let comps = portfolio.components();
-    let true_total: u64 = config.initial_price * comps.len() as u64;
-    let delta = 100u64;
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let updater = {
-        let snapshot = Arc::clone(&snapshot);
-        let comps = comps.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            use rand::Rng as _;
-            use rand::SeedableRng as _;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(0xBEEF);
-            // Offset of each holding from its initial price. Transfers move
-            // `delta` from one holding to another, so the sum of offsets is 0
-            // except during the window between the two updates of a transfer.
-            let mut offset: Vec<i64> = vec![0; comps.len()];
-            while !stop.load(Ordering::Relaxed) {
-                let a = rng.gen_range(0..comps.len());
-                let mut b = rng.gen_range(0..comps.len());
-                while b == a {
-                    b = rng.gen_range(0..comps.len());
-                }
-                // Skip transfers that would drive a price to zero or below —
-                // that would break the invariant permanently.
-                if config.initial_price as i64 + offset[a] - (delta as i64) < 1 {
-                    continue;
-                }
-                offset[a] -= delta as i64;
-                let new_a = (config.initial_price as i64 + offset[a]) as u64;
-                snapshot.update(ProcessId(0), comps[a], new_a);
-                offset[b] += delta as i64;
-                let new_b = (config.initial_price as i64 + offset[b]) as u64;
-                snapshot.update(ProcessId(0), comps[b], new_b);
-            }
-        })
-    };
-
-    // The invariant band: the instantaneous total is always within ±delta of
-    // the true total (at most one transfer is in flight).
-    let lo = true_total - delta;
-    let hi = true_total + delta;
-    let in_band = |total: u64| total >= lo && total <= hi;
-
-    let mut naive_violations = 0usize;
-    let mut snapshot_violations = 0usize;
-    let mut scan_steps = Vec::with_capacity(valuations);
-    let mut full_steps = Vec::with_capacity(valuations.min(200));
-    let all: Vec<usize> = (0..config.stocks).collect();
-    for i in 0..valuations {
-        // Naive valuation: read components one by one, yielding in between —
-        // exactly the "check each stock one by one" of the introduction.
-        let mut naive_total = 0u64;
-        for &c in &comps {
-            naive_total += snapshot.scan(ProcessId(1), &[c])[0];
-            std::thread::yield_now();
-        }
-        if !in_band(naive_total) {
-            naive_violations += 1;
-        }
-
-        // Consistent valuation: one partial scan of the portfolio.
-        let scope = StepScope::start();
-        let prices = snapshot.scan(ProcessId(2), &comps);
-        scan_steps.push(scope.finish().total());
-        let snap_total: u64 = prices.iter().sum();
-        if !in_band(snap_total) {
-            snapshot_violations += 1;
-        }
-
-        // Occasionally price the whole market to measure the full-scan cost.
-        if i < 200 {
-            let scope = StepScope::start();
-            let _ = snapshot.scan(ProcessId(3), &all);
-            full_steps.push(scope.finish().total());
+    /// Operations per client (E17) or scans per phase (E15).
+    pub fn ops(self) -> usize {
+        match self {
+            Effort::Quick => 30,
+            Effort::Full => 1000,
         }
     }
-    stop.store(true, Ordering::Relaxed);
-    updater.join().expect("updater thread panicked");
 
-    PortfolioOutcome {
-        valuations,
-        naive_violations,
-        snapshot_violations,
-        snapshot_scan_steps: Summary::of_u64(&scan_steps),
-        full_scan_steps: Summary::of_u64(&full_steps),
-    }
-}
-
-/// E7 — cross-implementation throughput at several scanner/updater mixes.
-pub fn e7_throughput(effort: Effort) -> Table {
-    let kinds = ImplKind::ALL;
-    let mut headers = vec!["mix".to_string()];
-    headers.extend(kinds.iter().map(|k| format!("{} kops/s", k.label())));
-    let mut rows = Vec::new();
-    for mix in psnap_workloads::Mix::ladder() {
-        let mut row = vec![mix.label()];
-        for kind in kinds {
-            let snapshot = kind.build(512, mix.processes(), 0);
-            let cfg = PointConfig::new(512, 8, mix.updaters, mix.scanners, effort.ops);
-            let result = run_point(&snapshot, &cfg);
-            row.push(format!("{:.0}", result.throughput_ops_per_sec() / 1000.0));
+    /// The name written into the provenance header.
+    pub fn name(self) -> &'static str {
+        match self {
+            Effort::Quick => "quick",
+            Effort::Full => "full",
         }
-        rows.push(row);
-    }
-    Table {
-        id: "E7".into(),
-        title: "aggregate throughput (thousands of operations per second) at several \
-                updater/scanner mixes (m = 512, r = 8)."
-            .into(),
-        headers,
-        rows,
     }
 }
 
-/// One measured point of experiment E8.
+/// One experiment's results.
 #[derive(Clone, Debug)]
-pub struct E8Point {
-    /// Shard count (1 = the unsharded `Cas` baseline object).
-    pub shards: usize,
-    /// `"uniform"` or `"zipf"`.
-    pub dist: &'static str,
-    /// Aggregate throughput in operations per second.
-    pub ops_per_sec: f64,
-    /// Mean update latency in nanoseconds.
-    pub update_latency_ns: f64,
-    /// Mean scan latency in nanoseconds.
-    pub scan_latency_ns: f64,
-    /// Aggregate update throughput in updates per second, derived from the
-    /// median update latency (`updaters / p50 latency`) — stable even when
-    /// the run's wall clock is dominated by the scanner tail.
-    pub update_ops_per_sec: f64,
-    /// Mean base-object steps per update — the paper's cost metric, and the
-    /// host-independent measure of the update path's work.
-    pub update_steps: f64,
-    /// Mean base-object steps per scan.
-    pub scan_steps: f64,
-    /// Update-work reduction relative to the same distribution's 1-shard
-    /// baseline (the unsharded `Cas` object): baseline update steps divided
-    /// by this point's update steps. This is throughput scaling in the cost
-    /// model — steps are what each update serializes through its shard, so
-    /// `K` shards sustain `K × (baseline steps / sharded steps)` more update
-    /// work per unit time when hardware parallelism is available.
-    pub speedup_vs_unsharded: f64,
+pub struct Report {
+    /// Experiment identifier (`"E15"`, `"E17"`).
+    pub id: &'static str,
+    /// What was measured and how to read it.
+    pub description: String,
+    /// The constant every RNG stream of the experiment is seeded from.
+    pub seed: u64,
+    /// The effort the points were measured at.
+    pub effort: Effort,
+    /// Fixed parameters of the run (`m`, `r`, …).
+    pub params: Row,
+    /// Named groups of measured points; each group is one table and one
+    /// JSON array.
+    pub sections: Vec<(&'static str, Vec<Row>)>,
 }
 
-/// The raw data behind experiment E8 (also serialized to `BENCH_E8.json`).
-#[derive(Clone, Debug)]
-pub struct E8Data {
-    /// Fixed workload shape shared by every point.
-    pub sweep: psnap_workloads::Sweep,
-    /// One entry per (shard count × distribution).
-    pub points: Vec<E8Point>,
-}
-
-impl E8Data {
-    /// Serializes the data for `BENCH_E8.json`.
-    pub fn to_json(&self) -> psnap_json::Json {
-        use psnap_json::Json;
-        Json::obj([
-            ("experiment", Json::Str("E8".into())),
-            ("description", Json::Str(self.sweep.description.clone())),
-            ("sweep", self.sweep.to_json()),
-            (
-                "points",
-                Json::arr(self.points.iter().map(|p| {
-                    Json::obj([
-                        ("shards", Json::Num(p.shards as f64)),
-                        ("dist", Json::Str(p.dist.into())),
-                        ("ops_per_sec", Json::Num(p.ops_per_sec)),
-                        ("update_ops_per_sec", Json::Num(p.update_ops_per_sec)),
-                        ("update_steps", Json::Num(p.update_steps)),
-                        ("scan_steps", Json::Num(p.scan_steps)),
-                        ("update_latency_ns", Json::Num(p.update_latency_ns)),
-                        ("scan_latency_ns", Json::Num(p.scan_latency_ns)),
-                        ("speedup_vs_unsharded", Json::Num(p.speedup_vs_unsharded)),
-                    ])
-                })),
-            ),
-        ])
+impl Report {
+    /// The rows of one section (empty if there is no such section).
+    pub fn rows(&self, section: &str) -> &[Row] {
+        self.sections
+            .iter()
+            .find(|(name, _)| *name == section)
+            .map_or(&[], |(_, rows)| rows)
     }
-}
 
-/// Runs the E8 measurement: throughput vs shard count, uniform and Zipf.
-///
-/// Shard count 1 is the plain `Cas` object (no sharding layer at all), so the
-/// speedup column reports what the sharding layer buys end to end, including
-/// its epoch-validation overhead. The uniform workload uses the contiguous
-/// partition; the Zipf workload uses the hashed partition — with contiguous
-/// placement the Zipf head would all land on shard 0 and sharding could not
-/// help, which is precisely the load-skew problem hashing exists to solve.
-/// The primary metric is the paper's own: **base-object steps per update**
-/// while scanners are active. In the unsharded object every update's helping
-/// scan covers the announced components of *all* active scanners; in the
-/// sharded object it covers only the announcements that intersect the
-/// update's shard, so the serialized work per update shrinks with the shard
-/// count — that is the throughput scaling, stated host-independently (wall
-/// clock on an oversubscribed single-core runner measures the scheduler, so
-/// wall-clock columns are reported as secondary evidence only).
-pub fn e8_sharding_data(effort: Effort) -> E8Data {
-    let sweep = psnap_workloads::Sweep::e8_shards(effort.ops);
-    let mut points = Vec::new();
-    let cases = [
-        ("uniform", None, psnap_shard::Partition::Contiguous),
-        ("zipf", Some(0.9f64), psnap_shard::Partition::Hashed),
-    ];
-    for (dist, zipf_s, partition) in cases {
-        let mut baseline: Option<f64> = None;
-        for point in &sweep.points {
-            let kind = if point.shards == 1 {
-                ImplKind::Cas
-            } else {
-                ImplKind::sharded_cas(point.shards, partition)
-            };
-            let measured = e8_point(kind, point, zipf_s);
-            // Median latency, not mean: on oversubscribed hosts a small
-            // fraction of ops absorbs whole scheduler slices, and those
-            // outliers say nothing about the algorithm.
-            let update_ops_per_sec = if measured.update_latency_ns.p50 > 0.0 {
-                point.updaters as f64 * 1e9 / measured.update_latency_ns.p50
-            } else {
-                0.0
-            };
-            let update_steps = measured.update_steps.mean;
-            let base = *baseline.get_or_insert(update_steps);
-            points.push(E8Point {
-                shards: point.shards,
-                dist,
-                ops_per_sec: measured.updates_per_sec_wall,
-                update_latency_ns: measured.update_latency_ns.mean,
-                scan_latency_ns: measured.scan_latency_ns.mean,
-                update_ops_per_sec,
-                update_steps,
-                scan_steps: measured.scan_steps.mean,
-                speedup_vs_unsharded: if update_steps > 0.0 {
-                    base / update_steps
-                } else {
-                    0.0
+    /// One table per section; the first carries the description.
+    pub fn tables(&self) -> Vec<Table> {
+        let params = (self.params.names().zip(self.params.cells()))
+            .map(|(name, cell)| format!("{name} = {cell}"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        self.sections
+            .iter()
+            .enumerate()
+            .map(|(i, (name, rows))| Table {
+                id: self.id.to_string(),
+                title: match i {
+                    0 => format!("{} [{params}]", self.description),
+                    _ => name.to_string(),
                 },
-            });
-        }
-    }
-    E8Data { sweep, points }
-}
-
-struct E8Measured {
-    update_steps: Summary,
-    update_latency_ns: Summary,
-    scan_steps: Summary,
-    scan_latency_ns: Summary,
-    updates_per_sec_wall: f64,
-}
-
-/// One E8 measurement point: scanners scan *continuously* for the whole
-/// update window (unlike `run_point`, where fixed scanner op counts drain
-/// early and leave most updates unopposed) and run under sleep-heavy chaos,
-/// so they spend most of wall time parked mid-scan with their announcements
-/// live — the state in which every measured update pays the helping cost the
-/// experiment is about, regardless of how the host schedules threads.
-fn e8_point(
-    kind: ImplKind,
-    point: &psnap_workloads::SweepPoint,
-    zipf_s: Option<f64>,
-) -> E8Measured {
-    use psnap_shmem::chaos::{self, ChaosConfig};
-    use psnap_workloads::IndexDist;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let snapshot = kind.build(point.m, point.processes(), 0);
-    let dist = match zipf_s {
-        Some(s) => IndexDist::zipf(point.m, s),
-        None => IndexDist::uniform(point.m),
-    };
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(std::sync::Barrier::new(point.processes()));
-    std::thread::scope(|scope| {
-        let mut scanner_handles = Vec::new();
-        for s in 0..point.scanners {
-            let snapshot = Arc::clone(&snapshot);
-            let dist = dist.clone();
-            let stop = Arc::clone(&stop);
-            let barrier = Arc::clone(&barrier);
-            let (r, updaters, cap) = (point.r, point.updaters, point.ops);
-            scanner_handles.push(scope.spawn(move || {
-                // Park at base-object boundaries often and long: announcements
-                // stay live while updates run.
-                let _chaos = chaos::enable(
-                    0xE8AB ^ s as u64,
-                    ChaosConfig {
-                        perturb_probability: 0.3,
-                        sleep_probability: 0.6,
-                        max_sleep_us: 300,
-                        max_spin: 32,
-                        ..ChaosConfig::default()
-                    },
-                );
-                let mut rng = StdRng::seed_from_u64(0xE8AB ^ ((s as u64) << 13));
-                let mut steps = Vec::with_capacity(cap);
-                let mut latency = Vec::with_capacity(cap);
-                barrier.wait();
-                while !stop.load(Ordering::Relaxed) {
-                    let comps = dist.sample_set(&mut rng, r);
-                    let scope_steps = StepScope::start();
-                    let t0 = std::time::Instant::now();
-                    let _ = snapshot.scan(ProcessId(updaters + s), &comps);
-                    // Sample the first `cap` scans, keep scanning after.
-                    if steps.len() < cap {
-                        latency.push(t0.elapsed().as_nanos() as f64);
-                        steps.push(scope_steps.finish().total());
-                    }
-                }
-                (steps, latency)
-            }));
-        }
-        let mut updater_handles = Vec::new();
-        for u in 0..point.updaters {
-            let snapshot = Arc::clone(&snapshot);
-            let dist = dist.clone();
-            let barrier = Arc::clone(&barrier);
-            // Updates are cheap (sub-µs) while the chaos-parked scanners need
-            // ~1ms to reach their first announced state: run enough updates
-            // that the window dwarfs that ramp, or the point measures an
-            // unopposed burst.
-            let ops = point.ops * 20;
-            updater_handles.push(scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xE8 ^ ((u as u64) << 7));
-                let mut steps = Vec::with_capacity(ops);
-                let mut latency = Vec::with_capacity(ops);
-                barrier.wait();
-                let t_start = std::time::Instant::now();
-                for k in 0..ops {
-                    let component = dist.sample(&mut rng);
-                    let scope_steps = StepScope::start();
-                    let t0 = std::time::Instant::now();
-                    snapshot.update(ProcessId(u), component, (k as u64 + 1) * 1000 + u as u64);
-                    latency.push(t0.elapsed().as_nanos() as f64);
-                    steps.push(scope_steps.finish().total());
-                }
-                (steps, latency, t_start.elapsed())
-            }));
-        }
-        let mut update_steps = Vec::new();
-        let mut update_latency = Vec::new();
-        let mut total_updates = 0usize;
-        let mut longest_wall = std::time::Duration::ZERO;
-        for h in updater_handles {
-            let (steps, latency, wall) = h.join().expect("updater panicked");
-            total_updates += steps.len();
-            update_steps.extend(steps);
-            update_latency.extend(latency);
-            longest_wall = longest_wall.max(wall);
-        }
-        stop.store(true, Ordering::Relaxed);
-        let mut scan_steps = Vec::new();
-        let mut scan_latency = Vec::new();
-        for h in scanner_handles {
-            let (steps, latency) = h.join().expect("scanner panicked");
-            scan_steps.extend(steps);
-            scan_latency.extend(latency);
-        }
-        E8Measured {
-            update_steps: Summary::of_u64(&update_steps),
-            update_latency_ns: Summary::of(&update_latency),
-            scan_steps: Summary::of_u64(&scan_steps),
-            scan_latency_ns: Summary::of(&scan_latency),
-            updates_per_sec_wall: if longest_wall.is_zero() {
-                0.0
-            } else {
-                total_updates as f64 / longest_wall.as_secs_f64()
-            },
-        }
-    })
-}
-
-/// E8 — update/scan throughput vs shard count (the `psnap-shard` experiment).
-pub fn e8_sharding(effort: Effort) -> Table {
-    e8_sharding_table(&e8_sharding_data(effort))
-}
-
-/// Renders already-measured E8 data as a table (lets the harness emit the
-/// markdown table and `BENCH_E8.json` from one measurement run).
-pub fn e8_sharding_table(data: &E8Data) -> Table {
-    let rows = data
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.shards.to_string(),
-                p.dist.to_string(),
-                format!("{:.1}", p.update_steps),
-                format!("{:.1}", p.scan_steps),
-                format!("{:.0}", p.update_ops_per_sec / 1000.0),
-                format!("{:.1}", p.scan_latency_ns / 1000.0),
-                format!("{:.2}x", p.speedup_vs_unsharded),
-            ]
-        })
-        .collect();
-    Table {
-        id: "E8".into(),
-        title: data.sweep.description.clone(),
-        headers: vec![
-            "shards".into(),
-            "dist".into(),
-            "update steps".into(),
-            "scan steps".into(),
-            "update kops/s".into(),
-            "scan µs".into(),
-            "update-work speedup vs 1 shard".into(),
-        ],
-        rows,
-    }
-}
-
-/// One measured row of experiment E9: both cell implementations at one
-/// (thread count, distribution) point.
-#[derive(Clone, Debug)]
-pub struct E9Point {
-    /// Number of worker threads (each mixes updates and r-wide scans).
-    pub threads: usize,
-    /// `"uniform"` or `"zipf"`.
-    pub dist: &'static str,
-    /// Aggregate update+scan throughput of the `RwLock`-guarded baseline
-    /// cell, in operations per second.
-    pub rwlock_ops_per_sec: f64,
-    /// Aggregate update+scan throughput of the lock-free cell, in operations
-    /// per second.
-    pub lockfree_ops_per_sec: f64,
-    /// `lockfree_ops_per_sec / rwlock_ops_per_sec`.
-    pub speedup: f64,
-}
-
-/// The raw data behind experiment E9 (also serialized to `BENCH_E9.json`).
-#[derive(Clone, Debug)]
-pub struct E9Data {
-    /// Number of cells in the bank the threads hammer.
-    pub m: usize,
-    /// Cells read per scan operation.
-    pub r: usize,
-    /// Operations per thread at each point.
-    pub ops_per_thread: usize,
-    /// One entry per (thread count × distribution).
-    pub points: Vec<E9Point>,
-}
-
-impl E9Data {
-    /// The experiment description used by the table and the JSON document.
-    pub fn description(&self) -> String {
-        format!(
-            "update+scan throughput vs thread count over a bank of {} VersionedCells \
-             (every 3rd op stores; the rest scan {} cells under one epoch pin, the \
-             access pattern of the algorithms' collect loops; uniform and Zipf(0.9) \
-             indices; median of 5 interleaved repetitions): lock-free AtomicPtr+epoch \
-             cell vs the RwLock-guarded baseline it replaced. Per-op base-object step \
-             counts are identical by construction; the lock-free cell wins because a \
-             read never writes the cell word, never blocks, and amortizes its epoch \
-             entry across a whole scan.",
-            self.m, self.r
-        )
-    }
-
-    /// Serializes the data for `BENCH_E9.json`.
-    pub fn to_json(&self) -> psnap_json::Json {
-        use psnap_json::Json;
-        Json::obj([
-            ("experiment", Json::Str("E9".into())),
-            ("description", Json::Str(self.description())),
-            ("m", Json::Num(self.m as f64)),
-            ("r", Json::Num(self.r as f64)),
-            ("ops_per_thread", Json::Num(self.ops_per_thread as f64)),
-            (
-                "points",
-                Json::arr(self.points.iter().map(|p| {
-                    Json::obj([
-                        ("threads", Json::Num(p.threads as f64)),
-                        ("dist", Json::Str(p.dist.into())),
-                        ("rwlock_ops_per_sec", Json::Num(p.rwlock_ops_per_sec)),
-                        ("lockfree_ops_per_sec", Json::Num(p.lockfree_ops_per_sec)),
-                        ("speedup_vs_rwlock", Json::Num(p.speedup)),
-                    ])
-                })),
-            ),
-        ])
-    }
-}
-
-/// The cell surface E9 drives. Both implementations expose the identical
-/// `VersionedCell` API; this trait only erases the type for the measurement
-/// loop.
-trait ContentionCell: Send + Sync + Sized + 'static {
-    fn make(initial: u64) -> Self;
-    fn read_value(&self) -> u64;
-    fn write_value(&self, v: u64);
-}
-
-impl ContentionCell for psnap_shmem::VersionedCell<u64> {
-    fn make(initial: u64) -> Self {
-        Self::new(initial)
-    }
-    fn read_value(&self) -> u64 {
-        *self.load().value()
-    }
-    fn write_value(&self, v: u64) {
-        self.store(v);
-    }
-}
-
-impl ContentionCell for psnap_shmem::RwLockVersionedCell<u64> {
-    fn make(initial: u64) -> Self {
-        Self::new(initial)
-    }
-    fn read_value(&self) -> u64 {
-        *self.load().value()
-    }
-    fn write_value(&self, v: u64) {
-        self.store(v);
-    }
-}
-
-/// Aggregate update+scan throughput (ops/sec) of one cell implementation at
-/// one (threads, distribution) point. Every 3rd thread op is a store; the
-/// others scan `r` cells under a single epoch pin — exactly the access
-/// pattern of the snapshot algorithms, whose `collect` loop pins once and
-/// then reads every requested register. Throughput counts each store and
-/// each whole scan as one operation and divides by the slowest thread's wall
-/// clock (all threads start together on a barrier).
-fn e9_cell_point<C: ContentionCell>(
-    threads: usize,
-    m: usize,
-    r: usize,
-    ops: usize,
-    zipf_s: Option<f64>,
-) -> f64 {
-    use psnap_workloads::IndexDist;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let bank: Vec<C> = (0..m).map(|i| C::make(i as u64)).collect();
-    let dist = match zipf_s {
-        Some(s) => IndexDist::zipf(m, s),
-        None => IndexDist::uniform(m),
-    };
-    let barrier = std::sync::Barrier::new(threads);
-    let mut longest_wall = std::time::Duration::ZERO;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let bank = &bank;
-            let dist = dist.clone();
-            let barrier = &barrier;
-            handles.push(scope.spawn(move || {
-                // Pregenerate the whole op sequence: index sampling (ChaCha
-                // draws, distinct-set retries, per-scan Vec allocation) costs
-                // more than a cell op and would otherwise dominate — and
-                // equally dilute — both sides of the measurement.
-                let mut rng = StdRng::seed_from_u64(0xE9 ^ ((t as u64) << 17));
-                let store_targets: Vec<usize> = (0..ops.div_ceil(3))
-                    .map(|_| dist.sample(&mut rng))
-                    .collect();
-                let scan_sets: Vec<Vec<usize>> = (0..ops - store_targets.len())
-                    .map(|_| dist.sample_set(&mut rng, r))
-                    .collect();
-                let mut checksum = 0u64;
-                let (mut stores, mut scans) = (0usize, 0usize);
-                barrier.wait();
-                let t0 = std::time::Instant::now();
-                for k in 0..ops {
-                    if k % 3 == 0 {
-                        bank[store_targets[stores]].write_value((k as u64) << 8 | t as u64);
-                        stores += 1;
-                    } else {
-                        // One pin per scan for BOTH cells, deliberately: the
-                        // algorithms' collect loop pins unconditionally
-                        // around its reads, whatever cell implementation
-                        // backs the registers, so this is the caller pattern
-                        // either cell actually sees (for the RwLock cell the
-                        // pin is pure, equal-on-both-sides overhead).
-                        let _pin = psnap_shmem::epoch::pin();
-                        for &idx in &scan_sets[scans] {
-                            checksum = checksum.wrapping_add(bank[idx].read_value());
-                        }
-                        scans += 1;
-                    }
-                }
-                let wall = t0.elapsed();
-                // Keep the reads observable so the loop cannot be elided.
-                std::hint::black_box(checksum);
-                wall
-            }));
-        }
-        for h in handles {
-            longest_wall = longest_wall.max(h.join().expect("E9 worker panicked"));
-        }
-    });
-    if longest_wall.is_zero() {
-        0.0
-    } else {
-        (threads * ops) as f64 / longest_wall.as_secs_f64()
-    }
-}
-
-/// Runs the E9 measurement: update+scan throughput vs thread count, for the
-/// lock-free cell and the `RwLock` baseline, uniform and Zipf.
-///
-/// Each (threads, dist) point measures both cells five times, interleaved
-/// (rwlock, lockfree, rwlock, …), and reports the per-cell **median** — on a
-/// shared host a single repetition can absorb a scheduler hiccup, and
-/// interleaving keeps slow system phases from landing entirely on one cell.
-pub fn e9_cell_contention_data(effort: Effort) -> E9Data {
-    use psnap_shmem::{RwLockVersionedCell, VersionedCell};
-    let m = 256;
-    let r = 8;
-    // Cell ops are sub-µs; scale the per-thread batch up so each measurement
-    // window is long enough that scheduler bursts average out inside it
-    // instead of being sampled by it.
-    let ops = effort.ops * 50;
-    let median = |mut xs: [f64; 5]| {
-        xs.sort_by(|a, b| a.total_cmp(b));
-        xs[2]
-    };
-    let mut points = Vec::new();
-    for (dist, zipf_s) in [("uniform", None), ("zipf", Some(0.9f64))] {
-        for threads in [1usize, 2, 4, 8] {
-            let mut rw = [0.0f64; 5];
-            let mut lf = [0.0f64; 5];
-            for rep in 0..5 {
-                // Alternate which cell runs first so a systematic host phase
-                // (frequency ramp, page-cache state) cannot always land on
-                // the same side.
-                if rep % 2 == 0 {
-                    rw[rep] = e9_cell_point::<RwLockVersionedCell<u64>>(threads, m, r, ops, zipf_s);
-                    lf[rep] = e9_cell_point::<VersionedCell<u64>>(threads, m, r, ops, zipf_s);
-                } else {
-                    lf[rep] = e9_cell_point::<VersionedCell<u64>>(threads, m, r, ops, zipf_s);
-                    rw[rep] = e9_cell_point::<RwLockVersionedCell<u64>>(threads, m, r, ops, zipf_s);
-                }
-            }
-            let rwlock = median(rw);
-            let lockfree = median(lf);
-            points.push(E9Point {
-                threads,
-                dist,
-                rwlock_ops_per_sec: rwlock,
-                lockfree_ops_per_sec: lockfree,
-                speedup: if rwlock > 0.0 { lockfree / rwlock } else { 0.0 },
-            });
-        }
-    }
-    E9Data {
-        m,
-        r,
-        ops_per_thread: ops,
-        points,
-    }
-}
-
-/// E9 — lock-free cell vs `RwLock` baseline under contention.
-pub fn e9_cell_contention(effort: Effort) -> Table {
-    e9_cell_contention_table(&e9_cell_contention_data(effort))
-}
-
-/// Renders already-measured E9 data as a table (lets the harness emit the
-/// markdown table and `BENCH_E9.json` from one measurement run).
-pub fn e9_cell_contention_table(data: &E9Data) -> Table {
-    let rows = data
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.threads.to_string(),
-                p.dist.to_string(),
-                format!("{:.0}", p.rwlock_ops_per_sec / 1000.0),
-                format!("{:.0}", p.lockfree_ops_per_sec / 1000.0),
-                format!("{:.2}x", p.speedup),
-            ]
-        })
-        .collect();
-    Table {
-        id: "E9".into(),
-        title: data.description(),
-        headers: vec![
-            "threads".into(),
-            "dist".into(),
-            "rwlock kops/s".into(),
-            "lock-free kops/s".into(),
-            "lock-free speedup".into(),
-        ],
-        rows,
-    }
-}
-
-/// One measured row of experiment E10: batched vs looped single updates for
-/// one (implementation, distribution, batch size) point.
-#[derive(Clone, Debug)]
-pub struct E10Point {
-    /// Implementation label (`ImplKind::label`).
-    pub impl_label: &'static str,
-    /// Shard count of the measured object (1 = the unsharded `Cas` object).
-    pub shards: usize,
-    /// `"uniform"` or `"zipf"`.
-    pub dist: &'static str,
-    /// Components written per batch.
-    pub batch: usize,
-    /// Mean base-object steps per *component written* when the batch is
-    /// applied with one `update_many` call.
-    pub batched_steps_per_component: f64,
-    /// Mean base-object steps per component written when the same component
-    /// sets are applied as loops of single `update` calls.
-    pub looped_steps_per_component: f64,
-    /// Component writes per second via `update_many` (wall clock).
-    pub batched_comps_per_sec: f64,
-    /// Component writes per second via looped single updates (wall clock).
-    pub looped_comps_per_sec: f64,
-    /// `looped_steps_per_component / batched_steps_per_component` — the
-    /// paper's cost-model speedup of batching.
-    pub step_speedup: f64,
-    /// `batched_comps_per_sec / looped_comps_per_sec` (wall clock, secondary
-    /// evidence on shared hosts).
-    pub throughput_speedup: f64,
-}
-
-/// The raw data behind experiment E10 (also serialized to `BENCH_E10.json`).
-#[derive(Clone, Debug)]
-pub struct E10Data {
-    /// Number of components of each measured object.
-    pub m: usize,
-    /// Batches measured per point.
-    pub ops: usize,
-    /// Continuously scanning background processes per point.
-    pub scanners: usize,
-    /// One entry per (implementation × distribution × batch size).
-    pub points: Vec<E10Point>,
-}
-
-impl E10Data {
-    /// The experiment description used by the table and the JSON document.
-    pub fn description(&self) -> String {
-        format!(
-            "atomic batched updates (update_many) vs looped single updates: base-object \
-             steps and wall-clock throughput per component written, swept **jointly** \
-             over shard count (1 = unsharded Cas, then 2/4/8 contiguous shards) × batch \
-             size, with {} scanners continuously announcing (m = {}, uniform and \
-             Zipf(0.9) component selection). Batching pays the getSet + helping-scan \
-             cost once per batch instead of once per component, so steps per component \
-             fall as the batch grows; sharding additionally splits each batch into \
-             per-shard sub-batches, amortizing the latch check and epoch bumps — the \
-             grid shows where the two effects compose and where a batch spread over \
-             many shards stops amortizing.",
-            self.scanners, self.m
-        )
-    }
-
-    /// Serializes the data for `BENCH_E10.json`.
-    pub fn to_json(&self) -> psnap_json::Json {
-        use psnap_json::Json;
-        Json::obj([
-            ("experiment", Json::Str("E10".into())),
-            ("description", Json::Str(self.description())),
-            ("m", Json::Num(self.m as f64)),
-            ("ops", Json::Num(self.ops as f64)),
-            ("scanners", Json::Num(self.scanners as f64)),
-            (
-                "points",
-                Json::arr(self.points.iter().map(|p| {
-                    Json::obj([
-                        ("impl", Json::Str(p.impl_label.into())),
-                        ("shards", Json::Num(p.shards as f64)),
-                        ("dist", Json::Str(p.dist.into())),
-                        ("batch", Json::Num(p.batch as f64)),
-                        (
-                            "batched_steps_per_component",
-                            Json::Num(p.batched_steps_per_component),
-                        ),
-                        (
-                            "looped_steps_per_component",
-                            Json::Num(p.looped_steps_per_component),
-                        ),
-                        ("batched_comps_per_sec", Json::Num(p.batched_comps_per_sec)),
-                        ("looped_comps_per_sec", Json::Num(p.looped_comps_per_sec)),
-                        ("step_speedup", Json::Num(p.step_speedup)),
-                        ("throughput_speedup", Json::Num(p.throughput_speedup)),
-                    ])
-                })),
-            ),
-        ])
-    }
-}
-
-/// One E10 measurement: the same pregenerated component sets are applied once
-/// as `update_many` batches and once as loops of single updates, while
-/// `scanners` background processes scan continuously (announcements stay
-/// live, so the helping cost both paths amortize differently is real).
-/// Returns `(batched steps/component, looped steps/component, batched
-/// components/sec, looped components/sec)`.
-fn e10_point(
-    kind: ImplKind,
-    m: usize,
-    batch: usize,
-    ops: usize,
-    scanners: usize,
-    zipf_s: Option<f64>,
-) -> (f64, f64, f64, f64) {
-    use psnap_workloads::IndexDist;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let snapshot = kind.build(m, 1 + scanners, 0);
-    let dist = match zipf_s {
-        Some(s) => IndexDist::zipf(m, s),
-        None => IndexDist::uniform(m),
-    };
-    let mut rng = StdRng::seed_from_u64(0xE10 ^ (batch as u64) << 8);
-    let sets: Vec<Vec<usize>> = (0..ops).map(|_| dist.sample_set(&mut rng, batch)).collect();
-    let stop = Arc::new(AtomicBool::new(false));
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for s in 0..scanners {
-            let snapshot = Arc::clone(&snapshot);
-            let dist = dist.clone();
-            let stop = Arc::clone(&stop);
-            handles.push(scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xE10AB ^ ((s as u64) << 13));
-                while !stop.load(Ordering::Relaxed) {
-                    let comps = dist.sample_set(&mut rng, 8);
-                    let _ = snapshot.scan(ProcessId(1 + s), &comps);
-                }
-            }));
-        }
-        // Alternate looped and batched application of the same sets so both
-        // paths face the same background scanner phases.
-        let mut batched_steps = 0u64;
-        let mut looped_steps = 0u64;
-        let mut batched_wall = std::time::Duration::ZERO;
-        let mut looped_wall = std::time::Duration::ZERO;
-        let mut value = 1u64;
-        for set in &sets {
-            let writes: Vec<(usize, u64)> = set.iter().map(|&c| (c, value)).collect();
-            value += 1;
-            let scope_steps = StepScope::start();
-            let t0 = std::time::Instant::now();
-            for &(c, v) in &writes {
-                snapshot.update(ProcessId(0), c, v);
-            }
-            looped_wall += t0.elapsed();
-            looped_steps += scope_steps.finish().total();
-
-            let writes: Vec<(usize, u64)> = set.iter().map(|&c| (c, value)).collect();
-            value += 1;
-            let scope_steps = StepScope::start();
-            let t0 = std::time::Instant::now();
-            snapshot.update_many(ProcessId(0), &writes);
-            batched_wall += t0.elapsed();
-            batched_steps += scope_steps.finish().total();
-        }
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().expect("E10 scanner panicked");
-        }
-        let components = (ops * batch) as f64;
-        (
-            batched_steps as f64 / components,
-            looped_steps as f64 / components,
-            if batched_wall.is_zero() {
-                0.0
-            } else {
-                components / batched_wall.as_secs_f64()
-            },
-            if looped_wall.is_zero() {
-                0.0
-            } else {
-                components / looped_wall.as_secs_f64()
-            },
-        )
-    })
-}
-
-/// Runs the E10 measurement: batched vs looped updates across batch sizes,
-/// for the Figure 3 object and the 4-way sharded composition, uniform and
-/// Zipf.
-pub fn e10_batched_updates_data(effort: Effort) -> E10Data {
-    let m = 256;
-    let scanners = 2;
-    let ops = effort.ops;
-    let mut points = Vec::new();
-    // The ROADMAP follow-on: sweep shard count × batch size *jointly* rather
-    // than fixing the shard count at 4.
-    for shards in [1usize, 2, 4, 8] {
-        let kind = if shards == 1 {
-            ImplKind::Cas
-        } else {
-            ImplKind::sharded_cas(shards, psnap_shard::Partition::Contiguous)
-        };
-        for (dist, zipf_s) in [("uniform", None), ("zipf", Some(0.9f64))] {
-            for batch in [2usize, 4, 8, 16] {
-                let (batched_steps, looped_steps, batched_tput, looped_tput) =
-                    e10_point(kind, m, batch, ops, scanners, zipf_s);
-                points.push(E10Point {
-                    impl_label: kind.label(),
-                    shards,
-                    dist,
-                    batch,
-                    batched_steps_per_component: batched_steps,
-                    looped_steps_per_component: looped_steps,
-                    batched_comps_per_sec: batched_tput,
-                    looped_comps_per_sec: looped_tput,
-                    step_speedup: if batched_steps > 0.0 {
-                        looped_steps / batched_steps
-                    } else {
-                        0.0
-                    },
-                    throughput_speedup: if looped_tput > 0.0 {
-                        batched_tput / looped_tput
-                    } else {
-                        0.0
-                    },
-                });
-            }
-        }
-    }
-    E10Data {
-        m,
-        ops,
-        scanners,
-        points,
-    }
-}
-
-/// E10 — atomic batched updates vs looped single updates.
-pub fn e10_batched_updates(effort: Effort) -> Table {
-    e10_batched_updates_table(&e10_batched_updates_data(effort))
-}
-
-/// Renders already-measured E10 data as a table (lets the harness emit the
-/// markdown table and `BENCH_E10.json` from one measurement run).
-pub fn e10_batched_updates_table(data: &E10Data) -> Table {
-    let rows = data
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.impl_label.to_string(),
-                p.shards.to_string(),
-                p.dist.to_string(),
-                p.batch.to_string(),
-                format!("{:.1}", p.batched_steps_per_component),
-                format!("{:.1}", p.looped_steps_per_component),
-                format!("{:.2}x", p.step_speedup),
-                format!("{:.0}", p.batched_comps_per_sec / 1000.0),
-                format!("{:.0}", p.looped_comps_per_sec / 1000.0),
-                format!("{:.2}x", p.throughput_speedup),
-            ]
-        })
-        .collect();
-    Table {
-        id: "E10".into(),
-        title: data.description(),
-        headers: vec![
-            "impl".into(),
-            "shards".into(),
-            "dist".into(),
-            "batch".into(),
-            "batched steps/comp".into(),
-            "looped steps/comp".into(),
-            "step speedup".into(),
-            "batched kcomps/s".into(),
-            "looped kcomps/s".into(),
-            "throughput speedup".into(),
-        ],
-        rows,
-    }
-}
-
-/// One measured row of experiment E11: the service frontend at one
-/// (backend, distribution, client count, coalescing mode) point.
-#[derive(Clone, Debug)]
-pub struct E11Point {
-    /// Backing implementation label.
-    pub backend: &'static str,
-    /// `"uniform"` or `"zipf"`.
-    pub dist: &'static str,
-    /// Number of client threads driving the service.
-    pub clients: usize,
-    /// `"none"` (per-request backing scans), `"drain"` (merge whatever is
-    /// pending), or `"window"` (accumulate for a fixed window first).
-    pub mode: &'static str,
-    /// Accumulation window in microseconds (0 for `none`/`drain`).
-    pub window_us: f64,
-    /// Aggregate client operations per second (submits + scans, wall clock
-    /// of the slowest client).
-    pub ops_per_sec: f64,
-    /// Client-observed scan latency, 50th percentile (nanoseconds).
-    pub scan_p50_ns: f64,
-    /// Client-observed scan latency, 99th percentile (nanoseconds).
-    pub scan_p99_ns: f64,
-    /// Client-observed submit latency, 50th percentile (nanoseconds).
-    pub submit_p50_ns: f64,
-    /// Client-observed submit latency, 99th percentile (nanoseconds).
-    pub submit_p99_ns: f64,
-    /// Scan requests served via the backing path.
-    pub client_scans: f64,
-    /// Backing scans the service actually issued.
-    pub backing_scans: f64,
-    /// `client_scans / backing_scans` — scans answered per backing scan.
-    pub coalesce_ratio: f64,
-    /// Busy rejections absorbed by client retry loops (backpressure events).
-    pub busy_rejections: f64,
-    /// This point's `ops_per_sec` divided by the matching `none` point's —
-    /// what coalescing buys end to end (1.0 for the `none` rows).
-    pub throughput_vs_uncoalesced: f64,
-}
-
-/// The raw data behind experiment E11 (also serialized to `BENCH_E11.json`).
-#[derive(Clone, Debug)]
-pub struct E11Data {
-    /// Components of the backing object.
-    pub m: usize,
-    /// Components per client scan.
-    pub r: usize,
-    /// Operations per client at each point.
-    pub ops_per_client: usize,
-    /// One entry per (backend × distribution × clients × mode).
-    pub points: Vec<E11Point>,
-}
-
-impl E11Data {
-    /// The experiment description used by the table and the JSON document.
-    pub fn description(&self) -> String {
-        format!(
-            "psnap-serve service frontend: aggregate client throughput and p50/p99 \
-             latency vs client count and scan-coalescing mode (m = {}, r = {}, every \
-             8th client op an ingested update, the rest Fresh partial scans drawn \
-             from a Zipf-popular pool of 12 query shapes — the serving-tier pattern \
-             coalescing exists for: concurrent requests repeat and overlap; two \
-             direct background updaters hammer the object throughout, so scans race \
-             a write stream; uniform and Zipf(0.9) component placement of the query \
-             shapes; Cas and 4-way-sharded backends). The `none` baseline answers \
-             every scan request with its own backing scan; `drain` merges whatever \
-             is pending via ScanUnion into one deduplicated backing \
-             scan; `window` first accumulates 200µs. The coalescing ratio is client \
-             scans per backing scan (> 1 = merging), and throughput_vs_uncoalesced \
-             compares each mode against `none` at the same point — under churn the \
-             backing scan (helping, cross-shard validation retries) is the expensive \
-             resource, and overlapping requests keep the union narrow, so paying the \
-             scan once per union instead of once per request lifts throughput as \
-             clients grow.",
-            self.m, self.r
-        )
-    }
-
-    /// Serializes the data for `BENCH_E11.json`.
-    pub fn to_json(&self) -> psnap_json::Json {
-        use psnap_json::Json;
-        Json::obj([
-            ("experiment", Json::Str("E11".into())),
-            ("description", Json::Str(self.description())),
-            ("m", Json::Num(self.m as f64)),
-            ("r", Json::Num(self.r as f64)),
-            ("ops_per_client", Json::Num(self.ops_per_client as f64)),
-            (
-                "points",
-                Json::arr(self.points.iter().map(|p| {
-                    Json::obj([
-                        ("backend", Json::Str(p.backend.into())),
-                        ("dist", Json::Str(p.dist.into())),
-                        ("clients", Json::Num(p.clients as f64)),
-                        ("mode", Json::Str(p.mode.into())),
-                        ("window_us", Json::Num(p.window_us)),
-                        ("ops_per_sec", Json::Num(p.ops_per_sec)),
-                        ("scan_p50_ns", Json::Num(p.scan_p50_ns)),
-                        ("scan_p99_ns", Json::Num(p.scan_p99_ns)),
-                        ("submit_p50_ns", Json::Num(p.submit_p50_ns)),
-                        ("submit_p99_ns", Json::Num(p.submit_p99_ns)),
-                        ("client_scans", Json::Num(p.client_scans)),
-                        ("backing_scans", Json::Num(p.backing_scans)),
-                        ("coalesce_ratio", Json::Num(p.coalesce_ratio)),
-                        ("busy_rejections", Json::Num(p.busy_rejections)),
-                        (
-                            "throughput_vs_uncoalesced",
-                            Json::Num(p.throughput_vs_uncoalesced),
-                        ),
-                    ])
-                })),
-            ),
-        ])
-    }
-}
-
-struct E11Measured {
-    ops_per_sec: f64,
-    scan_latency: Summary,
-    submit_latency: Summary,
-    client_scans: f64,
-    backing_scans: f64,
-    busy_rejections: f64,
-}
-
-/// One E11 point: `clients` threads drive a [`psnap_serve::SnapshotService`]
-/// over a freshly built backing object, every 8th op an update submission,
-/// the rest Fresh `r`-wide scans, all awaited; Busy rejections are retried
-/// (and counted) after a yield, so backpressure shows up as latency rather
-/// than loss.
-///
-/// Two **direct background updaters** hammer the backing object for the
-/// whole window (process ids past the service's own). This is what a serving
-/// tier actually faces — scans race a write stream — and it is what makes
-/// the backing scan the expensive resource the coalescer amortizes: under
-/// churn a Figure-3 scan pays for helping and re-reads, and a cross-shard
-/// scan pays validation retries, once per *backing* scan rather than once
-/// per client request.
-fn e11_point(
-    kind: ImplKind,
-    m: usize,
-    r: usize,
-    clients: usize,
-    ops: usize,
-    zipf_s: Option<f64>,
-    coalescing: psnap_serve::Coalescing,
-) -> E11Measured {
-    use psnap_serve::{Executor, Freshness, ServiceConfig, SnapshotService, SubmitError};
-    use psnap_workloads::IndexDist;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let bg_updaters = 2usize;
-    let snapshot = kind.build(m, 2 + bg_updaters, 0);
-    let stop_bg = Arc::new(AtomicBool::new(false));
-    let bg_handles: Vec<_> = (0..bg_updaters)
-        .map(|u| {
-            let snapshot = Arc::clone(&snapshot);
-            let stop = Arc::clone(&stop_bg);
-            let dist = match zipf_s {
-                Some(s) => IndexDist::zipf(m, s),
-                None => IndexDist::uniform(m),
-            };
-            std::thread::spawn(move || {
-                use rand::SeedableRng as _;
-                let mut rng = rand::rngs::StdRng::seed_from_u64(0xB6 ^ ((u as u64) << 5));
-                let mut v = 1u64;
-                while !stop.load(Ordering::Relaxed) {
-                    snapshot.update(ProcessId(2 + u), dist.sample(&mut rng), v);
-                    v += 1;
-                }
+                headers: rows
+                    .first()
+                    .map_or_else(Vec::new, |r| r.names().map(str::to_string).collect()),
+                rows: rows.iter().map(Row::cells).collect(),
             })
-        })
-        .collect();
-    let executor = Executor::new(2);
-    let service = SnapshotService::start(
-        Arc::clone(&snapshot),
-        ServiceConfig {
-            coalescing,
-            ingest_capacity: 64,
-            scan_capacity: 1024,
-            ..ServiceConfig::default()
-        },
-        &executor,
-    );
-    let dist = match zipf_s {
-        Some(s) => IndexDist::zipf(m, s),
-        None => IndexDist::uniform(m),
+            .collect()
+    }
+
+    /// Every table, as GitHub-flavoured markdown.
+    pub fn to_markdown(&self) -> String {
+        let tables: Vec<String> = self.tables().iter().map(Table::to_markdown).collect();
+        tables.join("\n")
+    }
+
+    /// The JSON document: provenance, description, parameters, and one
+    /// array of row objects per section.
+    pub fn to_json(&self) -> Json {
+        let mut doc = vec![
+            ("experiment", Json::Str(self.id.to_string())),
+            ("description", Json::Str(self.description.clone())),
+            ("provenance", provenance(self.seed, self.effort).to_json()),
+            ("params", self.params.to_json()),
+        ];
+        for (name, rows) in &self.sections {
+            doc.push((name, Json::arr(rows.iter().map(Row::to_json))));
+        }
+        Json::obj(doc)
+    }
+
+    /// Where [`write_json`](Report::write_json) puts the document. Only a
+    /// full-effort run may replace a checked-in `BENCH_<id>.json`; a quick
+    /// run's numbers are noise and stay under `target/`.
+    pub fn json_path(&self) -> PathBuf {
+        match self.effort {
+            Effort::Quick => PathBuf::from(format!("target/bench/{}.json", self.id)),
+            Effort::Full => PathBuf::from(format!("BENCH_{}.json", self.id)),
+        }
+    }
+
+    /// Writes the JSON document atomically — the bytes land in a temporary
+    /// sibling first and only a successful rename publishes them, so a
+    /// killed run leaves the old file or the new one, never a truncated
+    /// hybrid — and returns its path.
+    pub fn write_json(&self) -> std::io::Result<PathBuf> {
+        let path = self.json_path();
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        let tmp = path.with_extension("json.tmp");
+        std::fs::write(&tmp, self.to_json().to_string_pretty())?;
+        std::fs::rename(&tmp, &path)?;
+        Ok(path)
+    }
+}
+
+/// Where the numbers came from — the block `benchmark/` writes, plus the
+/// effort: enough to tell whether two result files may be compared at all.
+fn provenance(seed: u64, effort: Effort) -> Row {
+    let command_line = |program: &str, args: &[&str]| {
+        let output = std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()?;
+        (output.status.success())
+            .then(|| String::from_utf8_lossy(&output.stdout).trim().to_string())
     };
-    // Clients issue scans from a shared pool of popular query shapes
-    // (component sets), Zipf-popular — the serving-tier pattern scan
-    // coalescing exists for (many users watching overlapping hot data, the
-    // cooperative-scan scenario): concurrent requests frequently repeat or
-    // overlap, so the union stays narrow while the per-scan fixed costs
-    // (announcement, helping, cross-shard validation) are paid once.
-    let queries: Vec<Vec<usize>> = {
-        let mut rng = StdRng::seed_from_u64(0xE110);
-        (0..12).map(|_| dist.sample_set(&mut rng, r)).collect()
+    let text = |v: Option<String>| v.unwrap_or_else(|| "unknown".to_string());
+    let dirty = match command_line("git", &["status", "--porcelain"]) {
+        Some(status) => Value::Flag(!status.is_empty()),
+        None => Value::from("unknown"),
     };
-    let query_popularity = IndexDist::zipf(queries.len(), 1.0);
-    let barrier = std::sync::Barrier::new(clients);
-    let mut scan_latency = Vec::new();
-    let mut submit_latency = Vec::new();
-    let mut busy = 0u64;
-    let mut longest_wall = std::time::Duration::ZERO;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for c in 0..clients {
-            let client = service.client();
-            let dist = dist.clone();
-            let queries = &queries;
-            let query_popularity = query_popularity.clone();
-            let barrier = &barrier;
-            handles.push(scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xE11 ^ ((c as u64) << 11));
-                let mut scans = Vec::with_capacity(ops);
-                let mut submits = Vec::with_capacity(ops / 8 + 1);
-                let mut busy = 0u64;
-                barrier.wait();
-                let t_start = std::time::Instant::now();
-                for k in 0..ops {
-                    if k % 8 == 0 {
-                        let component = dist.sample(&mut rng);
-                        let t0 = std::time::Instant::now();
-                        loop {
-                            match client.submit(component, (k as u64) << 8 | c as u64) {
-                                Ok(ticket) => {
-                                    ticket.wait();
-                                    break;
-                                }
-                                Err(SubmitError::Busy) => {
-                                    busy += 1;
-                                    std::thread::yield_now();
-                                }
-                                Err(SubmitError::Closed) => panic!("service closed mid-run"),
-                            }
-                        }
-                        submits.push(t0.elapsed().as_nanos() as f64);
-                    } else {
-                        let components = queries[query_popularity.sample(&mut rng)].clone();
-                        let t0 = std::time::Instant::now();
-                        loop {
-                            match client.scan(components.clone(), Freshness::Fresh) {
-                                Ok(ticket) => {
-                                    let values = ticket.wait();
-                                    debug_assert_eq!(values.len(), components.len());
-                                    break;
-                                }
-                                Err(SubmitError::Busy) => {
-                                    busy += 1;
-                                    std::thread::yield_now();
-                                }
-                                Err(SubmitError::Closed) => panic!("service closed mid-run"),
-                            }
-                        }
-                        scans.push(t0.elapsed().as_nanos() as f64);
-                    }
-                }
-                (scans, submits, busy, t_start.elapsed())
-            }));
-        }
-        for h in handles {
-            let (scans, submits, b, wall) = h.join().expect("E11 client panicked");
-            scan_latency.extend(scans);
-            submit_latency.extend(submits);
-            busy += b;
-            longest_wall = longest_wall.max(wall);
-        }
-    });
-    stop_bg.store(true, Ordering::Relaxed);
-    for h in bg_handles {
-        h.join().expect("E11 background updater panicked");
-    }
-    let stats = service.stats();
-    service.shutdown();
-    E11Measured {
-        ops_per_sec: if longest_wall.is_zero() {
-            0.0
-        } else {
-            (clients * ops) as f64 / longest_wall.as_secs_f64()
-        },
-        scan_latency: Summary::of(&scan_latency),
-        submit_latency: Summary::of(&submit_latency),
-        client_scans: stats.scans_served_backing as f64,
-        backing_scans: stats.backing_scans as f64,
-        busy_rejections: busy as f64,
-    }
-}
-
-/// Runs the E11 measurement: the service frontend across backends,
-/// distributions, client counts and coalescing modes.
-pub fn e11_service_data(effort: Effort) -> E11Data {
-    use psnap_serve::Coalescing;
-    let m = 256;
-    let r = 16;
-    let ops = effort.ops * 2;
-    let modes: [(&'static str, Coalescing); 3] = [
-        ("none", Coalescing::Disabled),
-        ("drain", Coalescing::Window(std::time::Duration::ZERO)),
-        (
-            "window",
-            Coalescing::Window(std::time::Duration::from_micros(200)),
-        ),
-    ];
-    let mut points = Vec::new();
-    for (backend, kind) in [
-        ("fig3-cas", ImplKind::Cas),
-        ("sharded-cas-k4", ImplKind::SHARDED_CAS_4),
-    ] {
-        for (dist, zipf_s) in [("uniform", None), ("zipf", Some(0.9f64))] {
-            for clients in [2usize, 8] {
-                let mut baseline: Option<f64> = None;
-                for (mode, coalescing) in modes {
-                    let measured = e11_point(kind, m, r, clients, ops, zipf_s, coalescing);
-                    let base = *baseline.get_or_insert(measured.ops_per_sec);
-                    points.push(E11Point {
-                        backend,
-                        dist,
-                        clients,
-                        mode,
-                        window_us: match coalescing {
-                            Coalescing::Window(w) => w.as_secs_f64() * 1e6,
-                            Coalescing::Disabled => 0.0,
-                            // E11 predates the adaptive policy and never uses
-                            // it; E14 sweeps it. Record the cap if it appears.
-                            Coalescing::Adaptive { max } => max.as_secs_f64() * 1e6,
-                        },
-                        ops_per_sec: measured.ops_per_sec,
-                        scan_p50_ns: measured.scan_latency.p50,
-                        scan_p99_ns: measured.scan_latency.p99,
-                        submit_p50_ns: measured.submit_latency.p50,
-                        submit_p99_ns: measured.submit_latency.p99,
-                        client_scans: measured.client_scans,
-                        backing_scans: measured.backing_scans,
-                        coalesce_ratio: if measured.backing_scans > 0.0 {
-                            measured.client_scans / measured.backing_scans
-                        } else {
-                            0.0
-                        },
-                        busy_rejections: measured.busy_rejections,
-                        throughput_vs_uncoalesced: if base > 0.0 {
-                            measured.ops_per_sec / base
-                        } else {
-                            0.0
-                        },
-                    });
-                }
-            }
-        }
-    }
-    E11Data {
-        m,
-        r,
-        ops_per_client: ops,
-        points,
-    }
-}
-
-/// E11 — the async service frontend: throughput, latency, coalescing.
-pub fn e11_service(effort: Effort) -> Table {
-    e11_service_table(&e11_service_data(effort))
-}
-
-/// Renders already-measured E11 data as a table (lets the harness emit the
-/// markdown table and `BENCH_E11.json` from one measurement run).
-pub fn e11_service_table(data: &E11Data) -> Table {
-    let rows = data
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.backend.to_string(),
-                p.dist.to_string(),
-                p.clients.to_string(),
-                p.mode.to_string(),
-                format!("{:.0}", p.ops_per_sec / 1000.0),
-                format!("{:.1}", p.scan_p50_ns / 1000.0),
-                format!("{:.1}", p.scan_p99_ns / 1000.0),
-                format!("{:.1}", p.submit_p50_ns / 1000.0),
-                format!("{:.2}", p.coalesce_ratio),
-                format!("{:.0}", p.busy_rejections),
-                format!("{:.2}x", p.throughput_vs_uncoalesced),
-            ]
-        })
-        .collect();
-    Table {
-        id: "E11".into(),
-        title: data.description(),
-        headers: vec![
-            "backend".into(),
-            "dist".into(),
-            "clients".into(),
-            "mode".into(),
-            "client kops/s".into(),
-            "scan p50 µs".into(),
-            "scan p99 µs".into(),
-            "submit p50 µs".into(),
-            "scans per backing scan".into(),
-            "busy rejections".into(),
-            "throughput vs none".into(),
-        ],
-        rows,
-    }
-}
-
-/// One measured row of experiment E12: one (shard count × scan path) point
-/// under the churn workload.
-#[derive(Clone, Debug)]
-pub struct E12Point {
-    /// Implementation label (`ImplKind::label`).
-    pub impl_label: &'static str,
-    /// Shard count (1 = unsharded).
-    pub shards: usize,
-    /// `"mv"` (multiversioned one-shot scans) or `"coordinated"`
-    /// (epoch-validated retry + coordinated fallback; plain `Cas` at 1
-    /// shard, where the retrying consumer is the batch gate).
-    pub path: &'static str,
-    /// Mean base-object steps per cross-shard scan.
-    pub scan_steps_mean: f64,
-    /// 99th-percentile base-object steps per scan — the host-independent
-    /// tail metric: retries and fallback drains show up here, a bounded
-    /// one-shot read does not.
-    pub scan_steps_p99: f64,
-    /// Maximum observed steps for one scan.
-    pub scan_steps_max: f64,
-    /// Client-observed scan latency, 50th percentile (nanoseconds).
-    pub scan_p50_ns: f64,
-    /// Client-observed scan latency, 99th percentile (nanoseconds).
-    pub scan_p99_ns: f64,
-    /// This point's `scan_steps_p99` divided by the matching coordinated
-    /// point's (1.0 for the coordinated rows themselves). The acceptance
-    /// bar of the multiversioning tentpole: ≤ 1 under churn.
-    pub steps_p99_vs_coordinated: f64,
-}
-
-/// The raw data behind experiment E12 (also serialized to `BENCH_E12.json`).
-#[derive(Clone, Debug)]
-pub struct E12Data {
-    /// Components of each measured object.
-    pub m: usize,
-    /// Scan width at the widest point: each point's scan reads **one
-    /// component per shard** (so its width equals its shard count, and
-    /// every multi-shard scan is maximally cross-shard); this field records
-    /// the maximum across the sweep.
-    pub r: usize,
-    /// Updater threads hammering exactly the scanned components.
-    pub updaters: usize,
-    /// Whether a cross-shard batch stream also runs.
-    pub batchers: usize,
-    /// Scans measured per point.
-    pub ops: usize,
-    /// One entry per (shard count × path).
-    pub points: Vec<E12Point>,
-}
-
-impl E12Data {
-    /// The experiment description used by the table and the JSON document.
-    pub fn description(&self) -> String {
-        format!(
-            "wait-free cross-shard scans via multiversioning: steps-per-scan and \
-             client latency of a scan reading one component per shard (width = \
-             shard count, up to {}), under writer \
-             churn ({} chaos-perturbed updaters hammering exactly the scanned \
-             components plus {} cross-shard update_many stream), multiversioned \
-             one-shot scans (MvSnapshot / MvShardedSnapshot, one shared-camera \
-             timestamp per scan) vs the retry/fallback baseline (batch-gate \
-             validation at 1 shard, epoch-validated retries + coordinated \
-             fallback beyond; m = {}). The coordinated path's tail grows with \
-             churn — every failed validation round re-reads epochs and re-runs \
-             sub-scans, and the fallback waits out in-flight writers — while the \
-             multiversioned scan's step count is bounded by its chain walks, so \
-             its steps p99 stays at or below the baseline's everywhere (the \
-             tentpole's acceptance bar, recorded in steps_p99_vs_coordinated).",
-            self.r, self.updaters, self.batchers, self.m
+    Row::default()
+        .with("commit", text(command_line("git", &["rev-parse", "HEAD"])))
+        .with("dirty", dirty)
+        .with(
+            "nproc",
+            std::thread::available_parallelism().map_or(0, |n| n.get()),
         )
-    }
-
-    /// Serializes the data for `BENCH_E12.json`.
-    pub fn to_json(&self) -> psnap_json::Json {
-        use psnap_json::Json;
-        Json::obj([
-            ("experiment", Json::Str("E12".into())),
-            ("description", Json::Str(self.description())),
-            ("m", Json::Num(self.m as f64)),
-            ("r", Json::Num(self.r as f64)),
-            ("updaters", Json::Num(self.updaters as f64)),
-            ("batchers", Json::Num(self.batchers as f64)),
-            ("ops", Json::Num(self.ops as f64)),
-            (
-                "points",
-                Json::arr(self.points.iter().map(|p| {
-                    Json::obj([
-                        ("impl", Json::Str(p.impl_label.into())),
-                        ("shards", Json::Num(p.shards as f64)),
-                        ("path", Json::Str(p.path.into())),
-                        ("scan_steps_mean", Json::Num(p.scan_steps_mean)),
-                        ("scan_steps_p99", Json::Num(p.scan_steps_p99)),
-                        ("scan_steps_max", Json::Num(p.scan_steps_max)),
-                        ("scan_p50_ns", Json::Num(p.scan_p50_ns)),
-                        ("scan_p99_ns", Json::Num(p.scan_p99_ns)),
-                        (
-                            "steps_p99_vs_coordinated",
-                            Json::Num(p.steps_p99_vs_coordinated),
-                        ),
-                    ])
-                })),
-            ),
-        ])
-    }
+        .with("rustc", text(command_line("rustc", &["--version"])))
+        .with("seed", seed)
+        .with("effort", effort.name())
+        .with("ops", effort.ops())
 }
 
-struct E12Measured {
-    scan_steps: Summary,
-    scan_latency_ns: Summary,
-}
-
-/// One E12 point: one scanner measures `ops` scans spanning every shard
-/// while `updaters` chaos-perturbed writers hammer exactly the scanned
-/// components and one batcher streams cross-shard batches over them. The
-/// chaos sleeps park writers at base-object boundaries — mid-update,
-/// mid-batch — which is the schedule that drives the coordinated path into
-/// its retry rounds and fallback drains and leaves the multiversioned path
-/// untouched.
-fn e12_point(kind: ImplKind, m: usize, shards: usize, updaters: usize, ops: usize) -> E12Measured {
-    use psnap_shmem::chaos::{self, ChaosConfig};
-
-    let batcher_pid = updaters;
-    let scanner_pid = updaters + 1;
-    let snapshot = kind.build(m, updaters + 2, 0);
-    // One scanned component per shard: every scan is maximally cross-shard.
-    let comps: Vec<usize> = (0..shards.max(1))
-        .map(|s| s * (m / shards.max(1)))
-        .collect();
-    let stop = Arc::new(AtomicBool::new(false));
-    std::thread::scope(|scope| {
-        for u in 0..updaters {
-            let snapshot = Arc::clone(&snapshot);
-            let stop = Arc::clone(&stop);
-            let target = comps[u % comps.len()];
-            scope.spawn(move || {
-                let _chaos = chaos::enable(
-                    0xE12 ^ ((u as u64) << 9),
-                    ChaosConfig {
-                        perturb_probability: 0.3,
-                        sleep_probability: 0.3,
-                        max_sleep_us: 100,
-                        max_spin: 64,
-                        ..ChaosConfig::default()
-                    },
-                );
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    snapshot.update(ProcessId(u), target, i + 1);
-                    i += 1;
-                }
-            });
-        }
-        {
-            // The batch stream: one update_many spanning every scanned
-            // component, under the same parking chaos — the mid-batch seam.
-            // At 1 shard a single scanned component would degenerate the
-            // batch to a plain update (last-write-wins reduction) and never
-            // enter the batch gate the baseline is about, so widen it to
-            // two components there.
-            let snapshot = Arc::clone(&snapshot);
-            let stop = Arc::clone(&stop);
-            let mut comps = comps.clone();
-            if comps.len() == 1 {
-                comps.push(m / 2);
-            }
-            scope.spawn(move || {
-                let _chaos = chaos::enable(
-                    0xE12BA,
-                    ChaosConfig {
-                        perturb_probability: 0.3,
-                        sleep_probability: 0.3,
-                        max_sleep_us: 100,
-                        max_spin: 64,
-                        ..ChaosConfig::default()
-                    },
-                );
-                let mut v = 1u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let writes: Vec<(usize, u64)> = comps.iter().map(|&c| (c, v)).collect();
-                    snapshot.update_many(ProcessId(batcher_pid), &writes);
-                    v += 1;
-                }
-            });
-        }
-        let mut steps = Vec::with_capacity(ops);
-        let mut latency = Vec::with_capacity(ops);
-        // Let the churn ramp up before measuring.
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        for _ in 0..ops {
-            let scope_steps = StepScope::start();
-            let t0 = std::time::Instant::now();
-            let values = snapshot.scan(ProcessId(scanner_pid), &comps);
-            latency.push(t0.elapsed().as_nanos() as f64);
-            steps.push(scope_steps.finish().total());
-            assert_eq!(values.len(), comps.len());
-        }
-        stop.store(true, Ordering::Relaxed);
-        E12Measured {
-            scan_steps: Summary::of_u64(&steps),
-            scan_latency_ns: Summary::of(&latency),
-        }
-    })
-}
-
-/// Runs the E12 measurement: multiversioned vs retry/fallback scans under
-/// writer churn, across shard counts.
-pub fn e12_multiversion_data(effort: Effort) -> E12Data {
-    let m = 64;
-    let updaters = 4;
-    let ops = effort.ops * 4;
-    let mut points = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let coordinated_kind = if shards == 1 {
-            ImplKind::Cas
-        } else {
-            ImplKind::sharded_cas(shards, psnap_shard::Partition::Contiguous)
-        };
-        let mv_kind = if shards == 1 {
-            ImplKind::Mv
-        } else {
-            ImplKind::mv_sharded(shards, psnap_shard::Partition::Contiguous)
-        };
-        let coordinated = e12_point(coordinated_kind, m, shards, updaters, ops);
-        let mv = e12_point(mv_kind, m, shards, updaters, ops);
-        let baseline_p99 = coordinated.scan_steps.p99;
-        for (kind, path, measured) in [
-            (coordinated_kind, "coordinated", coordinated),
-            (mv_kind, "mv", mv),
-        ] {
-            points.push(E12Point {
-                impl_label: kind.label(),
-                shards,
-                path,
-                scan_steps_mean: measured.scan_steps.mean,
-                scan_steps_p99: measured.scan_steps.p99,
-                scan_steps_max: measured.scan_steps.max,
-                scan_p50_ns: measured.scan_latency_ns.p50,
-                scan_p99_ns: measured.scan_latency_ns.p99,
-                steps_p99_vs_coordinated: if baseline_p99 > 0.0 {
-                    measured.scan_steps.p99 / baseline_p99
-                } else {
-                    0.0
-                },
-            });
-        }
-    }
-    E12Data {
-        m,
-        r: 4,
-        updaters,
-        batchers: 1,
-        ops,
-        points,
-    }
-}
-
-/// E12 — wait-free multiversioned scans vs the retry/fallback baseline.
-pub fn e12_multiversion(effort: Effort) -> Table {
-    e12_multiversion_table(&e12_multiversion_data(effort))
-}
-
-/// Renders already-measured E12 data as a table (lets the harness emit the
-/// markdown table and `BENCH_E12.json` from one measurement run).
-pub fn e12_multiversion_table(data: &E12Data) -> Table {
-    let rows = data
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.shards.to_string(),
-                p.path.to_string(),
-                p.impl_label.to_string(),
-                format!("{:.1}", p.scan_steps_mean),
-                format!("{:.0}", p.scan_steps_p99),
-                format!("{:.0}", p.scan_steps_max),
-                format!("{:.1}", p.scan_p50_ns / 1000.0),
-                format!("{:.1}", p.scan_p99_ns / 1000.0),
-                format!("{:.2}x", p.steps_p99_vs_coordinated),
-            ]
-        })
-        .collect();
-    Table {
-        id: "E12".into(),
-        title: data.description(),
-        headers: vec![
-            "shards".into(),
-            "path".into(),
-            "impl".into(),
-            "scan steps (mean)".into(),
-            "scan steps (p99)".into(),
-            "scan steps (max)".into(),
-            "scan p50 µs".into(),
-            "scan p99 µs".into(),
-            "steps p99 vs coordinated".into(),
-        ],
-        rows,
-    }
-}
-
-/// One grid point of experiment E13: the same E10-style workload measured
-/// with the observability layer recording and with it disabled.
-#[derive(Clone, Debug)]
-pub struct E13Point {
-    /// Implementation label (`ImplKind::label`).
-    pub impl_label: &'static str,
-    /// Shard count of the measured object.
-    pub shards: usize,
-    /// `"uniform"` or `"zipf"`.
-    pub dist: &'static str,
-    /// Components written per batch.
-    pub batch: usize,
-    /// Mean base-object steps per component written, obs **disabled**.
-    pub off_steps_per_component: f64,
-    /// Mean base-object steps per component written, obs **enabled**.
-    pub on_steps_per_component: f64,
-    /// Component writes per second, obs **disabled**.
-    pub off_comps_per_sec: f64,
-    /// Component writes per second, obs **enabled**.
-    pub on_comps_per_sec: f64,
-    /// Step-count overhead of recording, percent (must be 0: metrics never
-    /// call `steps::record`, so the paper's cost metric is unperturbed by
-    /// construction — this column *verifies* that claim).
-    pub step_overhead_pct: f64,
-    /// Wall-clock overhead of recording, percent (noisy per point; the
-    /// aggregate is the acceptance number).
-    pub wall_overhead_pct: f64,
-}
-
-/// The raw data behind experiment E13 (also serialized to `BENCH_E13.json`).
-#[derive(Clone, Debug)]
-pub struct E13Data {
-    /// Number of components of each measured object.
-    pub m: usize,
-    /// Batches measured per point and obs state.
-    pub ops: usize,
-    /// Continuously scanning background processes per point.
-    pub scanners: usize,
-    /// One entry per (implementation × distribution × batch size).
-    pub points: Vec<E13Point>,
-    /// Grid-aggregate step overhead, percent (total steps on vs off).
-    pub aggregate_step_overhead_pct: f64,
-    /// Grid-aggregate wall-clock overhead, percent (total batched apply
-    /// time on vs off over the whole grid — the < 3% acceptance number).
-    pub aggregate_wall_overhead_pct: f64,
-}
-
-impl E13Data {
-    /// The experiment description used by the table and the JSON document.
-    pub fn description(&self) -> String {
-        format!(
-            "cost of the observability layer (psnap-obs): the E10 grid (shard count × \
-             distribution × batch size, m = {}, {} scanners) run twice per point — \
-             once with metric recording enabled (trace collection stays opt-in/off, \
-             as in production), once with the global obs switch off. Recording never \
-             calls steps::record, so any step delta is pure interleaving noise, not \
-             instrumentation cost; wall-clock overhead is the price of the striped \
-             counter adds and histogram records on the hot paths, acceptable below \
-             3% on the grid aggregate.",
-            self.m, self.scanners
-        )
-    }
-
-    /// Serializes the data for `BENCH_E13.json`.
-    pub fn to_json(&self) -> psnap_json::Json {
-        use psnap_json::Json;
-        Json::obj([
-            ("experiment", Json::Str("E13".into())),
-            ("description", Json::Str(self.description())),
-            ("m", Json::Num(self.m as f64)),
-            ("ops", Json::Num(self.ops as f64)),
-            ("scanners", Json::Num(self.scanners as f64)),
-            (
-                "aggregate_step_overhead_pct",
-                Json::Num(self.aggregate_step_overhead_pct),
-            ),
-            (
-                "aggregate_wall_overhead_pct",
-                Json::Num(self.aggregate_wall_overhead_pct),
-            ),
-            (
-                "points",
-                Json::arr(self.points.iter().map(|p| {
-                    Json::obj([
-                        ("impl", Json::Str(p.impl_label.into())),
-                        ("shards", Json::Num(p.shards as f64)),
-                        ("dist", Json::Str(p.dist.into())),
-                        ("batch", Json::Num(p.batch as f64)),
-                        (
-                            "off_steps_per_component",
-                            Json::Num(p.off_steps_per_component),
-                        ),
-                        (
-                            "on_steps_per_component",
-                            Json::Num(p.on_steps_per_component),
-                        ),
-                        ("off_comps_per_sec", Json::Num(p.off_comps_per_sec)),
-                        ("on_comps_per_sec", Json::Num(p.on_comps_per_sec)),
-                        ("step_overhead_pct", Json::Num(p.step_overhead_pct)),
-                        ("wall_overhead_pct", Json::Num(p.wall_overhead_pct)),
-                    ])
-                })),
-            ),
-        ])
-    }
-}
-
-/// Runs the E13 measurement: the E10 grid, obs off vs obs on per point.
-pub fn e13_obs_overhead_data(effort: Effort) -> E13Data {
-    let m = 256;
-    let scanners = 2;
-    let ops = effort.ops;
-    let mut points = Vec::new();
-    let mut total_on_steps = 0.0f64;
-    let mut total_off_steps = 0.0f64;
-    let mut total_on_secs = 0.0f64;
-    let mut total_off_secs = 0.0f64;
-    let was_enabled = psnap_obs::enabled();
-    for shards in [1usize, 2, 4, 8] {
-        let kind = if shards == 1 {
-            ImplKind::Cas
-        } else {
-            ImplKind::sharded_cas(shards, psnap_shard::Partition::Contiguous)
-        };
-        for (dist, zipf_s) in [("uniform", None), ("zipf", Some(0.9f64))] {
-            for batch in [2usize, 4, 8, 16] {
-                // Off first, then on: identical seeds, so both runs apply the
-                // same component sets under the same scanner pressure.
-                psnap_obs::set_enabled(false);
-                let (off_steps, _, off_tput, _) = e10_point(kind, m, batch, ops, scanners, zipf_s);
-                psnap_obs::set_enabled(true);
-                let (on_steps, _, on_tput, _) = e10_point(kind, m, batch, ops, scanners, zipf_s);
-                let components = (ops * batch) as f64;
-                total_off_steps += off_steps * components;
-                total_on_steps += on_steps * components;
-                if off_tput > 0.0 {
-                    total_off_secs += components / off_tput;
-                }
-                if on_tput > 0.0 {
-                    total_on_secs += components / on_tput;
-                }
-                points.push(E13Point {
-                    impl_label: kind.label(),
-                    shards,
-                    dist,
-                    batch,
-                    off_steps_per_component: off_steps,
-                    on_steps_per_component: on_steps,
-                    off_comps_per_sec: off_tput,
-                    on_comps_per_sec: on_tput,
-                    step_overhead_pct: overhead_pct(on_steps, off_steps),
-                    wall_overhead_pct: if on_tput > 0.0 && off_tput > 0.0 {
-                        overhead_pct(1.0 / on_tput, 1.0 / off_tput)
-                    } else {
-                        0.0
-                    },
-                });
-            }
-        }
-    }
-    psnap_obs::set_enabled(was_enabled);
-    E13Data {
-        m,
-        ops,
-        scanners,
-        points,
-        aggregate_step_overhead_pct: overhead_pct(total_on_steps, total_off_steps),
-        aggregate_wall_overhead_pct: overhead_pct(total_on_secs, total_off_secs),
-    }
-}
-
-/// `(on - off) / off`, in percent (0 when the baseline is 0).
-fn overhead_pct(on: f64, off: f64) -> f64 {
-    if off == 0.0 {
-        0.0
-    } else {
-        (on - off) / off * 100.0
-    }
-}
-
-/// E13 — the cost of the observability layer itself.
-pub fn e13_obs_overhead(effort: Effort) -> Table {
-    e13_obs_overhead_table(&e13_obs_overhead_data(effort))
-}
-
-/// Renders already-measured E13 data as a table (lets the harness emit the
-/// markdown table and `BENCH_E13.json` from one measurement run).
-pub fn e13_obs_overhead_table(data: &E13Data) -> Table {
-    let mut rows: Vec<Vec<String>> = data
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.impl_label.to_string(),
-                p.shards.to_string(),
-                p.dist.to_string(),
-                p.batch.to_string(),
-                format!("{:.1}", p.off_steps_per_component),
-                format!("{:.1}", p.on_steps_per_component),
-                format!("{:+.2}%", p.step_overhead_pct),
-                format!("{:.0}", p.off_comps_per_sec / 1000.0),
-                format!("{:.0}", p.on_comps_per_sec / 1000.0),
-                format!("{:+.2}%", p.wall_overhead_pct),
-            ]
-        })
-        .collect();
-    rows.push(vec![
-        "**aggregate**".into(),
-        "—".into(),
-        "—".into(),
-        "—".into(),
-        "—".into(),
-        "—".into(),
-        format!("{:+.2}%", data.aggregate_step_overhead_pct),
-        "—".into(),
-        "—".into(),
-        format!("{:+.2}%", data.aggregate_wall_overhead_pct),
-    ]);
-    Table {
-        id: "E13".into(),
-        title: data.description(),
-        headers: vec![
-            "impl".into(),
-            "shards".into(),
-            "dist".into(),
-            "batch".into(),
-            "steps/comp (off)".into(),
-            "steps/comp (on)".into(),
-            "step overhead".into(),
-            "kcomps/s (off)".into(),
-            "kcomps/s (on)".into(),
-            "wall overhead".into(),
-        ],
-        rows,
-    }
-}
-
-/// One grid point of experiment E14: the service frontend under a freshness
-/// mix, one (backend × stale fraction × clients × policy) cell.
-#[derive(Clone, Debug)]
-pub struct E14Point {
-    /// Backend label (`ImplKind::label`).
-    pub backend: &'static str,
-    /// Fraction of client scans issued `AtMostStale` (the rest are Fresh).
-    pub stale_frac: f64,
-    /// Client threads driving the service.
-    pub clients: usize,
-    /// Coalescing policy label: `none`, `window-100us`, `window-400us`,
-    /// `adaptive`.
-    pub mode: &'static str,
-    /// Aggregate client operations per second.
-    pub ops_per_sec: f64,
-    /// Client-observed scan latency percentiles (nanoseconds).
-    pub scan_p50_ns: f64,
-    /// Client-observed scan latency, 99th percentile (nanoseconds).
-    pub scan_p99_ns: f64,
-    /// Scans answered by the three serving tiers.
-    pub served_mv: f64,
-    /// Scans answered from a cached union.
-    pub served_cache: f64,
-    /// Scans answered by a backing scan.
-    pub served_backing: f64,
-    /// Backing union scans actually executed.
-    pub backing_scans: f64,
-    /// `served_mv / (served_mv + served_cache + served_backing)` — the mv
-    /// stale-read hit ratio. 0 on backends without version history.
-    pub mv_hit_ratio: f64,
-    /// Median coalescing-window decision (nanoseconds); 0 under `none`,
-    /// fixed under `window-*`, and whatever the controller chose under
-    /// `adaptive`.
-    pub window_p50_ns: f64,
-    /// This point's throughput over the `none` baseline at the same cell.
-    pub throughput_vs_none: f64,
-    /// For `adaptive` rows: throughput over the **best fixed-window** row of
-    /// the same cell (the tentpole's acceptance bar, ≥ 1 in aggregate).
-    /// 1.0 for every other mode.
-    pub throughput_vs_best_fixed: f64,
-}
-
-/// The raw data behind experiment E14 (also serialized to `BENCH_E14.json`).
-#[derive(Clone, Debug)]
-pub struct E14Data {
-    /// Components of the backing object.
-    pub m: usize,
-    /// Components per scan.
-    pub r: usize,
-    /// Operations per client at each point.
-    pub ops_per_client: usize,
-    /// Staleness bound handed to `AtMostStale` requests (microseconds).
-    pub stale_bound_us: f64,
-    /// One entry per (backend × stale fraction × clients × policy).
-    pub points: Vec<E14Point>,
-}
-
-impl E14Data {
-    /// The experiment description used by the table and the JSON document.
-    pub fn description(&self) -> String {
-        format!(
-            "fast-path scan serving: aggregate throughput and scan p50/p99 vs \
-             client count × coalescing policy × freshness mix (m = {}, r = {}, \
-             every 8th client op an ingested update, scans drawn from 12 \
-             Zipf-popular query shapes, two direct background updaters; \
-             `AtMostStale({}µs)` requests on a fraction of scans, the rest \
-             Fresh; Cas and 4-way multiversioned-sharded backends, the sharded \
-             rows running two parallel scan-server pids). Stale requests are \
-             served cache-first, then from the backend's version chains \
-             (`scan_stale`, a bounded targeted read of only the requested \
-             registers), then by joining the next backing union — on the mv \
-             backend a pure-stale mix therefore executes **zero** backing \
-             scans (mv_hit_ratio + cache absorb everything). The `adaptive` \
-             policy sizes the coalescing window from the observed arrival \
-             rate and backing-scan latency, opening one only past break-even \
-             and dispatching lone requests at an idle server immediately, so \
-             it tracks the best fixed window at every client count \
-             (throughput_vs_best_fixed) without per-deployment tuning.",
-            self.m, self.r, self.stale_bound_us
-        )
-    }
-
-    /// Serializes the data for `BENCH_E14.json`.
-    pub fn to_json(&self) -> psnap_json::Json {
-        use psnap_json::Json;
-        Json::obj([
-            ("experiment", Json::Str("E14".into())),
-            ("description", Json::Str(self.description())),
-            ("m", Json::Num(self.m as f64)),
-            ("r", Json::Num(self.r as f64)),
-            ("ops_per_client", Json::Num(self.ops_per_client as f64)),
-            ("stale_bound_us", Json::Num(self.stale_bound_us)),
-            (
-                "points",
-                Json::arr(self.points.iter().map(|p| {
-                    Json::obj([
-                        ("backend", Json::Str(p.backend.into())),
-                        ("stale_frac", Json::Num(p.stale_frac)),
-                        ("clients", Json::Num(p.clients as f64)),
-                        ("mode", Json::Str(p.mode.into())),
-                        ("ops_per_sec", Json::Num(p.ops_per_sec)),
-                        ("scan_p50_ns", Json::Num(p.scan_p50_ns)),
-                        ("scan_p99_ns", Json::Num(p.scan_p99_ns)),
-                        ("served_mv", Json::Num(p.served_mv)),
-                        ("served_cache", Json::Num(p.served_cache)),
-                        ("served_backing", Json::Num(p.served_backing)),
-                        ("backing_scans", Json::Num(p.backing_scans)),
-                        ("mv_hit_ratio", Json::Num(p.mv_hit_ratio)),
-                        ("window_p50_ns", Json::Num(p.window_p50_ns)),
-                        ("throughput_vs_none", Json::Num(p.throughput_vs_none)),
-                        (
-                            "throughput_vs_best_fixed",
-                            Json::Num(p.throughput_vs_best_fixed),
-                        ),
-                    ])
-                })),
-            ),
-        ])
-    }
-}
-
-struct E14Measured {
-    ops_per_sec: f64,
-    scan_latency: Summary,
-    served_mv: f64,
-    served_cache: f64,
-    served_backing: f64,
-    backing_scans: f64,
-    window_p50_ns: f64,
-}
-
-/// One E14 point: like [`e11_point`] but with a freshness mix — a seeded
-/// coin issues each scan `AtMostStale(bound)` with probability `stale_frac`
-/// — and, on sharded backends, two scan-server pids so disjoint unions run
-/// in parallel.
-#[allow(clippy::too_many_arguments)]
-fn e14_point(
-    kind: ImplKind,
-    m: usize,
-    r: usize,
-    clients: usize,
-    ops: usize,
-    stale_frac: f64,
-    stale_bound: std::time::Duration,
-    scan_pids: usize,
-    coalescing: psnap_serve::Coalescing,
-) -> E14Measured {
-    use psnap_serve::{Executor, Freshness, ServiceConfig, SnapshotService, SubmitError};
-    use psnap_workloads::IndexDist;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let bg_updaters = 2usize;
-    let service_pids = 1 + scan_pids; // drainer + scan-server pool
-    let snapshot = kind.build(m, service_pids + bg_updaters, 0);
-    let stop_bg = Arc::new(AtomicBool::new(false));
-    let bg_handles: Vec<_> = (0..bg_updaters)
-        .map(|u| {
-            let snapshot = Arc::clone(&snapshot);
-            let stop = Arc::clone(&stop_bg);
-            let dist = IndexDist::zipf(m, 0.9);
-            std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xE14B6 ^ ((u as u64) << 5));
-                let mut v = 1u64;
-                while !stop.load(Ordering::Relaxed) {
-                    snapshot.update(ProcessId(service_pids + u), dist.sample(&mut rng), v);
-                    v += 1;
-                }
-            })
-        })
-        .collect();
-    let executor = Executor::new(2 + scan_pids.saturating_sub(1));
-    let service = SnapshotService::start(
-        Arc::clone(&snapshot),
-        ServiceConfig {
-            coalescing,
-            ingest_capacity: 64,
-            scan_capacity: 1024,
-            scan_pids,
-            ..ServiceConfig::default()
-        },
-        &executor,
-    );
-    let dist = IndexDist::zipf(m, 0.9);
-    let queries: Vec<Vec<usize>> = {
-        let mut rng = StdRng::seed_from_u64(0xE140);
-        (0..12).map(|_| dist.sample_set(&mut rng, r)).collect()
-    };
-    let query_popularity = IndexDist::zipf(queries.len(), 1.0);
-    let barrier = std::sync::Barrier::new(clients);
-    let mut scan_latency = Vec::new();
-    let mut longest_wall = std::time::Duration::ZERO;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for c in 0..clients {
-            let client = service.client();
-            let dist = dist.clone();
-            let queries = &queries;
-            let query_popularity = query_popularity.clone();
-            let barrier = &barrier;
-            handles.push(scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xE14 ^ ((c as u64) << 11));
-                let mut scans = Vec::with_capacity(ops);
-                barrier.wait();
-                let t_start = std::time::Instant::now();
-                for k in 0..ops {
-                    if k % 8 == 0 {
-                        let component = dist.sample(&mut rng);
-                        loop {
-                            match client.submit(component, (k as u64) << 8 | c as u64) {
-                                Ok(ticket) => {
-                                    ticket.wait();
-                                    break;
-                                }
-                                Err(SubmitError::Busy) => std::thread::yield_now(),
-                                Err(SubmitError::Closed) => panic!("service closed mid-run"),
-                            }
-                        }
-                    } else {
-                        let components = queries[query_popularity.sample(&mut rng)].clone();
-                        let freshness = if rng.gen_bool(stale_frac) {
-                            Freshness::AtMostStale(stale_bound)
-                        } else {
-                            Freshness::Fresh
-                        };
-                        let t0 = std::time::Instant::now();
-                        loop {
-                            match client.scan(components.clone(), freshness) {
-                                Ok(ticket) => {
-                                    let values = ticket.wait();
-                                    debug_assert_eq!(values.len(), components.len());
-                                    break;
-                                }
-                                Err(SubmitError::Busy) => std::thread::yield_now(),
-                                Err(SubmitError::Closed) => panic!("service closed mid-run"),
-                            }
-                        }
-                        scans.push(t0.elapsed().as_nanos() as f64);
-                    }
-                }
-                (scans, t_start.elapsed())
-            }));
-        }
-        for h in handles {
-            let (scans, wall) = h.join().expect("E14 client panicked");
-            scan_latency.extend(scans);
-            longest_wall = longest_wall.max(wall);
-        }
-    });
-    stop_bg.store(true, Ordering::Relaxed);
-    for h in bg_handles {
-        h.join().expect("E14 background updater panicked");
-    }
-    let stats = service.stats();
-    service.shutdown();
-    E14Measured {
-        ops_per_sec: if longest_wall.is_zero() {
-            0.0
-        } else {
-            (clients * ops) as f64 / longest_wall.as_secs_f64()
-        },
-        scan_latency: Summary::of(&scan_latency),
-        served_mv: stats.scans_served_mv as f64,
-        served_cache: stats.scans_served_cache as f64,
-        served_backing: stats.scans_served_backing as f64,
-        backing_scans: stats.backing_scans as f64,
-        window_p50_ns: stats.window_ns.p50 as f64,
-    }
-}
-
-/// Runs the E14 measurement: the freshness-mix × coalescing-policy grid on
-/// the Cas and multiversioned-sharded backends.
-pub fn e14_fastpath_data(effort: Effort) -> E14Data {
-    use psnap_serve::Coalescing;
-    let m = 256;
-    let r = 16;
-    let ops = effort.ops;
-    let stale_bound = std::time::Duration::from_micros(500);
-    let modes: [(&'static str, Coalescing); 4] = [
-        ("none", Coalescing::Disabled),
-        (
-            "window-100us",
-            Coalescing::Window(std::time::Duration::from_micros(100)),
-        ),
-        (
-            "window-400us",
-            Coalescing::Window(std::time::Duration::from_micros(400)),
-        ),
-        ("adaptive", Coalescing::adaptive()),
-    ];
-    let mut points = Vec::new();
-    for (backend, kind, scan_pids) in [
-        ("fig3-cas", ImplKind::Cas, 1usize),
-        ("mv-sharded-k4", ImplKind::MV_SHARDED_4, 2usize),
-    ] {
-        for stale_frac in [0.0f64, 0.5, 1.0] {
-            for clients in [2usize, 8] {
-                let mut none_tput: Option<f64> = None;
-                let mut best_fixed = 0.0f64;
-                let mut cell = Vec::new();
-                for (mode, coalescing) in modes {
-                    let measured = e14_point(
-                        kind,
-                        m,
-                        r,
-                        clients,
-                        ops,
-                        stale_frac,
-                        stale_bound,
-                        scan_pids,
-                        coalescing,
-                    );
-                    let base = *none_tput.get_or_insert(measured.ops_per_sec);
-                    if mode.starts_with("window") {
-                        best_fixed = best_fixed.max(measured.ops_per_sec);
-                    }
-                    let served =
-                        measured.served_mv + measured.served_cache + measured.served_backing;
-                    cell.push(E14Point {
-                        backend,
-                        stale_frac,
-                        clients,
-                        mode,
-                        ops_per_sec: measured.ops_per_sec,
-                        scan_p50_ns: measured.scan_latency.p50,
-                        scan_p99_ns: measured.scan_latency.p99,
-                        served_mv: measured.served_mv,
-                        served_cache: measured.served_cache,
-                        served_backing: measured.served_backing,
-                        backing_scans: measured.backing_scans,
-                        mv_hit_ratio: if served > 0.0 {
-                            measured.served_mv / served
-                        } else {
-                            0.0
-                        },
-                        window_p50_ns: measured.window_p50_ns,
-                        throughput_vs_none: if base > 0.0 {
-                            measured.ops_per_sec / base
-                        } else {
-                            0.0
-                        },
-                        throughput_vs_best_fixed: 1.0,
-                    });
-                }
-                for p in &mut cell {
-                    if p.mode == "adaptive" && best_fixed > 0.0 {
-                        p.throughput_vs_best_fixed = p.ops_per_sec / best_fixed;
-                    }
-                }
-                points.extend(cell);
-            }
-        }
-    }
-    E14Data {
-        m,
-        r,
-        ops_per_client: ops,
-        stale_bound_us: stale_bound.as_secs_f64() * 1e6,
-        points,
-    }
-}
-
-/// E14 — fast-path scan serving: stale tiers and the adaptive window.
-pub fn e14_fastpath(effort: Effort) -> Table {
-    e14_fastpath_table(&e14_fastpath_data(effort))
-}
-
-/// Renders already-measured E14 data as a table (lets the harness emit the
-/// markdown table and `BENCH_E14.json` from one measurement run).
-pub fn e14_fastpath_table(data: &E14Data) -> Table {
-    let rows = data
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.backend.to_string(),
-                format!("{:.0}%", p.stale_frac * 100.0),
-                p.clients.to_string(),
-                p.mode.to_string(),
-                format!("{:.0}", p.ops_per_sec / 1000.0),
-                format!("{:.1}", p.scan_p50_ns / 1000.0),
-                format!("{:.1}", p.scan_p99_ns / 1000.0),
-                format!("{:.2}", p.mv_hit_ratio),
-                format!("{:.0}", p.backing_scans),
-                format!("{:.1}", p.window_p50_ns / 1000.0),
-                format!("{:.2}x", p.throughput_vs_none),
-                if p.mode == "adaptive" {
-                    format!("{:.2}x", p.throughput_vs_best_fixed)
-                } else {
-                    "—".into()
-                },
-            ]
-        })
-        .collect();
-    Table {
-        id: "E14".into(),
-        title: data.description(),
-        headers: vec![
-            "backend".into(),
-            "stale".into(),
-            "clients".into(),
-            "mode".into(),
-            "client kops/s".into(),
-            "scan p50 µs".into(),
-            "scan p99 µs".into(),
-            "mv hit ratio".into(),
-            "backing scans".into(),
-            "window p50 µs".into(),
-            "vs none".into(),
-            "vs best fixed".into(),
-        ],
-        rows,
-    }
-}
-
-/// One grid point of experiment E15: a targeted reshard storm under live
-/// Zipf traffic, one (backend × skew) cell.
-#[derive(Clone, Debug)]
-pub struct E15Point {
-    /// Backend label (`ImplKind::label`). The multiversioned backend
-    /// migrates behind the shared camera without quiescing traffic; the
-    /// Figure-3 sharded backend is the deliberate drain-and-rebuild
-    /// baseline, so the storm's latency cost lands on its rows.
-    pub backend: &'static str,
-    /// Zipf skew parameter shared by the update and scan distributions.
-    pub zipf_s: f64,
-    /// Owning shards (non-empty slot sets) before the storm.
-    pub shards_before: usize,
-    /// Owning shards after the storm.
-    pub shards_after: usize,
-    /// Reshard operations the storm actually applied.
-    pub reshards: u64,
-    /// Partition-map generation after the storm.
-    pub generation: u64,
-    /// Scan latency p50 on the static layout (nanoseconds).
-    pub baseline_p50_ns: f64,
-    /// Scan latency p99 on the static layout (nanoseconds).
-    pub baseline_p99_ns: f64,
-    /// Scan latency p50 while the storm ran (nanoseconds).
-    pub reshard_p50_ns: f64,
-    /// Scan latency p99 while the storm ran (nanoseconds).
-    pub reshard_p99_ns: f64,
-    /// Worst single scan observed during the storm (nanoseconds) — the
-    /// drain-and-rebuild availability gap shows up here.
-    pub worst_stall_ns: f64,
-    /// `reshard_p99_ns / baseline_p99_ns`.
-    pub p99_ratio: f64,
-    /// Heat skew (hottest owning shard / mean owning shard) before the storm.
-    pub skew_before: f64,
-    /// Heat skew after the storm; targeted splits should pull it down.
-    pub skew_after: f64,
-    /// Scans that observed a per-component monotonicity violation (a torn
-    /// or lost write). Must be 0 on every backend.
-    pub torn_scans: u64,
-    /// Scans that returned the wrong shape. Must be 0.
-    pub failed_scans: u64,
-}
-
-/// The raw data behind experiment E15 (also serialized to `BENCH_E15.json`).
-#[derive(Clone, Debug)]
-pub struct E15Data {
-    /// Components of the backing object.
-    pub m: usize,
-    /// Components per scan.
-    pub r: usize,
-    /// Scans measured per phase (baseline / storm / settle).
-    pub ops_per_phase: usize,
-    /// One entry per (backend × Zipf skew).
-    pub points: Vec<E15Point>,
-}
-
-impl E15Data {
-    /// The experiment description used by the table and the JSON document.
-    pub fn description(&self) -> String {
-        format!(
-            "online resharding under live traffic: scan p50/p99 on a static \
-             two-shard layout vs through a heat-targeted reshard storm \
-             (split-hottest ×3 then merge-coldest), m = {}, r = {}, two \
-             single-writer Zipf updaters running throughout, scans drawn \
-             from 12 Zipf-popular query shapes. The multiversioned backend \
-             migrates behind the shared timestamp camera — writers and \
-             scanners keep running during the copy — while the Figure-3 \
-             sharded backend drains and rebuilds under a latch, so its storm \
-             p99 and worst stall absorb the full quiescence gap. Every scan \
-             is checked for per-component monotonicity against the \
-             single-writer discipline; torn_scans and failed_scans must be \
-             zero on both backends (migration moves values exactly, across \
-             every generation). Heat skew (hottest/mean owning shard) is \
-             sampled before and after: targeted splits divide the hot \
-             shard's load, so skew_after < skew_before under a skewed \
-             distribution.",
-            self.m, self.r
-        )
-    }
-
-    /// Serializes the data for `BENCH_E15.json`.
-    pub fn to_json(&self) -> psnap_json::Json {
-        use psnap_json::Json;
-        Json::obj([
-            ("experiment", Json::Str("E15".into())),
-            ("description", Json::Str(self.description())),
-            ("m", Json::Num(self.m as f64)),
-            ("r", Json::Num(self.r as f64)),
-            ("ops_per_phase", Json::Num(self.ops_per_phase as f64)),
-            (
-                "points",
-                Json::arr(self.points.iter().map(|p| {
-                    Json::obj([
-                        ("backend", Json::Str(p.backend.into())),
-                        ("zipf_s", Json::Num(p.zipf_s)),
-                        ("shards_before", Json::Num(p.shards_before as f64)),
-                        ("shards_after", Json::Num(p.shards_after as f64)),
-                        ("reshards", Json::Num(p.reshards as f64)),
-                        ("generation", Json::Num(p.generation as f64)),
-                        ("baseline_p50_ns", Json::Num(p.baseline_p50_ns)),
-                        ("baseline_p99_ns", Json::Num(p.baseline_p99_ns)),
-                        ("reshard_p50_ns", Json::Num(p.reshard_p50_ns)),
-                        ("reshard_p99_ns", Json::Num(p.reshard_p99_ns)),
-                        ("worst_stall_ns", Json::Num(p.worst_stall_ns)),
-                        ("p99_ratio", Json::Num(p.p99_ratio)),
-                        ("skew_before", Json::Num(p.skew_before)),
-                        ("skew_after", Json::Num(p.skew_after)),
-                        ("torn_scans", Json::Num(p.torn_scans as f64)),
-                        ("failed_scans", Json::Num(p.failed_scans as f64)),
-                    ])
-                })),
-            ),
-        ])
-    }
-}
+/// The seed every E15 RNG stream is derived from.
+const E15_SEED: u64 = 0xE15;
 
 /// Heat skew over the owning shards: hottest window delta / mean delta.
 /// The heat vector grows across generations, so the (shorter) baseline is
@@ -2882,17 +363,13 @@ fn e15_heat_skew(before: &[u64], after: &[u64], sizes: &[usize]) -> f64 {
 /// flat) and then merges the coldest survivor. The storm phase loops until
 /// the storm thread is done, so every migration happens under measured
 /// scan + update traffic.
-fn e15_point(kind: ImplKind, m: usize, r: usize, ops: usize, zipf_s: f64) -> E15Point {
+fn e15_point(kind: ImplKind, m: usize, r: usize, ops: usize, zipf_s: f64) -> Row {
     use psnap_core::ReshardOp;
-    use psnap_workloads::IndexDist;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     let updaters = 2usize;
     // pids 0..updaters write, pid `updaters` scans; the resharder performs
     // no per-process snapshot operations.
     let snapshot = kind.build(m, updaters + 1, 0);
-    let backend = kind.label();
     let stop = Arc::new(AtomicBool::new(false));
     let update_handles: Vec<_> = (0..updaters)
         .map(|u| {
@@ -2900,7 +377,7 @@ fn e15_point(kind: ImplKind, m: usize, r: usize, ops: usize, zipf_s: f64) -> E15
             let stop = Arc::clone(&stop);
             let dist = IndexDist::zipf(m, zipf_s);
             std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xE15 ^ ((u as u64) << 7));
+                let mut rng = StdRng::seed_from_u64(E15_SEED ^ ((u as u64) << 7));
                 // Single-writer discipline: updater `u` owns the components
                 // with parity `u` and writes strictly increasing values to
                 // each, so any torn or lost migration shows up as a
@@ -2919,12 +396,12 @@ fn e15_point(kind: ImplKind, m: usize, r: usize, ops: usize, zipf_s: f64) -> E15
 
     let dist = IndexDist::zipf(m, zipf_s);
     let queries: Vec<Vec<usize>> = {
-        let mut rng = StdRng::seed_from_u64(0xE150);
+        let mut rng = StdRng::seed_from_u64(E15_SEED << 4);
         (0..12).map(|_| dist.sample_set(&mut rng, r)).collect()
     };
     let query_popularity = IndexDist::zipf(queries.len(), 1.0);
     let scanner_pid = ProcessId(updaters);
-    let mut rng = StdRng::seed_from_u64(0xE15C ^ (zipf_s.to_bits() >> 3));
+    let mut rng = StdRng::seed_from_u64((E15_SEED << 4 | 0xC) ^ (zipf_s.to_bits() >> 3));
     let mut last_seen = vec![0u64; m];
     let mut torn = 0u64;
     let mut failed = 0u64;
@@ -3043,959 +520,76 @@ fn e15_point(kind: ImplKind, m: usize, r: usize, ops: usize, zipf_s: f64) -> E15
     }
     let baseline_stats = Summary::of(&baseline);
     let through_stats = Summary::of(&through);
-    E15Point {
-        backend,
-        zipf_s,
-        shards_before,
-        shards_after,
-        reshards,
-        generation: snapshot.generation(),
-        baseline_p50_ns: baseline_stats.p50,
-        baseline_p99_ns: baseline_stats.p99,
-        reshard_p50_ns: through_stats.p50,
-        reshard_p99_ns: through_stats.p99,
-        worst_stall_ns: through.iter().cloned().fold(0.0f64, f64::max),
-        p99_ratio: if baseline_stats.p99 > 0.0 {
-            through_stats.p99 / baseline_stats.p99
-        } else {
-            0.0
-        },
-        skew_before,
-        skew_after,
-        torn_scans: torn,
-        failed_scans: failed,
-    }
+    Row::default()
+        .with("backend", kind.label())
+        .with("zipf_s", zipf_s)
+        // Owning shards (non-empty slot sets) around the storm.
+        .with("shards_before", shards_before)
+        .with("shards_after", shards_after)
+        .with("reshards", reshards)
+        .with("generation", snapshot.generation())
+        // Scan latency on the static layout, then while the storm ran.
+        .with("baseline_p50_ns", baseline_stats.p50)
+        .with("baseline_p99_ns", baseline_stats.p99)
+        .with("reshard_p50_ns", through_stats.p50)
+        .with("reshard_p99_ns", through_stats.p99)
+        // The drain-and-rebuild availability gap shows up here.
+        .with("worst_stall_ns", through_stats.max)
+        .with("p99_ratio", ratio(through_stats.p99, baseline_stats.p99))
+        // Hottest owning shard / mean owning shard; targeted splits should
+        // pull it down.
+        .with("skew_before", skew_before)
+        .with("skew_after", skew_after)
+        // Scans that saw a component go backwards (a torn or lost write) or
+        // came back with the wrong shape. Must be 0 on every backend.
+        .with("torn_scans", torn)
+        .with("failed_scans", failed)
 }
 
-/// Runs the E15 measurement: the live-migration backend against the
-/// drain-and-rebuild baseline, both starting from two contiguous shards,
-/// under moderately and heavily skewed Zipf traffic.
-pub fn e15_reshard_data(effort: Effort) -> E15Data {
-    let m = 256;
-    let r = 16;
-    let ops = effort.ops;
+/// E15 — online resharding under live traffic: the live-migration backend
+/// against the drain-and-rebuild baseline, both starting from two contiguous
+/// shards, under moderately and heavily skewed Zipf traffic.
+pub fn e15_reshard(effort: Effort) -> Report {
+    let (m, r) = (256, 16);
     let mut points = Vec::new();
     for kind in [
         ImplKind::mv_sharded(2, psnap_shard::Partition::Contiguous),
         ImplKind::sharded_cas(2, psnap_shard::Partition::Contiguous),
     ] {
         for zipf_s in [0.9f64, 1.2] {
-            points.push(e15_point(kind, m, r, ops, zipf_s));
+            points.push(e15_point(kind, m, r, effort.ops(), zipf_s));
         }
     }
-    E15Data {
-        m,
-        r,
-        ops_per_phase: ops,
-        points,
+    Report {
+        id: "E15",
+        description: "online resharding under live traffic: scan p50/p99 on a static \
+             two-shard layout vs through a heat-targeted reshard storm \
+             (split-hottest ×3 then merge-coldest), two single-writer Zipf \
+             updaters running throughout, scans drawn from 12 Zipf-popular \
+             query shapes. The multiversioned backend migrates behind the \
+             shared timestamp camera — writers and scanners keep running \
+             during the copy — while the Figure-3 sharded backend drains \
+             and rebuilds under a latch, so its storm p99 and worst stall \
+             absorb the full quiescence gap. Every scan is checked for \
+             per-component monotonicity against the single-writer discipline; \
+             torn_scans and failed_scans must be zero on both backends \
+             (migration moves values exactly, across every generation). \
+             Heat skew (hottest/mean owning shard) is sampled before and \
+             after: targeted splits divide the hot shard's load, so \
+             skew_after < skew_before under a skewed distribution"
+            .to_string(),
+        seed: E15_SEED,
+        effort,
+        params: Row::default()
+            .with("m", m)
+            .with("r", r)
+            .with("ops_per_phase", effort.ops()),
+        sections: vec![("points", points)],
     }
 }
 
-/// E15 — online resharding: live migration vs drain-and-rebuild.
-pub fn e15_reshard(effort: Effort) -> Table {
-    e15_reshard_table(&e15_reshard_data(effort))
-}
-
-/// Renders already-measured E15 data as a table (lets the harness emit the
-/// markdown table and `BENCH_E15.json` from one measurement run).
-pub fn e15_reshard_table(data: &E15Data) -> Table {
-    let rows = data
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.backend.to_string(),
-                format!("{:.1}", p.zipf_s),
-                format!("{}→{}", p.shards_before, p.shards_after),
-                p.generation.to_string(),
-                p.reshards.to_string(),
-                format!("{:.1}", p.baseline_p50_ns / 1000.0),
-                format!("{:.1}", p.baseline_p99_ns / 1000.0),
-                format!("{:.1}", p.reshard_p50_ns / 1000.0),
-                format!("{:.1}", p.reshard_p99_ns / 1000.0),
-                format!("{:.2}x", p.p99_ratio),
-                format!("{:.1}", p.worst_stall_ns / 1000.0),
-                format!("{:.2}→{:.2}", p.skew_before, p.skew_after),
-                p.torn_scans.to_string(),
-                p.failed_scans.to_string(),
-            ]
-        })
-        .collect();
-    Table {
-        id: "E15".into(),
-        title: data.description(),
-        headers: vec![
-            "backend".into(),
-            "zipf s".into(),
-            "shards".into(),
-            "gen".into(),
-            "reshards".into(),
-            "base p50 µs".into(),
-            "base p99 µs".into(),
-            "storm p50 µs".into(),
-            "storm p99 µs".into(),
-            "p99 ratio".into(),
-            "worst stall µs".into(),
-            "heat skew".into(),
-            "torn".into(),
-            "failed".into(),
-        ],
-        rows,
-    }
-}
-
-/// One Part-A grid point of experiment E16: the batched E10 workload with
-/// every `update_many` wrapped in an `Apply` span, measured with the span
-/// layer off and on.
-#[derive(Clone, Debug)]
-pub struct E16Point {
-    /// Implementation label (`ImplKind::label`).
-    pub impl_label: &'static str,
-    /// Shard count of the measured object.
-    pub shards: usize,
-    /// `"uniform"` or `"zipf"`.
-    pub dist: &'static str,
-    /// Components written per batch.
-    pub batch: usize,
-    /// Component writes per second, spans **disabled** (inert spans).
-    pub off_comps_per_sec: f64,
-    /// Component writes per second, spans **enabled** at full sampling
-    /// (trace + span + flight collection live on every batch).
-    pub on_comps_per_sec: f64,
-    /// Component writes per second, spans enabled at 1-in-8 root sampling.
-    pub sampled_comps_per_sec: f64,
-    /// Wall-clock overhead of full-sampling span collection, percent.
-    pub wall_overhead_pct: f64,
-    /// Wall-clock overhead at 1-in-8 root sampling, percent.
-    pub sampled_overhead_pct: f64,
-    /// Fraction of batch triples this point discarded because a scheduler
-    /// preemption quantum (~1000x the span signal) landed inside one of
-    /// the three timed windows; the trim is symmetric across arms.
-    pub trimmed_fraction: f64,
-    /// Step-count overhead. Spans never call `steps::record`, so the
-    /// paper's cost metric is unperturbed by construction (the e16 smoke
-    /// test verifies exact equality scanner-free); under live scanners this
-    /// delta only carries helping-interleaving noise.
-    pub step_overhead_pct: f64,
-}
-
-/// One per-stage latency-attribution row of experiment E16, computed from
-/// real span trees of a live service run (not from flat histograms).
-#[derive(Clone, Debug)]
-pub struct E16Stage {
-    /// Stage name (`SpanKind::as_str`, plus `"total"` for whole requests).
-    pub stage: &'static str,
-    /// Spans of this stage across the captured scan trees.
-    pub count: u64,
-    /// Median stage duration (nanoseconds).
-    pub p50_ns: f64,
-    /// 99th-percentile stage duration (nanoseconds).
-    pub p99_ns: f64,
-}
-
-/// The raw data behind experiment E16 (also serialized to `BENCH_E16.json`).
-#[derive(Clone, Debug)]
-pub struct E16Data {
-    /// Number of components of each measured object.
-    pub m: usize,
-    /// Batches measured per point and span state (Part A), and operations
-    /// per client in the attribution run (Part B).
-    pub ops: usize,
-    /// Continuously scanning background processes per Part-A point.
-    pub scanners: usize,
-    /// Part A: one entry per (implementation × distribution × batch size).
-    pub points: Vec<E16Point>,
-    /// Part A grid-aggregate wall-clock overhead at full sampling,
-    /// percent: the honest price of spanning **every** sub-microsecond
-    /// batch — reported, not bounded.
-    pub aggregate_wall_overhead_pct: f64,
-    /// Part A grid-aggregate wall-clock overhead at 1-in-8 root sampling,
-    /// percent (the < 3% acceptance number — the divisor exists exactly so
-    /// high-frequency instrumentation sites stay under the budget).
-    pub aggregate_sampled_overhead_pct: f64,
-    /// Part A grid-aggregate step overhead, percent (structurally 0; the
-    /// residual is scanner-helping interleaving noise).
-    pub aggregate_step_overhead_pct: f64,
-    /// Part B: per-stage p99 attribution from the captured span trees.
-    pub stages: Vec<E16Stage>,
-    /// Part B: completed scan trees the attribution was computed from.
-    pub trees_captured: usize,
-    /// Part C: the scan SLO handed to the service (nanoseconds).
-    pub slo_ns: u64,
-    /// Part C: the induced anomaly's reason (`AnomalyKind::as_str`).
-    pub anomaly_reason: String,
-    /// Part C: span trees frozen into the induced dump.
-    pub anomaly_dump_trees: usize,
-    /// Part C: whether the dump contains the triggering request's own tree
-    /// (a `ScanRequest` root whose recorded latency breaches the SLO).
-    pub triggering_tree_present: bool,
-    /// Part C: whether the dump round-trips through `psnap-json` exactly.
-    pub dump_round_trips: bool,
-}
-
-impl E16Data {
-    /// The experiment description used by the table and the JSON document.
-    pub fn description(&self) -> String {
-        format!(
-            "cost and yield of causal span tracing (psnap-obs span + flight \
-             layers). Part A prices the layer on the E10 grid (shard count \
-             × distribution × batch size, m = {}, {} scanners): every \
-             batched apply wrapped in an `apply` root span, three arms \
-             interleaved per batch in one scanner session — spans off \
-             (inert), spans on at full sampling, spans on at 1-in-8 root \
-             sampling — with trace rings live in all arms so each delta is \
-             the span increment alone (E13 already prices the flat layer). \
-             Batch triples holding a scheduler preemption quantum (~1000x \
-             the signal, unavoidable on a shared box) are discarded \
-             symmetrically across arms and the discarded fraction is \
-             reported. Full sampling is the honest price list: ~100-250ns \
-             per span is real money against sub-microsecond batches, which \
-             is exactly why the root sampling divisor exists — the 1-in-8 \
-             aggregate is the deployment answer for high-frequency sites \
-             and must stay under 3% wall; request-scale sites (the serve \
-             pipeline, Part B) afford full sampling outright. Spans never \
-             call steps::record (verified exactly, scanner-free, by the \
-             e16 smoke test; the grid's step delta only carries \
-             scanner-helping interleaving noise). Part B is the yield: a \
-             live service run (mv-sharded-k4, 4 clients, 100µs coalescing \
-             window, every 8th op an update) with spans on, per-stage \
-             p50/p99 attributed from the **real span trees** the flight \
-             recorder assembled — queue wait vs coalescing window vs \
-             backing scan vs merge fan-out, stages a flat histogram cannot \
-             separate per request. Part C induces an anomaly: a 1ns scan \
-             SLO forces a latency_slo trigger on a live service, and the \
-             frozen dump must contain the triggering request's own tree \
-             and round-trip through psnap-json.",
-            self.m, self.scanners
-        )
-    }
-
-    /// Serializes the data for `BENCH_E16.json`.
-    pub fn to_json(&self) -> psnap_json::Json {
-        use psnap_json::Json;
-        Json::obj([
-            ("experiment", Json::Str("E16".into())),
-            ("description", Json::Str(self.description())),
-            ("m", Json::Num(self.m as f64)),
-            ("ops", Json::Num(self.ops as f64)),
-            ("scanners", Json::Num(self.scanners as f64)),
-            (
-                "aggregate_wall_overhead_pct",
-                Json::Num(self.aggregate_wall_overhead_pct),
-            ),
-            (
-                "aggregate_sampled_overhead_pct",
-                Json::Num(self.aggregate_sampled_overhead_pct),
-            ),
-            (
-                "aggregate_step_overhead_pct",
-                Json::Num(self.aggregate_step_overhead_pct),
-            ),
-            (
-                "points",
-                Json::arr(self.points.iter().map(|p| {
-                    Json::obj([
-                        ("impl", Json::Str(p.impl_label.into())),
-                        ("shards", Json::Num(p.shards as f64)),
-                        ("dist", Json::Str(p.dist.into())),
-                        ("batch", Json::Num(p.batch as f64)),
-                        ("off_comps_per_sec", Json::Num(p.off_comps_per_sec)),
-                        ("on_comps_per_sec", Json::Num(p.on_comps_per_sec)),
-                        ("sampled_comps_per_sec", Json::Num(p.sampled_comps_per_sec)),
-                        ("wall_overhead_pct", Json::Num(p.wall_overhead_pct)),
-                        ("sampled_overhead_pct", Json::Num(p.sampled_overhead_pct)),
-                        ("trimmed_fraction", Json::Num(p.trimmed_fraction)),
-                        ("step_overhead_pct", Json::Num(p.step_overhead_pct)),
-                    ])
-                })),
-            ),
-            (
-                "stages",
-                Json::arr(self.stages.iter().map(|s| {
-                    Json::obj([
-                        ("stage", Json::Str(s.stage.into())),
-                        ("count", Json::Num(s.count as f64)),
-                        ("p50_ns", Json::Num(s.p50_ns)),
-                        ("p99_ns", Json::Num(s.p99_ns)),
-                    ])
-                })),
-            ),
-            ("trees_captured", Json::Num(self.trees_captured as f64)),
-            ("slo_ns", Json::Num(self.slo_ns as f64)),
-            ("anomaly_reason", Json::Str(self.anomaly_reason.clone())),
-            (
-                "anomaly_dump_trees",
-                Json::Num(self.anomaly_dump_trees as f64),
-            ),
-            (
-                "triggering_tree_present",
-                Json::Bool(self.triggering_tree_present),
-            ),
-            ("dump_round_trips", Json::Bool(self.dump_round_trips)),
-        ])
-    }
-}
-
-/// Root sampling divisor used by the E16 grid's third arm.
-const E16_SAMPLE_EVERY: u64 = 8;
-
-/// A timed batch window is discarded (with its whole triple) when it
-/// exceeds this multiple of the point's median spans-off window — that is
-/// a scheduler preemption quantum (milliseconds, three orders of magnitude
-/// above the span signal) landing inside the window, not instrumentation
-/// cost.
-const E16_TRIM_FACTOR: u64 = 8;
-
-/// All three arms of one E16 Part-A point, measured in one scanner session.
-#[derive(Clone, Copy, Debug)]
-struct E16PointMeasured {
-    off_steps_per_component: f64,
-    on_steps_per_component: f64,
-    off_comps_per_sec: f64,
-    on_comps_per_sec: f64,
-    sampled_comps_per_sec: f64,
-    /// Fraction of batch triples discarded as preemption-contaminated.
-    trimmed_fraction: f64,
-}
-
-/// One E16 Part-A point: the batched half of [`e10_point`]'s workload with
-/// an `Apply` root span (entered around the call, ended after) wrapping
-/// every `update_many`. Three arms — spans off, spans on at full sampling,
-/// spans on at 1-in-[`E16_SAMPLE_EVERY`] root sampling — are interleaved
-/// **per batch** under one continuous scanner session: each component set
-/// is applied by all three arms back to back (order rotating every
-/// repetition), so scheduler preemption, scanner phase, and thermal drift
-/// land on every arm symmetrically. The code path is identical in all
-/// arms (the global span switch and sampling divisor decide whether the
-/// spans are live), so the arm deltas are exactly the collection cost.
-/// Triples containing a preemption quantum are discarded symmetrically
-/// (see [`E16_TRIM_FACTOR`]).
-fn e16_point(
-    kind: ImplKind,
-    m: usize,
-    batch: usize,
-    ops: usize,
-    reps: usize,
-    scanners: usize,
-    zipf_s: Option<f64>,
-) -> E16PointMeasured {
-    use psnap_workloads::IndexDist;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let snapshot = kind.build(m, 1 + scanners, 0);
-    let dist = match zipf_s {
-        Some(s) => IndexDist::zipf(m, s),
-        None => IndexDist::uniform(m),
-    };
-    let mut rng = StdRng::seed_from_u64(0xE16 ^ (batch as u64) << 8);
-    let sets: Vec<Vec<usize>> = (0..ops).map(|_| dist.sample_set(&mut rng, batch)).collect();
-    let stop = Arc::new(AtomicBool::new(false));
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for s in 0..scanners {
-            let snapshot = Arc::clone(&snapshot);
-            let dist = dist.clone();
-            let stop = Arc::clone(&stop);
-            handles.push(scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xE16AB ^ ((s as u64) << 13));
-                while !stop.load(Ordering::Relaxed) {
-                    let comps = dist.sample_set(&mut rng, 8);
-                    let _ = snapshot.scan(ProcessId(1 + s), &comps);
-                }
-            }));
-        }
-        // Arm 0: spans off. Arm 1: spans on, every root recorded.
-        // Arm 2: spans on, 1-in-E16_SAMPLE_EVERY roots recorded.
-        let mut steps = [0u64; 3];
-        let mut triples: Vec<[u64; 3]> = Vec::with_capacity(ops * reps);
-        let mut value = 1u64;
-        for rep in 0..reps {
-            for set in &sets {
-                let mut triple = [0u64; 3];
-                for slot in 0..3usize {
-                    // Rotate which arm goes first so the cache-warming
-                    // advantage of going later cycles over all arms.
-                    let arm = (slot + rep) % 3;
-                    psnap_obs::set_span_enabled(arm > 0);
-                    psnap_obs::set_span_sample_every(if arm == 2 { E16_SAMPLE_EVERY } else { 1 });
-                    let writes: Vec<(usize, u64)> = set.iter().map(|&c| (c, value)).collect();
-                    value += 1;
-                    let scope_steps = StepScope::start();
-                    let t0 = std::time::Instant::now();
-                    let mut apply = psnap_obs::Span::root(psnap_obs::SpanKind::Apply);
-                    {
-                        let _in_span = psnap_obs::span::enter(apply.context());
-                        snapshot.update_many(ProcessId(0), &writes);
-                    }
-                    apply.set_args(writes.len() as u64, 0);
-                    drop(apply);
-                    triple[arm] = t0.elapsed().as_nanos() as u64;
-                    steps[arm] += scope_steps.finish().total();
-                }
-                triples.push(triple);
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        psnap_obs::set_span_enabled(false);
-        psnap_obs::set_span_sample_every(1);
-        for h in handles {
-            h.join().expect("E16 scanner panicked");
-        }
-        // Symmetric preemption trim: a window holding a scheduler quantum
-        // is ~1000x the span signal; drop the whole triple when any arm's
-        // window blows past the off-arm median.
-        let mut off_sorted: Vec<u64> = triples.iter().map(|t| t[0]).collect();
-        off_sorted.sort_unstable();
-        let cutoff = off_sorted[off_sorted.len() / 2].saturating_mul(E16_TRIM_FACTOR);
-        let retained: Vec<&[u64; 3]> = triples
-            .iter()
-            .filter(|t| t.iter().all(|&w| w <= cutoff))
-            .collect();
-        // Degenerate fallback (cutoff 0 or everything contaminated): use
-        // the untrimmed totals rather than divide by zero.
-        let used: Vec<&[u64; 3]> = if retained.is_empty() {
-            triples.iter().collect()
-        } else {
-            retained
-        };
-        let trimmed_fraction = 1.0 - used.len() as f64 / triples.len().max(1) as f64;
-        let retained_components = (used.len() * batch) as f64;
-        let tput = |arm: usize| {
-            let ns: u64 = used.iter().map(|t| t[arm]).sum();
-            if ns == 0 {
-                0.0
-            } else {
-                retained_components / (ns as f64 / 1e9)
-            }
-        };
-        let components = (ops * reps * batch) as f64;
-        E16PointMeasured {
-            off_steps_per_component: steps[0] as f64 / components,
-            on_steps_per_component: steps[1] as f64 / components,
-            off_comps_per_sec: tput(0),
-            on_comps_per_sec: tput(1),
-            sampled_comps_per_sec: tput(2),
-            trimmed_fraction,
-        }
-    })
-}
-
-/// E16 Part B: a live service run with spans on; returns the per-stage
-/// attribution rows computed from the flight recorder's completed scan
-/// trees, and how many trees they came from. Caller enables the span layer.
-fn e16_stage_attribution(m: usize, ops: usize) -> (Vec<E16Stage>, usize) {
-    use psnap_obs::SpanKind;
-    use psnap_serve::{
-        Coalescing, Executor, Freshness, ServiceConfig, SnapshotService, SubmitError,
-    };
-    use psnap_workloads::IndexDist;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    psnap_obs::flight::reset();
-    psnap_obs::flight::set_tree_capacity(4096);
-    let r = 16;
-    let clients = 4usize;
-    let scan_pids = 2usize;
-    let snapshot = ImplKind::MV_SHARDED_4.build(m, 1 + scan_pids, 0);
-    let executor = Executor::new(1 + scan_pids);
-    let service = SnapshotService::start(
-        Arc::clone(&snapshot),
-        ServiceConfig {
-            coalescing: Coalescing::Window(std::time::Duration::from_micros(100)),
-            ingest_capacity: 64,
-            scan_capacity: 1024,
-            scan_pids,
-            ..ServiceConfig::default()
-        },
-        &executor,
-    );
-    let dist = IndexDist::zipf(m, 0.9);
-    let queries: Vec<Vec<usize>> = {
-        let mut rng = StdRng::seed_from_u64(0xE16B);
-        (0..12).map(|_| dist.sample_set(&mut rng, r)).collect()
-    };
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let client = service.client();
-            let dist = dist.clone();
-            let queries = &queries;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xE16C ^ ((c as u64) << 11));
-                for k in 0..ops {
-                    if k % 8 == 0 {
-                        let component = dist.sample(&mut rng);
-                        loop {
-                            match client.submit(component, (k as u64) << 8 | c as u64) {
-                                Ok(ticket) => {
-                                    ticket.wait();
-                                    break;
-                                }
-                                Err(SubmitError::Busy) => std::thread::yield_now(),
-                                Err(SubmitError::Closed) => panic!("service closed mid-run"),
-                            }
-                        }
-                    } else {
-                        let components = queries[k % queries.len()].clone();
-                        loop {
-                            match client.scan(components.clone(), Freshness::Fresh) {
-                                Ok(ticket) => {
-                                    ticket.wait();
-                                    break;
-                                }
-                                Err(SubmitError::Busy) => std::thread::yield_now(),
-                                Err(SubmitError::Closed) => panic!("service closed mid-run"),
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-    service.shutdown();
-
-    let trees = psnap_obs::flight::recent_trees();
-    let scan_trees: Vec<_> = trees
-        .iter()
-        .filter(|t| t.root().kind == SpanKind::ScanRequest && t.root().b > 0)
-        .collect();
-    let mut stages = Vec::new();
-    for kind in [
-        SpanKind::QueueWait,
-        SpanKind::Window,
-        SpanKind::BackingScan,
-        SpanKind::Merge,
-    ] {
-        let durations: Vec<f64> = scan_trees
-            .iter()
-            .flat_map(|t| t.spans_of(kind).map(|s| s.duration_ns() as f64))
-            .collect();
-        let summary = Summary::of(&durations);
-        stages.push(E16Stage {
-            stage: kind.as_str(),
-            count: durations.len() as u64,
-            p50_ns: summary.p50,
-            p99_ns: summary.p99,
-        });
-    }
-    let totals: Vec<f64> = scan_trees.iter().map(|t| t.duration_ns() as f64).collect();
-    let summary = Summary::of(&totals);
-    stages.push(E16Stage {
-        stage: "total",
-        count: totals.len() as u64,
-        p50_ns: summary.p50,
-        p99_ns: summary.p99,
-    });
-    (stages, scan_trees.len())
-}
-
-/// E16 Part C: induces a latency-SLO anomaly on a live service (a 1ns SLO
-/// no real scan can meet, triggers armed) and inspects the frozen dump.
-/// Returns `(slo_ns, reason, dump_trees, triggering_tree_present,
-/// dump_round_trips)`. Caller enables the span layer.
-fn e16_induced_anomaly() -> (u64, String, usize, bool, bool) {
-    use psnap_obs::SpanKind;
-    use psnap_serve::{Executor, Freshness, ServiceConfig, SnapshotService};
-
-    psnap_obs::flight::reset();
-    psnap_obs::flight::set_armed(true);
-    let slo = std::time::Duration::from_nanos(1);
-    let m = 16;
-    let snapshot = ImplKind::Cas.build(m, 2, 0);
-    let executor = Executor::new(2);
-    let service = SnapshotService::start(
-        Arc::clone(&snapshot),
-        ServiceConfig {
-            scan_slo: Some(slo),
-            ..ServiceConfig::default()
-        },
-        &executor,
-    );
-    let client = service.client();
-    for component in 0..m {
-        assert!(client.submit_blocking(component, component as u64 + 1));
-    }
-    let all: Vec<usize> = (0..m).collect();
-    client
-        .scan_blocking(&all, Freshness::Fresh)
-        .expect("service closed during the induced-anomaly scan");
-    service.shutdown();
-    psnap_obs::flight::set_armed(false);
-
-    let dumps = psnap_obs::flight::take_dumps();
-    // Other triggers (reshard, torn-scan) may fire while armed if unrelated
-    // traffic runs in the same process; the induced anomaly is the SLO one.
-    let Some(dump) = dumps
-        .iter()
-        .find(|d| d.reason == psnap_obs::AnomalyKind::LatencySlo)
-    else {
-        return (slo.as_nanos() as u64, "none".into(), 0, false, false);
-    };
-    let triggering_tree_present = dump
-        .trees
-        .iter()
-        .any(|t| t.root().kind == SpanKind::ScanRequest && t.root().b as u128 > slo.as_nanos());
-    let text = dump.to_json().to_string_pretty();
-    let round_trips = match psnap_json::Json::parse(&text) {
-        Ok(json) => psnap_obs::FlightDump::from_json(&json).as_ref() == Some(dump),
-        Err(_) => false,
-    };
-    (
-        slo.as_nanos() as u64,
-        dump.reason.as_str().to_string(),
-        dump.trees.len(),
-        triggering_tree_present,
-        round_trips,
-    )
-}
-
-/// Runs the E16 measurement: span-layer overhead on the E10 grid, per-stage
-/// attribution from real trees, and one induced anomaly dump.
-pub fn e16_span_tracing_data(effort: Effort) -> E16Data {
-    let m = 256;
-    let scanners = 2;
-    let ops = effort.ops;
-    let was_trace = psnap_obs::trace_enabled();
-    let was_span = psnap_obs::span_enabled();
-    let mut points = Vec::new();
-    let mut total_off_steps = 0.0f64;
-    let mut total_on_steps = 0.0f64;
-    let mut total_off_secs = 0.0f64;
-    let mut total_on_secs = 0.0f64;
-    let mut total_sampled_secs = 0.0f64;
-    for shards in [1usize, 2, 4, 8] {
-        let kind = if shards == 1 {
-            ImplKind::Cas
-        } else {
-            ImplKind::sharded_cas(shards, psnap_shard::Partition::Contiguous)
-        };
-        for (dist, zipf_s) in [("uniform", None), ("zipf", Some(0.9f64))] {
-            for batch in [2usize, 4, 8, 16] {
-                // All three arms interleave per batch inside e16_point, so
-                // each point's deltas are drift-cancelled and
-                // preemption-trimmed symmetrically. The trace rings are
-                // live in every arm — E13 already prices the flat layer;
-                // these deltas isolate the span increment (begin/end
-                // events + flight collection) on its own. The headline
-                // aggregates are time-weighted over the whole grid (E13's
-                // method).
-                const REPS: usize = 5;
-                psnap_obs::set_trace_enabled(true);
-                let p = e16_point(kind, m, batch, ops, REPS, scanners, zipf_s);
-                let components = (ops * REPS * batch) as f64;
-                total_off_steps += p.off_steps_per_component * components;
-                total_on_steps += p.on_steps_per_component * components;
-                if p.off_comps_per_sec > 0.0 {
-                    total_off_secs += components / p.off_comps_per_sec;
-                }
-                if p.on_comps_per_sec > 0.0 {
-                    total_on_secs += components / p.on_comps_per_sec;
-                }
-                if p.sampled_comps_per_sec > 0.0 {
-                    total_sampled_secs += components / p.sampled_comps_per_sec;
-                }
-                let pct = |on: f64, off: f64| {
-                    if on > 0.0 && off > 0.0 {
-                        overhead_pct(1.0 / on, 1.0 / off)
-                    } else {
-                        0.0
-                    }
-                };
-                points.push(E16Point {
-                    impl_label: kind.label(),
-                    shards,
-                    dist,
-                    batch,
-                    off_comps_per_sec: p.off_comps_per_sec,
-                    on_comps_per_sec: p.on_comps_per_sec,
-                    sampled_comps_per_sec: p.sampled_comps_per_sec,
-                    wall_overhead_pct: pct(p.on_comps_per_sec, p.off_comps_per_sec),
-                    sampled_overhead_pct: pct(p.sampled_comps_per_sec, p.off_comps_per_sec),
-                    trimmed_fraction: p.trimmed_fraction,
-                    step_overhead_pct: overhead_pct(
-                        p.on_steps_per_component,
-                        p.off_steps_per_component,
-                    ),
-                });
-            }
-        }
-    }
-
-    // Parts B and C run with the span layer live at full sampling —
-    // request-scale spans afford recording every root.
-    psnap_obs::set_trace_enabled(true);
-    psnap_obs::set_span_enabled(true);
-    psnap_obs::set_span_sample_every(1);
-    let (stages, trees_captured) = e16_stage_attribution(m, ops.max(64));
-    let (slo_ns, anomaly_reason, anomaly_dump_trees, triggering_tree_present, dump_round_trips) =
-        e16_induced_anomaly();
-    psnap_obs::set_trace_enabled(was_trace);
-    psnap_obs::set_span_enabled(was_span);
-    psnap_obs::flight::set_tree_capacity(psnap_obs::flight::DEFAULT_TREE_CAPACITY);
-    psnap_obs::flight::reset();
-
-    E16Data {
-        m,
-        ops,
-        scanners,
-        points,
-        aggregate_wall_overhead_pct: overhead_pct(total_on_secs, total_off_secs),
-        aggregate_sampled_overhead_pct: overhead_pct(total_sampled_secs, total_off_secs),
-        aggregate_step_overhead_pct: overhead_pct(total_on_steps, total_off_steps),
-        stages,
-        trees_captured,
-        slo_ns,
-        anomaly_reason,
-        anomaly_dump_trees,
-        triggering_tree_present,
-        dump_round_trips,
-    }
-}
-
-/// E16 — causal span tracing: overhead, attribution, anomaly dumps.
-pub fn e16_span_tracing(effort: Effort) -> Table {
-    e16_span_tracing_table(&e16_span_tracing_data(effort))
-}
-
-/// Renders already-measured E16 data as a table (lets the harness emit the
-/// markdown table and `BENCH_E16.json` from one measurement run). The table
-/// is the attribution-and-acceptance summary; the full Part-A grid lives in
-/// the JSON document.
-pub fn e16_span_tracing_table(data: &E16Data) -> Table {
-    let mut rows: Vec<Vec<String>> = data
-        .stages
-        .iter()
-        .map(|s| {
-            vec![
-                format!("stage: {}", s.stage),
-                s.count.to_string(),
-                format!("{:.1}", s.p50_ns / 1000.0),
-                format!("{:.1}", s.p99_ns / 1000.0),
-            ]
-        })
-        .collect();
-    rows.push(vec![
-        format!("scan trees captured ({} clients)", 4),
-        data.trees_captured.to_string(),
-        "—".into(),
-        "—".into(),
-    ]);
-    rows.push(vec![
-        "span wall overhead, full sampling (E10 grid aggregate)".into(),
-        "—".into(),
-        "—".into(),
-        format!("{:+.2}%", data.aggregate_wall_overhead_pct),
-    ]);
-    rows.push(vec![
-        "span wall overhead, 1-in-8 root sampling (E10 grid aggregate)".into(),
-        "—".into(),
-        "—".into(),
-        format!("{:+.2}%", data.aggregate_sampled_overhead_pct),
-    ]);
-    rows.push(vec![
-        "span step overhead (structurally 0; residual is helping noise)".into(),
-        "—".into(),
-        "—".into(),
-        format!("{:+.2}%", data.aggregate_step_overhead_pct),
-    ]);
-    rows.push(vec![
-        format!(
-            "induced anomaly ({}, {}ns SLO)",
-            data.anomaly_reason, data.slo_ns
-        ),
-        data.anomaly_dump_trees.to_string(),
-        "—".into(),
-        if data.triggering_tree_present {
-            "triggering tree present".into()
-        } else {
-            "triggering tree MISSING".into()
-        },
-    ]);
-    rows.push(vec![
-        "dump psnap-json round-trip".into(),
-        "—".into(),
-        "—".into(),
-        if data.dump_round_trips {
-            "exact".into()
-        } else {
-            "FAILED".into()
-        },
-    ]);
-    Table {
-        id: "E16".into(),
-        title: data.description(),
-        headers: vec![
-            "metric".into(),
-            "count".into(),
-            "p50 µs".into(),
-            "p99 µs / value".into(),
-        ],
-        rows,
-    }
-}
-
-/// One measured row of experiment E17: one (transport × connection count)
-/// point of the mixed submit/scan workload.
-#[derive(Clone, Debug)]
-pub struct E17Point {
-    /// `"inproc"` (service `ClientHandle`s) or `"tcp"` (remote clients over
-    /// loopback through `psnap-wire`).
-    pub transport: &'static str,
-    /// Concurrent clients (one connection each for the wire rows).
-    pub connections: usize,
-    /// Aggregate client operations per second (submits + scans, wall clock
-    /// of the slowest client).
-    pub ops_per_sec: f64,
-    /// Client-observed scan latency, 50th percentile (nanoseconds).
-    pub scan_p50_ns: f64,
-    /// Client-observed scan latency, 99th percentile (nanoseconds).
-    pub scan_p99_ns: f64,
-    /// Client-observed submit latency, 50th percentile (nanoseconds).
-    pub submit_p50_ns: f64,
-    /// Client-observed submit latency, 99th percentile (nanoseconds).
-    pub submit_p99_ns: f64,
-    /// Busy rejections absorbed by retry loops (backpressure events).
-    pub busy_rejections: f64,
-    /// This point's `ops_per_sec` over the inproc point at the same
-    /// connection count (1.0 for the inproc rows) — what the wire hop
-    /// costs end to end.
-    pub throughput_vs_inproc: f64,
-}
-
-/// The chaos half of E17: connections killed mid-request, with the
-/// response-accounting invariants the wire layer must uphold.
-#[derive(Clone, Debug)]
-pub struct E17Chaos {
-    /// Connections in the storm.
-    pub connections: usize,
-    /// Connections killed mid-stream.
-    pub kills: usize,
-    /// Tickets that resolved with an applied acknowledgement.
-    pub tickets_ok: f64,
-    /// Tickets that resolved with `ConnectionLost` (their connection died
-    /// with the request outstanding — resolved, not hung).
-    pub tickets_connection_lost: f64,
-    /// Tickets that resolved with the wire `busy` backpressure reply —
-    /// resolved responses, counted separately from applied ones.
-    pub tickets_busy: f64,
-    /// Tickets that never resolved within the wait bound. A lost response;
-    /// must be 0.
-    pub tickets_hung: f64,
-    /// Replies that matched no outstanding request across all clients. A
-    /// duplicated or misattributed response; must be 0.
-    pub duplicate_replies: f64,
-    /// Server-side submissions accepted into ingestion queues.
-    pub accepted: f64,
-    /// Server-side submissions whose ticket resolved.
-    pub resolved: f64,
-    /// Whether `accepted == resolved` held after the storm (no server-side
-    /// ticket stranded by a killed connection).
-    pub accounting_holds: bool,
-}
-
-/// The raw data behind experiment E17 (also serialized to `BENCH_E17.json`).
-#[derive(Clone, Debug)]
-pub struct E17Data {
-    /// Components of the backing object.
-    pub m: usize,
-    /// Components per client scan.
-    pub r: usize,
-    /// Operations per client at each point.
-    pub ops_per_client: usize,
-    /// One entry per (transport × connection count).
-    pub points: Vec<E17Point>,
-    /// The connection-kill chaos run.
-    pub chaos: E17Chaos,
-}
-
-impl E17Data {
-    /// The experiment description used by the table and the JSON document.
-    pub fn description(&self) -> String {
-        format!(
-            "psnap-wire transport: remote clients over loopback TCP vs in-process \
-             `ClientHandle`s against the same service (m = {}, r = {}, every 8th \
-             client op an update submission, the rest Fresh partial scans from a \
-             Zipf-popular pool of 12 query shapes, Cas backend, drain coalescing, \
-             each client pipelining up to 16 ops in flight on both transports — \
-             the wire clients corked, flushing every 8 issues) at \
-             1/4/16/64 connections. Each wire op crosses frame encode → socket → \
-             decode → per-connection ingestion queue → service → reply frame, \
-             so throughput_vs_inproc prices the transport end to end; the latency \
-             columns are issue-to-completion, including pipeline queueing. The \
-             backend is wait-free, so a connection's own server thread runs the \
-             service pipeline and sends the replies, and every thread that \
-             waits — a socket read at either end, a `Ticket::wait`, a worker \
-             out of tasks — polls for up to 50 µs before it parks, yielding \
-             between probes (at 64 connections 128 threads share this box's \
-             cores). That is what a lone connection wants; with many \
-             connections each thread serves the few requests it just read, \
-             where slower hand-offs used to let requests from all connections \
-             pile up into one union scan and one batch, so the in-process \
-             baseline keeps gaining from coalescing faster than the wire side \
-             does — read the ratio alongside the absolute kops/s. The chaos run \
-             kills connections mid-request and checks the wire layer's accounting: \
-             every client ticket resolves (applied or ConnectionLost — hung must \
-             be 0), no reply is duplicated or misattributed, and the server's \
-             accepted == resolved invariant survives rude disconnects because \
-             accepted submissions still apply and resolve server-side.",
-            self.m, self.r
-        )
-    }
-
-    /// Serializes the data for `BENCH_E17.json`.
-    pub fn to_json(&self) -> psnap_json::Json {
-        use psnap_json::Json;
-        Json::obj([
-            ("experiment", Json::Str("E17".into())),
-            ("description", Json::Str(self.description())),
-            ("m", Json::Num(self.m as f64)),
-            ("r", Json::Num(self.r as f64)),
-            ("ops_per_client", Json::Num(self.ops_per_client as f64)),
-            (
-                "points",
-                Json::arr(self.points.iter().map(|p| {
-                    Json::obj([
-                        ("transport", Json::Str(p.transport.into())),
-                        ("connections", Json::Num(p.connections as f64)),
-                        ("ops_per_sec", Json::Num(p.ops_per_sec)),
-                        ("scan_p50_ns", Json::Num(p.scan_p50_ns)),
-                        ("scan_p99_ns", Json::Num(p.scan_p99_ns)),
-                        ("submit_p50_ns", Json::Num(p.submit_p50_ns)),
-                        ("submit_p99_ns", Json::Num(p.submit_p99_ns)),
-                        ("busy_rejections", Json::Num(p.busy_rejections)),
-                        ("throughput_vs_inproc", Json::Num(p.throughput_vs_inproc)),
-                    ])
-                })),
-            ),
-            (
-                "chaos",
-                Json::obj([
-                    ("connections", Json::Num(self.chaos.connections as f64)),
-                    ("kills", Json::Num(self.chaos.kills as f64)),
-                    ("tickets_ok", Json::Num(self.chaos.tickets_ok)),
-                    (
-                        "tickets_connection_lost",
-                        Json::Num(self.chaos.tickets_connection_lost),
-                    ),
-                    ("tickets_busy", Json::Num(self.chaos.tickets_busy)),
-                    ("tickets_hung", Json::Num(self.chaos.tickets_hung)),
-                    ("duplicate_replies", Json::Num(self.chaos.duplicate_replies)),
-                    ("accepted", Json::Num(self.chaos.accepted)),
-                    ("resolved", Json::Num(self.chaos.resolved)),
-                    ("accounting_holds", Json::Bool(self.chaos.accounting_holds)),
-                ]),
-            ),
-        ])
-    }
-}
-
-struct E17Measured {
-    ops_per_sec: f64,
-    scan_latency: Summary,
-    submit_latency: Summary,
-    busy: u64,
-}
+/// The seed every E17 RNG stream is derived from.
+const E17_SEED: u64 = 0xE17;
 
 /// The E17 service type: a Cas-backed service shared by every point.
 type E17Service = Arc<psnap_serve::SnapshotService<u64, Arc<CasPartialSnapshot<u64>>>>;
@@ -4018,13 +612,11 @@ fn e17_service(m: usize) -> (psnap_serve::Executor, E17Service) {
     (executor, service)
 }
 
-/// The E17 query pool: the same Zipf-popular shared query shapes as E11.
+/// The E17 query pool: 12 shared query shapes, picked Zipf-popular by every
+/// client, so requests from different connections overlap and can coalesce.
 fn e17_queries(m: usize, r: usize) -> Vec<Vec<usize>> {
-    use psnap_workloads::IndexDist;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     let dist = IndexDist::uniform(m);
-    let mut rng = StdRng::seed_from_u64(0xE170);
+    let mut rng = StdRng::seed_from_u64(E17_SEED << 4);
     (0..12).map(|_| dist.sample_set(&mut rng, r)).collect()
 }
 
@@ -4064,13 +656,10 @@ fn e17_client_loop(
     mut submit: impl FnMut(usize, u64) -> Option<E17Waiter>,
     mut scan: impl FnMut(Vec<usize>) -> Option<E17Waiter>,
     mut flush: impl FnMut(),
-) -> (Vec<f64>, Vec<f64>, u64, std::time::Duration) {
-    use psnap_workloads::IndexDist;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+) -> E17ClientRun {
     let dist = IndexDist::uniform(m);
     let query_popularity = IndexDist::zipf(queries.len(), 1.0);
-    let mut rng = StdRng::seed_from_u64(0xE17 ^ ((c as u64) << 11));
+    let mut rng = StdRng::seed_from_u64(E17_SEED ^ ((c as u64) << 11));
     let mut scans = Vec::with_capacity(ops);
     let mut submits = Vec::with_capacity(ops / 8 + 1);
     let mut busy = 0u64;
@@ -4133,69 +722,88 @@ fn e17_client_loop(
     (scans, submits, busy, t_start.elapsed())
 }
 
-/// One E17 point over in-process `ClientHandle`s — the baseline the wire
-/// rows are priced against.
-fn e17_point_inproc(m: usize, r: usize, connections: usize, ops: usize) -> E17Measured {
-    use psnap_serve::{Freshness, SubmitError};
-    let (_executor, service) = e17_service(m);
-    let queries = e17_queries(m, r);
+/// What [`e17_client_loop`] returns: (scan ns, submit ns, busy count, wall).
+type E17ClientRun = (Vec<f64>, Vec<f64>, u64, std::time::Duration);
+
+struct E17Measured {
+    ops_per_sec: f64,
+    scan_latency: Summary,
+    submit_latency: Summary,
+    busy: u64,
+}
+
+/// Runs `connections` clients at once and folds what they measured into one
+/// point. `client(c, barrier)` sets its client up, waits on the barrier so
+/// every loop starts together, and runs [`e17_client_loop`]. Throughput is
+/// taken over the wall clock of the slowest client.
+fn e17_run_clients(
+    connections: usize,
+    ops: usize,
+    client: impl Fn(usize, &std::sync::Barrier) -> E17ClientRun + Sync,
+) -> E17Measured {
     let barrier = std::sync::Barrier::new(connections);
     let mut scan_latency = Vec::new();
     let mut submit_latency = Vec::new();
     let mut busy = 0u64;
     let mut longest_wall = std::time::Duration::ZERO;
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for c in 0..connections {
-            let client = service.client();
-            let queries = &queries;
-            let barrier = &barrier;
-            handles.push(scope.spawn(move || {
-                barrier.wait();
-                e17_client_loop(
-                    c,
-                    ops,
-                    m,
-                    queries,
-                    |component, value| match client.submit(component, value) {
-                        Ok(ticket) => Some(Box::new(move || {
-                            ticket.wait();
-                            true
-                        }) as E17Waiter),
-                        Err(SubmitError::Busy) => None,
-                        Err(SubmitError::Closed) => panic!("service closed mid-run"),
-                    },
-                    |components| match client.scan(components, Freshness::Fresh) {
-                        Ok(ticket) => Some(Box::new(move || {
-                            ticket.wait();
-                            true
-                        }) as E17Waiter),
-                        Err(SubmitError::Busy) => None,
-                        Err(SubmitError::Closed) => panic!("service closed mid-run"),
-                    },
-                    || {},
-                )
-            }));
-        }
+        let handles: Vec<_> = (0..connections)
+            .map(|c| {
+                let (client, barrier) = (&client, &barrier);
+                scope.spawn(move || client(c, barrier))
+            })
+            .collect();
         for h in handles {
-            let (scans, submits, b, wall) = h.join().expect("E17 inproc client panicked");
+            let (scans, submits, b, wall) = h.join().expect("E17 client panicked");
             scan_latency.extend(scans);
             submit_latency.extend(submits);
             busy += b;
             longest_wall = longest_wall.max(wall);
         }
     });
-    service.shutdown();
     E17Measured {
-        ops_per_sec: if longest_wall.is_zero() {
-            0.0
-        } else {
-            (connections * ops) as f64 / longest_wall.as_secs_f64()
-        },
+        ops_per_sec: ratio((connections * ops) as f64, longest_wall.as_secs_f64()),
         scan_latency: Summary::of(&scan_latency),
         submit_latency: Summary::of(&submit_latency),
         busy,
     }
+}
+
+/// One E17 point over in-process `ClientHandle`s — the baseline the wire
+/// rows are priced against.
+fn e17_point_inproc(m: usize, r: usize, connections: usize, ops: usize) -> E17Measured {
+    use psnap_serve::{Freshness, SubmitError};
+    let (_executor, service) = e17_service(m);
+    let queries = e17_queries(m, r);
+    let measured = e17_run_clients(connections, ops, |c, barrier| {
+        let client = service.client();
+        barrier.wait();
+        e17_client_loop(
+            c,
+            ops,
+            m,
+            &queries,
+            |component, value| match client.submit(component, value) {
+                Ok(ticket) => Some(Box::new(move || {
+                    ticket.wait();
+                    true
+                }) as E17Waiter),
+                Err(SubmitError::Busy) => None,
+                Err(SubmitError::Closed) => panic!("service closed mid-run"),
+            },
+            |components| match client.scan(components, Freshness::Fresh) {
+                Ok(ticket) => Some(Box::new(move || {
+                    ticket.wait();
+                    true
+                }) as E17Waiter),
+                Err(SubmitError::Busy) => None,
+                Err(SubmitError::Closed) => panic!("service closed mid-run"),
+            },
+            || {},
+        )
+    });
+    service.shutdown();
+    measured
 }
 
 /// One E17 point over loopback TCP: the same workload, every operation a
@@ -4214,77 +822,48 @@ fn e17_point_wire(m: usize, r: usize, connections: usize, ops: usize) -> E17Meas
     .expect("E17 wire server failed to bind");
     let addr = server.local_addr().expect("tcp server has an address");
     let queries = e17_queries(m, r);
-    let barrier = std::sync::Barrier::new(connections);
-    let mut scan_latency = Vec::new();
-    let mut submit_latency = Vec::new();
-    let mut busy = 0u64;
-    let mut longest_wall = std::time::Duration::ZERO;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for c in 0..connections {
-            let queries = &queries;
-            let barrier = &barrier;
-            handles.push(scope.spawn(move || {
-                let client =
-                    RemoteClientHandle::connect_tcp(addr).expect("E17 client failed to connect");
-                client
-                    .set_corked(true)
-                    .expect("corking a fresh connection cannot fail");
-                barrier.wait();
-                let out = e17_client_loop(
-                    c,
-                    ops,
-                    m,
-                    queries,
-                    |component, value| match client.submit(component, value) {
-                        Ok(ticket) => Some(Box::new(move || match ticket.wait() {
-                            Ok(()) => true,
-                            Err(WireError::Busy) => false,
-                            Err(other) => panic!("wire submit failed mid-run: {other}"),
-                        }) as E17Waiter),
-                        Err(WireError::Busy) => None,
-                        Err(other) => panic!("wire submit failed mid-run: {other}"),
-                    },
-                    |components| match client.scan(components, Freshness::Fresh) {
-                        Ok(ticket) => Some(Box::new(move || match ticket.wait() {
-                            Ok(_) => true,
-                            Err(WireError::Busy) => false,
-                            Err(other) => panic!("wire scan failed mid-run: {other}"),
-                        }) as E17Waiter),
-                        Err(WireError::Busy) => None,
-                        Err(other) => panic!("wire scan failed mid-run: {other}"),
-                    },
-                    || client.flush().expect("wire flush failed mid-run"),
-                );
-                client.close();
-                out
-            }));
-        }
-        for h in handles {
-            let (scans, submits, b, wall) = h.join().expect("E17 wire client panicked");
-            scan_latency.extend(scans);
-            submit_latency.extend(submits);
-            busy += b;
-            longest_wall = longest_wall.max(wall);
-        }
+    let measured = e17_run_clients(connections, ops, |c, barrier| {
+        let client = RemoteClientHandle::connect_tcp(addr).expect("E17 client failed to connect");
+        client
+            .set_corked(true)
+            .expect("corking a fresh connection cannot fail");
+        barrier.wait();
+        let out = e17_client_loop(
+            c,
+            ops,
+            m,
+            &queries,
+            |component, value| match client.submit(component, value) {
+                Ok(ticket) => Some(Box::new(move || match ticket.wait() {
+                    Ok(()) => true,
+                    Err(WireError::Busy) => false,
+                    Err(other) => panic!("wire submit failed mid-run: {other}"),
+                }) as E17Waiter),
+                Err(WireError::Busy) => None,
+                Err(other) => panic!("wire submit failed mid-run: {other}"),
+            },
+            |components| match client.scan(components, Freshness::Fresh) {
+                Ok(ticket) => Some(Box::new(move || match ticket.wait() {
+                    Ok(_) => true,
+                    Err(WireError::Busy) => false,
+                    Err(other) => panic!("wire scan failed mid-run: {other}"),
+                }) as E17Waiter),
+                Err(WireError::Busy) => None,
+                Err(other) => panic!("wire scan failed mid-run: {other}"),
+            },
+            || client.flush().expect("wire flush failed mid-run"),
+        );
+        client.close();
+        out
     });
     server.shutdown(std::time::Duration::from_secs(10));
     service.shutdown();
-    E17Measured {
-        ops_per_sec: if longest_wall.is_zero() {
-            0.0
-        } else {
-            (connections * ops) as f64 / longest_wall.as_secs_f64()
-        },
-        scan_latency: Summary::of(&scan_latency),
-        submit_latency: Summary::of(&submit_latency),
-        busy,
-    }
+    measured
 }
 
 /// The E17 chaos run: a storm of connections submitting continuously while
 /// half of them are killed mid-request, then the response-accounting audit.
-fn e17_chaos(m: usize, connections: usize, ops: usize) -> E17Chaos {
+fn e17_chaos(m: usize, connections: usize, ops: usize) -> Row {
     use psnap_wire::{RemoteClientHandle, WireError, WireServer, WireServerConfig};
     let (executor, service) = e17_service(m);
     let server = WireServer::serve_tcp(
@@ -4369,18 +948,23 @@ fn e17_chaos(m: usize, connections: usize, ops: usize) -> E17Chaos {
     let stats = service.obs().stats;
     server.shutdown(std::time::Duration::from_secs(10));
     service.shutdown();
-    E17Chaos {
-        connections,
-        kills,
-        tickets_ok: tickets_ok as f64,
-        tickets_connection_lost: tickets_connection_lost as f64,
-        tickets_busy: tickets_busy as f64,
-        tickets_hung: tickets_hung as f64,
-        duplicate_replies: duplicate_replies as f64,
-        accepted: stats.submits_ok as f64,
-        resolved: stats.submits_resolved as f64,
-        accounting_holds,
-    }
+    Row::default()
+        .with("connections", connections)
+        .with("kills", kills)
+        .with("tickets_ok", tickets_ok)
+        // Resolved, not hung: the connection died with the request
+        // outstanding.
+        .with("tickets_connection_lost", tickets_connection_lost)
+        .with("tickets_busy", tickets_busy)
+        // Never resolved within the wait bound — a lost response. Must be 0.
+        .with("tickets_hung", tickets_hung)
+        // Replies that matched no outstanding request. Must be 0.
+        .with("duplicate_replies", duplicate_replies)
+        // Server side: submissions accepted into ingestion queues, and those
+        // whose ticket resolved. No killed connection may strand one.
+        .with("accepted", stats.submits_ok)
+        .with("resolved", stats.submits_resolved)
+        .with("accounting_holds", accounting_holds)
 }
 
 /// Picks the median-throughput run out of several repeats of one point.
@@ -4394,623 +978,230 @@ fn e17_median(mut runs: Vec<E17Measured>) -> E17Measured {
     runs.swap_remove(mid)
 }
 
-/// Runs the E17 measurement: wire vs in-process transport across
-/// connection counts, plus the connection-kill chaos audit.
-pub fn e17_wire_data(effort: Effort) -> E17Data {
-    let m = 256;
-    let r = 16;
-    let ops = effort.ops;
-    // Smoke runs take one sample per point; full effort takes the median
-    // of three to damp scheduler-interleaving noise.
-    let repeats = if ops >= 500 { 3 } else { 1 };
+/// E17 — the wire transport: remote vs in-process throughput and latency
+/// across connection counts, plus the connection-kill accounting audit.
+pub fn e17_wire(effort: Effort) -> Report {
+    let (m, r) = (256, 16);
+    let ops = effort.ops();
+    // Quick runs take one sample per point; full effort takes the median of
+    // three to damp scheduler-interleaving noise.
+    let repeats = match effort {
+        Effort::Quick => 1,
+        Effort::Full => 3,
+    };
     let mut points = Vec::new();
     for connections in [1usize, 4, 16, 64] {
-        let inproc = e17_median(
-            (0..repeats)
-                .map(|_| e17_point_inproc(m, r, connections, ops))
-                .collect(),
-        );
-        let wire = e17_median(
-            (0..repeats)
-                .map(|_| e17_point_wire(m, r, connections, ops))
-                .collect(),
-        );
+        let median_of = |point: fn(usize, usize, usize, usize) -> E17Measured| {
+            e17_median(
+                (0..repeats)
+                    .map(|_| point(m, r, connections, ops))
+                    .collect(),
+            )
+        };
+        let inproc = median_of(e17_point_inproc);
+        let wire = median_of(e17_point_wire);
         let base = inproc.ops_per_sec;
         for (transport, measured) in [("inproc", inproc), ("tcp", wire)] {
-            points.push(E17Point {
-                transport,
-                connections,
-                ops_per_sec: measured.ops_per_sec,
-                scan_p50_ns: measured.scan_latency.p50,
-                scan_p99_ns: measured.scan_latency.p99,
-                submit_p50_ns: measured.submit_latency.p50,
-                submit_p99_ns: measured.submit_latency.p99,
-                busy_rejections: measured.busy as f64,
-                throughput_vs_inproc: if base > 0.0 {
-                    measured.ops_per_sec / base
-                } else {
-                    0.0
-                },
-            });
+            points.push(
+                Row::default()
+                    .with("transport", transport)
+                    .with("connections", connections)
+                    // Submits + scans, over the slowest client's wall clock.
+                    .with("ops_per_sec", measured.ops_per_sec)
+                    // Issue to completion, so pipeline queueing is included.
+                    .with("scan_p50_ns", measured.scan_latency.p50)
+                    .with("scan_p99_ns", measured.scan_latency.p99)
+                    .with("submit_p50_ns", measured.submit_latency.p50)
+                    .with("submit_p99_ns", measured.submit_latency.p99)
+                    .with("busy_rejections", measured.busy)
+                    // What the wire hop costs end to end (1.0 on inproc rows).
+                    .with("throughput_vs_inproc", ratio(measured.ops_per_sec, base)),
+            );
         }
     }
     let chaos = e17_chaos(m, 16, (ops * 4).max(64));
-    E17Data {
-        m,
-        r,
-        ops_per_client: ops,
-        points,
-        chaos,
+    Report {
+        id: "E17",
+        description: "psnap-wire transport: remote clients over loopback TCP vs in-process \
+             `ClientHandle`s against the same service (every 8th client op an \
+             update submission, the rest Fresh partial scans from a \
+             Zipf-popular pool of 12 query shapes, Cas backend, drain coalescing, \
+             each client pipelining up to 16 ops in flight on both transports — \
+             the wire clients corked, flushing every 8 issues) at \
+             1/4/16/64 connections. Each wire op crosses frame encode → socket → \
+             decode → per-connection ingestion queue → service → reply frame, \
+             so throughput_vs_inproc prices the transport end to end; the latency \
+             columns are issue-to-completion, including pipeline queueing. The \
+             backend is wait-free, so a connection's own server thread runs the \
+             service pipeline and sends the replies, and every thread that \
+             waits — a socket read at either end, a `Ticket::wait`, a worker \
+             out of tasks — polls for up to 50 µs before it parks, yielding \
+             between probes (at 64 connections 128 threads share this box's \
+             cores). That is what a lone connection wants; with many \
+             connections each thread serves the few requests it just read, \
+             where slower hand-offs used to let requests from all connections \
+             pile up into one union scan and one batch, so the in-process \
+             baseline keeps gaining from coalescing faster than the wire side \
+             does — read the ratio alongside the absolute ops_per_sec. The chaos \
+             section kills connections mid-request and checks the wire layer's \
+             accounting: every client ticket resolves (applied or ConnectionLost — \
+             tickets_hung must be 0), no reply is duplicated or misattributed, \
+             and the server's accepted == resolved invariant survives rude \
+             disconnects because accepted submissions still apply and resolve \
+             server-side"
+            .to_string(),
+        seed: E17_SEED,
+        effort,
+        params: Row::default()
+            .with("m", m)
+            .with("r", r)
+            .with("ops_per_client", ops),
+        sections: vec![("points", points), ("chaos", vec![chaos])],
     }
 }
 
-/// E17 — the wire transport: remote vs in-process throughput and latency,
-/// plus connection-kill chaos accounting.
-pub fn e17_wire(effort: Effort) -> Table {
-    e17_wire_table(&e17_wire_data(effort))
-}
+/// An experiment: measures at the given effort, reports its rows.
+pub type Experiment = fn(Effort) -> Report;
 
-/// Renders already-measured E17 data as a table (lets the harness emit the
-/// markdown table and `BENCH_E17.json` from one measurement run).
-pub fn e17_wire_table(data: &E17Data) -> Table {
-    let mut rows: Vec<Vec<String>> = data
-        .points
+/// Every experiment, in presentation order.
+pub const EXPERIMENTS: [(&str, Experiment); 2] = [("E15", e15_reshard), ("E17", e17_wire)];
+
+/// Runs an experiment by id (any case). Returns `None` for an unknown id.
+pub fn run_experiment(id: &str, effort: Effort) -> Option<Report> {
+    let (_, run) = EXPERIMENTS
         .iter()
-        .map(|p| {
-            vec![
-                p.transport.to_string(),
-                p.connections.to_string(),
-                format!("{:.0}", p.ops_per_sec / 1000.0),
-                format!("{:.1}", p.scan_p50_ns / 1000.0),
-                format!("{:.1}", p.scan_p99_ns / 1000.0),
-                format!("{:.1}", p.submit_p50_ns / 1000.0),
-                format!("{:.1}", p.submit_p99_ns / 1000.0),
-                format!("{:.0}", p.busy_rejections),
-                format!("{:.2}x", p.throughput_vs_inproc),
-            ]
-        })
-        .collect();
-    let chaos = &data.chaos;
-    rows.push(vec![
-        format!("chaos ({} kills)", chaos.kills),
-        chaos.connections.to_string(),
-        format!("ok={:.0}", chaos.tickets_ok),
-        format!("lost={:.0}", chaos.tickets_connection_lost),
-        format!(
-            "busy={:.0} hung={:.0}",
-            chaos.tickets_busy, chaos.tickets_hung
-        ),
-        format!("dup={:.0}", chaos.duplicate_replies),
-        format!("acc={:.0}", chaos.accepted),
-        format!("res={:.0}", chaos.resolved),
-        if chaos.accounting_holds {
-            "holds".to_string()
-        } else {
-            "VIOLATED".to_string()
-        },
-    ]);
-    Table {
-        id: "E17".into(),
-        title: data.description(),
-        headers: vec![
-            "transport".into(),
-            "connections".into(),
-            "client kops/s".into(),
-            "scan p50 µs".into(),
-            "scan p99 µs".into(),
-            "submit p50 µs".into(),
-            "submit p99 µs".into(),
-            "busy rejections".into(),
-            "throughput vs inproc".into(),
-        ],
-        rows,
-    }
+        .find(|(known, _)| known.eq_ignore_ascii_case(id))?;
+    Some(run(effort))
 }
-
-/// Runs an experiment by id. Returns `None` for an unknown id.
-pub fn run_experiment(id: &str, effort: Effort) -> Option<Table> {
-    match id.to_ascii_uppercase().as_str() {
-        "E1" => Some(e1_locality(effort)),
-        "E2" => Some(e2_scan_width(effort)),
-        "E3" => Some(e3_update_cost(effort)),
-        "E4" => Some(e4_active_set(effort)),
-        "E5" => Some(e5_register_snapshot(effort)),
-        "E6" => Some(e6_portfolio(effort)),
-        "E7" => Some(e7_throughput(effort)),
-        "E8" => Some(e8_sharding(effort)),
-        "E9" => Some(e9_cell_contention(effort)),
-        "E10" => Some(e10_batched_updates(effort)),
-        "E11" => Some(e11_service(effort)),
-        "E12" => Some(e12_multiversion(effort)),
-        "E13" => Some(e13_obs_overhead(effort)),
-        "E14" => Some(e14_fastpath(effort)),
-        "E15" => Some(e15_reshard(effort)),
-        "E16" => Some(e16_span_tracing(effort)),
-        "E17" => Some(e17_wire(effort)),
-        _ => None,
-    }
-}
-
-/// All experiment ids, in presentation order.
-pub const ALL_EXPERIMENTS: [&str; 17] = [
-    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15",
-    "E16", "E17",
-];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The shape both smokes check: the sections are there, every row of a
+    /// section has the section's columns (so its table is rectangular), the
+    /// JSON document carries one object per row under the provenance header
+    /// and survives the writer/parser.
+    fn assert_shape(report: &Report, sections: &[(&str, usize)]) {
+        let json = report.to_json();
+        assert_eq!(
+            json.get("experiment").and_then(Json::as_str),
+            Some(report.id)
+        );
+        for name in ["commit", "nproc", "rustc", "seed", "effort"] {
+            assert!(
+                json.get("provenance").unwrap().get(name).is_some(),
+                "{name}"
+            );
+        }
+        for (table, &(section, len)) in report.tables().iter().zip(sections) {
+            let rows = report.rows(section);
+            assert_eq!(rows.len(), len, "{section}");
+            assert!(rows.iter().all(|r| r.names().eq(rows[0].names())));
+            assert_eq!(table.rows.len(), len);
+            let points = json.get(section).and_then(Json::as_array).unwrap();
+            assert_eq!(points.len(), len);
+            for header in &table.headers {
+                assert!(points.iter().all(|p| p.get(header).is_some()), "{header}");
+            }
+        }
+        assert_eq!(report.tables().len(), sections.len());
+        assert_eq!(Json::parse(&json.to_string_pretty()).unwrap(), json);
+    }
+
+    fn int(row: &Row, name: &str) -> u64 {
+        match row.get(name) {
+            Some(Value::Int(n)) => *n,
+            other => panic!("{name} is not a counter: {other:?}"),
+        }
+    }
+
     #[test]
     fn table_renders_markdown() {
-        let t = Table {
-            id: "T".into(),
-            title: "demo".into(),
-            headers: vec!["a".into(), "b".into()],
-            rows: vec![vec!["1".into(), "2".into()]],
+        let report = Report {
+            id: "T",
+            description: "demo".into(),
+            seed: 7,
+            effort: Effort::Quick,
+            params: Row::default().with("m", 4usize),
+            sections: vec![(
+                "points",
+                vec![Row::default().with("a", 1usize).with("b", 2.5)],
+            )],
         };
-        let md = t.to_markdown();
+        let md = report.to_markdown();
+        assert!(md.contains("### T — demo [m = 4]"), "{md}");
         assert!(md.contains("| a | b |"));
-        assert!(md.contains("| 1 | 2 |"));
-        assert!(md.contains("### T — demo"));
+        assert!(md.contains("| 1 | 2.5000 |"));
     }
 
     #[test]
     fn unknown_experiment_is_none() {
-        assert!(run_experiment("E99", Effort::smoke()).is_none());
+        assert!(run_experiment("E99", Effort::Quick).is_none());
+        assert!(run_experiment("E1", Effort::Quick).is_none());
     }
 
     #[test]
-    fn e2_smoke() {
-        let t = e2_scan_width(Effort { ops: 10 });
-        assert_eq!(t.rows.len(), DEFAULT_R_SWEEP.len());
-    }
-
-    #[test]
-    fn e4_smoke() {
-        let t = e4_active_set(Effort { ops: 20 });
-        assert_eq!(t.rows.len(), 4);
-        // Figure 2 join is always exactly 2 steps, leave exactly 1.
-        for row in &t.rows {
-            assert_eq!(row[1], "2");
-            assert_eq!(row[2], "1");
-        }
-    }
-
-    #[test]
-    fn e8_smoke_and_json_shape() {
-        let data = e8_sharding_data(Effort { ops: 15 });
-        // 4 shard counts × 2 distributions.
-        assert_eq!(data.points.len(), 8);
-        assert!(data.points.iter().all(|p| p.ops_per_sec > 0.0));
-        // The 1-shard row of each distribution is its own baseline.
-        for dist in ["uniform", "zipf"] {
-            let first = data
-                .points
-                .iter()
-                .find(|p| p.dist == dist && p.shards == 1)
-                .expect("baseline row present");
-            assert!((first.speedup_vs_unsharded - 1.0).abs() < 1e-9);
-        }
-        let json = data.to_json();
-        assert_eq!(
-            json.get("experiment").and_then(psnap_json::Json::as_str),
-            Some("E8")
-        );
-        let points = json
-            .get("points")
-            .and_then(psnap_json::Json::as_array)
-            .unwrap();
-        assert_eq!(points.len(), 8);
-        // Round-trips through the writer/parser.
-        let text = json.to_string_pretty();
-        assert_eq!(psnap_json::Json::parse(&text).unwrap(), json);
-    }
-
-    #[test]
-    fn e9_smoke_and_json_shape() {
-        let data = e9_cell_contention_data(Effort { ops: 5 });
-        // 4 thread counts × 2 distributions.
-        assert_eq!(data.points.len(), 8);
-        assert!(data
-            .points
-            .iter()
-            .all(|p| p.rwlock_ops_per_sec > 0.0 && p.lockfree_ops_per_sec > 0.0));
-        let json = data.to_json();
-        assert_eq!(
-            json.get("experiment").and_then(psnap_json::Json::as_str),
-            Some("E9")
-        );
-        let points = json
-            .get("points")
-            .and_then(psnap_json::Json::as_array)
-            .unwrap();
-        assert_eq!(points.len(), 8);
-        // Round-trips through the writer/parser.
-        let text = json.to_string_pretty();
-        assert_eq!(psnap_json::Json::parse(&text).unwrap(), json);
-    }
-
-    #[test]
-    fn e9_per_op_steps_are_identical_across_cells() {
-        use psnap_shmem::{RwLockVersionedCell, StepScope, VersionedCell};
-        // The acceptance criterion for the lock-free swing: the paper's cost
-        // metric must not move. One store + one load costs exactly one write
-        // step + one read step on both implementations.
-        let lockfree = VersionedCell::new(0u64);
-        let scope = StepScope::start();
-        lockfree.store(1);
-        let _ = lockfree.load();
-        let lf = scope.finish();
-        let baseline = RwLockVersionedCell::new(0u64);
-        let scope = StepScope::start();
-        baseline.store(1);
-        let _ = baseline.load();
-        let rw = scope.finish();
-        assert_eq!(lf, rw);
-        assert_eq!(lf.reads, 1);
-        assert_eq!(lf.writes, 1);
-    }
-
-    #[test]
-    fn e10_smoke_json_shape_and_batching_wins_on_steps() {
-        let data = e10_batched_updates_data(Effort { ops: 12 });
-        // 4 shard counts × 2 distributions × 4 batch sizes — the joint grid.
-        assert_eq!(data.points.len(), 32);
-        for shards in [1usize, 2, 4, 8] {
-            assert_eq!(
-                data.points.iter().filter(|p| p.shards == shards).count(),
-                8,
-                "shard count {shards} missing from the grid"
-            );
-        }
-        assert!(data
-            .points
-            .iter()
-            .all(|p| p.batched_steps_per_component > 0.0 && p.looped_steps_per_component > 0.0));
-        // The acceptance bar of the batching tentpole: at batch size >= 4, at
-        // least one implementation does strictly less base-object work per
-        // component batched than looped.
-        assert!(
-            data.points
-                .iter()
-                .any(|p| p.batch >= 4 && p.step_speedup > 1.0),
-            "batching never beat looping: {:?}",
-            data.points
-        );
-        let json = data.to_json();
-        assert_eq!(
-            json.get("experiment").and_then(psnap_json::Json::as_str),
-            Some("E10")
-        );
-        let points = json
-            .get("points")
-            .and_then(psnap_json::Json::as_array)
-            .unwrap();
-        assert_eq!(points.len(), 32);
-        assert!(points.iter().all(|p| p.get("shards").is_some()));
-        let text = json.to_string_pretty();
-        assert_eq!(psnap_json::Json::parse(&text).unwrap(), json);
-    }
-
-    #[test]
-    fn e11_smoke_json_shape_and_coalescing_wins() {
-        let data = e11_service_data(Effort { ops: 40 });
-        // 2 backends × 2 distributions × 2 client counts × 3 modes.
-        assert_eq!(data.points.len(), 24);
-        assert!(data.points.iter().all(|p| p.ops_per_sec > 0.0));
-        // Baselines never coalesce; their ratio is exactly 1 scan per
-        // backing scan and their relative throughput is 1 by construction.
-        for p in data.points.iter().filter(|p| p.mode == "none") {
-            assert!((p.coalesce_ratio - 1.0).abs() < 1e-9, "{p:?}");
-            assert!((p.throughput_vs_uncoalesced - 1.0).abs() < 1e-9);
-        }
-        // The acceptance bar of the service tentpole, asserted loosely here
-        // because this is a tiny smoke run on an arbitrary CI host and both
-        // quantities are wall-clock-dependent (the strict version is what
-        // the full-effort BENCH_E11.json records): with >= 8 clients,
-        // coalescing must merge requests somewhere (ratio > 1) and beat the
-        // no-coalescing baseline somewhere.
-        let at_8: Vec<_> = data
-            .points
-            .iter()
-            .filter(|p| p.clients >= 8 && p.mode != "none")
-            .collect();
-        assert!(!at_8.is_empty());
-        assert!(
-            at_8.iter().any(|p| p.coalesce_ratio > 1.0),
-            "coalescing never merged at 8 clients: {at_8:?}"
-        );
-        assert!(
-            at_8.iter().any(|p| p.throughput_vs_uncoalesced > 1.0),
-            "coalescing never beat the baseline at 8 clients: {at_8:?}"
-        );
-        // Latency percentiles are populated and ordered.
-        assert!(data
-            .points
-            .iter()
-            .all(|p| p.scan_p99_ns >= p.scan_p50_ns && p.scan_p50_ns > 0.0));
-        let json = data.to_json();
-        assert_eq!(
-            json.get("experiment").and_then(psnap_json::Json::as_str),
-            Some("E11")
-        );
-        let points = json
-            .get("points")
-            .and_then(psnap_json::Json::as_array)
-            .unwrap();
-        assert_eq!(points.len(), 24);
-        let text = json.to_string_pretty();
-        assert_eq!(psnap_json::Json::parse(&text).unwrap(), json);
-    }
-
-    #[test]
-    fn e12_smoke_json_shape_and_mv_tail_is_bounded() {
-        let data = e12_multiversion_data(Effort { ops: 25 });
-        // 3 shard counts × 2 paths.
-        assert_eq!(data.points.len(), 6);
-        assert!(data
-            .points
-            .iter()
-            .all(|p| p.scan_steps_mean > 0.0 && p.scan_p99_ns >= p.scan_p50_ns));
-        for p in data.points.iter().filter(|p| p.path == "coordinated") {
-            assert!((p.steps_p99_vs_coordinated - 1.0).abs() < 1e-9, "{p:?}");
-        }
-        // The acceptance bar of the multiversioning tentpole, asserted on
-        // the host-independent metric: under churn the multiversioned scan's
-        // steps p99 stays at or below the retry/fallback baseline's (the
-        // baseline tail carries validation retries and fallback drains; the
-        // one-shot read carries only its bounded chain walks). Asserted for
-        // the multi-shard rows — the coordinated-fallback machinery the
-        // tentpole replaces only exists there; at 1 shard the baseline is
-        // the already-wait-free Figure 3 object and the row is
-        // informational. A small tolerance absorbs smoke-effort sampling
-        // noise; the full-effort BENCH_E12.json records the strict
-        // comparison.
-        for p in data
-            .points
-            .iter()
-            .filter(|p| p.path == "mv" && p.shards >= 2)
-        {
-            assert!(
-                p.steps_p99_vs_coordinated <= 1.10,
-                "mv steps p99 above the coordinated baseline: {p:?}"
-            );
-        }
-        let json = data.to_json();
-        assert_eq!(
-            json.get("experiment").and_then(psnap_json::Json::as_str),
-            Some("E12")
-        );
-        let points = json
-            .get("points")
-            .and_then(psnap_json::Json::as_array)
-            .unwrap();
-        assert_eq!(points.len(), 6);
-        let text = json.to_string_pretty();
-        assert_eq!(psnap_json::Json::parse(&text).unwrap(), json);
-    }
-
-    #[test]
-    fn e14_smoke_json_shape_and_stale_fastpath_skips_backing_scans() {
-        let data = e14_fastpath_data(Effort { ops: 32 });
-        // 2 backends × 3 stale fractions × 2 client counts × 4 modes.
-        assert_eq!(data.points.len(), 48);
-        assert!(data.points.iter().all(|p| p.ops_per_sec > 0.0));
-        // The acceptance bar of the fast-path tentpole, host-independent
-        // half: on the multiversioned backend a pure-stale mix is absorbed
-        // entirely by the mv and cache tiers — zero backing union scans —
-        // and the mv tier does real work. Version-history-free backends
-        // never report mv service.
-        for p in data
-            .points
-            .iter()
-            .filter(|p| p.backend == "mv-sharded-k4" && p.stale_frac == 1.0)
-        {
-            assert_eq!(p.backing_scans, 0.0, "{p:?}");
-            assert_eq!(p.served_backing, 0.0, "{p:?}");
-            assert!(p.mv_hit_ratio > 0.0, "{p:?}");
-        }
-        for p in data.points.iter().filter(|p| p.backend == "fig3-cas") {
-            assert_eq!(p.served_mv, 0.0, "{p:?}");
-            assert_eq!(p.mv_hit_ratio, 0.0, "{p:?}");
-        }
-        // Baselines are their own reference point.
-        for p in data.points.iter().filter(|p| p.mode == "none") {
-            assert!((p.throughput_vs_none - 1.0).abs() < 1e-9, "{p:?}");
-        }
-        // The wall-clock half (adaptive tracks the best fixed window) is
-        // asserted loosely — this is a tiny smoke run on an arbitrary CI
-        // host; the full-effort BENCH_E14.json records the strict sweep.
-        let adaptive: Vec<_> = data
-            .points
-            .iter()
-            .filter(|p| p.mode == "adaptive")
-            .collect();
-        assert_eq!(adaptive.len(), 12);
-        assert!(adaptive.iter().all(|p| p.throughput_vs_best_fixed > 0.0));
-        assert!(
-            adaptive.iter().any(|p| p.throughput_vs_best_fixed >= 1.0),
-            "adaptive never reached the best fixed window: {adaptive:?}"
-        );
-        assert!(data
-            .points
-            .iter()
-            .all(|p| p.scan_p99_ns >= p.scan_p50_ns && p.scan_p50_ns > 0.0));
-        let json = data.to_json();
-        assert_eq!(
-            json.get("experiment").and_then(psnap_json::Json::as_str),
-            Some("E14")
-        );
-        let points = json
-            .get("points")
-            .and_then(psnap_json::Json::as_array)
-            .unwrap();
-        assert_eq!(points.len(), 48);
-        let text = json.to_string_pretty();
-        assert_eq!(psnap_json::Json::parse(&text).unwrap(), json);
+    fn only_full_effort_may_replace_a_checked_in_result() {
+        let mut report = Report {
+            id: "E17",
+            description: String::new(),
+            seed: E17_SEED,
+            effort: Effort::Quick,
+            params: Row::default(),
+            sections: Vec::new(),
+        };
+        assert_eq!(report.json_path(), PathBuf::from("target/bench/E17.json"));
+        let effort = |r: &Report| {
+            r.to_json()
+                .get("provenance")
+                .unwrap()
+                .get("effort")
+                .cloned()
+        };
+        assert_eq!(effort(&report), Some(Json::Str("quick".into())));
+        report.effort = Effort::Full;
+        assert_eq!(report.json_path(), PathBuf::from("BENCH_E17.json"));
+        assert_eq!(effort(&report), Some(Json::Str("full".into())));
     }
 
     #[test]
     fn e15_smoke_reshards_apply_and_no_scan_tears() {
-        let data = e15_reshard_data(Effort { ops: 24 });
+        let report = e15_reshard(Effort::Quick);
         // 2 backends × 2 Zipf skews.
-        assert_eq!(data.points.len(), 4);
-        for p in &data.points {
+        assert_shape(&report, &[("points", 4)]);
+        for p in report.rows("points") {
             // The hard acceptance bar, host-independent: migration moves
             // every value exactly, so no scan ever tears or fails — on the
             // live multiversioned path *and* the drain-and-rebuild baseline.
-            assert_eq!(p.torn_scans, 0, "{p:?}");
-            assert_eq!(p.failed_scans, 0, "{p:?}");
+            assert_eq!(int(p, "torn_scans"), 0, "{p:?}");
+            assert_eq!(int(p, "failed_scans"), 0, "{p:?}");
             // The storm really migrated under traffic.
-            assert!(p.reshards >= 1, "{p:?}");
-            assert!(p.generation >= p.reshards, "{p:?}");
-            assert_eq!(p.shards_before, 2, "{p:?}");
-            assert!(p.baseline_p99_ns >= p.baseline_p50_ns, "{p:?}");
-            assert!(p.reshard_p99_ns >= p.reshard_p50_ns, "{p:?}");
-            assert!(p.worst_stall_ns >= p.reshard_p99_ns, "{p:?}");
+            assert!(int(p, "reshards") >= 1, "{p:?}");
+            assert!(int(p, "generation") >= int(p, "reshards"), "{p:?}");
+            assert_eq!(int(p, "shards_before"), 2, "{p:?}");
         }
-        let json = data.to_json();
-        assert_eq!(
-            json.get("experiment").and_then(psnap_json::Json::as_str),
-            Some("E15")
-        );
-        let points = json
-            .get("points")
-            .and_then(psnap_json::Json::as_array)
-            .unwrap();
-        assert_eq!(points.len(), 4);
-        let text = json.to_string_pretty();
-        assert_eq!(psnap_json::Json::parse(&text).unwrap(), json);
-    }
-
-    #[test]
-    fn e16_smoke_spans_attribute_stages_and_dump_the_induced_anomaly() {
-        // Structural half of the step claim, checked deterministically: with
-        // no concurrent scanners the updater's step count is a pure function
-        // of the workload, so off-vs-on must be *exactly* equal (spans never
-        // call steps::record). The grid's aggregate runs under scanners,
-        // where helping makes step counts noisy — that one is reported, not
-        // asserted.
-        psnap_obs::set_trace_enabled(true);
-        let measured = e16_point(ImplKind::Cas, 64, 4, 16, 2, 0, None);
-        psnap_obs::set_trace_enabled(false);
-        psnap_obs::set_span_enabled(false);
-        assert_eq!(
-            measured.off_steps_per_component, measured.on_steps_per_component,
-            "span collection perturbed the paper's step metric"
-        );
-
-        let data = e16_span_tracing_data(Effort { ops: 8 });
-        // 4 shard counts × 2 distributions × 4 batch sizes.
-        assert_eq!(data.points.len(), 32);
-        for p in &data.points {
-            assert!(p.off_comps_per_sec > 0.0, "{p:?}");
-            assert!(p.on_comps_per_sec > 0.0, "{p:?}");
-            assert!(p.sampled_comps_per_sec > 0.0, "{p:?}");
-            assert!((0.0..=1.0).contains(&p.trimmed_fraction), "{p:?}");
-        }
-        // Part B read real trees and produced the full stage breakdown.
-        assert_eq!(data.stages.len(), 5);
-        assert!(data.trees_captured > 0);
-        let total = data.stages.last().unwrap();
-        assert_eq!(total.stage, "total");
-        assert!(total.count > 0);
-        for s in &data.stages {
-            if s.count > 0 {
-                assert!(s.p99_ns >= s.p50_ns, "{s:?}");
-            }
-        }
-        let queue = &data.stages[0];
-        assert_eq!(queue.stage, "queue_wait");
-        assert!(queue.count > 0, "served scans always have a queue-wait leg");
-        // Part C: the 1ns SLO fired, and the frozen dump carries the
-        // triggering request's own tree and survives psnap-json exactly.
-        assert_eq!(data.anomaly_reason, "latency_slo");
-        assert!(data.anomaly_dump_trees >= 1);
-        assert!(data.triggering_tree_present);
-        assert!(data.dump_round_trips);
-
-        let json = data.to_json();
-        assert_eq!(
-            json.get("experiment").and_then(psnap_json::Json::as_str),
-            Some("E16")
-        );
-        let points = json
-            .get("points")
-            .and_then(psnap_json::Json::as_array)
-            .unwrap();
-        assert_eq!(points.len(), 32);
-        let text = json.to_string_pretty();
-        assert_eq!(psnap_json::Json::parse(&text).unwrap(), json);
     }
 
     #[test]
     fn e17_smoke_json_shape_and_chaos_accounting_holds() {
-        let data = e17_wire_data(Effort { ops: 24 });
-        // 4 connection counts × 2 transports.
-        assert_eq!(data.points.len(), 8);
-        for p in &data.points {
-            assert!(p.ops_per_sec > 0.0, "{p:?}");
-            assert!(p.scan_p99_ns >= p.scan_p50_ns, "{p:?}");
-            assert!(p.transport == "inproc" || p.transport == "tcp", "{p:?}");
-        }
-        for pair in data.points.chunks(2) {
-            assert_eq!(pair[0].transport, "inproc");
-            assert_eq!(pair[0].connections, pair[1].connections);
-            assert!((pair[0].throughput_vs_inproc - 1.0).abs() < 1e-9);
-            assert!(pair[1].throughput_vs_inproc > 0.0);
+        let report = e17_wire(Effort::Quick);
+        // 4 connection counts × 2 transports, then the one chaos row.
+        assert_shape(&report, &[("points", 8), ("chaos", 1)]);
+        for pair in report.rows("points").chunks(2) {
+            assert_eq!(pair[0].get("transport"), Some(&Value::from("inproc")));
+            assert_eq!(pair[1].get("transport"), Some(&Value::from("tcp")));
+            assert_eq!(pair[0].get("connections"), pair[1].get("connections"));
         }
         // The chaos acceptance criteria: kills interrupted some requests,
         // yet no response was lost or duplicated and the server-side
         // accepted == resolved invariant held.
-        let chaos = &data.chaos;
-        assert!(chaos.kills > 0);
-        assert!(chaos.tickets_ok > 0.0, "no request survived at all");
-        assert_eq!(
-            chaos.tickets_hung, 0.0,
-            "a ticket never resolved: lost response"
-        );
-        assert_eq!(
-            chaos.duplicate_replies, 0.0,
-            "duplicated/misattributed replies"
-        );
-        assert!(
-            chaos.accounting_holds,
-            "server accepted != resolved after kills"
-        );
-
-        let json = data.to_json();
-        assert_eq!(
-            json.get("experiment").and_then(psnap_json::Json::as_str),
-            Some("E17")
-        );
-        let points = json
-            .get("points")
-            .and_then(psnap_json::Json::as_array)
-            .unwrap();
-        assert_eq!(points.len(), 8);
-        assert!(json.get("chaos").is_some());
-        let text = json.to_string_pretty();
-        assert_eq!(psnap_json::Json::parse(&text).unwrap(), json);
-    }
-
-    #[test]
-    fn e6_portfolio_partial_scans_are_always_consistent() {
-        let outcome = portfolio_consistency_run(
-            MarketConfig {
-                stocks: 64,
-                portfolios: 4,
-                holdings_per_portfolio: 6,
-                ..Default::default()
-            },
-            150,
-        );
-        assert_eq!(
-            outcome.snapshot_violations, 0,
-            "partial scans must never tear"
-        );
-        assert_eq!(outcome.valuations, 150);
-        assert!(outcome.snapshot_scan_steps.mean < outcome.full_scan_steps.mean);
+        let chaos = &report.rows("chaos")[0];
+        assert!(int(chaos, "kills") > 0);
+        assert!(int(chaos, "tickets_ok") > 0, "no request survived at all");
+        assert_eq!(int(chaos, "tickets_hung"), 0, "a lost response");
+        assert_eq!(int(chaos, "duplicate_replies"), 0, "{chaos:?}");
+        assert_eq!(int(chaos, "accepted"), int(chaos, "resolved"), "{chaos:?}");
+        assert_eq!(chaos.get("accounting_holds"), Some(&Value::Flag(true)));
     }
 }

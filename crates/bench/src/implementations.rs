@@ -9,7 +9,7 @@ use psnap_core::{
 };
 use psnap_shard::{MvShardedSnapshot, Partition, ShardConfig, ShardedSnapshot};
 
-/// The implementations compared by the experiments.
+/// The snapshot implementations under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ImplKind {
     /// Figure 3: compare&swap partial snapshot with the Figure 2 active set.
@@ -50,7 +50,8 @@ pub enum ImplKind {
 }
 
 impl ImplKind {
-    /// Every implementation, in the order used by the experiment tables.
+    /// Every implementation, paper algorithms first, then baselines, then
+    /// the sharded and multiversioned compositions.
     pub const ALL: [ImplKind; 11] = [
         ImplKind::Cas,
         ImplKind::CasWithCollectActiveSet,
@@ -64,10 +65,6 @@ impl ImplKind {
         ImplKind::Mv,
         ImplKind::MV_SHARDED_4,
     ];
-
-    /// The wait-free implementations from the paper (used where baselines
-    /// would only add noise).
-    pub const PAPER: [ImplKind; 2] = [ImplKind::Cas, ImplKind::Register];
 
     /// Two contiguous Figure-3 shards.
     pub const SHARDED_CAS_2: ImplKind = ImplKind::Sharded {
@@ -96,14 +93,12 @@ impl ImplKind {
         partition: Partition::Contiguous,
     };
 
-    /// A multiversioned sharded object with an arbitrary shard count (used
-    /// by the E12 sweep).
+    /// A multiversioned sharded object with an arbitrary shard count.
     pub fn mv_sharded(shards: usize, partition: Partition) -> ImplKind {
         ImplKind::MvSharded { shards, partition }
     }
 
-    /// A sharded Figure-3 object with an arbitrary shard count (used by the
-    /// E8 shard-count sweep).
+    /// A sharded Figure-3 object with an arbitrary shard count.
     pub fn sharded_cas(shards: usize, partition: Partition) -> ImplKind {
         match (shards, partition) {
             (2, Partition::Contiguous) => ImplKind::SHARDED_CAS_2,

@@ -16,7 +16,7 @@ use std::process::{Command, Stdio};
 
 use psnap_json::Json;
 
-use crate::experiments::Table;
+use crate::experiments::{sig, Table};
 
 /// The repo's benchmark contract: metric names, in order, and directions.
 const CONTRACT: &str = include_str!("../../../BENCHMARK.json");
@@ -233,14 +233,6 @@ fn declared(trace: bool) -> Vec<(String, bool)> {
             Some((name, m.get("better")?.as_str()? == "higher"))
         })
         .collect()
-}
-
-fn sig(x: f64) -> String {
-    match x.abs() {
-        a if a >= 1000.0 => format!("{x:.0}"),
-        a if a >= 10.0 => format!("{x:.2}"),
-        _ => format!("{x:.4}"),
-    }
 }
 
 /// The comparison: per metric, each side's median and quartile distance,

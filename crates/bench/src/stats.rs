@@ -1,4 +1,4 @@
-//! Small summary-statistics helper for experiment tables.
+//! Small summary-statistics helper for the experiments' latency samples.
 
 /// Summary statistics of a sample of per-operation measurements.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -11,7 +11,7 @@ pub struct Summary {
     pub p50: f64,
     /// 95th percentile.
     pub p95: f64,
-    /// 99th percentile (the service-latency tail metric of E11).
+    /// 99th percentile.
     pub p99: f64,
     /// Maximum.
     pub max: f64,

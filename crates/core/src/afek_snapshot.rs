@@ -9,7 +9,7 @@
 //! by running a full scan and projecting the requested components out of it —
 //! precisely the "wasteful" construction the paper's introduction argues
 //! against, which is why this type exists: it is the baseline whose scan and
-//! update costs grow with `m` in experiments E1, E6 and E7.
+//! update costs grow with `m` (`tests/paper_claims.rs` asserts the contrast).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -192,7 +192,8 @@ impl<T: Clone + Send + Sync + 'static, A: ActiveSet> PartialSnapshot<T>
         }
         // The helping view is computed once per batch — this is where batching
         // beats a loop of single updates: the getSet and the embedded helping
-        // scan are amortized over the whole batch (measured by E10).
+        // scan are amortized over the whole batch (asserted in steps by
+        // `tests/paper_claims.rs`).
         let announced = self.announced_components();
         let view = self.embedded_scan(&announced);
         let seq = self.counters[pid.index()].load(Ordering::Relaxed);

@@ -2,8 +2,8 @@
 //!
 //! Not part of the paper's model (it is blocking, so a stalled updater can
 //! block every scanner forever), but it is what a practitioner would reach for
-//! first, so experiments E6/E7 include it to show where the wait-free
-//! algorithms stand against a straightforward `RwLock<Vec<T>>`.
+//! first, so the cross-implementation tests include it to show where the
+//! wait-free algorithms stand against a straightforward `RwLock<Vec<T>>`.
 
 use std::sync::RwLock;
 

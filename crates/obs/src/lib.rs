@@ -37,8 +37,9 @@
 //!
 //! The whole layer sits behind one global switch ([`set_enabled`]): when
 //! disabled, every record path is a single relaxed load and an early
-//! return, which is what experiment E13 measures the enabled layer against
-//! (and E16 for the span layer).
+//! return, which is what the repo benchmark's `obs.metrics_overhead_share`
+//! measures the enabled layer against (and `obs.span_overhead_share` the
+//! span layer).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -66,7 +67,7 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Turns recording on or off process-wide. Disabling mid-run freezes every
 /// metric where it stands (partition invariants still hold — all the legs
-/// of a partition stop together). Used by experiment E13 to price the
+/// of a partition stop together). The repo benchmark uses it to price the
 /// instrumentation itself.
 pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::SeqCst);

@@ -153,7 +153,8 @@ impl SpanContext {
 /// Span collection switch, **off by default** — same rationale as the trace
 /// switch: every span costs two clock reads, two ring pushes, and one
 /// flight-collector push, a debugging/attribution tool rather than an
-/// always-on tax. E16 prices exactly this switch.
+/// always-on tax. The repo benchmark's `obs.span_overhead_share` prices
+/// exactly this switch.
 static SPAN_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turns span collection on or off process-wide. Spans begun while enabled
@@ -175,7 +176,7 @@ pub fn span_enabled() -> bool {
 /// sites (the serve pipeline); high-frequency sites that would otherwise
 /// span sub-microsecond operations (e.g. every raw store batch) use a
 /// larger divisor to bound the collection tax, trading attribution
-/// coverage for overhead. E16 prices both settings.
+/// coverage for overhead.
 static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
 
 /// Sets the root sampling divisor (0 is treated as 1: record every root).

@@ -166,7 +166,8 @@ static RINGS: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
 static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 
 /// Event collection switch, **off by default**: metrics are an always-on
-/// production surface (priced by E13), but every trace event costs a clock
+/// production surface (priced by the repo benchmark's
+/// `obs.metrics_overhead_share`), but every trace event costs a clock
 /// read and a ring push on a hot path — a debugging tool you switch on for
 /// the window you care about, not a tax on every operation.
 static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);

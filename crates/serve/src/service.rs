@@ -74,8 +74,7 @@ use crate::queue::{BoundedQueue, Notify, OpCell, SubmitError, Ticket};
 /// How the scan server merges concurrent scan requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Coalescing {
-    /// No merging: every request is answered by its own backing scan (the
-    /// E11 baseline).
+    /// No merging: every request is answered by its own backing scan.
     Disabled,
     /// Merge everything pending when the scan server wakes; with a non-zero
     /// window, first sleep that long so more requests accumulate (larger
@@ -87,7 +86,7 @@ pub enum Coalescing {
     /// arrival rate and the backing-scan latency (exponentially weighted),
     /// and opens a window of about one backing-scan's width — clamped to
     /// `max` — only when at least one more request is expected to arrive
-    /// while a backing scan runs (E11's break-even point). Below
+    /// while a backing scan runs (coalescing's break-even point). Below
     /// break-even, and for a lone request at an idle server, requests are
     /// dispatched immediately. Every window decision (including the zero
     /// ones) is recorded in the `scan.window_ns` histogram.

@@ -35,6 +35,27 @@ fn stale_requests_on_mv_backend_never_touch_the_backing_scan() {
     assert_eq!(stats.scans_served_backing, 0, "{stats:?}");
     assert_eq!(stats.backing_scans, 0, "{stats:?}");
     service.shutdown();
+
+    // A backend with no version history has no mv tier to report: the same
+    // requests are answered by backing scans and the cache they fill.
+    let service = SnapshotService::start(
+        Arc::new(CasPartialSnapshot::new(16, 3, 0u64)),
+        ServiceConfig::default(),
+        &executor,
+    );
+    let client = service.client();
+    client.submit_batch(vec![(2, 22), (7, 77)]).unwrap().wait();
+    for _ in 0..10 {
+        let values = client
+            .scan(vec![2, 7], Freshness::AtMostStale(Duration::ZERO))
+            .unwrap()
+            .wait();
+        assert_eq!(values, vec![22, 77]);
+    }
+    let stats = service.stats();
+    assert_eq!(stats.scans_served_mv, 0, "{stats:?}");
+    assert!(stats.backing_scans > 0, "{stats:?}");
+    service.shutdown();
 }
 
 #[test]

@@ -234,6 +234,34 @@ fn concurrent_scans_coalesce_into_one_backing_scan() {
     // Overlap between the merged requests must be deduplicated.
     assert!(stats.component_dedup_ratio() > 1.0, "{stats:?}");
     service.shutdown();
+
+    // The contrast: with coalescing disabled the same pile-up is answered
+    // by one backing scan per request, and the ratio says so exactly.
+    let service = SnapshotService::start(
+        Arc::clone(&backing),
+        ServiceConfig {
+            coalescing: Coalescing::Disabled,
+            ..ServiceConfig::default()
+        },
+        &executor,
+    );
+    backing.scan_gate.close();
+    let first = service.client().scan(vec![0, 1], Freshness::Fresh).unwrap();
+    wait_until("scan server to park on the gate", || {
+        service.scan_depth() == 0
+    });
+    let queued: Vec<_> = (0..6)
+        .map(|k| service.client().scan(vec![k, k + 1], Freshness::Fresh))
+        .collect();
+    let scans_before = backing.inner_scans();
+    backing.scan_gate.open();
+    assert_eq!(first.wait(), vec![100, 101]);
+    for (k, ticket) in queued.into_iter().enumerate() {
+        assert_eq!(ticket.unwrap().wait(), vec![k as u64 + 100, k as u64 + 101]);
+    }
+    assert_eq!(backing.inner_scans() - scans_before, 7);
+    assert_eq!(service.stats().coalescing_ratio(), 1.0);
+    service.shutdown();
 }
 
 #[test]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use psnap_core::{PartialSnapshot, ReshardOp};
+use psnap_core::{CasPartialSnapshot, PartialSnapshot, ReshardOp};
 use psnap_json::Json;
 use psnap_obs::{flight, AnomalyKind, FlightDump, Registry, SpanKind};
 use psnap_serve::{
@@ -174,8 +174,8 @@ fn every_scan_tree_is_rooted_at_its_submit_with_no_orphans() {
         }
     }
     // The union path actually ran somewhere in the run, and its backing
-    // intervals attribute to scan trees (per-stage attribution is what E16
-    // reads off these).
+    // intervals attribute to scan trees (per-stage attribution is what a
+    // traced benchmark run reads off these).
     assert!(served
         .iter()
         .any(|t| t.spans_of(SpanKind::BackingScan).count() >= 1));
@@ -238,6 +238,48 @@ fn flight_dump_of_live_traffic_round_trips_through_json() {
     assert!(events
         .iter()
         .all(|e| e.get("ph").and_then(Json::as_str) == Some("X")));
+
+    // The same for a dump the service freezes by itself: a 1 ns scan SLO no
+    // real scan can meet fires `latency_slo`, and the dump must carry the
+    // triggering request's own tree and survive psnap-json exactly.
+    flight::reset();
+    psnap_obs::set_trace_enabled(true);
+    psnap_obs::set_span_enabled(true);
+    flight::set_armed(true);
+    let slo = Duration::from_nanos(1);
+    let executor = Executor::new(2);
+    let service = SnapshotService::start(
+        Arc::new(CasPartialSnapshot::new(M, 2, 0u64)),
+        ServiceConfig {
+            scan_slo: Some(slo),
+            ..ServiceConfig::default()
+        },
+        &executor,
+    );
+    let client = service.client();
+    assert!(client.submit_blocking(3, 33));
+    let all: Vec<usize> = (0..M).collect();
+    client.scan_blocking(&all, Freshness::Fresh).unwrap();
+    service.shutdown();
+    flight::set_armed(false);
+    psnap_obs::set_span_enabled(false);
+    psnap_obs::set_trace_enabled(false);
+    let dumps = flight::take_dumps();
+    let induced = dumps
+        .iter()
+        .find(|d| d.reason == AnomalyKind::LatencySlo)
+        .expect("the unmeetable SLO freezes a latency_slo dump");
+    assert!(
+        induced.trees.iter().any(|t| {
+            t.root().kind == SpanKind::ScanRequest && t.root().b as u128 > slo.as_nanos()
+        }),
+        "the dump lacks the request that triggered it"
+    );
+    let text = induced.to_json().to_string_pretty();
+    assert_eq!(
+        FlightDump::from_json(&Json::parse(&text).expect("dump JSON parses")).as_ref(),
+        Some(induced)
+    );
 
     flight::reset();
 }

@@ -23,7 +23,8 @@
 //! a multiversioned [`psnap_core::MvSnapshot`] sharing one timestamp camera,
 //! and a cross-shard scan draws a single timestamp and reads the newest
 //! version at or below it on every shard — bounded steps under any writer
-//! behaviour, no retries, no latch (experiment E12 measures the trade). The
+//! behaviour, no retries, no latch (the repo benchmark's `core.mv.*` and
+//! `shard.*` rungs measure the trade). The
 //! type a deployment builds chooses the path; [`ShardConfig`] only seeds it.
 //!
 //! # One generation mechanism

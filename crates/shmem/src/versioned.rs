@@ -13,12 +13,10 @@
 //! * [`compare_and_swap`](VersionedCell::compare_and_swap) is one hardware
 //!   `compare_exchange` on the pointer.
 //!
-//! Each operation is a single linearizable base-object step, so the step
-//! accounting (the paper's cost metric) is identical to the earlier
-//! `RwLock`-guarded implementation — but no operation ever blocks, spins on a
-//! lock word, or makes a syscall, which is what lets throughput keep scaling
-//! with threads (experiment E9; [`RwLockVersionedCell`](crate::rwlock_cell)
-//! is that earlier implementation, retained as the E9 baseline).
+//! Each operation is a single linearizable base-object step, and no
+//! operation ever blocks, spins on a lock word, or makes a syscall, which is
+//! what lets throughput keep scaling with threads (the repo benchmark's
+//! `shmem.cell_load_ns` / `shmem.cell_cas_ns` rungs price one operation).
 //!
 //! Records unlinked by `store`/`compare_and_swap` are reclaimed through the
 //! vendored epoch scheme of [`crate::epoch`]: every operation runs under an
@@ -66,9 +64,8 @@ impl<T> Clone for Versioned<T> {
 }
 
 impl<T> Versioned<T> {
-    /// Assembles a version handle. Used by this crate's register
-    /// implementations ([`VersionedCell`], the `RwLock` baseline).
-    pub(crate) fn from_parts(stamp: u64, value: Arc<T>) -> Self {
+    /// Assembles a version handle.
+    fn from_parts(stamp: u64, value: Arc<T>) -> Self {
         Versioned { stamp, value }
     }
 

@@ -1,24 +1,16 @@
-//! Workload generation for the partial snapshot experiments.
+//! Workload generation for the partial snapshot experiments, tests and
+//! examples.
 //!
 //! * [`dist`] — component-selection distributions (uniform, Zipf);
-//! * [`mix`] — scanner/updater role mixes;
 //! * [`portfolio`] — the stock-portfolio scenario from the paper's
 //!   introduction (a market of stocks, portfolios holding a few of them,
-//!   price-tick streams);
-//! * [`sweep`] — the named parameter sweeps behind the experiment tables in
-//!   EXPERIMENTS.md.
+//!   price-tick streams).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod dist;
-pub mod mix;
 pub mod portfolio;
-pub mod sweep;
 
 pub use dist::IndexDist;
-pub use mix::Mix;
 pub use portfolio::{Market, MarketConfig, Portfolio, PriceTicks};
-pub use sweep::{
-    Sweep, SweepPoint, DEFAULT_M_SWEEP, DEFAULT_R_SWEEP, DEFAULT_SCANNER_SWEEP, DEFAULT_SHARD_SWEEP,
-};
