@@ -1,8 +1,8 @@
 //! The two experiments the repo benchmark cannot express, and the one row
 //! model both report through.
 //!
-//! * **E15** — a heat-targeted reshard storm under live Zipf traffic, on the
-//!   live-migration backend and the drain-and-rebuild baseline.
+//! * **E15** — a heat-targeted reshard storm under live Zipf traffic on the
+//!   sharded multiversioned store.
 //! * **E17** — the wire transport against in-process clients at 1/4/16/64
 //!   connections, plus a connection-kill storm audited for lost, hung and
 //!   duplicated replies.
@@ -19,13 +19,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use psnap_core::{CasPartialSnapshot, ProcessId};
+use psnap_core::{CasPartialSnapshot, PartialSnapshot, ProcessId};
 use psnap_json::Json;
+use psnap_shard::{MvShardedSnapshot, ShardConfig};
 use psnap_workloads::IndexDist;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::implementations::ImplKind;
 use crate::stats::Summary;
 
 /// A printable table.
@@ -356,20 +356,26 @@ fn e15_heat_skew(before: &[u64], after: &[u64], sizes: &[usize]) -> f64 {
     deltas.iter().cloned().fold(0.0f64, f64::max) / mean
 }
 
-/// One E15 point: two pinned single-writer updaters churn throughout; the
+/// One E15 point, on a store of `m` components starting from two contiguous
+/// shards: two pinned single-writer updaters churn throughout; the
 /// main thread is the scanner and checks per-component monotonicity on every
 /// scan; a storm thread splits the hottest owning shard three times (scored
 /// by heat-window delta, falling back to slot count when the heat signal is
 /// flat) and then merges the coldest survivor. The storm phase loops until
 /// the storm thread is done, so every migration happens under measured
 /// scan + update traffic.
-fn e15_point(kind: ImplKind, m: usize, r: usize, ops: usize, zipf_s: f64) -> Row {
+fn e15_point(m: usize, r: usize, ops: usize, zipf_s: f64) -> Row {
     use psnap_core::ReshardOp;
 
     let updaters = 2usize;
     // pids 0..updaters write, pid `updaters` scans; the resharder performs
     // no per-process snapshot operations.
-    let snapshot = kind.build(m, updaters + 1, 0);
+    let snapshot = Arc::new(MvShardedSnapshot::new(
+        m,
+        updaters + 1,
+        0u64,
+        ShardConfig::contiguous(2),
+    ));
     let stop = Arc::new(AtomicBool::new(false));
     let update_handles: Vec<_> = (0..updaters)
         .map(|u| {
@@ -521,7 +527,6 @@ fn e15_point(kind: ImplKind, m: usize, r: usize, ops: usize, zipf_s: f64) -> Row
     let baseline_stats = Summary::of(&baseline);
     let through_stats = Summary::of(&through);
     Row::default()
-        .with("backend", kind.label())
         .with("zipf_s", zipf_s)
         // Owning shards (non-empty slot sets) around the storm.
         .with("shards_before", shards_before)
@@ -533,7 +538,7 @@ fn e15_point(kind: ImplKind, m: usize, r: usize, ops: usize, zipf_s: f64) -> Row
         .with("baseline_p99_ns", baseline_stats.p99)
         .with("reshard_p50_ns", through_stats.p50)
         .with("reshard_p99_ns", through_stats.p99)
-        // The drain-and-rebuild availability gap shows up here.
+        // The longest a scan waited out a migration.
         .with("worst_stall_ns", through_stats.max)
         .with("p99_ratio", ratio(through_stats.p99, baseline_stats.p99))
         // Hottest owning shard / mean owning shard; targeted splits should
@@ -541,42 +546,34 @@ fn e15_point(kind: ImplKind, m: usize, r: usize, ops: usize, zipf_s: f64) -> Row
         .with("skew_before", skew_before)
         .with("skew_after", skew_after)
         // Scans that saw a component go backwards (a torn or lost write) or
-        // came back with the wrong shape. Must be 0 on every backend.
+        // came back with the wrong shape. Must be 0.
         .with("torn_scans", torn)
         .with("failed_scans", failed)
 }
 
-/// E15 — online resharding under live traffic: the live-migration backend
-/// against the drain-and-rebuild baseline, both starting from two contiguous
-/// shards, under moderately and heavily skewed Zipf traffic.
+/// E15 — online resharding under live traffic on the sharded
+/// multiversioned store, starting from two contiguous shards, under
+/// moderately and heavily skewed Zipf traffic.
 pub fn e15_reshard(effort: Effort) -> Report {
     let (m, r) = (256, 16);
-    let mut points = Vec::new();
-    for kind in [
-        ImplKind::mv_sharded(2, psnap_shard::Partition::Contiguous),
-        ImplKind::sharded_cas(2, psnap_shard::Partition::Contiguous),
-    ] {
-        for zipf_s in [0.9f64, 1.2] {
-            points.push(e15_point(kind, m, r, effort.ops(), zipf_s));
-        }
-    }
+    let points = [0.9f64, 1.2]
+        .into_iter()
+        .map(|zipf_s| e15_point(m, r, effort.ops(), zipf_s))
+        .collect();
     Report {
         id: "E15",
         description: "online resharding under live traffic: scan p50/p99 on a static \
              two-shard layout vs through a heat-targeted reshard storm \
              (split-hottest ×3 then merge-coldest), two single-writer Zipf \
              updaters running throughout, scans drawn from 12 Zipf-popular \
-             query shapes. The multiversioned backend migrates behind the \
-             shared timestamp camera — writers and scanners keep running \
-             during the copy — while the Figure-3 sharded backend drains \
-             and rebuilds under a latch, so its storm p99 and worst stall \
-             absorb the full quiescence gap. Every scan is checked for \
-             per-component monotonicity against the single-writer discipline; \
-             torn_scans and failed_scans must be zero on both backends \
-             (migration moves values exactly, across every generation). \
-             Heat skew (hottest/mean owning shard) is sampled before and \
-             after: targeted splits divide the hot shard's load, so \
-             skew_after < skew_before under a skewed distribution"
+             query shapes. The store migrates behind the shared timestamp \
+             camera — writers and scanners keep running during the copy. \
+             Every scan is checked for per-component monotonicity against \
+             the single-writer discipline; torn_scans and failed_scans must \
+             be zero (migration moves values exactly, across every \
+             generation). Heat skew (hottest/mean owning shard) is sampled \
+             before and after: targeted splits divide the hot shard's load, \
+             so skew_after < skew_before under a skewed distribution"
             .to_string(),
         seed: E15_SEED,
         effort,
@@ -1168,12 +1165,11 @@ mod tests {
     #[test]
     fn e15_smoke_reshards_apply_and_no_scan_tears() {
         let report = e15_reshard(Effort::Quick);
-        // 2 backends × 2 Zipf skews.
-        assert_shape(&report, &[("points", 4)]);
+        // 2 Zipf skews.
+        assert_shape(&report, &[("points", 2)]);
         for p in report.rows("points") {
             // The hard acceptance bar, host-independent: migration moves
-            // every value exactly, so no scan ever tears or fails — on the
-            // live multiversioned path *and* the drain-and-rebuild baseline.
+            // every value exactly, so no scan ever tears or fails.
             assert_eq!(int(p, "torn_scans"), 0, "{p:?}");
             assert_eq!(int(p, "failed_scans"), 0, "{p:?}");
             // The storm really migrated under traffic.

@@ -9,9 +9,7 @@
 //! * [`experiments`] — E15 (reshard storm under live traffic) and E17
 //!   (connection sweep + kill storm over the wire), which no benchmark
 //!   workload covers, reported through one row model;
-//! * [`pair`] — alternating runs of two prebuilt `psnap-benchmark` binaries;
-//! * [`implementations`] — [`ImplKind`], the one list of snapshot
-//!   implementations the workspace's cross-implementation tests iterate.
+//! * [`pair`] — alternating runs of two prebuilt `psnap-benchmark` binaries.
 //!
 //! ```text
 //! cargo run -p psnap-bench --release --bin harness -- --json all
@@ -22,10 +20,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-pub mod implementations;
 pub mod pair;
 pub mod stats;
 
 pub use experiments::{run_experiment, Effort, Report, Row, Table, Value, EXPERIMENTS};
-pub use implementations::ImplKind;
 pub use stats::Summary;

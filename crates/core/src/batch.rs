@@ -4,13 +4,12 @@
 //!
 //! # Why a gate is needed at all
 //!
-//! The collect-based algorithms (Figures 1 and 3, the classic full snapshot,
-//! the plain double collect) make a *single-register* write atomic by
-//! construction, but a batch of writes applied register by register is not: a
-//! clean double collect can land entirely between the batch's first and last
-//! write and return a strict subset of the batch. The gate closes exactly
-//! that hole with the same validated-window technique `psnap-shard` uses for
-//! cross-shard scans:
+//! The collect-based algorithms (Figures 1 and 3, the classic full snapshot)
+//! make a *single-register* write atomic by construction, but a batch of
+//! writes applied register by register is not: a clean double collect can
+//! land entirely between the batch's first and last write and return a
+//! strict subset of the batch. The gate closes exactly that hole with a
+//! validated window:
 //!
 //! * a batch *write phase* is bracketed by `writers += 1 … epoch += 1;
 //!   writers -= 1` (batches themselves are serialized by a mutex, so at most
@@ -39,8 +38,7 @@
 //! batch write phase is open (`observe` returns `None`), so a batcher
 //! suspended — or crashed — inside its write phase stalls every scan on the
 //! object until it resumes, the same failure mode as a stalled writer inside
-//! `LockSnapshot`'s lock or the sharded store's coordinated drain. A live
-//! but relentless batch stream can likewise invalidate windows unboundedly.
+//! `LockSnapshot`'s lock. A live but relentless batch stream can likewise invalidate windows unboundedly.
 //! The wait-freedom theorems of the paper are about the single-update
 //! interface, which is unchanged; objects whose workload uses `update_many`
 //! trade scan wait-freedom for batch atomicity.

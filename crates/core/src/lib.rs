@@ -16,7 +16,6 @@
 //! | [`CasPartialSnapshot`] | Figure 3 (main algorithm) | compare&swap + fetch&increment + registers | wait-free, worst-case `O(r²)`, **local** | wait-free, amortized `O(Cs²·rmax²)` |
 //! | [`RegisterPartialSnapshot`] | Figure 1 | registers only | wait-free, `O((Cu+1)·r + A)` | wait-free, `O(Cu·Cs·rmax + A)` |
 //! | [`AfekFullSnapshot`] | baseline of Section 1/5 | registers only | wait-free, `Θ(m)` | wait-free, `Θ(m)` |
-//! | [`DoubleCollectSnapshot`] | introduction's non-blocking variant | registers only | non-blocking (may starve), cheap when quiet | single write |
 //! | [`LockSnapshot`] | practitioner comparator (not in paper) | reader-writer lock | blocking | blocking |
 //! | [`MvSnapshot`] | multiversion extension (Wei et al. direction, not in paper) | multiversioned registers + timestamp camera | wait-free, one-shot (no retry loop), **local** | wait-free, O(n) |
 //!
@@ -50,7 +49,6 @@ pub mod afek_snapshot;
 mod batch;
 pub mod cas_snapshot;
 mod collect;
-pub mod double_collect;
 pub mod entry;
 pub mod lock_snapshot;
 pub mod mv_snapshot;
@@ -60,7 +58,6 @@ pub mod view;
 
 pub use afek_snapshot::AfekFullSnapshot;
 pub use cas_snapshot::CasPartialSnapshot;
-pub use double_collect::{DoubleCollectSnapshot, ScanStarved};
 pub use entry::Entry;
 pub use lock_snapshot::LockSnapshot;
 pub use mv_snapshot::{MvSnapshot, ParkedUpdate};

@@ -3,7 +3,7 @@
 //! the paper's partial interface).
 //!
 //! Every other implementation in this crate makes a multi-register scan
-//! consistent by *re-reading* (double collects, epoch-validated windows) or
+//! consistent by *re-reading* (double collects, validated windows) or
 //! by *waiting* (the batch gate, the lock). `MvSnapshot` instead lets every
 //! register keep a short chain of timestamped versions
 //! ([`psnap_shmem::MvRegister`]) and gives scans a one-shot protocol:
@@ -27,10 +27,9 @@
 //! help-finalized on the spot, a pending batch is stepped over after its
 //! floor is raised (the protocols of [`psnap_shmem::mv`], which guarantee
 //! the decision agrees with the version's eventual timestamp). This is
-//! precisely the schedule under which the
-//! sharded store's coordinated fallback and the batch gate's validation
-//! loop stall, and the wait-freedom harness in `tests/wait_freedom.rs`
-//! drives it directly.
+//! precisely the schedule under which the batch gate's validation loop
+//! stalls, and the wait-freedom harness in `tests/wait_freedom.rs` drives
+//! it directly.
 //!
 //! # Linearization
 //!

@@ -67,8 +67,7 @@ pub trait PartialSnapshot<T: Clone + Send + Sync + 'static>: Send + Sync {
     /// they make concurrent scans blocking: a scan waits out any batch write
     /// phase in flight (so a batcher suspended mid-batch stalls scans until
     /// it resumes), and a relentless batch stream can invalidate scan
-    /// windows unboundedly — the same trade the sharded store makes for
-    /// cross-shard scans. [`is_wait_free`](PartialSnapshot::is_wait_free)
+    /// windows unboundedly. [`is_wait_free`](PartialSnapshot::is_wait_free)
     /// continues to describe the paper's single-update/scan interface.
     fn update_many(&self, pid: ProcessId, writes: &[(usize, T)]);
 

@@ -14,9 +14,8 @@
 //! Triggers are **armed** explicitly ([`set_armed`]): the serve layer fires
 //! them on latency-SLO breaches, `Busy` backpressure bursts, accepted
 //! reshards, and stuck partition-invariant violations (the periodic
-//! auditor); the shard layer fires on torn-validation scan fallbacks; tests
-//! and the sim chaos layer call [`trigger`] directly. Disarmed, a trigger
-//! is one relaxed load.
+//! auditor); tests and the sim chaos layer call [`trigger`] directly.
+//! Disarmed, a trigger is one relaxed load.
 //!
 //! This is the paper's discipline applied to the system's own telemetry:
 //! capture a consistent cut of a live system without stopping it.
@@ -244,9 +243,6 @@ pub fn reset() {
 /// Why a dump was frozen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AnomalyKind {
-    /// A cross-shard scan failed optimistic validation and fell back (the
-    /// torn-view near-miss the paper's epoch validation exists to catch).
-    TornScan,
     /// A burst of consecutive `Busy` backpressure rejections.
     BusyBurst,
     /// An accepted online reshard migration.
@@ -259,8 +255,7 @@ pub enum AnomalyKind {
 
 impl AnomalyKind {
     /// Every kind.
-    pub const ALL: [AnomalyKind; 5] = [
-        AnomalyKind::TornScan,
+    pub const ALL: [AnomalyKind; 4] = [
         AnomalyKind::BusyBurst,
         AnomalyKind::Reshard,
         AnomalyKind::LatencySlo,
@@ -270,7 +265,6 @@ impl AnomalyKind {
     /// Stable lowercase name used in exposition.
     pub fn as_str(&self) -> &'static str {
         match self {
-            AnomalyKind::TornScan => "torn_scan",
             AnomalyKind::BusyBurst => "busy_burst",
             AnomalyKind::Reshard => "reshard",
             AnomalyKind::LatencySlo => "latency_slo",
@@ -550,6 +544,6 @@ mod tests {
     fn disarmed_triggers_are_silent() {
         let _serial = FLIGHT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_armed(false);
-        assert!(trigger(AnomalyKind::TornScan, String::new(), None).is_none());
+        assert!(trigger(AnomalyKind::BusyBurst, String::new(), None).is_none());
     }
 }

@@ -28,10 +28,6 @@ pub enum TraceKind {
     /// A scanner announced itself / its timestamp (`a` = scan timestamp or
     /// announce round).
     ScanAnnounce,
-    /// An optimistic cross-shard scan round failed validation (`a` = round).
-    ScanRetry,
-    /// A scan fell back to the coordinated path (`a` = rounds burned).
-    ScanFallback,
     /// A reader help-finalized a pending single write (`a` = timestamp it
     /// assigned).
     HelpFinalize,
@@ -69,8 +65,6 @@ impl TraceKind {
     /// Every kind, in [`index`](TraceKind::index) order.
     pub const ALL: [TraceKind; TraceKind::COUNT] = [
         TraceKind::ScanAnnounce,
-        TraceKind::ScanRetry,
-        TraceKind::ScanFallback,
         TraceKind::HelpFinalize,
         TraceKind::BatchCommit,
         TraceKind::EpochAdvance,
@@ -85,7 +79,7 @@ impl TraceKind {
     ];
 
     /// Number of kinds (the width of per-kind drop accounting).
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 12;
 
     /// Dense index of this kind (indexes [`Timeline::dropped_by_kind`]).
     pub fn index(self) -> usize {
@@ -96,8 +90,6 @@ impl TraceKind {
     pub fn as_str(&self) -> &'static str {
         match self {
             TraceKind::ScanAnnounce => "scan_announce",
-            TraceKind::ScanRetry => "scan_retry",
-            TraceKind::ScanFallback => "scan_fallback",
             TraceKind::HelpFinalize => "help_finalize",
             TraceKind::BatchCommit => "batch_commit",
             TraceKind::EpochAdvance => "epoch_advance",

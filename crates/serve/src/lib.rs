@@ -22,7 +22,7 @@
 //!   scan passes through pays for slots, not for trees;
 //! * **backpressure** — full queues reject immediately with
 //!   [`SubmitError::Busy`]; accepted work always completes and the stats
-//!   counters partition exactly, mirroring the sharded store's discipline.
+//!   counters partition exactly.
 //!
 //! # Quick start
 //!

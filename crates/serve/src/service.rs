@@ -379,8 +379,7 @@ impl Default for Counters {
 
 /// A point-in-time snapshot of the service's counters.
 ///
-/// The counters follow the sharded-store stats discipline — they
-/// **partition**: every accepted submission is eventually resolved
+/// The counters **partition**: every accepted submission is eventually resolved
 /// (`submits_ok == submits_resolved` at quiescence), every submitted write is
 /// either applied or coalesced away (`writes_submitted == writes_applied +
 /// writes_coalesced_away`), and every accepted scan is served by exactly one
@@ -1757,8 +1756,7 @@ where
     }
 
     /// Whether the backing object is wait-free *right now*
-    /// ([`PartialSnapshot::is_wait_free`]; a coordinated sharded store loses
-    /// the property when a reshard takes it past one shard). While it holds,
+    /// ([`PartialSnapshot::is_wait_free`]). While it holds,
     /// every pipeline task finishes its poll in a bounded number of its own
     /// steps, so a transport thread may [`help`](crate::Handle::help)
     /// instead of waiting for a worker.

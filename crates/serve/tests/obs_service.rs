@@ -7,24 +7,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use psnap_core::CasPartialSnapshot;
 use psnap_obs::Registry;
 use psnap_serve::{
     Coalescing, Executor, ExecutorConfig, Freshness, ServiceConfig, SnapshotService,
 };
-use psnap_shard::{ShardConfig, ShardedSnapshot};
+use psnap_shard::{MvShardedSnapshot, ShardConfig};
 use psnap_shmem::chaos::ChaosConfig;
 
 const M: usize = 16;
 const SHARDS: usize = 4;
 
-fn sharded_backing() -> Arc<ShardedSnapshot<u64, CasPartialSnapshot<u64>>> {
-    Arc::new(ShardedSnapshot::with_factory(
+fn sharded_backing() -> Arc<MvShardedSnapshot<u64>> {
+    Arc::new(MvShardedSnapshot::new(
         M,
         4,
         0u64,
         ShardConfig::contiguous(SHARDS),
-        |_, shard_m, shard_n, init| CasPartialSnapshot::new(shard_m, shard_n, init),
     ))
 }
 
@@ -87,9 +85,8 @@ fn partition_invariants_hold_over_a_live_service_under_chaos() {
     service.shutdown();
 
     // At quiescence every accepted submission has resolved, every submitted
-    // write was applied or coalesced away, every accepted scan was served by
-    // exactly one path, and every cross-shard scan took exactly one of the
-    // clean/retried/coordinated exits. All four are registry invariants now.
+    // write was applied or coalesced away, and every accepted scan was
+    // served by exactly one path. All three are registry invariants.
     registry.assert_invariants();
 
     let obs = service.obs();

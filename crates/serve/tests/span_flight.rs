@@ -212,7 +212,7 @@ fn flight_dump_of_live_traffic_round_trips_through_json() {
     registry.counter("t.requests").add(trees.len() as u64);
     flight::set_armed(true);
     let dump = flight::trigger(
-        AnomalyKind::TornScan,
+        AnomalyKind::InvariantViolation,
         "synthetic trigger over real chaos traffic".to_string(),
         Some(&registry),
     )

@@ -1,92 +1,82 @@
-//! The one generation mechanism both sharded stores route through.
+//! The generation mechanism of the sharded store.
 //!
-//! A [`Layout`] is one immutable generation of a store's routing state: the
-//! partition map, its router, the inner shard objects, one writer [`Gate`]
-//! and one heat counter per shard. [`Generations`] holds the live layout
-//! behind the crate's only `AtomicPtr` and is the only code that
+//! A [`Layout`] is one immutable generation of the store's routing state: the
+//! partition map, its router, one [`MvSnapshot`] per shard, one writer
+//! [`Gate`] and one heat counter per shard. [`Generations`] holds the live
+//! layout behind the crate's only `AtomicPtr` and is the only code that
 //! dereferences, swaps, retires or frees it:
 //!
 //! * **readers** pin the epoch and [`load`](Generations::load) — the one way
-//!   to obtain a `&Layout`, valid for the guard — and, where their protocol
-//!   needs it, ask afterwards whether that layout
-//!   [`is_live`](Generations::is_live);
+//!   to obtain a `&Layout`, valid for the guard — and ask afterwards whether
+//!   that layout [`is_live`](Generations::is_live);
 //! * **writers** mutate a shard only while holding the [`WriterPermit`] that
 //!   [`enter_writer`](Generations::enter_writer) hands out after raising the
 //!   shard's gate and *then* re-checking the gate's frozen flag and the
 //!   pointer. PR 8's lost update was this recheck missing from one of four
-//!   hand-written copies; here it is a value a store has to obtain;
-//! * **resharders** call [`reshard`](Generations::reshard), which owns the
-//!   skeleton — serialize, split or merge the map, quiesce, build the
-//!   successor, swap, release, retire — and asks the store for only the three
-//!   steps that differ: how to quiesce its writers, how to build one rebuilt
-//!   shard from the old shards' contents, and how to release.
+//!   hand-written copies; here it is a value a writer has to obtain;
+//! * **resharders** call [`reshard`](Generations::reshard), which migrates
+//!   the affected shards' version history behind one camera cutover and
+//!   swaps the successor in (the protocol is in `mv_sharded`'s module docs).
+//!
+//! Every shard of every generation stamps with one [`TimestampCamera`] and
+//! serializes batches through one mutex; both live here, beside the pointer,
+//! because a migration needs them as much as the operations do.
 //!
 //! Unaffected shards are shared between consecutive layouts by `Arc`, and
 //! gates and heat counters are shared **by shard id** even for rebuilt
 //! shards: a writer counted against generation `g` stays visible to a
-//! resharder running at `g + 1`, and an old-generation scan still in flight
-//! validates against the very registers new-generation writers bump.
+//! resharder running at `g + 1`.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use psnap_core::ReshardOp;
+use psnap_core::{MvSnapshot, ReshardOp};
 use psnap_obs::{trace, Counter, Metric, Registry, TraceKind};
 use psnap_shmem::epoch::{self, Guard};
 use psnap_shmem::steps::{self, OpKind};
+use psnap_shmem::TimestampCamera;
 
 use crate::partition::{PartitionMap, ShardRouter};
 
 /// One shard's writer gate, padded to its own cache line: lets a reshard
 /// drain the writers of the shards it rebuilds without touching writers
-/// elsewhere. `regs` is whatever per-shard registers a store's own protocol
-/// keeps on the same line (the coordinated store's epochs and batch marks;
-/// nothing for the multiversioned store). The count and the flag are
-/// private: a count is raised only by [`Generations::enter_writer`].
+/// elsewhere. Both fields are private: a count is raised only by
+/// [`Generations::enter_writer`].
 #[derive(Default)]
 #[repr(align(64))]
-pub(crate) struct Gate<R> {
+pub(crate) struct Gate {
     /// Writers currently mutating the shard.
     writers: AtomicU64,
     /// Raised while a reshard is rebuilding the shard: writers back off
     /// (lower their count and retry on a fresh load) instead of mutating
     /// contents that are being copied out.
     frozen: AtomicBool,
-    pub(crate) regs: R,
 }
 
-impl<R> Gate<R> {
-    /// Writers currently inside the shard.
-    #[inline]
-    pub(crate) fn writers(&self) -> u64 {
-        self.writers.load(Ordering::SeqCst)
-    }
-}
-
-/// One generation of a store's routing state. Immutable once published.
-pub(crate) struct Layout<I, R> {
+/// One generation of the store's routing state. Immutable once published.
+pub(crate) struct Layout<T> {
     pub(crate) map: PartitionMap,
     pub(crate) router: ShardRouter,
-    pub(crate) inner: Vec<Arc<I>>,
-    pub(crate) gates: Vec<Arc<Gate<R>>>,
+    pub(crate) inner: Vec<Arc<MvSnapshot<T>>>,
+    gates: Vec<Arc<Gate>>,
     /// Per-shard operation heat. Survivors keep their counter across
     /// generations; shards appended by a split start cold, which is what
     /// makes post-split skew directly observable.
     pub(crate) heat: Vec<Arc<Counter>>,
 }
 
-impl<I, R> Layout<I, R> {
+impl<T> Layout<T> {
     /// Freezes `shards` and waits for the writers already inside them to
     /// leave. Every writer is bracketed by a raised count (SeqCst): either
     /// this drain observes the raise and waits for the write to land, or the
     /// writer's recheck observes the freeze and backs off. Writers to other
     /// shards continue untouched.
-    pub(crate) fn freeze_and_drain(&self, shards: &[usize]) {
+    fn freeze_and_drain(&self, shards: &[usize]) {
         for &s in shards {
             self.gates[s].frozen.store(true, Ordering::SeqCst);
         }
         for &s in shards {
-            while self.gates[s].writers() != 0 {
+            while self.gates[s].writers.load(Ordering::SeqCst) != 0 {
                 std::thread::yield_now();
             }
         }
@@ -95,7 +85,7 @@ impl<I, R> Layout<I, R> {
     /// Reopens `shards`. Gates are shared by shard id, so this reaches the
     /// writers that backed off whichever layout they loaded; they reload the
     /// pointer and land on the successor.
-    pub(crate) fn unfreeze(&self, shards: &[usize]) {
+    fn unfreeze(&self, shards: &[usize]) {
         for &s in shards {
             self.gates[s].frozen.store(false, Ordering::SeqCst);
         }
@@ -115,17 +105,28 @@ impl Drop for WriterPermit<'_> {
     }
 }
 
-/// The live [`Layout`] of a sharded store and everything that may touch the
-/// pointer to it.
-pub(crate) struct Generations<I, R> {
-    live: AtomicPtr<Layout<I, R>>,
-    /// Serializes reshard operations against each other.
-    reshard_lock: Mutex<()>,
+/// The live [`Layout`] of the sharded store, everything that may touch the
+/// pointer to it, and the state every generation's shards share.
+pub(crate) struct Generations<T> {
+    live: AtomicPtr<Layout<T>>,
+    /// The one timestamp camera of every shard of every generation.
+    pub(crate) camera: Arc<TimestampCamera>,
+    /// Serializes whole batches across the family — the same `Arc` every
+    /// shard holds, so batches entering through an inner shard and through
+    /// the store can never interleave their installs — and reshards against
+    /// batches and each other: a reshard holds it across its whole
+    /// migration.
+    pub(crate) batches: Arc<Mutex<()>>,
+    /// The initial component value (a rebuilt shard needs it before the
+    /// migration copy overwrites the slots that have history).
+    initial: T,
+    /// Processes every shard admits.
+    n: usize,
     /// Reshard operations that changed the layout.
     reshards: Arc<Counter>,
 }
 
-impl<I, R> Drop for Generations<I, R> {
+impl<T> Drop for Generations<T> {
     fn drop(&mut self) {
         // SAFETY: `live` always holds a pointer from `Box::into_raw` that
         // has not been retired — `reshard` retires only what it unlinked —
@@ -135,18 +136,25 @@ impl<I, R> Drop for Generations<I, R> {
     }
 }
 
-impl<I, R> Generations<I, R>
-where
-    I: Send + Sync + 'static,
-    R: Default + Send + Sync + 'static,
-{
-    /// Generation 0 over `map`; `build(shard, size)` makes each inner shard.
-    pub(crate) fn new(map: PartitionMap, mut build: impl FnMut(usize, usize) -> I) -> Self {
+impl<T: Clone + Send + Sync + 'static> Generations<T> {
+    /// Generation 0 over `map`: one multiversioned shard per shard id, `n`
+    /// processes each, every component `initial`.
+    pub(crate) fn new(map: PartitionMap, n: usize, initial: T) -> Self {
+        let camera = Arc::new(TimestampCamera::new());
+        let batches = Arc::new(Mutex::new(()));
         let router = ShardRouter::from_map(&map);
         let shards = router.shards();
         let layout = Layout {
             inner: (0..shards)
-                .map(|s| Arc::new(build(s, router.shard_size(s))))
+                .map(|s| {
+                    Arc::new(MvSnapshot::with_shared(
+                        router.shard_size(s),
+                        n,
+                        initial.clone(),
+                        Arc::clone(&camera),
+                        Arc::clone(&batches),
+                    ))
+                })
                 .collect(),
             gates: (0..shards).map(|_| Arc::default()).collect(),
             heat: (0..shards).map(|_| Arc::default()).collect(),
@@ -155,7 +163,10 @@ where
         };
         Generations {
             live: AtomicPtr::new(Box::into_raw(Box::new(layout))),
-            reshard_lock: Mutex::new(()),
+            camera,
+            batches,
+            initial,
+            n,
             reshards: Arc::default(),
         }
     }
@@ -163,7 +174,7 @@ where
     /// The live layout, dereferenceable for as long as `guard` pins the
     /// calling thread.
     #[inline]
-    pub(crate) fn load<'g>(&self, _guard: &'g Guard) -> &'g Layout<I, R> {
+    pub(crate) fn load<'g>(&self, _guard: &'g Guard) -> &'g Layout<T> {
         // SAFETY: the pointer came from `Box::into_raw`, and the only thing
         // that ever happens to an unlinked layout is `epoch::retire`, which
         // never frees under a pin taken before the unlink. The caller's pin
@@ -175,7 +186,7 @@ where
     /// the one routing the object. Comparing pointers is exact: a pinned
     /// layout cannot be freed, so its address cannot be reused.
     #[inline]
-    pub(crate) fn is_live(&self, layout: &Layout<I, R>) -> bool {
+    pub(crate) fn is_live(&self, layout: &Layout<T>) -> bool {
         std::ptr::eq(self.live.load(Ordering::Acquire), layout)
     }
 
@@ -186,7 +197,7 @@ where
     #[inline]
     pub(crate) fn enter_writer<'g>(
         &self,
-        layout: &'g Layout<I, R>,
+        layout: &'g Layout<T>,
         shard: usize,
     ) -> Option<WriterPermit<'g>> {
         let gate = &*layout.gates[shard];
@@ -213,27 +224,21 @@ where
         Some(permit)
     }
 
-    /// The reshard skeleton. `quiesce(old, affected)` must stop every writer
-    /// that could mutate the affected shards (at least
-    /// [`freeze_and_drain`](Layout::freeze_and_drain) on them) and returns
-    /// whatever the store holds meanwhile; `build(&held, shard, sources)`
-    /// makes one rebuilt shard whose slot `i` takes over the contents of
-    /// slot `sources[i].1` of the old shard object `sources[i].0`;
-    /// `release(held, old, affected)` reopens what `quiesce` closed and runs
-    /// once the successor is published. Returns `false`, having called none
-    /// of the three, for degenerate requests: splitting a shard with fewer
-    /// than two components, merging a shard into itself, out-of-range ids.
-    pub(crate) fn reshard<Q>(
-        &self,
-        op: ReshardOp,
-        quiesce: impl FnOnce(&Layout<I, R>, &[usize]) -> Q,
-        build: impl Fn(&Q, usize, &[(&I, usize)]) -> I,
-        release: impl FnOnce(Q, &Layout<I, R>, &[usize]),
-    ) -> bool {
-        let _serial = self.reshard_lock.lock().unwrap_or_else(|e| e.into_inner());
+    /// Applies a split or merge to the live store: exclude batches, freeze
+    /// and drain the affected shards' writers, draw the cutover boundary,
+    /// rebuild the affected shards with their finalized history at its
+    /// original timestamps, swap, reopen, retire. Returns `false`, having
+    /// changed nothing, for degenerate requests: splitting a shard with
+    /// fewer than two components, merging a shard into itself, out-of-range
+    /// ids.
+    pub(crate) fn reshard(&self, op: ReshardOp) -> bool {
+        // Lock order: batch serializer → gate freeze. Batch writers take the
+        // serializer before routing, so a batch in flight completes before
+        // the freeze and no new one starts until the swap is published; and
+        // since every resharder takes it first, `old` stays the live layout
+        // until our own swap below.
+        let serial = self.batches.lock().unwrap_or_else(|e| e.into_inner());
         let guard = epoch::pin();
-        // Only resharders swap the pointer and we hold their lock, so `old`
-        // stays the live layout until our own swap below.
         let old = self.load(&guard);
         let (map, affected) = match op {
             ReshardOp::Split { shard } => (old.map.split(shard), vec![shard]),
@@ -242,7 +247,15 @@ where
         let Some(map) = map else {
             return false;
         };
-        let held = quiesce(old, &affected);
+        // Each drained update is a bounded store-and-finalize; writers that
+        // arrive after the freeze back off and retry against the new state
+        // once it is published.
+        old.freeze_and_drain(&affected);
+        // The migration boundary: every version finalized before this call
+        // is strictly below it, every post-swap write at or above it. The
+        // affected shards are quiescent from here until the swap, so their
+        // chains are frozen below the boundary.
+        let boundary = self.camera.cutover();
         let router = ShardRouter::from_map(&map);
         let mut next = Layout {
             inner: Vec::with_capacity(map.shards()),
@@ -253,8 +266,8 @@ where
         };
         for s in 0..next.map.shards() {
             // Gates and heat are shared by shard id so operations straddling
-            // the swap are counted by, validate against and account to the
-            // same registers; a freshly appended shard starts cold.
+            // the swap are counted by and account to the same registers; a
+            // freshly appended shard starts cold.
             next.gates
                 .push(old.gates.get(s).map_or_else(Arc::default, Arc::clone));
             next.heat
@@ -267,13 +280,29 @@ where
                 next.inner.push(Arc::clone(&old.inner[s]));
                 continue;
             }
-            let sources: Vec<(&I, usize)> = (0..size)
-                .map(|slot| {
-                    let (from, from_slot) = old.router.route(next.router.component_of(s, slot));
-                    (&*old.inner[from], from_slot)
-                })
-                .collect();
-            next.inner.push(Arc::new(build(&held, s, &sources)));
+            // A rebuilt shard: each owned component's finalized history,
+            // copied with its original timestamps. All of them sit below the
+            // boundary, so a copy can never shadow a post-swap write;
+            // old-generation scans still in flight keep reading the old
+            // objects, which stay alive until the epoch frees them.
+            let fresh = MvSnapshot::with_shared(
+                size,
+                self.n,
+                self.initial.clone(),
+                Arc::clone(&self.camera),
+                Arc::clone(&self.batches),
+            );
+            for slot in 0..size {
+                let (from, from_slot) = old.router.route(next.router.component_of(s, slot));
+                for (t, v) in old.inner[from].slot_versions(from_slot) {
+                    debug_assert!(
+                        t < boundary,
+                        "version stamped {t} at or above the cutover boundary {boundary}"
+                    );
+                    fresh.install_frozen(slot, t, v);
+                }
+            }
+            next.inner.push(Arc::new(fresh));
         }
         let generation = next.map.generation();
         let migrated = (0..next.map.components())
@@ -282,8 +311,12 @@ where
         let unlinked = self
             .live
             .swap(Box::into_raw(Box::new(next)), Ordering::AcqRel);
-        debug_assert!(std::ptr::eq(unlinked, old), "swapped outside reshard_lock");
-        release(held, old, &affected);
+        debug_assert!(
+            std::ptr::eq(unlinked, old),
+            "swapped outside the serializer"
+        );
+        old.unfreeze(&affected);
+        drop(serial);
         // SAFETY: `unlinked` came from `Box::into_raw`, the swap above
         // removed it from the only shared location — nobody can load it
         // anymore — and each swap returns a given pointer once, so it is
@@ -306,7 +339,7 @@ where
     }
 
     /// One inner shard of the live generation.
-    pub(crate) fn shard(&self, s: usize) -> Arc<I> {
+    pub(crate) fn shard(&self, s: usize) -> Arc<MvSnapshot<T>> {
         Arc::clone(&self.load(&epoch::pin()).inner[s])
     }
 
@@ -359,118 +392,72 @@ where
 mod tests {
     use super::*;
     use crate::Partition;
-    use std::cell::Cell;
-    use std::sync::atomic::AtomicUsize;
+    use psnap_core::PartialSnapshot;
+    use psnap_shmem::ProcessId;
+    use std::sync::Weak;
     use std::time::{Duration, Instant};
-
-    /// The smallest thing that can stand in for a shard: one word per slot,
-    /// and a `Drop` that counts, so a freed layout is observable.
-    struct Words {
-        slots: Vec<AtomicU64>,
-        drops: Arc<AtomicUsize>,
-    }
-
-    impl Drop for Words {
-        fn drop(&mut self) {
-            self.drops.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    type TestGenerations = Generations<Words, ()>;
 
     /// `m` components over `shards` contiguous shards, component `c`
     /// holding `100 + c`.
-    fn generations(m: usize, shards: usize, drops: &Arc<AtomicUsize>) -> TestGenerations {
-        let gens = Generations::new(
-            PartitionMap::new(m, shards, Partition::Contiguous),
-            |_, size| Words {
-                slots: (0..size).map(|_| AtomicU64::new(0)).collect(),
-                drops: Arc::clone(drops),
-            },
-        );
+    fn generations(m: usize, shards: usize) -> Generations<u64> {
+        let gens = Generations::new(PartitionMap::new(m, shards, Partition::Contiguous), 1, 0);
         let guard = epoch::pin();
         let layout = gens.load(&guard);
         for c in 0..m {
             let (shard, slot) = layout.router.route(c);
-            layout.inner[shard].slots[slot].store(100 + c as u64, Ordering::SeqCst);
+            layout.inner[shard].update(ProcessId(0), slot, 100 + c as u64);
         }
         gens
     }
 
-    fn values(gens: &TestGenerations) -> Vec<u64> {
+    fn value(layout: &Layout<u64>, shard: usize, slot: usize) -> u64 {
+        layout.inner[shard].scan(ProcessId(0), &[slot])[0]
+    }
+
+    fn values(gens: &Generations<u64>) -> Vec<u64> {
         let guard = epoch::pin();
         let layout = gens.load(&guard);
         (0..layout.map.components())
             .map(|c| {
                 let (shard, slot) = layout.router.route(c);
-                layout.inner[shard].slots[slot].load(Ordering::SeqCst)
+                value(layout, shard, slot)
             })
             .collect()
     }
 
-    /// A reshard whose store-supplied steps are the minimum the contract
-    /// asks for: freeze and drain the affected shards, copy word by word,
-    /// unfreeze. Counts how often each of the three ran.
-    #[derive(Default)]
-    struct Calls {
-        quiesce: Cell<usize>,
-        build: Cell<usize>,
-        release: Cell<usize>,
+    fn weak_shards(layout: &Layout<u64>) -> Vec<Weak<MvSnapshot<u64>>> {
+        layout.inner.iter().map(Arc::downgrade).collect()
     }
 
-    fn reshard(
-        gens: &TestGenerations,
-        op: ReshardOp,
-        drops: &Arc<AtomicUsize>,
-        calls: &Calls,
-    ) -> bool {
-        gens.reshard(
-            op,
-            |old, affected| {
-                calls.quiesce.set(calls.quiesce.get() + 1);
-                old.freeze_and_drain(affected);
-            },
-            |(), _, sources| {
-                calls.build.set(calls.build.get() + 1);
-                Words {
-                    slots: sources
-                        .iter()
-                        .map(|(from, slot)| {
-                            AtomicU64::new(from.slots[*slot].load(Ordering::SeqCst))
-                        })
-                        .collect(),
-                    drops: Arc::clone(drops),
-                }
-            },
-            |(), old, affected| {
-                calls.release.set(calls.release.get() + 1);
-                old.unfreeze(affected);
-            },
-        )
+    /// Nothing a reshard took is still held: no gate frozen, the batch
+    /// serializer free.
+    fn assert_released(gens: &Generations<u64>) {
+        let guard = epoch::pin();
+        let layout = gens.load(&guard);
+        assert!(
+            layout
+                .gates
+                .iter()
+                .all(|g| !g.frozen.load(Ordering::SeqCst)),
+            "a reshard left a gate frozen"
+        );
+        assert!(
+            gens.batches.try_lock().is_ok(),
+            "a reshard left the serializer held"
+        );
     }
 
     #[test]
     fn a_pinned_reader_outlives_two_swaps_and_retired_layouts_are_freed_once_it_unpins() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let calls = Calls::default();
-        let gens = generations(8, 2, &drops);
+        let gens = generations(8, 2);
         let expected: Vec<u64> = (100..108).collect();
 
         let reader = epoch::pin();
         let pinned = gens.load(&reader);
+        let gen0 = weak_shards(pinned);
         assert!(gens.is_live(pinned));
-        assert!(reshard(
-            &gens,
-            ReshardOp::Split { shard: 0 },
-            &drops,
-            &calls
-        ));
-        assert!(reshard(
-            &gens,
-            ReshardOp::Split { shard: 1 },
-            &drops,
-            &calls
-        ));
+        assert!(gens.reshard(ReshardOp::Split { shard: 0 }));
+        assert!(gens.reshard(ReshardOp::Split { shard: 1 }));
         assert_eq!(gens.generation(), 2);
         assert_eq!(gens.shards(), 4);
         assert_eq!(gens.reshards(), 2);
@@ -488,42 +475,40 @@ mod tests {
         for _ in 0..50 {
             epoch::flush();
         }
-        assert_eq!(
-            drops.load(Ordering::SeqCst),
-            0,
+        assert!(
+            gen0.iter().all(|w| w.strong_count() > 0),
             "a layout was freed under the pin that loaded it"
         );
-        assert_eq!(pinned.inner[0].slots[3].load(Ordering::SeqCst), 103);
-        assert_eq!(pinned.inner[1].slots[0].load(Ordering::SeqCst), 104);
+        assert_eq!(value(pinned, 0, 3), 103);
+        assert_eq!(value(pinned, 1, 0), 104);
 
         // Each split rebuilt one generation-0 shard object; the retired
         // layouts were the last owners of those two. (Other tests of this
         // process pin transiently, hence the loop.)
         drop(reader);
         let deadline = Instant::now() + Duration::from_secs(30);
-        while drops.load(Ordering::SeqCst) < 2 {
+        while gen0.iter().any(|w| w.strong_count() > 0) {
             epoch::flush();
             assert!(
                 Instant::now() < deadline,
-                "retired layouts were never freed: {} of 2 shard objects dropped",
-                drops.load(Ordering::SeqCst)
+                "retired layouts were never freed: {} of 2 shard objects alive",
+                gen0.iter().filter(|w| w.strong_count() > 0).count()
             );
             std::thread::yield_now();
         }
-        assert_eq!(drops.load(Ordering::SeqCst), 2);
 
         // Dropping the core frees the live layout and with it the rest.
+        let live = weak_shards(gens.load(&epoch::pin()));
         drop(gens);
-        assert_eq!(drops.load(Ordering::SeqCst), 2 + 4);
+        assert!(live.iter().all(|w| w.strong_count() == 0));
     }
 
     #[test]
     fn writer_entry_is_refused_holding_nothing_when_the_shard_is_frozen_or_the_pointer_moved() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let gens = generations(8, 2, &drops);
+        let gens = generations(8, 2);
         let guard = epoch::pin();
         let layout = gens.load(&guard);
-        let writers = |s: usize| layout.gates[s].writers();
+        let writers = |s: usize| layout.gates[s].writers.load(Ordering::SeqCst);
 
         let permit = gens.enter_writer(layout, 0).expect("nothing is in the way");
         assert_eq!(writers(0), 1);
@@ -547,12 +532,7 @@ mod tests {
         // freeze, drain (seeing no writer), swap, unfreeze — then enter.
         // Shard 1 is not even affected: its gate was never frozen and is
         // shared with the successor, so only the pointer recheck can refuse.
-        assert!(reshard(
-            &gens,
-            ReshardOp::Split { shard: 0 },
-            &drops,
-            &Calls::default()
-        ));
+        assert!(gens.reshard(ReshardOp::Split { shard: 0 }));
         for shard in [0, 1] {
             assert!(
                 gens.enter_writer(layout, shard).is_none(),
@@ -566,20 +546,13 @@ mod tests {
 
     #[test]
     fn gates_and_heat_are_shared_by_shard_id_and_an_appended_shard_starts_cold() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let calls = Calls::default();
-        let gens = generations(8, 2, &drops);
+        let gens = generations(8, 2);
         let guard = epoch::pin();
         let g0 = gens.load(&guard);
         g0.heat[0].add(5);
         g0.heat[1].add(7);
 
-        assert!(reshard(
-            &gens,
-            ReshardOp::Split { shard: 0 },
-            &drops,
-            &calls
-        ));
+        assert!(gens.reshard(ReshardOp::Split { shard: 0 }));
         let g1 = gens.load(&guard);
         assert_eq!(g1.inner.len(), 3);
         for s in 0..2 {
@@ -593,15 +566,9 @@ mod tests {
         assert!(Arc::ptr_eq(&g0.inner[1], &g1.inner[1]), "shard 1 was not");
         assert_eq!(gens.heat(), vec![5, 7, 0]);
         assert_eq!(gens.shard_sizes(), vec![2, 4, 2]);
-        assert_eq!(calls.build.get(), 2, "the kept half and the appended half");
 
         // The emptied side of a merge keeps its object, gate and counter.
-        assert!(reshard(
-            &gens,
-            ReshardOp::Merge { from: 2, into: 0 },
-            &drops,
-            &calls
-        ));
+        assert!(gens.reshard(ReshardOp::Merge { from: 2, into: 0 }));
         let g2 = gens.load(&guard);
         assert_eq!(gens.shard_sizes(), vec![4, 4, 0]);
         assert!(Arc::ptr_eq(&g1.inner[2], &g2.inner[2]));
@@ -609,20 +576,18 @@ mod tests {
             assert!(Arc::ptr_eq(&g1.gates[s], &g2.gates[s]), "gate {s} forked");
             assert!(Arc::ptr_eq(&g1.heat[s], &g2.heat[s]), "heat {s} forked");
         }
-        assert_eq!(calls.build.get(), 3, "only the absorbing shard was rebuilt");
-        assert_eq!(values(&gens), (100..108).collect::<Vec<u64>>());
-        assert_eq!((calls.quiesce.get(), calls.release.get()), (2, 2));
         assert!(
-            g2.gates.iter().all(|g| !g.frozen.load(Ordering::SeqCst)),
-            "a reshard left a gate frozen"
+            !Arc::ptr_eq(&g1.inner[0], &g2.inner[0]),
+            "the absorbing shard was rebuilt"
         );
+        assert!(Arc::ptr_eq(&g1.inner[1], &g2.inner[1]), "shard 1 was not");
+        assert_eq!(values(&gens), (100..108).collect::<Vec<u64>>());
+        assert_released(&gens);
     }
 
     #[test]
     fn degenerate_ops_return_false_and_touch_nothing() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let calls = Calls::default();
-        let gens = generations(4, 4, &drops);
+        let gens = generations(4, 4);
         let guard = epoch::pin();
         let layout = gens.load(&guard);
         for op in [
@@ -631,23 +596,15 @@ mod tests {
             ReshardOp::Merge { from: 1, into: 1 },
             ReshardOp::Merge { from: 1, into: 9 },
         ] {
-            assert!(!reshard(&gens, op, &drops, &calls), "{op:?} was accepted");
+            assert!(!gens.reshard(op), "{op:?} was accepted");
         }
         assert!(gens.is_live(layout));
         assert_eq!(gens.generation(), 0);
         assert_eq!(gens.reshards(), 0);
-        assert_eq!(
-            (calls.quiesce.get(), calls.build.get(), calls.release.get()),
-            (0, 0, 0),
-            "a refused op quiesced the store"
-        );
+        assert_released(&gens);
         // Nothing was left held: the next real op goes through.
-        assert!(reshard(
-            &gens,
-            ReshardOp::Merge { from: 1, into: 0 },
-            &drops,
-            &calls
-        ));
-        assert_eq!((calls.quiesce.get(), calls.release.get()), (1, 1));
+        assert!(gens.reshard(ReshardOp::Merge { from: 1, into: 0 }));
+        assert_eq!(gens.generation(), 1);
+        assert_released(&gens);
     }
 }

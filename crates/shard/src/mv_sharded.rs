@@ -1,14 +1,7 @@
-//! [`MvShardedSnapshot`]: the multiversioned cross-shard path — wait-free
-//! cross-shard scans with no validation retries and no coordination latch,
-//! over an **epoch-versioned partition map** that can be resharded online.
+//! [`MvShardedSnapshot`]: wait-free cross-shard scans over an
+//! **epoch-versioned partition map** that can be resharded online.
 //!
-//! [`ShardedSnapshot`](crate::ShardedSnapshot) validates cross-shard scans
-//! against per-shard epoch counters and, when validation keeps failing,
-//! escalates to a coordinated scan that *waits for in-flight updates to
-//! drain* — a straggler updater suspended mid-update delays it indefinitely,
-//! which is why a multi-shard placement reports `is_wait_free() == false`.
-//! This type removes that wait. Every shard is a
-//! [`psnap_core::MvSnapshot`] and all shards share **one**
+//! Every shard is a [`psnap_core::MvSnapshot`] and all shards share **one**
 //! [`TimestampCamera`] and one batch serializer, so a cross-shard scan is:
 //!
 //! 1. announce on every involved shard (one camera read + one slot write
@@ -25,35 +18,31 @@
 //! the state of the whole object at the instant the camera moved past `s`.
 //! Cross-shard batches commit by publishing one timestamp (the shared
 //! stamp's finalize), so a scan sees a batch that spans every shard either
-//! everywhere or nowhere — without the two-phase `writers`/`batch_writers`
-//! bracketing the coordinated path needs.
+//! everywhere or nowhere.
 //!
 //! # Online resharding
 //!
 //! The component→shard assignment is not fixed at construction: the whole
 //! routing state (a [`PartitionMap`] generation, its router, the inner shard
 //! objects, and per-shard writer gates) is one immutable generation of the
-//! crate's shared generation core, the same one
-//! [`ShardedSnapshot`](crate::ShardedSnapshot) routes through. Operations
-//! pin the epoch ([`psnap_shmem::epoch`]), load the live generation, and
-//! work against that coherent view; single updates enter their shard's
-//! writer gate through the core's raise-then-recheck;
-//! [`reshard`](PartialSnapshot::reshard) runs the core's skeleton — build
-//! the next generation, swap the pointer, retire the old state through the
-//! epoch module so in-flight readers keep a dereferenceable view — and adds
-//! only the multiversioned store's own steps (marked *ours* below).
+//! crate's generation core. Operations pin the epoch
+//! ([`psnap_shmem::epoch`]), load the live generation, and work against that
+//! coherent view; single updates enter their shard's writer gate through the
+//! core's raise-then-recheck; [`reshard`](PartialSnapshot::reshard) builds
+//! the next generation, swaps the pointer, and retires the old state through
+//! the epoch module so in-flight readers keep a dereferenceable view.
 //!
 //! A live reshard never stops scans. The protocol (per affected shard):
 //!
-//! 1. **exclude batches** *(ours)* — take the shared batch serializer
-//!    (in-flight batches complete first; new ones queue);
+//! 1. **exclude batches** — take the shared batch serializer (in-flight
+//!    batches complete first; new ones queue);
 //! 2. **freeze + drain writers** — set the affected shards' gate flags and
 //!    wait for their in-flight single updates to finish (updates to other
 //!    shards continue untouched);
-//! 3. **cutover** *(ours)* — draw one boundary timestamp with
+//! 3. **cutover** — draw one boundary timestamp with
 //!    [`TimestampCamera::cutover`]: every version finalized before it sits
 //!    strictly below, every write after the swap lands at or above;
-//! 4. **copy** *(ours)* — build the replacement shard objects
+//! 4. **copy** — build the replacement shard objects
 //!    ([`MvSnapshot::with_shared`], same camera and serializer) and install
 //!    the moved components' finalized version history with its original
 //!    timestamps ([`MvSnapshot::install_frozen`]) — the copies win exactly
@@ -71,14 +60,8 @@
 //! see on the old state are complete: the affected shards were drained
 //! before the cutover, so their old chains are immutable below the
 //! boundary.
-//!
-//! Which path a deployment gets is chosen by the type it builds:
-//! [`ShardedSnapshot`](crate::ShardedSnapshot) is the epoch-validated
-//! coordinated path, this type the multiversioned one; both are seeded from
-//! a [`ShardConfig`] (see `psnap-bench`'s `ImplKind::MvSharded*` kinds and
-//! experiments E12/E15 for the measured trades).
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, MutexGuard};
 
 use psnap_core::traits::{validate_args, validate_batch_args};
 use psnap_core::{MvSnapshot, PartialSnapshot, ReshardOp};
@@ -87,27 +70,16 @@ use psnap_shmem::epoch;
 use psnap_shmem::{MvStamp, ProcessId, StepScope, TimestampCamera};
 
 use crate::generations::Generations;
-use crate::partition::PartitionMap;
-use crate::sharded::ShardConfig;
+use crate::partition::{PartitionMap, ShardConfig};
 
 /// A partial snapshot object sharded over multiversioned shards that share
 /// one timestamp camera, routed by an epoch-versioned partition map that
 /// supports live split/merge. See the module docs.
 pub struct MvShardedSnapshot<T> {
-    /// The routing state, generation by generation.
-    gens: Generations<MvSnapshot<T>, ()>,
-    camera: Arc<TimestampCamera>,
-    /// Serializes whole batches across the family — the same `Arc` every
-    /// shard holds, so single-shard batches entering through an inner shard
-    /// and cross-shard batches entering here can never interleave their
-    /// installs. A reshard holds it across its whole migration, which is
-    /// what lets batches skip the writer gates entirely.
-    batches: Arc<Mutex<()>>,
-    /// The initial component value (new shard objects need it before the
-    /// migration copy overwrites the slots that have history).
-    initial: T,
-    /// Cross-shard scans served (diagnostics; every one of them is answered
-    /// by the one-shot timestamp path — there is no other path to count).
+    /// The routing state, generation by generation, and the camera and
+    /// batch serializer every generation's shards share.
+    gens: Generations<T>,
+    /// Cross-shard scans served (diagnostics).
     stats_cross: Arc<Counter>,
     /// Scan attempts retried because a reshard swapped the generation
     /// between their planning and their tick.
@@ -120,29 +92,14 @@ pub struct MvShardedSnapshot<T> {
 
 impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
     /// Creates a multiversioned sharded object over `m` components for
-    /// `max_processes` processes. `config.shards` and `config.partition`
-    /// seed generation 0 of the partition map;
-    /// `config.max_optimistic_retries` is irrelevant here (the
-    /// multiversioned path never retries validation).
+    /// `max_processes` processes; `config` seeds generation 0 of the
+    /// partition map.
     pub fn new(m: usize, max_processes: usize, initial: T, config: ShardConfig) -> Self {
         assert!(m > 0, "a snapshot object needs at least one component");
         assert!(max_processes > 0, "at least one process must be allowed");
         let map = PartitionMap::new(m, config.shards, config.partition);
-        let camera = Arc::new(TimestampCamera::new());
-        let batches = Arc::new(Mutex::new(()));
         MvShardedSnapshot {
-            gens: Generations::new(map, |_, size| {
-                MvSnapshot::with_shared(
-                    size,
-                    max_processes,
-                    initial.clone(),
-                    Arc::clone(&camera),
-                    Arc::clone(&batches),
-                )
-            }),
-            camera,
-            batches,
-            initial,
+            gens: Generations::new(map, max_processes, initial),
             stats_cross: Arc::new(Counter::new()),
             stats_scan_regen: Arc::new(Counter::new()),
             scan_steps: Arc::new(Histogram::new()),
@@ -169,11 +126,6 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
         self.gens.shard(s)
     }
 
-    /// The shared timestamp camera.
-    pub fn camera(&self) -> &Arc<TimestampCamera> {
-        &self.camera
-    }
-
     /// Number of cross-shard scans served so far (racy snapshot).
     pub fn cross_shard_scans(&self) -> u64 {
         self.stats_cross.get()
@@ -182,19 +134,6 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
     /// Number of reshard operations that changed the layout.
     pub fn reshards(&self) -> u64 {
         self.gens.reshards()
-    }
-
-    /// Number of scan attempts retried across a generation swap.
-    pub fn scan_generation_retries(&self) -> u64 {
-        self.stats_scan_regen.get()
-    }
-
-    /// Per-shard operation heat for the current generation's shard id
-    /// space: how many update/batch/scan operations have touched each
-    /// shard. Survivors carry their count across reshards; shards appended
-    /// by a split start at zero.
-    pub fn heat(&self) -> Vec<u64> {
-        self.gens.heat()
     }
 
     /// Registers this store's live metric handles into `registry` under
@@ -237,7 +176,7 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
             for &(shard, _) in &plan.groups {
                 layout.inner[shard].announce_scan(pid);
             }
-            let s = self.camera.tick();
+            let s = self.gens.camera.tick();
             // The reshard seam: if the generation moved since planning, a
             // cutover may have beaten our tick, and post-swap writes could
             // carry timestamps ≤ s on shard objects this plan never reads.
@@ -289,7 +228,7 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
         writes: &[(usize, T)],
     ) -> MvShardedParked<'_, T> {
         validate_batch_args(self.m, self.n, pid, writes);
-        let guard = self.batches.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = self.gens.batches.lock().unwrap_or_else(|e| e.into_inner());
         let pin = epoch::pin();
         let layout = self.gens.load(&pin);
         let by_shard = layout.router.group_last_write_wins(writes);
@@ -307,7 +246,7 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
             })
             .collect();
         MvShardedParked {
-            camera: Arc::clone(&self.camera),
+            camera: Arc::clone(&self.gens.camera),
             stamp,
             touched,
             _serial: guard,
@@ -390,7 +329,7 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
         // never interleave with a generation swap: the state loaded below
         // stays live until the commit publishes. (This also means batches
         // need no writer gates.)
-        let serial = self.batches.lock().unwrap_or_else(|e| e.into_inner());
+        let serial = self.gens.batches.lock().unwrap_or_else(|e| e.into_inner());
         let guard = epoch::pin();
         let layout = self.gens.load(&guard);
         let by_shard = layout.router.group_last_write_wins(writes);
@@ -406,7 +345,7 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
         for (shard, sub_batch) in &by_shard {
             layout.inner[*shard].install_pending(pid, sub_batch, &stamp);
         }
-        stamp.finalize(&self.camera);
+        stamp.finalize(&self.gens.camera);
         for (shard, sub_batch) in &by_shard {
             let slots: Vec<usize> = sub_batch.iter().map(|(slot, _)| *slot).collect();
             layout.inner[*shard].prune_components(&slots);
@@ -431,7 +370,7 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
     fn scan_stale(&self, pid: ProcessId, components: &[usize]) -> Option<(u64, Vec<T>)> {
         validate_args(self.m, self.n, pid, components);
         if components.is_empty() {
-            return Some((self.camera.timestamp(), Vec::new()));
+            return Some((self.gens.camera.timestamp(), Vec::new()));
         }
         // The same one-shot protocol, returning its timestamp: it touches
         // only the requested registers, and the single published timestamp
@@ -446,9 +385,8 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
 
     fn is_wait_free(&self) -> bool {
         // The headline property: cross-shard scans are one camera tick plus
-        // a bounded chain walk per register — no validation retries, no
-        // coordinated drain waiting on straggler updates. Wait-freedom
-        // survives sharding, and it survives resharding in the operational
+        // a bounded chain walk per register — nothing re-read, nothing
+        // waited for. Wait-freedom survives sharding, and it survives resharding in the operational
         // sense: a scan retries only when a generation swap lands between
         // its planning and its tick (bounded by the number of reshard
         // events, not by other processes' scheduling), and a writer backs
@@ -478,61 +416,14 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
     /// than two components, merging a shard into itself, or out-of-range
     /// ids.
     fn reshard(&self, op: ReshardOp) -> bool {
-        self.gens.reshard(
-            op,
-            |old, affected| {
-                // Lock order: the core's reshard lock → batch serializer →
-                // gate freeze. Batch writers take the serializer before
-                // routing, so a batch in flight completes before the freeze
-                // and no new one starts until the swap is published.
-                let serial = self.batches.lock().unwrap_or_else(|e| e.into_inner());
-                // Each drained update is a bounded store-and-finalize;
-                // writers that arrive after the freeze back off and retry
-                // against the new state once it is published.
-                old.freeze_and_drain(affected);
-                // The migration boundary: every version finalized before
-                // this call is strictly below it, every post-swap write at
-                // or above it. The affected shards are quiescent from here
-                // until the swap, so their chains are frozen below the
-                // boundary.
-                (serial, self.camera.cutover())
-            },
-            |&(_, boundary), _, sources| {
-                // Rebuilt shard: fresh object on the shared camera and
-                // serializer, then copy each owned component's finalized
-                // history with its original timestamps. All copied stamps
-                // sit below the boundary, so a copy can never shadow a
-                // post-swap write; old-generation scans still in flight
-                // keep reading the old objects, which stay alive until the
-                // epoch frees them.
-                let fresh = MvSnapshot::with_shared(
-                    sources.len(),
-                    self.n,
-                    self.initial.clone(),
-                    Arc::clone(&self.camera),
-                    Arc::clone(&self.batches),
-                );
-                for (slot, (from, from_slot)) in sources.iter().enumerate() {
-                    for (t, v) in from.slot_versions(*from_slot) {
-                        debug_assert!(
-                            t < boundary,
-                            "version stamped {t} at or above the cutover boundary {boundary}"
-                        );
-                        fresh.install_frozen(slot, t, v);
-                    }
-                }
-                fresh
-            },
-            |(serial, _), old, affected| {
-                old.unfreeze(affected);
-                drop(serial);
-            },
-        )
+        self.gens.reshard(op)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! Cases that take a [`ShardConfig`] run here on the contiguous layout;
+    //! the crate root's test-only `sharded` module reruns them hashed.
     use super::*;
     use crate::Partition;
     use psnap_shmem::StepScope;
@@ -543,9 +434,42 @@ mod tests {
         MvShardedSnapshot::new(m, n, 0u64, ShardConfig::multiversioned(shards))
     }
 
-    #[test]
-    fn sequential_update_and_scan_across_shards() {
-        let snap = mv_sharded(16, 2, 4);
+    /// Runs every writer as `writer(round)`, round = 1, 2, …, each on its
+    /// own thread, until `check` returns or panics.
+    fn under_writers(writers: &[&(dyn Fn(u64) + Sync)], check: impl FnOnce()) {
+        let stop = AtomicBool::new(false);
+        let checked = thread::scope(|s| {
+            for writer in writers {
+                let stop = &stop;
+                s.spawn(move || {
+                    let mut round = 1;
+                    while !stop.load(Ordering::Relaxed) {
+                        writer(round);
+                        round += 1;
+                    }
+                });
+            }
+            let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(check));
+            stop.store(true, Ordering::Relaxed);
+            checked
+        });
+        if let Err(panic) = checked {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    /// Component 0 and the highest component placed on another shard.
+    fn cross_pair(snap: &MvShardedSnapshot<u64>) -> (usize, usize) {
+        let home = snap.shard_of(0);
+        let far = (0..snap.components())
+            .rev()
+            .find(|&c| snap.shard_of(c) != home)
+            .expect("a multi-shard layout");
+        (0, far)
+    }
+
+    pub(crate) fn sequential_case(config: ShardConfig) {
+        let snap = MvShardedSnapshot::new(16, 2, 0u64, config);
         assert_eq!(snap.components(), 16);
         assert_eq!(snap.shards(), 4);
         snap.update(ProcessId(0), 0, 10);
@@ -560,15 +484,19 @@ mod tests {
     }
 
     #[test]
-    fn hashed_partition_behaves_identically_sequentially() {
-        let a = mv_sharded(32, 2, 4);
+    fn sequential_update_and_scan_across_shards() {
+        sequential_case(ShardConfig::multiversioned(4));
+    }
+
+    pub(crate) fn placements_agree_case(shards: usize) {
+        let a = mv_sharded(32, 2, shards);
         let b = MvShardedSnapshot::new(
             32,
             2,
             0u64,
             ShardConfig {
                 partition: Partition::Hashed,
-                ..ShardConfig::multiversioned(4)
+                ..ShardConfig::multiversioned(shards)
             },
         );
         for i in 0..32 {
@@ -579,15 +507,24 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_batches_commit_atomically() {
-        let snap = mv_sharded(16, 2, 4);
+    fn hashed_partition_behaves_identically_sequentially() {
+        placements_agree_case(4);
+    }
+
+    pub(crate) fn batches_case(config: ShardConfig) {
+        let snap = MvShardedSnapshot::new(16, 2, 0u64, config);
         snap.update_many(ProcessId(0), &[(0, 10), (7, 70), (15, 150)]);
         assert_eq!(snap.scan(ProcessId(1), &[0, 7, 15]), vec![10, 70, 150]);
         snap.update_many(ProcessId(0), &[(3, 1), (3, 2), (12, 5), (3, 3)]);
         assert_eq!(snap.scan(ProcessId(1), &[3, 12]), vec![3, 5]);
         snap.update_many(ProcessId(0), &[]);
-        snap.update_many(ProcessId(0), &[(4, 40), (5, 50)]); // single shard
+        snap.update_many(ProcessId(0), &[(4, 40), (5, 50)]); // single shard if contiguous
         assert_eq!(snap.scan(ProcessId(1), &[4, 5]), vec![40, 50]);
+    }
+
+    #[test]
+    fn cross_shard_batches_commit_atomically() {
+        batches_case(ShardConfig::multiversioned(4));
     }
 
     #[test]
@@ -595,8 +532,7 @@ mod tests {
         let snap = mv_sharded(8, 3, 4);
         snap.update_many(ProcessId(0), &[(0, 1), (6, 1)]);
         // Park a batch spanning shards 0 and 3 — the state a writer
-        // suspended between its installs and its commit leaves behind, and
-        // exactly where the coordinated path would stall scans.
+        // suspended between its installs and its commit leaves behind.
         let parked = snap.begin_parked_update_many(ProcessId(0), &[(0, 2), (6, 2)]);
         let budget = MvSnapshot::<u64>::scan_step_budget(2, 3, 1) + 2 * 3;
         for _ in 0..10 {
@@ -613,118 +549,141 @@ mod tests {
         assert_eq!(snap.scan(ProcessId(1), &[0, 6]), vec![2, 2]);
     }
 
+    pub(crate) fn batch_churn_case(config: ShardConfig) {
+        let snap = MvShardedSnapshot::new(8, 2, 0u64, config);
+        let (a, b) = cross_pair(&snap);
+        snap.update_many(ProcessId(0), &[(a, 1), (b, 1)]);
+        let batcher = |v| snap.update_many(ProcessId(0), &[(a, v + 1), (b, v + 1)]);
+        under_writers(&[&batcher], || {
+            for _ in 0..3000 {
+                let got = snap.scan(ProcessId(1), &[a, b]);
+                assert_eq!(got[0], got[1], "torn cross-shard batch observed: {got:?}");
+            }
+        });
+    }
+
     #[test]
     fn cross_shard_scans_never_tear_batches_under_churn() {
-        let snap = Arc::new(mv_sharded(8, 2, 4));
-        snap.update_many(ProcessId(0), &[(0, 1), (6, 1)]);
-        let stop = Arc::new(AtomicBool::new(false));
-        let updater = {
-            let snap = Arc::clone(&snap);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let mut v = 2u64;
-                while !stop.load(Ordering::Relaxed) {
-                    snap.update_many(ProcessId(0), &[(0, v), (6, v)]);
-                    v += 1;
-                }
-            })
-        };
-        for _ in 0..3000 {
-            let got = snap.scan(ProcessId(1), &[0, 6]);
-            assert_eq!(got[0], got[1], "torn cross-shard batch observed: {got:?}");
-        }
-        stop.store(true, Ordering::Relaxed);
-        updater.join().unwrap();
+        batch_churn_case(ShardConfig::multiversioned(4));
     }
 
     #[test]
     fn single_shard_scans_order_consistently_against_cross_shard_batches() {
-        // The regression the coordinated path needs `batch_writers` marks
-        // for: alternating one-component scans across two shards must see a
-        // monotone batch sequence. Here the single published timestamp
-        // makes it hold by construction.
-        let snap = Arc::new(mv_sharded(8, 2, 4));
-        let stop = Arc::new(AtomicBool::new(false));
-        let updater = {
-            let snap = Arc::clone(&snap);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let mut v = 1u64;
-                while !stop.load(Ordering::Relaxed) {
-                    snap.update_many(ProcessId(0), &[(0, v), (6, v)]);
-                    v += 1;
-                }
-            })
+        // Alternating one-component scans across two shards must see a
+        // monotone batch sequence: a scan of one shard may not order a batch
+        // before itself while a later scan of the other orders it after.
+        // The single published timestamp makes it hold by construction.
+        let snap = mv_sharded(8, 2, 4);
+        let batcher = |v| snap.update_many(ProcessId(0), &[(0, v), (6, v)]);
+        under_writers(&[&batcher], || {
+            let mut last = 0u64;
+            for i in 0..4000 {
+                let component = if i % 2 == 0 { 0 } else { 6 };
+                let got = snap.scan(ProcessId(1), &[component])[0];
+                assert!(
+                    got >= last,
+                    "single-shard scan of component {component} saw batch {got} after {last}"
+                );
+                last = got;
+            }
+        });
+    }
+
+    pub(crate) fn transfers_case(config: ShardConfig) {
+        let snap = MvShardedSnapshot::new(8, 2, 0u64, config);
+        let (a, b) = cross_pair(&snap);
+        snap.update(ProcessId(0), a, 1000);
+        snap.update(ProcessId(0), b, 1000);
+        // Each round moves 100 from `a` to `b` or back, in two updates.
+        let transfer = |round| {
+            let x = if round % 2 == 1 { 900 } else { 1000 };
+            snap.update(ProcessId(0), a, x);
+            snap.update(ProcessId(0), b, 2000 - x);
         };
-        let mut last = 0u64;
-        for i in 0..4000 {
-            let component = if i % 2 == 0 { 0 } else { 6 };
-            let got = snap.scan(ProcessId(1), &[component])[0];
-            assert!(
-                got >= last,
-                "single-shard scan of component {component} saw batch {got} after {last}"
-            );
-            last = got;
-        }
-        stop.store(true, Ordering::Relaxed);
-        updater.join().unwrap();
+        under_writers(&[&transfer], || {
+            for _ in 0..5000 {
+                let v = snap.scan(ProcessId(1), &[a, b]);
+                let total = v[0] + v[1];
+                // At most one transfer in flight: sum within one delta.
+                assert!(
+                    (1900..=2100).contains(&total),
+                    "torn cross-shard scan: {v:?}"
+                );
+            }
+        });
     }
 
     #[test]
     fn cross_shard_transfers_never_tear() {
-        let snap = Arc::new(mv_sharded(8, 2, 4));
-        snap.update(ProcessId(0), 0, 1000);
-        snap.update(ProcessId(0), 6, 1000);
-        let stop = Arc::new(AtomicBool::new(false));
-        let updater = {
-            let snap = Arc::clone(&snap);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let mut a = 1000i64;
-                let mut toggle = false;
-                while !stop.load(Ordering::Relaxed) {
-                    let delta = if toggle { 100 } else { -100 };
-                    toggle = !toggle;
-                    a += delta;
-                    snap.update(ProcessId(0), 0, a as u64);
-                    snap.update(ProcessId(0), 6, (2000 - a) as u64);
-                }
-            })
-        };
-        for _ in 0..5000 {
-            let v = snap.scan(ProcessId(1), &[0, 6]);
-            let total = v[0] + v[1];
-            assert!(
-                (1900..=2100).contains(&total),
-                "torn cross-shard scan: {v:?}"
-            );
-        }
-        stop.store(true, Ordering::Relaxed);
-        updater.join().unwrap();
+        transfers_case(ShardConfig::multiversioned(4));
     }
 
     #[test]
-    fn metadata_reports_wait_freedom() {
-        let snap = mv_sharded(8, 3, 2);
+    fn per_component_monotonicity_across_shards() {
+        // Single writer per component with increasing values: every scan,
+        // cross-shard or not, must see per-component non-decreasing values.
+        let snap = mv_sharded(12, 4, 3);
+        let updaters: Vec<_> = (0..3usize)
+            .map(|t| {
+                let snap = &snap;
+                move |v| {
+                    for c in (t * 4)..(t * 4 + 4) {
+                        snap.update(ProcessId(t), c, v);
+                    }
+                }
+            })
+            .collect();
+        let updaters: Vec<&(dyn Fn(u64) + Sync)> = updaters.iter().map(|u| u as _).collect();
+        under_writers(&updaters, || {
+            let comps = [0usize, 4, 8, 11];
+            let mut last = vec![0u64; comps.len()];
+            for _ in 0..2000 {
+                let got = snap.scan(ProcessId(3), &comps);
+                for (g, l) in got.iter().zip(last.iter_mut()) {
+                    assert!(*g >= *l, "component went backwards: {g} < {l}");
+                    *l = *g;
+                }
+            }
+        });
+    }
+
+    pub(crate) fn metadata_case(config: ShardConfig) {
+        let snap = MvShardedSnapshot::new(8, 3, 0u64, config);
         assert_eq!(snap.max_processes(), 3);
         // The point of the type: multi-shard placements stay wait-free.
         assert!(snap.is_wait_free());
         assert_eq!(snap.name(), "mv-sharded-partial-snapshot");
-        assert_eq!(snap.shard(0).components(), 4);
+        let sizes = snap.shard_sizes();
+        assert_eq!(sizes.len(), config.shards);
+        for (s, &size) in sizes.iter().enumerate() {
+            assert_eq!(snap.shard(s).components(), size);
+        }
+    }
+
+    #[test]
+    fn metadata_reports_wait_freedom() {
+        metadata_case(ShardConfig::multiversioned(2));
+        assert_eq!(mv_sharded(8, 3, 2).shard(0).components(), 4);
+    }
+
+    pub(crate) fn out_of_range_component_case(config: ShardConfig) {
+        MvShardedSnapshot::new(8, 1, 0u64, config).update(ProcessId(0), 8, 1);
     }
 
     #[test]
     #[should_panic(expected = "component")]
     fn out_of_range_component_is_rejected() {
-        let snap = mv_sharded(8, 1, 2);
-        snap.update(ProcessId(0), 8, 1);
+        out_of_range_component_case(ShardConfig::multiversioned(2));
+    }
+
+    pub(crate) fn out_of_range_pid_case(config: ShardConfig) {
+        let _ = MvShardedSnapshot::new(8, 1, 0u64, config).scan(ProcessId(1), &[0]);
     }
 
     #[test]
     #[should_panic(expected = "process id")]
     fn out_of_range_pid_is_rejected() {
-        let snap = mv_sharded(8, 1, 2);
-        let _ = snap.scan(ProcessId(1), &[0]);
+        out_of_range_pid_case(ShardConfig::multiversioned(2));
     }
 
     #[test]
@@ -810,92 +769,61 @@ mod tests {
         // write lost. Components 0 and 6 are always written together with
         // equal values by a batch, and component 3 is a single-update
         // counter that must never go backwards.
-        let snap = Arc::new(mv_sharded(8, 3, 2));
+        let snap = mv_sharded(8, 3, 2);
         snap.update_many(ProcessId(0), &[(0, 1), (6, 1)]);
-        let stop = Arc::new(AtomicBool::new(false));
-        let batcher = {
-            let snap = Arc::clone(&snap);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let mut v = 2u64;
-                while !stop.load(Ordering::Relaxed) {
-                    snap.update_many(ProcessId(0), &[(0, v), (6, v)]);
-                    v += 1;
-                }
-            })
-        };
-        let counter = {
-            let snap = Arc::clone(&snap);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let mut v = 1u64;
-                while !stop.load(Ordering::Relaxed) {
-                    snap.update(ProcessId(2), 3, v);
-                    v += 1;
-                }
-            })
-        };
-        let splits_seen = Arc::new(AtomicU64::new(0));
-        let resharder = {
-            let snap = Arc::clone(&snap);
-            let stop = Arc::clone(&stop);
-            let splits_seen = Arc::clone(&splits_seen);
-            thread::spawn(move || {
-                let mut splits = 0usize;
-                while !stop.load(Ordering::Relaxed) {
-                    // Alternate splitting the hottest shard and merging the
-                    // newest back, so the generation keeps moving.
-                    let heat = snap.shard_heat();
-                    let hottest = heat
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, h)| **h)
-                        .map(|(i, _)| i)
-                        .unwrap_or(0);
-                    if snap.reshard(ReshardOp::Split { shard: hottest }) {
-                        splits += 1;
-                        splits_seen.fetch_add(1, Ordering::Relaxed);
-                        let newest = snap.shards() - 1;
-                        let _ = snap.reshard(ReshardOp::Merge {
-                            from: newest,
-                            into: hottest,
-                        });
-                    }
-                    thread::yield_now();
-                }
-                splits
-            })
-        };
-        let mut last_counter = 0u64;
-        let mut last_batch = 0u64;
-        // At least 4000 scans, and keep scanning until the storm has landed
-        // a split: on a loaded single-core box the scan loop can otherwise
-        // finish inside one scheduler quantum, before the resharder thread
-        // ever runs. The iteration cap keeps a genuinely wedged resharder
-        // from hanging the test (the final assert then reports it).
-        let mut iters = 0u64;
-        loop {
-            iters += 1;
-            let got = snap.scan(ProcessId(1), &[0, 6, 3]);
-            assert_eq!(got[0], got[1], "torn batch across a reshard: {got:?}");
-            assert!(got[0] >= last_batch, "batch went backwards: {got:?}");
-            assert!(
-                got[2] >= last_counter,
-                "counter went backwards across a reshard: {} < {last_counter}",
-                got[2]
-            );
-            last_batch = got[0];
-            last_counter = got[2];
-            if (iters >= 4000 && splits_seen.load(Ordering::Relaxed) > 0) || iters >= 4_000_000 {
-                break;
+        let batcher = |v| snap.update_many(ProcessId(0), &[(0, v + 1), (6, v + 1)]);
+        let counter = |v| snap.update(ProcessId(2), 3, v);
+        let splits = AtomicU64::new(0);
+        let resharder = |_| {
+            // Alternate splitting the hottest shard and merging the newest
+            // back, so the generation keeps moving.
+            let heat = snap.shard_heat();
+            let hottest = heat
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, h)| **h)
+                .map(|(i, _)| i)
+                .unwrap_or(0);
+            if snap.reshard(ReshardOp::Split { shard: hottest }) {
+                splits.fetch_add(1, Ordering::Relaxed);
+                let newest = snap.shards() - 1;
+                let _ = snap.reshard(ReshardOp::Merge {
+                    from: newest,
+                    into: hottest,
+                });
             }
-        }
-        stop.store(true, Ordering::Relaxed);
-        batcher.join().unwrap();
-        counter.join().unwrap();
-        let splits = resharder.join().unwrap();
+            thread::yield_now();
+        };
+        under_writers(&[&batcher, &counter, &resharder], || {
+            let mut last_counter = 0u64;
+            let mut last_batch = 0u64;
+            // At least 4000 scans, and keep scanning until the storm has
+            // landed a split: on a loaded single-core box the scan loop can
+            // otherwise finish inside one scheduler quantum, before the
+            // resharder thread ever runs. The iteration cap keeps a
+            // genuinely wedged resharder from hanging the test (the final
+            // assert then reports it).
+            let mut iters = 0u64;
+            loop {
+                iters += 1;
+                let got = snap.scan(ProcessId(1), &[0, 6, 3]);
+                assert_eq!(got[0], got[1], "torn batch across a reshard: {got:?}");
+                assert!(got[0] >= last_batch, "batch went backwards: {got:?}");
+                assert!(
+                    got[2] >= last_counter,
+                    "counter went backwards across a reshard: {} < {last_counter}",
+                    got[2]
+                );
+                last_batch = got[0];
+                last_counter = got[2];
+                if (iters >= 4000 && splits.load(Ordering::Relaxed) > 0) || iters >= 4_000_000 {
+                    break;
+                }
+            }
+        });
+        let splits = splits.into_inner();
         assert!(splits > 0, "the reshard storm never actually resharded");
-        assert!(snap.reshards() >= splits as u64);
+        assert!(snap.reshards() >= splits);
     }
 
     #[test]
@@ -909,42 +837,35 @@ mod tests {
         // return exactly that value.
         use psnap_shmem::chaos::{self, ChaosConfig};
         const COMPONENT: usize = 3;
-        let snap = Arc::new(mv_sharded(8, 2, 2));
-        let stop = Arc::new(AtomicBool::new(false));
-        let resharder = {
-            let snap = Arc::clone(&snap);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let home = snap.shard_of(COMPONENT);
-                    if snap.reshard(ReshardOp::Split { shard: home }) {
-                        let newest = snap.shards() - 1;
-                        let into = snap.shard_of(COMPONENT);
-                        let from = if into == newest { home } else { newest };
-                        assert!(snap.reshard(ReshardOp::Merge { from, into }));
-                    }
-                    thread::yield_now();
-                }
-            })
+        let snap = mv_sharded(8, 2, 2);
+        let resharder = |_| {
+            let home = snap.shard_of(COMPONENT);
+            if snap.reshard(ReshardOp::Split { shard: home }) {
+                let newest = snap.shards() - 1;
+                let into = snap.shard_of(COMPONENT);
+                let from = if into == newest { home } else { newest };
+                assert!(snap.reshard(ReshardOp::Merge { from, into }));
+            }
+            thread::yield_now();
         };
-        let _chaos = chaos::enable(0x5EED_0008, ChaosConfig::aggressive());
-        let mut v = 0u64;
-        // At least 2000 writes, and keep going until the storm has really
-        // been resharding underneath them (capped, so a wedged resharder
-        // fails the final assert instead of hanging the test).
-        while v < 2000 || (snap.reshards() < 100 && v < 200_000) {
-            v += 1;
-            snap.update(ProcessId(0), COMPONENT, v);
-            let got = snap.scan(ProcessId(0), &[COMPONENT])[0];
-            assert_eq!(
-                got,
-                v,
-                "acknowledged update {v} lost across a reshard (generation {})",
-                snap.generation()
-            );
-        }
-        stop.store(true, Ordering::Relaxed);
-        resharder.join().unwrap();
+        under_writers(&[&resharder], || {
+            let _chaos = chaos::enable(0x5EED_0008, ChaosConfig::aggressive());
+            let mut v = 0u64;
+            // At least 2000 writes, and keep going until the storm has
+            // really been resharding underneath them (capped, so a wedged
+            // resharder fails the final assert instead of hanging the test).
+            while v < 2000 || (snap.reshards() < 100 && v < 200_000) {
+                v += 1;
+                snap.update(ProcessId(0), COMPONENT, v);
+                let got = snap.scan(ProcessId(0), &[COMPONENT])[0];
+                assert_eq!(
+                    got,
+                    v,
+                    "acknowledged update {v} lost across a reshard (generation {})",
+                    snap.generation()
+                );
+            }
+        });
         assert!(snap.reshards() >= 100, "the storm never got going");
     }
 }

@@ -190,6 +190,39 @@ pub enum Partition {
     Hashed,
 }
 
+/// How a [`MvShardedSnapshot`](crate::MvShardedSnapshot) lays out generation
+/// 0 of its partition map; reshards take it from there.
+#[derive(Clone, Copy, Debug)]
+pub struct ShardConfig {
+    /// Requested number of shards (clamped to `1..=m`).
+    pub shards: usize,
+    /// How components map to shards.
+    pub partition: Partition,
+}
+
+impl ShardConfig {
+    /// `shards` contiguous shards.
+    pub fn contiguous(shards: usize) -> Self {
+        ShardConfig {
+            shards,
+            partition: Partition::Contiguous,
+        }
+    }
+
+    /// `shards` hash-partitioned shards.
+    pub fn hashed(shards: usize) -> Self {
+        ShardConfig {
+            shards,
+            partition: Partition::Hashed,
+        }
+    }
+
+    /// `shards` contiguous shards; the same as [`contiguous`](Self::contiguous).
+    pub fn multiversioned(shards: usize) -> Self {
+        ShardConfig::contiguous(shards)
+    }
+}
+
 /// An epoch-versioned component→shard assignment: the *routing state* of a
 /// sharded snapshot object at one generation of its life.
 ///

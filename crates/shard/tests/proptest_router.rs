@@ -1,5 +1,4 @@
-//! Property-based tests for the shard router and the sharded store's
-//! epoch-validation machinery.
+//! Property-based tests for the shard router and the sharded store.
 //!
 //! * partition/route round-trips: `route` and `component_of` are mutually
 //!   inverse bijections for arbitrary `(m, k, partition)`;
@@ -7,18 +6,17 @@
 //!   the plan reassembles exactly the identity mapping of the request, and
 //!   the flat planner ([`ScanUnion`] + [`ShardRouter::plan`]) equals the
 //!   tree-based reference planner kept here, across split/merge sequences;
-//! * epoch-validation retry logic: arbitrary retry budgets (including zero,
-//!   which forces the coordinated path) under a chaos schedule still produce
-//!   exact sequential semantics and untorn cross-shard scans.
+//! * the store: arbitrary layouts produce exact sequential semantics, a
+//!   chaos schedule produces untorn cross-shard scans, and arbitrary
+//!   reshard sequences keep every value.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use psnap_core::{CasPartialSnapshot, PartialSnapshot, ReshardOp};
+use psnap_core::{PartialSnapshot, ReshardOp};
 use psnap_shard::{
     MvShardedSnapshot, Partition, PartitionMap, ScanUnion, ShardConfig, ShardRouter,
-    ShardedSnapshot,
 };
 use psnap_shmem::{chaos, ProcessId};
 
@@ -220,10 +218,7 @@ proptest! {
 }
 
 /// Mirrors the sequential specification for a mixed op sequence.
-fn check_sequential_exact(
-    snap: &ShardedSnapshot<u64, CasPartialSnapshot<u64>>,
-    ops: &[(usize, u64, Vec<usize>)],
-) {
+fn check_sequential_exact(snap: &MvShardedSnapshot<u64>, ops: &[(usize, u64, Vec<usize>)]) {
     let m = snap.components();
     let mut model = vec![0u64; m];
     for (component, value, scan) in ops {
@@ -242,45 +237,35 @@ fn check_sequential_exact(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Arbitrary sequential workloads against arbitrary shard layouts and
-    /// retry budgets reproduce the specification exactly (retry budget 0
-    /// routes every cross-shard scan through the coordinated path).
+    /// Arbitrary sequential workloads against arbitrary shard layouts
+    /// reproduce the specification exactly.
     #[test]
     fn sharded_store_conforms_sequentially(
         m in 1usize..64,
         k in 1usize..8,
-        retries in 0usize..4,
         partition in partition_strategy(),
         ops in proptest::collection::vec(
             (0usize..64, 1u64..1_000_000, proptest::collection::vec(0usize..64, 0..6)),
             1..60,
         ),
     ) {
-        let config = ShardConfig {
-            shards: k,
-            partition,
-            max_optimistic_retries: retries,
-        };
-        let snap = ShardedSnapshot::with_factory(m, 2, 0u64, config, |_, sm, sn, init| {
-            CasPartialSnapshot::new(sm, sn, init)
-        });
+        let config = ShardConfig { shards: k, partition };
+        let snap = MvShardedSnapshot::new(m, 2, 0u64, config);
         check_sequential_exact(&snap, &ops);
     }
 }
 
-/// The epoch-validation retry loop under a chaos schedule: writers perturbed
-/// at every base-object step keep cross-shard transfers flowing while a
-/// scanner validates; the scan must never observe a torn transfer, for any
-/// retry budget.
+/// Cross-shard transfers under a chaos schedule: a writer perturbed at
+/// every base-object step keeps moving value between two shards while a
+/// perturbed scanner reads both; no scan may observe a torn transfer.
 #[test]
-fn epoch_validation_survives_chaos_schedules() {
-    for retries in [0usize, 1, 8] {
-        let snap = Arc::new(ShardedSnapshot::with_factory(
+fn cross_shard_transfers_survive_chaos_schedules() {
+    for seed in [0u64, 1, 8] {
+        let snap = Arc::new(MvShardedSnapshot::new(
             8,
             3,
             0u64,
-            ShardConfig::contiguous(4).with_retries(retries),
-            |_, m, n, init| CasPartialSnapshot::new(m, n, init),
+            ShardConfig::contiguous(4),
         ));
         // Components 1 and 6 live on different shards; transfers keep their
         // sum at 2000 (± one in-flight delta of 50).
@@ -291,7 +276,7 @@ fn epoch_validation_survives_chaos_schedules() {
             let snap = Arc::clone(&snap);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let _chaos = chaos::enable(7 + retries as u64, chaos::ChaosConfig::aggressive());
+                let _chaos = chaos::enable(7 + seed, chaos::ChaosConfig::aggressive());
                 let mut a = 1000i64;
                 let mut up = false;
                 while !stop.load(Ordering::Relaxed) {
@@ -303,13 +288,13 @@ fn epoch_validation_survives_chaos_schedules() {
             })
         };
         {
-            let _chaos = chaos::enable(retries as u64, chaos::ChaosConfig::aggressive());
+            let _chaos = chaos::enable(seed, chaos::ChaosConfig::aggressive());
             for _ in 0..300 {
                 let v = snap.scan(ProcessId(1), &[1, 6]);
                 let total = v[0] + v[1];
                 assert!(
                     (1950..=2050).contains(&total),
-                    "retries={retries}: torn cross-shard scan {v:?}"
+                    "seed {seed}: torn cross-shard scan {v:?}"
                 );
             }
         }

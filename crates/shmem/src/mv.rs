@@ -5,8 +5,7 @@
 //! A [`VersionedCell`](crate::VersionedCell) holds exactly one record: a
 //! reader that races a writer sees either the old or the new record, and a
 //! *multi-register* scan that wants a consistent cut must validate and retry
-//! (the sharded store's epoch windows) or wait writers out (its coordinated
-//! fallback, the batch gate). An [`MvRegister`] instead keeps a short
+//! (double collects) or wait writers out (the batch gate, the lock). An [`MvRegister`] instead keeps a short
 //! immutable **chain** of versions, each tagged with a value of a shared
 //! [`TimestampCamera`], so a scan can *announce* a timestamp `s` and read,
 //! in every register, the version with the largest timestamp `≤ s` — an

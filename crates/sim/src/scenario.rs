@@ -241,7 +241,7 @@ impl Scenario {
     /// A small adversarial scenario whose every scan deliberately spans at
     /// least two shards of a `shards`-way *contiguous* partition of the
     /// component space — the interesting atomicity case for
-    /// `psnap-shard`'s epoch-validated cross-shard scans. Suitable for the
+    /// `psnap-shard`'s cross-shard scans and batches. Suitable for the
     /// exhaustive WGL checker (≤ 20 operations), with aggressive chaos.
     pub fn random_cross_shard(seed: u64, shards: usize) -> Scenario {
         assert!(

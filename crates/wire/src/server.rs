@@ -1027,8 +1027,9 @@ where
         };
         conn.touch();
 
-        // Read per request: a coordinated store loses the property when a
-        // reshard takes it past one shard.
+        // Whether this thread may answer the request itself: only a
+        // wait-free backing object finishes in a bounded number of its
+        // own steps.
         let helping = shared.service.is_wait_free();
         let attempt = |reader: &mut ConnReader<'_>| {
             // Root the request tree at frame decode: the service's own

@@ -2,6 +2,10 @@
 //! `wire.wait.*` (socket reads, either end) and `serve.wait.*` (executor
 //! workers, `block_on` callers). The counters are process-wide, so the
 //! tests of this file take turns.
+//!
+//! What they assert is counted, never timed: how many waits happen, how
+//! many ended in their poll phase. Polled shares are printed (run with
+//! `--nocapture`).
 
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -21,8 +25,7 @@ use psnap_wire::{
 };
 
 const M: usize = 16;
-/// `psnap-serve`'s private poll cap and credit, as of this writing: what
-/// the bounds below are multiples of.
+/// `psnap-serve`'s private poll cap and credit, as of this writing.
 const POLL_CAP: Duration = Duration::from_micros(50);
 const CREDIT: u64 = 3;
 
@@ -86,12 +89,11 @@ impl<S: PartialSnapshot<u64> + 'static> Rig<S> {
     }
 }
 
-/// `(polled, parked, poll_ns)` of one family, now.
+/// `(polled, parked)` of one family, now.
 #[derive(Clone, Copy, Debug)]
 struct Waits {
     polled: u64,
     parked: u64,
-    poll_ns: u64,
 }
 
 impl Waits {
@@ -104,7 +106,6 @@ impl Waits {
         Waits {
             polled: get("polled"),
             parked: get("parked"),
-            poll_ns: get("poll_ns"),
         }
     }
 
@@ -112,8 +113,24 @@ impl Waits {
         Waits {
             polled: self.polled - earlier.polled,
             parked: self.parked - earlier.parked,
-            poll_ns: self.poll_ns - earlier.poll_ns,
         }
+    }
+
+    fn total(self) -> u64 {
+        self.polled + self.parked
+    }
+
+    /// Most of the family's waits slept. For executor workers, whose waits
+    /// follow the acceptor's 1 ms timer: shorter than the time slices a
+    /// yielding poller gives away on a loaded box, so some polls pay and
+    /// re-arm the site's credit, but never most.
+    fn mostly_parked(self) -> bool {
+        self.parked > 0 && self.polled * 4 <= self.total()
+    }
+
+    /// Prints what share of the family's waits ended in the poll phase.
+    fn report(self, what: &str) {
+        eprintln!("{what}: {} of {} waits polled", self.polled, self.total());
     }
 }
 
@@ -149,12 +166,16 @@ impl RawPeer {
     }
 }
 
-const SPARSE_REQUESTS: u64 = 200;
-const SPARSE_GAP: Duration = Duration::from_millis(2);
+const SPARSE_REQUESTS: u64 = 40;
+/// Far longer than a poll phase, and than the time slices a poller gives
+/// away by yielding on a loaded box: a poller that yields and runs again
+/// only after the gap finds the next request and re-arms, which is what
+/// the credit rule asks for but is not what this traffic is meant to show.
+const SPARSE_GAP: Duration = Duration::from_millis(20);
 /// Requests after which every site that is going to stop polling has.
-const SETTLED_AFTER: u64 = 50;
+const SETTLED_AFTER: u64 = 10;
 
-/// One request every 2 ms, alternating submit and scan; returns what each
+/// One request every [`SPARSE_GAP`], alternating submit and scan; returns what each
 /// family counted over the requests after the first [`SETTLED_AFTER`].
 fn sparse_tail(mut request: impl FnMut(u64)) -> (Waits, Waits) {
     let mut settled = None;
@@ -177,15 +198,10 @@ fn under_sparse_traffic_the_server_stops_polling_and_the_client_does_not() {
     let _turn = take_turns();
     let rig = Rig::start("sparse");
     let tail = SPARSE_REQUESTS - SETTLED_AFTER;
-    // What a site that polled through every one of the tail's waits would
-    // have spent; a site that stopped may re-arm now and then (a reader
-    // descheduled for a whole gap finds its next request waiting) and pay
-    // `CREDIT` poll phases each time, which stays far below a quarter.
-    let always_polling_ns = tail * POLL_CAP.as_nanos() as u64;
 
-    // The server's side alone: its read of the socket waits 2 ms at a time,
-    // its workers wait for timers, and after `CREDIT` such waits each has
-    // stopped polling.
+    // The server's side alone: its read of the socket waits a whole gap at
+    // a time, so after `CREDIT` such waits it has stopped polling; its
+    // workers wait for timers and mostly sleep.
     let mut peer = RawPeer::connect(&rig.path);
     let (wire, serve) = sparse_tail(|i| {
         let reply = if i % 2 == 0 {
@@ -200,16 +216,18 @@ fn under_sparse_traffic_the_server_stops_polling_and_the_client_does_not() {
         };
         assert!(reply.contains("\"ok\""), "{reply}");
     });
+    wire.report("sparse server reads");
+    serve.report("sparse worker waits");
     assert!(
         wire.parked >= tail,
         "every sparse request is a read that slept: {wire:?}"
     );
     assert!(
-        wire.polled <= CREDIT && wire.poll_ns < always_polling_ns / 4,
+        wire.polled <= CREDIT,
         "the connection's read half kept polling an idle socket: {wire:?}"
     );
     assert!(
-        serve.polled <= CREDIT && serve.poll_ns < always_polling_ns / 4,
+        serve.mostly_parked(),
         "idle workers kept polling: {serve:?}"
     );
     drop(peer);
@@ -218,9 +236,8 @@ fn under_sparse_traffic_the_server_stops_polling_and_the_client_does_not() {
     // above, so every wait beyond its one per request is the client's
     // reply wait, and every poll that ended in time is the client's: its
     // wait is as long as the server's sleeping thread takes to wake up and
-    // answer, which is within the cap or not depending on the box (and
-    // the site follows: it polls while that pays, parks while it does
-    // not). What holds everywhere is the accounting.
+    // answer, which is within the cap or not depending on the box (and the
+    // site follows: it polls while that pays, parks while it does not).
     let client = RemoteClientHandle::connect_unix(&rig.path).unwrap();
     let (wire, _) = sparse_tail(|i| {
         if i % 2 == 0 {
@@ -230,12 +247,9 @@ fn under_sparse_traffic_the_server_stops_polling_and_the_client_does_not() {
             assert_eq!(seen, vec![i - 1]);
         }
     });
-    eprintln!(
-        "reply waits that ended in the poll phase: {} of {tail}",
-        wire.polled
-    );
+    wire.report("sparse server reads and client reply waits");
     assert!(
-        wire.polled + wire.parked >= 2 * tail && wire.polled <= tail + CREDIT,
+        wire.total() >= 2 * tail && wire.polled <= tail + CREDIT,
         "a request is one read that sleeps on the server and one reply wait: {wire:?}"
     );
     client.close();
@@ -282,21 +296,24 @@ fn idle_connections_poll_once_and_then_sleep() {
     let serve = Waits::read("serve.wait").since(before.1);
     let readers = cpu_of_threads("psnap-wire-conn") - before.2;
     let process = cpu_of_threads("") - before.3;
-    // Not asserted: an idle server's acceptor polls its listener every
-    // millisecond through the timer thread and a worker, which is most of
-    // what an idle process uses (and used before its threads could poll).
+    // Printed, not asserted: CPU time is the scheduler's. An idle server's
+    // acceptor polls its listener every millisecond through the timer
+    // thread and a worker, which is most of what an idle process uses.
     eprintln!("300 ms idle: {process:?} of CPU, {readers:?} of it the 8 connection threads'");
-    // Each of the eight reads polls at most once more before it sleeps for
-    // good; a worker's waits were long all through the burst (connection
-    // threads answered it), so it is out of credit already.
-    let poll_phase = POLL_CAP.as_nanos() as u64;
+    serve.report("idle worker waits");
+    // A worker's waits were long all through the burst (connection threads
+    // answered it), so it is out of credit already and its idle waits,
+    // one per tick of the acceptor's timer, sleep.
     assert!(
-        wire.poll_ns <= 8 * 4 * poll_phase && serve.poll_ns <= 2 * CREDIT * 4 * poll_phase,
-        "idle sites polled on: wire {wire:?}, serve {serve:?}"
+        serve.mostly_parked(),
+        "idle workers kept polling: {serve:?}"
     );
-    assert!(
-        readers < Duration::from_millis(5),
-        "8 idle connections used {readers:?} of CPU in 300 ms"
+    // Nothing arrives, so none of the eight connection reads returns: each
+    // is asleep on its socket, and no client is waiting for anything.
+    assert_eq!(
+        wire.total(),
+        0,
+        "an idle connection's read returned: {wire:?}"
     );
     for client in clients {
         client.close();

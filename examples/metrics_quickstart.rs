@@ -1,7 +1,7 @@
 //! Quickstart for the observability layer (`psnap-obs`).
 //!
 //! One registry, every tier: the process-wide epoch/multiversion metrics,
-//! the sharded store's scan-outcome counters and per-shard heat, and the
+//! the sharded store's scan counters and per-shard heat, and the
 //! service frontend's queue gauges and latency histograms all register
 //! their *live* handles into a single `Registry`, whose partition
 //! invariants (`accepted == resolved`, `scans == backing + cache + empty`,
@@ -25,9 +25,8 @@ use std::time::Duration;
 
 use partial_snapshot::obs::{self as obs, Registry, TraceKind};
 use partial_snapshot::serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
-use partial_snapshot::shard::{ShardConfig, ShardedSnapshot};
+use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::shmem;
-use partial_snapshot::snapshot::CasPartialSnapshot;
 
 const M: usize = 64;
 const SHARDS: usize = 4;
@@ -42,12 +41,11 @@ fn main() {
     obs::set_trace_enabled(true);
     obs::set_span_enabled(true);
 
-    let backing = Arc::new(ShardedSnapshot::with_factory(
+    let backing = Arc::new(MvShardedSnapshot::new(
         M,
         4,
         0u64,
         ShardConfig::contiguous(SHARDS),
-        |_, shard_m, shard_n, init| CasPartialSnapshot::new(shard_m, shard_n, init),
     ));
     let executor = Executor::new(2);
     let service = SnapshotService::start(

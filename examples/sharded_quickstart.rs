@@ -1,12 +1,14 @@
 //! Quickstart for the sharded partial snapshot store (`psnap-shard`).
 //!
-//! A `ShardedSnapshot` partitions the component space over independent inner
-//! partial snapshot instances: updates to different shards never contend,
-//! multiplying update throughput, while scans that span shards are validated
-//! with per-shard epoch counters so they stay atomic. This example runs the
-//! same transfer workload against the unsharded Figure 3 object and a
-//! sharded one, demonstrating (a) identical consistency guarantees across
-//! shard boundaries and (b) the coordination statistics of the scan paths.
+//! A `MvShardedSnapshot` partitions the component space over multiversioned
+//! shards that share one timestamp camera: updates to different shards never
+//! contend, and a scan that spans shards reads every shard at one timestamp,
+//! so it stays atomic without retrying or waiting. The layout can change
+//! while traffic runs: a split moves half of a shard's components to a new
+//! shard, a merge folds one shard into another, and the version history
+//! moves with them. This example runs the same transfer workload against
+//! the unsharded Figure 3 object and the sharded store, splitting and
+//! merging the sharded one mid-run, and audits every cross-shard scan.
 //!
 //! Run with:
 //!
@@ -18,23 +20,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use partial_snapshot::shard::{ShardConfig, ShardedSnapshot};
+use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::shmem::ProcessId;
-use partial_snapshot::snapshot::{CasPartialSnapshot, PartialSnapshot};
+use partial_snapshot::snapshot::{CasPartialSnapshot, PartialSnapshot, ReshardOp};
 
 const M: usize = 256; // components (accounts)
 const SHARDS: usize = 8;
 const UPDATERS: usize = 4;
 const BALANCE: u64 = 10_000;
+const AUDITS: u64 = 5_000;
 
-/// Runs `UPDATERS` transfer threads against `snapshot` for a fixed number of
-/// rounds and returns (updates/sec, scans checked). Transfers move value
-/// between two accounts on different shards while a scanner keeps verifying,
-/// with one atomic cross-shard partial scan per check, that no money is
-/// created or destroyed.
+/// Runs `UPDATERS` transfer threads against `snapshot` while an auditor
+/// checks, with one atomic cross-shard partial scan per check, that no money
+/// is created or destroyed. Midway the auditor splits the shard holding
+/// account 0 and later merges the new shard back; on an unsharded object
+/// both requests are refused.
 fn run(snapshot: Arc<dyn PartialSnapshot<u64>>, label: &str) {
     // Every account starts with the same balance; each updater owns a
-    // disjoint slice of accounts and moves value between the two halves of
+    // disjoint slice of accounts and moves value between the two ends of
     // its slice, preserving its slice's total.
     for c in 0..M {
         snapshot.update(ProcessId(0), c, BALANCE);
@@ -66,8 +69,20 @@ fn run(snapshot: Arc<dyn PartialSnapshot<u64>>, label: &str) {
 
     // The auditor: cross-shard partial scans of each updater's (first, last)
     // pair must always sum to 2 × BALANCE, ± one in-flight transfer.
-    let mut audits = 0u64;
-    for round in 0..5_000u64 {
+    let mut reshards = Vec::new();
+    for round in 0..AUDITS {
+        if round == AUDITS / 3 {
+            let shard = snapshot.shard_of(0);
+            reshards.push(("split", snapshot.reshard(ReshardOp::Split { shard })));
+        }
+        if round == 2 * AUDITS / 3 {
+            let newest = snapshot.shard_sizes().len().saturating_sub(1);
+            let into = snapshot.shard_of(0);
+            reshards.push((
+                "merge",
+                snapshot.reshard(ReshardOp::Merge { from: newest, into }),
+            ));
+        }
         let u = (round as usize) % UPDATERS;
         let pair = [u * per, u * per + per - 1];
         let values = snapshot.scan(ProcessId(UPDATERS), &pair);
@@ -76,16 +91,22 @@ fn run(snapshot: Arc<dyn PartialSnapshot<u64>>, label: &str) {
             (2 * BALANCE - 100..=2 * BALANCE + 100).contains(&total),
             "torn audit: {values:?}"
         );
-        audits += 1;
     }
     stop.store(true, Ordering::Relaxed);
     let total_updates: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     let elapsed = started.elapsed();
     println!(
-        "{label:>12}: {:>8.0} kupdates/s, {audits} audits all consistent ({:.2}s)",
+        "{label:>12}: {:>8.0} kupdates/s, {AUDITS} audits all consistent ({:.2}s)",
         total_updates as f64 / elapsed.as_secs_f64() / 1000.0,
         elapsed.as_secs_f64(),
     );
+    for (op, applied) in reshards {
+        println!(
+            "{:>12}  {op} mid-run: {}",
+            "",
+            if applied { "applied" } else { "refused" }
+        );
+    }
 }
 
 fn main() {
@@ -99,24 +120,27 @@ fn main() {
         "unsharded",
     );
 
-    let sharded = Arc::new(ShardedSnapshot::with_factory(
+    let sharded = Arc::new(MvShardedSnapshot::new(
         M,
         UPDATERS + 1,
         0u64,
         ShardConfig::contiguous(SHARDS),
-        |_, m, n, init| CasPartialSnapshot::new(m, n, init),
     ));
-    let stats_handle = Arc::clone(&sharded);
-    run(sharded, "sharded-k8");
-
-    let stats = stats_handle.coordination_stats();
-    println!(
-        "\nsharded scan paths: {} clean cross-shard scans, {} optimistic retries, \
-         {} coordinated scans",
-        stats.clean_scans, stats.optimistic_retries, stats.coordinated_scans
+    run(
+        Arc::clone(&sharded) as Arc<dyn PartialSnapshot<u64>>,
+        "sharded-k8",
     );
+    // Every balance survived both migrations: the sum of each updater's
+    // slice is what it started as.
+    let all: Vec<usize> = (0..M).collect();
+    let balances = sharded.scan(ProcessId(0), &all);
+    assert_eq!(balances.iter().sum::<u64>(), M as u64 * BALANCE);
     println!(
-        "(single-shard scans take the local fast path and appear in no counter — \
-         locality is free)"
+        "\nsharded store: generation {}, {} reshards, {} cross-shard scans, \
+         shard sizes {:?}",
+        sharded.generation(),
+        sharded.reshards(),
+        sharded.cross_shard_scans(),
+        sharded.shard_sizes()
     );
 }

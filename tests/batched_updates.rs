@@ -3,8 +3,8 @@
 //! The batched-update contract is all-or-nothing: a concurrent scan must
 //! never observe a strict subset of a batch. These tests attack the contract
 //! from four sides: exhaustive WGL checking of small cross-shard batch
-//! schedules (on the coordinated two-phase path *and* the multiversioned
-//! single-published-timestamp path), a targeted seam test that parks an
+//! schedules (a cross-shard batch commits by publishing one timestamp), a
+//! targeted seam test that parks an
 //! updater *mid-batch* (chaos sleeps fire after every base-object step, so
 //! the updater provably stalls between the per-component writes of one
 //! batch) while scans race, a deterministic version-boundary seam where a
@@ -15,12 +15,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use partial_snapshot::bench::ImplKind;
 use partial_snapshot::lincheck::check_history;
-use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig, ShardedSnapshot};
+use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::shmem::{chaos, ProcessId};
 use partial_snapshot::sim::{run_scenario, Role, Scenario, ScenarioChaos};
-use partial_snapshot::snapshot::{CasPartialSnapshot, MvSnapshot, PartialSnapshot};
+use partial_snapshot::snapshot::{MvSnapshot, PartialSnapshot};
+use partial_snapshot::ImplKind;
 
 /// A small scenario whose only updater issues batches that deliberately span
 /// every shard of a `shards`-way contiguous partition, racing two scanners
@@ -55,30 +55,36 @@ fn cross_shard_batch_scenario(shards: usize, seed: u64) -> Scenario {
     }
 }
 
-/// Cross-shard batches racing optimistic scans are linearizable — checked
-/// exhaustively across shard counts, retry budgets (0 forces the coordinated
-/// path) and chaos seeds.
+/// Runs `scenario` on a sharded store laid out by `config` and WGL-checks
+/// the history; `case` names the run in the failure message.
+fn assert_linearizable_on(scenario: &Scenario, config: ShardConfig, case: &str) {
+    scenario.validate().unwrap();
+    let snapshot = Arc::new(MvShardedSnapshot::new(
+        scenario.components,
+        scenario.processes(),
+        0u64,
+        config,
+    ));
+    let history = run_scenario(&snapshot, scenario);
+    assert!(
+        check_history(&history).is_linearizable(),
+        "{case}: a scan raced a batch commit into a non-linearizable history"
+    );
+}
+
+/// Batches racing scans are linearizable under the hashed placement too,
+/// where the updater's components land wherever the hash puts them, so a
+/// batch spans some shards, all of them or just one — checked exhaustively
+/// across shard counts and chaos seeds.
 #[test]
 fn cross_shard_batches_racing_scans_are_linearizable() {
     for shards in [2usize, 3] {
-        for retries in [8usize, 0] {
-            for seed in 0..20u64 {
-                let scenario = cross_shard_batch_scenario(shards, seed);
-                scenario.validate().unwrap();
-                let snapshot = Arc::new(ShardedSnapshot::with_factory(
-                    scenario.components,
-                    scenario.processes(),
-                    0u64,
-                    ShardConfig::contiguous(shards).with_retries(retries),
-                    |_, m, n, init| CasPartialSnapshot::new(m, n, init),
-                ));
-                let history = run_scenario(&snapshot, &scenario);
-                assert!(
-                    check_history(&history).is_linearizable(),
-                    "shards={shards} retries={retries} seed={seed}: \
-                     cross-shard batch produced a non-linearizable history"
-                );
-            }
+        for seed in 0..20u64 {
+            assert_linearizable_on(
+                &cross_shard_batch_scenario(shards, seed),
+                ShardConfig::hashed(shards),
+                &format!("hashed shards={shards} seed={seed}"),
+            );
         }
     }
 }
@@ -88,44 +94,19 @@ fn cross_shard_batches_racing_scans_are_linearizable() {
 /// publishing one timestamp, and a scan whose timestamp the commit raced
 /// must land wholly before or wholly after it — a torn batch at the version
 /// boundary would make the history non-linearizable. Checked exhaustively
-/// across shard counts and chaos seeds, with the same scenarios the
-/// coordinated path is checked under (including the all-shard-scan ×
-/// full-width-batch shapes `Scenario::random_cross_shard` now generates).
+/// across shard counts and chaos seeds, on batches spanning every shard and
+/// on the all-shard-scan × full-width-batch shapes
+/// `Scenario::random_cross_shard` generates (every scan spans ≥ 2 shards, a
+/// third of the seeds spanning *all* of them against a full-width batch).
 #[test]
 fn mv_scans_racing_cross_shard_batch_commits_are_linearizable() {
     for shards in [2usize, 3] {
         for seed in 0..20u64 {
-            let scenario = cross_shard_batch_scenario(shards, seed);
-            scenario.validate().unwrap();
-            let snapshot = Arc::new(MvShardedSnapshot::new(
-                scenario.components,
-                scenario.processes(),
-                0u64,
-                ShardConfig::multiversioned(shards),
-            ));
-            let history = run_scenario(&snapshot, &scenario);
-            assert!(
-                check_history(&history).is_linearizable(),
-                "shards={shards} seed={seed}: a scan raced a multiversioned \
-                 cross-shard batch commit into a non-linearizable history"
-            );
-        }
-        // The union-plan shapes: every scan spans ≥ 2 shards, a third of
-        // the seeds spanning *all* of them against a full-width batch.
-        for seed in 0..20u64 {
-            let scenario = Scenario::random_cross_shard(seed, shards);
-            let snapshot = Arc::new(MvShardedSnapshot::new(
-                scenario.components,
-                scenario.processes(),
-                0u64,
-                ShardConfig::multiversioned(shards),
-            ));
-            let history = run_scenario(&snapshot, &scenario);
-            assert!(
-                check_history(&history).is_linearizable(),
-                "shards={shards} seed={seed}: random cross-shard scenario \
-                 non-linearizable on the multiversioned path"
-            );
+            let config = ShardConfig::multiversioned(shards);
+            let case = format!("shards={shards} seed={seed}");
+            assert_linearizable_on(&cross_shard_batch_scenario(shards, seed), config, &case);
+            let union = Scenario::random_cross_shard(seed, shards);
+            assert_linearizable_on(&union, config, &format!("union {case}"));
         }
     }
 }
@@ -272,15 +253,7 @@ fn concurrent_singles_and_batches_on_a_shared_component_never_tear() {
 #[test]
 fn shared_component_single_vs_batch_histories_are_linearizable() {
     use partial_snapshot::lincheck::{History, LogicalClock, OpRecord, OpResult, Operation};
-    let kinds = [
-        ImplKind::Cas,
-        ImplKind::SHARDED_CAS_2,
-        ImplKind::Mv,
-        ImplKind::MvSharded {
-            shards: 2,
-            partition: partial_snapshot::shard::Partition::Contiguous,
-        },
-    ];
+    let kinds = [ImplKind::Cas, ImplKind::Mv, ImplKind::MV_SHARDED_4];
     for kind in kinds {
         for seed in 0..12u64 {
             let snap = kind.build(4, 3, 0);
@@ -318,8 +291,8 @@ fn shared_component_single_vs_batch_histories_are_linearizable() {
                     }));
                 }
                 // Process 1: three batches over components {0, 2} — the
-                // shared component plus one of its own (cross-shard under
-                // the 2-way contiguous split).
+                // shared component plus one of its own (cross-shard on the
+                // sharded kind).
                 {
                     let snap = Arc::clone(&snap);
                     let clock = clock.clone();
@@ -410,20 +383,17 @@ fn every_impl_kind_linearizes_batched_small_schedules() {
 }
 
 /// The targeted seam test: chaos parks the updater after every base-object
-/// step — including *between the two per-shard sub-batches* of a cross-shard
-/// `update_many` — so optimistic scans repeatedly catch the object mid-batch.
-/// The batch writes the same value to one component of each shard; a scan
-/// returning unequal values would be a torn batch.
+/// step — including *between the two per-shard installs* of a cross-shard
+/// `update_many` — so scans repeatedly catch the object mid-batch. The batch
+/// writes the same value to one component of each shard; a scan returning
+/// unequal values would be a torn batch.
 #[test]
 fn parked_mid_batch_updater_never_exposes_a_partial_batch() {
-    let snap = Arc::new(ShardedSnapshot::with_factory(
+    let snap = Arc::new(MvShardedSnapshot::new(
         8,
         3,
         0u64,
-        // One optimistic retry, so both the retry path and the coordinated
-        // fallback run against the parked updater.
-        ShardConfig::contiguous(4).with_retries(1),
-        |_, m, n, init| CasPartialSnapshot::new(m, n, init),
+        ShardConfig::contiguous(4),
     ));
     let stop = Arc::new(AtomicBool::new(false));
     let updater = {
@@ -431,8 +401,8 @@ fn parked_mid_batch_updater_never_exposes_a_partial_batch() {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             // Park long and often at every step boundary: the window between
-            // the batch's shard-0 write and its shard-3 write stays open for
-            // hundreds of microseconds at a time.
+            // the batch's shard-0 install and its shard-3 install stays open
+            // for hundreds of microseconds at a time.
             let _chaos = chaos::enable(
                 0xBA7C4,
                 chaos::ChaosConfig {
@@ -470,19 +440,20 @@ fn parked_mid_batch_updater_never_exposes_a_partial_batch() {
     }
     stop.store(true, Ordering::Relaxed);
     updater.join().unwrap();
-    let stats = snap.coordination_stats();
     assert!(
-        stats.cross_shard_scans() >= 3000,
-        "every scan is cross-shard: {stats:?}"
+        snap.cross_shard_scans() >= 3000,
+        "every scan is cross-shard: {}",
+        snap.cross_shard_scans()
     );
 }
 
-/// The same seam attack against the unsharded collect-based objects: the
-/// chaos-parked updater stalls between the per-register writes of one batch,
-/// and the scans' batch-gate validation must hide the partial state.
+/// The same seam attack against the unsharded objects: the chaos-parked
+/// updater stalls between the per-register writes of one batch, and the
+/// scans' batch-gate validation (or, on the multiversioned object, the
+/// unpublished commit timestamp) must hide the partial state.
 #[test]
 fn parked_mid_batch_updater_is_atomic_on_unsharded_objects() {
-    for kind in [ImplKind::Cas, ImplKind::Register, ImplKind::DoubleCollect] {
+    for kind in [ImplKind::Cas, ImplKind::Register, ImplKind::Mv] {
         let snap = kind.build(8, 2, 0);
         let stop = Arc::new(AtomicBool::new(false));
         let updater = {
@@ -523,21 +494,19 @@ fn parked_mid_batch_updater_is_atomic_on_unsharded_objects() {
     }
 }
 
-/// Regression: *single-shard* scans must also see cross-shard batches
-/// atomically. The locality fast path skips cross-shard epoch validation, so
-/// without the dedicated batch-window check a scan of shard 0 could observe
-/// a batch's shard-0 write while its shard-3 write is still pending — and a
-/// strictly later scan of shard 3 would then read pre-batch state, an order
-/// no linearization explains (scan A places the batch before itself, scan B
-/// after).
+/// *Single-shard* scans must also see cross-shard batches atomically: a
+/// scan of shard 0 must not observe a batch's shard-0 install while its
+/// shard-3 install is unpublished — a strictly later scan of shard 3 would
+/// then read pre-batch state, an order no linearization explains (scan A
+/// places the batch before itself, scan B after). Chaos parks the batcher
+/// between its installs and its commit.
 #[test]
 fn single_shard_scans_observe_cross_shard_batches_atomically() {
-    let snap = Arc::new(ShardedSnapshot::with_factory(
+    let snap = Arc::new(MvShardedSnapshot::new(
         8,
         2,
         0u64,
         ShardConfig::contiguous(4),
-        |_, m, n, init| CasPartialSnapshot::new(m, n, init),
     ));
     let stop = Arc::new(AtomicBool::new(false));
     let updater = {

@@ -2,18 +2,18 @@
 //! implementation must behave exactly like the sequential specification, and
 //! therefore exactly like every other implementation.
 //!
-//! The implementation list is `ImplKind::ALL` — every implementation
-//! registered with the bench harness (including the sharded ones) is covered
-//! here automatically — plus the two mixed active-set instantiations that
-//! only exist as ablations.
+//! The implementation list is `ImplKind::ALL` — every registered
+//! implementation (including the sharded one) is covered here automatically —
+//! plus Figure 1 over the Figure 2 active set, an ablation with no kind of
+//! its own.
 
 use std::sync::Arc;
 
-use partial_snapshot::activeset::{CasActiveSet, CollectActiveSet};
-use partial_snapshot::bench::ImplKind;
+use partial_snapshot::activeset::CasActiveSet;
 use partial_snapshot::lincheck::{OpResult, Operation, SnapshotSpec};
 use partial_snapshot::shmem::ProcessId;
-use partial_snapshot::snapshot::{CasPartialSnapshot, PartialSnapshot, RegisterPartialSnapshot};
+use partial_snapshot::snapshot::{PartialSnapshot, RegisterPartialSnapshot};
+use partial_snapshot::ImplKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,18 +25,12 @@ fn all_impls() -> Vec<Arc<dyn PartialSnapshot<u64>>> {
         .iter()
         .map(|kind| kind.build(M, N, 0))
         .collect();
-    // Ablation instantiations not registered as kinds of their own.
+    // An ablation instantiation not registered as a kind of its own.
     impls.push(Arc::new(RegisterPartialSnapshot::with_active_set(
         M,
         N,
         0u64,
         CasActiveSet::new(),
-    )));
-    impls.push(Arc::new(CasPartialSnapshot::with_active_set(
-        M,
-        N,
-        0u64,
-        CollectActiveSet::new(N),
     )));
     impls
 }
@@ -153,38 +147,16 @@ fn scan_all_equals_scanning_each_component() {
 
 #[test]
 fn implementations_report_their_wait_freedom_correctly() {
-    // Figures 1 and 3 (in every active-set instantiation) and the classic
-    // full snapshot are wait-free; the double collect and the lock are not;
-    // multi-shard compositions are blocking (their coordinated cross-shard
-    // fallback waits on in-flight updates) and must say so. Assert per kind
-    // so the list stays in sync with ImplKind::ALL automatically.
+    // Every kind is wait-free except the lock. Assert per kind so the list
+    // stays in sync with ImplKind::ALL automatically.
     for kind in ImplKind::ALL {
-        let expected = match kind {
-            ImplKind::DoubleCollect | ImplKind::Lock => false,
-            ImplKind::Sharded { shards, .. } => shards.clamp(1, M) == 1,
-            _ => true,
-        };
         assert_eq!(
             kind.build(M, N, 0).is_wait_free(),
-            expected,
+            kind != ImplKind::Lock,
             "{}",
             kind.label()
         );
     }
-    // A degenerate 1-shard composition inherits the inner guarantee — from a
-    // wait-free inner and from a blocking inner alike.
-    let single_cas = ImplKind::Sharded {
-        inner: &ImplKind::Cas,
-        shards: 1,
-        partition: partial_snapshot::shard::Partition::Contiguous,
-    };
-    assert!(single_cas.build(M, N, 0).is_wait_free());
-    let single_lock = ImplKind::Sharded {
-        inner: &ImplKind::Lock,
-        shards: 1,
-        partition: partial_snapshot::shard::Partition::Contiguous,
-    };
-    assert!(!single_lock.build(M, N, 0).is_wait_free());
 }
 
 #[test]

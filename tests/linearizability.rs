@@ -5,17 +5,16 @@
 
 use std::sync::Arc;
 
-use partial_snapshot::bench::ImplKind;
 use partial_snapshot::lincheck::{check_history, check_monotone_history};
-use partial_snapshot::shard::{ShardConfig, ShardedSnapshot};
+use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::sim::{
     fuzz_batched_stress_schedules, fuzz_small_schedules, fuzz_stress_schedules, run_scenario,
     Scenario,
 };
 use partial_snapshot::snapshot::{
-    AfekFullSnapshot, CasPartialSnapshot, DoubleCollectSnapshot, LockSnapshot, PartialSnapshot,
-    RegisterPartialSnapshot,
+    AfekFullSnapshot, CasPartialSnapshot, LockSnapshot, PartialSnapshot, RegisterPartialSnapshot,
 };
+use partial_snapshot::ImplKind;
 
 const SMALL_SEEDS: std::ops::Range<u64> = 0..40;
 
@@ -53,21 +52,6 @@ fn afek_full_snapshot_small_schedules_are_linearizable() {
 }
 
 #[test]
-fn double_collect_snapshot_small_schedules_are_linearizable() {
-    let outcome = fuzz_small_schedules(
-        |s| {
-            Arc::new(DoubleCollectSnapshot::new(
-                s.components,
-                s.processes(),
-                0u64,
-            ))
-        },
-        0..20,
-    );
-    assert!(outcome.passed(), "{outcome:?}");
-}
-
-#[test]
 fn lock_snapshot_small_schedules_are_linearizable() {
     let outcome = fuzz_small_schedules(
         |s| Arc::new(LockSnapshot::new(s.components, s.processes(), 0u64)),
@@ -76,7 +60,7 @@ fn lock_snapshot_small_schedules_are_linearizable() {
     assert!(outcome.passed(), "{outcome:?}");
 }
 
-/// Every registered implementation — including the sharded ones — passes the
+/// Every registered implementation — including the sharded one — passes the
 /// exhaustive WGL check on small adversarial schedules. Non-wait-free kinds
 /// get fewer seeds, matching the dedicated tests above.
 #[test]
@@ -96,28 +80,23 @@ fn every_impl_kind_small_schedules_are_linearizable() {
 }
 
 /// The dedicated multi-shard atomicity fuzz: scans that deliberately span at
-/// least two shards, checked exhaustively, across shard counts, partition
-/// styles and the forced-coordinated-path configuration.
+/// least two shards, checked exhaustively, across shard counts.
 #[test]
 fn sharded_snapshot_cross_shard_scans_are_linearizable() {
     for shards in [2usize, 3] {
-        for retries in [8usize, 0] {
-            for seed in 0..25u64 {
-                let scenario = Scenario::random_cross_shard(seed, shards);
-                let snapshot = Arc::new(ShardedSnapshot::with_factory(
-                    scenario.components,
-                    scenario.processes(),
-                    0u64,
-                    ShardConfig::contiguous(shards).with_retries(retries),
-                    |_, m, n, init| CasPartialSnapshot::new(m, n, init),
-                ));
-                let history = run_scenario(&snapshot, &scenario);
-                assert!(
-                    check_history(&history).is_linearizable(),
-                    "shards={shards} retries={retries} seed={seed}: \
-                     non-linearizable cross-shard history"
-                );
-            }
+        for seed in 0..25u64 {
+            let scenario = Scenario::random_cross_shard(seed, shards);
+            let snapshot = Arc::new(MvShardedSnapshot::new(
+                scenario.components,
+                scenario.processes(),
+                0u64,
+                ShardConfig::contiguous(shards),
+            ));
+            let history = run_scenario(&snapshot, &scenario);
+            assert!(
+                check_history(&history).is_linearizable(),
+                "shards={shards} seed={seed}: non-linearizable cross-shard history"
+            );
         }
     }
 }
@@ -128,12 +107,11 @@ fn sharded_snapshot_cross_shard_scans_are_linearizable() {
 fn sharded_snapshot_hashed_partition_small_schedules_are_linearizable() {
     let outcome = fuzz_small_schedules(
         |s: &Scenario| {
-            Arc::new(ShardedSnapshot::with_factory(
+            Arc::new(MvShardedSnapshot::new(
                 s.components,
                 s.processes(),
                 0u64,
                 ShardConfig::hashed(2),
-                |_, m, n, init| CasPartialSnapshot::new(m, n, init),
             ))
         },
         0..25,
@@ -145,12 +123,11 @@ fn sharded_snapshot_hashed_partition_small_schedules_are_linearizable() {
 fn sharded_snapshot_stress_schedules_pass_monotone_checks() {
     let outcome = fuzz_stress_schedules(
         |s: &Scenario| {
-            Arc::new(ShardedSnapshot::with_factory(
+            Arc::new(MvShardedSnapshot::new(
                 s.components,
                 s.processes(),
                 0u64,
                 ShardConfig::contiguous(4),
-                |_, m, n, init| CasPartialSnapshot::new(m, n, init),
             ))
         },
         32,
@@ -217,12 +194,11 @@ fn batched_stress_schedules_pass_monotone_checks() {
     assert!(register.passed(), "register: {register:?}");
     let sharded = fuzz_batched_stress_schedules(
         |s: &Scenario| {
-            Arc::new(ShardedSnapshot::with_factory(
+            Arc::new(MvShardedSnapshot::new(
                 s.components,
                 s.processes(),
                 0u64,
                 ShardConfig::contiguous(4),
-                |_, m, n, init| CasPartialSnapshot::new(m, n, init),
             ))
         },
         32,

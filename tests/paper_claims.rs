@@ -11,12 +11,12 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use partial_snapshot::bench::ImplKind;
 use partial_snapshot::obs;
 use partial_snapshot::shmem::chaos::{self, ChaosConfig};
 use partial_snapshot::shmem::StepScope;
 use partial_snapshot::snapshot::{PartialSnapshot, ProcessId};
 use partial_snapshot::workloads::{Market, MarketConfig};
+use partial_snapshot::ImplKind;
 
 /// Steps of one quiescent partial scan of components 0..8, after the same
 /// writes, on an object of `m` components.
@@ -83,14 +83,13 @@ fn single_and_batched_steps(kind: ImplKind, k: usize, stride: usize) -> (u64, u6
 /// (the active-set read, the timestamp, the announcement sweep) is spent
 /// once instead of k times, so from k = 4 on an `update_many` of adjacent
 /// components costs strictly fewer steps than k singles on every kind with
-/// a native batch path, and never more at k = 1. Spread over all four
-/// shards the batch first pays the cross-shard gate, and wins from k = 8.
+/// a native batch path, and never more at k = 1 — spread over the sharded
+/// kind's four shards included.
 #[test]
 fn update_many_costs_fewer_steps_than_singles_from_four_components() {
     for kind in [
         ImplKind::Cas,
         ImplKind::Register,
-        ImplKind::SHARDED_CAS_4,
         ImplKind::Mv,
         ImplKind::MV_SHARDED_4,
     ] {
@@ -135,11 +134,7 @@ fn op_stream_steps(kind: ImplKind) -> u64 {
 #[test]
 fn observability_adds_zero_base_object_steps() {
     let was = (obs::enabled(), obs::trace_enabled(), obs::span_enabled());
-    for kind in [
-        ImplKind::Cas,
-        ImplKind::SHARDED_CAS_4,
-        ImplKind::MV_SHARDED_4,
-    ] {
+    for kind in [ImplKind::Cas, ImplKind::MV_SHARDED_4] {
         let mut steps = Vec::new();
         for (metrics, spans) in [(false, false), (true, false), (false, true), (true, true)] {
             obs::set_enabled(metrics);

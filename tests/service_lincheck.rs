@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use partial_snapshot::lincheck::{check_history, check_monotone_history};
 use partial_snapshot::serve::{Coalescing, Freshness};
-use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig, ShardedSnapshot};
+use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::sim::{run_scenario_via_service, Scenario, ServiceDriverConfig};
 use partial_snapshot::snapshot::{CasPartialSnapshot, MvSnapshot};
 
@@ -81,16 +81,15 @@ fn uncoalesced_baseline_histories_are_linearizable() {
 #[test]
 fn coalesced_histories_over_the_sharded_store_are_linearizable() {
     // The service's union scan exercises the sharded store's cross-shard
-    // machinery (the scenarios' scans deliberately span shards), while the
-    // drainer's chunks exercise its two-phase cross-shard batch path.
+    // scans (the scenarios' scans deliberately span shards), while the
+    // drainer's chunks exercise its cross-shard batch commit.
     for seed in 0..12 {
         let scenario = Scenario::random_cross_shard(seed, 2);
-        let snapshot = Arc::new(ShardedSnapshot::with_factory(
+        let snapshot = Arc::new(MvShardedSnapshot::new(
             scenario.components,
             2,
             0u64,
             ShardConfig::contiguous(2),
-            |_, m, n, init| CasPartialSnapshot::new(m, n, init),
         ));
         let history = run_scenario_via_service(
             snapshot,
@@ -169,18 +168,17 @@ fn mv_sharded_stale_histories_are_linearizable_with_parallel_unions() {
 }
 
 #[test]
-fn parallel_union_histories_are_linearizable_over_sharded_cas() {
-    // Fresh scans only, two scan-server pids over the epoch-validated
-    // sharded store: shard-disjoint unions run concurrently on distinct
-    // pids and must still linearize against the coalesced write stream.
+fn parallel_fresh_union_histories_are_linearizable_over_the_sharded_store() {
+    // Fresh scans only, two scan-server pids over the sharded store:
+    // shard-disjoint unions run concurrently on distinct pids and must still
+    // linearize against the coalesced write stream.
     for seed in 0..10 {
         let scenario = Scenario::random_cross_shard(seed ^ 0x9A8, 2);
-        let snapshot = Arc::new(ShardedSnapshot::with_factory(
+        let snapshot = Arc::new(MvShardedSnapshot::new(
             scenario.components,
             3,
             0u64,
             ShardConfig::contiguous(2),
-            |_, m, n, init| CasPartialSnapshot::new(m, n, init),
         ));
         let history = run_scenario_via_service(
             snapshot,

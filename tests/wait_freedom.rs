@@ -7,12 +7,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use partial_snapshot::activeset::{ActiveSet, CasActiveSet};
-use partial_snapshot::bench::ImplKind;
-use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig, ShardedSnapshot};
+use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::shmem::{chaos, ProcessId, StepScope};
 use partial_snapshot::snapshot::{
     CasPartialSnapshot, MvSnapshot, PartialSnapshot, RegisterPartialSnapshot,
 };
+use partial_snapshot::ImplKind;
 
 /// Theorem 3: a partial scan of `r` components finishes in `O(r²)` steps
 /// no matter what concurrent updates do. The concrete budget for this
@@ -204,90 +204,62 @@ fn figure3_update_cost_tracks_active_scanners() {
     }
 }
 
-/// The sharded store's deterministic step bounds. The *optimistic* machinery
-/// is step-bounded per round, so bounds that do not depend on how the host
-/// schedules threads are: (a) quiescent cross-shard scans finish in one
-/// validated round; (b) single-shard scans cost an inner scan and nothing
-/// more; (c) updates cost the inner update plus four constant coordination
-/// ops. The coordinated fallback's drain *waits on straggler updates* — a
-/// scheduling-dependent quantity the object honestly reports by returning
-/// `is_wait_free() == false` for multi-shard placements — so under live
-/// contention the test asserts termination and result shape, not a step
-/// number (a step budget there would measure the scheduler, not the
-/// algorithm).
+/// The sharded store's step costs are exact functions of the unsharded
+/// object's: (a) a single-shard scan costs what the same scan costs on an
+/// unsharded `MvSnapshot`; (b) each further involved shard adds its announce
+/// (a camera read and a slot write) and its clear (a slot write); (c) an
+/// update costs the unsharded update plus the writer gate's three steps
+/// (raise, recheck, lower).
 #[test]
 fn sharded_step_bounds_hold_where_they_are_deterministic() {
     let m = 32usize;
     let shards = 4usize;
-    let snapshot = Arc::new(ShardedSnapshot::with_factory(
-        m,
-        8,
-        0u64,
-        ShardConfig::contiguous(shards).with_retries(3),
-        |_, sm, sn, init| CasPartialSnapshot::new(sm, sn, init),
-    ));
-
-    // (a) Quiescent cross-shard scan: one reshard-flag read at attempt
-    // entry, then one optimistic round = per involved shard, 4 epoch reads
-    // plus a quiescent inner sub-scan of r' = 1 (announce + join/leave +
-    // two 1-read collects ≈ 8 steps).
-    let comps: Vec<usize> = (0..shards).map(|s| s * (m / shards)).collect();
-    let r = comps.len() as u64;
-    let quiescent_budget = 1 + r * (4 + 8) + 8;
-    for _ in 0..200 {
+    let snapshot = MvShardedSnapshot::new(m, 8, 0u64, ShardConfig::contiguous(shards));
+    let unsharded = MvSnapshot::new(m, 8, 0u64);
+    let steps = |op: &dyn Fn()| {
         let scope = StepScope::start();
-        let values = snapshot.scan(ProcessId(7), &comps);
-        let steps = scope.finish().total();
-        assert_eq!(values.len(), comps.len());
-        assert!(
-            steps <= quiescent_budget,
-            "quiescent cross-shard scan took {steps} steps, budget {quiescent_budget}"
+        op();
+        scope.finish().total()
+    };
+
+    // (a) Single-shard scan: components 0..4 all live on shard 0.
+    let local: Vec<usize> = (0..4).collect();
+    let inner_scan = steps(&|| drop(unsharded.scan(ProcessId(7), &local)));
+    let local_scan = steps(&|| drop(snapshot.scan(ProcessId(7), &local)));
+    assert_eq!(
+        local_scan, inner_scan,
+        "a single-shard scan paid for sharding"
+    );
+
+    // (b) Cross-shard scan of one component per shard.
+    let comps: Vec<usize> = (0..shards).map(|s| s * (m / shards)).collect();
+    for _ in 0..200 {
+        let cross = steps(&|| assert_eq!(snapshot.scan(ProcessId(7), &comps).len(), shards));
+        assert_eq!(
+            cross,
+            local_scan + 3 * (shards as u64 - 1),
+            "quiescent cross-shard scan of {shards} shards"
         );
     }
 
-    // (b) Single-shard scan: the reshard-flag entry read, the inner scan,
-    // and four batch-window validation reads (update epochs are never read
-    // — plain update churn cannot make a single-shard scan retry).
-    let local: Vec<usize> = (0..4).collect(); // all on shard 0
-    let scope = StepScope::start();
-    let _ = snapshot.scan(ProcessId(7), &local);
-    let steps = scope.finish().total();
-    assert!(
-        steps <= 1 + 4 + 2 * 4 + 4 + 4,
-        "single-shard scan of 4 components took {steps} steps"
-    );
-
-    // (c) Update: inner update + 2 flag reads (latch entry, plus the
-    // raise-then-recheck against a draining resharder) + 3 counter RMWs.
-    // The first update after the scans above pays their amortized
-    // active-set cost once (its getSet walks the scans' vacated slots and
-    // installs the skip interval — Theorem 2's accounting); warm up with
-    // one update so the measured one shows the steady-state constant.
-    snapshot.update(ProcessId(6), 17, 1);
-    let scope = StepScope::start();
-    snapshot.update(ProcessId(6), 17, 2);
-    let steps = scope.finish().total();
-    assert!(
-        steps <= 8 + 5,
-        "quiescent sharded update took {steps} steps"
-    );
+    // (c) Update.
+    let inner_update = steps(&|| unsharded.update(ProcessId(6), 17, 1));
+    let update = steps(&|| snapshot.update(ProcessId(6), 17, 1));
+    assert_eq!(update, inner_update + 3, "quiescent sharded update");
 }
 
 /// Under adversarial updates hammering exactly the scanned components, every
-/// cross-shard scan still terminates with a right-sized, consistent answer
-/// and the retry/fallback machinery actually engages. (No step assertion
-/// here — the coordinated drain waits on updater progress, which is the
-/// scheduler's to decide; see `sharded_step_bounds_hold_where_they_are_deterministic`.)
+/// cross-shard scan terminates with a right-sized answer that never goes
+/// backwards, and every one of them is served as a cross-shard scan.
 #[test]
 fn sharded_scans_terminate_under_adversarial_updates() {
     let m = 32usize;
     let shards = 4usize;
-    let snapshot = Arc::new(ShardedSnapshot::with_factory(
+    let snapshot = Arc::new(MvShardedSnapshot::new(
         m,
         8,
         0u64,
-        ShardConfig::contiguous(shards).with_retries(1),
-        |_, sm, sn, init| CasPartialSnapshot::new(sm, sn, init),
+        ShardConfig::contiguous(shards),
     ));
     let stop = Arc::new(AtomicBool::new(false));
     // Updater `t` exclusively owns component `t * 8` — exactly the component
@@ -323,13 +295,7 @@ fn sharded_scans_terminate_under_adversarial_updates() {
     for u in updaters {
         u.join().unwrap();
     }
-    let stats = snapshot.coordination_stats();
-    assert!(stats.cross_shard_scans() > 0, "{stats:?}");
-    assert_eq!(
-        stats.cross_shard_scans(),
-        2000,
-        "the three scan counters partition the scans"
-    );
+    assert_eq!(snapshot.cross_shard_scans(), 2000);
 }
 
 /// Batched updates and the scan validation they impose: scans racing a live
@@ -338,8 +304,7 @@ fn sharded_scans_terminate_under_adversarial_updates() {
 /// budget plus the four gate-validation reads (the gate adds a constant, not
 /// a new asymptotic term). Wait-freedom proper is a property of the
 /// single-update interface — batches buy atomicity by blocking scans for the
-/// duration of each write phase, the same trade the sharded store's
-/// coordinated path makes.
+/// duration of each write phase.
 #[test]
 fn scans_terminate_and_stay_bounded_around_batched_updates() {
     let m = 16usize;
@@ -396,13 +361,7 @@ fn scans_terminate_and_stay_bounded_around_batched_updates() {
 //     timestamp, which is indistinguishable from a writer crashed between
 //     its last install and its finalize. The multiversioned scans must
 //     complete within their *declared* step budget
-//     (`MvSnapshot::scan_step_budget`) and return the pre-batch cut. The
-//     coordinated sharded store provably fails this scenario: its fallback
-//     drain loops until the straggler's `writers` mark drops, so a
-//     forever-parked updater holds every cross-shard scan forever (the
-//     reason multi-shard `ShardedSnapshot` reports `is_wait_free() ==
-//     false` — asserted below rather than demonstrated, since the
-//     demonstration would hang the test).
+//     (`MvSnapshot::scan_step_budget`) and return the pre-batch cut.
 //   * **mid-write under chaos, on every `ImplKind`**: randomized parking at
 //     every base-object boundary, including *inside pinned epochs*
 //     (`pinned_park_probability` — the mid-epoch-bump seam, which stalls
@@ -411,9 +370,9 @@ fn scans_terminate_and_stay_bounded_around_batched_updates() {
 //     additionally stay within their budget on every single scan. The
 //     retry-based kinds are exempt from the budget by design and are
 //     documented as such where they are skipped: their scans wait out
-//     writers (Lock, the batch gate, the coordinated fallback) or pay
-//     contention-dependent retries (DoubleCollect, epoch validation), so a
-//     step budget there would measure the scheduler, not the algorithm.
+//     writers (Lock, the batch gate) or pay contention-dependent retries
+//     (the collect-based kinds' double collects), so a step budget there
+//     would measure the scheduler, not the algorithm.
 // ---------------------------------------------------------------------------
 
 /// The deterministic parked-writer seam on the unsharded multiversioned
@@ -442,8 +401,7 @@ fn mv_scans_meet_their_budget_with_a_writer_parked_forever() {
 }
 
 /// The same seam across shards: a cross-shard batch parked mid-commit on
-/// *every* involved shard — exactly where the coordinated fallback would
-/// wait forever — leaves multiversioned cross-shard scans bounded.
+/// *every* involved shard leaves cross-shard scans bounded.
 #[test]
 fn mv_sharded_scans_meet_their_budget_with_a_writer_parked_on_every_shard() {
     let shards = 4usize;
@@ -473,17 +431,6 @@ fn mv_sharded_scans_meet_their_budget_with_a_writer_parked_on_every_shard() {
     }
     parked.commit();
     assert_eq!(snap.scan(ProcessId(1), &comps), vec![8; shards]);
-    // The property the coordinated path provably lacks: its fallback drain
-    // waits on exactly this parked writer, which is why it must report
-    // itself blocking while the multiversioned path reports wait-free.
-    let coordinated = ShardedSnapshot::with_factory(
-        16,
-        3,
-        0u64,
-        ShardConfig::contiguous(shards),
-        |_, m, n, init| CasPartialSnapshot::new(m, n, init),
-    );
-    assert!(!coordinated.is_wait_free());
     assert!(snap.is_wait_free());
 }
 
