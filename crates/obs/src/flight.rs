@@ -3,7 +3,7 @@
 //!
 //! Production incidents are diagnosed from the instants *around* the
 //! anomaly, which are gone by the time anyone attaches a debugger. The
-//! recorder keeps the recent past on hand at all times: every [`Span`] that
+//! recorder keeps the recent past on hand at all times: every [`Span`](crate::Span) that
 //! ends is routed here, reassembled into its request's tree when the tree's
 //! root ends, and the last [`DEFAULT_TREE_CAPACITY`] whole trees ride in a
 //! process-wide ring. An **anomaly trigger** ([`trigger`]) freezes that
@@ -402,7 +402,7 @@ pub fn armed() -> bool {
 
 /// Fires an anomaly: freezes the completed-tree ring and a metrics
 /// snapshot of `registry` (if any) into a [`FlightDump`], stores it (the
-/// last [`DUMP_CAPACITY`] are kept, readable via [`dumps`]), and returns
+/// last 8 are kept, readable via [`dumps`]), and returns
 /// it. Returns `None` when triggers are [disarmed](set_armed).
 pub fn trigger(
     reason: AnomalyKind,

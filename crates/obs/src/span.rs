@@ -1,6 +1,6 @@
 //! Causal spans over the trace ring: who caused what, across threads.
 //!
-//! The flat [`trace`](crate::trace) events say *that* a retry or a commit
+//! The flat [`trace`] events say *that* a retry or a commit
 //! happened; they cannot say which client request it happened *for*. A
 //! [`Span`] is a timed interval with an identity (`id`), a cause (`parent`),
 //! and a tree (`root`): the serve layer opens a root span per client

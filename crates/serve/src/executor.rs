@@ -538,8 +538,8 @@ impl Handle {
             };
             shared.hand_over();
             // Inside the poll this thread is an ordinary poller: what the
-            // task spawns or wakes may need a worker *now* (parallel union
-            // jobs), so those pushes notify.
+            // task spawns or wakes may need a worker *now*, so those pushes
+            // notify.
             let registered = HELPER_OF.replace(0);
             poll_task(task);
             HELPER_OF.set(registered);

@@ -59,6 +59,6 @@ pub use executor::{
 };
 pub use queue::{BoundedQueue, Notify, OpCell, SubmitError, Ticket};
 pub use service::{
-    ClientHandle, Coalescing, FlightAuditor, Freshness, ReshardDriver, ScanTicket, ServiceConfig,
-    ServiceObs, ServiceStats, SnapshotService, StatsReporter, UpdateTicket,
+    ClientHandle, Coalescing, Freshness, PeriodicTask, ScanTicket, ServiceConfig, ServiceObs,
+    ServiceStats, SnapshotService, UpdateTicket,
 };

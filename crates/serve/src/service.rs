@@ -3,7 +3,7 @@
 //! Callers stop owning threads that call the snapshot object in-process;
 //! instead they hold a [`ClientHandle`] and talk to three pipelines:
 //!
-//! 1. **Ingestion** — [`ClientHandle::submit`] / [`submit_batch`] push writes
+//! 1. **Ingestion** — [`ClientHandle::submit`] / [`ClientHandle::submit_batch`] push writes
 //!    into the client's own bounded MPSC queue and return an
 //!    [`UpdateTicket`]. A single drainer task collects every client queue,
 //!    concatenates the submissions in arrival order, coalesces duplicate
@@ -14,10 +14,11 @@
 //!    boundaries are respected: a submission's writes are never split across
 //!    two `update_many` calls, so every client batch stays atomic.
 //! 2. **Scan coalescing** — [`ClientHandle::scan`] enqueues a scan request.
-//!    The scan server drains all pending requests (optionally waiting a
-//!    [`Coalescing::Window`] to accumulate more), merges their component
-//!    sets into one deduplicated [`ScanUnion`], runs **one** backing scan,
-//!    and fans each requester's subset back out. A projection of one
+//!    The scan server — one task on one process id — drains all pending
+//!    requests (optionally waiting a [`Coalescing::Window`] to accumulate
+//!    more), merges their component sets into one deduplicated
+//!    [`ScanUnion`], runs **one** backing scan, and fans each requester's
+//!    subset back out. A projection of one
 //!    linearizable scan is itself a legal scan at the same linearization
 //!    point, which is what the lincheck conformance suite verifies end to
 //!    end. A union job is *plan → scan → fan out → publish*, and only the
@@ -45,18 +46,15 @@
 //! amplification and no coalescing wait. Only when both fast tiers decline
 //! does a stale request join the backing tier.
 //!
-//! The backing tier itself has two levers. **Window policy**:
-//! [`Coalescing::Window`] is a fixed accumulation window, while
-//! [`Coalescing::Adaptive`] sizes the window from the observed arrival
-//! rate and backing-scan latency, opening one only past break-even (an
-//! idle or lone request is always dispatched immediately). **Parallel
-//! union execution**: when the backing object is sharded and the pending
-//! requests split into shard-disjoint groups, the groups run as
-//! concurrent union scans on the executor (one process id per in-flight
-//! job, from the [`ServiceConfig::scan_pids`] pool), each group's union
-//! entering the cache as its own atomic view.
+//! The backing tier has one lever, the [`Coalescing::Window`]: how long the
+//! scan server waits for more requests before it scans. A lone request at
+//! an idle server is dispatched at once, whatever the window. Everything the
+//! server drained goes into one union on its one pid: on a multiversioned
+//! store a union scan is one camera tick plus a read per component, so
+//! splitting it by shard would buy parallelism but no consistency. The
+//! freshness cache belongs to the scan server too: every entry is pushed and
+//! read by that one task, newest first.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -74,35 +72,13 @@ use crate::queue::{BoundedQueue, Notify, OpCell, SubmitError, Ticket};
 /// How the scan server merges concurrent scan requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Coalescing {
-    /// No merging: every request is answered by its own backing scan.
-    Disabled,
     /// Merge everything pending when the scan server wakes; with a non-zero
     /// window, first sleep that long so more requests accumulate (larger
     /// unions, higher latency floor). A lone request at an idle server is
     /// dispatched immediately — a window with no possible coalescing
-    /// partners buys nothing.
-    Window(Duration),
-    /// Size the window from observation: the controller tracks the request
-    /// arrival rate and the backing-scan latency (exponentially weighted),
-    /// and opens a window of about one backing-scan's width — clamped to
-    /// `max` — only when at least one more request is expected to arrive
-    /// while a backing scan runs (coalescing's break-even point). Below
-    /// break-even, and for a lone request at an idle server, requests are
-    /// dispatched immediately. Every window decision (including the zero
+    /// partners buys nothing. Every window decision (including the zero
     /// ones) is recorded in the `scan.window_ns` histogram.
-    Adaptive {
-        /// Upper clamp on the chosen window.
-        max: Duration,
-    },
-}
-
-impl Coalescing {
-    /// The adaptive policy with a 1 ms window clamp.
-    pub fn adaptive() -> Coalescing {
-        Coalescing::Adaptive {
-            max: Duration::from_millis(1),
-        }
-    }
+    Window(Duration),
 }
 
 /// Per-request freshness bound of a scan (see the module docs).
@@ -133,15 +109,8 @@ pub struct ServiceConfig {
     pub max_batch: usize,
     /// Process id the ingestion drainer uses on the backing object.
     pub drain_pid: ProcessId,
-    /// First process id the scan server uses on the backing object.
+    /// Process id the scan server uses on the backing object.
     pub scan_pid: ProcessId,
-    /// Size of the scan server's process-id pool:
-    /// `scan_pid .. scan_pid + scan_pids`. With more than one pid, pending
-    /// requests that split into shard-disjoint groups are scanned
-    /// concurrently (one union scan per group, fanned out on the
-    /// executor). The backing object must have been built for at least
-    /// `scan_pid + scan_pids` processes. Clamped to ≥ 1.
-    pub scan_pids: usize,
     /// Per-request scan latency SLO: a served scan whose request-to-answer
     /// latency exceeds this fires the flight recorder's
     /// [`LatencySlo`](psnap_obs::AnomalyKind::LatencySlo) trigger (no-op
@@ -166,7 +135,6 @@ impl Default for ServiceConfig {
             max_batch: 256,
             drain_pid: ProcessId(0),
             scan_pid: ProcessId(1),
-            scan_pids: 1,
             scan_slo: None,
             busy_burst_threshold: 0,
         }
@@ -212,11 +180,11 @@ struct ScanRequest<T> {
     span: Span,
 }
 
-/// One backing scan's union view, for freshness-bounded requests. The
-/// service keeps the most recent [`CACHE_ENTRIES`] of these; each entry is
-/// one scan's atomic cut and entries are **never merged** — two concurrent
-/// union jobs have different linearization points, and a merged map could
-/// show a cut no single scan ever saw.
+/// One backing scan's union view, for freshness-bounded requests. The scan
+/// server keeps the most recent [`CACHE_ENTRIES`] of these; each entry is
+/// one scan's atomic cut and entries are **never merged** — two union jobs
+/// have different linearization points, and a merged map could show a cut
+/// no single scan ever saw.
 struct ScanCache<T> {
     /// The cut as the scan that took it held it: distinct components and
     /// their values, in parallel, moved in rather than copied.
@@ -282,15 +250,14 @@ impl<T: Clone> ScanCache<T> {
     }
 }
 
-/// Cache entries kept (newest first). Parallel union jobs and mv-served
-/// answers each push one, so a handful covers the recent past without
-/// letting an old deployment accumulate unbounded state.
+/// Cache entries kept (newest first). Union jobs and mv-served answers each
+/// push one, so a handful covers the recent past without letting an old
+/// deployment accumulate unbounded state.
 const CACHE_ENTRIES: usize = 8;
 
 /// EWMA weight of the newest heat-rate observation (see
-/// [`ServiceObs::shard_heat_rate`]). Matches the adaptive-window
-/// controller's weighting: responsive within a few ticks, but one noisy
-/// window cannot swing the rate by itself.
+/// [`ServiceObs::shard_heat_rate`]): responsive within a few ticks, but one
+/// noisy window cannot swing the rate by itself.
 const HEAT_EWMA_ALPHA: f64 = 0.5;
 
 /// The service's live metric handles — obs counters (striped, aggregated on
@@ -324,10 +291,10 @@ struct Counters {
     /// Request-to-answer latency per served scan (nanoseconds).
     scan_latency: Arc<Histogram>,
     /// Duration of each backing scan against the snapshot object
-    /// (nanoseconds) — the latency signal of the adaptive controller.
+    /// (nanoseconds).
     backing_latency: Arc<Histogram>,
     /// Coalescing-window width chosen per serve round (nanoseconds),
-    /// including the zero decisions — the adaptive controller's output.
+    /// including the zero decisions of lone-request dispatch.
     window_ns: Arc<Histogram>,
     /// Per union job, beside `backing_latency`: building the deduplicated
     /// union, answering every request of the job, and publishing the cut
@@ -438,8 +405,7 @@ pub struct ServiceStats {
     /// Request-to-answer latency distribution (nanoseconds) over served
     /// scans — count, sum, exact max, and log2-resolution p50/p99.
     pub scan_latency: HistogramSnapshot,
-    /// Per-backing-scan duration distribution (nanoseconds) — the latency
-    /// signal the adaptive controller sizes windows from.
+    /// Per-backing-scan duration distribution (nanoseconds).
     pub backing_latency: HistogramSnapshot,
     /// Coalescing-window widths chosen per serve round (nanoseconds),
     /// zero decisions included.
@@ -632,8 +598,6 @@ struct ServiceCore<T, S> {
     /// (reporter, reshard driver, auditor) that only need an eventually
     /// consistent answer. The registry field is authoritative.
     closed: AtomicBool,
-    /// Recent atomic union views, newest first (see [`ScanCache`]).
-    cache: Mutex<Vec<ScanCache<T>>>,
     /// Differentiates the backing object's cumulative `shard_heat` into
     /// per-tick rates, advanced once per obs snapshot (see
     /// [`ServiceObs::shard_heat_rate`]).
@@ -648,9 +612,15 @@ where
     T: Clone + Send + Sync + 'static,
     S: PartialSnapshot<T>,
 {
-    fn try_cache(&self, components: &[usize], bound: Duration) -> Option<Vec<T>> {
+    /// The values of `components` from the newest entry of `cache` that is
+    /// at most `bound` old and covers them all.
+    fn try_cache(
+        &self,
+        cache: &mut Vec<ScanCache<T>>,
+        components: &[usize],
+        bound: Duration,
+    ) -> Option<Vec<T>> {
         let current_generation = self.snapshot.generation();
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         // Lazy per-shard revalidation: a reshard does not wipe the cache —
         // an entry taken under an older generation drops only the
         // components whose shard assignment actually moved (a projection
@@ -669,14 +639,17 @@ where
                 .add(dropped as u64);
         }
         cache.retain(|entry| !entry.components.is_empty());
-        // Newest-first insertion order is only approximate under parallel
-        // jobs, so every entry is checked for both age and coverage.
-        cache.iter_mut().find_map(|entry| {
+        // One task pushes every entry, so the cache is newest first and the
+        // first entry past the bound ends the search.
+        for entry in cache.iter_mut() {
             if entry.taken_at.elapsed() > bound {
                 return None;
             }
-            entry.lookup(components)
-        })
+            if let Some(values) = entry.lookup(components) {
+                return Some(values);
+            }
+        }
+        None
     }
 
     /// Publishes one scan's atomic cut — distinct `components` and their
@@ -685,13 +658,18 @@ where
     /// (the inputs of lazy revalidation — see [`try_cache`]).
     ///
     /// [`try_cache`]: ServiceCore::try_cache
-    fn push_cache(&self, components: Vec<usize>, values: Vec<T>, taken_at: Instant) {
+    fn push_cache(
+        &self,
+        cache: &mut Vec<ScanCache<T>>,
+        components: Vec<usize>,
+        values: Vec<T>,
+        taken_at: Instant,
+    ) {
         let generation = self.snapshot.generation();
         let shards = components
             .iter()
             .map(|&component| self.snapshot.shard_of(component) as u32)
             .collect();
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         cache.insert(
             0,
             ScanCache {
@@ -750,21 +728,10 @@ where
         }
     }
 
-    /// Answers a batch of scan requests: empty ones inline, freshness-
-    /// relaxed ones from the cache or the backing object's version chains,
-    /// the rest via union backing scans — run concurrently when the
-    /// requests split into shard-disjoint groups and the pid pool allows.
-    /// Returns `(backing_requests, backing_scans, total_backing_ns)` for
-    /// the caller's latency and overlap estimates (measured locally, so the
-    /// adaptive controller keeps working even with the obs layer disabled).
-    async fn serve_scans(
-        self: &Arc<Self>,
-        requests: Vec<ScanRequest<T>>,
-        handle: &Handle,
-    ) -> (u64, u64, u64)
-    where
-        S: 'static,
-    {
+    /// Answers a batch of scan requests on the scan server: empty ones
+    /// inline, freshness-relaxed ones from `cache` or the backing object's
+    /// version chains, and the rest with one union backing scan.
+    fn serve_scans(&self, requests: Vec<ScanRequest<T>>, cache: &mut Vec<ScanCache<T>>) {
         let mut live = Vec::with_capacity(requests.len());
         for request in requests {
             // An empty request needs no backing work at all; answering it
@@ -781,7 +748,7 @@ where
                 // direct read of the version chains, touching only this
                 // request's components. Both leave the backing-scan
                 // pipeline untouched.
-                if let Some(values) = self.try_cache(&request.components, bound) {
+                if let Some(values) = self.try_cache(cache, &request.components, bound) {
                     self.counters.scans_served_cache.inc();
                     self.complete_scan(request, Instant::now(), 1, 0, values);
                     continue;
@@ -806,7 +773,7 @@ where
                             cut.push(value.clone());
                         }
                     }
-                    self.push_cache(union.components, cut, taken_at);
+                    self.push_cache(cache, union.components, cut, taken_at);
                     stale_span.set_args(ts, values.len() as u64);
                     drop(stale_span);
                     self.counters.scans_served_mv.inc();
@@ -817,115 +784,15 @@ where
             }
             live.push(request);
         }
-        if live.is_empty() {
-            return (0, 0, 0);
+        if !live.is_empty() {
+            self.run_union_job(live, cache);
         }
-        let backing_requests = live.len() as u64;
-        let pool = self.config.scan_pids.max(1);
-        let jobs = if pool == 1 {
-            vec![live]
-        } else {
-            // Shard-disjoint grouping consults the live partition map once
-            // per component, so a reshard landing mid-grouping could split
-            // the requests along a mix of two generations — two "disjoint"
-            // jobs might share a shard of the new layout and contend, or
-            // worse, plan against ranges that no longer exist. Bracket the
-            // grouping with a generation check and collapse to one union
-            // job if the map moved: correct in every case, merely
-            // unparallel for the one batch that raced the reshard.
-            let generation = self.snapshot.generation();
-            let groups = group_shard_disjoint(&self.snapshot, live);
-            if self.snapshot.generation() != generation {
-                vec![groups.into_iter().flatten().collect()]
-            } else {
-                groups
-            }
-        };
-        let workers = jobs.len().min(pool);
-        if workers <= 1 {
-            let mut count = 0u64;
-            let mut total_ns = 0u64;
-            for job in jobs {
-                total_ns += self.run_union_job(job, self.config.scan_pid);
-                count += 1;
-            }
-            return (backing_requests, count, total_ns);
-        }
-        // Fan shard-disjoint union jobs out on the executor: worker `w`
-        // owns pid `scan_pid + w` and runs its bucket of jobs
-        // sequentially, so no pid is ever used by two scans at once.
-        // Bucket 0 runs inline on the scan server itself.
-        //
-        // Jobs are assigned longest-processing-time-first, each priced by
-        // the cumulative heat of the shards it touches: a job over a hot
-        // shard gets a bucket to itself while cold-shard jobs batch
-        // together, instead of round-robin occasionally queueing two hot
-        // jobs behind one pid while another sits idle.
-        let heat = self.snapshot.shard_heat();
-        let mut priced: Vec<(u64, Vec<ScanRequest<T>>)> = jobs
-            .into_iter()
-            .map(|job| {
-                let mut shards: Vec<usize> = job
-                    .iter()
-                    .flat_map(|r| r.components.iter())
-                    .map(|&c| self.snapshot.shard_of(c))
-                    .collect();
-                shards.sort_unstable();
-                shards.dedup();
-                // +1 per shard so unheated footprints (obs disabled, cold
-                // start) still spread by width instead of collapsing to 0.
-                let cost: u64 = shards
-                    .iter()
-                    .map(|&s| heat.get(s).copied().unwrap_or(0) + 1)
-                    .sum();
-                (cost, job)
-            })
-            .collect();
-        priced.sort_by_key(|&(cost, _)| std::cmp::Reverse(cost));
-        let mut buckets: Vec<Vec<Vec<ScanRequest<T>>>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut load = vec![0u64; workers];
-        for (cost, job) in priced {
-            let lightest = (0..workers).min_by_key(|&w| load[w]).unwrap_or(0);
-            load[lightest] += cost;
-            buckets[lightest].push(job);
-        }
-        let mut tickets = Vec::with_capacity(workers - 1);
-        for (w, bucket) in buckets.iter_mut().enumerate().skip(1) {
-            let bucket = std::mem::take(bucket);
-            let core = Arc::clone(self);
-            let pid = ProcessId(self.config.scan_pid.index() + w);
-            let cell = OpCell::new();
-            let done = Arc::clone(&cell);
-            handle.spawn(async move {
-                let mut count = 0u64;
-                let mut total_ns = 0u64;
-                for job in bucket {
-                    total_ns += core.run_union_job(job, pid);
-                    count += 1;
-                }
-                done.complete((count, total_ns));
-            });
-            tickets.push(Ticket::new(cell));
-        }
-        let mut count = 0u64;
-        let mut total_ns = 0u64;
-        for job in std::mem::take(&mut buckets[0]) {
-            total_ns += self.run_union_job(job, self.config.scan_pid);
-            count += 1;
-        }
-        for ticket in tickets {
-            let (n, ns) = ticket.await;
-            count += n;
-            total_ns += ns;
-        }
-        (backing_requests, count, total_ns)
     }
 
-    /// Runs one union backing scan for `requests` on `pid`: builds the
-    /// deduplicated union, scans it, fans each requester's subset back out,
-    /// and publishes the union as a cache entry. Returns the backing scan's
-    /// duration in nanoseconds.
-    fn run_union_job(&self, requests: Vec<ScanRequest<T>>, pid: ProcessId) -> u64 {
+    /// Runs one union backing scan for `requests`: builds the deduplicated
+    /// union, scans it, fans each requester's subset back out, and
+    /// publishes the union to `cache`.
+    fn run_union_job(&self, requests: Vec<ScanRequest<T>>, cache: &mut Vec<ScanCache<T>>) {
         let started = Instant::now();
         let union = ScanUnion::of(requests.iter().map(|r| r.components.as_slice()));
         // Exactly one backing scan of the deduplicated union. The cache
@@ -935,9 +802,7 @@ where
         // staleness, however long the scan itself takes under contention.
         let taken_at = Instant::now();
         // One `BackingScan` child per request in the job: each request's
-        // tree carries the union-scan interval it waited on, wherever the
-        // job ran (this may be an executor worker, not the scan server).
-        // Entering the first one attributes the backing object's own
+        // tree carries the union-scan interval it waited on. Entering the first one attributes the backing object's own
         // events (scan retries, fallbacks) to this job's trees.
         let mut backing_spans: Vec<Span> = if psnap_obs::span_enabled() {
             requests
@@ -950,7 +815,7 @@ where
         let values: Vec<T> = {
             let _in_span =
                 span::enter(backing_spans.first().map(Span::context).unwrap_or_default());
-            self.snapshot.scan(pid, &union.components)
+            self.snapshot.scan(self.config.scan_pid, &union.components)
         };
         // The one clock read every request's latency is measured to.
         let scanned_at = Instant::now();
@@ -981,9 +846,9 @@ where
         let fanned_out_at = Instant::now();
         // Answers first, then the cache: the vectors are free to move once
         // the last request has copied out of them, and no stale reader can
-        // miss the entry — stale requests are served by the scan server
-        // task, which gets to them only after this job has returned.
-        self.push_cache(union.components, values, taken_at);
+        // miss the entry — stale requests are served by this same task,
+        // which gets to them only after this job has returned.
+        self.push_cache(cache, union.components, values, taken_at);
         let published_at = Instant::now();
         let ns = |from: Instant, to: Instant| to.duration_since(from).as_nanos() as u64;
         self.counters.plan_ns.record(ns(started, taken_at));
@@ -993,7 +858,6 @@ where
         self.counters
             .publish_ns
             .record(ns(fanned_out_at, published_at));
-        elapsed_ns
     }
 
     /// Applies `pending` as `update_many` chunks that respect submission
@@ -1062,65 +926,6 @@ fn coalesce_last_write_wins<T: Clone>(chunk: &[Submission<T>]) -> Vec<(usize, T)
         .into_iter()
         .map(|(component, value)| (component, value.clone()))
         .collect()
-}
-
-/// Partitions `requests` into groups whose shard footprints
-/// ([`PartialSnapshot::shard_of`]) are pairwise disjoint, preserving
-/// arrival order within each group. Requests touching a common shard land
-/// in one group (union-find over shard ids), so two concurrent union scans
-/// never contend on the same shard; on an unsharded backing object
-/// everything maps to shard 0 and one group comes back.
-fn group_shard_disjoint<T, S>(
-    snapshot: &S,
-    requests: Vec<ScanRequest<T>>,
-) -> Vec<Vec<ScanRequest<T>>>
-where
-    T: Clone + Send + Sync + 'static,
-    S: PartialSnapshot<T>,
-{
-    fn find(parent: &mut [usize], x: usize) -> usize {
-        let mut root = x;
-        while parent[root] != root {
-            root = parent[root];
-        }
-        let mut cur = x;
-        while parent[cur] != root {
-            let next = parent[cur];
-            parent[cur] = root;
-            cur = next;
-        }
-        root
-    }
-    let mut parent: Vec<usize> = (0..requests.len()).collect();
-    let mut shard_owner: BTreeMap<usize, usize> = BTreeMap::new();
-    for (i, request) in requests.iter().enumerate() {
-        for &component in &request.components {
-            let shard = snapshot.shard_of(component);
-            match shard_owner.get(&shard) {
-                Some(&owner) => {
-                    let a = find(&mut parent, i);
-                    let b = find(&mut parent, owner);
-                    if a != b {
-                        parent[a] = b;
-                    }
-                }
-                None => {
-                    shard_owner.insert(shard, i);
-                }
-            }
-        }
-    }
-    let mut groups: Vec<Vec<ScanRequest<T>>> = Vec::new();
-    let mut group_of_root: BTreeMap<usize, usize> = BTreeMap::new();
-    for (i, request) in requests.into_iter().enumerate() {
-        let root = find(&mut parent, i);
-        let g = *group_of_root.entry(root).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(request);
-    }
-    groups
 }
 
 async fn drain_loop<T, S>(core: Arc<ServiceCore<T, S>>)
@@ -1199,9 +1004,13 @@ fn open_window_spans<T>(requests: &[ScanRequest<T>], window: Duration) -> Vec<Sp
         .collect()
 }
 
-fn track_scan_drain<T>(counters: &Counters, drained: &mut [ScanRequest<T>]) {
+/// Drains the scan queue into `requests` and accounts for what it took.
+fn drain_scans<T, S>(core: &ServiceCore<T, S>, requests: &mut Vec<ScanRequest<T>>) {
+    let before = requests.len();
+    core.scan_queue.drain_into(requests);
+    let drained = &mut requests[before..];
     if !drained.is_empty() {
-        counters.scan_depth.sub(drained.len() as i64);
+        core.counters.scan_depth.sub(drained.len() as i64);
         trace::emit(TraceKind::QueueDrain, 1, drained.len() as u64);
         for request in drained {
             request.queue_wait.take();
@@ -1209,107 +1018,16 @@ fn track_scan_drain<T>(counters: &Counters, drained: &mut [ScanRequest<T>]) {
     }
 }
 
-/// The adaptive controller's state: exponentially weighted estimates of
-/// the request arrival rate and the backing-scan latency, updated by the
-/// scan loop from its own measurements (so the controller works even with
-/// the obs layer disabled).
-struct WindowController {
-    /// Requests per nanosecond (EWMA).
-    arrival_rate: f64,
-    /// Nanoseconds per backing scan (EWMA; 0 until the first measurement,
-    /// which keeps the window closed on a cold start).
-    backing_ns: f64,
-    /// Requests answered per backing scan (EWMA; 0 until the first
-    /// backing round primes it). This is the obs layer's coalescing ratio
-    /// fed back into the control loop: when unions stop deduping (overlap
-    /// hovers at 1), a window buys batching but no fewer backing scans,
-    /// so it stays closed no matter what the break-even arithmetic says.
-    overlap: f64,
-    last_drain: Instant,
-}
-
-/// EWMA weight of the newest observation. High enough that a collapse in
-/// backing-scan latency closes the window within a few serve rounds.
-const EWMA_ALPHA: f64 = 0.5;
-
-/// Minimum observed overlap (requests per backing scan) for the adaptive
-/// controller to open a window. Just above 1: a round where every merged
-/// request still needed its own backing scan means coalescing is buying
-/// nothing, and the window is pure added latency.
-const OVERLAP_MIN: f64 = 1.05;
-
-impl WindowController {
-    fn new() -> WindowController {
-        WindowController {
-            arrival_rate: 0.0,
-            backing_ns: 0.0,
-            overlap: 0.0,
-            last_drain: Instant::now(),
-        }
-    }
-
-    /// Folds one drain observation (`drained` requests since the previous
-    /// observation) into the arrival-rate estimate.
-    fn observe_drain(&mut self, drained: usize) {
-        let now = Instant::now();
-        let elapsed_ns = now.duration_since(self.last_drain).as_nanos() as f64;
-        self.last_drain = now;
-        if elapsed_ns <= 0.0 {
-            return;
-        }
-        let instant_rate = drained as f64 / elapsed_ns;
-        self.arrival_rate = (1.0 - EWMA_ALPHA) * self.arrival_rate + EWMA_ALPHA * instant_rate;
-    }
-
-    /// Folds served backing scans into the latency estimate, and the
-    /// requests-per-scan ratio of the round into the overlap estimate.
-    fn observe_backing(&mut self, requests: u64, scans: u64, total_ns: u64) {
-        if scans == 0 {
-            return;
-        }
-        let mean = total_ns as f64 / scans as f64;
-        self.backing_ns = if self.backing_ns == 0.0 {
-            mean
-        } else {
-            (1.0 - EWMA_ALPHA) * self.backing_ns + EWMA_ALPHA * mean
-        };
-        let ratio = requests as f64 / scans as f64;
-        self.overlap = if self.overlap == 0.0 {
-            ratio
-        } else {
-            (1.0 - EWMA_ALPHA) * self.overlap + EWMA_ALPHA * ratio
-        };
-    }
-
-    /// The window to open this round: about one backing scan's width,
-    /// clamped to `max`, but only past break-even — when at least one more
-    /// request is expected to arrive while a backing scan runs, waiting
-    /// merges requests that would otherwise each pay for their own scan.
-    /// Below break-even the window costs latency and buys nothing. The
-    /// overlap gate is on top: once primed, an observed requests-per-scan
-    /// ratio stuck at ~1 (unions never dedupe — e.g. shard-disjoint
-    /// requests each getting their own parallel scan) also keeps the
-    /// window closed. Unprimed (no backing round yet) it does not gate, so
-    /// a cold start can still open its first window and prime it.
-    fn window(&self, max: Duration) -> Duration {
-        let expected_arrivals = self.arrival_rate * self.backing_ns;
-        if expected_arrivals < 1.0 {
-            return Duration::ZERO;
-        }
-        if self.overlap > 0.0 && self.overlap < OVERLAP_MIN {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(self.backing_ns as u64).min(max)
-    }
-}
-
+/// The scan server: one task, one pid, one union per round. It owns the
+/// freshness cache, so no other task ever reads or writes it.
 async fn scan_loop<T, S>(core: Arc<ServiceCore<T, S>>, handle: Handle)
 where
     T: Clone + Send + Sync + 'static,
-    S: PartialSnapshot<T> + 'static,
+    S: PartialSnapshot<T>,
 {
+    let Coalescing::Window(window) = core.config.coalescing;
     let mut requests: Vec<ScanRequest<T>> = Vec::new();
-    let mut controller = WindowController::new();
+    let mut cache: Vec<ScanCache<T>> = Vec::new();
     // When the last batch was dispatched; `None` until the first dispatch.
     // A lone request is served immediately only if the server has been idle
     // for at least one window — arrivals within a window of the previous
@@ -1323,11 +1041,7 @@ where
         // before the close is seen by this or an earlier drain and no
         // ScanTicket is ever stranded.
         let closing = core.scan_queue.is_closed();
-        let before = requests.len();
-        core.scan_queue.drain_into(&mut requests);
-        let drained = requests.len() - before;
-        track_scan_drain(&core.counters, &mut requests[before..]);
-        controller.observe_drain(drained);
+        drain_scans(&core, &mut requests);
         if requests.is_empty() {
             if closing {
                 break;
@@ -1337,69 +1051,21 @@ where
         }
         // A lone request at an idle server has no coalescing partners to
         // wait for: any window would be pure added latency, so it is
-        // dispatched immediately under every windowed policy. "Idle" means
-        // no other request is queued AND at least one window has passed
-        // since the last dispatch (see `last_dispatch` above).
-        let lone_now = requests.len() == 1 && core.scan_queue.is_empty();
-        let idle_for =
-            |window: Duration| -> bool { last_dispatch.is_none_or(|at| at.elapsed() >= window) };
-        match core.config.coalescing {
-            Coalescing::Disabled => {
-                // Baseline: one backing scan per request, in arrival order.
-                for request in requests.drain(..) {
-                    let (reqs, scans, ns) = core.serve_scans(vec![request], &handle).await;
-                    controller.observe_backing(reqs, scans, ns);
-                }
-                last_dispatch = Some(Instant::now());
-            }
-            Coalescing::Window(window) => {
-                let window = if lone_now && idle_for(window) {
-                    Duration::ZERO
-                } else {
-                    window
-                };
-                core.counters.window_ns.record(window.as_nanos() as u64);
-                if !window.is_zero() {
-                    let window_spans = open_window_spans(&requests, window);
-                    handle.sleep(window).await;
-                    let before = requests.len();
-                    core.scan_queue.drain_into(&mut requests);
-                    let drained = requests.len() - before;
-                    track_scan_drain(&core.counters, &mut requests[before..]);
-                    controller.observe_drain(drained);
-                    drop(window_spans);
-                }
-                let (reqs, scans, ns) = core
-                    .serve_scans(std::mem::take(&mut requests), &handle)
-                    .await;
-                controller.observe_backing(reqs, scans, ns);
-                last_dispatch = Some(Instant::now());
-            }
-            Coalescing::Adaptive { max } => {
-                let proposed = controller.window(max);
-                let window = if lone_now && idle_for(proposed) {
-                    Duration::ZERO
-                } else {
-                    proposed
-                };
-                core.counters.window_ns.record(window.as_nanos() as u64);
-                if !window.is_zero() {
-                    let window_spans = open_window_spans(&requests, window);
-                    handle.sleep(window).await;
-                    let before = requests.len();
-                    core.scan_queue.drain_into(&mut requests);
-                    let drained = requests.len() - before;
-                    track_scan_drain(&core.counters, &mut requests[before..]);
-                    controller.observe_drain(drained);
-                    drop(window_spans);
-                }
-                let (reqs, scans, ns) = core
-                    .serve_scans(std::mem::take(&mut requests), &handle)
-                    .await;
-                controller.observe_backing(reqs, scans, ns);
-                last_dispatch = Some(Instant::now());
-            }
+        // dispatched immediately. "Idle" means no other request is queued
+        // AND at least one window has passed since the last dispatch.
+        let lone = requests.len() == 1
+            && core.scan_queue.is_empty()
+            && last_dispatch.is_none_or(|at| at.elapsed() >= window);
+        let wait = if lone { Duration::ZERO } else { window };
+        core.counters.window_ns.record(wait.as_nanos() as u64);
+        if !wait.is_zero() {
+            let window_spans = open_window_spans(&requests, wait);
+            handle.sleep(wait).await;
+            drain_scans(&core, &mut requests);
+            drop(window_spans);
         }
+        core.serve_scans(std::mem::take(&mut requests), &mut cache);
+        last_dispatch = Some(Instant::now());
     }
     core.scan_done.complete(());
 }
@@ -1427,17 +1093,14 @@ where
     /// `executor`. The backing object must have been built for at least
     /// `max(drain_pid, scan_pid) + 1` processes; wrap it in an [`Arc`] to
     /// keep direct access on the side.
-    pub fn start(snapshot: S, mut config: ServiceConfig, executor: &Executor) -> Self {
-        config.scan_pids = config.scan_pids.max(1);
-        let last_scan_pid = config.scan_pid.index() + config.scan_pids - 1;
+    pub fn start(snapshot: S, config: ServiceConfig, executor: &Executor) -> Self {
         assert!(
-            snapshot.max_processes() > config.drain_pid.index().max(last_scan_pid),
+            snapshot.max_processes() > config.drain_pid.index().max(config.scan_pid.index()),
             "backing object has too few processes for the service pids"
         );
         assert!(
-            config.drain_pid.index() < config.scan_pid.index()
-                || config.drain_pid.index() > last_scan_pid,
-            "drainer and scan server pids must not overlap"
+            config.drain_pid != config.scan_pid,
+            "drainer and scan server pids must differ"
         );
         let scan_notify = Arc::new(Notify::new());
         let core = Arc::new(ServiceCore {
@@ -1451,7 +1114,6 @@ where
             ingest_notify: Arc::new(Notify::new()),
             scan_notify,
             closed: AtomicBool::new(false),
-            cache: Mutex::new(Vec::new()),
             heat_rates: Mutex::new(RateTracker::new(HEAT_EWMA_ALPHA)),
             counters: Counters::default(),
             drain_done: OpCell::new(),
@@ -1465,33 +1127,43 @@ where
         }
     }
 
-    /// Spawns a periodic reporter task on `executor`: every `every`, it
-    /// takes one [`ServiceObs`] snapshot and hands it to `sink`. The task
-    /// exits when [`StatsReporter::stop`] is called or the service shuts
-    /// down — whichever its next tick observes first.
-    pub fn spawn_stats_reporter<F>(
-        &self,
-        executor: &Executor,
-        every: Duration,
-        mut sink: F,
-    ) -> StatsReporter
+    /// Runs `tick` on `executor` every `every` until the returned handle is
+    /// stopped or the service shuts down — whichever its next tick
+    /// observes first.
+    fn spawn_periodic<F>(&self, executor: &Executor, every: Duration, mut tick: F) -> PeriodicTask
     where
-        F: FnMut(ServiceObs) + Send + 'static,
+        F: FnMut(&ServiceCore<T, S>) + Send + 'static,
     {
         let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
         let core = Arc::clone(&self.core);
         let handle = executor.handle();
-        let flag = Arc::clone(&stop);
         executor.spawn(async move {
             loop {
                 handle.sleep(every).await;
                 if flag.load(Ordering::Acquire) || core.closed.load(Ordering::Acquire) {
                     break;
                 }
-                sink(obs_of(&core));
+                tick(&core);
             }
         });
-        StatsReporter { stop }
+        PeriodicTask { stop }
+    }
+
+    /// Spawns a periodic reporter task on `executor`: every `every`, it
+    /// takes one [`ServiceObs`] snapshot and hands it to `sink`. The task
+    /// exits when [`PeriodicTask::stop`] is called or the service shuts
+    /// down.
+    pub fn spawn_stats_reporter<F>(
+        &self,
+        executor: &Executor,
+        every: Duration,
+        mut sink: F,
+    ) -> PeriodicTask
+    where
+        F: FnMut(ServiceObs) + Send + 'static,
+    {
+        self.spawn_periodic(executor, every, move |core| sink(obs_of(core)))
     }
 
     /// Spawns the online reshard driver on `executor`: every `every`, it
@@ -1502,61 +1174,53 @@ where
     /// [`PartialSnapshot::reshard`] while traffic keeps flowing. On a
     /// backing object that does not support resharding (or reports no
     /// shard heat) the driver ticks harmlessly forever. The task exits
-    /// when [`ReshardDriver::stop`] is called or the service shuts down.
+    /// when [`PeriodicTask::stop`] is called or the service shuts down;
+    /// an in-flight reshard completes (it runs synchronously inside the
+    /// tick).
     pub fn spawn_reshard_driver(
         &self,
         executor: &Executor,
         every: Duration,
         policy: ReshardPolicyConfig,
-    ) -> ReshardDriver {
-        let stop = Arc::new(AtomicBool::new(false));
-        let core = Arc::clone(&self.core);
-        let handle = executor.handle();
-        let flag = Arc::clone(&stop);
-        executor.spawn(async move {
-            let mut policy = ReshardPolicy::new(policy);
-            let mut rates = RateTracker::new(HEAT_EWMA_ALPHA);
-            loop {
-                handle.sleep(every).await;
-                if flag.load(Ordering::Acquire) || core.closed.load(Ordering::Acquire) {
-                    break;
-                }
-                let heat = core.snapshot.shard_heat();
-                if heat.is_empty() {
-                    continue;
-                }
-                let sizes = core.snapshot.shard_sizes();
-                let window = rates.observe(&heat);
-                if let Some(op) = policy.decide(window, &sizes) {
-                    // The store may refuse (single-slot shard, merge of an
-                    // already-empty shard, racing driver); only an accepted
-                    // op starts the cooldown, so a refused proposal is
-                    // retried against fresher rates next tick.
-                    let mut reshard_span = Span::root(SpanKind::Reshard);
-                    let accepted = {
-                        let _in_span = span::enter(reshard_span.context());
-                        core.snapshot.reshard(op)
-                    };
-                    if accepted {
-                        policy.note_applied();
-                        let generation = core.snapshot.generation();
-                        reshard_span.set_args(generation, 1);
-                        drop(reshard_span);
-                        // A live migration is the moment cached cuts and
-                        // in-flight plans are most at risk — snapshot the
-                        // recent past while it is still on hand.
-                        if flight::armed() {
-                            flight::trigger(
-                                AnomalyKind::Reshard,
-                                format!("accepted {op:?}, now generation {generation}"),
-                                Some(Registry::global()),
-                            );
-                        }
-                    }
+    ) -> PeriodicTask {
+        let mut policy = ReshardPolicy::new(policy);
+        let mut rates = RateTracker::new(HEAT_EWMA_ALPHA);
+        self.spawn_periodic(executor, every, move |core| {
+            let heat = core.snapshot.shard_heat();
+            if heat.is_empty() {
+                return;
+            }
+            let sizes = core.snapshot.shard_sizes();
+            let window = rates.observe(&heat);
+            let Some(op) = policy.decide(window, &sizes) else {
+                return;
+            };
+            // The store may refuse (single-slot shard, merge of an
+            // already-empty shard, racing driver); only an accepted op
+            // starts the cooldown, so a refused proposal is retried against
+            // fresher rates next tick.
+            let mut reshard_span = Span::root(SpanKind::Reshard);
+            let accepted = {
+                let _in_span = span::enter(reshard_span.context());
+                core.snapshot.reshard(op)
+            };
+            if accepted {
+                policy.note_applied();
+                let generation = core.snapshot.generation();
+                reshard_span.set_args(generation, 1);
+                drop(reshard_span);
+                // A live migration is the moment cached cuts and in-flight
+                // plans are most at risk — snapshot the recent past while it
+                // is still on hand.
+                if flight::armed() {
+                    flight::trigger(
+                        AnomalyKind::Reshard,
+                        format!("accepted {op:?}, now generation {generation}"),
+                        Some(Registry::global()),
+                    );
                 }
             }
-        });
-        ReshardDriver { stop }
+        })
     }
 
     /// Spawns the flight-recorder auditor on `executor`: every `every`, it
@@ -1569,39 +1233,28 @@ where
     /// sums) come back on two consecutive ticks: identical sums under
     /// traffic means stuck, not in flight. Dumps only happen while
     /// triggers are [armed](psnap_obs::flight::set_armed). The task exits
-    /// when [`FlightAuditor::stop`] is called or the service shuts down.
+    /// when [`PeriodicTask::stop`] is called or the service shuts down.
     pub fn spawn_flight_auditor(
         &self,
         executor: &Executor,
         every: Duration,
         registry: Arc<Registry>,
-    ) -> FlightAuditor {
-        let stop = Arc::new(AtomicBool::new(false));
-        let core = Arc::clone(&self.core);
-        let handle = executor.handle();
-        let flag = Arc::clone(&stop);
-        executor.spawn(async move {
-            let mut previous: Vec<String> = Vec::new();
-            loop {
-                handle.sleep(every).await;
-                if flag.load(Ordering::Acquire) || core.closed.load(Ordering::Acquire) {
-                    break;
-                }
-                let mut audit_span = Span::root(SpanKind::Audit);
-                let violations = registry.check_invariants();
-                audit_span.set_args(violations.len() as u64, 0);
-                drop(audit_span);
-                if !violations.is_empty() && violations == previous && flight::armed() {
-                    flight::trigger(
-                        AnomalyKind::InvariantViolation,
-                        violations.join("; "),
-                        Some(&registry),
-                    );
-                }
-                previous = violations;
+    ) -> PeriodicTask {
+        let mut previous: Vec<String> = Vec::new();
+        self.spawn_periodic(executor, every, move |_| {
+            let mut audit_span = Span::root(SpanKind::Audit);
+            let violations = registry.check_invariants();
+            audit_span.set_args(violations.len() as u64, 0);
+            drop(audit_span);
+            if !violations.is_empty() && violations == previous && flight::armed() {
+                flight::trigger(
+                    AnomalyKind::InvariantViolation,
+                    violations.join("; "),
+                    Some(&registry),
+                );
             }
-        });
-        FlightAuditor { stop }
+            previous = violations;
+        })
     }
 }
 
@@ -1676,41 +1329,14 @@ where
     }
 }
 
-/// Stop handle of a reporter spawned by
-/// [`SnapshotService::spawn_stats_reporter`].
-pub struct StatsReporter {
+/// Stop handle of a periodic task: the stats reporter, the reshard driver
+/// or the flight auditor.
+pub struct PeriodicTask {
     stop: Arc<AtomicBool>,
 }
 
-impl StatsReporter {
-    /// Asks the reporter task to exit at its next tick.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-}
-
-/// Stop handle of a reshard driver spawned by
-/// [`SnapshotService::spawn_reshard_driver`].
-pub struct ReshardDriver {
-    stop: Arc<AtomicBool>,
-}
-
-impl ReshardDriver {
-    /// Asks the driver task to exit at its next tick; in-flight reshards
-    /// complete (they run synchronously inside the tick).
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-}
-
-/// Stop handle of an auditor spawned by
-/// [`SnapshotService::spawn_flight_auditor`].
-pub struct FlightAuditor {
-    stop: Arc<AtomicBool>,
-}
-
-impl FlightAuditor {
-    /// Asks the auditor task to exit at its next tick.
+impl PeriodicTask {
+    /// Asks the task to exit at its next tick.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
     }

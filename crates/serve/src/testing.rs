@@ -9,9 +9,7 @@
 //! hold open while clients keep submitting; the write log then proves no
 //! accepted write was dropped or applied twice.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 use psnap_core::{PartialSnapshot, ProcessId};
 
@@ -64,10 +62,6 @@ pub struct GatedSnapshot<T, S> {
     applied: Mutex<Vec<(usize, T)>>,
     /// Number of `scan` calls that reached the inner object.
     scans: Mutex<u64>,
-    /// Extra latency injected into every `scan` after the gate, in
-    /// nanoseconds. Lets tests shape the backing-scan cost the adaptive
-    /// coalescing controller observes.
-    scan_delay_ns: AtomicU64,
 }
 
 impl<T, S> GatedSnapshot<T, S>
@@ -83,14 +77,7 @@ where
             scan_gate: Gate::new(),
             applied: Mutex::new(Vec::new()),
             scans: Mutex::new(0),
-            scan_delay_ns: AtomicU64::new(0),
         }
-    }
-
-    /// Sets the artificial latency every subsequent inner scan pays.
-    pub fn set_scan_delay(&self, delay: Duration) {
-        self.scan_delay_ns
-            .store(delay.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// The writes applied so far, in application order.
@@ -137,10 +124,6 @@ where
     fn scan(&self, pid: ProcessId, components: &[usize]) -> Vec<T> {
         self.scan_gate.pass();
         *self.scans.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        let delay = self.scan_delay_ns.load(Ordering::Relaxed);
-        if delay > 0 {
-            std::thread::sleep(Duration::from_nanos(delay));
-        }
         self.inner.scan(pid, components)
     }
     fn is_wait_free(&self) -> bool {

@@ -1,12 +1,11 @@
-//! The fast-path serving tiers: mv-backed stale reads, the adaptive
-//! coalescing controller, lone-request immediate dispatch, and parallel
-//! union execution.
+//! The fast-path serving tiers: mv-backed stale reads, lone-request
+//! immediate dispatch, and shard-spanning unions answered by the one scan
+//! server.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use psnap_core::{CasPartialSnapshot, MvSnapshot, PartialSnapshot, ProcessId};
-use psnap_serve::testing::GatedSnapshot;
 use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
 use psnap_shard::{MvShardedSnapshot, ShardConfig};
 
@@ -67,14 +66,8 @@ fn stale_requests_on_mv_sharded_backend_cross_shards_without_unions() {
         0u64,
         ShardConfig::multiversioned(4),
     ));
-    let service = SnapshotService::start(
-        Arc::clone(&snapshot),
-        ServiceConfig {
-            scan_pids: 2,
-            ..ServiceConfig::default()
-        },
-        &executor,
-    );
+    let service =
+        SnapshotService::start(Arc::clone(&snapshot), ServiceConfig::default(), &executor);
     let client = service.client();
     // One write per shard (contiguous partition: 8 components per shard).
     client
@@ -122,71 +115,6 @@ fn lone_fresh_scan_at_idle_server_skips_the_window() {
 }
 
 #[test]
-fn adaptive_window_opens_under_load_and_closes_when_latency_collapses() {
-    let executor = Executor::new(3);
-    let backing: Arc<GatedSnapshot<u64, CasPartialSnapshot<u64>>> =
-        Arc::new(GatedSnapshot::new(CasPartialSnapshot::new(16, 2, 0u64)));
-    let service = SnapshotService::start(
-        Arc::clone(&backing),
-        ServiceConfig {
-            coalescing: Coalescing::adaptive(),
-            scan_capacity: 1024,
-            ..ServiceConfig::default()
-        },
-        &executor,
-    );
-
-    let hammer = |clients: usize, ops: usize| {
-        std::thread::scope(|scope| {
-            for c in 0..clients {
-                let client = service.client();
-                scope.spawn(move || {
-                    for k in 0..ops {
-                        let component = (c * 7 + k) % 16;
-                        let values = client
-                            .scan(vec![component], Freshness::Fresh)
-                            .unwrap()
-                            .wait();
-                        assert_eq!(values.len(), 1);
-                    }
-                });
-            }
-        });
-    };
-
-    // Phase 1: expensive backing scans (500µs each) under four concurrent
-    // clients. Break-even is met (several arrivals per backing scan), so
-    // the controller opens windows sized near the observed latency.
-    backing.set_scan_delay(Duration::from_micros(500));
-    hammer(4, 60);
-    let phase1 = service.stats().window_ns;
-    assert!(phase1.count > 0, "no window decisions recorded: {phase1:?}");
-    let phase1_mean = phase1.sum as f64 / phase1.count as f64;
-    assert!(
-        phase1_mean > 50_000.0,
-        "adaptive controller never opened a meaningful window under \
-         500µs backing scans: {phase1:?}"
-    );
-
-    // Phase 2: the backing latency collapses. The controller's window must
-    // collapse with it — either below break-even (zero) or sized to the
-    // now-tiny backing latency — so the delta mean drops by well over 4x.
-    backing.set_scan_delay(Duration::ZERO);
-    hammer(4, 200);
-    let phase2 = service.stats().window_ns;
-    let delta_count = phase2.count - phase1.count;
-    let delta_sum = phase2.sum - phase1.sum;
-    assert!(delta_count > 0);
-    let phase2_mean = delta_sum as f64 / delta_count as f64;
-    assert!(
-        phase2_mean < phase1_mean / 4.0,
-        "adaptive window did not close after the latency collapse: \
-         phase1 mean {phase1_mean:.0}ns, phase2 mean {phase2_mean:.0}ns"
-    );
-    service.shutdown();
-}
-
-#[test]
 fn parallel_union_jobs_answer_shard_disjoint_batches_correctly() {
     let executor = Executor::new(3);
     let snapshot = Arc::new(MvShardedSnapshot::new(
@@ -199,7 +127,6 @@ fn parallel_union_jobs_answer_shard_disjoint_batches_correctly() {
         Arc::clone(&snapshot),
         ServiceConfig {
             coalescing: Coalescing::Window(Duration::from_micros(300)),
-            scan_pids: 2,
             scan_capacity: 1024,
             ..ServiceConfig::default()
         },
@@ -209,8 +136,8 @@ fn parallel_union_jobs_answer_shard_disjoint_batches_correctly() {
     for c in 0..32 {
         client.submit(c, c as u64 + 100).unwrap().wait();
     }
-    // Concurrent Fresh scans with shard-disjoint footprints: coalesced
-    // batches split into parallel union jobs on distinct scan pids, and
+    // Concurrent Fresh scans with shard-disjoint footprints: each coalesced
+    // batch is one union across shards on the scan server's one pid, and
     // every answer must still be exact.
     std::thread::scope(|scope| {
         for t in 0..4usize {

@@ -27,7 +27,6 @@ fn reshard_driver_splits_a_hot_shard_under_live_traffic() {
         Arc::clone(&backing),
         ServiceConfig {
             coalescing: Coalescing::Window(Duration::ZERO),
-            scan_pids: 2,
             ..ServiceConfig::default()
         },
         &executor,

@@ -60,7 +60,6 @@ fn run_traffic() -> Vec<psnap_obs::SpanTree> {
         ServiceConfig {
             ingest_capacity: 8,
             coalescing: Coalescing::Window(Duration::from_micros(200)),
-            scan_pids: 2,
             ..ServiceConfig::default()
         },
         &executor,
@@ -388,4 +387,84 @@ fn busy_burst_fires_per_client_despite_interleaved_healthy_traffic() {
     flight::set_armed(false);
     flight::reset();
     service.shutdown();
+}
+
+/// The flight auditor is the only emitter of `invariant_violation`. Over a
+/// registry whose invariant is held violated it must freeze a dump naming
+/// the invariant; over one whose invariant holds it must stay silent, tick
+/// after tick; and once stopped it must stop auditing.
+#[test]
+fn flight_auditor_dumps_a_held_violation_and_only_that() {
+    use std::time::Instant;
+
+    let _serial = SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    flight::reset();
+    flight::set_tree_capacity(8192);
+    psnap_obs::set_trace_enabled(true);
+    psnap_obs::set_span_enabled(true);
+    flight::set_armed(true);
+    let tick = Duration::from_millis(1);
+    let audits = || {
+        flight::recent_trees()
+            .iter()
+            .filter(|t| t.root().kind == SpanKind::Audit)
+            .count()
+    };
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(tick);
+        }
+    };
+    let registry = |violated: bool| {
+        let registry = Arc::new(Registry::new());
+        registry.counter("t.in").add(2);
+        registry.counter("t.out").add(if violated { 1 } else { 2 });
+        registry.add_invariant("t.partition", &["t.in"], &["t.out"]);
+        registry
+    };
+    let executor = Executor::new(2);
+    let service = SnapshotService::start(
+        Arc::new(CasPartialSnapshot::new(M, 2, 0u64)),
+        ServiceConfig::default(),
+        &executor,
+    );
+
+    // An invariant that holds: ≥ 20 audited ticks and not one dump.
+    let auditor = service.spawn_flight_auditor(&executor, tick, registry(false));
+    wait_for("20 audit ticks", &|| audits() >= 20);
+    auditor.stop();
+    assert!(
+        flight::dumps().is_empty(),
+        "a holding invariant froze a dump: {:?}",
+        flight::dumps()
+    );
+
+    // Once stopped, no further audit spans: let a tick that was already
+    // past its stop check finish, then watch several more tick periods.
+    std::thread::sleep(tick * 5);
+    let settled = audits();
+    std::thread::sleep(tick * 20);
+    assert_eq!(audits(), settled, "the stopped auditor kept auditing");
+
+    // An invariant held violated: the second identical tick dumps it.
+    let auditor = service.spawn_flight_auditor(&executor, tick, registry(true));
+    wait_for("an invariant_violation dump", &|| {
+        !flight::dumps().is_empty()
+    });
+    auditor.stop();
+    let dump = flight::dumps().remove(0);
+    assert_eq!(dump.reason, AnomalyKind::InvariantViolation);
+    assert!(
+        dump.detail.contains("t.partition"),
+        "the dump does not name the invariant: {}",
+        dump.detail
+    );
+
+    service.shutdown();
+    flight::set_armed(false);
+    psnap_obs::set_span_enabled(false);
+    psnap_obs::set_trace_enabled(false);
+    flight::reset();
 }

@@ -11,10 +11,9 @@
 //! layer's reshard driver stay a thin periodic loop: sample rates → ask the
 //! policy → maybe call [`reshard`].
 //!
-//! The policy is deliberately conservative, in the spirit of the repo's
-//! adaptive-coalescing controller: act only on a sustained, unambiguous
-//! signal, and rate-limit actions with a cooldown so one noisy window never
-//! causes a split/merge ping-pong.
+//! The policy is deliberately conservative: act only on a sustained,
+//! unambiguous signal, and rate-limit actions with a cooldown so one noisy
+//! window never causes a split/merge ping-pong.
 //!
 //! [`shard_heat`]: psnap_core::PartialSnapshot::shard_heat
 //! [`reshard`]: psnap_core::PartialSnapshot::reshard

@@ -20,7 +20,7 @@
 //! # Safety argument
 //!
 //! The global epoch advances from `g` to `g + 1` only when every pinned slot
-//! equals `g` ([`try_advance`]). Two invariants follow:
+//! equals `g` (`try_advance`). Two invariants follow:
 //!
 //! 1. **Pins lag by at most one**: every pinned slot is `g` or `g - 1`. A
 //!    thread pins by publishing its epoch and re-reading the global epoch
@@ -395,7 +395,7 @@ fn collect_local(p: &Participant) {
 
 /// Attempts one epoch advance and frees everything eligible on the calling
 /// thread (plus orphans). Primarily for tests and quiescent points; normal
-/// operation collects automatically every [`COLLECT_EVERY`] retirements.
+/// operation collects automatically every 8 retirements.
 pub fn flush() {
     PARTICIPANT.with(collect_local);
 }

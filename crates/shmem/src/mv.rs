@@ -607,7 +607,12 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
             };
             if dead {
                 let next = unsafe { &*ptr }.next.load(Ordering::Acquire);
-                unsafe { &*kept }.next.store(next, Ordering::Release);
+                // An RMW, not a store: `epoch::retire` elides its fence on
+                // x86 because the unlink is itself a full barrier. Only this
+                // pruner rewrites interior links, so the swap returns `ptr`.
+                // Uncounted, like the load above: the step rungs stay put.
+                let was = unsafe { &*kept }.next.swap(next, Ordering::AcqRel);
+                debug_assert_eq!(was, ptr, "interior link moved under the pruner");
                 unlinked += 1;
                 // Safety: unlinked above, never retired twice.
                 unsafe { epoch::retire(ptr) };

@@ -43,10 +43,6 @@ pub struct ServiceDriverConfig {
     pub ingest_capacity: usize,
     /// Capacity of the scan-request queue.
     pub scan_capacity: usize,
-    /// Scan-server process-id pool size (parallel union execution when
-    /// above 1; the backing object needs `1 + scan_pids` processes on top
-    /// of the scenario's roles).
-    pub scan_pids: usize,
     /// Freshness bound every scanner role requests. The default is
     /// [`Freshness::Fresh`]. `AtMostStale(Duration::ZERO)` routes scans
     /// through the mv fast path (`scan_stale`) on multiversioned backends
@@ -71,7 +67,6 @@ impl Default for ServiceDriverConfig {
             workers: 2,
             ingest_capacity: 16,
             scan_capacity: 64,
-            scan_pids: 1,
             scanner_freshness: Freshness::Fresh,
             chaos_in_service: true,
             scan_slo: None,
@@ -101,12 +96,6 @@ where
         snapshot.components() >= scenario.components,
         "snapshot object too small for the scenario"
     );
-    assert!(
-        snapshot.max_processes() > driver.scan_pids.max(1),
-        "the service needs a drainer pid plus `scan_pids` scan-server pids \
-         on the backing object"
-    );
-
     let executor = Executor::with_config(ExecutorConfig {
         workers: driver.workers.max(1),
         chaos: scenario
@@ -126,7 +115,6 @@ where
             ingest_capacity: driver.ingest_capacity,
             scan_capacity: driver.scan_capacity,
             coalescing: driver.coalescing,
-            scan_pids: driver.scan_pids.max(1),
             scan_slo: driver.scan_slo,
             ..ServiceConfig::default()
         },

@@ -11,7 +11,7 @@
 //! reorder a client's operations or invent/lose acknowledgements.
 //!
 //! Wire-level backpressure (`busy` replies) is retried just as the
-//! in-process driver retries [`SubmitError::Busy`], so histories stay
+//! in-process driver retries [`SubmitError::Busy`](psnap_serve::SubmitError::Busy), so histories stay
 //! comparable across the two drivers.
 
 use std::sync::Arc;
@@ -57,12 +57,6 @@ where
         snapshot.components() >= scenario.components,
         "snapshot object too small for the scenario"
     );
-    assert!(
-        snapshot.max_processes() > driver.scan_pids.max(1),
-        "the service needs a drainer pid plus `scan_pids` scan-server pids \
-         on the backing object"
-    );
-
     let executor = Executor::with_config(ExecutorConfig {
         workers: driver.workers.max(1),
         chaos: scenario
@@ -79,7 +73,6 @@ where
             ingest_capacity: driver.ingest_capacity,
             scan_capacity: driver.scan_capacity,
             coalescing: driver.coalescing,
-            scan_pids: driver.scan_pids.max(1),
             scan_slo: driver.scan_slo,
             ..ServiceConfig::default()
         },

@@ -66,19 +66,6 @@ fn windowed_coalescing_histories_are_linearizable() {
 }
 
 #[test]
-fn uncoalesced_baseline_histories_are_linearizable() {
-    for seed in 0..10 {
-        let scenario = Scenario::random_small(seed ^ 0xBA5E);
-        let snapshot = Arc::new(CasPartialSnapshot::new(scenario.components, 2, 0u64));
-        let history = run_scenario_via_service(snapshot, &scenario, &driver(Coalescing::Disabled));
-        assert!(
-            check_history(&history).is_linearizable(),
-            "seed {seed}: baseline service history not linearizable"
-        );
-    }
-}
-
-#[test]
 fn coalesced_histories_over_the_sharded_store_are_linearizable() {
     // The service's union scan exercises the sharded store's cross-shard
     // scans (the scenarios' scans deliberately span shards), while the
@@ -136,17 +123,16 @@ fn mv_backed_stale_histories_are_linearizable() {
 
 #[test]
 fn mv_sharded_stale_histories_are_linearizable_with_parallel_unions() {
-    // Cross-shard scenarios over the multiversioned sharded store with a
-    // two-pid scan-server pool: stale requests ride the sharded
-    // `scan_stale` (announce every involved shard, one shared-camera tick),
-    // and the Fresh updater-driven unions that remain run as parallel
-    // shard-disjoint jobs. Both paths must yield linearizable
-    // client-observed histories.
+    // Cross-shard scenarios over the multiversioned sharded store: stale
+    // requests ride the sharded `scan_stale` (announce every involved
+    // shard, one shared-camera tick), and the Fresh requests that remain
+    // go into one cross-shard union on the scan server's pid. Both paths
+    // must yield linearizable client-observed histories.
     for seed in 0..10 {
         let scenario = Scenario::random_cross_shard(seed ^ 0x3A12D, 2);
         let snapshot = Arc::new(MvShardedSnapshot::new(
             scenario.components,
-            3, // drainer + two scan-server pids
+            2, // drainer + scan server
             0u64,
             ShardConfig::multiversioned(2),
         ));
@@ -156,59 +142,12 @@ fn mv_sharded_stale_histories_are_linearizable_with_parallel_unions() {
             &ServiceDriverConfig {
                 coalescing: Coalescing::Window(Duration::from_micros(100)),
                 scanner_freshness: Freshness::AtMostStale(Duration::ZERO),
-                scan_pids: 2,
                 ..ServiceDriverConfig::default()
             },
         );
         assert!(
             check_history(&history).is_linearizable(),
             "seed {seed}: mv-sharded stale service history not linearizable"
-        );
-    }
-}
-
-#[test]
-fn parallel_fresh_union_histories_are_linearizable_over_the_sharded_store() {
-    // Fresh scans only, two scan-server pids over the sharded store:
-    // shard-disjoint unions run concurrently on distinct pids and must still
-    // linearize against the coalesced write stream.
-    for seed in 0..10 {
-        let scenario = Scenario::random_cross_shard(seed ^ 0x9A8, 2);
-        let snapshot = Arc::new(MvShardedSnapshot::new(
-            scenario.components,
-            3,
-            0u64,
-            ShardConfig::contiguous(2),
-        ));
-        let history = run_scenario_via_service(
-            snapshot,
-            &scenario,
-            &ServiceDriverConfig {
-                coalescing: Coalescing::Window(Duration::ZERO),
-                scan_pids: 2,
-                ..ServiceDriverConfig::default()
-            },
-        );
-        assert!(
-            check_history(&history).is_linearizable(),
-            "seed {seed}: parallel-union service history not linearizable"
-        );
-    }
-}
-
-#[test]
-fn adaptive_coalescing_histories_are_linearizable() {
-    // The adaptive controller only changes *when* the union scan runs,
-    // never what it reads — histories under it must check out exactly like
-    // the fixed-window ones.
-    for seed in 0..10 {
-        let scenario = Scenario::random_small(seed ^ 0xADA);
-        let snapshot = Arc::new(CasPartialSnapshot::new(scenario.components, 2, 0u64));
-        let history =
-            run_scenario_via_service(snapshot, &scenario, &driver(Coalescing::adaptive()));
-        assert!(
-            check_history(&history).is_linearizable(),
-            "seed {seed}: adaptive service history not linearizable"
         );
     }
 }
