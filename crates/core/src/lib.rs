@@ -60,7 +60,7 @@ pub use afek_snapshot::AfekFullSnapshot;
 pub use cas_snapshot::CasPartialSnapshot;
 pub use entry::Entry;
 pub use lock_snapshot::LockSnapshot;
-pub use mv_snapshot::{MvSnapshot, ParkedUpdate};
+pub use mv_snapshot::{MvFamily, MvSnapshot, ParkedUpdate};
 pub use register_snapshot::RegisterPartialSnapshot;
 pub use traits::{PartialSnapshot, ReshardOp};
 pub use view::View;

@@ -10,11 +10,12 @@
 //!
 //! ```text
 //! scan(i1, …, ir)                     update(i, v)                update_many(batch)
-//!   announce[id] ← camera.timestamp     stamp ← pending             lock batches
-//!   s ← camera.tick                     install (i, v, stamp)       stamp ← pending
-//!   for j: vj ← version of R[ij] with   finalize stamp              install every (i, v, stamp)
-//!          largest timestamp ≤ s        prune R[i]                  finalize stamp     ← the commit
-//!   announce[id] ← 0                                                prune every R[i]
+//!   announce[id] ← camera.timestamp     write R[i] ← v:             lock batches
+//!   s ← camera.tick                       install (v, own slot)     stamp ← pending
+//!   for j: vj ← copy of the version       finalize own slot         install every (i, v, stamp)
+//!          of R[ij] with the largest    b ← prune bound             finalize stamp     ← the commit
+//!          timestamp ≤ s                prune R[i] below b          b ← prune bound
+//!   announce[id] ← 0                                                prune every R[i] below b
 //!   return (v1, …, vr)                                              unlock
 //! ```
 //!
@@ -62,96 +63,75 @@
 //!
 //! # Pruning and announcements
 //!
-//! Writers prune the registers they touch using the announced timestamps of
-//! live scans plus the camera's current value as bounds
-//! ([`MvRegister::prune`]): after a prune a chain holds at most one version
-//! per live scan, plus the camera's, plus pending ones. The announcement is
-//! written *before* the scan draws its timestamp, and a pruner reads the
-//! camera *before* the announcement slots — so a scan a pruner misses drew
-//! (or will draw) a timestamp at least as large as every bound the pruner
-//! used, and the version it needs is never detached.
+//! The announcement slots belong to the object's [`MvFamily`], beside the
+//! camera and the batch serializer: one slot per process, shared by every
+//! shard of every generation of a sharded store, so a scan announces once
+//! however many shards it reads. Writers prune the registers they touch
+//! below one **prune bound** ([`MvFamily::prune_bound`]): the oldest of the
+//! live announcements and the camera's current value. After a prune a chain
+//! holds at most one version per live scan, plus the camera's, plus pending
+//! ones ([`MvRegister::prune`]). The announcement is written *before* the
+//! scan draws its timestamp, and a pruner reads the camera *before* the
+//! announcement slots — so a scan a pruner misses drew (or will draw) a
+//! timestamp at least as large as the bound the pruner used, and the
+//! version it needs is never detached. A batch reads the bound once for all
+//! the registers it touched.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use psnap_shmem::epoch::Guard;
 use psnap_shmem::steps::{self, OpKind};
 use psnap_shmem::{MvRegister, MvStamp, ProcessId, TimestampCamera};
 
 use crate::batch::dedupe_last_write_wins;
 use crate::traits::{validate_args, validate_batch_args, PartialSnapshot};
 
-/// The multiversioned partial snapshot object. See the module docs.
-pub struct MvSnapshot<T> {
-    /// `R[1..m]` — one multiversioned register per component.
-    registers: Vec<MvRegister<T>>,
-    /// The timestamp camera. Shared across every shard of a sharded
-    /// composition so cross-shard cuts are consistent.
-    camera: Arc<TimestampCamera>,
-    /// Per-process announced scan timestamps (0 = no scan in progress);
-    /// prune bounds are computed from these.
-    announce: Vec<AtomicU64>,
-    /// Serializes multi-component batches. Shared across a sharded family:
-    /// two concurrent batches with overlapping components must install in a
-    /// consistent per-register order, or no serialization explains the
-    /// final state. Scans and single updates never touch it.
-    batches: Arc<Mutex<()>>,
-    n: usize,
+/// What a family of multiversioned objects shares — one object alone, or
+/// every shard of every generation of a sharded store: the timestamp camera
+/// that orders writes across all of them, the per-process scan
+/// announcements pruners respect, and the serializer that makes
+/// overlapping batches install in one consistent per-register order.
+pub struct MvFamily {
+    camera: TimestampCamera,
+    /// Per-process announced scan timestamps (0 = no scan in progress).
+    announce: Box<[AtomicU64]>,
+    batches: Mutex<()>,
 }
 
-impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
-    /// Creates an object with `m` components, all holding `initial`, usable
-    /// by processes `0..max_processes`, with its own camera.
-    pub fn new(m: usize, max_processes: usize, initial: T) -> Self {
-        Self::with_shared(
-            m,
-            max_processes,
-            initial,
-            Arc::new(TimestampCamera::new()),
-            Arc::new(Mutex::new(())),
-        )
-    }
-
-    /// Creates an object sharing a camera and a batch serializer with other
-    /// objects — the constructor sharded compositions use, so that one
-    /// timestamp orders writes across every shard and overlapping batches
-    /// anywhere in the family install in one consistent order.
-    pub fn with_shared(
-        m: usize,
-        max_processes: usize,
-        initial: T,
-        camera: Arc<TimestampCamera>,
-        batches: Arc<Mutex<()>>,
-    ) -> Self {
-        assert!(m > 0, "a snapshot object needs at least one component");
+impl MvFamily {
+    /// A family for processes `0..max_processes`, camera at 1.
+    pub fn new(max_processes: usize) -> Self {
         assert!(max_processes > 0, "at least one process must be allowed");
-        MvSnapshot {
-            registers: (0..m).map(|_| MvRegister::new(initial.clone())).collect(),
-            camera,
+        MvFamily {
+            camera: TimestampCamera::new(),
             announce: (0..max_processes).map(|_| AtomicU64::new(0)).collect(),
-            batches,
-            n: max_processes,
+            batches: Mutex::new(()),
         }
     }
 
+    /// Processes the family admits.
+    pub fn max_processes(&self) -> usize {
+        self.announce.len()
+    }
+
     /// The shared timestamp camera.
-    pub fn camera(&self) -> &Arc<TimestampCamera> {
+    pub fn camera(&self) -> &TimestampCamera {
         &self.camera
     }
 
-    /// The shared batch serializer (sharded compositions pass it to every
-    /// shard and take it for cross-shard batches).
-    pub fn batch_serializer(&self) -> &Arc<Mutex<()>> {
+    /// The batch serializer. Scans and single updates never touch it; a
+    /// reshard holds it across its whole migration.
+    pub fn batches(&self) -> &Mutex<()> {
         &self.batches
     }
 
     /// Announces an upcoming scan by process `pid`: one camera read plus one
     /// write into the announcement slot. Must happen **before** the scan's
     /// timestamp is drawn — the announced value is a lower bound on it, and
-    /// the ordering is what keeps pruners from detaching the scan's
-    /// versions. Cross-shard scans announce on every involved shard first,
-    /// then tick the shared camera once. Returns the announced timestamp
-    /// (a lower bound on the `s` the tick will draw), for callers that
-    /// want to reason about or report it.
+    /// the ordering is what keeps pruners, on every member of the family,
+    /// from detaching the scan's versions. Returns the announced timestamp
+    /// (a lower bound on the `s` the tick will draw).
     pub fn announce_scan(&self, pid: ProcessId) -> u64 {
         let a = self.camera.timestamp();
         steps::record(OpKind::Write);
@@ -165,42 +145,97 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
         self.announce[pid.index()].store(0, Ordering::SeqCst);
     }
 
+    /// The bound a pruner must respect: the oldest of the camera's current
+    /// value (covering every future scan — their timestamps can only be
+    /// larger) and every live announcement. The camera is read **first**:
+    /// an announcement the sweep then misses belongs to a scan whose
+    /// timestamp is at least the camera value already recorded. One camera
+    /// read plus one read per process.
+    pub fn prune_bound(&self) -> u64 {
+        let mut bound = self.camera.timestamp();
+        for slot in &self.announce {
+            steps::record(OpKind::Read);
+            let a = slot.load(Ordering::SeqCst);
+            if a != 0 {
+                bound = bound.min(a);
+            }
+        }
+        bound
+    }
+}
+
+/// The multiversioned partial snapshot object. See the module docs.
+pub struct MvSnapshot<T> {
+    /// `R[1..m]` — one multiversioned register per component.
+    registers: Vec<MvRegister<T>>,
+    /// Camera, announcements and batch serializer, shared with every other
+    /// member of the family.
+    family: Arc<MvFamily>,
+}
+
+impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
+    /// Creates an object with `m` components, all holding `initial`, usable
+    /// by processes `0..max_processes`, in a family of its own.
+    pub fn new(m: usize, max_processes: usize, initial: T) -> Self {
+        Self::in_family(m, initial, Arc::new(MvFamily::new(max_processes)))
+    }
+
+    /// Creates an object in `family` — the constructor sharded compositions
+    /// use, so that one timestamp orders writes across every shard, one
+    /// announcement covers a scan on all of them, and overlapping batches
+    /// anywhere in the family install in one consistent order.
+    pub fn in_family(m: usize, initial: T, family: Arc<MvFamily>) -> Self {
+        assert!(m > 0, "a snapshot object needs at least one component");
+        MvSnapshot {
+            registers: (0..m).map(|_| MvRegister::new(initial.clone())).collect(),
+            family,
+        }
+    }
+
+    /// The shared timestamp camera.
+    pub fn camera(&self) -> &TimestampCamera {
+        &self.family.camera
+    }
+
+    /// The family this object belongs to.
+    pub fn family(&self) -> &Arc<MvFamily> {
+        &self.family
+    }
+
     /// Reads the requested components at announced timestamp `s`.
-    /// [`announce_scan`](Self::announce_scan) must have been called (and not
-    /// yet cleared) by this process with the camera at or below `s` — the
-    /// trait's [`scan`](PartialSnapshot::scan) and the sharded composition
-    /// both follow that protocol.
+    /// [`MvFamily::announce_scan`] must have been called (and not yet
+    /// cleared) by this process with the camera at or below `s` — the
+    /// trait's [`scan`](PartialSnapshot::scan) follows that protocol.
     pub fn scan_at(&self, pid: ProcessId, components: &[usize], s: u64) -> Vec<T> {
-        validate_args(self.registers.len(), self.n, pid, components);
+        validate_args(self.registers.len(), self.max_processes(), pid, components);
         debug_assert!(
-            self.announce[pid.index()].load(Ordering::SeqCst) != 0,
+            self.family.announce[pid.index()].load(Ordering::SeqCst) != 0,
             "scan_at without a live announcement"
         );
-        // One epoch pin for the whole sweep; the pins inside each register
-        // read degenerate to a depth bump.
-        let _pin = psnap_shmem::epoch::pin();
+        // One epoch pin for the whole sweep.
+        let pin = psnap_shmem::epoch::pin();
         components
             .iter()
-            .map(|&c| (*self.registers[c].read_at(s, &self.camera)).clone())
+            .map(|&c| self.read_slot(c, s, &pin))
             .collect()
     }
 
-    /// Reads one slot at announced timestamp `s`, returning the winning
-    /// version's finalized timestamp alongside the value — the merge-read
-    /// half of a reshard migration window, where a moved component's answer
-    /// is arbitrated between its old and new register by larger timestamp.
-    /// The caller must hold a live announcement on this object (the same
+    /// A copy of one slot's value at announced timestamp `s`, cloned under
+    /// the caller's epoch pin — a scan's per-component read. The caller
+    /// must hold a live announcement in this object's family (the same
     /// protocol as [`scan_at`](Self::scan_at)) so pruners keep the version.
-    pub fn read_slot_stamped(&self, slot: usize, s: u64) -> (u64, T) {
-        let (t, v) = self.registers[slot].read_at_stamped(s, &self.camera);
-        (t, (*v).clone())
+    #[inline]
+    pub fn read_slot(&self, slot: usize, s: u64, pin: &Guard) -> T {
+        self.registers[slot]
+            .read_pinned(s, &self.family.camera, pin)
+            .clone()
     }
 
     /// The finalized version history of `slot`, oldest-first — what a
     /// reshard migration copies out of a source shard once it is frozen
     /// (writers drained, batches excluded by the serializer). See
     /// [`psnap_shmem::MvRegister::finalized_versions`].
-    pub fn slot_versions(&self, slot: usize) -> Vec<(u64, Arc<T>)> {
+    pub fn slot_versions(&self, slot: usize) -> Vec<(u64, T)> {
         self.registers[slot].finalized_versions()
     }
 
@@ -211,40 +246,18 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
     /// strictly larger timestamps, see
     /// [`psnap_shmem::TimestampCamera::cutover`]) and never advances a
     /// pre-cutover value past the scans that already excluded it.
-    pub fn install_frozen(&self, slot: usize, t: u64, value: Arc<T>) {
-        self.registers[slot].install(value, MvStamp::finalized(t));
+    pub fn install_frozen(&self, slot: usize, t: u64, value: T) {
+        self.registers[slot].install_value(value, MvStamp::finalized(t));
         psnap_shmem::metrics::mv_migrated_versions().inc();
     }
 
-    /// The timestamp bounds a pruner must respect: the camera's current
-    /// value (covering every future scan — their timestamps can only be
-    /// larger) plus every live announcement. The camera is read **first**:
-    /// an announcement the sweep then misses belongs to a scan whose
-    /// timestamp is at least the camera value already recorded.
-    /// Sorted descending, deduplicated, never empty.
-    fn prune_bounds(&self) -> Vec<u64> {
-        let mut bounds = Vec::with_capacity(self.n + 1);
-        bounds.push(self.camera.timestamp());
-        for slot in &self.announce {
-            steps::record(OpKind::Read);
-            let a = slot.load(Ordering::SeqCst);
-            if a != 0 {
-                bounds.push(a);
-            }
-        }
-        bounds.sort_unstable_by(|a, b| b.cmp(a));
-        bounds.dedup();
-        bounds
-    }
-
-    /// Prunes the chains of the listed components against the current
-    /// bounds. Writers call this on the registers they touched; the sharded
-    /// composition calls it per shard after a cross-shard commit.
-    pub fn prune_components(&self, components: &[usize]) {
-        let bounds = self.prune_bounds();
-        for &c in components {
-            self.registers[c].prune(&bounds);
-        }
+    /// Prunes `slot`'s chain below `bound`, a value of
+    /// [`MvFamily::prune_bound`] read after the write it follows. Writers
+    /// call this on the registers they touched; a batch reads the bound
+    /// once for all of them.
+    #[inline]
+    pub fn prune_slot(&self, slot: usize, bound: u64) {
+        self.registers[slot].prune(&[bound]);
     }
 
     /// Installs `writes` as **pending** versions sharing `stamp`, without
@@ -256,9 +269,9 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
     /// [`begin_parked_update_many`](Self::begin_parked_update_many) for the
     /// packaged version).
     pub fn install_pending(&self, pid: ProcessId, writes: &[(usize, T)], stamp: &MvStamp) {
-        validate_batch_args(self.registers.len(), self.n, pid, writes);
+        validate_batch_args(self.registers.len(), self.max_processes(), pid, writes);
         for (component, value) in writes {
-            self.registers[*component].install(Arc::new(value.clone()), stamp.clone());
+            self.registers[*component].install_value(value.clone(), stamp.clone());
         }
     }
 
@@ -279,13 +292,17 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
         pid: ProcessId,
         writes: &[(usize, T)],
     ) -> ParkedUpdate<'_, T> {
-        validate_batch_args(self.registers.len(), self.n, pid, writes);
-        let guard = self.batches.lock().unwrap_or_else(|e| e.into_inner());
+        validate_batch_args(self.registers.len(), self.max_processes(), pid, writes);
+        let guard = self
+            .family
+            .batches
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let batch = dedupe_last_write_wins(writes);
         let stamp = MvStamp::pending_batch();
         let components: Vec<usize> = batch.iter().map(|(c, _)| *c).collect();
         for (component, value) in &batch {
-            self.registers[*component].install(Arc::new((*value).clone()), stamp.clone());
+            self.registers[*component].install_value((*value).clone(), stamp.clone());
         }
         ParkedUpdate {
             snapshot: self,
@@ -303,7 +320,8 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
     /// Per component: one head read, then per version visited one stamp
     /// read, one hop read, and at most `scanners + 1` floor
     /// compare&swap-with-reread rounds (floors strictly increase, at most
-    /// once per concurrent scan).
+    /// once per concurrent scan). A sharded store's scan costs the same:
+    /// it announces once for the whole family.
     pub fn scan_step_budget(r: usize, max_chain: usize, scanners: usize) -> u64 {
         let per_version = 2 + 2 * (scanners as u64 + 1);
         4 + (r as u64) * (1 + max_chain as u64 * per_version)
@@ -332,8 +350,12 @@ impl<T: Clone + Send + Sync + 'static> ParkedUpdate<'_, T> {
 
 impl<T: Clone + Send + Sync + 'static> Drop for ParkedUpdate<'_, T> {
     fn drop(&mut self) {
-        self.stamp.finalize(&self.snapshot.camera);
-        self.snapshot.prune_components(&self.components);
+        let snapshot = self.snapshot;
+        self.stamp.finalize(snapshot.camera());
+        let bound = snapshot.family.prune_bound();
+        for &c in &self.components {
+            snapshot.prune_slot(c, bound);
+        }
     }
 }
 
@@ -343,47 +365,27 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
     }
 
     fn max_processes(&self) -> usize {
-        self.n
+        self.family.max_processes()
     }
 
     fn update(&self, pid: ProcessId, component: usize, value: T) {
-        validate_args(self.registers.len(), self.n, pid, &[component]);
-        // A single-write stamp: scans that meet it pending help-finalize
-        // it, so the finalize below takes at most two rounds.
-        let stamp = MvStamp::pending_single();
-        let value = Arc::new(value);
-        loop {
-            match self.registers[component].try_install(Arc::clone(&value), stamp.clone()) {
-                Ok(()) => {
-                    stamp.finalize(&self.camera);
-                    let bounds = self.prune_bounds();
-                    self.registers[component].prune(&bounds);
-                    return;
-                }
-                Err(winner) => {
-                    // A lost install race may only be dropped ("linearize
-                    // immediately before the winner", the Section 4.2
-                    // argument) once the winner's timestamp is *published*
-                    // within this update's interval — a still-pending
-                    // winner could otherwise commit after a later scan,
-                    // leaving this acknowledged write invisible to it with
-                    // no serialization explaining both. `resolve_winner`
-                    // publishes a pending single on the spot (one
-                    // compare&swap); a winner that is a batch mid-install
-                    // cannot be published by anyone but its own writer, so
-                    // retry the install instead (bounded in practice:
-                    // batches serialize object-wide, so each retry
-                    // witnesses a distinct batch passing this register).
-                    if winner.resolve_winner(&self.camera).is_some() {
-                        return;
-                    }
-                }
-            }
+        validate_args(
+            self.registers.len(),
+            self.max_processes(),
+            pid,
+            &[component],
+        );
+        // The single write: one block, stamped in its own slot, which scans
+        // that meet it pending help-finalize — so its finalize takes at most
+        // two rounds. A write dropped against a published winner has no
+        // version to prune.
+        if self.registers[component].write(value, &self.family.camera) {
+            self.prune_slot(component, self.family.prune_bound());
         }
     }
 
     fn update_many(&self, pid: ProcessId, writes: &[(usize, T)]) {
-        validate_batch_args(self.registers.len(), self.n, pid, writes);
+        validate_batch_args(self.registers.len(), self.max_processes(), pid, writes);
         let batch = dedupe_last_write_wins(writes);
         match batch.len() {
             0 => return,
@@ -393,38 +395,42 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
         // Serialize whole batches (overlapping concurrent batches must
         // install in one consistent per-register order); scans never wait
         // on this lock — process-local coordination, not a base object.
-        let serial = self.batches.lock().unwrap_or_else(|e| e.into_inner());
+        let serial = self
+            .family
+            .batches
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let stamp = MvStamp::pending_batch();
         for (component, value) in &batch {
-            self.registers[*component].install(Arc::new((*value).clone()), stamp.clone());
+            self.registers[*component].install_value((*value).clone(), stamp.clone());
         }
         // The commit: one published timestamp covers every version above.
-        stamp.finalize(&self.camera);
-        let bounds = self.prune_bounds();
+        stamp.finalize(self.camera());
+        let bound = self.family.prune_bound();
         for (component, _) in &batch {
-            self.registers[*component].prune(&bounds);
+            self.prune_slot(*component, bound);
         }
         drop(serial);
         psnap_obs::trace::emit(psnap_obs::TraceKind::BatchCommit, batch.len() as u64, 1);
     }
 
     fn scan(&self, pid: ProcessId, components: &[usize]) -> Vec<T> {
-        validate_args(self.registers.len(), self.n, pid, components);
+        validate_args(self.registers.len(), self.max_processes(), pid, components);
         if components.is_empty() {
             return Vec::new();
         }
-        let _ = self.announce_scan(pid);
-        let s = self.camera.tick();
+        let _ = self.family.announce_scan(pid);
+        let s = self.camera().tick();
         psnap_obs::trace::emit(psnap_obs::TraceKind::ScanAnnounce, s, 1);
         let values = self.scan_at(pid, components, s);
-        self.clear_announcement(pid);
+        self.family.clear_announcement(pid);
         values
     }
 
     fn scan_stale(&self, pid: ProcessId, components: &[usize]) -> Option<(u64, Vec<T>)> {
-        validate_args(self.registers.len(), self.n, pid, components);
+        validate_args(self.registers.len(), self.max_processes(), pid, components);
         if components.is_empty() {
-            return Some((self.camera.timestamp(), Vec::new()));
+            return Some((self.camera().timestamp(), Vec::new()));
         }
         // The one-shot scan protocol, returning its timestamp: announce,
         // tick, read exactly the requested chains, clear. The tick is not
@@ -436,11 +442,11 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
         // timestamp (later finalizes draw a larger one), which makes the
         // cut linearizable at `s` — trivially within any staleness bound —
         // while still touching only the `r` requested registers.
-        let _ = self.announce_scan(pid);
-        let s = self.camera.tick();
+        let _ = self.family.announce_scan(pid);
+        let s = self.camera().tick();
         psnap_obs::trace::emit(psnap_obs::TraceKind::ScanAnnounce, s, 1);
         let values = self.scan_at(pid, components, s);
-        self.clear_announcement(pid);
+        self.family.clear_announcement(pid);
         Some((s, values))
     }
 

@@ -1,10 +1,14 @@
 //! The metric primitives: striped counters and gauges, log2 histograms.
 //!
-//! All three follow the `steps.rs` discipline: recording is a handful of
-//! nanoseconds on a per-thread cache line and never takes a lock, loops, or
-//! synchronizes with readers; aggregation work happens entirely on the read
-//! side. None of them count as base-object steps — observing the system
-//! costs zero in the paper's cost model by construction.
+//! Recording never takes a lock or synchronizes with readers, and
+//! aggregation work happens entirely on the read side. Counters and gauges
+//! record with one relaxed add on a per-thread cache line (a stripe). A
+//! [`Histogram`] records into atomics every thread shares: two relaxed adds
+//! and a `fetch_max`, which is a compare&swap loop on most targets — it
+//! retries only while other threads raise the maximum, and its lines bounce
+//! between recording cores. None of them count as base-object steps —
+//! observing the system costs zero in the paper's cost model by
+//! construction.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 

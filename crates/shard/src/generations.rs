@@ -18,9 +18,12 @@
 //!   the affected shards' version history behind one camera cutover and
 //!   swaps the successor in (the protocol is in `mv_sharded`'s module docs).
 //!
-//! Every shard of every generation stamps with one [`TimestampCamera`] and
-//! serializes batches through one mutex; both live here, beside the pointer,
-//! because a migration needs them as much as the operations do.
+//! Every shard of every generation belongs to one [`MvFamily`], which lives
+//! here beside the pointer because a migration needs it as much as the
+//! operations do: one timestamp camera stamps every write, one array of
+//! per-process announcement slots covers every scan — a scan announces once
+//! however many shards it reads, and every shard's pruners respect it — and
+//! one mutex serializes batches (and reshards against them).
 //!
 //! Unaffected shards are shared between consecutive layouts by `Arc`, and
 //! gates and heat counters are shared **by shard id** even for rebuilt
@@ -28,13 +31,12 @@
 //! resharder running at `g + 1`.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use psnap_core::{MvSnapshot, ReshardOp};
+use psnap_core::{MvFamily, MvSnapshot, ReshardOp};
 use psnap_obs::{trace, Counter, Metric, Registry, TraceKind};
 use psnap_shmem::epoch::{self, Guard};
 use psnap_shmem::steps::{self, OpKind};
-use psnap_shmem::TimestampCamera;
 
 use crate::partition::{PartitionMap, ShardRouter};
 
@@ -109,19 +111,15 @@ impl Drop for WriterPermit<'_> {
 /// pointer to it, and the state every generation's shards share.
 pub(crate) struct Generations<T> {
     live: AtomicPtr<Layout<T>>,
-    /// The one timestamp camera of every shard of every generation.
-    pub(crate) camera: Arc<TimestampCamera>,
-    /// Serializes whole batches across the family — the same `Arc` every
-    /// shard holds, so batches entering through an inner shard and through
-    /// the store can never interleave their installs — and reshards against
-    /// batches and each other: a reshard holds it across its whole
-    /// migration.
-    pub(crate) batches: Arc<Mutex<()>>,
+    /// The camera, announcements and batch serializer of every shard of
+    /// every generation — the same `Arc` every shard holds, so batches
+    /// entering through an inner shard and through the store can never
+    /// interleave their installs. A reshard holds the serializer across its
+    /// whole migration, excluding batches and other reshards.
+    pub(crate) family: Arc<MvFamily>,
     /// The initial component value (a rebuilt shard needs it before the
     /// migration copy overwrites the slots that have history).
     initial: T,
-    /// Processes every shard admits.
-    n: usize,
     /// Reshard operations that changed the layout.
     reshards: Arc<Counter>,
 }
@@ -140,19 +138,16 @@ impl<T: Clone + Send + Sync + 'static> Generations<T> {
     /// Generation 0 over `map`: one multiversioned shard per shard id, `n`
     /// processes each, every component `initial`.
     pub(crate) fn new(map: PartitionMap, n: usize, initial: T) -> Self {
-        let camera = Arc::new(TimestampCamera::new());
-        let batches = Arc::new(Mutex::new(()));
+        let family = Arc::new(MvFamily::new(n));
         let router = ShardRouter::from_map(&map);
         let shards = router.shards();
         let layout = Layout {
             inner: (0..shards)
                 .map(|s| {
-                    Arc::new(MvSnapshot::with_shared(
+                    Arc::new(MvSnapshot::in_family(
                         router.shard_size(s),
-                        n,
                         initial.clone(),
-                        Arc::clone(&camera),
-                        Arc::clone(&batches),
+                        Arc::clone(&family),
                     ))
                 })
                 .collect(),
@@ -163,10 +158,8 @@ impl<T: Clone + Send + Sync + 'static> Generations<T> {
         };
         Generations {
             live: AtomicPtr::new(Box::into_raw(Box::new(layout))),
-            camera,
-            batches,
+            family,
             initial,
-            n,
             reshards: Arc::default(),
         }
     }
@@ -237,7 +230,11 @@ impl<T: Clone + Send + Sync + 'static> Generations<T> {
         // the freeze and no new one starts until the swap is published; and
         // since every resharder takes it first, `old` stays the live layout
         // until our own swap below.
-        let serial = self.batches.lock().unwrap_or_else(|e| e.into_inner());
+        let serial = self
+            .family
+            .batches()
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let guard = epoch::pin();
         let old = self.load(&guard);
         let (map, affected) = match op {
@@ -255,7 +252,7 @@ impl<T: Clone + Send + Sync + 'static> Generations<T> {
         // is strictly below it, every post-swap write at or above it. The
         // affected shards are quiescent from here until the swap, so their
         // chains are frozen below the boundary.
-        let boundary = self.camera.cutover();
+        let boundary = self.family.camera().cutover();
         let router = ShardRouter::from_map(&map);
         let mut next = Layout {
             inner: Vec::with_capacity(map.shards()),
@@ -285,13 +282,7 @@ impl<T: Clone + Send + Sync + 'static> Generations<T> {
             // boundary, so a copy can never shadow a post-swap write;
             // old-generation scans still in flight keep reading the old
             // objects, which stay alive until the epoch frees them.
-            let fresh = MvSnapshot::with_shared(
-                size,
-                self.n,
-                self.initial.clone(),
-                Arc::clone(&self.camera),
-                Arc::clone(&self.batches),
-            );
+            let fresh = MvSnapshot::in_family(size, self.initial.clone(), Arc::clone(&self.family));
             for slot in 0..size {
                 let (from, from_slot) = old.router.route(next.router.component_of(s, slot));
                 for (t, v) in old.inner[from].slot_versions(from_slot) {
@@ -442,7 +433,7 @@ mod tests {
             "a reshard left a gate frozen"
         );
         assert!(
-            gens.batches.try_lock().is_ok(),
+            gens.family.batches().try_lock().is_ok(),
             "a reshard left the serializer held"
         );
     }

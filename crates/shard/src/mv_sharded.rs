@@ -1,18 +1,24 @@
 //! [`MvShardedSnapshot`]: wait-free cross-shard scans over an
 //! **epoch-versioned partition map** that can be resharded online.
 //!
-//! Every shard is a [`psnap_core::MvSnapshot`] and all shards share **one**
-//! [`TimestampCamera`] and one batch serializer, so a cross-shard scan is:
+//! Every shard is a [`psnap_core::MvSnapshot`] and all shards belong to
+//! **one** [`MvFamily`]: one timestamp camera, one
+//! array of per-process announcement slots and one batch serializer, shared
+//! by every shard of every generation. So a scan, cross-shard or not, is:
 //!
-//! 1. announce on every involved shard (one camera read + one slot write
-//!    each — the announcement keeps pruners from detaching the versions the
-//!    scan is about to read);
+//! 1. announce once, in the family's slot for this process (one camera read
+//!    plus one slot write — the announcement keeps the pruners of *every*
+//!    shard from detaching the versions the scan is about to read);
 //! 2. draw one timestamp `s` with a single `camera.tick()` — the scan's
 //!    linearization point, shared by every sub-read;
-//! 3. read, in each involved register of each involved shard, the version
-//!    with the largest timestamp `≤ s`;
-//! 4. clear the announcements.
+//! 3. route each requested component to its `(shard, slot)` and read there
+//!    the version with the largest timestamp `≤ s`, straight into the
+//!    result vector (duplicates are read per occurrence, as the unsharded
+//!    object does);
+//! 4. clear the announcement, once.
 //!
+//! These are exactly the unsharded `MvSnapshot` scan's steps: sharding adds
+//! no base-object step to a scan, and no allocation beyond the result.
 //! No step re-reads anything, no step waits on a writer, and the combined
 //! cut is consistent across shards because the camera is shared: the cut is
 //! the state of the whole object at the instant the camera moved past `s`.
@@ -43,7 +49,7 @@
 //!    [`TimestampCamera::cutover`]: every version finalized before it sits
 //!    strictly below, every write after the swap lands at or above;
 //! 4. **copy** — build the replacement shard objects
-//!    ([`MvSnapshot::with_shared`], same camera and serializer) and install
+//!    ([`MvSnapshot::in_family`], same family) and install
 //!    the moved components' finalized version history with its original
 //!    timestamps ([`MvSnapshot::install_frozen`]) — the copies win exactly
 //!    the scans the originals did and can never shadow a post-cutover write;
@@ -52,7 +58,7 @@
 //!
 //! Scans are kept correct across the swap by a **post-tick generation
 //! recheck**: after drawing `s`, a scan re-reads the live generation. If it
-//! moved, the scan clears its announcements and retries on the new state
+//! moved, the scan clears its announcement and retries on the new state
 //! (bounded by the number of concurrent reshard events, not by writers). If
 //! it did not move, the swap — if any — happened after this scan's tick, so
 //! every write the old state misses carries a timestamp `≥ s` drawn after
@@ -60,14 +66,16 @@
 //! see on the old state are complete: the affected shards were drained
 //! before the cutover, so their old chains are immutable below the
 //! boundary.
+//!
+//! [`TimestampCamera::cutover`]: psnap_shmem::TimestampCamera::cutover
 
 use std::sync::{Arc, MutexGuard};
 
 use psnap_core::traits::{validate_args, validate_batch_args};
-use psnap_core::{MvSnapshot, PartialSnapshot, ReshardOp};
+use psnap_core::{MvFamily, MvSnapshot, PartialSnapshot, ReshardOp};
 use psnap_obs::{trace, Counter, Histogram, Metric, Registry, TraceKind};
 use psnap_shmem::epoch;
-use psnap_shmem::{MvStamp, ProcessId, StepScope, TimestampCamera};
+use psnap_shmem::{MvStamp, ProcessId, StepScope};
 
 use crate::generations::Generations;
 use crate::partition::{PartitionMap, ShardConfig};
@@ -76,8 +84,8 @@ use crate::partition::{PartitionMap, ShardConfig};
 /// one timestamp camera, routed by an epoch-versioned partition map that
 /// supports live split/merge. See the module docs.
 pub struct MvShardedSnapshot<T> {
-    /// The routing state, generation by generation, and the camera and
-    /// batch serializer every generation's shards share.
+    /// The routing state, generation by generation, and the family every
+    /// generation's shards share.
     gens: Generations<T>,
     /// Cross-shard scans served (diagnostics).
     stats_cross: Arc<Counter>,
@@ -161,55 +169,65 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
         self.gens.register_obs(registry, prefix);
     }
 
-    /// The one-shot cross-shard read protocol with the post-tick generation
-    /// recheck, shared by `scan` and `scan_stale`. Returns the timestamp
-    /// alongside the assembled values.
+    /// The one-shot read protocol with the post-tick generation recheck,
+    /// shared by `scan` and `scan_stale`. Returns the timestamp alongside
+    /// the values.
     fn scan_with_stamp(&self, pid: ProcessId, components: &[usize]) -> (u64, Vec<T>) {
         let scope = psnap_obs::enabled().then(StepScope::start);
+        let family = &*self.gens.family;
+        let mut values = Vec::with_capacity(components.len());
         loop {
             let guard = epoch::pin();
             let layout = self.gens.load(&guard);
-            let plan = layout.router.plan(components);
-            // Announce on every involved shard *before* drawing the
-            // timestamp: each announcement lower-bounds `s`, keeping every
-            // shard's pruners away from the versions this scan may select.
-            for &(shard, _) in &plan.groups {
-                layout.inner[shard].announce_scan(pid);
-            }
-            let s = self.gens.camera.tick();
-            // The reshard seam: if the generation moved since planning, a
+            // Announce *before* drawing the timestamp: the announcement
+            // lower-bounds `s`, keeping every shard's pruners away from the
+            // versions this scan may select.
+            family.announce_scan(pid);
+            let s = family.camera().tick();
+            // The reshard seam: if the generation moved since the load, a
             // cutover may have beaten our tick, and post-swap writes could
-            // carry timestamps ≤ s on shard objects this plan never reads.
-            // Retry on the fresh state (bounded by concurrent reshard
-            // events). If the generation is unchanged, any later swap
-            // happens after this tick, so every write the old state misses
-            // is stamped ≥ s and legally ordered after this scan.
+            // carry timestamps ≤ s on shard objects this layout never
+            // reads. Retry on the fresh state (bounded by concurrent
+            // reshard events). If the generation is unchanged, any later
+            // swap happens after this tick, so every write the old state
+            // misses is stamped ≥ s and legally ordered after this scan.
             if !self.gens.is_live(layout) {
-                for &(shard, _) in &plan.groups {
-                    layout.inner[shard].clear_announcement(pid);
-                }
+                family.clear_announcement(pid);
                 self.stats_scan_regen.inc();
                 continue;
             }
-            for (shard, _) in &plan.groups {
-                layout.heat[*shard].inc();
+            // Heat counts each involved shard once per scan: a bit per
+            // shard id below 64, and for ids a long run of splits appended
+            // beyond that, a look back over the components already routed.
+            let mut seen = 0u64;
+            let mut involved = 0u64;
+            for (i, &c) in components.iter().enumerate() {
+                let (shard, slot) = layout.router.route(c);
+                let first = if shard < 64 {
+                    let bit = 1u64 << shard;
+                    let first = seen & bit == 0;
+                    seen |= bit;
+                    first
+                } else {
+                    !components[..i]
+                        .iter()
+                        .any(|&prior| layout.router.route(prior).0 == shard)
+                };
+                if first {
+                    involved += 1;
+                    layout.heat[shard].inc();
+                }
+                values.push(layout.inner[shard].read_slot(slot, s, &guard));
             }
-            if plan.is_cross_shard() {
+            family.clear_announcement(pid);
+            if involved > 1 {
                 self.stats_cross.inc();
             }
-            trace::emit(TraceKind::ScanAnnounce, s, plan.groups.len() as u64);
-            let results: Vec<Vec<T>> = plan
-                .groups
-                .iter()
-                .map(|(shard, slots)| layout.inner[*shard].scan_at(pid, slots, s))
-                .collect();
-            for &(shard, _) in &plan.groups {
-                layout.inner[shard].clear_announcement(pid);
-            }
+            trace::emit(TraceKind::ScanAnnounce, s, involved);
             if let Some(scope) = scope {
                 self.scan_steps.record(scope.finish().total());
             }
-            return (s, plan.assemble(&results));
+            return (s, values);
         }
     }
 
@@ -228,7 +246,8 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
         writes: &[(usize, T)],
     ) -> MvShardedParked<'_, T> {
         validate_batch_args(self.m, self.n, pid, writes);
-        let guard = self.gens.batches.lock().unwrap_or_else(|e| e.into_inner());
+        let family = &*self.gens.family;
+        let guard = family.batches().lock().unwrap_or_else(|e| e.into_inner());
         let pin = epoch::pin();
         let layout = self.gens.load(&pin);
         let by_shard = layout.router.group_last_write_wins(writes);
@@ -237,16 +256,14 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
             layout.inner[*shard].install_pending(pid, sub_batch, &stamp);
         }
         let touched = by_shard
-            .into_iter()
-            .map(|(shard, sub)| {
-                (
-                    Arc::clone(&layout.inner[shard]),
-                    sub.into_iter().map(|(slot, _)| slot).collect(),
-                )
+            .iter()
+            .flat_map(|(shard, sub)| {
+                let inner = &layout.inner[*shard];
+                sub.iter().map(|&(slot, _)| (Arc::clone(inner), slot))
             })
             .collect();
         MvShardedParked {
-            camera: Arc::clone(&self.gens.camera),
+            family,
             stamp,
             touched,
             _serial: guard,
@@ -258,13 +275,13 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
 /// [`MvShardedSnapshot::begin_parked_update_many`].
 #[must_use = "a parked batch holds the batch serializer until committed or dropped"]
 pub struct MvShardedParked<'a, T: Clone + Send + Sync + 'static> {
-    camera: Arc<TimestampCamera>,
+    family: &'a MvFamily,
     stamp: MvStamp,
-    /// `(shard object, slots)` touched by the batch. Holding the `Arc`s
+    /// `(shard object, slot)` per write of the batch. Holding the `Arc`s
     /// keeps the installs reachable even if the surrounding object is
     /// dropped mid-park (and documents that the batch belongs to the
     /// generation it installed against — which the held serializer pins).
-    touched: Vec<(Arc<MvSnapshot<T>>, Vec<usize>)>,
+    touched: Vec<(Arc<MvSnapshot<T>>, usize)>,
     _serial: MutexGuard<'a, ()>,
 }
 
@@ -276,9 +293,10 @@ impl<T: Clone + Send + Sync + 'static> MvShardedParked<'_, T> {
 
 impl<T: Clone + Send + Sync + 'static> Drop for MvShardedParked<'_, T> {
     fn drop(&mut self) {
-        self.stamp.finalize(&self.camera);
-        for (shard, slots) in &self.touched {
-            shard.prune_components(slots);
+        self.stamp.finalize(self.family.camera());
+        let bound = self.family.prune_bound();
+        for (shard, slot) in &self.touched {
+            shard.prune_slot(*slot, bound);
         }
     }
 }
@@ -329,7 +347,8 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
         // never interleave with a generation swap: the state loaded below
         // stays live until the commit publishes. (This also means batches
         // need no writer gates.)
-        let serial = self.gens.batches.lock().unwrap_or_else(|e| e.into_inner());
+        let family = &*self.gens.family;
+        let serial = family.batches().lock().unwrap_or_else(|e| e.into_inner());
         let guard = epoch::pin();
         let layout = self.gens.load(&guard);
         let by_shard = layout.router.group_last_write_wins(writes);
@@ -345,10 +364,14 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
         for (shard, sub_batch) in &by_shard {
             layout.inner[*shard].install_pending(pid, sub_batch, &stamp);
         }
-        stamp.finalize(&self.gens.camera);
+        stamp.finalize(family.camera());
+        // The announcements are the family's, so one bound covers every
+        // register the batch touched, on every shard.
+        let bound = family.prune_bound();
         for (shard, sub_batch) in &by_shard {
-            let slots: Vec<usize> = sub_batch.iter().map(|(slot, _)| *slot).collect();
-            layout.inner[*shard].prune_components(&slots);
+            for &(slot, _) in sub_batch {
+                layout.inner[*shard].prune_slot(slot, bound);
+            }
         }
         let groups = by_shard.len() as u64;
         let total = by_shard.iter().map(|(_, sub)| sub.len()).sum::<usize>() as u64;
@@ -370,7 +393,7 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
     fn scan_stale(&self, pid: ProcessId, components: &[usize]) -> Option<(u64, Vec<T>)> {
         validate_args(self.m, self.n, pid, components);
         if components.is_empty() {
-            return Some((self.gens.camera.timestamp(), Vec::new()));
+            return Some((self.gens.family.camera().timestamp(), Vec::new()));
         }
         // The same one-shot protocol, returning its timestamp: it touches
         // only the requested registers, and the single published timestamp
@@ -534,7 +557,7 @@ pub(crate) mod tests {
         // Park a batch spanning shards 0 and 3 — the state a writer
         // suspended between its installs and its commit leaves behind.
         let parked = snap.begin_parked_update_many(ProcessId(0), &[(0, 2), (6, 2)]);
-        let budget = MvSnapshot::<u64>::scan_step_budget(2, 3, 1) + 2 * 3;
+        let budget = MvSnapshot::<u64>::scan_step_budget(2, 3, 1);
         for _ in 0..10 {
             let scope = StepScope::start();
             let got = snap.scan(ProcessId(1), &[0, 6]);

@@ -340,28 +340,27 @@ fn try_advance() -> u64 {
     GLOBAL_EPOCH.load(Ordering::SeqCst)
 }
 
-/// Detaches the one bag whose entire residue class is eligible at
-/// `epoch_now` (every item in bag `(now + 1) % BAGS` has tag
-/// `t ≡ now + 1 (mod BAGS)` with `t <= now`, hence `t <= now - 2`).
-/// O(items freed) — no scan of garbage that must keep waiting.
-///
-/// Returns the bag instead of freeing in place: the caller must release
-/// whatever borrow or lock guards the bag collection *before* running the
-/// destructors, because a reclaimed value's `Drop` may legitimately re-enter
-/// this module (a value whose destructor stores into another cell retires
-/// more garbage).
-fn take_eligible_bag(bags: &mut [Vec<Garbage>; BAGS], epoch_now: u64) -> Vec<Garbage> {
-    std::mem::take(&mut bags[((epoch_now + 1) % BAGS as u64) as usize])
+/// The one bag whose entire residue class is eligible at `epoch_now`:
+/// every item in bag `(now + 1) % BAGS` has tag `t ≡ now + 1 (mod BAGS)`
+/// with `t <= now`, hence `t <= now - 2`. Freeing it is O(items freed) — no
+/// scan of garbage that must keep waiting.
+fn eligible_bag(epoch_now: u64) -> usize {
+    ((epoch_now + 1) % BAGS as u64) as usize
 }
 
-fn free_bag(bag: Vec<Garbage>) {
+/// Frees every item of `bag`, leaving it empty with its capacity. The
+/// caller must have detached `bag` from whatever borrow or lock guards the
+/// bag collection: a reclaimed value's `Drop` may legitimately re-enter this
+/// module (a value whose destructor stores into another cell retires more
+/// garbage).
+fn free_bag(bag: &mut Vec<Garbage>) {
     let freed = bag.len() as u64;
     if freed > 0 {
         crate::metrics::epoch_freed().add(freed);
         crate::metrics::epoch_bag_items().sub(freed as i64);
         crate::metrics::epoch_freed_per_collect().record(freed);
     }
-    for item in bag {
+    for item in bag.drain(..) {
         // Safety: the epoch condition of the module-level argument holds.
         unsafe { item.free() };
     }
@@ -370,11 +369,20 @@ fn free_bag(bag: Vec<Garbage>) {
 fn collect_local(p: &Participant) {
     let now = try_advance();
     // Local bags: every item was pushed by *this* thread before this call,
-    // so its tag is at most `now` and the bag-eligibility argument of
-    // `take_eligible_bag` applies directly. The borrow is released before
-    // the destructors run (see `take_eligible_bag`).
-    let eligible = take_eligible_bag(&mut p.garbage.borrow_mut(), now);
-    free_bag(eligible);
+    // so its tag is at most `now` and the eligibility argument of
+    // `eligible_bag` applies directly. The bag is taken out and the borrow
+    // released before the destructors run (see `free_bag`); the drained
+    // vector then goes back to its slot, so a steady writer reuses its bag
+    // capacity instead of regrowing it every collection — unless a
+    // re-entrant retire refilled the slot meanwhile, whose vector stays.
+    let at = eligible_bag(now);
+    let mut eligible = std::mem::take(&mut p.garbage.borrow_mut()[at]);
+    free_bag(&mut eligible);
+    if let Some(slot) = p.garbage.borrow_mut().get_mut(at) {
+        if slot.capacity() == 0 {
+            *slot = eligible;
+        }
+    }
     // Opportunistically drain garbage abandoned by exited threads. `try_lock`
     // keeps this path non-blocking, and the guard is released before the
     // destructors run below.
@@ -384,13 +392,13 @@ fn collect_local(p: &Participant) {
     // could then hit an item retired in the current epoch. An append holds
     // the lock, so every item present now was tagged no later than this
     // lock-held read, restoring `t <= now`.
-    let orphaned = if let Ok(mut orphans) = ORPHANS.try_lock() {
+    let mut orphaned = if let Ok(mut orphans) = ORPHANS.try_lock() {
         let now = GLOBAL_EPOCH.load(Ordering::SeqCst);
-        take_eligible_bag(&mut orphans, now)
+        std::mem::take(&mut orphans[eligible_bag(now)])
     } else {
         Vec::new()
     };
-    free_bag(orphaned);
+    free_bag(&mut orphaned);
 }
 
 /// Attempts one epoch advance and frees everything eligible on the calling

@@ -27,7 +27,7 @@
 //! "before" or "after" it; pending stamps come in two flavours closing it
 //! from both sides:
 //!
-//! * **Single writes** ([`MvStamp::pending_single`]) are **help-finalized**:
+//! * **Single writes** ([`MvRegister::write`]) are **help-finalized**:
 //!   a scan that meets one finalizes it right there with a fresh camera read
 //!   (one compare&swap; the value is `> s` because the scan's own tick
 //!   already advanced the camera) and then judges the finalized timestamp.
@@ -52,6 +52,24 @@
 //! one register of the batch too early exclude the batch *everywhere*.
 //! All-or-nothing without a write gate and without blocking scans.
 //!
+//! # Version layout
+//!
+//! A version is **one heap block**: its value inline, its own stamp slot,
+//! an optional pointer to a shared slot, and the link to the next-older
+//! version. Which slot is *the* stamp depends on how the version was made:
+//!
+//! * a single write ([`MvRegister::write`]) and a register's initial
+//!   version stamp in their own slot — nothing is shared, so a write
+//!   allocates exactly one block and a retired version frees exactly one;
+//! * a version installed with an explicit [`MvStamp`]
+//!   ([`MvRegister::install_value`]) points at that stamp's shared slot:
+//!   every version of a batch shares one, which is what makes the batch
+//!   commit at one finalize. (Migration copies carry an already-final
+//!   stamp the same way.)
+//!
+//! One slot protocol — read-for-a-scan, finalize, resolve-a-winner, peek —
+//! serves both kinds of slot.
+//!
 //! # Pruning
 //!
 //! Chains are kept short by [`MvRegister::prune`]: given the timestamp
@@ -69,7 +87,7 @@
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::epoch;
+use crate::epoch::{self, Guard};
 use crate::steps::{self, OpKind};
 
 /// The shared timestamp source ("camera") of a multiversioned snapshot
@@ -142,64 +160,38 @@ const fn encode_floor(s: u64) -> u64 {
     s << 2
 }
 
-/// The shared timestamp slot of one write or one batch of writes. Cloning an
-/// `MvStamp` shares the slot: every version of a batch holds a clone, so the
-/// single [`finalize`](MvStamp::finalize) commits them all at once.
-#[derive(Clone, Debug)]
-pub struct MvStamp {
-    slot: Arc<AtomicU64>,
-}
+/// One stamp slot and the whole timestamp protocol over it. A version's
+/// own slot and a batch's shared one are both this type, so there is one
+/// copy of the protocol.
+#[derive(Debug)]
+struct StampSlot(AtomicU64);
 
-impl MvStamp {
-    /// A pending stamp for a **single** write. Scans that encounter it
-    /// help-finalize it with a fresh camera read, so the writer's own
-    /// [`finalize`](Self::finalize) takes at most two rounds — single
-    /// updates stay wait-free.
-    pub fn pending_single() -> Self {
-        MvStamp {
-            slot: Arc::new(AtomicU64::new(SINGLE_BIT)),
-        }
+impl StampSlot {
+    const fn new(word: u64) -> StampSlot {
+        StampSlot(AtomicU64::new(word))
     }
 
-    /// A pending stamp for a **batch** (floor 0). Scans never finalize it —
-    /// only the batch writer may, after every version of the batch is
-    /// installed — they raise its floor instead, forcing the eventual
-    /// timestamp above themselves. Versions carrying it are invisible until
-    /// [`finalize`](Self::finalize).
-    pub fn pending_batch() -> Self {
-        MvStamp {
-            slot: Arc::new(AtomicU64::new(encode_floor(0))),
-        }
+    /// Moves the slot from `cur` to final at `t` (one compare&swap step).
+    #[inline]
+    fn publish(&self, cur: u64, t: u64) -> bool {
+        steps::record(OpKind::Cas);
+        self.0
+            .compare_exchange(cur, encode_final(t), Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
     }
 
-    /// A stamp already finalized at `t` (used for initial versions, which
-    /// carry timestamp 0 and are visible to every scan).
-    pub fn finalized(t: u64) -> Self {
-        MvStamp {
-            slot: Arc::new(AtomicU64::new(encode_final(t))),
-        }
-    }
-
-    /// The finalized timestamp, if any (diagnostics; no step recorded).
-    pub fn peek(&self) -> Option<u64> {
-        let v = self.slot.load(Ordering::SeqCst);
+    /// See [`MvStamp::peek`].
+    #[inline]
+    fn peek(&self) -> Option<u64> {
+        let v = self.0.load(Ordering::SeqCst);
         (v & FINAL_BIT != 0).then_some(v >> 2)
     }
 
-    /// Finalizes the stamp to the camera's current value, re-reading the
-    /// camera after every observed slot movement so the published timestamp
-    /// is never stale (see the module docs). Returns the timestamp the
-    /// stamp ended up with. Idempotent: a later call returns the winner's
-    /// value.
-    ///
-    /// For a single-write stamp this takes at most two rounds (the only
-    /// competing transition is a helper's finalize). For a batch stamp the
-    /// loop is bounded by the concurrent scans, each of which raises the
-    /// floor at most once.
-    pub fn finalize(&self, camera: &TimestampCamera) -> u64 {
+    /// See [`MvStamp::finalize`].
+    fn finalize(&self, camera: &TimestampCamera) -> u64 {
         loop {
             steps::record(OpKind::Read);
-            let cur = self.slot.load(Ordering::SeqCst);
+            let cur = self.0.load(Ordering::SeqCst);
             if cur & FINAL_BIT != 0 {
                 return cur >> 2;
             }
@@ -208,31 +200,17 @@ impl MvStamp {
             // before raising the floor, so `t` strictly exceeds every
             // timestamp whose scan stepped over this pending version.
             let t = camera.timestamp();
-            steps::record(OpKind::Cas);
-            if self
-                .slot
-                .compare_exchange(cur, encode_final(t), Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
+            if self.publish(cur, t) {
                 return t;
             }
         }
     }
 
-    /// Resolves the stamp of an install-race **winner** so the loser can
-    /// decide whether dropping its write is linearizable: returns the
-    /// winner's now-published timestamp — finalizing a pending single write
-    /// on the spot (one camera read + one compare&swap, like a scan's
-    /// help) — or `None` if the winner is a batch still pending, whose
-    /// timestamp only its own writer may publish. A loser that observes
-    /// `Some(t)` may linearize immediately before the winner (the
-    /// publication happened inside the loser's interval, so every scan that
-    /// follows the loser's return sees the winner or something newer); on
-    /// `None` it must retry its install instead.
-    pub fn resolve_winner(&self, camera: &TimestampCamera) -> Option<u64> {
+    /// See [`MvStamp::resolve_winner`].
+    fn resolve_winner(&self, camera: &TimestampCamera) -> Option<u64> {
         loop {
             steps::record(OpKind::Read);
-            let cur = self.slot.load(Ordering::SeqCst);
+            let cur = self.0.load(Ordering::SeqCst);
             if cur & FINAL_BIT != 0 {
                 return Some(cur >> 2);
             }
@@ -240,12 +218,7 @@ impl MvStamp {
                 return None;
             }
             let t = camera.timestamp();
-            steps::record(OpKind::Cas);
-            if self
-                .slot
-                .compare_exchange(cur, encode_final(t), Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
+            if self.publish(cur, t) {
                 crate::metrics::mv_help_finalized().inc();
                 psnap_obs::trace::emit(psnap_obs::TraceKind::HelpFinalize, t, 0);
                 return Some(t);
@@ -253,7 +226,7 @@ impl MvStamp {
         }
     }
 
-    /// Resolves this stamp against scan timestamp `s`: the finalized
+    /// Resolves this slot against scan timestamp `s`: the finalized
     /// timestamp, or `None` if the version must be treated as not yet
     /// written by this scan. A pending single write is help-finalized with
     /// a fresh camera read (which lands above `s` — the scan already ticked
@@ -263,10 +236,11 @@ impl MvStamp {
     /// Bounded: each retry means the slot moved — to final (at most once),
     /// or to a higher floor (at most once per concurrent scan, since floors
     /// strictly increase).
+    #[inline]
     fn read_for(&self, s: u64, camera: &TimestampCamera) -> Option<u64> {
         loop {
             steps::record(OpKind::Read);
-            let cur = self.slot.load(Ordering::SeqCst);
+            let cur = self.0.load(Ordering::SeqCst);
             if cur & FINAL_BIT != 0 {
                 let t = cur >> 2;
                 return (t <= s).then_some(t);
@@ -278,12 +252,7 @@ impl MvStamp {
                 // writer's own finalize won the race, in which case the
                 // reload above judges its timestamp.
                 let t = camera.timestamp();
-                steps::record(OpKind::Cas);
-                if self
-                    .slot
-                    .compare_exchange(cur, encode_final(t), Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
+                if self.publish(cur, t) {
                     debug_assert!(t > s);
                     crate::metrics::mv_help_finalized().inc();
                     psnap_obs::trace::emit(psnap_obs::TraceKind::HelpFinalize, t, 0);
@@ -297,7 +266,7 @@ impl MvStamp {
             }
             steps::record(OpKind::Cas);
             if self
-                .slot
+                .0
                 .compare_exchange(cur, encode_floor(s), Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
@@ -307,21 +276,122 @@ impl MvStamp {
     }
 }
 
-/// One version in a register's chain. Immutable once published except for
-/// `next`, which only the register's single pruner rewrites.
+/// A shared timestamp slot: the stamp of a batch of writes (or of one write
+/// whose writer finalizes it from outside the register). Cloning an
+/// `MvStamp` shares the slot: every version of a batch holds a clone, so the
+/// single [`finalize`](MvStamp::finalize) commits them all at once.
+#[derive(Clone, Debug)]
+pub struct MvStamp {
+    slot: Arc<StampSlot>,
+}
+
+impl MvStamp {
+    fn with(word: u64) -> Self {
+        MvStamp {
+            slot: Arc::new(StampSlot::new(word)),
+        }
+    }
+
+    /// A pending stamp for a **single** write. Scans that encounter it
+    /// help-finalize it with a fresh camera read, so the writer's own
+    /// [`finalize`](Self::finalize) takes at most two rounds — single
+    /// updates stay wait-free. ([`MvRegister::write`] gives a single write
+    /// the same stamp in the version's own slot, without this allocation.)
+    pub fn pending_single() -> Self {
+        MvStamp::with(SINGLE_BIT)
+    }
+
+    /// A pending stamp for a **batch** (floor 0). Scans never finalize it —
+    /// only the batch writer may, after every version of the batch is
+    /// installed — they raise its floor instead, forcing the eventual
+    /// timestamp above themselves. Versions carrying it are invisible until
+    /// [`finalize`](Self::finalize).
+    pub fn pending_batch() -> Self {
+        MvStamp::with(encode_floor(0))
+    }
+
+    /// A stamp already finalized at `t` (used for migration copies, which
+    /// keep the timestamp their original was published with).
+    pub fn finalized(t: u64) -> Self {
+        MvStamp::with(encode_final(t))
+    }
+
+    /// The finalized timestamp, if any (diagnostics; no step recorded).
+    pub fn peek(&self) -> Option<u64> {
+        self.slot.peek()
+    }
+
+    /// Finalizes the stamp to the camera's current value, re-reading the
+    /// camera after every observed slot movement so the published timestamp
+    /// is never stale (see the module docs). Returns the timestamp the
+    /// stamp ended up with. Idempotent: a later call returns the winner's
+    /// value.
+    ///
+    /// For a single-write stamp this takes at most two rounds (the only
+    /// competing transition is a helper's finalize). For a batch stamp the
+    /// loop is bounded by the concurrent scans, each of which raises the
+    /// floor at most once.
+    pub fn finalize(&self, camera: &TimestampCamera) -> u64 {
+        self.slot.finalize(camera)
+    }
+
+    /// Resolves the stamp of an install-race **winner** so the loser can
+    /// decide whether dropping its write is linearizable: returns the
+    /// winner's now-published timestamp — finalizing a pending single write
+    /// on the spot (one camera read + one compare&swap, like a scan's
+    /// help) — or `None` if the winner is a batch still pending, whose
+    /// timestamp only its own writer may publish. A loser that observes
+    /// `Some(t)` may linearize immediately before the winner (the
+    /// publication happened inside the loser's interval, so every scan that
+    /// follows the loser's return sees the winner or something newer); on
+    /// `None` it must retry its install instead.
+    pub fn resolve_winner(&self, camera: &TimestampCamera) -> Option<u64> {
+        self.slot.resolve_winner(camera)
+    }
+}
+
+/// One version in a register's chain: a single heap block (see the module
+/// docs' *Version layout*). Immutable once published except for its stamp
+/// and for `next`, which only the register's single pruner rewrites.
 struct MvNode<T> {
-    value: Arc<T>,
-    stamp: MvStamp,
+    /// The stamp of a single write or an initial version; unused when
+    /// `shared` is set.
+    own: StampSlot,
+    /// The shared slot of a version installed with an explicit stamp.
+    shared: Option<MvStamp>,
     /// The next-older version; null at the end of the chain.
     next: AtomicPtr<MvNode<T>>,
+    value: T,
+}
+
+impl<T> MvNode<T> {
+    fn alloc(value: T, own: u64, shared: Option<MvStamp>) -> *mut MvNode<T> {
+        Box::into_raw(Box::new(MvNode {
+            own: StampSlot::new(own),
+            shared,
+            next: AtomicPtr::new(std::ptr::null_mut()),
+            value,
+        }))
+    }
+
+    /// The slot that decides this version's timestamp.
+    #[inline]
+    fn stamp(&self) -> &StampSlot {
+        match &self.shared {
+            Some(stamp) => &stamp.slot,
+            None => &self.own,
+        }
+    }
 }
 
 /// A multiversioned register: an atomic register whose overwritten values
 /// remain readable at older timestamps until pruned.
 ///
-/// * [`try_install`](MvRegister::try_install) /
-///   [`install`](MvRegister::install) push a new version (one compare&swap
-///   per attempt);
+/// * [`write`](MvRegister::write) is a single write: install, then publish
+///   its timestamp (one compare&swap per install attempt);
+/// * [`install_value`](MvRegister::install_value) /
+///   [`install`](MvRegister::install) push a version carrying an explicit,
+///   usually shared, stamp — a batch's sub-writes;
 /// * [`read_at`](MvRegister::read_at) returns the version with the largest
 ///   finalized timestamp `≤ s` (ties go to the chain-newest version),
 ///   resolving pending versions on the way (bounded, no retries — the
@@ -336,9 +406,9 @@ pub struct MvRegister<T> {
     pruner: AtomicBool,
 }
 
-// Safety: values are shared as `Arc<T>` across threads (`T: Send + Sync`)
-// and node drops may run on any thread (`T: Send`); the chain itself is only
-// mutated through atomics.
+// Safety: readers share values as `&T` across threads (`T: Sync`) and node
+// drops may run on any thread (`T: Send`); the chain itself is only mutated
+// through atomics.
 unsafe impl<T: Send + Sync> Send for MvRegister<T> {}
 unsafe impl<T: Send + Sync> Sync for MvRegister<T> {}
 
@@ -346,73 +416,28 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
     /// A register whose initial version carries timestamp 0 (visible to every
     /// scan).
     pub fn new(initial: T) -> Self {
-        let node = Box::into_raw(Box::new(MvNode {
-            value: Arc::new(initial),
-            stamp: MvStamp::finalized(0),
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        }));
         crate::metrics::mv_installed().inc();
         crate::metrics::mv_live_versions().inc();
         MvRegister {
-            head: AtomicPtr::new(node),
+            head: AtomicPtr::new(MvNode::alloc(initial, encode_final(0), None)),
             pruner: AtomicBool::new(false),
         }
     }
 
-    /// Attempts to push a new version (one compare&swap step). On a lost
-    /// race returns the **winner's stamp**, because whether the loser may
-    /// be dropped depends on it: linearizing a dropped write "immediately
-    /// before the winner" (the Section 4.2 argument) is only sound once the
-    /// winner's timestamp is published inside the loser's interval — see
-    /// [`MvStamp`] and `MvSnapshot::update`. Use
-    /// [`install`](Self::install) where the version *must* land (batch
-    /// sub-writes).
-    pub fn try_install(&self, value: Arc<T>, stamp: MvStamp) -> Result<(), MvStamp> {
-        // The pin protects the winner dereference on the failure path; the
-        // success path never dereferences a shared node.
-        let _guard = epoch::pin();
-        let cur = self.head.load(Ordering::Acquire);
-        let node = Box::into_raw(Box::new(MvNode {
-            value,
-            stamp,
-            next: AtomicPtr::new(cur),
-        }));
-        steps::record(OpKind::Cas);
-        match self
-            .head
-            .compare_exchange(cur, node, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => {
-                crate::metrics::mv_installed().inc();
-                crate::metrics::mv_live_versions().inc();
-                Ok(())
-            }
-            Err(winner) => {
-                // Never published: free directly.
-                // Safety: `node` was allocated above and never shared;
-                // `winner` is protected by the pin.
-                drop(unsafe { Box::from_raw(node) });
-                Err(unsafe { &*winner }.stamp.clone())
-            }
-        }
-    }
-
-    /// Pushes a new version, retrying lost races until it lands (one
-    /// compare&swap step per attempt; lock-free — a failed attempt means a
-    /// concurrent install succeeded). Batch sub-writes use this: a batch's
-    /// version must enter the chain so the batch is all-or-nothing over its
-    /// components.
-    pub fn install(&self, value: Arc<T>, stamp: MvStamp) {
-        // No pin needed — see `try_install`.
-        let node = Box::into_raw(Box::new(MvNode {
-            value,
-            stamp,
-            next: AtomicPtr::new(self.head.load(Ordering::Acquire)),
-        }));
+    /// Publishes `node` at the head, one compare&swap step per attempt. A
+    /// lost race re-links the node behind the winner and retries, unless
+    /// `drop_for(winner)` says the write may be dropped instead — then the
+    /// node, never shared, is freed here and `false` returned. A caller
+    /// whose `drop_for` reads the winner must be pinned.
+    fn push(&self, node: *mut MvNode<T>, mut drop_for: impl FnMut(&MvNode<T>) -> bool) -> bool {
+        // Safety: `node` stays private to this thread until the CAS below
+        // publishes it.
+        let private = unsafe { &*node };
+        private
+            .next
+            .store(self.head.load(Ordering::Acquire), Ordering::Relaxed);
         loop {
-            // Safety: `node` is still private to this thread until the CAS
-            // below publishes it.
-            let expected = unsafe { &*node }.next.load(Ordering::Relaxed);
+            let expected = private.next.load(Ordering::Relaxed);
             steps::record(OpKind::Cas);
             match self
                 .head
@@ -421,53 +446,80 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
                 Ok(_) => {
                     crate::metrics::mv_installed().inc();
                     crate::metrics::mv_live_versions().inc();
-                    return;
+                    return true;
                 }
-                Err(winner) => unsafe { &*node }.next.store(winner, Ordering::Relaxed),
+                // Safety: the caller's pin protects `winner` (see above).
+                Err(winner) if drop_for(unsafe { &*winner }) => {
+                    // Safety: allocated by the caller and never published.
+                    drop(unsafe { Box::from_raw(node) });
+                    return false;
+                }
+                Err(winner) => private.next.store(winner, Ordering::Relaxed),
             }
         }
     }
 
-    /// The version with the largest finalized timestamp `≤ s` (ties go to
-    /// the chain-newest version — among equal timestamps only the newest is
-    /// ever returned, which is what orders same-timestamp writes by install
-    /// order). Pending versions met along the way are resolved per
-    /// [`MvStamp`]'s protocol: singles help-finalized, batch floors raised.
+    /// The **single write**: installs `value` as a new version stamped in
+    /// its own slot and publishes its timestamp. One allocation, one
+    /// compare&swap per install attempt, then a finalize of at most two
+    /// rounds (scans help-finalize pending singles). Returns `false` if the
+    /// write was dropped instead of installed.
     ///
-    /// Bounded: the walk covers exactly the chain below the head captured
-    /// by one read, and that chain is immutable (pruning only unlinks
-    /// versions no announced timestamp can select, and an unlinked
-    /// version's own `next` still leads back into the kept chain). Each
-    /// version visited costs a stamp resolution plus one hop read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no version with timestamp `≤ s` exists — the announce
-    /// protocol of the callers guarantees one (pruning never unlinks the
-    /// winner at or below a live announcement).
-    pub fn read_at(&self, s: u64, camera: &TimestampCamera) -> Arc<T> {
-        self.read_at_stamped(s, camera).1
+    /// A lost install race may only be dropped ("linearize immediately
+    /// before the winner", the Section 4.2 argument) once the winner's
+    /// timestamp is *published* within this write's interval — a
+    /// still-pending winner could otherwise commit after a later scan,
+    /// leaving this acknowledged write invisible to it with no
+    /// serialization explaining both. A pending single winner is published
+    /// on the spot ([`MvStamp::resolve_winner`]); a winner that is a batch
+    /// mid-install can be published by its own writer only, so the install
+    /// is retried instead (bounded in practice: batches serialize
+    /// family-wide, so each retry witnesses a distinct batch passing this
+    /// register).
+    pub fn write(&self, value: T, camera: &TimestampCamera) -> bool {
+        // Pinned from before the install until after the finalize: once a
+        // helper has finalized this version, another writer's prune may
+        // unlink and retire it while we still finalize through it. The pin
+        // also protects the winner a lost race reads.
+        let _guard = epoch::pin();
+        let node = MvNode::alloc(value, SINGLE_BIT, None);
+        if !self.push(node, |winner| {
+            winner.stamp().resolve_winner(camera).is_some()
+        }) {
+            return false;
+        }
+        // Safety: published above and protected by the pin.
+        unsafe { &*node }.own.finalize(camera);
+        true
     }
 
-    /// Like [`read_at`](Self::read_at), but also returns the winning
-    /// version's finalized timestamp — what a reshard migration's
-    /// merge-read needs to arbitrate between a component's old and new
-    /// register (larger timestamp wins). Same step costs, same panic
-    /// condition, same pending-version resolution.
-    pub fn read_at_stamped(&self, s: u64, camera: &TimestampCamera) -> (u64, Arc<T>) {
-        let _guard = epoch::pin();
+    /// Pushes a new version carrying `stamp`, retrying lost races until it
+    /// lands (one compare&swap step per attempt; lock-free — a failed
+    /// attempt means a concurrent install succeeded). Batch sub-writes use
+    /// this: a batch's version must enter the chain so the batch is
+    /// all-or-nothing over its components.
+    pub fn install_value(&self, value: T, stamp: MvStamp) {
+        // No pin needed: a lost race never reads the winner.
+        self.push(MvNode::alloc(value, 0, Some(stamp)), |_| false);
+    }
+
+    /// The chain-newest version with the largest finalized timestamp `≤ s`
+    /// and that timestamp, valid while `_guard` pins the caller. Pending
+    /// versions met along the way are resolved per [`MvStamp`]'s protocol:
+    /// singles help-finalized, batch floors raised.
+    fn select<'a>(&'a self, s: u64, camera: &TimestampCamera, _guard: &'a Guard) -> (u64, &'a T) {
         steps::record(OpKind::Read);
         let mut cur = self.head.load(Ordering::Acquire);
-        let mut best: Option<(u64, Arc<T>)> = None;
+        let mut best: Option<(u64, &T)> = None;
         while !cur.is_null() {
-            // Safety: protected by the epoch pin; the node was published to
-            // the chain and not yet reclaimed.
+            // Safety: protected by the caller's pin; the node was published
+            // to the chain and not yet reclaimed.
             let node = unsafe { &*cur };
-            if let Some(t) = node.stamp.read_for(s, camera) {
+            if let Some(t) = node.stamp().read_for(s, camera) {
                 // Strict `>`: on a timestamp tie the version seen first
                 // (chain-newest) wins.
-                if best.as_ref().is_none_or(|(bt, _)| t > *bt) {
-                    best = Some((t, Arc::clone(&node.value)));
+                if best.is_none_or(|(bt, _)| t > bt) {
+                    best = Some((t, &node.value));
                 }
             }
             steps::record(OpKind::Read);
@@ -481,37 +533,11 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
         })
     }
 
-    /// Every **finalized** version currently in the chain, oldest-first:
-    /// `(timestamp, value)` pairs in the order a migration must re-install
-    /// them into a fresh register so that chain-position tie-breaks are
-    /// preserved (install pushes to the head, so installing oldest-first
-    /// leaves the newest at the head, exactly as here). Pending versions are
-    /// skipped — the caller (a reshard migration) runs after the source
-    /// register is frozen, when none can exist. Diagnostics-priced: no steps
-    /// recorded.
-    pub fn finalized_versions(&self) -> Vec<(u64, Arc<T>)> {
-        let _guard = epoch::pin();
-        let mut out: Vec<(u64, Arc<T>)> = Vec::new();
-        let mut cur = self.head.load(Ordering::Acquire);
-        while !cur.is_null() {
-            // Safety: protected by the epoch pin.
-            let node = unsafe { &*cur };
-            if let Some(t) = node.stamp.peek() {
-                out.push((t, Arc::clone(&node.value)));
-            }
-            cur = node.next.load(Ordering::Acquire);
-        }
-        out.reverse();
-        out
-    }
-
-    /// The newest version's value and finalized timestamp, if finalized
-    /// (diagnostics and tests; no steps recorded).
-    pub fn peek_newest(&self) -> (Arc<T>, Option<u64>) {
-        let _guard = epoch::pin();
-        // Safety: head is never null (chains always keep ≥ 1 version).
-        let node = unsafe { &*self.head.load(Ordering::Acquire) };
-        (Arc::clone(&node.value), node.stamp.peek())
+    /// [`read_at`](Self::read_at) without the copy: the selected value,
+    /// borrowed for as long as `guard` pins the caller. Same steps, same
+    /// panic condition.
+    pub fn read_pinned<'a>(&'a self, s: u64, camera: &TimestampCamera, guard: &'a Guard) -> &'a T {
+        self.select(s, camera, guard).1
     }
 
     /// Number of versions currently in the chain (diagnostics and the
@@ -531,24 +557,26 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
     /// Unlinks every version no live or future scan can select, retiring it
     /// through the epoch module.
     ///
-    /// `bounds` must be sorted **descending**, deduplicated and non-empty,
-    /// and must contain a lower bound for every timestamp a scan may still
-    /// announce plus the camera's current value (covering future scans —
-    /// their timestamps can only be larger). Under timestamp-ordered
-    /// selection a finalized version is selectable by some scan iff its
-    /// timestamp is at least the winner's at the **oldest** bound (a scan's
-    /// timestamp is at least its announcement, which is at least the oldest
-    /// bound, and selection takes the largest timestamp `≤ s`) and it is
-    /// the chain-newest version of its timestamp (older ties always lose).
-    /// Everything else is unlinked in place; pending versions are always
-    /// kept, and the head is kept unconditionally (writers race on it).
+    /// `bounds` must be sorted **descending**, deduplicated and non-empty;
+    /// its last (oldest) element must be a lower bound on every timestamp a
+    /// live scan announced or a future scan can draw — the announcements
+    /// plus the camera's current value, read camera first. Under
+    /// timestamp-ordered selection a finalized version is selectable by some
+    /// scan iff its timestamp is at least the winner's at the **oldest**
+    /// bound (a scan's timestamp is at least its announcement, which is at
+    /// least the oldest bound, and selection takes the largest timestamp
+    /// `≤ s`) and it is the chain-newest version of its timestamp (older
+    /// ties always lose). Everything else is unlinked in place; pending
+    /// versions are always kept, and the head is kept unconditionally
+    /// (writers race on it).
     ///
     /// Opportunistic: if another prune is in flight the call returns
     /// immediately (one compare&swap step) — chains are re-prunable on the
     /// next write, so nothing is lost by skipping. Unlinked versions stay
     /// intact (their own `next` is never rewritten) until no pinned
     /// traversal can reach them, so a reader that already stepped onto one
-    /// simply walks through it back into the kept chain.
+    /// simply walks through it back into the kept chain. Allocation-free
+    /// unless more than a few dozen distinct timestamps stay selectable.
     pub fn prune(&self, bounds: &[u64]) {
         debug_assert!(!bounds.is_empty(), "prune needs at least the camera bound");
         debug_assert!(
@@ -564,64 +592,62 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
             return;
         }
         let _guard = epoch::pin();
-        // Pass 1: capture the chain (newest first) and each version's
-        // finalized timestamp, if any. Safety for all dereferences below:
-        // protected by the pin, and only this pruner (single-pruner lock)
-        // unlinks or retires chain nodes.
-        let mut chain: Vec<(*mut MvNode<T>, Option<u64>)> = Vec::new();
+        let oldest = *bounds.last().expect("bounds are non-empty");
+        // Pass 1: the chain's length and the winner's timestamp at the
+        // oldest bound — the largest finalized timestamp ≤ it. Every
+        // selectable version has a timestamp at least this (or is pending).
+        // Safety for all dereferences below: protected by the pin, and only
+        // this pruner (single-pruner lock) unlinks or retires chain nodes,
+        // so the chain below the captured head holds still.
         steps::record(OpKind::Read);
-        let mut cur = self.head.load(Ordering::Acquire);
+        let head = self.head.load(Ordering::Acquire);
+        let mut len = 0u64;
+        let mut t_win: Option<u64> = None;
+        let mut cur = head;
         while !cur.is_null() {
             steps::record(OpKind::Read);
             let node = unsafe { &*cur };
-            chain.push((cur, node.stamp.peek()));
+            if let Some(t) = node.stamp().peek() {
+                if t <= oldest && t_win.is_none_or(|w| t > w) {
+                    t_win = Some(t);
+                }
+            }
+            len += 1;
             cur = node.next.load(Ordering::Acquire);
         }
-        // The winner's timestamp at the oldest bound: the largest finalized
-        // timestamp ≤ it. Every selectable version has a timestamp at least
-        // this (or is pending).
-        let oldest = *bounds.last().expect("bounds are non-empty");
-        let t_win = chain
-            .iter()
-            .filter_map(|(_, t)| *t)
-            .filter(|t| *t <= oldest)
-            .max();
-        crate::metrics::mv_chain_len().record(chain.len() as u64);
-        // Pass 2: unlink dead versions. `kept` tracks the last kept node,
-        // whose `next` skips over everything unlinked since.
-        let mut seen_ts: Vec<u64> = Vec::with_capacity(chain.len());
+        crate::metrics::mv_chain_len().record(len);
+        // Pass 2 (uncounted, like every interior link access): unlink the
+        // dead. A stamp re-read here may have been finalized since pass 1;
+        // judging the fresher value is just as safe — a final timestamp
+        // below the winner's loses every selectable scan whenever it is
+        // read. `kept` is the last kept node, whose `next` skips over
+        // everything unlinked since.
+        let mut seen = KeptStamps::default();
         let mut unlinked = 0u64;
-        let mut kept = chain[0].0;
-        if let Some(t) = chain[0].1 {
-            seen_ts.push(t);
-        }
-        for &(ptr, stamp) in &chain[1..] {
-            let dead = match stamp {
-                None => false, // pending: timestamp undecided, always kept
-                Some(t) => {
-                    // Dead if below every selectable timestamp, or a
-                    // chain-newer version with the same timestamp wins
-                    // every tie.
-                    t_win.is_some_and(|w| t < w) || seen_ts.contains(&t)
-                }
-            };
-            if dead {
-                let next = unsafe { &*ptr }.next.load(Ordering::Acquire);
+        let mut kept = head;
+        seen.insert(unsafe { &*head }.stamp().peek());
+        cur = unsafe { &*head }.next.load(Ordering::Acquire);
+        while !cur.is_null() {
+            let node = unsafe { &*cur };
+            let next = node.next.load(Ordering::Acquire);
+            let stamp = node.stamp().peek();
+            // Dead if below every selectable timestamp, or a chain-newer
+            // kept version with the same timestamp wins every tie.
+            if stamp.is_some_and(|t| t_win.is_some_and(|w| t < w) || seen.contains(t)) {
                 // An RMW, not a store: `epoch::retire` elides its fence on
                 // x86 because the unlink is itself a full barrier. Only this
-                // pruner rewrites interior links, so the swap returns `ptr`.
+                // pruner rewrites interior links, so the swap returns `cur`.
                 // Uncounted, like the load above: the step rungs stay put.
                 let was = unsafe { &*kept }.next.swap(next, Ordering::AcqRel);
-                debug_assert_eq!(was, ptr, "interior link moved under the pruner");
+                debug_assert_eq!(was, cur, "interior link moved under the pruner");
                 unlinked += 1;
                 // Safety: unlinked above, never retired twice.
-                unsafe { epoch::retire(ptr) };
+                unsafe { epoch::retire(cur) };
             } else {
-                if let Some(t) = stamp {
-                    seen_ts.push(t);
-                }
-                kept = ptr;
+                seen.insert(stamp);
+                kept = cur;
             }
+            cur = next;
         }
         self.pruner.store(false, Ordering::Release);
         crate::metrics::mv_pruned_per_call().record(unlinked);
@@ -631,9 +657,81 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
             psnap_obs::trace::emit(
                 psnap_obs::TraceKind::Prune,
                 unlinked,
-                (chain.len() as u64).saturating_sub(unlinked),
+                len.saturating_sub(unlinked),
             );
         }
+    }
+}
+
+impl<T: Clone + Send + Sync + 'static> MvRegister<T> {
+    /// [`install_value`](Self::install_value) for a value behind an `Arc`
+    /// (the version stores it inline: unwrapped if unshared, else cloned).
+    pub fn install(&self, value: Arc<T>, stamp: MvStamp) {
+        self.install_value(Arc::unwrap_or_clone(value), stamp);
+    }
+
+    /// A copy of the version with the largest finalized timestamp `≤ s`
+    /// (ties go to the chain-newest version — among equal timestamps only
+    /// the newest is ever returned, which is what orders same-timestamp
+    /// writes by install order), cloned under the read's epoch pin. Pending
+    /// versions met along the way are resolved per [`MvStamp`]'s protocol:
+    /// singles help-finalized, batch floors raised.
+    ///
+    /// Bounded: the walk covers exactly the chain below the head captured
+    /// by one read, and that chain is immutable (pruning only unlinks
+    /// versions no announced timestamp can select, and an unlinked
+    /// version's own `next` still leads back into the kept chain). Each
+    /// version visited costs a stamp resolution plus one hop read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no version with timestamp `≤ s` exists — the announce
+    /// protocol of the callers guarantees one (pruning never unlinks the
+    /// winner at or below a live announcement).
+    pub fn read_at(&self, s: u64, camera: &TimestampCamera) -> T {
+        self.read_pinned(s, camera, &epoch::pin()).clone()
+    }
+
+    /// Like [`read_at`](Self::read_at), but also returns the winning
+    /// version's finalized timestamp. Same step costs, same panic
+    /// condition, same pending-version resolution.
+    pub fn read_at_stamped(&self, s: u64, camera: &TimestampCamera) -> (u64, T) {
+        let guard = epoch::pin();
+        let (t, value) = self.select(s, camera, &guard);
+        (t, value.clone())
+    }
+
+    /// Every **finalized** version currently in the chain, oldest-first:
+    /// `(timestamp, value)` pairs in the order a migration must re-install
+    /// them into a fresh register so that chain-position tie-breaks are
+    /// preserved (install pushes to the head, so installing oldest-first
+    /// leaves the newest at the head, exactly as here). Pending versions are
+    /// skipped — the caller (a reshard migration) runs after the source
+    /// register is frozen, when none can exist. Diagnostics-priced: no steps
+    /// recorded.
+    pub fn finalized_versions(&self) -> Vec<(u64, T)> {
+        let _guard = epoch::pin();
+        let mut out: Vec<(u64, T)> = Vec::new();
+        let mut cur = self.head.load(Ordering::Acquire);
+        while !cur.is_null() {
+            // Safety: protected by the epoch pin.
+            let node = unsafe { &*cur };
+            if let Some(t) = node.stamp().peek() {
+                out.push((t, node.value.clone()));
+            }
+            cur = node.next.load(Ordering::Acquire);
+        }
+        out.reverse();
+        out
+    }
+
+    /// The newest version's value and finalized timestamp, if finalized
+    /// (diagnostics and tests; no steps recorded).
+    pub fn peek_newest(&self) -> (T, Option<u64>) {
+        let _guard = epoch::pin();
+        // Safety: head is never null (chains always keep ≥ 1 version).
+        let node = unsafe { &*self.head.load(Ordering::Acquire) };
+        (node.value.clone(), node.stamp().peek())
     }
 }
 
@@ -654,7 +752,7 @@ impl<T> Drop for MvRegister<T> {
     }
 }
 
-impl<T: Send + Sync + 'static + std::fmt::Debug> std::fmt::Debug for MvRegister<T> {
+impl<T: Clone + Send + Sync + 'static + std::fmt::Debug> std::fmt::Debug for MvRegister<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (value, stamp) = self.peek_newest();
         f.debug_struct("MvRegister")
@@ -662,6 +760,33 @@ impl<T: Send + Sync + 'static + std::fmt::Debug> std::fmt::Debug for MvRegister<
             .field("stamp", &stamp)
             .field("chain_len", &self.chain_len())
             .finish()
+    }
+}
+
+/// The finalized timestamps of the versions a prune keeps: on the stack,
+/// spilling to the heap only past a few dozen (a scan stalled while many
+/// writes landed).
+#[derive(Default)]
+struct KeptStamps {
+    inline: [u64; 32],
+    len: usize,
+    spill: Vec<u64>,
+}
+
+impl KeptStamps {
+    fn insert(&mut self, stamp: Option<u64>) {
+        let Some(t) = stamp else { return };
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = t;
+                self.len += 1;
+            }
+            None => self.spill.push(t),
+        }
+    }
+
+    fn contains(&self, t: u64) -> bool {
+        self.inline[..self.len].contains(&t) || self.spill.contains(&t)
     }
 }
 
@@ -680,9 +805,9 @@ mod tests {
     fn initial_version_is_visible_at_every_timestamp() {
         let camera = TimestampCamera::new();
         let reg = MvRegister::new(7u64);
-        assert_eq!(*reg.read_at(0, &camera), 7);
-        assert_eq!(*reg.read_at(1, &camera), 7);
-        assert_eq!(*reg.read_at(u64::MAX >> 3, &camera), 7);
+        assert_eq!(reg.read_at(0, &camera), 7);
+        assert_eq!(reg.read_at(1, &camera), 7);
+        assert_eq!(reg.read_at(u64::MAX >> 3, &camera), 7);
     }
 
     #[test]
@@ -696,8 +821,8 @@ mod tests {
         assert!(t2 > s, "a write after the tick must land above it");
         // A scan announced at `s` still sees the first write; a fresh scan
         // sees the second.
-        assert_eq!(*reg.read_at(s, &camera), 10);
-        assert_eq!(*reg.read_at(camera.tick(), &camera), 20);
+        assert_eq!(reg.read_at(s, &camera), 10);
+        assert_eq!(reg.read_at(camera.tick(), &camera), 20);
         assert_eq!(reg.chain_len(), 3);
     }
 
@@ -711,7 +836,7 @@ mod tests {
         reg.install(Arc::new(99), parked.clone());
         let s = camera.tick();
         assert_eq!(
-            *reg.read_at(s, &camera),
+            reg.read_at(s, &camera),
             1,
             "pending batch must be stepped over, not finalized"
         );
@@ -723,7 +848,7 @@ mod tests {
             "finalize below a skipped scan's timestamp: {t} <= {s}"
         );
         // And a scan that ticks after the finalize sees the version.
-        assert_eq!(*reg.read_at(camera.tick(), &camera), 99);
+        assert_eq!(reg.read_at(camera.tick(), &camera), 99);
     }
 
     #[test]
@@ -735,13 +860,13 @@ mod tests {
         let parked = MvStamp::pending_single();
         reg.install(Arc::new(50), parked.clone());
         let s = camera.tick();
-        assert_eq!(*reg.read_at(s, &camera), 1, "helped version lands above s");
+        assert_eq!(reg.read_at(s, &camera), 1, "helped version lands above s");
         // The reader finalized it — above its own timestamp.
         let t = parked.peek().expect("reader must help-finalize singles");
         assert!(t > s);
         // The parked writer's own finalize just observes the helped value.
         assert_eq!(parked.finalize(&camera), t);
-        assert_eq!(*reg.read_at(camera.tick(), &camera), 50);
+        assert_eq!(reg.read_at(camera.tick(), &camera), 50);
     }
 
     #[test]
@@ -756,15 +881,15 @@ mod tests {
         reg.install(Arc::new(10), batch.clone()); // pending, will finalize late
         finalized_install(&reg, &camera, 5); // chain-newer, t = 1
         let s1 = camera.tick();
-        assert_eq!(*reg.read_at(s1, &camera), 5, "pending batch excluded");
+        assert_eq!(reg.read_at(s1, &camera), 5, "pending batch excluded");
         let t_batch = batch.finalize(&camera);
         assert!(t_batch > s1, "floor forced the batch above the first scan");
         // A scan at or above the batch's timestamp selects the batch even
         // though the single's version is newer in the chain.
         let s2 = camera.tick();
-        assert_eq!(*reg.read_at(s2, &camera), 10);
+        assert_eq!(reg.read_at(s2, &camera), 10);
         // And the old scan's answer is unchanged.
-        assert_eq!(*reg.read_at(s1, &camera), 5);
+        assert_eq!(reg.read_at(s1, &camera), 5);
     }
 
     #[test]
@@ -773,7 +898,7 @@ mod tests {
         let reg = MvRegister::new(0u64);
         finalized_install(&reg, &camera, 1);
         finalized_install(&reg, &camera, 2); // same camera value: same t
-        assert_eq!(*reg.read_at(camera.timestamp(), &camera), 2);
+        assert_eq!(reg.read_at(camera.timestamp(), &camera), 2);
     }
 
     #[test]
@@ -787,11 +912,23 @@ mod tests {
     }
 
     #[test]
-    fn try_install_fails_only_against_a_concurrent_winner() {
+    fn write_lands_and_publishes_its_own_stamp() {
+        let camera = TimestampCamera::new();
         let reg = MvRegister::new(0u64);
-        assert!(reg.try_install(Arc::new(1), MvStamp::finalized(1)).is_ok());
-        assert!(reg.try_install(Arc::new(2), MvStamp::finalized(1)).is_ok());
+        // Uncontended, a single write is one install CAS plus one finalize
+        // round: slot read, camera read, CAS.
+        let scope = StepScope::start();
+        assert!(reg.write(1, &camera), "an uncontended write lands");
+        assert_eq!(scope.finish().total(), 4);
+        assert!(reg.write(2, &camera));
         assert_eq!(reg.chain_len(), 3);
+        let (newest, stamp) = reg.peek_newest();
+        assert_eq!(newest, 2);
+        assert!(
+            stamp.is_some(),
+            "a write returns with its timestamp published"
+        );
+        assert_eq!(reg.read_at(camera.tick(), &camera), 2);
     }
 
     #[test]
@@ -840,12 +977,12 @@ mod tests {
         // Every held bound still reads the value it could see before.
         for &(s, expected) in &held {
             assert_eq!(
-                *reg.read_at(s, &camera),
+                reg.read_at(s, &camera),
                 expected,
                 "bound {s} lost its version"
             );
         }
-        assert_eq!(*reg.read_at(camera.timestamp(), &camera), 20);
+        assert_eq!(reg.read_at(camera.timestamp(), &camera), 20);
     }
 
     #[test]
@@ -857,7 +994,7 @@ mod tests {
             reg.prune(&[camera.timestamp()]);
         }
         assert_eq!(reg.chain_len(), 1);
-        assert_eq!(*reg.read_at(camera.timestamp(), &camera), 50);
+        assert_eq!(reg.read_at(camera.timestamp(), &camera), 50);
     }
 
     #[test]
@@ -874,7 +1011,7 @@ mod tests {
         // same-timestamp tie-loser to 3 and is gone).
         assert_eq!(reg.chain_len(), 2);
         let t = parked.finalize(&camera);
-        assert_eq!(*reg.read_at(camera.tick(), &camera), 2);
+        assert_eq!(reg.read_at(camera.tick(), &camera), 2);
         assert!(t >= 1);
     }
 
@@ -891,10 +1028,10 @@ mod tests {
         reg.prune(&[camera.timestamp()]);
         assert_eq!(reg.chain_len(), 2, "the pending version must survive");
         let s1 = camera.tick();
-        assert_eq!(*reg.read_at(s1, &camera), 3);
+        assert_eq!(reg.read_at(s1, &camera), 3);
         let t = parked.finalize(&camera);
         assert!(t > s1);
-        assert_eq!(*reg.read_at(camera.tick(), &camera), 99);
+        assert_eq!(reg.read_at(camera.tick(), &camera), 99);
     }
 
     #[test]
@@ -920,10 +1057,12 @@ mod tests {
         let reg = MvRegister::new(0u64);
         let t1 = finalized_install(&reg, &camera, 10);
         let s = camera.tick();
-        let (t, v) = reg.read_at_stamped(s, &camera);
-        assert_eq!((t, *v), (t1, 10));
-        let (t0, v0) = reg.read_at_stamped(0, &camera);
-        assert_eq!((t0, *v0), (0, 0), "initial version carries timestamp 0");
+        assert_eq!(reg.read_at_stamped(s, &camera), (t1, 10));
+        assert_eq!(
+            reg.read_at_stamped(0, &camera),
+            (0, 0),
+            "initial version carries timestamp 0"
+        );
     }
 
     #[test]
@@ -938,18 +1077,17 @@ mod tests {
         // A parked batch must be skipped: its timestamp is undecided.
         reg.install(Arc::new(99), MvStamp::pending_batch());
         let versions = reg.finalized_versions();
-        let got: Vec<(u64, u64)> = versions.iter().map(|(t, v)| (*t, **v)).collect();
-        assert_eq!(got, expected);
+        assert_eq!(versions, expected);
         // Re-installing oldest-first into a fresh register reproduces every
         // read the source could answer (the migration copy's contract).
         let copy = MvRegister::new(0u64);
-        for (t, v) in &versions {
-            copy.install(Arc::clone(v), MvStamp::finalized(*t));
+        for &(t, v) in &versions {
+            copy.install_value(v, MvStamp::finalized(t));
         }
         for s in 0..=camera.timestamp() {
             assert_eq!(
-                *copy.read_at(s, &camera),
-                *reg.read_at(s, &camera),
+                copy.read_at(s, &camera),
+                reg.read_at(s, &camera),
                 "copy diverges at timestamp {s}"
             );
         }
@@ -964,7 +1102,7 @@ mod tests {
         let scope = StepScope::start();
         let v = reg.read_at(camera.timestamp(), &camera);
         let steps = scope.finish();
-        assert_eq!(*v, 5);
+        assert_eq!(v, 5);
         // Camera read + head read + one stamp read + the hop to the end of
         // the single-version chain.
         assert!(steps.total() <= 4, "quiescent read took {steps}");
@@ -991,9 +1129,7 @@ mod tests {
                 scope.spawn(move || {
                     let mut i = w;
                     while !stop.load(Ordering::Relaxed) {
-                        let stamp = MvStamp::pending_single();
-                        reg.install(Arc::new((i, i.wrapping_mul(31))), stamp.clone());
-                        stamp.finalize(&camera);
+                        reg.write((i, i.wrapping_mul(31)), &camera);
                         // Camera first, then the announcement sweep — the
                         // pruner-side ordering the safety argument needs.
                         let mut bounds = vec![camera.timestamp()];
@@ -1026,8 +1162,7 @@ mod tests {
                     for _ in 0..5_000 {
                         announce[r].store(camera.timestamp(), Ordering::SeqCst);
                         let s = camera.tick();
-                        let v = reg.read_at(s, &camera);
-                        let (a, b) = *v;
+                        let (a, b) = reg.read_at(s, &camera);
                         assert_eq!(b, a.wrapping_mul(31), "torn multiversion read");
                         announce[r].store(0, Ordering::SeqCst);
                     }

@@ -112,7 +112,7 @@ proptest! {
             match step {
                 Step::Write => {
                     let stamp = MvStamp::pending_single();
-                    reg.install(Arc::new(Payload::new(next_tag, &drops)), stamp.clone());
+                    reg.install_value(Payload::new(next_tag, &drops), stamp.clone());
                     let t = stamp.finalize(&camera);
                     history.push((t, next_tag));
                     last_value = next_tag;
@@ -153,7 +153,8 @@ proptest! {
                     .map(|(_, tag)| *tag)
                     .next_back()
                     .expect("timestamp 0 is always available");
-                let got = reg.read_at(pin, &camera);
+                let guard = epoch::pin();
+                let got = reg.read_pinned(pin, &camera, &guard);
                 got.verify();
                 prop_assert_eq!(got.tag, expected, "pin {} read the wrong version", pin);
             }
@@ -164,7 +165,7 @@ proptest! {
         let parked: Vec<MvStamp> = (0..pending_writers)
             .map(|k| {
                 let stamp = MvStamp::pending_batch();
-                reg.install(Arc::new(Payload::new(1_000 + k as u64, &drops)), stamp.clone());
+                reg.install_value(Payload::new(1_000 + k as u64, &drops), stamp.clone());
                 installs += 1;
                 stamp
             })
@@ -189,7 +190,7 @@ proptest! {
                 .map(|(_, tag)| *tag)
                 .next_back()
                 .expect("timestamp 0 is always available");
-            prop_assert_eq!(reg.read_at(pin, &camera).tag, expected);
+            prop_assert_eq!(reg.read_pinned(pin, &camera, &epoch::pin()).tag, expected);
         }
         // Commit the parked writers so the final accounting is closed.
         for stamp in &parked {
@@ -312,9 +313,7 @@ fn concurrent_pinned_readers_never_lose_their_versions() {
             scope.spawn(move || {
                 let mut tag = 1 + w;
                 while !stop.load(Ordering::Relaxed) {
-                    let stamp = MvStamp::pending_single();
-                    reg.install(Arc::new(Payload::new(tag, &drops)), stamp.clone());
-                    stamp.finalize(&camera);
+                    reg.write(Payload::new(tag, &drops), &camera);
                     // Camera first, then the announcement sweep — the
                     // pruner-side ordering the safety argument needs.
                     let mut bounds = vec![camera.timestamp()];
@@ -343,10 +342,11 @@ fn concurrent_pinned_readers_never_lose_their_versions() {
                     // Re-read the same timestamp several times while the
                     // announcement is live: the answer must be stable and
                     // intact despite concurrent pruning.
-                    let first = reg.read_at(s, &camera);
+                    let guard = epoch::pin();
+                    let first = reg.read_pinned(s, &camera, &guard);
                     first.verify();
                     for _ in 0..3 {
-                        let again = reg.read_at(s, &camera);
+                        let again = reg.read_pinned(s, &camera, &guard);
                         again.verify();
                         assert_eq!(
                             again.tag, first.tag,

@@ -123,7 +123,7 @@ fn announced_timestamp_racing_a_batch_commit_never_sees_a_torn_batch() {
     let snap = MvSnapshot::new(8, 3, 0u64);
     snap.update_many(ProcessId(0), &[(0, 1), (7, 1)]);
     // Scan announces and draws its timestamp first…
-    snap.announce_scan(ProcessId(1));
+    snap.family().announce_scan(ProcessId(1));
     let s = snap.camera().tick();
     // …then the batch installs on both registers and parks mid-commit.
     let parked = snap.begin_parked_update_many(ProcessId(0), &[(0, 2), (7, 2)]);
@@ -138,7 +138,7 @@ fn announced_timestamp_racing_a_batch_commit_never_sees_a_torn_batch() {
         after_commit, before_commit,
         "the announced timestamp changed its answer across the batch commit"
     );
-    snap.clear_announcement(ProcessId(1));
+    snap.family().clear_announcement(ProcessId(1));
     // A scan that starts after the commit sees the whole batch.
     assert_eq!(snap.scan(ProcessId(2), &[0, 7]), vec![2, 2]);
 }

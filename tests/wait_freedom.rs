@@ -231,15 +231,21 @@ fn sharded_step_bounds_hold_where_they_are_deterministic() {
         "a single-shard scan paid for sharding"
     );
 
-    // (b) Cross-shard scan of one component per shard.
-    let comps: Vec<usize> = (0..shards).map(|s| s * (m / shards)).collect();
-    for _ in 0..200 {
-        let cross = steps(&|| assert_eq!(snapshot.scan(ProcessId(7), &comps).len(), shards));
-        assert_eq!(
-            cross,
-            local_scan + 3 * (shards as u64 - 1),
-            "quiescent cross-shard scan of {shards} shards"
-        );
+    // (b) Cross-shard scans — one component per shard, and one that also
+    // repeats a component — cost exactly the unsharded scan of the same
+    // components: one announcement, one tick, one clear for the family.
+    let spread: Vec<usize> = (0..shards).map(|s| s * (m / shards)).collect();
+    let repeated = vec![spread[3], 1, spread[2], spread[3], 0];
+    for comps in [&spread, &repeated] {
+        let inner_cross = steps(&|| drop(unsharded.scan(ProcessId(7), comps)));
+        for _ in 0..200 {
+            let cross =
+                steps(&|| assert_eq!(snapshot.scan(ProcessId(7), comps).len(), comps.len()));
+            assert_eq!(
+                cross, inner_cross,
+                "a quiescent cross-shard scan of {comps:?} paid for sharding"
+            );
+        }
     }
 
     // (c) Update.
@@ -411,9 +417,9 @@ fn mv_sharded_scans_meet_their_budget_with_a_writer_parked_on_every_shard() {
     snap.update_many(ProcessId(0), &writes);
     let parked_writes: Vec<(usize, u64)> = comps.iter().map(|&c| (c, 8)).collect();
     let parked = snap.begin_parked_update_many(ProcessId(0), &parked_writes);
-    // Per-shard announce + clear (2 writes each, the announce also reads the
-    // camera) on top of the flat per-component budget.
-    let budget = MvSnapshot::<u64>::scan_step_budget(comps.len(), 3, 1) + 3 * shards as u64;
+    // The flat per-component budget: a sharded scan announces and clears
+    // once for the whole family.
+    let budget = MvSnapshot::<u64>::scan_step_budget(comps.len(), 3, 1);
     for _ in 0..200 {
         let scope = StepScope::start();
         let values = snap.scan(ProcessId(1), &comps);
@@ -509,9 +515,9 @@ fn parked_writer_chaos_scenario_runs_on_every_impl_kind() {
         let comps = [0usize, 4, 8, 12];
         let step_certifiable = matches!(kind, ImplKind::Mv | ImplKind::MvSharded { .. });
         // Generous but *constant* budget: chains transiently hold a few
-        // unpruned versions per in-flight writer on top of the kept ones,
-        // and the sharded variant adds its per-shard announce/clear writes.
-        let budget = MvSnapshot::<u64>::scan_step_budget(comps.len(), 16, 2) + 3 * 4;
+        // unpruned versions per in-flight writer on top of the kept ones.
+        // The sharded variant pays exactly the same fixed cost.
+        let budget = MvSnapshot::<u64>::scan_step_budget(comps.len(), 16, 2);
         let mut last = vec![0u64; comps.len()];
         let mut worst = 0u64;
         for _ in 0..300 {
