@@ -930,7 +930,8 @@ fn e17_chaos(m: usize, connections: usize, ops: usize) -> Row {
         }
     });
     // Accepted submissions of killed connections still apply and resolve
-    // server-side; give the drainer a bounded window to finish.
+    // server-side (each dead connection's reply pump waits on them); give
+    // them a bounded window to finish.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let accounting_holds = loop {
         let stats = service.obs().stats;

@@ -59,7 +59,7 @@ pub enum SpanKind {
     StaleRead,
     /// Per-request fan-out of a union's results (assemble + complete).
     Merge,
-    /// One `update_many` chunk applied by the ingestion drainer
+    /// One `update_many` chunk applied by an ingest round
     /// (`a` = writes applied, `b` = writes coalesced away).
     Apply,
     /// One accepted reshard operation (`a` = new generation).

@@ -41,7 +41,7 @@ pub enum TraceKind {
     /// A drain collected queued work (`a` = 0 ingest / 1 scan, `b` = items
     /// drained).
     QueueDrain,
-    /// The scan server coalesced pending requests into one backing scan
+    /// A scan round coalesced pending requests into one backing scan
     /// (`a` = requests merged, `b` = deduplicated components read).
     Coalesce,
     /// A scan request was answered (`a` = 0 backing / 1 cache / 2 empty).

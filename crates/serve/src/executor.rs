@@ -1,14 +1,14 @@
 //! A small, dependency-free async runtime.
 //!
-//! The no-new-deps constraint rules out tokio, so the service layer runs on
-//! this hand-rolled executor: a fixed pool of worker threads polling tasks
-//! from **sharded run queues** (one queue per worker, with work stealing, so
-//! unrelated tasks do not contend on one global lock), wakers built on
+//! The no-new-deps constraint rules out tokio, so the service's background
+//! work runs on this hand-rolled executor: a fixed pool of worker threads
+//! polling tasks from **one run queue**, wakers built on
 //! [`std::task::Wake`], and a **timer wheel** driven by a dedicated tick
-//! thread for `sleep`-style futures (the scan coalescing window). A
-//! [`block_on`] bridge lets synchronous client threads await service tickets,
-//! and [`Handle::help`] lets a thread that is about to block poll queued
-//! tasks itself instead of waiting for a worker to be woken for them.
+//! thread for `sleep`-style futures. What is left on it is periodic or
+//! socket-bound — stats reporters, the reshard driver, the flight auditor,
+//! a wire server's acceptor and idle watchdogs; the service pipelines run on
+//! the threads that wait for them (see [`Ticket`](crate::Ticket)). A
+//! [`block_on`] bridge lets synchronous client threads await tickets.
 //! Every thread that waits here — a worker out of tasks, a `block_on`
 //! caller — waits through one primitive, [`WaitSite`]: poll briefly, then
 //! park.
@@ -17,14 +17,13 @@
 //! scheduling transition is a small state machine on one atomic
 //! (`IDLE → QUEUED → RUNNING → {IDLE, QUEUED}` with a `NOTIFIED` flag for
 //! wake-during-poll), the classic lost-wakeup race is closed by re-checking
-//! the queues under the sleep lock before parking, and dropped executors
-//! simply stop polling — pipeline owners are expected to shut their tasks
-//! down first (see `SnapshotService::shutdown`).
+//! the queue under the sleep lock before parking, and dropped executors
+//! simply stop polling — task owners are expected to stop their tasks
+//! first.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::Future;
-use std::marker::PhantomData;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
@@ -39,17 +38,19 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 /// Configuration of an [`Executor`].
 #[derive(Clone, Debug)]
 pub struct ExecutorConfig {
-    /// Number of worker threads (and run-queue shards). Clamped to ≥ 1.
+    /// Number of worker threads. Clamped to ≥ 1.
     pub workers: usize,
     /// Granularity of the timer wheel: deadlines are rounded up to the next
     /// tick, so this bounds the wheel's precision. The tick thread wakes
     /// only at ticks that hold an entry, never more often than this.
     pub timer_granularity: Duration,
     /// If set, every worker thread enables the chaos layer with
-    /// `(seed + worker index, config)` for its whole life, so service
-    /// pipeline tasks (the ingestion drainer, the scan server) are perturbed
-    /// at base-object boundaries exactly like scenario threads — this is how
-    /// the seam tests park the drainer mid-coalesce.
+    /// `(seed + worker index, config)` for its whole life, and so does every
+    /// thread that calls [`Handle::enter_chaos`] (seeds continue past the
+    /// workers'). The service pipelines run on the threads that wait on
+    /// their tickets, so this perturbs them only where such a thread has
+    /// entered the chaos: a wire server's connection and reply-pump threads
+    /// do, in-process clients enable chaos on their own threads.
     pub chaos: Option<(u64, ChaosConfig)>,
 }
 
@@ -65,7 +66,7 @@ impl Default for ExecutorConfig {
 
 /// Scheduling states of a task (one `AtomicU8` per task).
 const IDLE: u8 = 0; // not queued, not running; a wake must enqueue it
-const QUEUED: u8 = 1; // sitting in a run queue
+const QUEUED: u8 = 1; // sitting in the run queue
 const RUNNING: u8 = 2; // being polled by a worker
 const NOTIFIED: u8 = 3; // woken while running; requeue after the poll
 const DONE: u8 = 4; // future completed; wakes are no-ops
@@ -73,8 +74,6 @@ const DONE: u8 = 4; // future completed; wakes are no-ops
 struct Task {
     future: Mutex<Option<BoxFuture>>,
     state: AtomicU8,
-    /// Home run-queue shard (round-robin at spawn time).
-    home: usize,
     exec: Weak<Shared>,
 }
 
@@ -91,7 +90,7 @@ impl Task {
                         .is_ok()
                     {
                         if let Some(exec) = self.exec.upgrade() {
-                            exec.push(self.home, self);
+                            exec.push(self);
                         }
                         return;
                     }
@@ -121,102 +120,50 @@ impl Wake for Task {
     }
 }
 
-/// One run-queue shard. Padded so two workers' queues never share a line.
-#[repr(align(64))]
-struct Shard {
-    queue: Mutex<VecDeque<Arc<Task>>>,
-}
-
 struct Shared {
-    shards: Vec<Shard>,
-    /// Guards the sleep/wake protocol: workers re-check the queues while
+    queue: Mutex<VecDeque<Arc<Task>>>,
+    /// Guards the sleep/wake protocol: workers re-check the queue while
     /// holding this lock before parking, and producers notify while holding
     /// it, so a push can never slip between a worker's last check and its
     /// park (the classic lost-wakeup race).
     sleep: Mutex<()>,
     wakeup: Condvar,
     /// Workers inside the sleep protocol (incremented under the sleep lock
-    /// before the final queue re-check). Producers consult it so the hot
-    /// path — every spawn and every waker fire while the workers are busy —
-    /// never touches the global sleep lock; it is taken only when someone
-    /// may actually be parked.
+    /// before the final queue re-check). Producers consult it so a push
+    /// while the workers are busy never touches the sleep lock; it is taken
+    /// only when someone may actually be parked.
     sleepers: AtomicUsize,
     shutdown: AtomicBool,
-    next_home: AtomicUsize,
     timer: TimerWheel,
+    workers: usize,
     chaos: Option<(u64, ChaosConfig)>,
-    /// Helper registrations so far; offsets each helper's chaos seed past
-    /// the workers' (see [`Handle::helper`]).
-    helpers: AtomicUsize,
-}
-
-thread_local! {
-    /// Identity ([`Shared::id`]) of the executor the calling thread is a
-    /// registered [`Helper`] of and currently *outside* a task poll; 0
-    /// otherwise. Compared, never dereferenced.
-    static HELPER_OF: Cell<usize> = const { Cell::new(0) };
+    /// Threads that entered the chaos through [`Handle::enter_chaos`] so
+    /// far; offsets each one's seed past the workers'.
+    chaos_entries: AtomicUsize,
 }
 
 impl Shared {
-    /// Address of this executor's shared state: stable for as long as any
-    /// `Arc` or `Weak` to it exists, which every [`Helper`] guarantees.
-    fn id(&self) -> usize {
-        self as *const Shared as usize
-    }
-
-    fn push(&self, home: usize, task: Arc<Task>) {
-        self.shards[home % self.shards.len()]
-            .queue
+    fn push(&self, task: Arc<Task>) {
+        self.queue
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push_back(task);
-        // A registered helper pops this task itself before it blocks (or
-        // hands it over, see `Helper`), so waking a worker for it would buy
-        // only a context switch and a race for the queue lock.
-        if HELPER_OF.get() == self.id() {
-            return;
-        }
-        self.notify_sleeper();
-    }
-
-    /// Wakes one parked worker, if any might be parked.
-    fn notify_sleeper(&self) {
         // If a worker might be parked (or about to park), synchronize with
         // it through the sleep lock; a parking worker increments `sleepers`
         // under that lock *before* its final has-work re-check, so either it
-        // sees the caller's push in the re-check, or this load sees its
-        // increment and the locked notify below reaches its wait.
+        // sees this push in the re-check, or this load sees its increment
+        // and the locked notify below reaches its wait.
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _g = self.sleep.lock().unwrap_or_else(|e| e.into_inner());
             self.wakeup.notify_one();
         }
     }
 
-    /// Wakes one parked worker if tasks are queued: the caller leaves them
-    /// behind (it is about to sit in a poll, or is done helping).
-    fn hand_over(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 && self.has_work() {
-            self.notify_sleeper();
-        }
-    }
-
-    /// Pops a task, preferring the worker's own shard, then stealing.
-    fn pop(&self, own: usize) -> Option<Arc<Task>> {
-        let k = self.shards.len();
-        for i in 0..k {
-            let shard = &self.shards[(own + i) % k];
-            let mut q = shard.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(task) = q.pop_front() {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    fn has_work(&self) -> bool {
-        self.shards
-            .iter()
-            .any(|s| !s.queue.lock().unwrap_or_else(|e| e.into_inner()).is_empty())
+    fn pop(&self) -> Option<Arc<Task>> {
+        self.queue
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .pop_front()
     }
 }
 
@@ -236,19 +183,19 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         .map(|(seed, cfg)| chaos::enable(seed.wrapping_add(index as u64), cfg));
     let mut site = WaitSite::new(serve_waits());
     loop {
-        if let Some(task) = shared.pop(index) {
+        if let Some(task) = shared.pop() {
             poll_task(task);
             continue;
         }
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // Polls its queues first: a producer that finds no sleeper skips
+        // Polls the queue first: a producer that finds no sleeper skips
         // the locked notify, so a push caught here costs neither side a
-        // futex call. The probe is unlocked and racy; the park protocol
-        // behind it is the one correctness rests on.
+        // futex call. The probe is racy; the park protocol behind it is the
+        // one correctness rests on.
         let task = site.wait(
-            || shared.pop(index).map(Some),
+            || shared.pop().map(Some),
             || {
                 let guard = shared.sleep.lock().unwrap_or_else(|e| e.into_inner());
                 // Announce intent to sleep *before* the final re-check: a
@@ -259,7 +206,12 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                 // lock, which we hold until `wait` releases it, so its
                 // notify cannot fire in the gap before we park.
                 shared.sleepers.fetch_add(1, Ordering::SeqCst);
-                if !shared.has_work() && !shared.shutdown.load(Ordering::Acquire) {
+                let idle = shared
+                    .queue
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .is_empty();
+                if idle && !shared.shutdown.load(Ordering::Acquire) {
                     // The timeout is pure belt-and-braces; correctness rests
                     // on the re-check above.
                     let _ = shared.wakeup.wait_timeout(guard, PARK_TIMEOUT);
@@ -300,7 +252,7 @@ fn poll_task(task: Arc<Task>) {
             {
                 task.state.store(QUEUED, Ordering::Release);
                 if let Some(exec) = task.exec.upgrade() {
-                    exec.push(task.home, task);
+                    exec.push(task);
                 }
             }
         }
@@ -487,8 +439,8 @@ pub struct Handle {
 }
 
 impl Handle {
-    /// Spawns a future onto one of the executor's run-queue shards
-    /// (round-robin). The future runs to completion in the background.
+    /// Spawns a future onto the executor's run queue. The future runs to
+    /// completion in the background.
     pub fn spawn<F>(&self, future: F)
     where
         F: Future<Output = ()> + Send + 'static,
@@ -496,14 +448,12 @@ impl Handle {
         let Some(shared) = self.shared.upgrade() else {
             return;
         };
-        let home = shared.next_home.fetch_add(1, Ordering::Relaxed);
         let task = Arc::new(Task {
             future: Mutex::new(Some(Box::pin(future))),
             state: AtomicU8::new(QUEUED),
-            home,
             exec: Arc::downgrade(&shared),
         });
-        shared.push(home, task);
+        shared.push(task);
     }
 
     /// A future that resolves once `duration` has elapsed, with the
@@ -515,96 +465,19 @@ impl Handle {
         }
     }
 
-    /// Polls queued tasks on the calling thread until the run queues are
-    /// empty or `done()` holds (checked before each task is taken), and
-    /// returns how many it polled. For a thread that is about to block on
-    /// results those tasks produce: it does the work it would otherwise
-    /// wait for, instead of paying a hand-off to a worker and one back.
-    ///
-    /// Any thread is a legal poller — the task state machine does not care
-    /// who runs a poll — but a helped task occupies the caller for as long
-    /// as its poll takes, exactly as it would occupy a worker: help only
-    /// when the tasks' polls are bounded. Tasks are never stranded behind
-    /// the caller: whenever it takes a task and more remain queued, or
-    /// stops with tasks still queued, it wakes a parked worker for them.
-    pub fn help(&self, mut done: impl FnMut() -> bool) -> usize {
-        let Some(shared) = self.shared.upgrade() else {
-            return 0;
-        };
-        let mut polled = 0;
-        while !done() {
-            let Some(task) = shared.pop(0) else {
-                return polled;
-            };
-            shared.hand_over();
-            // Inside the poll this thread is an ordinary poller: what the
-            // task spawns or wakes may need a worker *now*, so those pushes
-            // notify.
-            let registered = HELPER_OF.replace(0);
-            poll_task(task);
-            HELPER_OF.set(registered);
-            polled += 1;
-        }
-        shared.hand_over();
-        polled
-    }
-
-    /// Registers the calling thread as a helper until the guard drops.
-    ///
-    /// A helper promises to call [`help`](Handle::help) before it next
-    /// blocks. In exchange, tasks it wakes or spawns *outside* a task poll
-    /// do not wake a parked worker: the helper pops them itself. Dropping
-    /// the guard hands whatever is still queued to a worker, so the promise
-    /// cannot be broken by an early return. Like a worker thread, a helper
-    /// runs under [`ExecutorConfig::chaos`] when that is set.
-    pub fn helper(&self) -> Helper {
-        let shared = self.shared.upgrade();
-        // Seeds continue past the workers' (`seed + worker index`); a thread
-        // that already runs under its own chaos keeps it.
-        let chaos = shared.as_ref().and_then(|shared| {
-            let (seed, cfg) = shared.chaos.clone().filter(|_| !chaos::is_enabled())?;
-            let n = shared.shards.len() + shared.helpers.fetch_add(1, Ordering::Relaxed);
-            Some(chaos::enable(seed.wrapping_add(n as u64), cfg))
-        });
-        let id = shared.as_ref().map_or(0, |shared| shared.id());
-        Helper {
-            handle: self.clone(),
-            outer: HELPER_OF.replace(id),
-            _chaos: chaos,
-            _not_send: PhantomData,
-        }
+    /// Runs the calling thread under [`ExecutorConfig::chaos`], if that is
+    /// set, until the guard drops: for a thread outside the pool that runs
+    /// the service's pipelines. Seeds continue past the workers'; a thread
+    /// that already runs under its own chaos keeps it.
+    pub fn enter_chaos(&self) -> Option<chaos::ChaosGuard> {
+        let shared = self.shared.upgrade()?;
+        let (seed, cfg) = shared.chaos.clone().filter(|_| !chaos::is_enabled())?;
+        let n = shared.workers + shared.chaos_entries.fetch_add(1, Ordering::Relaxed);
+        Some(chaos::enable(seed.wrapping_add(n as u64), cfg))
     }
 }
 
-/// Registration of the current thread as a helper of one executor; see
-/// [`Handle::helper`].
-pub struct Helper {
-    /// Keeps the executor's allocation (hence its identity) alive.
-    handle: Handle,
-    /// The registration this one shadows, restored on drop.
-    outer: usize,
-    _chaos: Option<chaos::ChaosGuard>,
-    /// The registration lives in a thread-local.
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Helper {
-    /// [`Handle::help`] on the executor this thread is registered with.
-    pub fn help(&self, done: impl FnMut() -> bool) -> usize {
-        self.handle.help(done)
-    }
-}
-
-impl Drop for Helper {
-    fn drop(&mut self) {
-        HELPER_OF.set(self.outer);
-        if let Some(shared) = self.handle.shared.upgrade() {
-            shared.hand_over();
-        }
-    }
-}
-
-/// The hand-rolled executor: worker threads over sharded run queues plus a
+/// The hand-rolled executor: worker threads over one run queue plus a
 /// timer-wheel thread. Dropping it shuts the workers down; tasks that have
 /// not completed are dropped.
 pub struct Executor {
@@ -627,19 +500,15 @@ impl Executor {
     pub fn with_config(config: ExecutorConfig) -> Executor {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
-            shards: (0..workers)
-                .map(|_| Shard {
-                    queue: Mutex::new(VecDeque::new()),
-                })
-                .collect(),
+            queue: Mutex::new(VecDeque::new()),
             sleep: Mutex::new(()),
             wakeup: Condvar::new(),
             sleepers: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            next_home: AtomicUsize::new(0),
             timer: TimerWheel::new(config.timer_granularity),
+            workers,
             chaos: config.chaos,
-            helpers: AtomicUsize::new(0),
+            chaos_entries: AtomicUsize::new(0),
         });
         let worker_handles = (0..workers)
             .map(|i| {
@@ -1195,147 +1064,44 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-    /// Spins until every worker of `exec` is parked (or about to park with
-    /// the queues re-checked empty).
-    fn wait_until_workers_park(exec: &Executor) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while exec.shared.sleepers.load(Ordering::SeqCst) < exec.workers.len() {
-            assert!(Instant::now() < deadline, "workers never parked");
-            std::thread::yield_now();
-        }
-    }
-
-    /// Holds the only worker of `exec` inside a poll until the returned
-    /// sender is dropped: whatever runs meanwhile runs on another thread.
-    fn pin_the_worker(exec: &Executor) -> std::sync::mpsc::Sender<()> {
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let (pinned_tx, pinned_rx) = std::sync::mpsc::channel::<()>();
-        exec.spawn(async move {
-            pinned_tx.send(()).unwrap();
-            let _ = release_rx.recv();
-        });
-        pinned_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("worker never started the pinning task");
-        release_tx
-    }
-
     #[test]
-    fn a_task_queued_by_a_helper_runs_on_the_helpers_thread() {
-        let exec = Executor::new(1);
-        let release = pin_the_worker(&exec);
-
-        let handle = exec.handle();
-        let helper = handle.helper();
-        let ran_on = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&ran_on);
-        handle.spawn(async move {
-            *slot.lock().unwrap() = Some(std::thread::current().id());
-        });
-        assert_eq!(helper.help(|| false), 1);
-        assert_eq!(
-            *ran_on.lock().unwrap(),
-            Some(std::thread::current().id()),
-            "the helper did not poll the task it queued"
-        );
-        // `done` is checked before a task is taken.
-        handle.spawn(async {});
-        assert_eq!(helper.help(|| true), 0);
-        drop(helper);
-        drop(release);
-    }
-
-    #[test]
-    fn a_helper_stuck_in_its_first_task_does_not_strand_the_second() {
-        let exec = Executor::new(1);
-        wait_until_workers_park(&exec);
-        let handle = exec.handle();
-        let helper = handle.helper();
-        // Both pushes are quiet: the parked worker hears of neither.
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let (second_tx, second_rx) = std::sync::mpsc::channel();
-        handle.spawn(async move {
-            // Blocks the helper's thread until the second task has run —
-            // which only another thread can do.
-            second_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("second task stranded behind the stuck helper");
-            release_tx.send(()).unwrap();
-        });
-        handle.spawn(async move {
-            second_tx.send(std::thread::current().id()).unwrap();
-        });
-        // Taking the first task with the second still queued wakes the
-        // worker (PARK_TIMEOUT is an hour here: nothing else would).
-        assert_eq!(helper.help(|| false), 1);
-        release_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("first task never finished");
-    }
-
-    #[test]
-    fn tasks_spawned_inside_a_helped_poll_start_on_a_worker_meanwhile() {
-        let exec = Executor::new(1);
-        wait_until_workers_park(&exec);
-        let handle = exec.handle();
-        let helper = handle.helper();
-        let helper_thread = std::thread::current().id();
-        let inner = handle.clone();
+    fn a_task_spawned_inside_a_poll_starts_on_another_worker_meanwhile() {
+        let exec = Executor::new(2);
+        let inner = exec.handle();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
-        handle.spawn(async move {
+        exec.spawn(async move {
+            let parent_thread = std::thread::current().id();
             let (child_tx, child_rx) = std::sync::mpsc::channel();
-            // A union job fanned out from the scan server: it must not wait
-            // for this poll to end.
             inner.spawn(async move {
                 child_tx.send(std::thread::current().id()).unwrap();
             });
             let child_thread = child_rx
                 .recv_timeout(Duration::from_secs(10))
                 .expect("child task did not start while its parent was still being polled");
-            done_tx.send(child_thread).unwrap();
+            done_tx.send((parent_thread, child_thread)).unwrap();
         });
-        assert_eq!(helper.help(|| false), 1);
-        let child_thread = done_rx.try_recv().expect("parent task did not complete");
-        assert_ne!(child_thread, helper_thread);
+        let (parent, child) = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("parent task did not complete");
+        assert_ne!(parent, child);
     }
 
     #[test]
-    fn dropping_a_helper_hands_its_queued_tasks_to_a_worker() {
-        let exec = Executor::new(1);
-        wait_until_workers_park(&exec);
-        let handle = exec.handle();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let helper = handle.helper();
-        handle.spawn(async move {
-            tx.send(()).unwrap();
-        });
-        drop(helper); // never helped
-        rx.recv_timeout(Duration::from_secs(10))
-            .expect("task queued by a dropped helper was stranded");
-    }
-
-    #[test]
-    fn a_helper_polls_under_the_executors_chaos_config() {
+    fn enter_chaos_runs_the_thread_under_the_executors_chaos_config() {
         let exec = Executor::with_config(ExecutorConfig {
             workers: 1,
             chaos: Some((7, ChaosConfig::light())),
             ..ExecutorConfig::default()
         });
-        // So that the probe can only run on this thread.
-        let release = pin_the_worker(&exec);
         assert!(!chaos::is_enabled());
-        let handle = exec.handle();
-        let helper = handle.helper();
-        let seen = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&seen);
-        handle.spawn(async move {
-            flag.store(chaos::is_enabled(), Ordering::SeqCst);
-        });
-        assert_eq!(helper.help(|| false), 1);
-        assert!(seen.load(Ordering::SeqCst), "helped poll ran without chaos");
-        drop(helper);
-        assert!(!chaos::is_enabled(), "chaos outlived the registration");
-        drop(release);
+        let guard = exec.handle().enter_chaos();
+        assert!(guard.is_some() && chaos::is_enabled());
+        // A thread already under chaos keeps its own.
+        assert!(exec.handle().enter_chaos().is_none());
+        drop(guard);
+        assert!(!chaos::is_enabled(), "chaos outlived the guard");
+        // Without a chaos config there is nothing to enter.
+        assert!(Executor::new(1).handle().enter_chaos().is_none());
     }
 
     // --- WaitSite and its two sites in this crate --------------------------
@@ -1479,24 +1245,29 @@ mod tests {
     /// 100 000 round trips between this thread (`block_on`) and a task on a
     /// one-worker executor. Every fourth request is held back for 44–60 µs,
     /// in 0.1 µs steps: it lands while the worker, its poll phase spent, is
-    /// between its last look at the queues and its park — the window the
+    /// between its last look at the queue and its park — the window the
     /// locked re-check closes. `PARK_TIMEOUT` is an hour here, so a wake-up
     /// lost by either site hangs the test instead of costing 20 ms.
     #[test]
     fn a_hundred_thousand_round_ping_pong_finishes() {
-        use crate::queue::{Notify, OpCell, Ticket};
+        use crate::queue::{OpCell, Ticket};
+        /// The requests, and the task's doorbell while it waits for one.
+        type Inbox = Mutex<(VecDeque<(u64, Arc<OpCell<u64>>)>, Option<Arc<OpCell<()>>>)>;
         let exec = Executor::new(1);
-        type Inbox = Mutex<VecDeque<(u64, Arc<OpCell<u64>>)>>;
         let inbox: Arc<Inbox> = Arc::default();
-        let bell = Arc::new(Notify::new());
-        let (task_inbox, task_bell) = (Arc::clone(&inbox), Arc::clone(&bell));
+        let task_inbox = Arc::clone(&inbox);
         exec.spawn(async move {
             loop {
-                task_bell.wait().await;
-                let mut batch = std::mem::take(&mut *task_inbox.lock().unwrap());
-                for (round, cell) in batch.drain(..) {
-                    cell.complete(round + 1);
-                }
+                let bell = {
+                    let mut inbox = task_inbox.lock().unwrap();
+                    for (round, cell) in inbox.0.drain(..) {
+                        cell.complete(round + 1);
+                    }
+                    let bell = OpCell::new();
+                    inbox.1 = Some(Arc::clone(&bell));
+                    bell
+                };
+                Ticket::new(bell).await;
             }
         });
         for round in 0..100_000u64 {
@@ -1508,8 +1279,14 @@ mod tests {
                 }
             }
             let cell = OpCell::new();
-            inbox.lock().unwrap().push_back((round, Arc::clone(&cell)));
-            bell.notify();
+            let bell = {
+                let mut inbox = inbox.lock().unwrap();
+                inbox.0.push_back((round, Arc::clone(&cell)));
+                inbox.1.take()
+            };
+            if let Some(bell) = bell {
+                bell.complete(());
+            }
             assert_eq!(Ticket::new(cell).wait(), round + 1);
         }
     }

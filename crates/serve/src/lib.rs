@@ -4,22 +4,24 @@
 //! [`psnap_core::PartialSnapshot`] in-process. This crate adds the layer a
 //! "millions of users" deployment needs between the network and the object:
 //!
-//! * a **hand-rolled async runtime** ([`executor`]) — a small `Future`
-//!   executor with sharded run queues, `std::task::Wake`-based wakers and a
-//!   timer wheel, because the workspace vendors every dependency and tokio
-//!   is out of reach;
+//! * a **hand-rolled async runtime** ([`executor`]) for periodic and
+//!   socket-bound work — one run queue, `std::task::Wake`-based wakers and
+//!   a timer wheel, because the workspace vendors every dependency and
+//!   tokio is out of reach — and [`block_on`], through which a client
+//!   thread waits on a ticket;
 //! * **batched ingestion** ([`service`]) — per-client bounded MPSC queues
-//!   whose drainer coalesces submissions (last-write-wins per component,
+//!   whose submissions are coalesced (last-write-wins per component,
 //!   client batches kept atomic) into single
-//!   [`update_many`](psnap_core::PartialSnapshot::update_many) calls, the
-//!   PR-3 batch path;
+//!   [`update_many`](psnap_core::PartialSnapshot::update_many) calls;
 //! * **scan coalescing** — concurrent partial-scan requests are merged
 //!   into one deduplicated [`psnap_shard::ScanUnion`] and one backing scan
-//!   whose results fan back out per request, the Kallimanis & Kanellou
-//!   operation-combining idea applied at the request level, with per-request
-//!   freshness bounds. The union is a flat O(requested) pass and its cut is
-//!   moved, not copied, into the freshness cache: the one task every service
-//!   scan passes through pays for slots, not for trees;
+//!   whose results fan back out per request, with per-request freshness
+//!   bounds. The union is a flat O(requested) pass and its cut is moved,
+//!   not copied, into the freshness cache;
+//! * **combining** — both pipelines run on the threads that wait for them:
+//!   a waiting [`Ticket`] runs its pipeline's round when nobody else holds
+//!   that pipeline's role (flat combining, with the queues as the
+//!   publication list);
 //! * **backpressure** — full queues reject immediately with
 //!   [`SubmitError::Busy`]; accepted work always completes and the stats
 //!   counters partition exactly.
@@ -54,10 +56,9 @@ pub mod service;
 pub mod testing;
 
 pub use executor::{
-    block_on, block_on_timeout, Executor, ExecutorConfig, Handle, Helper, Sleep, WaitCounters,
-    WaitSite,
+    block_on, block_on_timeout, Executor, ExecutorConfig, Handle, Sleep, WaitCounters, WaitSite,
 };
-pub use queue::{BoundedQueue, Notify, OpCell, SubmitError, Ticket};
+pub use queue::{BoundedQueue, OpCell, SubmitError, Ticket};
 pub use service::{
     ClientHandle, Coalescing, Freshness, PeriodicTask, ScanTicket, ServiceConfig, ServiceObs,
     ServiceStats, SnapshotService, UpdateTicket,

@@ -1,12 +1,12 @@
-//! Bounded queues, consumer notification, and completion tickets — the
-//! plumbing between synchronous clients and the service's async pipelines.
+//! Bounded queues and completion tickets — the plumbing between
+//! synchronous clients and the service's pipelines.
 //!
 //! The backpressure contract lives here: producers never block and never
 //! allocate unboundedly — a full queue returns [`SubmitError::Busy`]
 //! immediately, and the client decides whether to retry, shed, or slow down.
-//! Consumers are single async tasks; [`Notify`] carries the "something was
-//! pushed" edge with a sticky pending bit so a notification between the
-//! consumer's drain and its `wait().await` is never lost.
+//! A queue is drained wholesale by whichever thread holds its pipeline's
+//! role; a [`Ticket`] on a published request is how a waiter becomes that
+//! thread.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -34,79 +34,17 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Single-consumer edge notification with a sticky pending bit.
-///
-/// `notify` marks the edge and wakes the registered consumer (if any);
-/// `wait().await` completes immediately if an edge arrived since the last
-/// wait, otherwise parks the consumer task. Extra notifications coalesce —
-/// the consumer drains whole queues per wake, so edges need no counting.
-#[derive(Default)]
-pub struct Notify {
-    state: Mutex<NotifyState>,
-}
-
-#[derive(Default)]
-struct NotifyState {
-    pending: bool,
-    waker: Option<Waker>,
-}
-
-impl Notify {
-    /// Creates an un-notified instance.
-    pub fn new() -> Notify {
-        Notify::default()
-    }
-
-    /// Marks the edge and wakes the waiting consumer, if any.
-    pub fn notify(&self) {
-        let waker = {
-            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            s.pending = true;
-            s.waker.take()
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-
-    /// A future resolving at the next edge (immediately, if one is pending).
-    pub fn wait(&self) -> Notified<'_> {
-        Notified { notify: self }
-    }
-}
-
-/// Future returned by [`Notify::wait`].
-pub struct Notified<'a> {
-    notify: &'a Notify,
-}
-
-impl Future for Notified<'_> {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut s = self.notify.state.lock().unwrap_or_else(|e| e.into_inner());
-        if s.pending {
-            s.pending = false;
-            s.waker = None;
-            Poll::Ready(())
-        } else {
-            s.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-/// A bounded multi-producer queue drained wholesale by one consumer.
+/// A bounded multi-producer queue, drained wholesale.
 ///
 /// Producers are synchronous ([`try_push`](BoundedQueue::try_push) never
-/// blocks); the consumer drains with [`drain_into`](BoundedQueue::drain_into)
-/// and parks on the [`Notify`] the queue was built with. Closing the queue
-/// fails further pushes with [`SubmitError::Closed`] while letting the
-/// consumer drain what was already accepted — no accepted item is ever
-/// dropped by the queue itself.
+/// blocks); whoever holds the pipeline's role drains with
+/// [`drain_into`](BoundedQueue::drain_into). Closing the queue fails further
+/// pushes with [`SubmitError::Closed`] while letting what was already
+/// accepted be drained — no accepted item is ever dropped by the queue
+/// itself.
 pub struct BoundedQueue<I> {
     inner: Mutex<QueueInner<I>>,
     capacity: usize,
-    notify: Arc<Notify>,
 }
 
 struct QueueInner<I> {
@@ -115,35 +53,30 @@ struct QueueInner<I> {
 }
 
 impl<I> BoundedQueue<I> {
-    /// A queue holding at most `capacity` items, notifying `notify` on push.
-    pub fn new(capacity: usize, notify: Arc<Notify>) -> BoundedQueue<I> {
+    /// A queue holding at most `capacity` items.
+    pub fn new(capacity: usize) -> BoundedQueue<I> {
         BoundedQueue {
             inner: Mutex::new(QueueInner {
                 items: VecDeque::new(),
                 closed: false,
             }),
             capacity: capacity.max(1),
-            notify,
         }
     }
 
     /// Enqueues `item`, or rejects it with `Busy` (full) / `Closed` (shut
-    /// down). On success the consumer is notified, and the caller gets the
-    /// depth of the queue with its item in it.
+    /// down). On success the caller gets the depth of the queue with its
+    /// item in it.
     pub fn try_push(&self, item: I) -> Result<usize, SubmitError> {
-        let depth = {
-            let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if q.closed {
-                return Err(SubmitError::Closed);
-            }
-            if q.items.len() >= self.capacity {
-                return Err(SubmitError::Busy);
-            }
-            q.items.push_back(item);
-            q.items.len()
-        };
-        self.notify.notify();
-        Ok(depth)
+        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if q.closed {
+            return Err(SubmitError::Closed);
+        }
+        if q.items.len() >= self.capacity {
+            return Err(SubmitError::Busy);
+        }
+        q.items.push_back(item);
+        Ok(q.items.len())
     }
 
     /// Moves every queued item into `sink`, preserving FIFO order. Returns
@@ -169,16 +102,9 @@ impl<I> BoundedQueue<I> {
         self.len() == 0
     }
 
-    /// Maximum number of queued items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Rejects all future pushes with `Closed`; queued items stay drainable.
-    /// The consumer is notified so it can run its final drain.
     pub fn close(&self) {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.notify.notify();
     }
 
     /// True once [`close`](BoundedQueue::close) has been called.
@@ -188,8 +114,8 @@ impl<I> BoundedQueue<I> {
 }
 
 /// One-shot completion cell linking a queued operation to its waiter: the
-/// pipeline task completes it exactly once, the [`Ticket`] future resolves
-/// with the value.
+/// pipeline round that serves the operation completes it exactly once, the
+/// [`Ticket`] future resolves with the value.
 pub struct OpCell<V> {
     state: Mutex<OpCellState<V>>,
 }
@@ -222,35 +148,62 @@ impl<V> OpCell<V> {
             w.wake();
         }
     }
+}
 
-    /// True once a value has been stored and not yet taken.
-    pub fn is_complete(&self) -> bool {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .value
-            .is_some()
-    }
+/// The two pipelines of a service, each with its own role.
+#[derive(Clone, Copy)]
+pub(crate) enum Lane {
+    /// Submissions: collected from every client queue, applied in chunks.
+    Ingest,
+    /// Scan requests: answered from the cache, the version chains or one
+    /// union scan.
+    Scan,
+}
+
+/// What a waiting [`Ticket`] runs: the rounds of the pipeline its request
+/// was published to.
+pub(crate) trait Combine: Send + Sync {
+    /// Runs rounds of `lane` on the calling thread if its role is free.
+    fn combine_if_free(&self, lane: Lane);
 }
 
 /// The waiter half of an [`OpCell`]: a future resolving with the operation's
 /// result, plus a synchronous [`wait`](Ticket::wait) bridge.
+///
+/// A service ticket is also a combiner: each poll that finds its operation
+/// incomplete first runs a round of the operation's pipeline on the polling
+/// thread, if nobody else holds that pipeline's role. Whoever holds it
+/// re-checks the queue after letting go, so a poll that found the role
+/// taken can wait without stranding its request.
 pub struct Ticket<V> {
     cell: Arc<OpCell<V>>,
+    pipeline: Option<(Arc<dyn Combine>, Lane)>,
 }
 
 impl<V> Ticket<V> {
-    /// Wraps a cell into its waiter future.
+    /// Wraps a cell into its waiter future. Polling it only waits: whatever
+    /// completes `cell` runs elsewhere.
     pub fn new(cell: Arc<OpCell<V>>) -> Ticket<V> {
-        Ticket { cell }
+        Ticket {
+            cell,
+            pipeline: None,
+        }
     }
 
-    /// True once the operation has completed: the next poll is `Ready`.
-    pub fn is_complete(&self) -> bool {
-        self.cell.is_complete()
+    /// A ticket on a request published to `lane` of `pipeline`.
+    pub(crate) fn published(
+        cell: Arc<OpCell<V>>,
+        pipeline: Arc<dyn Combine>,
+        lane: Lane,
+    ) -> Ticket<V> {
+        Ticket {
+            cell,
+            pipeline: Some((pipeline, lane)),
+        }
     }
 
-    /// Blocks the calling thread until the operation completes.
+    /// Blocks the calling thread until the operation completes, running its
+    /// pipeline's rounds whenever the role is free.
     pub fn wait(self) -> V {
         crate::executor::block_on(self)
     }
@@ -259,7 +212,13 @@ impl<V> Ticket<V> {
 impl<V> Future for Ticket<V> {
     type Output = V;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<V> {
-        let mut s = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
+        let lock = || self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((pipeline, lane)) = &self.pipeline {
+            if lock().value.is_none() {
+                pipeline.combine_if_free(*lane);
+            }
+        }
+        let mut s = lock();
         match s.value.take() {
             Some(v) => Poll::Ready(v),
             None => {
@@ -273,11 +232,10 @@ impl<V> Future for Ticket<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{block_on, Executor};
 
     #[test]
     fn try_push_hits_capacity_then_busy() {
-        let q = BoundedQueue::new(2, Arc::new(Notify::new()));
+        let q = BoundedQueue::new(2);
         assert_eq!(q.try_push(1), Ok(1));
         assert_eq!(q.try_push(2), Ok(2));
         assert_eq!(q.try_push(3), Err(SubmitError::Busy));
@@ -289,7 +247,7 @@ mod tests {
 
     #[test]
     fn closed_queue_rejects_pushes_but_drains() {
-        let q = BoundedQueue::new(4, Arc::new(Notify::new()));
+        let q = BoundedQueue::new(4);
         q.try_push(7).unwrap();
         q.close();
         assert_eq!(q.try_push(8), Err(SubmitError::Closed));
@@ -297,27 +255,6 @@ mod tests {
         let mut sink = Vec::new();
         q.drain_into(&mut sink);
         assert_eq!(sink, vec![7]);
-    }
-
-    #[test]
-    fn notify_edge_is_sticky_across_wait_registration() {
-        let notify = Arc::new(Notify::new());
-        // Edge before any waiter: the next wait resolves immediately.
-        notify.notify();
-        block_on(notify.wait());
-        // And the edge is consumed: a second wait parks until notified.
-        let exec = Executor::new(1);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let n = Arc::clone(&notify);
-        exec.spawn(async move {
-            n.wait().await;
-            tx.send(()).unwrap();
-        });
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        assert!(rx.try_recv().is_err(), "wait resolved without an edge");
-        notify.notify();
-        rx.recv_timeout(std::time::Duration::from_secs(10))
-            .expect("notified waiter never woke");
     }
 
     #[test]
@@ -332,7 +269,7 @@ mod tests {
 
     #[test]
     fn producers_from_many_threads_never_exceed_capacity() {
-        let q = Arc::new(BoundedQueue::new(8, Arc::new(Notify::new())));
+        let q = Arc::new(BoundedQueue::new(8));
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let q = Arc::clone(&q);

@@ -1,11 +1,12 @@
 //! [`SnapshotService`]: an async frontend over any [`PartialSnapshot`].
 //!
 //! Callers stop owning threads that call the snapshot object in-process;
-//! instead they hold a [`ClientHandle`] and talk to three pipelines:
+//! instead they hold a [`ClientHandle`] and publish requests to two
+//! pipelines, guarded by backpressure:
 //!
 //! 1. **Ingestion** — [`ClientHandle::submit`] / [`ClientHandle::submit_batch`] push writes
 //!    into the client's own bounded MPSC queue and return an
-//!    [`UpdateTicket`]. A single drainer task collects every client queue,
+//!    [`UpdateTicket`]. A round of ingestion collects every client queue,
 //!    concatenates the submissions in arrival order, coalesces duplicate
 //!    components **last-write-wins** (legal because the whole chunk is
 //!    applied by one `update_many`, i.e. at one linearization point, and a
@@ -14,11 +15,11 @@
 //!    boundaries are respected: a submission's writes are never split across
 //!    two `update_many` calls, so every client batch stays atomic.
 //! 2. **Scan coalescing** — [`ClientHandle::scan`] enqueues a scan request.
-//!    The scan server — one task on one process id — drains all pending
-//!    requests (optionally waiting a [`Coalescing::Window`] to accumulate
-//!    more), merges their component sets into one deduplicated
-//!    [`ScanUnion`], runs **one** backing scan, and fans each requester's
-//!    subset back out. A projection of one
+//!    A round of scanning, on one process id, drains all pending requests
+//!    (optionally waiting a [`Coalescing::Window`] to accumulate more),
+//!    merges their component sets into one deduplicated [`ScanUnion`], runs
+//!    **one** backing scan, and fans each requester's subset back out. A
+//!    projection of one
 //!    linearizable scan is itself a legal scan at the same linearization
 //!    point, which is what the lincheck conformance suite verifies end to
 //!    end. A union job is *plan → scan → fan out → publish*, and only the
@@ -34,29 +35,42 @@
 //!    nothing. Accepted work is never dropped: every ticket resolves, even
 //!    across [`SnapshotService::shutdown`].
 //!
+//! **The waiter is the combiner.** Nobody runs the pipelines in the
+//! background. Each has a *role*, a try-lock that owns the pipeline's pid
+//! and state (ingestion: `drain_pid` and the pending buffer; scanning:
+//! `scan_pid`, the freshness cache and the last dispatch time), and the
+//! queues are its publication list. A thread that waits on a ticket — or
+//! polls one, or shuts the service down — runs a round of the ticket's
+//! pipeline itself if that role is free; otherwise it waits, and the holder
+//! serves it: a combiner that lets go of a role re-checks its queue and
+//! takes the role again if anything is published, so no request is left
+//! without a combiner. The two roles are independent: a combiner parked in
+//! a scan never delays a write. (Flat combining, after Hendler, Incze,
+//! Shavit & Tzafrir.)
+//!
 //! Per-request **freshness bounds** sort scans into three serving tiers. A
 //! scan submitted with [`Freshness::Fresh`] is always answered by a backing
-//! scan that starts after the request arrived (strict linearizability).
-//! With [`Freshness::AtMostStale`], the service first tries the **cache
-//! tier** — a recent backing scan's union that covers the request within
-//! the bound, an atomic view at zero backing cost — and then the **mv
-//! tier**: if the backing object has version history
+//! scan that starts after the request was published (strict
+//! linearizability). With [`Freshness::AtMostStale`], the service first
+//! tries the **cache tier** — a recent backing scan's union that covers the
+//! request within the bound, an atomic view at zero backing cost — and then
+//! the **mv tier**: if the backing object has version history
 //! ([`PartialSnapshot::scan_stale`]), the request is answered directly from
 //! the version chains, touching only its own components, with no union
 //! amplification and no coalescing wait. Only when both fast tiers decline
 //! does a stale request join the backing tier.
 //!
 //! The backing tier has one lever, the [`Coalescing::Window`]: how long the
-//! scan server waits for more requests before it scans. A lone request at
-//! an idle server is dispatched at once, whatever the window. Everything the
-//! server drained goes into one union on its one pid: on a multiversioned
-//! store a union scan is one camera tick plus a read per component, so
-//! splitting it by shard would buy parallelism but no consistency. The
-//! freshness cache belongs to the scan server too: every entry is pushed and
-//! read by that one task, newest first.
+//! scan combiner waits for more requests before it scans. A lone request at
+//! an idle pipeline is dispatched at once, whatever the window. Everything a
+//! round drained goes into one union on the one scan pid: on a
+//! multiversioned store a union scan is one camera tick plus a read per
+//! component, so splitting it by shard would buy parallelism but no
+//! consistency. The freshness cache belongs to the scan role: every entry is
+//! pushed and read under it, newest first.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 use psnap_core::{PartialSnapshot, ProcessId};
@@ -66,18 +80,19 @@ use psnap_obs::{
 };
 use psnap_shard::{last_write_wins, ReshardPolicy, ReshardPolicyConfig, ScanUnion};
 
-use crate::executor::{block_on_timeout, Executor, Handle};
-use crate::queue::{BoundedQueue, Notify, OpCell, SubmitError, Ticket};
+use crate::executor::Executor;
+use crate::queue::{BoundedQueue, Combine, Lane, OpCell, SubmitError, Ticket};
 
-/// How the scan server merges concurrent scan requests.
+/// How a scan round merges concurrent scan requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Coalescing {
-    /// Merge everything pending when the scan server wakes; with a non-zero
-    /// window, first sleep that long so more requests accumulate (larger
-    /// unions, higher latency floor). A lone request at an idle server is
-    /// dispatched immediately — a window with no possible coalescing
-    /// partners buys nothing. Every window decision (including the zero
-    /// ones) is recorded in the `scan.window_ns` histogram.
+    /// Merge everything published when the round starts; with a non-zero
+    /// window, the scan combiner first sleeps that long on its own thread so
+    /// more requests accumulate (larger unions, higher latency floor). A
+    /// lone request at an idle pipeline is dispatched immediately — a window
+    /// with no possible coalescing partners buys nothing. Every window
+    /// decision (including the zero ones) is recorded in the
+    /// `scan.window_ns` histogram.
     Window(Duration),
 }
 
@@ -101,15 +116,18 @@ pub struct ServiceConfig {
     pub ingest_capacity: usize,
     /// Capacity of the shared scan-request queue.
     pub scan_capacity: usize,
-    /// Scan-merging policy.
+    /// Scan-merging policy. A window is waited out by the thread holding
+    /// the scan role, on that thread.
     pub coalescing: Coalescing,
     /// Maximum writes per `update_many` call. Chunks always contain whole
     /// submissions; a single submission larger than this still goes out as
     /// one (atomic) call.
     pub max_batch: usize,
-    /// Process id the ingestion drainer uses on the backing object.
+    /// Process id of the ingest role: whichever thread holds it applies
+    /// writes to the backing object under this pid.
     pub drain_pid: ProcessId,
-    /// Process id the scan server uses on the backing object.
+    /// Process id of the scan role: whichever thread holds it scans the
+    /// backing object under this pid.
     pub scan_pid: ProcessId,
     /// Per-request scan latency SLO: a served scan whose request-to-answer
     /// latency exceeds this fires the flight recorder's
@@ -173,15 +191,15 @@ struct ScanRequest<T> {
     /// assembles.
     queue_wait: Option<Span>,
     /// Root of the request's span tree (kind `ScanRequest`): begun on the
-    /// submitting thread, carried through the queue and any executor worker
-    /// with the request, ended when the answer is completed — so its drop
+    /// submitting thread, carried through the queue and the combining
+    /// thread with the request, ended when the answer is completed — so its drop
     /// is the moment the flight recorder assembles the whole tree. Inert
     /// unless spans are enabled.
     span: Span,
 }
 
 /// One backing scan's union view, for freshness-bounded requests. The scan
-/// server keeps the most recent [`CACHE_ENTRIES`] of these; each entry is
+/// role keeps the most recent [`CACHE_ENTRIES`] of these; each entry is
 /// one scan's atomic cut and entries are **never merged** — two union jobs
 /// have different linearization points, and a merged map could show a cut
 /// no single scan ever saw.
@@ -263,6 +281,7 @@ const HEAT_EWMA_ALPHA: f64 = 0.5;
 /// The service's live metric handles — obs counters (striped, aggregated on
 /// read), latency histograms, and queue-depth gauges. Shared into any
 /// [`Registry`] by [`SnapshotService::register_obs`] without copying.
+#[derive(Default)]
 struct Counters {
     submits_ok: Arc<Counter>,
     submits_busy: Arc<Counter>,
@@ -308,42 +327,6 @@ struct Counters {
     scan_depth: Arc<Gauge>,
 }
 
-impl Default for Counters {
-    fn default() -> Counters {
-        Counters {
-            submits_ok: Arc::new(Counter::new()),
-            submits_busy: Arc::new(Counter::new()),
-            submits_closed: Arc::new(Counter::new()),
-            writes_submitted: Arc::new(Counter::new()),
-            batches_applied: Arc::new(Counter::new()),
-            writes_applied: Arc::new(Counter::new()),
-            writes_coalesced_away: Arc::new(Counter::new()),
-            submits_resolved: Arc::new(Counter::new()),
-            scans_ok: Arc::new(Counter::new()),
-            scans_busy: Arc::new(Counter::new()),
-            scans_closed: Arc::new(Counter::new()),
-            scans_served_backing: Arc::new(Counter::new()),
-            scans_served_cache: Arc::new(Counter::new()),
-            scans_served_mv: Arc::new(Counter::new()),
-            scans_served_empty: Arc::new(Counter::new()),
-            backing_scans: Arc::new(Counter::new()),
-            backing_components: Arc::new(Counter::new()),
-            requested_components: Arc::new(Counter::new()),
-            cache_revalidated: Arc::new(Counter::new()),
-            cache_invalidated_components: Arc::new(Counter::new()),
-            submit_latency: Arc::new(Histogram::new()),
-            scan_latency: Arc::new(Histogram::new()),
-            backing_latency: Arc::new(Histogram::new()),
-            window_ns: Arc::new(Histogram::new()),
-            plan_ns: Arc::new(Histogram::new()),
-            fanout_ns: Arc::new(Histogram::new()),
-            publish_ns: Arc::new(Histogram::new()),
-            ingest_depth: Arc::new(Gauge::new()),
-            scan_depth: Arc::new(Gauge::new()),
-        }
-    }
-}
-
 /// A point-in-time snapshot of the service's counters.
 ///
 /// The counters **partition**: every accepted submission is eventually resolved
@@ -363,7 +346,7 @@ pub struct ServiceStats {
     pub submits_closed: u64,
     /// Component writes accepted (a batch of `k` counts `k`).
     pub writes_submitted: u64,
-    /// `update_many` calls issued by the drainer.
+    /// `update_many` calls issued by ingest rounds.
     pub batches_applied: u64,
     /// Component writes actually passed to `update_many`.
     pub writes_applied: u64,
@@ -574,37 +557,56 @@ impl ServiceObs {
 }
 
 /// The client-queue registry. The `closed` flag lives under the same mutex
-/// as the queue list so shutdown's close sweep, client registration, and the
-/// drainer's exit sample are totally ordered: once the drainer observes
-/// `closed` with every listed queue closed, any registration it missed must
-/// come later in the mutex order, see `closed == true`, and be born closed —
-/// so no queue the final drain skips can ever hold an accepted submission.
-/// (A bare atomic flag cannot give this: a registration could read a stale
-/// `false` with no happens-before edge and accept a write the exiting
-/// drainer never sees, stranding its ticket.)
+/// as the queue list so shutdown's close sweep, client registration, and an
+/// ingest round's collection are totally ordered: a registration that comes
+/// after the sweep in the mutex order sees `closed == true` and is born
+/// closed, so once shutdown's own round has collected every listed queue,
+/// no queue can ever hold an accepted submission nobody will collect. (A
+/// bare atomic flag cannot give this: a registration could read a stale
+/// `false` with no happens-before edge and accept a write after the final
+/// round, stranding its ticket.)
 struct ClientRegistry<T> {
     closed: bool,
     queues: Vec<Arc<BoundedQueue<Submission<T>>>>,
+}
+
+/// What the scan role owns besides `scan_pid`.
+struct ScanRole<T> {
+    /// Requests drained and not yet answered (empty between rounds).
+    requests: Vec<ScanRequest<T>>,
+    /// The freshness cache, newest entry first.
+    cache: Vec<ScanCache<T>>,
+    /// When the last round dispatched; `None` until the first. Arrivals
+    /// within a window of it are a trickle, not a lone request, and wait.
+    last_dispatch: Option<Instant>,
+}
+
+/// Takes `role` if it is free or, if `wait`, once its holder lets go.
+fn take_role<R>(role: &Mutex<R>, wait: bool) -> Option<MutexGuard<'_, R>> {
+    match role.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => {
+            wait.then(|| role.lock().unwrap_or_else(|e| e.into_inner()))
+        }
+    }
 }
 
 struct ServiceCore<T, S> {
     snapshot: S,
     config: ServiceConfig,
     clients: Mutex<ClientRegistry<T>>,
-    ingest_notify: Arc<Notify>,
-    scan_notify: Arc<Notify>,
     scan_queue: BoundedQueue<ScanRequest<T>>,
-    /// Fast-path mirror of [`ClientRegistry::closed`] for background tasks
-    /// (reporter, reshard driver, auditor) that only need an eventually
-    /// consistent answer. The registry field is authoritative.
-    closed: AtomicBool,
+    /// The ingest role: owns `drain_pid` and the pending buffer (drained
+    /// submissions not yet applied; empty between rounds).
+    ingest: Mutex<Vec<Submission<T>>>,
+    /// The scan role.
+    scan: Mutex<ScanRole<T>>,
     /// Differentiates the backing object's cumulative `shard_heat` into
     /// per-tick rates, advanced once per obs snapshot (see
     /// [`ServiceObs::shard_heat_rate`]).
     heat_rates: Mutex<RateTracker>,
     counters: Counters,
-    drain_done: Arc<OpCell<()>>,
-    scan_done: Arc<OpCell<()>>,
 }
 
 impl<T, S> ServiceCore<T, S>
@@ -639,8 +641,8 @@ where
                 .add(dropped as u64);
         }
         cache.retain(|entry| !entry.components.is_empty());
-        // One task pushes every entry, so the cache is newest first and the
-        // first entry past the bound ends the search.
+        // Every entry is pushed under the scan role, so the cache is newest
+        // first and the first entry past the bound ends the search.
         for entry in cache.iter_mut() {
             if entry.taken_at.elapsed() > bound {
                 return None;
@@ -728,7 +730,7 @@ where
         }
     }
 
-    /// Answers a batch of scan requests on the scan server: empty ones
+    /// Answers a batch of scan requests under the scan role: empty ones
     /// inline, freshness-relaxed ones from `cache` or the backing object's
     /// version chains, and the rest with one union backing scan.
     fn serve_scans(&self, requests: Vec<ScanRequest<T>>, cache: &mut Vec<ScanCache<T>>) {
@@ -846,8 +848,8 @@ where
         let fanned_out_at = Instant::now();
         // Answers first, then the cache: the vectors are free to move once
         // the last request has copied out of them, and no stale reader can
-        // miss the entry — stale requests are served by this same task,
-        // which gets to them only after this job has returned.
+        // miss the entry — stale requests are served under the same role,
+        // which this job holds until it has returned.
         self.push_cache(cache, union.components, values, taken_at);
         let published_at = Instant::now();
         let ns = |from: Instant, to: Instant| to.duration_since(from).as_nanos() as u64;
@@ -928,62 +930,130 @@ fn coalesce_last_write_wins<T: Clone>(chunk: &[Submission<T>]) -> Vec<(usize, T)
         .collect()
 }
 
-async fn drain_loop<T, S>(core: Arc<ServiceCore<T, S>>)
+impl<T, S> ServiceCore<T, S>
 where
     T: Clone + Send + Sync + 'static,
     S: PartialSnapshot<T>,
 {
-    let mut pending: Vec<Submission<T>> = Vec::new();
-    loop {
-        // Exit precondition and queue clone, sampled under ONE registry lock
-        // acquisition: shutdown has begun AND every registered queue is
-        // already closed. Sampling the flag and the list together matters —
-        // shutdown flips `closed` and closes every queue in one critical
-        // section, and registration checks `closed` under the same lock, so
-        // once this observation holds, any registration not in the clone is
-        // later in the mutex order, sees `closed == true`, and is born
-        // closed: it can never accept a submission this final drain would
-        // miss. (A stale clone plus a separately-read atomic flag allowed
-        // exactly that — an open queue registered after the clone could
-        // accept a write whose ticket the exiting drainer stranded.)
-        let (queues, closing) = {
-            let registry = core.clients.lock().unwrap_or_else(|e| e.into_inner());
-            let closing = registry.closed && registry.queues.iter().all(|queue| queue.is_closed());
-            (registry.queues.clone(), closing)
-        };
-        let before = pending.len();
-        for queue in &queues {
-            queue.drain_into(&mut pending);
-        }
-        let drained = (pending.len() - before) as u64;
-        if drained > 0 {
-            core.counters.ingest_depth.sub(drained as i64);
-            trace::emit(TraceKind::QueueDrain, 0, drained);
-            for submission in &mut pending[before..] {
-                submission.queue_wait.take();
+    /// The one combining entry point of both pipelines — used by a waiting
+    /// or polled [`Ticket`] and by shutdown. Takes `lane`'s role if it is
+    /// free (or, for shutdown's final rounds, once the holder lets go), runs
+    /// one round, lets go, and takes the role again while anything is
+    /// published: that re-check after every release is what lets a waiter
+    /// that found the role taken wait without stranding its request.
+    fn combine(&self, lane: Lane, wait: bool) {
+        loop {
+            match lane {
+                Lane::Ingest => {
+                    let Some(mut pending) = take_role(&self.ingest, wait) else {
+                        return;
+                    };
+                    self.ingest_round(&mut pending);
+                }
+                Lane::Scan => {
+                    let Some(mut role) = take_role(&self.scan, wait) else {
+                        return;
+                    };
+                    self.scan_round(&mut role);
+                }
+            }
+            let published = match lane {
+                Lane::Ingest => self
+                    .clients
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .queues
+                    .iter()
+                    .any(|queue| !queue.is_empty()),
+                Lane::Scan => !self.scan_queue.is_empty(),
+            };
+            if !published {
+                return;
             }
         }
-        // Prune queues of dropped clients: closed means no further push can
-        // succeed, and empty (checked after the drain above) means nothing
-        // accepted is left to resolve — so removal strands no ticket. This
-        // keeps a long-lived service with short-lived clients from scanning
-        // an ever-growing list of dead queues.
-        core.clients
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .queues
-            .retain(|queue| !(queue.is_closed() && queue.is_empty()));
-        if pending.is_empty() {
-            if closing {
-                break;
-            }
-            // Mid-sweep shutdown wakes us again: every queue close notifies.
-            core.ingest_notify.wait().await;
-            continue;
-        }
-        core.apply_pending(&mut pending);
     }
-    core.drain_done.complete(());
+
+    /// One ingest round: collects every client queue into `pending` and
+    /// applies it.
+    fn ingest_round(&self, pending: &mut Vec<Submission<T>>) {
+        {
+            let mut registry = self.clients.lock().unwrap_or_else(|e| e.into_inner());
+            for queue in &registry.queues {
+                queue.drain_into(pending);
+            }
+            // Prune queues of dropped clients: closed means no further push
+            // can succeed, and empty (checked after the drain above) means
+            // nothing accepted is left to resolve — so removal strands no
+            // ticket. This keeps a long-lived service with short-lived
+            // clients from scanning an ever-growing list of dead queues.
+            registry
+                .queues
+                .retain(|queue| !(queue.is_closed() && queue.is_empty()));
+        }
+        if pending.is_empty() {
+            return;
+        }
+        self.counters.ingest_depth.sub(pending.len() as i64);
+        trace::emit(TraceKind::QueueDrain, 0, pending.len() as u64);
+        for submission in pending.iter_mut() {
+            submission.queue_wait.take();
+        }
+        self.apply_pending(pending);
+    }
+
+    /// Drains the scan queue into `requests` and accounts for what it took.
+    fn drain_scans(&self, requests: &mut Vec<ScanRequest<T>>) {
+        let before = requests.len();
+        self.scan_queue.drain_into(requests);
+        let drained = &mut requests[before..];
+        if !drained.is_empty() {
+            self.counters.scan_depth.sub(drained.len() as i64);
+            trace::emit(TraceKind::QueueDrain, 1, drained.len() as u64);
+            for request in drained {
+                request.queue_wait.take();
+            }
+        }
+    }
+
+    /// One scan round: drains the scan queue, waits out the coalescing
+    /// window unless the request is alone at an idle pipeline, and answers
+    /// everything drained — one union on the one scan pid.
+    fn scan_round(&self, role: &mut ScanRole<T>) {
+        let Coalescing::Window(window) = self.config.coalescing;
+        self.drain_scans(&mut role.requests);
+        if role.requests.is_empty() {
+            return;
+        }
+        // A lone request at an idle pipeline has no coalescing partners to
+        // wait for: any window would be pure added latency, so it is
+        // dispatched immediately. "Idle" means no other request is queued
+        // AND at least one window has passed since the last dispatch —
+        // arrivals within a window of it are part of an ongoing trickle and
+        // still wait, so sub-window jitter between clients keeps coalescing.
+        let lone = role.requests.len() == 1
+            && self.scan_queue.is_empty()
+            && role.last_dispatch.is_none_or(|at| at.elapsed() >= window);
+        let wait = if lone { Duration::ZERO } else { window };
+        self.counters.window_ns.record(wait.as_nanos() as u64);
+        if !wait.is_zero() {
+            let window_spans = open_window_spans(&role.requests, wait);
+            std::thread::sleep(wait);
+            self.drain_scans(&mut role.requests);
+            drop(window_spans);
+        }
+        self.serve_scans(std::mem::take(&mut role.requests), &mut role.cache);
+        role.last_dispatch = Some(Instant::now());
+    }
+}
+
+impl<T, S> Combine for ServiceCore<T, S>
+where
+    T: Clone + Send + Sync + 'static,
+    S: PartialSnapshot<T>,
+{
+    fn combine_if_free(&self, lane: Lane) {
+        self.combine(lane, false);
+    }
 }
 
 /// One `Window` child per request about to wait through a coalescing
@@ -1004,84 +1074,18 @@ fn open_window_spans<T>(requests: &[ScanRequest<T>], window: Duration) -> Vec<Sp
         .collect()
 }
 
-/// Drains the scan queue into `requests` and accounts for what it took.
-fn drain_scans<T, S>(core: &ServiceCore<T, S>, requests: &mut Vec<ScanRequest<T>>) {
-    let before = requests.len();
-    core.scan_queue.drain_into(requests);
-    let drained = &mut requests[before..];
-    if !drained.is_empty() {
-        core.counters.scan_depth.sub(drained.len() as i64);
-        trace::emit(TraceKind::QueueDrain, 1, drained.len() as u64);
-        for request in drained {
-            request.queue_wait.take();
-        }
-    }
-}
-
-/// The scan server: one task, one pid, one union per round. It owns the
-/// freshness cache, so no other task ever reads or writes it.
-async fn scan_loop<T, S>(core: Arc<ServiceCore<T, S>>, handle: Handle)
-where
-    T: Clone + Send + Sync + 'static,
-    S: PartialSnapshot<T>,
-{
-    let Coalescing::Window(window) = core.config.coalescing;
-    let mut requests: Vec<ScanRequest<T>> = Vec::new();
-    let mut cache: Vec<ScanCache<T>> = Vec::new();
-    // When the last batch was dispatched; `None` until the first dispatch.
-    // A lone request is served immediately only if the server has been idle
-    // for at least one window — arrivals within a window of the previous
-    // dispatch are treated as part of an ongoing trickle and still wait, so
-    // sub-window jitter between clients keeps coalescing.
-    let mut last_dispatch: Option<Instant> = None;
-    loop {
-        // Same discipline as the drainer: the exit precondition (the scan
-        // queue itself is closed — shutdown's sweep, not just the global
-        // flag) is sampled *before* the drain, so any request accepted
-        // before the close is seen by this or an earlier drain and no
-        // ScanTicket is ever stranded.
-        let closing = core.scan_queue.is_closed();
-        drain_scans(&core, &mut requests);
-        if requests.is_empty() {
-            if closing {
-                break;
-            }
-            core.scan_notify.wait().await;
-            continue;
-        }
-        // A lone request at an idle server has no coalescing partners to
-        // wait for: any window would be pure added latency, so it is
-        // dispatched immediately. "Idle" means no other request is queued
-        // AND at least one window has passed since the last dispatch.
-        let lone = requests.len() == 1
-            && core.scan_queue.is_empty()
-            && last_dispatch.is_none_or(|at| at.elapsed() >= window);
-        let wait = if lone { Duration::ZERO } else { window };
-        core.counters.window_ns.record(wait.as_nanos() as u64);
-        if !wait.is_zero() {
-            let window_spans = open_window_spans(&requests, wait);
-            handle.sleep(wait).await;
-            drain_scans(&core, &mut requests);
-            drop(window_spans);
-        }
-        core.serve_scans(std::mem::take(&mut requests), &mut cache);
-        last_dispatch = Some(Instant::now());
-    }
-    core.scan_done.complete(());
-}
-
 /// The async service frontend. See the module docs for the architecture.
 ///
-/// Dropping the service performs a best-effort bounded shutdown; call
-/// [`shutdown`](SnapshotService::shutdown) explicitly (before dropping the
-/// [`Executor`]) for the deterministic drain used by the tests.
+/// Dropping the service closes it without waiting: a combiner mid-round
+/// still answers everything published. Call
+/// [`shutdown`](SnapshotService::shutdown) for the deterministic drain used
+/// by the tests.
 pub struct SnapshotService<T, S>
 where
     T: Clone + Send + Sync + 'static,
     S: PartialSnapshot<T>,
 {
     core: Arc<ServiceCore<T, S>>,
-    shutdown_done: Mutex<bool>,
 }
 
 impl<T, S> SnapshotService<T, S>
@@ -1089,42 +1093,39 @@ where
     T: Clone + Send + Sync + 'static,
     S: PartialSnapshot<T> + 'static,
 {
-    /// Starts the service over `snapshot`, spawning its pipeline tasks on
-    /// `executor`. The backing object must have been built for at least
-    /// `max(drain_pid, scan_pid) + 1` processes; wrap it in an [`Arc`] to
-    /// keep direct access on the side.
-    pub fn start(snapshot: S, config: ServiceConfig, executor: &Executor) -> Self {
+    /// Starts the service over `snapshot`. The backing object must have
+    /// been built for at least `max(drain_pid, scan_pid) + 1` processes;
+    /// wrap it in an [`Arc`] to keep direct access on the side. The
+    /// pipelines run on the threads that wait on their tickets, so nothing
+    /// is spawned on `executor`; the periodic tasks (`spawn_*`) take it
+    /// again.
+    pub fn start(snapshot: S, config: ServiceConfig, _executor: &Executor) -> Self {
         assert!(
             snapshot.max_processes() > config.drain_pid.index().max(config.scan_pid.index()),
             "backing object has too few processes for the service pids"
         );
         assert!(
             config.drain_pid != config.scan_pid,
-            "drainer and scan server pids must differ"
+            "ingest and scan roles' pids must differ"
         );
-        let scan_notify = Arc::new(Notify::new());
         let core = Arc::new(ServiceCore {
             snapshot,
-            scan_queue: BoundedQueue::new(config.scan_capacity, Arc::clone(&scan_notify)),
+            scan_queue: BoundedQueue::new(config.scan_capacity),
             config,
             clients: Mutex::new(ClientRegistry {
                 closed: false,
                 queues: Vec::new(),
             }),
-            ingest_notify: Arc::new(Notify::new()),
-            scan_notify,
-            closed: AtomicBool::new(false),
+            ingest: Mutex::new(Vec::new()),
+            scan: Mutex::new(ScanRole {
+                requests: Vec::new(),
+                cache: Vec::new(),
+                last_dispatch: None,
+            }),
             heat_rates: Mutex::new(RateTracker::new(HEAT_EWMA_ALPHA)),
             counters: Counters::default(),
-            drain_done: OpCell::new(),
-            scan_done: OpCell::new(),
         });
-        executor.spawn(drain_loop(Arc::clone(&core)));
-        executor.spawn(scan_loop(Arc::clone(&core), executor.handle()));
-        SnapshotService {
-            core,
-            shutdown_done: Mutex::new(false),
-        }
+        SnapshotService { core }
     }
 
     /// Runs `tick` on `executor` every `every` until the returned handle is
@@ -1141,7 +1142,12 @@ where
         executor.spawn(async move {
             loop {
                 handle.sleep(every).await;
-                if flag.load(Ordering::Acquire) || core.closed.load(Ordering::Acquire) {
+                let closed = core
+                    .clients
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .closed;
+                if closed || flag.load(Ordering::Acquire) {
                     break;
                 }
                 tick(&core);
@@ -1258,8 +1264,8 @@ where
     }
 }
 
-/// Builds a [`ServiceObs`] straight from the core (shared by
-/// [`SnapshotService::obs`] and the reporter task).
+/// Reads the counters into a [`ServiceStats`] (shared by
+/// [`SnapshotService::stats`] and [`obs_of`]).
 fn stats_of(c: &Counters) -> ServiceStats {
     ServiceStats {
         submits_ok: c.submits_ok.get(),
@@ -1349,17 +1355,14 @@ where
 {
     /// Registers a new client and returns its submit/scan handle. Each
     /// client gets its own bounded ingestion queue; dropping the handle
-    /// closes the queue and the drainer prunes it once drained.
+    /// closes the queue, and an ingest round prunes it once drained.
     pub fn client(&self) -> ClientHandle<T, S> {
-        let queue = Arc::new(BoundedQueue::new(
-            self.core.config.ingest_capacity,
-            Arc::clone(&self.core.ingest_notify),
-        ));
+        let queue = Arc::new(BoundedQueue::new(self.core.config.ingest_capacity));
         {
             // Registration and the closed check happen under the same lock
             // shutdown uses to close every registered queue, so a queue can
             // never slip in open after the shutdown sweep (its submissions
-            // would have no drainer left to resolve them). The lock-guarded
+            // would come after shutdown's final round). The lock-guarded
             // flag is authoritative — an atomic read here could be stale.
             let mut registry = self.core.clients.lock().unwrap_or_else(|e| e.into_inner());
             if registry.closed {
@@ -1382,10 +1385,10 @@ where
     }
 
     /// Whether the backing object is wait-free *right now*
-    /// ([`PartialSnapshot::is_wait_free`]). While it holds,
-    /// every pipeline task finishes its poll in a bounded number of its own
-    /// steps, so a transport thread may [`help`](crate::Handle::help)
-    /// instead of waiting for a worker.
+    /// ([`PartialSnapshot::is_wait_free`]). While it holds, every pipeline
+    /// round finishes in a bounded number of the combiner's own steps, so a
+    /// transport thread that must not block may combine — poll its tickets
+    /// — instead of handing them to a thread that can wait.
     pub fn is_wait_free(&self) -> bool {
         self.core.snapshot.is_wait_free()
     }
@@ -1413,7 +1416,7 @@ where
     }
 
     /// Client queues currently registered (racy gauge; dropped clients'
-    /// queues disappear once the drainer has drained and pruned them).
+    /// queues disappear once an ingest round has drained and pruned them).
     pub fn client_count(&self) -> usize {
         self.core
             .clients
@@ -1524,25 +1527,22 @@ where
         );
     }
 
-    /// Stops accepting work, drains everything already accepted (resolving
-    /// every outstanding ticket), and waits for both pipeline tasks to
-    /// finish. Idempotent. Must be called while the executor is alive.
+    /// Stops accepting work and drains everything already accepted,
+    /// resolving every outstanding ticket: once the queues are closed, the
+    /// calling thread waits for each role's current holder and runs the
+    /// final rounds itself. Idempotent. Needs no executor.
     pub fn shutdown(&self) {
-        self.shutdown_inner(None);
+        self.close(true);
     }
 
-    fn shutdown_inner(&self, timeout: Option<Duration>) {
-        let mut done = self.shutdown_done.lock().unwrap_or_else(|e| e.into_inner());
-        if *done {
-            return;
-        }
-        // Flip the authoritative flag and close every registered queue in
-        // ONE registry critical section: the drainer's exit sample and any
-        // concurrent registration order against this block as a whole, so
-        // there is no window where the flag is up but a still-open queue can
-        // accept a submission the final drain misses. The atomic mirror is
-        // for background tasks' lock-free polls only.
-        self.core.closed.store(true, Ordering::Release);
+    /// Closes every queue and runs the final rounds, waiting for a role
+    /// that is held if `wait`.
+    fn close(&self, wait: bool) {
+        // Flip the flag and close every registered queue in ONE registry
+        // critical section: a concurrent registration orders against this
+        // block as a whole, so there is no window where the flag is up but
+        // a still-open queue can accept a submission the final round
+        // misses.
         {
             let mut registry = self.core.clients.lock().unwrap_or_else(|e| e.into_inner());
             registry.closed = true;
@@ -1551,22 +1551,8 @@ where
             }
         }
         self.core.scan_queue.close();
-        self.core.ingest_notify.notify();
-        self.core.scan_notify.notify();
-        let drain = Ticket::new(Arc::clone(&self.core.drain_done));
-        let scan = Ticket::new(Arc::clone(&self.core.scan_done));
-        match timeout {
-            None => {
-                drain.wait();
-                scan.wait();
-                *done = true;
-            }
-            Some(t) => {
-                let finished =
-                    block_on_timeout(drain, t).is_some() && block_on_timeout(scan, t).is_some();
-                *done = finished;
-            }
-        }
+        self.core.combine(Lane::Ingest, wait);
+        self.core.combine(Lane::Scan, wait);
     }
 }
 
@@ -1576,9 +1562,10 @@ where
     S: PartialSnapshot<T>,
 {
     fn drop(&mut self) {
-        // Best-effort: if the executor was dropped first the pipeline tasks
-        // will never acknowledge, so bound the wait instead of hanging.
-        self.shutdown_inner(Some(Duration::from_secs(5)));
+        // A role held by a combiner that never returns (a closed test gate)
+        // must not hang the drop; the holder re-checks the queue when it
+        // lets go, so nothing published is left behind.
+        self.close(false);
     }
 }
 
@@ -1586,7 +1573,8 @@ where
 /// Cloning is deliberate-free — create one handle per logical client via
 /// [`SnapshotService::client`], since each handle owns a bounded queue.
 /// Dropping the handle closes that queue; whatever it already accepted is
-/// still drained (and its tickets resolved) before the drainer prunes it.
+/// still drained (and its tickets resolved) by a later ingest round, which
+/// then prunes it.
 pub struct ClientHandle<T, S>
 where
     T: Clone + Send + Sync + 'static,
@@ -1607,7 +1595,7 @@ where
 impl<T, S> ClientHandle<T, S>
 where
     T: Clone + Send + Sync + 'static,
-    S: PartialSnapshot<T>,
+    S: PartialSnapshot<T> + 'static,
 {
     fn validate_components<'a>(&self, components: impl Iterator<Item = &'a usize>) {
         let m = self.core.snapshot.components();
@@ -1646,7 +1634,7 @@ where
                 self.core.counters.writes_submitted.add(width);
                 self.core.counters.ingest_depth.inc();
                 trace::emit(TraceKind::QueuePush, 0, depth as u64);
-                Ok(Ticket::new(cell))
+                Ok(Ticket::published(cell, self.core.clone(), Lane::Ingest))
             }
             Err(e) => {
                 let counter = match e {
@@ -1695,8 +1683,8 @@ where
     }
 
     /// Submits an atomic batch: all writes take effect at one linearization
-    /// point (the drainer never splits a submission across `update_many`
-    /// calls). An empty batch resolves immediately.
+    /// point (an ingest round never splits a submission across
+    /// `update_many` calls). An empty batch resolves immediately.
     pub fn submit_batch(&self, writes: Vec<(usize, T)>) -> Result<UpdateTicket, SubmitError> {
         self.validate_components(writes.iter().map(|(c, _)| c));
         if writes.is_empty() {
@@ -1742,7 +1730,7 @@ where
                 self.core.counters.scans_ok.inc();
                 self.core.counters.scan_depth.inc();
                 trace::emit(TraceKind::QueuePush, 1, depth as u64);
-                Ok(Ticket::new(cell))
+                Ok(Ticket::published(cell, self.core.clone(), Lane::Scan))
             }
             Err(e) => {
                 let counter = match e {
@@ -1792,10 +1780,9 @@ where
     S: PartialSnapshot<T>,
 {
     fn drop(&mut self) {
-        // Close the queue (no further pushes can succeed) and wake the
-        // drainer: it drains whatever was accepted, then prunes the
+        // No further pushes can succeed; whatever was accepted is drained by
+        // a later round (a waiter's, or shutdown's), which then prunes the
         // closed-and-empty queue from the client list.
         self.queue.close();
-        self.core.ingest_notify.notify();
     }
 }

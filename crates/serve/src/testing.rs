@@ -3,11 +3,12 @@
 //! [`GatedSnapshot`] wraps any [`PartialSnapshot`] with two closable gates —
 //! one at the entry of every write operation, one at the entry of every scan
 //! — and a log of every write actually applied. Closing the update gate and
-//! submitting through the service parks the **drainer mid-coalesce**
-//! deterministically (it has already collected the submissions and is now
-//! blocked applying them), which is exactly the seam the chaos tests need to
-//! hold open while clients keep submitting; the write log then proves no
-//! accepted write was dropped or applied twice.
+//! waiting on a submission from a thread of its own parks that waiter — the
+//! ingest combiner — **mid-coalesce** deterministically (it has already
+//! collected the submissions and is now blocked applying them), which is
+//! exactly the seam the chaos tests need to hold open while clients keep
+//! submitting; the write log then proves no accepted write was dropped or
+//! applied twice.
 
 use std::sync::{Arc, Condvar, Mutex};
 

@@ -1,6 +1,7 @@
-//! Seam tests for the ingestion pipeline: the drainer is parked mid-coalesce
-//! (deterministically via a gate, and probabilistically via the chaos layer
-//! on the executor workers) while clients keep submitting. Whatever the
+//! Seam tests for the ingestion pipeline: the combiner is parked
+//! mid-coalesce (deterministically via a gate, and probabilistically via the
+//! chaos layer on the client threads that combine) while clients keep
+//! submitting. Whatever the
 //! interleaving, no accepted write may be dropped or applied twice, and
 //! every waiter must eventually resolve.
 
@@ -9,10 +10,8 @@ use std::time::{Duration, Instant};
 
 use psnap_core::CasPartialSnapshot;
 use psnap_serve::testing::GatedSnapshot;
-use psnap_serve::{
-    Coalescing, Executor, ExecutorConfig, Freshness, ServiceConfig, SnapshotService, SubmitError,
-};
-use psnap_shmem::chaos::ChaosConfig;
+use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService, SubmitError};
+use psnap_shmem::chaos::{self, ChaosConfig};
 
 /// Per-component conformance of the applied-write log against what each
 /// client actually submitted: with one writer per component submitting
@@ -123,25 +122,20 @@ fn parked_drainer_with_live_submitters_loses_nothing() {
 
 #[test]
 fn chaos_parked_workers_preserve_ingestion_and_scan_conformance() {
-    // The probabilistic version of the seam: the executor workers run under
-    // an aggressive, sleep-heavy chaos configuration, so the drainer parks
-    // at arbitrary base-object boundaries *inside* update_many — genuinely
-    // mid-coalesce — while clients submit and scan concurrently.
+    // The probabilistic version of the seam: the client threads — which
+    // combine, so the pipelines run on them — run under an aggressive,
+    // sleep-heavy chaos configuration, so a combiner parks at arbitrary
+    // base-object boundaries *inside* update_many — genuinely mid-coalesce —
+    // while clients submit and scan concurrently.
+    let chaos = ChaosConfig {
+        perturb_probability: 0.4,
+        sleep_probability: 0.5,
+        max_sleep_us: 300,
+        max_spin: 64,
+        ..ChaosConfig::default()
+    };
     let backing = Arc::new(GatedSnapshot::new(CasPartialSnapshot::new(12, 2, 0u64)));
-    let executor = Executor::with_config(ExecutorConfig {
-        workers: 2,
-        chaos: Some((
-            0x5EA1,
-            ChaosConfig {
-                perturb_probability: 0.4,
-                sleep_probability: 0.5,
-                max_sleep_us: 300,
-                max_spin: 64,
-                ..ChaosConfig::default()
-            },
-        )),
-        ..ExecutorConfig::default()
-    });
+    let executor = Executor::new(2);
     let service = SnapshotService::start(
         Arc::clone(&backing),
         ServiceConfig {
@@ -157,16 +151,20 @@ fn chaos_parked_workers_preserve_ingestion_and_scan_conformance() {
     std::thread::scope(|scope| {
         for client_index in 0..updaters {
             let client = service.client();
+            let chaos = chaos.clone();
             scope.spawn(move || {
+                let _chaos = chaos::enable(0x5EA1 + client_index as u64, chaos);
                 for op in 0..ops {
                     let component = 4 * client_index + (op % 4);
                     assert!(client.submit_blocking(component, op as u64 + 1));
                 }
             });
         }
-        for _ in 0..2 {
+        for scanner in 0..2u64 {
             let client = service.client();
+            let chaos = chaos.clone();
             scope.spawn(move || {
+                let _chaos = chaos::enable(0x5EB1 + scanner, chaos);
                 // Concurrent scanners assert per-component monotonicity of
                 // the coalesced views while the chaos schedule runs.
                 let mut high = [0u64; 12];
@@ -230,11 +228,13 @@ fn shutdown_racing_late_client_registration_strands_no_ticket() {
         let service =
             SnapshotService::start(Arc::clone(&backing), ServiceConfig::default(), &executor);
 
-        // Park the drainer inside apply_pending so accepted submissions
-        // pile up in client queues across the whole shutdown window.
+        // Park the ingest role inside apply_pending so accepted submissions
+        // pile up in client queues across the whole shutdown window: the
+        // parked ticket's waiter, on a thread of its own, is the combiner.
         backing.update_gate.close();
         let early = service.client();
         let parked = early.submit(0, 1).unwrap();
+        let parked = std::thread::spawn(move || parked.wait());
         let deadline = Instant::now() + Duration::from_secs(30);
         while service.ingest_depth() != 0 {
             assert!(Instant::now() < deadline, "drainer never collected");
@@ -290,7 +290,7 @@ fn shutdown_racing_late_client_registration_strands_no_ticket() {
                 opener.join().unwrap();
             });
         });
-        parked.wait();
+        parked.join().unwrap();
 
         assert_eq!(
             accepted.load(Ordering::Relaxed),
@@ -320,6 +320,8 @@ fn shutdown_while_parked_mid_coalesce_resolves_all_waiters_exactly_once() {
 
     backing.update_gate.close();
     let parked = client.submit(0, 1).unwrap();
+    // Its waiter is the combiner that parks mid-coalesce.
+    let parked = std::thread::spawn(move || parked.wait());
     let deadline = Instant::now() + Duration::from_secs(30);
     while service.ingest_depth() != 0 {
         assert!(Instant::now() < deadline, "drainer never collected");
@@ -337,7 +339,7 @@ fn shutdown_while_parked_mid_coalesce_resolves_all_waiters_exactly_once() {
     backing.update_gate.open();
     let service = shutdown.join().unwrap();
 
-    parked.wait();
+    parked.join().unwrap();
     for t in tickets {
         t.wait();
     }

@@ -1,6 +1,6 @@
 //! Observability over a live service: the registry's partition invariants
 //! must hold at quiescence after arbitrary concurrent traffic (including a
-//! chaos-perturbed executor), `obs()` must expose real latency quantiles
+//! chaos-perturbed combiners), `obs()` must expose real latency quantiles
 //! and per-shard heat, and the periodic reporter must actually tick.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -8,11 +8,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use psnap_obs::Registry;
-use psnap_serve::{
-    Coalescing, Executor, ExecutorConfig, Freshness, ServiceConfig, SnapshotService,
-};
+use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
 use psnap_shard::{MvShardedSnapshot, ShardConfig};
-use psnap_shmem::chaos::ChaosConfig;
+use psnap_shmem::chaos::{self, ChaosConfig};
 
 const M: usize = 16;
 const SHARDS: usize = 4;
@@ -29,20 +27,15 @@ fn sharded_backing() -> Arc<MvShardedSnapshot<u64>> {
 #[test]
 fn partition_invariants_hold_over_a_live_service_under_chaos() {
     let backing = sharded_backing();
-    let executor = Executor::with_config(ExecutorConfig {
-        workers: 2,
-        chaos: Some((
-            0x0B5,
-            ChaosConfig {
-                perturb_probability: 0.3,
-                sleep_probability: 0.3,
-                max_sleep_us: 200,
-                max_spin: 64,
-                ..ChaosConfig::default()
-            },
-        )),
-        ..ExecutorConfig::default()
-    });
+    // On the client threads: they combine, so the pipelines run there.
+    let chaos = ChaosConfig {
+        perturb_probability: 0.3,
+        sleep_probability: 0.3,
+        max_sleep_us: 200,
+        max_spin: 64,
+        ..ChaosConfig::default()
+    };
+    let executor = Executor::new(2);
     let service = SnapshotService::start(
         Arc::clone(&backing),
         ServiceConfig {
@@ -62,16 +55,20 @@ fn partition_invariants_hold_over_a_live_service_under_chaos() {
     std::thread::scope(|scope| {
         for client_index in 0..clients {
             let client = service.client();
+            let chaos = chaos.clone();
             scope.spawn(move || {
+                let _chaos = chaos::enable(0x0B5 + client_index as u64, chaos);
                 for op in 0..ops {
                     let component = (4 * client_index + op) % M;
                     assert!(client.submit_blocking(component, op as u64 + 1));
                 }
             });
         }
-        for _ in 0..2 {
+        for scanner in 0..2u64 {
             let client = service.client();
+            let chaos = chaos.clone();
             scope.spawn(move || {
+                let _chaos = chaos::enable(0x1B5 + scanner, chaos);
                 let all: Vec<usize> = (0..M).collect();
                 for _ in 0..40 {
                     let values = client

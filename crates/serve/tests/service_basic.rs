@@ -55,11 +55,13 @@ fn drainer_coalesces_same_component_writes_last_write_wins() {
     let service = SnapshotService::start(Arc::clone(&backing), ServiceConfig::default(), &executor);
     let client = service.client();
 
-    // Park the drainer so the three writes below land in one chunk.
+    // Park the ingest role so the three writes below land in one chunk.
     backing.update_gate.close();
-    // An unrelated write first, so the drainer is provably parked mid-apply
-    // (it collected something and is blocked in update_many).
+    // An unrelated write first, waited on from a thread of its own: that
+    // waiter becomes the combiner, provably parked mid-apply (it collected
+    // something and is blocked in update_many).
     let warmup = client.submit(9, 1).unwrap();
+    let warmup = std::thread::spawn(move || warmup.wait());
     wait_until("drainer to collect the warm-up write", || {
         service.ingest_depth() == 0
     });
@@ -67,7 +69,7 @@ fn drainer_coalesces_same_component_writes_last_write_wins() {
     let t2 = client.submit(3, 200).unwrap();
     let t3 = client.submit(3, 300).unwrap();
     backing.update_gate.open();
-    warmup.wait();
+    warmup.join().unwrap();
     t1.wait();
     t2.wait();
     t3.wait();
@@ -105,6 +107,8 @@ fn client_batches_are_never_split_across_update_many_calls() {
     let client = service.client();
     backing.update_gate.close();
     let warmup = client.submit(15, 1).unwrap();
+    // Its waiter is the combiner that parks in the gate.
+    let warmup = std::thread::spawn(move || warmup.wait());
     wait_until("drainer to collect the warm-up write", || {
         service.ingest_depth() == 0
     });
@@ -116,7 +120,7 @@ fn client_batches_are_never_split_across_update_many_calls() {
         })
         .collect();
     backing.update_gate.open();
-    warmup.wait();
+    warmup.join().unwrap();
     for t in tickets {
         t.wait();
     }
@@ -154,10 +158,12 @@ fn full_ingest_queue_rejects_with_busy_and_nothing_is_lost() {
 
     backing.update_gate.close();
     let parked = client.submit(0, 1).unwrap();
+    // Its waiter is the combiner that parks in the gate.
+    let parked = std::thread::spawn(move || parked.wait());
     wait_until("drainer to park on the gate", || {
         service.ingest_depth() == 0
     });
-    // Fill the queue while the drainer is parked, then overflow it.
+    // Fill the queue while the combiner is parked, then overflow it.
     let queued: Vec<_> = (0..4)
         .map(|k| client.submit(1, k as u64 + 10).unwrap())
         .collect();
@@ -173,7 +179,7 @@ fn full_ingest_queue_rejects_with_busy_and_nothing_is_lost() {
     // Backpressure rejected the overflow *without* touching accepted work:
     // releasing the gate resolves every accepted ticket.
     backing.update_gate.open();
-    parked.wait();
+    parked.join().unwrap();
     for t in queued {
         t.wait();
     }
@@ -196,11 +202,12 @@ fn concurrent_scans_coalesce_into_one_backing_scan() {
         client.submit(c, c as u64 + 100).unwrap().wait();
     }
 
-    // Park the scan server inside a first backing scan, then pile up
-    // overlapping requests; on release they must all be answered by a single
-    // union scan.
+    // Park the scan role inside a first backing scan — its waiter, on a
+    // thread of its own, is the combiner — then pile up overlapping
+    // requests; on release they must all be answered by a single union scan.
     backing.scan_gate.close();
     let first = service.client().scan(vec![0, 1], Freshness::Fresh).unwrap();
+    let first = std::thread::spawn(move || first.wait());
     wait_until("scan server to park on the gate", || {
         service.scan_depth() == 0
     });
@@ -216,7 +223,7 @@ fn concurrent_scans_coalesce_into_one_backing_scan() {
         .collect();
     let scans_before = backing.inner_scans();
     backing.scan_gate.open();
-    assert_eq!(first.wait(), vec![100, 101]);
+    assert_eq!(first.join().unwrap(), vec![100, 101]);
     for (components, ticket) in requests {
         let expected: Vec<u64> = components.iter().map(|&c| c as u64 + 100).collect();
         assert_eq!(ticket.wait(), expected);
@@ -356,7 +363,7 @@ fn dropped_client_queues_are_pruned_after_draining() {
         client.submit(k % 16, k as u64 + 1).unwrap().wait();
     }
     let survivor = service.client();
-    // The drainer prunes on its next pass; poke it with live traffic.
+    // An ingest round prunes on its next pass; poke it with live traffic.
     wait_until("dropped client queues to be pruned", || {
         survivor.submit(0, 1).unwrap().wait();
         service.client_count() <= 1
@@ -385,13 +392,16 @@ fn shutdown_resolves_every_accepted_ticket_and_stats_partition() {
 
     backing.update_gate.close();
     let parked = client.submit(0, 1).unwrap();
+    // Its waiter is the combiner that parks in the gate.
+    let parked = std::thread::spawn(move || parked.wait());
     wait_until("drainer to park on the gate", || {
         service.ingest_depth() == 0
     });
     let tickets: Vec<_> = (0..5).map(|k| client.submit(k, 7).unwrap()).collect();
     let scan_ticket = client.scan(vec![0, 4], Freshness::Fresh).unwrap();
 
-    // Shut down while the drainer is parked: accepted work must still drain.
+    // Shut down while the combiner is parked: accepted work must still
+    // drain.
     let shutdown = std::thread::spawn(move || {
         service.shutdown();
         service
@@ -400,7 +410,7 @@ fn shutdown_resolves_every_accepted_ticket_and_stats_partition() {
     backing.update_gate.open();
     let service = shutdown.join().expect("shutdown panicked");
 
-    parked.wait();
+    parked.join().unwrap();
     for t in tickets {
         t.wait();
     }

@@ -1,8 +1,8 @@
 //! Causal span trees over a live, chaos-perturbed service: every scan the
 //! service answers must come back to the flight recorder as one complete
 //! tree rooted at the client's submit — no orphaned stage spans even while
-//! the request hops executor workers and the backing object reshards
-//! underneath it — and a frozen dump must round-trip through `psnap-json`.
+//! the request is answered on another client's combining thread and the
+//! backing object reshards underneath it — and a frozen dump must round-trip through `psnap-json`.
 
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -11,11 +11,9 @@ use std::time::Duration;
 use psnap_core::{CasPartialSnapshot, PartialSnapshot, ReshardOp};
 use psnap_json::Json;
 use psnap_obs::{flight, AnomalyKind, FlightDump, Registry, SpanKind};
-use psnap_serve::{
-    Coalescing, Executor, ExecutorConfig, Freshness, ServiceConfig, SnapshotService,
-};
+use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
 use psnap_shard::{MvShardedSnapshot, ShardConfig};
-use psnap_shmem::chaos::ChaosConfig;
+use psnap_shmem::chaos::{self, ChaosConfig};
 
 const M: usize = 16;
 const SCANNERS: usize = 2;
@@ -27,21 +25,19 @@ const SUBMITS_EACH: usize = 60;
 /// tests of this binary serialize and reset around their traffic.
 static SPAN_LOCK: Mutex<()> = Mutex::new(());
 
-fn chaotic_executor(seed: u64) -> Executor {
-    Executor::with_config(ExecutorConfig {
-        workers: 2,
-        chaos: Some((
-            seed,
-            ChaosConfig {
-                perturb_probability: 0.3,
-                sleep_probability: 0.3,
-                max_sleep_us: 200,
-                max_spin: 64,
-                ..ChaosConfig::default()
-            },
-        )),
-        ..ExecutorConfig::default()
-    })
+/// Enables the chaos layer on a client thread for as long as the guard
+/// lives: client threads combine, so the pipelines run on them.
+fn chaotic_client(seed: u64) -> chaos::ChaosGuard {
+    chaos::enable(
+        seed,
+        ChaosConfig {
+            perturb_probability: 0.3,
+            sleep_probability: 0.3,
+            max_sleep_us: 200,
+            max_spin: 64,
+            ..ChaosConfig::default()
+        },
+    )
 }
 
 /// Runs chaos-perturbed traffic (updaters, fresh scanners, and a reshard
@@ -54,7 +50,7 @@ fn run_traffic() -> Vec<psnap_obs::SpanTree> {
         0u64,
         ShardConfig::multiversioned(2),
     ));
-    let executor = chaotic_executor(0x5FA2);
+    let executor = Executor::new(2);
     let service = SnapshotService::start(
         Arc::clone(&backing),
         ServiceConfig {
@@ -69,15 +65,17 @@ fn run_traffic() -> Vec<psnap_obs::SpanTree> {
         for updater in 0..UPDATERS {
             let client = service.client();
             scope.spawn(move || {
+                let _chaos = chaotic_client(0x5FA2 + updater as u64);
                 for op in 0..SUBMITS_EACH {
                     let component = (5 * updater + op) % M;
                     assert!(client.submit_blocking(component, op as u64 + 1));
                 }
             });
         }
-        for _ in 0..SCANNERS {
+        for scanner in 0..SCANNERS {
             let client = service.client();
             scope.spawn(move || {
+                let _chaos = chaotic_client(0x5FB2 + scanner as u64);
                 let all: Vec<usize> = (0..M).collect();
                 for _ in 0..SCANS_EACH {
                     let values = client
@@ -314,11 +312,13 @@ fn busy_burst_fires_per_client_despite_interleaved_healthy_traffic() {
     let starved = service.client();
     let healthy = service.client();
 
-    // Wedge the starved client: park the drainer mid-apply behind the
-    // update gate, then fill the client's 2-slot queue.
+    // Wedge the starved client: park the ingest role mid-apply behind the
+    // update gate — the parked ticket's waiter, on a thread of its own, is
+    // the combiner — then fill the client's 2-slot queue.
     let park = |value: u64| {
         backing.update_gate.close();
         let parked = starved.submit(0, value).unwrap();
+        let parked = std::thread::spawn(move || parked.wait());
         let deadline = Instant::now() + std::time::Duration::from_secs(30);
         while service.ingest_depth() != 0 {
             assert!(Instant::now() < deadline, "drainer never collected");
@@ -363,7 +363,7 @@ fn busy_burst_fires_per_client_despite_interleaved_healthy_traffic() {
     // dump fires (without the reset, the streak would be past the
     // threshold already and never equal it again).
     backing.update_gate.open();
-    parked.wait();
+    parked.join().unwrap();
     for t in fill {
         t.wait();
     }
@@ -380,7 +380,7 @@ fn busy_burst_fires_per_client_despite_interleaved_healthy_traffic() {
     assert_eq!(flight::dump_count(), base + 2, "second burst did not fire");
 
     backing.update_gate.open();
-    parked.wait();
+    parked.join().unwrap();
     for t in fill {
         t.wait();
     }

@@ -116,7 +116,7 @@ thread_local! {
 /// `(component, value)` pairs in first-written order, each carrying the value
 /// of its component's final occurrence. `batches` are read in order, as if
 /// concatenated. The single definition of batch semantics for the service's
-/// ingestion drainer and both sharded stores' `update_many` paths.
+/// ingest rounds and both sharded stores' `update_many` paths.
 pub fn last_write_wins<'a, T: 'a>(
     batches: impl IntoIterator<Item = &'a [(usize, T)], IntoIter: Clone>,
 ) -> Vec<(usize, &'a T)> {

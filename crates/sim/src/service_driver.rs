@@ -9,17 +9,17 @@
 //! next, so the per-process histories stay sequential. The recorded
 //! [`History`] spans the *client-observed* interval of each operation
 //! (enqueue to ticket resolution), which is exactly what linearizability is
-//! about for a service: the coalesced `update_many` the drainer issues and
-//! the shared backing scan the coalescer issues must both land inside every
-//! participating client's interval. Feeding these histories to the WGL and
+//! about for a service: the coalesced `update_many` an ingest round issues
+//! and the shared backing scan a scan round issues must both land inside
+//! every participating client's interval. Feeding these histories to the WGL and
 //! monotone checkers is therefore the conformance proof the ISSUE asks for —
 //! a coalesced scan answer must still be a legal linearizable partial scan.
 //!
 //! Chaos wiring: the scenario's chaos configuration is applied to the client
-//! threads *and* (via [`ServiceDriverConfig::chaos_in_service`]) to the
-//! executor workers, so the queue seams — drainer parked mid-coalesce, scan
-//! server parked mid-union — are exercised by the same adversarial schedules
-//! as the in-process runners.
+//! threads — which combine, so the queue seams (ingest combiner parked
+//! mid-coalesce, scan combiner parked mid-union) are exercised by the same
+//! adversarial schedules as the in-process runners — and (via
+//! [`ServiceDriverConfig::chaos_in_service`]) to the executor.
 
 use std::sync::Arc;
 
@@ -51,7 +51,9 @@ pub struct ServiceDriverConfig {
     /// the WGL checker applies unchanged.
     pub scanner_freshness: Freshness,
     /// Also enable the scenario's chaos configuration on the executor
-    /// workers, so the service pipelines themselves are perturbed.
+    /// ([`ExecutorConfig::chaos`]): its workers and every thread that enters
+    /// it, such as a wire server's connection and reply-pump threads, which
+    /// run the service pipelines for their connections.
     pub chaos_in_service: bool,
     /// Scan-latency SLO forwarded to [`ServiceConfig::scan_slo`]: a scan
     /// answered later than this fires the service's latency anomaly
@@ -77,8 +79,8 @@ impl Default for ServiceDriverConfig {
 /// Runs `scenario` against `snapshot` through a [`SnapshotService`], one OS
 /// thread per role, and returns the history of client-observed operations.
 ///
-/// The snapshot object must have at least 2 processes (the service's drainer
-/// and scan-server pids) and at least `scenario.components` components. The
+/// The snapshot object must have at least 2 processes (the service's ingest
+/// and scan pids) and at least `scenario.components` components. The
 /// update values follow the same monotone single-writer discipline as
 /// [`crate::runner::run_scenario`], so the same checkers apply.
 pub fn run_scenario_via_service<S>(
@@ -165,7 +167,7 @@ fn run_client_role<S>(
     freshness: Freshness,
 ) -> Vec<OpRecord>
 where
-    S: PartialSnapshot<u64>,
+    S: PartialSnapshot<u64> + 'static,
 {
     let mut log = Vec::new();
     let pid_tag = psnap_shmem::ProcessId(pid);
@@ -251,7 +253,7 @@ where
     log
 }
 
-fn submit_retrying<S: PartialSnapshot<u64>>(
+fn submit_retrying<S: PartialSnapshot<u64> + 'static>(
     client: &psnap_serve::ClientHandle<u64, S>,
     component: usize,
     value: u64,

@@ -34,18 +34,17 @@
 //!   caller inside `wait()` takes the connection's read half and reads
 //!   frames — completing other callers' tickets on the way — until its own
 //!   reply is in. There is no client reader thread.
-//! * *Who runs the request.* While the hosted object is **wait-free**
+//! * *Who runs the request.* Whoever waits on its ticket: a service ticket
+//!   runs its pipeline's round on the waiting thread when the role is free.
+//!   While the hosted object is **wait-free**
 //!   ([`PartialSnapshot::is_wait_free`](psnap_core::PartialSnapshot::is_wait_free),
-//!   read per request), the connection thread itself: before it blocks in
-//!   a socket read with requests in flight it polls the service's pipeline
-//!   tasks ([`Handle::help`](psnap_serve::Handle::help)) — the same queues,
-//!   drainer, coalescer and scan server, on a different thread. Wait-freedom
-//!   gates it because only then is every poll bounded by the poller's own
-//!   steps; a thread that must get back to its socket cannot afford to
-//!   park behind a lock holder or a gated scan. On any other object the
-//!   connection thread only dispatches and executor workers apply.
-//!   (`help` polls *any* task on the executor: a blocking co-tenant service
-//!   can occupy a helping connection thread as it can a worker.)
+//!   read per request) that is the connection thread itself: before it
+//!   blocks in a socket read with requests in flight it polls their
+//!   tickets. Wait-freedom gates it because only then is every round
+//!   bounded by the combiner's own steps; a thread that must get back to
+//!   its socket cannot afford to park behind a lock holder or a gated scan.
+//!   On any other object the connection thread only dispatches, and the
+//!   reply pump, which waits on the tickets, combines.
 //! * *Who writes.* The connection thread, with one non-blocking send of the
 //!   replies it just completed — **it never waits in a write**, or a client
 //!   flushing a batch larger than both socket buffers would deadlock

@@ -17,38 +17,38 @@
 //!   request tree assembles beneath it), and dispatches requests. While
 //!   the backing object is **wait-free** it also answers them: every time
 //!   it is about to block in a socket read with requests in flight, it
-//!   first does the work it would otherwise wait for — it polls the
-//!   service's pipeline tasks itself ([`Handle::help`]: drainer, scan
-//!   server, whatever is queued), serializes the replies that are now
-//!   complete and sends them with one non-blocking send. A round trip then
-//!   wakes this thread and nobody else. Wait-freedom is the licence: each
-//!   pipeline poll finishes in a bounded number of the poller's own steps,
-//!   so the thread that must get back to reading cannot be held by a lock
-//!   holder or a gated scan. (`help` polls *any* task queued on the
-//!   executor, so a blocking service sharing it can occupy this thread as
-//!   it can occupy a worker.) **The connection thread never waits in a
-//!   write**: a client may flush a corked batch larger than both socket
-//!   buffers before it reads a single reply, and a server that stopped
-//!   reading to write would deadlock against it;
+//!   polls their tickets in order — a polled service ticket runs its
+//!   pipeline's round on the polling thread when the role is free, so this
+//!   thread combines — serializes the replies that are now complete and
+//!   sends them with one non-blocking send. A round trip then wakes this
+//!   thread and nobody else. Wait-freedom is the licence: a round finishes
+//!   in a bounded number of the combiner's own steps, so the thread that
+//!   must get back to reading cannot be held by a lock holder or a gated
+//!   scan. **The connection thread never waits in a write**: a client may
+//!   flush a corked batch larger than both socket buffers before it reads a
+//!   single reply, and a server that stopped reading to write would
+//!   deadlock against it;
 //! * a **reply pump** on its own writer thread, started by the first
 //!   entry it is handed: the bytes a non-blocking send did not take, the
 //!   replies still pending when the connection thread went back to
-//!   reading (a worker got there first, a coalescing window is open) and —
-//!   while the backing object is *not* wait-free (the property is read per
-//!   request) — every ticket-backed reply: nothing is helped then, the
-//!   connection thread dispatches, executor workers apply, the pump
-//!   replies. It drains its FIFO in order; consecutive completed
+//!   reading (another thread holds the role, a coalescing window is open)
+//!   and — while the backing object is *not* wait-free (the property is
+//!   read per request) — every ticket-backed reply: the connection thread
+//!   only dispatches, and the pump waits on the tickets, which makes it
+//!   the combiner. It drains its FIFO in order; consecutive completed
 //!   replies are serialized into one buffer and flushed with a single
 //!   write. Flushes block the pump's own thread only — a peer that stops
 //!   reading its replies wedges *its* connection (bounded by the
 //!   configured write timeout, which severs it), never an executor worker
-//!   and never the thread that reads, so other connections and the
-//!   service's own pipeline tasks keep running;
+//!   and never the thread that reads, so other connections keep running;
 //! * an optional **idle watchdog task** on the executor: a far-deadline
 //!   timer that severs connections with no activity — no inbound frame,
 //!   no outbound flush, nothing in flight — for the configured timeout.
 //!   A quiet peer waiting on a slow in-flight request is active, not
 //!   idle, and is never severed mid-request.
+//!
+//! Both threads run under the executor's chaos configuration, if it has
+//! one ([`Handle::enter_chaos`]): they are where the pipelines run.
 //!
 //! # Lifecycle
 //!
@@ -58,10 +58,10 @@
 //! server close its side. [`WireServer::shutdown`] performs the same drain
 //! across every connection — stop the acceptor, refuse new work with
 //! `closed`, wait for in-flight tickets, flush, then close the listener.
-//! A connection that dies mid-request leaves its accepted submissions in
-//! the service pipeline — they are applied and their tickets resolve
-//! server-side, so the service's `accepted == resolved` accounting holds
-//! no matter how rudely a peer disconnects.
+//! A connection that dies mid-request hands its accepted requests to its
+//! reply pump, which waits on them — they are applied and their tickets
+//! resolve server-side, so the service's `accepted == resolved` accounting
+//! holds no matter how rudely a peer disconnects.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -78,9 +78,7 @@ use std::time::{Duration, Instant};
 use psnap_core::PartialSnapshot;
 use psnap_json::Json;
 use psnap_obs::{span, Span, SpanKind};
-use psnap_serve::{
-    ClientHandle, Executor, Handle, Helper, OpCell, SnapshotService, SubmitError, Ticket,
-};
+use psnap_serve::{ClientHandle, Executor, Handle, OpCell, SnapshotService, SubmitError, Ticket};
 
 use crate::frame::{
     encode_frame, encode_frame_into, read_frame, read_frame_into, FrameError, MAX_FRAME_LEN,
@@ -155,13 +153,6 @@ enum PendingTicket {
 }
 
 impl PendingTicket {
-    fn is_complete(&self) -> bool {
-        match self {
-            PendingTicket::Submit(t) => t.is_complete(),
-            PendingTicket::Scan(t) => t.is_complete(),
-        }
-    }
-
     fn poll_body(&mut self, cx: &mut Context<'_>) -> Poll<ReplyBody> {
         match self {
             PendingTicket::Submit(t) => Pin::new(t).poll(cx).map(|()| ReplyBody::Submitted),
@@ -187,31 +178,6 @@ fn encode_reply_into(id: u64, body: ReplyBody, out: &mut Vec<u8>) {
         result: Ok(body),
     };
     encode_frame_into(reply.to_wire_string().as_bytes(), out);
-}
-
-/// Awaits a [`PendingTicket`] to completion.
-struct TicketBody<'a>(&'a mut PendingTicket);
-
-impl Future for TicketBody<'_> {
-    type Output = ReplyBody;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        self.0.poll_body(cx)
-    }
-}
-
-/// Polls a [`PendingTicket`] exactly once: `Some(body)` if it is already
-/// complete, `None` if it is still pending (the pump flushes its write
-/// buffer before suspending on a genuinely-pending ticket).
-struct TryTicketBody<'a>(&'a mut PendingTicket);
-
-impl Future for TryTicketBody<'_> {
-    type Output = Option<ReplyBody>;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match self.0.poll_body(cx) {
-            Poll::Ready(body) => Poll::Ready(Some(body)),
-            Poll::Pending => Poll::Ready(None),
-        }
-    }
 }
 
 /// What the connection thread hands the reply pump.
@@ -308,6 +274,8 @@ struct Conn {
     last_activity_ns: AtomicU64,
     /// Set by the reader thread on exit; the drain polls it.
     finished: AtomicBool,
+    /// Where the reply pump's thread enters the executor's chaos.
+    handle: Handle,
 }
 
 impl Conn {
@@ -362,7 +330,10 @@ impl Conn {
             let conn = Arc::clone(self);
             std::thread::Builder::new()
                 .name("psnap-wire-pump".into())
-                .spawn(move || psnap_serve::block_on(reply_pump(conn)))
+                .spawn(move || {
+                    let _chaos = conn.handle.enter_chaos();
+                    reply_pump(conn)
+                })
                 .expect("spawning a connection's reply pump");
         }
     }
@@ -460,19 +431,11 @@ impl Conn {
 /// completed reply waits behind a pending one) and when it crosses
 /// [`PUMP_FLUSH_BYTES`].
 ///
-/// Runs under [`block_on`](psnap_serve::block_on) on a dedicated writer
-/// thread, NOT as an executor task: flushes block on the socket, and a
-/// peer that pipelines requests and then stops reading would otherwise
-/// pin an executor worker (two such peers stall the default 2-worker
-/// executor — and with it the service's own drain/scan loops — for every
-/// client). On its own thread the stall is confined to this connection,
-/// and the socket write timeout severs it.
-async fn reply_pump(conn: Arc<Conn>) {
-    enum Step {
-        Entry(Box<PumpEntry>),
-        Park(Arc<OpCell<()>>),
-        Exit,
-    }
+/// Runs on a dedicated writer thread, NOT as an executor task: flushes
+/// block on the socket, and so does waiting on a ticket, which runs the
+/// service's rounds whenever their role is free. On its own thread a stall is confined to this connection,
+/// and the socket write timeout severs a peer that stopped reading.
+fn reply_pump(conn: Arc<Conn>) {
     let mut buf: Vec<u8> = Vec::new();
     let mut unflushed = 0u64;
     // Something was taken off the FIFO since the last flush: `buf`, the
@@ -503,43 +466,32 @@ async fn reply_pump(conn: Arc<Conn>) {
         }
     };
     loop {
-        let step = {
-            let mut q = conn.pump.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = q.entries.pop_front() {
-                Step::Entry(Box::new(entry))
-            } else if q.closed {
-                Step::Exit
-            } else {
-                let bell = OpCell::new();
-                q.doorbell = Some(Arc::clone(&bell));
-                Step::Park(bell)
+        let mut q = conn.pump.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(mut entry) = q.entries.pop_front() else {
+            let bell = (!q.closed).then(|| Arc::clone(q.doorbell.insert(OpCell::new())));
+            drop(q);
+            flush(&mut buf, &mut unflushed, &mut dirty);
+            match bell {
+                Some(bell) => Ticket::new(bell).wait(),
+                None => return,
             }
+            continue;
         };
-        let mut entry = match step {
-            Step::Exit => {
-                flush(&mut buf, &mut unflushed, &mut dirty);
-                return;
-            }
-            Step::Park(bell) => {
-                flush(&mut buf, &mut unflushed, &mut dirty);
-                Ticket::new(bell).await;
-                continue;
-            }
-            Step::Entry(entry) => *entry,
-        };
+        drop(q);
         match &mut entry {
             PumpEntry::Frames { bytes, replies } => {
                 buf.extend_from_slice(bytes);
                 unflushed += *replies;
             }
             PumpEntry::Pending(pending) => {
-                let body = match TryTicketBody(&mut pending.ticket).await {
-                    Some(body) => body,
-                    None => {
+                let ticket = &mut pending.ticket;
+                let body = match ticket.poll_body(&mut Context::from_waker(Waker::noop())) {
+                    Poll::Ready(body) => body,
+                    Poll::Pending => {
                         // Genuinely pending: everything serialized so far
-                        // goes out before we suspend.
+                        // goes out before we wait.
                         flush(&mut buf, &mut unflushed, &mut dirty);
-                        TicketBody(&mut pending.ticket).await
+                        psnap_serve::block_on(std::future::poll_fn(|cx| ticket.poll_body(cx)))
                     }
                 };
                 encode_reply_into(pending.id, body, &mut buf);
@@ -810,6 +762,7 @@ where
         epoch: shared.epoch,
         last_activity_ns: AtomicU64::new(shared.now_ns()),
         finished: AtomicBool::new(false),
+        handle: shared.handle.clone(),
     });
     // One socket-level write timeout covers every clone (pump flushes and
     // the connection thread's blocking replies alike): a peer that stops
@@ -861,6 +814,7 @@ where
     std::thread::Builder::new()
         .name("psnap-wire-conn".into())
         .spawn(move || {
+            let _chaos = shared.handle.enter_chaos();
             run_connection(&shared, &conn, reader);
             // No more dispatches can arrive: let the pump drain and exit.
             conn.close_pump();
@@ -879,35 +833,27 @@ where
 struct ConnReader<'a> {
     stream: Stream,
     conn: &'a Arc<Conn>,
-    handle: &'a Handle,
     /// Requests this thread dispatched against a wait-free object since
     /// the last socket read, oldest first.
     batch: Vec<PendingReply>,
-    /// Held from the first such dispatch until the batch settles: the
-    /// wake-ups those dispatches fired reached no worker, because this
-    /// thread runs the tasks itself.
-    helper: Option<Helper>,
     /// Scratch for the frames `settle` sends.
     frames: Vec<u8>,
 }
 
 impl ConnReader<'_> {
-    /// Answers the batch from this thread: runs the service pipeline until
-    /// the batch's tickets are complete (or the run queues are empty — a
-    /// worker got there first, a coalescing window is open), sends the
-    /// replies at the head of the batch that are complete with one
-    /// non-blocking send, and leaves the rest, in order, to the reply pump.
+    /// Answers the batch from this thread: polls its tickets in order —
+    /// each poll runs its pipeline's round here if the role is free —
+    /// sends the replies at the head of the batch that are complete with
+    /// one non-blocking send, and leaves the rest, in order, to the reply
+    /// pump.
     fn settle(&mut self) {
-        let Some(helper) = self.helper.take() else {
+        if self.batch.is_empty() {
             return;
-        };
-        let batch = &mut self.batch;
-        helper.help(|| batch.iter().all(|entry| entry.ticket.is_complete()));
-        drop(helper); // whatever is still queued goes to a worker
+        }
         let mut cx = Context::from_waker(Waker::noop());
         let mut replies = 0u64;
         self.frames.clear();
-        let mut rest = batch.drain(..);
+        let mut rest = self.batch.drain(..);
         let first_pending = loop {
             let Some(mut entry) = rest.next() else {
                 break None;
@@ -938,10 +884,10 @@ impl Read for ConnReader<'_> {
 
 /// The connection thread: handshake, then the request loop. Runs on its own
 /// OS thread (frame reads block). Against a wait-free backing object it
-/// answers its own requests — [`ConnReader::settle`] runs the service
-/// pipeline on this thread and sends the replies without ever waiting on
-/// the socket; otherwise everything it dispatches completes on the
-/// executor and is answered by the reply pump.
+/// answers its own requests — [`ConnReader::settle`] combines on this
+/// thread and sends the replies without ever waiting on the socket;
+/// otherwise everything it dispatches is waited on, and so combined and
+/// answered, by the reply pump.
 fn run_connection<S>(shared: &Arc<ServerShared<S>>, conn: &Arc<Conn>, mut reader: Stream)
 where
     S: PartialSnapshot<u64> + 'static,
@@ -992,9 +938,7 @@ where
         ConnReader {
             stream: reader,
             conn,
-            handle: &shared.handle,
             batch: Vec::new(),
-            helper: None,
             frames: Vec::new(),
         },
     );
@@ -1018,7 +962,7 @@ where
                 // service pipeline and will resolve server-side; nothing
                 // can be replied on a broken framing layer. (A frame cut
                 // short inside the buffer never reached a socket read:
-                // settle, so nothing dispatched is left without a poller.)
+                // settle, so nothing dispatched is left without a waiter.)
                 reader.get_mut().settle();
                 conn.intake_closed.store(true, Ordering::Release);
                 conn.stream.shutdown(Shutdown::Both);
@@ -1030,7 +974,7 @@ where
         // Whether this thread may answer the request itself: only a
         // wait-free backing object finishes in a bounded number of its
         // own steps.
-        let helping = shared.service.is_wait_free();
+        let combining = shared.service.is_wait_free();
         let attempt = |reader: &mut ConnReader<'_>| {
             // Root the request tree at frame decode: the service's own
             // request root (ingest / scan request) nests beneath this span,
@@ -1057,9 +1001,9 @@ where
             if conn.intake_closed.load(Ordering::Acquire) {
                 return Err((id, WireErrorKind::Closed));
             }
-            let helping = helping.then_some(reader);
+            let combining = combining.then_some(reader);
             dispatch(
-                shared, conn, &client, components, request, wire_span, helping,
+                shared, conn, &client, components, request, wire_span, combining,
             )
             .map_err(|kind| (id, kind))
         };
@@ -1075,13 +1019,13 @@ where
                 id,
                 result: Err(kind),
             };
-            conn.reply_inline(&reply, helping);
+            conn.reply_inline(&reply, combining);
         }
     }
 }
 
 /// Validates and dispatches one decoded request; an `Err` is the caller's
-/// to answer. A ticket-backed request joins `helping`'s batch, which the
+/// to answer. A ticket-backed request joins `combining`'s batch, which the
 /// connection thread answers itself, or without one goes to the
 /// connection's reply pump. Stats answer inline.
 fn dispatch<S>(
@@ -1091,18 +1035,12 @@ fn dispatch<S>(
     components: usize,
     request: Request,
     wire_span: Span,
-    mut helping: Option<&mut ConnReader<'_>>,
+    combining: Option<&mut ConnReader<'_>>,
 ) -> Result<(), WireErrorKind>
 where
     S: PartialSnapshot<u64> + 'static,
 {
     let id = request.id;
-    if let Some(reader) = helping.as_deref_mut() {
-        // Ahead of the dispatch: the wake-up it fires must find this thread
-        // registered.
-        let handle = reader.handle;
-        reader.helper.get_or_insert_with(|| handle.helper());
-    }
     // The wire span is entered around the service call so the in-process
     // request root parents beneath it; it then travels with the request and
     // ends once the reply frame is serialized — the tree completes when
@@ -1130,7 +1068,7 @@ where
                 id,
                 result: Ok(ReplyBody::Stats(shared.service.obs().to_json())),
             };
-            conn.reply_inline(&reply, helping.is_some());
+            conn.reply_inline(&reply, combining.is_some());
             return Ok(());
         }
     };
@@ -1140,7 +1078,7 @@ where
         ticket,
         _span: wire_span,
     };
-    match helping {
+    match combining {
         Some(reader) => reader.batch.push(entry),
         None => conn.push_pump(PumpEntry::Pending(entry)),
     }

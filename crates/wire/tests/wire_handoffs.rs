@@ -1,5 +1,5 @@
 //! The seams of the two-wake-up round trip: the server's connection thread
-//! answers its own requests when (and only when) the backing object is
+//! combines its own requests when (and only when) the backing object is
 //! wait-free, never waits in a write, and the client's waiters read the
 //! connection themselves.
 
@@ -121,23 +121,24 @@ where
 
 #[test]
 fn the_connection_thread_serves_a_wait_free_object_and_only_that() {
-    // Wait-free: the connection thread runs the pipeline itself. (Not every
-    // request need land there — a worker on its periodic re-check may get
-    // to a task first — but with both workers asleep nearly all do.)
-    let threads = threads_that_served(CasPartialSnapshot::new(M, 4, 0u64), "helped");
+    // Wait-free: the connection thread polls its tickets before every
+    // socket read, so at depth 1 it combines every request itself — no
+    // other thread waits on them.
+    let threads = threads_that_served(CasPartialSnapshot::new(M, 4, 0u64), "combined");
     assert!(
-        threads.iter().any(|t| t == "psnap-wire-conn"),
-        "no request ran on the connection thread: {threads:?}"
+        threads.iter().all(|t| t == "psnap-wire-conn"),
+        "a request ran off the connection thread: {threads:?}"
     );
 
     // Not wait-free (the gates block by design): the connection thread
-    // must never be where a request executes.
+    // must never be where a request executes. The reply pump waits on the
+    // tickets, so it combines them.
     let gated = GatedSnapshot::new(CasPartialSnapshot::new(M, 4, 0u64));
     assert!(!gated.is_wait_free());
     let threads = threads_that_served(gated, "gated");
     assert!(
-        threads.iter().all(|t| t.starts_with("psnap-serve-worker-")),
-        "a request on a non-wait-free object left the executor: {threads:?}"
+        threads.iter().all(|t| t == "psnap-wire-pump"),
+        "a request on a non-wait-free object ran off the reply pump: {threads:?}"
     );
 }
 
@@ -311,8 +312,8 @@ impl GatedRig {
         }
     }
 
-    /// Closes the update gate and submits one write that parks the drainer
-    /// behind it.
+    /// Closes the update gate and submits one write whose combiner (the
+    /// connection's reply pump, waiting on it) parks behind it.
     fn park_a_submit(&self) -> psnap_wire::RemoteSubmitTicket {
         self.backing.update_gate.close();
         let parked = self.client.submit(0, 1).unwrap();

@@ -161,7 +161,8 @@ fn busy_maps_to_an_explicit_wire_error_not_a_dropped_frame() {
     .unwrap();
     let client = RemoteClientHandle::connect_tcp(server.local_addr().unwrap()).unwrap();
 
-    // Park the drainer mid-apply behind the update gate, then fill the
+    // Park the ingest role mid-apply behind the update gate (the reply
+    // pump, waiting on the ticket, is the combiner), then fill the
     // connection's 2-slot ingestion queue. The frames are processed in
     // order by the connection reader, so acceptance is deterministic.
     backing.update_gate.close();
