@@ -3,13 +3,23 @@
 //!
 //! One [`RemoteClientHandle`] owns one connection. Requests are
 //! multiplexed by client-chosen ids: a submit or scan returns a ticket
-//! immediately (the frame is written under a writer lock). There is **no
-//! reader thread**: a caller that waits on a ticket reads the connection
-//! itself — it takes the read half, reads reply frames and completes
-//! tickets by id until its own is complete, one frame per turn, so a
-//! waiter whose reply another waiter read returns at once. One wake-up
-//! (socket → the calling thread) stands where two stood (socket → reader
-//! thread → caller).
+//! immediately (the request is encoded straight into the connection's
+//! outbound buffer, and written from it unless the connection is corked,
+//! under one lock). There is **no reader thread**: a caller that waits on a
+//! ticket reads the connection itself — it takes the read half, reads
+//! reply frames and completes tickets by id until its own is complete, one
+//! frame per turn, so a waiter whose reply another waiter read returns at
+//! once. One wake-up (socket → the calling thread) stands where two stood
+//! (socket → reader thread → caller). A reader hands the turn back with a
+//! notify only when a waiter is asleep for it: at depth 1 nobody is, and
+//! the hand-off costs no futex call.
+//!
+//! The pending table holds each outstanding request's reply itself. An
+//! entry is `Waiting` from the send until its reply is read, then `Done`
+//! with the reply until its ticket takes it. Dropping a ticket unwaited
+//! removes a `Done` entry and marks a `Waiting` one `Abandoned`: its reply,
+//! when it comes, is discarded — it is not an unknown reply — and
+//! [`close`](RemoteClientHandle::close) still reads it.
 //!
 //! If the connection dies — reset, server shutdown,
 //! [`kill`](RemoteClientHandle::kill) — whoever observes it (a waiter's
@@ -25,7 +35,7 @@
 //! [`ClientHandle`]: psnap_serve::ClientHandle
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -36,7 +46,7 @@ use std::time::{Duration, Instant};
 use psnap_json::Json;
 use psnap_serve::Freshness;
 
-use crate::frame::{encode_frame, encode_frame_into, read_frame, read_frame_into, FrameError};
+use crate::frame::{encode_frame, encode_frame_with, read_frame, read_frame_into, FrameError};
 use crate::proto::{
     hello_json, parse_handshake_answer, Reply, ReplyBody, Request, RequestBody, WireErrorKind,
     PROTOCOL_VERSION,
@@ -91,26 +101,34 @@ impl From<WireErrorKind> for WireError {
 
 type ReplyResult = Result<ReplyBody, WireError>;
 
-/// Where one request's reply lands; filled by whichever waiter reads it.
-#[derive(Default)]
-struct ReplySlot(Mutex<Option<ReplyResult>>);
-
-impl ReplySlot {
-    fn complete(&self, result: ReplyResult) {
-        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-    }
-
-    fn take(&self) -> Option<ReplyResult> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
+/// One outstanding request in the pending table.
+enum Entry {
+    /// Sent; its reply has not been read and its ticket is alive.
+    Waiting,
+    /// Its ticket was dropped before the reply was read; the reply is
+    /// discarded when it arrives.
+    Abandoned,
+    /// The reply (or the connection's loss), for the ticket to take.
+    Done(ReplyResult),
 }
 
-/// The client's outbound buffer for corked mode: while corked, request
-/// frames accumulate here and go out in one write on
-/// [`RemoteClientHandle::flush`].
-struct OutBuf {
+/// The connection's write side. Request frames are encoded straight into
+/// `buf`; uncorked, each is written at once, while corked they accumulate
+/// and go out in one write on [`RemoteClientHandle::flush`]. The buffer is
+/// kept, so steady-state sends allocate nothing.
+struct Outbound {
+    stream: Stream,
     corked: bool,
     buf: Vec<u8>,
+}
+
+impl Outbound {
+    /// Writes out the buffer (whatever happens, it is empty after).
+    fn write_out(&mut self) -> io::Result<()> {
+        let wrote = self.stream.write_all(&self.buf);
+        self.buf.clear();
+        wrote
+    }
 }
 
 /// The connection's read half. Buffered: a batched flush from the server
@@ -120,23 +138,32 @@ struct ReadHalf {
     payload: Vec<u8>,
 }
 
+/// The turn at the read half.
+struct ReadTurn {
+    /// The read half, or `None` while a waiter is inside a socket read with
+    /// it.
+    half: Option<ReadHalf>,
+    /// Waiters asleep on `turn_over` for the half. A notify is a futex call
+    /// even when nobody sleeps, so the reader that hands the half back
+    /// notifies only while this is non-zero.
+    sleepers: usize,
+}
+
 struct ClientInner {
     /// For severing the connection (kill / close) and probing it.
     stream: Stream,
-    writer: Mutex<Stream>,
-    out: Mutex<OutBuf>,
-    /// The read half, or `None` while a waiter is inside a socket read with
-    /// it. Waiters without it sleep on `turn_over`.
-    reader: Mutex<Option<ReadHalf>>,
-    /// Signalled each time the read half comes back, i.e. after every
-    /// frame: some slot was completed, and the turn is free.
+    out: Mutex<Outbound>,
+    reader: Mutex<ReadTurn>,
+    /// Signalled when the read half comes back to sleeping waiters, i.e.
+    /// after a frame: some entry was completed, and the turn is free.
     turn_over: Condvar,
-    /// Outstanding request id → its reply slot. Waiters resolve entries as
-    /// they read; a dead connection resolves them all with `ConnectionLost`.
-    pending: Mutex<HashMap<u64, Arc<ReplySlot>>>,
+    /// Outstanding request id → its entry. Waiters complete entries as
+    /// they read; a dead connection completes them all with
+    /// `ConnectionLost`.
+    pending: Mutex<HashMap<u64, Entry>>,
     next_id: AtomicU64,
     dead: AtomicBool,
-    /// Replies whose id matched no pending request — a duplicated or
+    /// Replies whose id matched no outstanding request — a duplicated or
     /// misattributed response. Stays 0 on a correct server.
     unknown_replies: AtomicU64,
     components: usize,
@@ -149,21 +176,41 @@ impl ClientInner {
     /// connection's end, so no caller is left hanging.
     fn fail_all_pending(&self, why: &str) {
         self.dead.store(true, Ordering::Release);
-        let drained: Vec<Arc<ReplySlot>> = {
-            let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-            pending.drain().map(|(_, slot)| slot).collect()
-        };
-        for slot in drained {
-            slot.complete(Err(WireError::ConnectionLost(why.to_string())));
-        }
+        self.lock_pending().retain(|_, entry| match entry {
+            Entry::Waiting => {
+                *entry = Entry::Done(Err(WireError::ConnectionLost(why.to_string())));
+                true
+            }
+            Entry::Abandoned => false,
+            Entry::Done(_) => true,
+        });
     }
 
-    fn lock_reader(&self) -> MutexGuard<'_, Option<ReadHalf>> {
+    fn lock_out(&self) -> MutexGuard<'_, Outbound> {
+        self.out.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn lock_reader(&self) -> MutexGuard<'_, ReadTurn> {
         self.reader.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn lock_pending(&self) -> MutexGuard<'_, HashMap<u64, Entry>> {
+        self.pending.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Takes request `id`'s reply if it has arrived.
+    fn take_reply(&self, id: u64) -> Option<ReplyResult> {
+        let mut pending = self.lock_pending();
+        if let Some(Entry::Done(_)) = pending.get(&id) {
+            if let Some(Entry::Done(reply)) = pending.remove(&id) {
+                return Some(reply);
+            }
+        }
+        None
+    }
+
     /// One turn at the read half: reads one reply frame and completes its
-    /// slot; a connection that has ended fails every pending slot instead.
+    /// entry; a connection that has ended fails every pending entry instead.
     /// `deadline` bounds the wait for the frame's first byte only — a frame
     /// that has started arriving is read whole — and past it nothing is
     /// read.
@@ -207,17 +254,19 @@ impl ClientInner {
             self.stream.shutdown(Shutdown::Both);
             return;
         };
-        let slot = self
-            .pending
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&reply.id);
-        match slot {
-            Some(slot) => slot.complete(reply.result.map_err(WireError::from)),
-            // An unknown id is a duplicated or misattributed response (the
-            // server's id-0 bad_request for an unattributable frame also
-            // lands here); count it so chaos harnesses can assert zero.
-            None => {
+        let mut pending = self.lock_pending();
+        match pending.get_mut(&reply.id) {
+            Some(entry @ Entry::Waiting) => {
+                *entry = Entry::Done(reply.result.map_err(WireError::from));
+            }
+            Some(Entry::Abandoned) => {
+                pending.remove(&reply.id);
+            }
+            // An unknown id, or a second reply to an answered request, is a
+            // duplicated or misattributed response (the server's id-0
+            // bad_request for an unattributable frame also lands here);
+            // count it so chaos harnesses can assert zero.
+            Some(Entry::Done(_)) | None => {
                 self.unknown_replies.fetch_add(1, Ordering::AcqRel);
             }
         }
@@ -225,14 +274,14 @@ impl ClientInner {
 
     /// Takes turns at the read half until `done()` returns a value or
     /// `deadline` passes. A turn is one frame, after which every waiter
-    /// re-checks its own slot: a waiter whose reply was read by another
+    /// re-checks its own entry: a waiter whose reply was read by another
     /// returns without waiting for that waiter's own reply.
     fn drive<V>(
         &self,
         deadline: Option<Instant>,
         mut done: impl FnMut() -> Option<V>,
     ) -> Option<V> {
-        let mut reader = self.lock_reader();
+        let mut turn = self.lock_reader();
         loop {
             if let Some(value) = done() {
                 return Some(value);
@@ -240,24 +289,30 @@ impl ClientInner {
             if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                 return None;
             }
-            match reader.take() {
+            match turn.half.take() {
                 Some(mut half) => {
-                    drop(reader);
+                    drop(turn);
                     self.read_reply(&mut half, deadline);
-                    reader = self.lock_reader();
-                    *reader = Some(half);
-                    self.turn_over.notify_all();
+                    turn = self.lock_reader();
+                    turn.half = Some(half);
+                    if turn.sleepers > 0 {
+                        self.turn_over.notify_all();
+                    }
                 }
                 None => {
-                    reader = match deadline {
-                        None => (self.turn_over.wait(reader)).unwrap_or_else(|e| e.into_inner()),
+                    // Counted under the lock the wait releases, so the
+                    // reader that hands the half back sees this sleeper.
+                    turn.sleepers += 1;
+                    turn = match deadline {
+                        None => (self.turn_over.wait(turn)).unwrap_or_else(|e| e.into_inner()),
                         Some(deadline) => {
                             let left = deadline.saturating_duration_since(Instant::now());
-                            (self.turn_over.wait_timeout(reader, left))
+                            (self.turn_over.wait_timeout(turn, left))
                                 .unwrap_or_else(|e| e.into_inner())
                                 .0
                         }
                     };
+                    turn.sleepers -= 1;
                 }
             }
         }
@@ -319,15 +374,18 @@ impl RemoteClientHandle {
         };
         let inner = Arc::new(ClientInner {
             stream,
-            writer: Mutex::new(writer),
-            out: Mutex::new(OutBuf {
+            out: Mutex::new(Outbound {
+                stream: writer,
                 corked: false,
                 buf: Vec::new(),
             }),
-            reader: Mutex::new(Some(ReadHalf {
-                stream: reader,
-                payload: Vec::new(),
-            })),
+            reader: Mutex::new(ReadTurn {
+                half: Some(ReadHalf {
+                    stream: reader,
+                    payload: Vec::new(),
+                }),
+                sleepers: 0,
+            }),
             turn_over: Condvar::new(),
             pending: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
@@ -357,14 +415,14 @@ impl RemoteClientHandle {
     /// if no waiter is inside a read, this probes the socket for its end
     /// without blocking (a waiter that is would observe it itself).
     pub fn is_dead(&self) -> bool {
-        let reader = self.inner.lock_reader();
-        if let Some(half) = reader.as_ref() {
+        let turn = self.inner.lock_reader();
+        if let Some(half) = turn.half.as_ref() {
             // Replies already buffered are still deliverable.
             if half.stream.buffer().is_empty() && half.stream.get_ref().peer_closed() {
                 self.inner.fail_all_pending("server closed the connection");
             }
         }
-        drop(reader);
+        drop(turn);
         self.inner.dead.load(Ordering::Acquire)
     }
 
@@ -377,62 +435,54 @@ impl RemoteClientHandle {
 
     fn send(&self, body: RequestBody) -> Result<Pending, WireError> {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let text = Request { id, body }.to_wire_string();
+        let request = Request { id, body };
+        let mut out = self.inner.lock_out();
+        // The frame is encoded in place: after whatever a cork holds, or
+        // into the empty buffer it is written from.
+        let start = out.buf.len();
+        let len = encode_frame_with(&mut out.buf, |buf| request.write_wire(buf));
         // Enforce the server's advertised frame cap before anything is
         // written or enqueued: server-side, an oversized frame is a
         // connection-fatal framing error that would fail every other
         // in-flight ticket with ConnectionLost. Refusing it here fails
         // just the offending request.
-        if text.len() > self.inner.max_frame {
+        if len > self.inner.max_frame {
+            out.buf.truncate(start);
             return Err(WireError::BadRequest);
         }
-        let slot = Arc::<ReplySlot>::default();
         {
             // The dead check and the insert share one pending-lock critical
             // section. `fail_all_pending` marks the connection dead before
-            // draining under this same lock, so either this slot lands
+            // draining under this same lock, so either this entry lands
             // before the drain (and the drain resolves it) or the drain ran
             // first and the dead flag is visible here. Checking dead before
-            // inserting (the old shape) left a window where the slot landed
+            // inserting (the old shape) left a window where the entry landed
             // after the drain and, if the write below still succeeded
             // against a half-closed socket, its ticket never resolved.
-            let mut pending = self.inner.pending.lock().unwrap_or_else(|e| e.into_inner());
+            let mut pending = self.inner.lock_pending();
             if self.inner.dead.load(Ordering::Acquire) {
+                drop(pending);
+                out.buf.truncate(start);
                 return Err(WireError::ConnectionLost("connection is dead".to_string()));
             }
-            pending.insert(id, Arc::clone(&slot));
+            pending.insert(id, Entry::Waiting);
         }
-        let pending = Pending {
-            inner: Arc::clone(&self.inner),
-            slot,
-            spent: false,
-        };
-        // One buffered frame, one write: the server's reader wakes once
-        // with the whole frame instead of once for the header and once for
-        // the payload.
-        {
-            let mut out = self.inner.out.lock().unwrap_or_else(|e| e.into_inner());
-            if out.corked {
-                // Corked: accumulate straight into the batch buffer; the
-                // bytes (and any write error) go out on the next `flush`.
-                encode_frame_into(text.as_bytes(), &mut out.buf);
-                return Ok(pending);
+        // Corked, the frame waits for the next `flush` (and so does any
+        // write error). Otherwise it is one buffered frame, one write: the
+        // server's reader wakes once with the whole frame instead of once
+        // for the header and once for the payload.
+        if !out.corked {
+            if let Err(e) = out.write_out() {
+                drop(out);
+                self.inner.lock_pending().remove(&id);
+                return Err(WireError::ConnectionLost(format!("write: {e}")));
             }
         }
-        let frame = encode_frame(text.as_bytes());
-        let wrote = {
-            let mut w = self.inner.writer.lock().unwrap_or_else(|e| e.into_inner());
-            w.write_all(&frame)
-        };
-        if let Err(e) = wrote {
-            self.inner
-                .pending
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&id);
-            return Err(WireError::ConnectionLost(format!("write: {e}")));
-        }
-        Ok(pending)
+        Ok(Pending {
+            inner: Arc::clone(&self.inner),
+            id,
+            spent: false,
+        })
     }
 
     /// Corks (or uncorks) the connection's writes. While corked, requests
@@ -442,10 +492,7 @@ impl RemoteClientHandle {
     /// Uncorking flushes. A corked client that never flushes sends nothing:
     /// the cork is for callers driving an explicit issue-then-flush loop.
     pub fn set_corked(&self, corked: bool) -> Result<(), WireError> {
-        {
-            let mut out = self.inner.out.lock().unwrap_or_else(|e| e.into_inner());
-            out.corked = corked;
-        }
+        self.inner.lock_out().corked = corked;
         if corked {
             Ok(())
         } else {
@@ -457,17 +504,12 @@ impl RemoteClientHandle {
     /// the connection: all outstanding tickets (buffered or on the wire)
     /// resolve `ConnectionLost`.
     pub fn flush(&self) -> Result<(), WireError> {
-        let bytes = {
-            let mut out = self.inner.out.lock().unwrap_or_else(|e| e.into_inner());
-            if out.buf.is_empty() {
-                return Ok(());
-            }
-            std::mem::take(&mut out.buf)
-        };
-        let wrote = {
-            let mut w = self.inner.writer.lock().unwrap_or_else(|e| e.into_inner());
-            w.write_all(&bytes)
-        };
+        let mut out = self.inner.lock_out();
+        if out.buf.is_empty() {
+            return Ok(());
+        }
+        let wrote = out.write_out();
+        drop(out);
         if let Err(e) = wrote {
             let why = format!("flush write: {e}");
             self.inner.fail_all_pending(&why);
@@ -540,8 +582,11 @@ impl RemoteClientHandle {
         let deadline = Instant::now() + Duration::from_secs(30);
         let inner = &self.inner;
         inner.drive(Some(deadline), || {
-            let pending = inner.pending.lock().unwrap_or_else(|e| e.into_inner());
-            pending.is_empty().then_some(())
+            let pending = inner.lock_pending();
+            let unanswered = pending
+                .values()
+                .any(|entry| matches!(entry, Entry::Waiting | Entry::Abandoned));
+            (!unanswered).then_some(())
         });
         self.inner.stream.shutdown(Shutdown::Both);
     }
@@ -562,13 +607,32 @@ impl Drop for ClientInner {
     }
 }
 
-/// An issued request: its reply slot, and the connection to read it from.
+/// An issued request: its id in the pending table, and the connection to
+/// read its reply from.
 struct Pending {
     inner: Arc<ClientInner>,
-    slot: Arc<ReplySlot>,
-    /// Set once `wait_timeout` has handed the reply out: a later wait must
-    /// not sit reading for a reply that already came.
+    id: u64,
+    /// Set once a wait has taken the reply (and its entry) out: a later
+    /// wait must not sit reading for a reply that already came.
     spent: bool,
+}
+
+impl Drop for Pending {
+    /// An unwaited ticket leaves nothing behind: a reply already read goes
+    /// now, one still to come is discarded when it arrives.
+    fn drop(&mut self) {
+        if self.spent {
+            return;
+        }
+        let mut pending = self.inner.lock_pending();
+        match pending.get_mut(&self.id) {
+            Some(entry @ Entry::Waiting) => *entry = Entry::Abandoned,
+            Some(Entry::Done(_)) => {
+                pending.remove(&self.id);
+            }
+            Some(Entry::Abandoned) | None => {}
+        }
+    }
 }
 
 impl Pending {
@@ -578,7 +642,9 @@ impl Pending {
                 "this ticket's reply was already taken".to_string(),
             )));
         }
-        let reply = self.inner.drive(deadline, || self.slot.take());
+        let reply = self
+            .inner
+            .drive(deadline, || self.inner.take_reply(self.id));
         self.spent = reply.is_some();
         reply
     }

@@ -96,10 +96,21 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// allocation-reusing sibling of [`encode_frame`] for writers that batch
 /// many frames into one buffer.
 pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) {
-    debug_assert!(payload.len() <= u32::MAX as usize);
-    out.reserve(HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
+    encode_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame to `out` whose payload `write` appends in place: a
+/// header placeholder goes first and is back-patched with the length of
+/// what `write` appended, which is returned. The payload is written once,
+/// straight into the buffer the frame leaves from.
+pub fn encode_frame_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    write(out);
+    let len = out.len() - start - HEADER_LEN;
+    debug_assert!(len <= u32::MAX as usize);
+    out[start..start + HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
+    len
 }
 
 /// Reads exactly `buf.len()` bytes, distinguishing a clean EOF at offset 0
@@ -179,6 +190,9 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, payload).unwrap();
         assert_eq!(buf, encode_frame(payload));
+        let mut in_place = b"prefix".to_vec();
+        let len = encode_frame_with(&mut in_place, |out| out.extend_from_slice(payload));
+        assert_eq!((len, &in_place[6..]), (payload.len(), &buf[..]));
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r, MAX_FRAME_LEN).unwrap(), payload);
         // Stream exhausted: the next read is a clean Eof.

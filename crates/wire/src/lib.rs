@@ -20,7 +20,10 @@
 //!   decode, so wire requests appear in span trees end to end.
 //! * **Client** ([`client`]): [`RemoteClientHandle`] mirrors the in-process
 //!   `ClientHandle` API; tickets resolve out of order, and a dead
-//!   connection fails every outstanding ticket rather than hanging.
+//!   connection fails every outstanding ticket rather than hanging. A
+//!   request is encoded straight into the connection's outbound buffer,
+//!   and its reply waits in the pending table until its ticket takes it;
+//!   a ticket dropped unwaited has its reply discarded on arrival.
 //!
 //! # Threads: two wake-ups per round trip
 //!
@@ -33,7 +36,8 @@
 //!   reads and decodes. Client side, nobody until somebody waits: the
 //!   caller inside `wait()` takes the connection's read half and reads
 //!   frames — completing other callers' tickets on the way — until its own
-//!   reply is in. There is no client reader thread.
+//!   reply is in, then hands the half back, waking the callers asleep for
+//!   it if there are any. There is no client reader thread.
 //! * *Who runs the request.* Whoever waits on its ticket: a service ticket
 //!   runs its pipeline's round on the waiting thread when the role is free.
 //!   While the hosted object is **wait-free**
@@ -84,6 +88,9 @@ pub mod server;
 pub(crate) mod stream;
 
 pub use client::{RemoteClientHandle, RemoteScanTicket, RemoteSubmitTicket, WireError};
-pub use frame::{encode_frame, read_frame, read_frame_str, write_frame, FrameError, MAX_FRAME_LEN};
+pub use frame::{
+    encode_frame, encode_frame_with, read_frame, read_frame_str, write_frame, FrameError,
+    MAX_FRAME_LEN,
+};
 pub use proto::{Reply, ReplyBody, Request, RequestBody, WireErrorKind, PROTOCOL_VERSION};
 pub use server::{WireServer, WireServerConfig};

@@ -13,7 +13,12 @@
 //!   losslessly must never round on the wire;
 //! * `Busy` backpressure is an explicit error reply, not a dropped frame:
 //!   the client sees `{"ok":false,"error":"busy"}` and decides to retry or
-//!   shed, exactly like an in-process caller seeing `SubmitError::Busy`.
+//!   shed, exactly like an in-process caller seeing `SubmitError::Busy`;
+//! * the canonical request and reply shapes take a fast path: `write_wire`
+//!   appends exactly the bytes `to_json().to_string_compact()` would
+//!   produce, straight into the frame being built, and `parse_wire` scans
+//!   them back without a `Json` tree; any other document takes the general
+//!   route.
 
 use std::time::Duration;
 
@@ -276,27 +281,61 @@ impl Reply {
 // Requests and replies dominate wire traffic, and their documents are tiny
 // and rigidly shaped; building a `Json` tree (and walking one back) for
 // every operation costs several times the underlying service work. The
-// fast path serializes straight into a `String` and parses with a strict
-// scanner over the exact canonical byte sequence the serializer emits.
-// Anything the scanner does not recognize — extra whitespace, reordered
-// keys, foreign fields — falls back to the general `Json` path, so the
-// protocol accepted on the wire is unchanged; the fast path is purely a
-// cheaper route through the common case. Tests pin the serializers
-// byte-for-byte to `to_json().to_string_compact()` and the scanners to
-// `from_json`.
+// fast path appends straight into a byte buffer — the frame being built,
+// so the bytes are written once — with a hand-rolled decimal writer, and
+// parses with a strict scanner over the exact canonical byte sequence the
+// encoder emits, sizing each vector by counting its items first. Anything
+// the scanner does not recognize — extra whitespace, reordered keys,
+// foreign fields — falls back to the general `Json` path, so the protocol
+// accepted on the wire is unchanged; the fast path is purely a cheaper
+// route through the common case. Tests pin the encoders byte-for-byte to
+// `to_json().to_string_compact()` and the scanners to `from_json`.
 
 /// Largest integer carried as a bare JSON number (see [`Json::u64`]).
 const MAX_SAFE_NUM: u64 = 1 << 53;
 
+/// Appends `v` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 /// Appends a `u64` exactly as [`Json::u64`] + `to_string_compact` would:
 /// bare decimal up to 2^53, quoted decimal string above.
-fn push_u64(out: &mut String, v: u64) {
-    use std::fmt::Write;
+fn push_u64(out: &mut Vec<u8>, v: u64) {
     if v <= MAX_SAFE_NUM {
-        let _ = write!(out, "{v}");
+        push_decimal(out, v);
     } else {
-        let _ = write!(out, "\"{v}\"");
+        out.push(b'"');
+        push_decimal(out, v);
+        out.push(b'"');
     }
+}
+
+/// Appends `items` as a JSON array body (no brackets), comma-separated.
+fn push_list<T: Copy>(out: &mut Vec<u8>, items: &[T], mut push: impl FnMut(&mut Vec<u8>, T)) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push(out, *item);
+    }
+}
+
+/// The encoder's bytes as the `String` they are: they come from ASCII
+/// literals, decimal digits and `to_string_compact`.
+fn into_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("the wire encoder writes UTF-8")
 }
 
 /// A strict scanner over a canonical wire document. Every method returns
@@ -363,74 +402,104 @@ impl<'a> Scanner<'a> {
             self.bare_u64(MAX_SAFE_NUM)
         }
     }
+
+    /// The number of items in the flat array whose body starts here: one
+    /// more than the commas before its `]`. A capacity hint only — the
+    /// parse that follows rejects a document that is not canonical — and
+    /// no larger than the body could hold at one digit and one comma per
+    /// item, so no frame reserves more than a canonical one of its length.
+    fn flat_items(&self) -> usize {
+        let rest = &self.bytes[self.at..];
+        let body = &rest[..rest.iter().position(|&b| b == b']').unwrap_or(rest.len())];
+        if body.is_empty() {
+            return 0;
+        }
+        let commas = body.iter().filter(|&&b| b == b',').count();
+        (commas + 1).min(body.len().div_ceil(2))
+    }
+
+    /// The number of `[c,v]` pairs in the array of pairs whose body starts
+    /// here: the `[`s before its closing `]]`. A capacity hint, bounded like
+    /// [`flat_items`](Scanner::flat_items) by the shortest pair, `[0,0],`.
+    fn pair_items(&self) -> usize {
+        let rest = &self.bytes[self.at..];
+        let end = rest
+            .windows(2)
+            .position(|w| w == b"]]")
+            .unwrap_or(rest.len());
+        let body = &rest[..end];
+        let opens = body.iter().filter(|&&b| b == b'[').count();
+        opens.min((body.len() + 2) / 6)
+    }
 }
 
 impl Request {
-    /// Serializes straight to the canonical wire text (byte-identical to
-    /// `self.to_json().to_string_compact()`).
-    pub fn to_wire_string(&self) -> String {
+    /// Appends the canonical wire text to `out` (byte-identical to
+    /// `self.to_json().to_string_compact()`) — the frame's payload, written
+    /// in place.
+    pub fn write_wire(&self, out: &mut Vec<u8>) {
         // Keys in alphabetical order, matching `to_string_compact`'s
         // canonical object serialization.
-        let mut out = String::with_capacity(64);
         match &self.body {
             RequestBody::Submit { writes } => {
-                out.push_str("{\"id\":");
-                push_u64(&mut out, self.id);
-                out.push_str(",\"op\":\"submit\",\"writes\":[");
-                for (i, (c, v)) in writes.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('[');
-                    push_u64(&mut out, *c as u64);
-                    out.push(',');
-                    push_u64(&mut out, *v);
-                    out.push(']');
-                }
-                out.push(']');
+                out.extend_from_slice(b"{\"id\":");
+                push_u64(out, self.id);
+                out.extend_from_slice(b",\"op\":\"submit\",\"writes\":[");
+                push_list(out, writes, |out, (c, v)| {
+                    out.push(b'[');
+                    push_u64(out, c as u64);
+                    out.push(b',');
+                    push_u64(out, v);
+                    out.push(b']');
+                });
+                out.push(b']');
             }
             RequestBody::Scan {
                 components,
                 freshness,
             } => {
-                out.push_str("{\"components\":[");
-                for (i, c) in components.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_u64(&mut out, *c as u64);
-                }
-                out.push_str("],\"freshness\":");
+                out.extend_from_slice(b"{\"components\":[");
+                push_list(out, components, |out, c| push_u64(out, c as u64));
+                out.extend_from_slice(b"],\"freshness\":");
                 match freshness {
-                    Freshness::Fresh => out.push_str("\"fresh\""),
+                    Freshness::Fresh => out.extend_from_slice(b"\"fresh\""),
                     Freshness::AtMostStale(bound) => {
-                        out.push_str("{\"stale_ns\":");
-                        push_u64(&mut out, bound.as_nanos().min(u64::MAX as u128) as u64);
-                        out.push('}');
+                        out.extend_from_slice(b"{\"stale_ns\":");
+                        push_u64(out, bound.as_nanos().min(u64::MAX as u128) as u64);
+                        out.push(b'}');
                     }
                 }
-                out.push_str(",\"id\":");
-                push_u64(&mut out, self.id);
-                out.push_str(",\"op\":\"scan\"");
+                out.extend_from_slice(b",\"id\":");
+                push_u64(out, self.id);
+                out.extend_from_slice(b",\"op\":\"scan\"");
             }
             RequestBody::Stats => {
-                out.push_str("{\"id\":");
-                push_u64(&mut out, self.id);
-                out.push_str(",\"op\":\"stats\"");
+                out.extend_from_slice(b"{\"id\":");
+                push_u64(out, self.id);
+                out.extend_from_slice(b",\"op\":\"stats\"");
             }
         }
-        out.push('}');
-        out
+        out.push(b'}');
+    }
+
+    /// The canonical wire text as a `String` ([`write_wire`] into a fresh
+    /// buffer).
+    ///
+    /// [`write_wire`]: Request::write_wire
+    pub fn to_wire_string(&self) -> String {
+        let mut out = Vec::with_capacity(64);
+        self.write_wire(&mut out);
+        into_text(out)
     }
 
     /// The strict fast parser: accepts exactly the canonical documents
-    /// [`to_wire_string`](Request::to_wire_string) emits and returns `None`
+    /// [`write_wire`](Request::write_wire) emits and returns `None`
     /// for everything else (the caller falls back to [`Json::parse`] +
     /// [`from_json`](Request::from_json)).
     pub fn parse_wire(text: &str) -> Option<Request> {
         let mut s = Scanner::new(text);
         let (id, body) = if s.lit("{\"components\":[").is_some() {
-            let mut components = Vec::new();
+            let mut components = Vec::with_capacity(s.flat_items());
             if s.peek() != Some(b']') {
                 loop {
                     components.push(s.bare_u64(MAX_SAFE_NUM)? as usize);
@@ -463,7 +532,7 @@ impl Request {
             let id = s.u64_value()?;
             s.lit(",\"op\":\"")?;
             if s.lit("submit\",\"writes\":[").is_some() {
-                let mut writes = Vec::new();
+                let mut writes = Vec::with_capacity(s.pair_items());
                 if s.peek() != Some(b']') {
                     loop {
                         s.lit("[")?;
@@ -497,45 +566,48 @@ impl Request {
 }
 
 impl Reply {
-    /// Serializes straight to the canonical wire text (byte-identical to
-    /// `self.to_json().to_string_compact()`). Stats replies carry an
-    /// arbitrary JSON document and go through the general serializer.
-    pub fn to_wire_string(&self) -> String {
-        if let Ok(ReplyBody::Stats(_)) = &self.result {
-            return self.to_json().to_string_compact();
-        }
+    /// Appends the canonical wire text to `out` (byte-identical to
+    /// `self.to_json().to_string_compact()`) — the frame's payload, written
+    /// in place. Stats replies carry an arbitrary JSON document and go
+    /// through the general serializer.
+    pub fn write_wire(&self, out: &mut Vec<u8>) {
         // Keys in alphabetical order, matching `to_string_compact`'s
         // canonical object serialization.
-        let mut out = String::with_capacity(32);
         match &self.result {
             Ok(ReplyBody::Submitted) => {
-                out.push_str("{\"id\":");
-                push_u64(&mut out, self.id);
-                out.push_str(",\"ok\":true");
+                out.extend_from_slice(b"{\"id\":");
+                push_u64(out, self.id);
+                out.extend_from_slice(b",\"ok\":true");
             }
             Ok(ReplyBody::Values(values)) => {
-                out.push_str("{\"id\":");
-                push_u64(&mut out, self.id);
-                out.push_str(",\"ok\":true,\"values\":[");
-                for (i, v) in values.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_u64(&mut out, *v);
-                }
-                out.push(']');
+                out.extend_from_slice(b"{\"id\":");
+                push_u64(out, self.id);
+                out.extend_from_slice(b",\"ok\":true,\"values\":[");
+                push_list(out, values, push_u64);
+                out.push(b']');
             }
-            Ok(ReplyBody::Stats(_)) => unreachable!("handled above"),
+            Ok(ReplyBody::Stats(_)) => {
+                return out.extend_from_slice(self.to_json().to_string_compact().as_bytes());
+            }
             Err(kind) => {
-                out.push_str("{\"error\":\"");
-                out.push_str(kind.as_str());
-                out.push_str("\",\"id\":");
-                push_u64(&mut out, self.id);
-                out.push_str(",\"ok\":false");
+                out.extend_from_slice(b"{\"error\":\"");
+                out.extend_from_slice(kind.as_str().as_bytes());
+                out.extend_from_slice(b"\",\"id\":");
+                push_u64(out, self.id);
+                out.extend_from_slice(b",\"ok\":false");
             }
         }
-        out.push('}');
-        out
+        out.push(b'}');
+    }
+
+    /// The canonical wire text as a `String` ([`write_wire`] into a fresh
+    /// buffer).
+    ///
+    /// [`write_wire`]: Reply::write_wire
+    pub fn to_wire_string(&self) -> String {
+        let mut out = Vec::with_capacity(64);
+        self.write_wire(&mut out);
+        into_text(out)
     }
 
     /// The strict fast parser for replies; `None` falls back to the general
@@ -561,7 +633,7 @@ impl Reply {
             let id = s.u64_value()?;
             s.lit(",\"ok\":true")?;
             let body = if s.lit(",\"values\":[").is_some() {
-                let mut values = Vec::new();
+                let mut values = Vec::with_capacity(s.flat_items());
                 if s.peek() != Some(b']') {
                     loop {
                         values.push(s.u64_value()?);
@@ -839,6 +911,22 @@ mod tests {
         ] {
             assert_eq!(Reply::parse_wire(text), None, "accepted: {text}");
         }
+    }
+
+    #[test]
+    fn item_counts_are_exact_when_canonical_and_bounded_by_length_otherwise() {
+        let flat = |body: &str| Scanner::new(body).flat_items();
+        let pairs = |body: &str| Scanner::new(body).pair_items();
+        assert_eq!(flat("]"), 0);
+        assert_eq!(flat("7]"), 1);
+        assert_eq!(flat("0,12,\"9007199254740993\"]"), 3);
+        assert_eq!(pairs("]"), 0);
+        assert_eq!(pairs("[0,0]]"), 1);
+        assert_eq!(pairs("[3,4],[10,\"18446744073709551615\"]]"), 2);
+        // Hostile bodies reserve no more than a canonical body of the same
+        // length: one item per two bytes, one pair per six.
+        assert_eq!(flat(&",".repeat(1000)), 500);
+        assert_eq!(pairs(&"[".repeat(1200)), 200);
     }
 
     #[test]

@@ -81,7 +81,7 @@ use psnap_obs::{span, Span, SpanKind};
 use psnap_serve::{ClientHandle, Executor, Handle, OpCell, SnapshotService, SubmitError, Ticket};
 
 use crate::frame::{
-    encode_frame, encode_frame_into, read_frame, read_frame_into, FrameError, MAX_FRAME_LEN,
+    encode_frame, encode_frame_with, read_frame, read_frame_into, FrameError, MAX_FRAME_LEN,
 };
 use crate::proto::{
     parse_hello, reject_json, welcome_json, Reply, ReplyBody, Request, RequestBody, WireErrorKind,
@@ -171,13 +171,13 @@ struct PendingReply {
     _span: Span,
 }
 
-/// Appends the reply frame of request `id` to `out`.
+/// Appends the reply frame of request `id` to `out`, encoded in place.
 fn encode_reply_into(id: u64, body: ReplyBody, out: &mut Vec<u8>) {
     let reply = Reply {
         id,
         result: Ok(body),
     };
-    encode_frame_into(reply.to_wire_string().as_bytes(), out);
+    encode_frame_with(out, |out| reply.write_wire(out));
 }
 
 /// What the connection thread hands the reply pump.
@@ -374,7 +374,8 @@ impl Conn {
     fn reply_inline(self: &Arc<Self>, reply: &Reply, never_wait: bool) {
         // One buffered frame, one write: the peer wakes once with the whole
         // frame instead of once for the header and once for the payload.
-        let frame = encode_frame(reply.to_wire_string().as_bytes());
+        let mut frame = Vec::new();
+        encode_frame_with(&mut frame, |out| reply.write_wire(out));
         if never_wait {
             return self.send_now(&frame, 0);
         }

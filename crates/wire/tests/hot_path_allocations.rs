@@ -1,0 +1,209 @@
+//! The wire hot path's allocations, counted: after warm-up, a depth-1
+//! submit and an r = 16 scan over a unix socket make exactly the declared
+//! number of allocations on the calling thread, and at most the declared
+//! number everywhere else in the process (the server's connection thread,
+//! the service it combines on, the object).
+//!
+//! Allocation calls are counted per thread and process-wide by a
+//! `#[global_allocator]`, which is why this test has an integration-test
+//! binary to itself (and one test in it: another test's threads would
+//! allocate into the process-wide count).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use psnap_core::ProcessId;
+use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
+use psnap_shard::{MvShardedSnapshot, ShardConfig};
+use psnap_wire::{RemoteClientHandle, WireServer, WireServerConfig};
+
+thread_local! {
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAllocator;
+
+// SAFETY: defers to `System` for every operation; the only additions are a
+// thread-local call counter with no destructor and a static atomic, neither
+// of which allocates. `realloc` and `alloc_zeroed` keep their default
+// bodies, which call `alloc`, so a growing vector counts once per growth.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = THREAD_ALLOCATIONS.try_with(|calls| calls.set(calls.get() + 1));
+        PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The calling thread's budget for one depth-1 `submit_blocking`: the
+/// one-write vector `submit` builds for `submit_batch` — the request the
+/// caller hands over. The frame is encoded into the connection's
+/// outbound buffer, the pending-table entry reuses the table's room, the
+/// reply is read into the read half's buffer and parsed without a tree,
+/// and a `Submitted` reply carries nothing.
+const CLIENT_SUBMIT_ALLOCATIONS: f64 = 1.0;
+
+/// The calling thread's budget for one depth-1 r = 16 `scan_blocking`:
+/// the caller's component vector, and the vector of values the ticket
+/// hands back — parsed into one allocation sized by counting the reply's
+/// items first.
+const CLIENT_SCAN_ALLOCATIONS: f64 = 2.0;
+
+/// Everything else in the process, per submit — all of it on the server's
+/// connection thread, which combines: the decoded write vector (wire); the
+/// ticket's cell and the ingest round's batch (serve); and, in the
+/// object's `update_many`, four for grouping the writes by shard, the
+/// batch's pending stamp and the one version block.
+const SERVER_SUBMIT_ALLOCATIONS: f64 = 9.0;
+
+/// Everything else in the process, per r = 16 scan: the decoded component
+/// vector (wire); the ticket's cell, the drained request list, two round
+/// vectors and the freshness-cache entry (serve); the union's two vectors
+/// and the backing scan's result (shard).
+const SERVER_SCAN_ALLOCATIONS: f64 = 9.0;
+
+const M: usize = 256;
+const SHARDS: usize = 4;
+const R: usize = 16;
+/// Measurement windows per op kind; each count is the least over them, so
+/// a rare allocation (a growing epoch bag) does not read as the hot path's.
+const WINDOWS: usize = 5;
+const OPS_PER_WINDOW: u64 = 1000;
+/// How long the process is watched idle for its background allocations.
+const IDLE: Duration = Duration::from_millis(200);
+/// What is left of the background after subtracting its idle rate: the
+/// server's timer-driven tasks (the acceptor polls its listener every
+/// millisecond) allocate about a thousand times a second whatever the
+/// traffic, so their share of a window is known only to the timers'
+/// jitter.
+const BACKGROUND_TOLERANCE: f64 = 0.05;
+
+/// Allocations per second, process-wide, while no request is in flight.
+fn background_rate() -> f64 {
+    let before = PROCESS_ALLOCATIONS.load(Ordering::SeqCst);
+    let started = Instant::now();
+    std::thread::sleep(IDLE);
+    let calls = PROCESS_ALLOCATIONS.load(Ordering::SeqCst) - before;
+    calls as f64 / started.elapsed().as_secs_f64()
+}
+
+/// The least `(calling thread, rest of the process)` allocations per call
+/// of `op` over [`WINDOWS`] windows, the rest of the process net of
+/// `background` allocations per second.
+fn allocations_per_call(background: f64, mut op: impl FnMut(u64)) -> (f64, f64) {
+    let mut least = (f64::MAX, f64::MAX);
+    for _ in 0..WINDOWS {
+        let thread_before = THREAD_ALLOCATIONS.with(Cell::get);
+        let process_before = PROCESS_ALLOCATIONS.load(Ordering::SeqCst);
+        let started = Instant::now();
+        for i in 0..OPS_PER_WINDOW {
+            op(i);
+        }
+        let elapsed = started.elapsed().as_secs_f64();
+        let process = PROCESS_ALLOCATIONS.load(Ordering::SeqCst) - process_before;
+        let thread = THREAD_ALLOCATIONS.with(Cell::get) - thread_before;
+        let rest = process as f64 - thread as f64 - background * elapsed;
+        let calls = OPS_PER_WINDOW as f64;
+        least = (
+            least.0.min(thread as f64 / calls),
+            least.1.min(rest / calls),
+        );
+    }
+    least
+}
+
+#[test]
+fn depth_one_submits_and_scans_allocate_only_their_declared_budget() {
+    let executor = Executor::new(2);
+    let object = Arc::new(MvShardedSnapshot::new(
+        M,
+        2,
+        0u64,
+        ShardConfig::multiversioned(SHARDS),
+    ));
+    let service = Arc::new(SnapshotService::start(
+        object,
+        ServiceConfig {
+            coalescing: Coalescing::Window(Duration::ZERO),
+            drain_pid: ProcessId(0),
+            scan_pid: ProcessId(1),
+            ..ServiceConfig::default()
+        },
+        &executor,
+    ));
+    let path = std::env::temp_dir().join(format!("psnap-alloc-{}.sock", std::process::id()));
+    let server = WireServer::serve_unix(
+        Arc::clone(&service),
+        &path,
+        WireServerConfig::default(),
+        &executor,
+    )
+    .unwrap();
+    let client = RemoteClientHandle::connect_unix(&path).unwrap();
+
+    // Sixteen components spread over all four contiguous shards.
+    let request: Vec<usize> = (0..R).map(|i| i * (M / R) + i % 3).collect();
+    let submit = |i: u64| {
+        client
+            .submit_blocking(request[i as usize % R], i + 1)
+            .unwrap()
+    };
+    let scan = |_| {
+        let values = client
+            .scan_blocking(request.clone(), Freshness::Fresh)
+            .unwrap();
+        assert_eq!(values.len(), R);
+    };
+
+    // Warm-up: the pending table, the frame buffers, the epoch bags, the
+    // metric and trace thread indices and every chain reach their steady
+    // state.
+    for i in 0..4096 {
+        submit(i);
+        scan(i);
+    }
+
+    let background = background_rate();
+    let (client_submit, server_submit) = allocations_per_call(background, submit);
+    let (client_scan, server_scan) = allocations_per_call(background, scan);
+    println!(
+        "allocations per op: client submit {client_submit:.3}, scan {client_scan:.3}; \
+         rest of the process submit {server_submit:.3}, scan {server_scan:.3} \
+         (net of {background:.0} per second idle)"
+    );
+    client.close();
+    server.shutdown(Duration::from_secs(5));
+    service.shutdown();
+    let _ = std::fs::remove_file(&path);
+
+    assert_eq!(
+        client_submit, CLIENT_SUBMIT_ALLOCATIONS,
+        "a depth-1 submit made {client_submit:.3} allocations on the calling thread"
+    );
+    assert_eq!(
+        client_scan, CLIENT_SCAN_ALLOCATIONS,
+        "a depth-1 r = {R} scan made {client_scan:.3} allocations on the calling thread"
+    );
+    assert!(
+        server_submit <= SERVER_SUBMIT_ALLOCATIONS + BACKGROUND_TOLERANCE,
+        "a depth-1 submit made {server_submit:.3} allocations outside the calling thread"
+    );
+    assert!(
+        server_scan <= SERVER_SCAN_ALLOCATIONS + BACKGROUND_TOLERANCE,
+        "a depth-1 r = {R} scan made {server_scan:.3} allocations outside the calling thread"
+    );
+}

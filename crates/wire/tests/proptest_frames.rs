@@ -5,11 +5,97 @@
 
 use std::io::Read;
 
+use std::time::Duration;
+
 use proptest::prelude::*;
 use psnap_json::Json;
+use psnap_serve::Freshness;
 use psnap_wire::{
-    encode_frame, read_frame, read_frame_str, FrameError, Reply, Request, MAX_FRAME_LEN,
+    encode_frame, encode_frame_with, read_frame, read_frame_str, FrameError, Reply, ReplyBody,
+    Request, RequestBody, WireErrorKind, MAX_FRAME_LEN,
 };
+
+/// Largest integer a JSON number carries exactly; above it the codec
+/// switches to decimal strings.
+const MAX_SAFE: u64 = 1 << 53;
+
+/// A `u64` at one of the codec's edges — one and two digits, either side
+/// of the number/string switch, the largest value — or anywhere.
+fn wire_u64() -> impl Strategy<Value = u64> {
+    const EDGES: [u64; 7] = [0, 9, 10, MAX_SAFE - 1, MAX_SAFE, MAX_SAFE + 1, u64::MAX];
+    prop_oneof![(0..EDGES.len()).prop_map(|i| EDGES[i]), 0u64..=u64::MAX]
+}
+
+/// A component index. The general path carries components as JSON
+/// numbers, so they stay at or below 2^53 (the same edges, from below).
+fn component() -> impl Strategy<Value = usize> {
+    const EDGES: [usize; 5] = [0, 9, 10, MAX_SAFE as usize - 1, MAX_SAFE as usize];
+    prop_oneof![
+        (0..EDGES.len()).prop_map(|i| EDGES[i]),
+        0usize..=MAX_SAFE as usize
+    ]
+}
+
+fn request() -> impl Strategy<Value = Request> {
+    let submit = (
+        wire_u64(),
+        proptest::collection::vec((component(), wire_u64()), 1..24),
+    )
+        .prop_map(|(id, writes)| Request {
+            id,
+            body: RequestBody::Submit { writes },
+        });
+    let scan = (
+        wire_u64(),
+        proptest::collection::vec(component(), 0..24),
+        prop_oneof![Just(None), wire_u64().prop_map(Some)],
+    )
+        .prop_map(|(id, components, stale_ns)| Request {
+            id,
+            body: RequestBody::Scan {
+                components,
+                freshness: stale_ns.map_or(Freshness::Fresh, |ns| {
+                    Freshness::AtMostStale(Duration::from_nanos(ns))
+                }),
+            },
+        });
+    let stats = wire_u64().prop_map(|id| Request {
+        id,
+        body: RequestBody::Stats,
+    });
+    prop_oneof![submit, scan, stats]
+}
+
+fn reply() -> impl Strategy<Value = Reply> {
+    let values =
+        (wire_u64(), proptest::collection::vec(wire_u64(), 0..24)).prop_map(|(id, values)| Reply {
+            id,
+            result: Ok(ReplyBody::Values(values)),
+        });
+    let other = (wire_u64(), 0usize..5).prop_map(|(id, shape)| Reply {
+        id,
+        result: match shape {
+            0 => Ok(ReplyBody::Submitted),
+            1 => Ok(ReplyBody::Stats(Json::obj([("x", Json::u64(id))]))),
+            2 => Err(WireErrorKind::Busy),
+            3 => Err(WireErrorKind::Closed),
+            _ => Err(WireErrorKind::BadRequest),
+        },
+    });
+    prop_oneof![values, other]
+}
+
+/// `write_wire`'s output, and the same payload framed in place after bytes
+/// already in the buffer (with the framed part split off).
+fn encoded(write: impl Fn(&mut Vec<u8>)) -> (Vec<u8>, Vec<u8>) {
+    let mut payload = Vec::new();
+    write(&mut payload);
+    let earlier = b"earlier frames";
+    let mut buf = earlier.to_vec();
+    let len = encode_frame_with(&mut buf, write);
+    assert_eq!(len, payload.len());
+    (payload, buf.split_off(earlier.len()))
+}
 
 /// A reader that hands out at most `limit` bytes, then EOF — models a peer
 /// that dies mid-frame.
@@ -146,6 +232,36 @@ proptest! {
         let fast = reply.to_wire_string();
         prop_assert_eq!(&fast, &reply.to_json().to_string_compact());
         prop_assert_eq!(Reply::parse_wire(&fast), Some(reply));
+    }
+
+    /// The byte encoder writes exactly what the general serializer writes,
+    /// the fast parser inverts it, and a frame built in place is the frame
+    /// of the encoded text.
+    #[test]
+    fn request_encoder_matches_the_general_path_and_frames_in_place(request in request()) {
+        let (payload, frame) = encoded(|out| request.write_wire(out));
+        let text = request.to_json().to_string_compact();
+        prop_assert_eq!(&payload, text.as_bytes());
+        prop_assert_eq!(Request::parse_wire(&text).as_ref(), Some(&request));
+        prop_assert_eq!(frame, encode_frame(request.to_wire_string().as_bytes()));
+    }
+
+    /// The same three properties for replies; stats replies carry free-form
+    /// JSON, which the fast parser declines and the general one inverts.
+    #[test]
+    fn reply_encoder_matches_the_general_path_and_frames_in_place(reply in reply()) {
+        let (payload, frame) = encoded(|out| reply.write_wire(out));
+        let text = reply.to_json().to_string_compact();
+        prop_assert_eq!(&payload, text.as_bytes());
+        let parsed = match reply.result {
+            Ok(ReplyBody::Stats(_)) => {
+                prop_assert_eq!(Reply::parse_wire(&text), None);
+                Reply::from_json(&Json::parse(&text).unwrap())
+            }
+            _ => Reply::parse_wire(&text),
+        };
+        prop_assert_eq!(parsed.as_ref(), Some(&reply));
+        prop_assert_eq!(frame, encode_frame(reply.to_wire_string().as_bytes()));
     }
 }
 

@@ -405,3 +405,60 @@ fn wait_timeout_gives_up_on_a_gated_request_and_delivers_after_release() {
     ));
     rig.stop();
 }
+
+#[test]
+fn threads_sharing_a_connection_hand_the_read_turn_to_each_other() {
+    // Four threads take turns at one connection's read half. A reader that
+    // returns it wakes the others only while one sleeps for it; a sleeper
+    // it failed to count would sleep on through a turn that is free, and
+    // once every thread sleeps nobody reads.
+    const THREADS: u64 = 4;
+    const ROUND_TRIPS: u64 = 5_000;
+    let executor = Executor::new(2);
+    let service = Arc::new(SnapshotService::start(
+        CasPartialSnapshot::new(M, 4, 0u64),
+        ServiceConfig::default(),
+        &executor,
+    ));
+    let path = unique_socket_path("turns");
+    let server = WireServer::serve_unix(
+        Arc::clone(&service),
+        &path,
+        WireServerConfig::default(),
+        &executor,
+    )
+    .unwrap();
+    let client = Arc::new(RemoteClientHandle::connect_unix(&path).unwrap());
+    let threads: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let client = Arc::clone(&client);
+            std::thread::spawn(move || {
+                let component = t as usize;
+                for op in 1..=ROUND_TRIPS {
+                    client.submit_blocking(component, op).unwrap();
+                    let values = client
+                        .scan_blocking(vec![component], Freshness::Fresh)
+                        .unwrap();
+                    assert_eq!(values, vec![op], "thread {t} read a stale value");
+                }
+            })
+        })
+        .collect();
+    // A hang must fail the test, not wedge it: nothing is joined until
+    // every thread has finished.
+    assert!(
+        wait_until(Duration::from_secs(60), || threads
+            .iter()
+            .all(|t| t.is_finished())),
+        "the round trips did not finish within 60 s: a read turn was lost"
+    );
+    for t in threads {
+        t.join().unwrap();
+    }
+    assert_eq!(client.unknown_replies(), 0);
+    Arc::into_inner(client)
+        .expect("every thread has let its handle go")
+        .close();
+    server.shutdown(Duration::from_secs(5));
+    service.shutdown();
+}

@@ -263,6 +263,52 @@ fn half_close_flushes_every_in_flight_reply() {
 }
 
 #[test]
+fn replies_to_dropped_tickets_are_discarded_not_unknown() {
+    let executor = Executor::new(2);
+    let service = start_service(&executor, ServiceConfig::default());
+    let path = unique_socket_path("dropped");
+    let server = WireServer::serve_unix(
+        Arc::clone(&service),
+        &path,
+        WireServerConfig::default(),
+        &executor,
+    )
+    .unwrap();
+    let client = RemoteClientHandle::connect_unix(&path).unwrap();
+
+    // A thousand scans whose tickets are dropped unwaited, all before a
+    // single reply could have been read: every reply arrives for a ticket
+    // that is gone.
+    client.set_corked(true).unwrap();
+    for i in 0..1_000 {
+        drop(client.scan(vec![i % M], Freshness::Fresh).unwrap());
+    }
+    client.set_corked(false).unwrap();
+
+    // The next round trip reads past all of them to its own reply.
+    client.submit_blocking(2, 7).unwrap();
+    assert_eq!(
+        client.scan_blocking(vec![2], Freshness::Fresh).unwrap(),
+        vec![7]
+    );
+    assert_eq!(
+        client.unknown_replies(),
+        0,
+        "a reply to a dropped ticket is not a duplicated or misattributed one"
+    );
+    let started = Instant::now();
+    client.close();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "close waited {:?}",
+        started.elapsed()
+    );
+
+    server.shutdown(Duration::from_secs(5));
+    service.shutdown();
+}
+
+#[test]
 fn version_mismatch_is_rejected_in_the_handshake() {
     let executor = Executor::new(2);
     let service = start_service(&executor, ServiceConfig::default());
