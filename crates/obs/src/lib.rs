@@ -6,12 +6,14 @@
 //! step counters in `psnap-shmem::steps` established: **recording must never
 //! perturb the algorithms being measured**. Concretely:
 //!
-//! * [`Counter`] and [`Gauge`] are striped across cache-line-padded
-//!   per-thread cells — a record is one relaxed atomic add on a cell no
-//!   other running thread normally touches, aggregated only on read;
-//! * [`Histogram`] buckets values by log2 (one relaxed add per record) and
-//!   tracks the exact maximum on the side, so `p50`/`p99`/`max` come out of
-//!   a read without any recording-side sorting;
+//! * [`Counter`], [`Gauge`] and [`Histogram`] are striped across
+//!   cache-line-aligned stripes, one per leased **metric slot** plus one
+//!   shared overflow stripe ([`metric`]) — a record is a relaxed load and
+//!   a relaxed store on a line only the recording thread writes,
+//!   aggregated only on read;
+//! * [`Histogram`] buckets values by log2 and tracks the exact maximum on
+//!   the side, so `p50`/`p99`/`max` come out of a read without any
+//!   recording-side sorting;
 //! * [`trace`] keeps a bounded ring of timestamped events *per thread*
 //!   (scan announce/retry/fallback, help-finalize, batch commit, epoch
 //!   advance, queue push/drain, coalesce decisions), drained on demand into
@@ -85,10 +87,11 @@ thread_local! {
     static THREAD_INDEX: usize = NEXT_THREAD_INDEX.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A small dense id for the calling thread, assigned on first use. Indexes
-/// the counter stripes and labels trace events; unrelated to the paper's
-/// process-id space. During thread exit (the id's slot already destroyed)
-/// it degrades to 0 — records still land, on a shared stripe.
+/// A small id for the calling thread, assigned on first use and never
+/// reused. It labels trace events and spans only — metrics record into the
+/// thread's leased metric slot instead ([`metric`]) — and is unrelated to
+/// the paper's process-id space. During thread exit (the id already
+/// destroyed) it degrades to 0.
 #[inline]
 pub fn thread_index() -> usize {
     THREAD_INDEX.try_with(|i| *i).unwrap_or(0)
@@ -97,6 +100,16 @@ pub fn thread_index() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Tests that switch recording off, or that read which metric slots
+    /// their threads leased, take turns: a switch-off would drop another
+    /// test's records, and another test's threads would hold slots.
+    static RECORDING: Mutex<()> = Mutex::new(());
+
+    pub(crate) fn recording_turn() -> MutexGuard<'static, ()> {
+        RECORDING.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn thread_indices_are_distinct() {
@@ -109,6 +122,7 @@ mod tests {
 
     #[test]
     fn disabling_freezes_counters() {
+        let _turn = recording_turn();
         let c = Counter::new();
         c.add(3);
         set_enabled(false);

@@ -1,41 +1,145 @@
-//! The metric primitives: striped counters and gauges, log2 histograms.
+//! The metric primitives: striped counters and gauges, striped log2
+//! histograms.
 //!
-//! Recording never takes a lock or synchronizes with readers, and
-//! aggregation work happens entirely on the read side. Counters and gauges
-//! record with one relaxed add on a per-thread cache line (a stripe). A
-//! [`Histogram`] records into atomics every thread shares: two relaxed adds
-//! and a `fetch_max`, which is a compare&swap loop on most targets — it
-//! retries only while other threads raise the maximum, and its lines bounce
-//! between recording cores. None of them count as base-object steps —
-//! observing the system costs zero in the paper's cost model by
-//! construction.
+//! Recording never takes a lock or synchronizes with readers; aggregation
+//! happens entirely on the read side. Every metric is an array of 32
+//! cache-line-aligned stripes, and a thread records into the stripe of its
+//! **metric slot**:
+//!
+//! * **Owned stripes.** Slots `0..31` each own one stripe of every metric.
+//!   A thread leases a slot from a process-wide free list on its first
+//!   record, and a thread-local destructor returns it when the thread
+//!   exits — so live threads hold distinct slots, and a process that
+//!   churns threads never runs out. The slot's holder is its stripe's only
+//!   writer, so a record there is a relaxed load plus a relaxed store on a
+//!   line no other thread writes (a histogram's `max` is store-if-greater).
+//! * **The overflow stripe.** The last stripe is shared. It takes the
+//!   records of any thread without an owned slot — beyond 31 live
+//!   recorders, or a record made during thread teardown after the lease
+//!   went back — with atomic read-modify-writes (`fetch_add`,
+//!   `fetch_max`).
+//!
+//! **Exactness.** Totals are exact under any number of threads. An owned
+//! stripe has one writer at a time, so no store of its load-plus-store
+//! overwrites another thread's record. A slot passes between threads only
+//! through the free-list mutex: the old owner's last store is sequenced
+//! before its unlock, which synchronizes with the new owner's lock, which
+//! is sequenced before the new owner's first load — so that load sees the
+//! last store. The overflow stripe's updates are atomic. Readers sum the
+//! stripes with relaxed loads; concurrent with recording, each stripe they
+//! read holds a value it had at some recent instant.
+//!
+//! None of this counts as base-object steps — observing the system costs
+//! zero in the paper's cost model by construction.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-/// Stripes per counter/gauge. Threads hash onto stripes by their dense
-/// [`thread_index`](crate::thread_index); with more live threads than
-/// stripes two threads may share a line, which costs throughput on that
-/// stripe, never correctness.
+/// Stripes per metric: one per owned slot, then the overflow stripe.
 const STRIPES: usize = 32;
+
+/// The stripe shared by threads without an owned slot.
+const OVERFLOW: usize = STRIPES - 1;
+
+/// The owned slots no live thread holds: `next` and above were never
+/// leased, `free` holds the ones exited threads returned.
+struct SlotPool {
+    next: usize,
+    free: Vec<usize>,
+}
+
+static SLOTS: Mutex<SlotPool> = Mutex::new(SlotPool {
+    next: 0,
+    free: Vec::new(),
+});
+
+/// The calling thread's metric slot; returned to the pool at thread exit.
+struct Lease(usize);
+
+impl Lease {
+    /// A free owned slot, or [`OVERFLOW`] when every owned slot is held.
+    fn take() -> Lease {
+        // Pushes and pops leave the pool valid at every step, so a poisoned
+        // lock still guards a consistent pool.
+        let mut pool = SLOTS.lock().unwrap_or_else(PoisonError::into_inner);
+        let slot = match pool.free.pop() {
+            Some(slot) => slot,
+            None if pool.next < OVERFLOW => {
+                let slot = pool.next;
+                pool.next += 1;
+                slot
+            }
+            None => OVERFLOW,
+        };
+        Lease(slot)
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        if self.0 != OVERFLOW {
+            let mut pool = SLOTS.lock().unwrap_or_else(PoisonError::into_inner);
+            pool.free.push(self.0);
+        }
+    }
+}
+
+thread_local! {
+    static LEASE: Lease = Lease::take();
+}
+
+/// The stripe the calling thread records into: its owned slot, or
+/// [`OVERFLOW`] if it holds none or its lease has already gone back.
+#[inline]
+fn slot() -> usize {
+    LEASE.try_with(|lease| lease.0).unwrap_or(OVERFLOW)
+}
+
+/// Adds `n` to one cell of stripe `slot`: a load and a store on an owned
+/// stripe (its one writer), an atomic add on the overflow stripe.
+#[inline]
+fn add_at(cell: &AtomicU64, n: u64, slot: usize) {
+    if slot == OVERFLOW {
+        cell.fetch_add(n, Ordering::Relaxed);
+    } else {
+        cell.store(
+            cell.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
+    }
+}
 
 /// One cache line per stripe so concurrent recorders never false-share.
 #[repr(align(64))]
 #[derive(Default)]
-struct StripeU64(AtomicU64);
+struct Line(AtomicU64);
 
-#[repr(align(64))]
+/// One `u64` per stripe, added to by its slot's holder and summed on read
+/// (wrapping, so a [`Gauge`]'s two's-complement stripes sum to its level).
 #[derive(Default)]
-struct StripeI64(AtomicI64);
+struct Striped([Line; STRIPES]);
 
-#[inline]
-fn stripe() -> usize {
-    crate::thread_index() % STRIPES
+impl Striped {
+    #[inline]
+    fn add(&self, n: u64) {
+        if !crate::enabled() {
+            return;
+        }
+        let slot = slot();
+        add_at(&self.0[slot].0, n, slot);
+    }
+
+    fn sum(&self) -> u64 {
+        self.0.iter().fold(0, |sum, line| {
+            sum.wrapping_add(line.0.load(Ordering::Relaxed))
+        })
+    }
 }
 
-/// A monotone event counter, striped per thread and summed on read.
+/// A monotone event counter, striped per metric slot and summed on read.
 #[derive(Default)]
 pub struct Counter {
-    stripes: [StripeU64; STRIPES],
+    stripes: Striped,
 }
 
 impl Counter {
@@ -44,13 +148,10 @@ impl Counter {
         Counter::default()
     }
 
-    /// Adds `n` (one relaxed add on the calling thread's stripe).
+    /// Adds `n` (a relaxed load and store on the calling thread's stripe).
     #[inline]
     pub fn add(&self, n: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.stripes[stripe()].0.fetch_add(n, Ordering::Relaxed);
+        self.stripes.add(n);
     }
 
     /// Adds one.
@@ -62,10 +163,7 @@ impl Counter {
     /// The current total across all stripes. Concurrent with recording the
     /// total is a valid value the counter held at some recent instant.
     pub fn get(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.stripes.sum()
     }
 }
 
@@ -73,7 +171,7 @@ impl Counter {
 /// increments and decrements, summed on read.
 #[derive(Default)]
 pub struct Gauge {
-    stripes: [StripeI64; STRIPES],
+    stripes: Striped,
 }
 
 impl Gauge {
@@ -85,10 +183,7 @@ impl Gauge {
     /// Adds `n` to the level.
     #[inline]
     pub fn add(&self, n: i64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.stripes[stripe()].0.fetch_add(n, Ordering::Relaxed);
+        self.stripes.add(n as u64);
     }
 
     /// Subtracts `n` from the level.
@@ -110,13 +205,10 @@ impl Gauge {
     }
 
     /// The current level. Because increments and matching decrements may
-    /// land on different threads' stripes, individual stripes go negative;
-    /// only the sum is meaningful.
+    /// land on different threads' stripes, individual stripes go negative
+    /// (in two's complement); only the sum is meaningful.
     pub fn get(&self) -> i64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.stripes.sum() as i64
     }
 }
 
@@ -145,26 +237,48 @@ fn bucket_upper(index: usize) -> u64 {
     }
 }
 
-/// A log2-bucketed histogram of `u64` samples (latencies in nanoseconds,
-/// step counts, chain lengths).
-///
-/// Recording is two relaxed adds plus a relaxed `fetch_max`. Quantiles are
-/// resolved from the buckets on read: `percentile(q)` returns the upper
-/// bound of the bucket holding the `q`-th sample, clamped by the exact
-/// maximum — so `max` is exact, and `p50`/`p99` are exact up to the 2×
-/// bucket resolution (always an upper bound, never an underestimate).
-pub struct Histogram {
+/// One histogram stripe: its buckets, sum and maximum. The alignment keeps
+/// two stripes off each other's cache lines.
+#[repr(align(64))]
+struct HistogramStripe {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
     max: AtomicU64,
 }
 
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
+impl Default for HistogramStripe {
+    fn default() -> HistogramStripe {
+        HistogramStripe {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
+        }
+    }
+}
+
+/// A log2-bucketed histogram of `u64` samples (latencies in nanoseconds,
+/// step counts, chain lengths).
+///
+/// Striped like [`Counter`]: each metric slot owns a stripe of 65 buckets,
+/// a sum and a maximum, and the overflow stripe takes everyone else. On an
+/// owned stripe a record is two relaxed load-and-stores plus a
+/// store-if-greater of the maximum; on the overflow stripe two relaxed
+/// `fetch_add`s and a `fetch_max`. A histogram is 32 stripes of 576 bytes,
+/// 18,432 bytes in all.
+///
+/// Reads sum the stripes. Quantiles are resolved from the buckets:
+/// `percentile(q)` returns the upper bound of the bucket holding the `q`-th
+/// sample, clamped by the exact maximum — so `max` is exact, and
+/// `p50`/`p99` are exact up to the 2× bucket resolution (always an upper
+/// bound, never an underestimate).
+pub struct Histogram {
+    stripes: [HistogramStripe; STRIPES],
+}
+
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram {
+            stripes: std::array::from_fn(|_| HistogramStripe::default()),
         }
     }
 }
@@ -195,6 +309,35 @@ impl HistogramSnapshot {
     }
 }
 
+/// A histogram's stripes summed into one.
+struct Totals {
+    buckets: [u64; BUCKETS],
+    sum: u64,
+    max: u64,
+}
+
+impl Totals {
+    fn count(&self) -> u64 {
+        self.buckets.iter().sum()
+    }
+
+    fn percentile(&self, q: f64) -> u64 {
+        let total = self.count();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let mut seen = 0u64;
+        for (i, c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return bucket_upper(i).min(self.max);
+            }
+        }
+        self.max
+    }
+}
+
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Histogram {
@@ -207,58 +350,66 @@ impl Histogram {
         if !crate::enabled() {
             return;
         }
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        let slot = slot();
+        let stripe = &self.stripes[slot];
+        add_at(&stripe.buckets[bucket_of(value)], 1, slot);
+        add_at(&stripe.sum, value, slot);
+        if slot == OVERFLOW {
+            stripe.max.fetch_max(value, Ordering::Relaxed);
+        } else if value > stripe.max.load(Ordering::Relaxed) {
+            stripe.max.store(value, Ordering::Relaxed);
+        }
+    }
+
+    /// Every stripe summed, in one pass.
+    fn totals(&self) -> Totals {
+        let mut totals = Totals {
+            buckets: [0; BUCKETS],
+            sum: 0,
+            max: 0,
+        };
+        for stripe in &self.stripes {
+            for (total, bucket) in totals.buckets.iter_mut().zip(&stripe.buckets) {
+                *total += bucket.load(Ordering::Relaxed);
+            }
+            totals.sum = totals.sum.wrapping_add(stripe.sum.load(Ordering::Relaxed));
+            totals.max = totals.max.max(stripe.max.load(Ordering::Relaxed));
+        }
+        totals
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.totals().count()
     }
 
     /// Sum of all recorded samples.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.totals().sum
     }
 
     /// Exact maximum recorded sample (0 when empty).
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
+        self.totals().max
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`) as the upper bound of the bucket
     /// holding that sample, clamped by the exact maximum. 0 when empty.
     pub fn percentile(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper(i).min(self.max());
-            }
-        }
-        self.max()
+        self.totals().percentile(q)
     }
 
-    /// A consistent-enough point-in-time read (individual fields may lag
-    /// each other by in-flight records; each is monotone).
+    /// A consistent-enough point-in-time read, summed in one pass over the
+    /// stripes (individual fields may lag each other by in-flight records;
+    /// each is monotone).
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let totals = self.totals();
         HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            max: self.max(),
-            p50: self.percentile(0.50),
-            p99: self.percentile(0.99),
+            count: totals.count(),
+            sum: totals.sum,
+            max: totals.max,
+            p50: totals.percentile(0.50),
+            p99: totals.percentile(0.99),
         }
     }
 }
@@ -343,6 +494,10 @@ impl RateTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::{Arc, Barrier};
+    use std::thread;
 
     #[test]
     fn counter_counts() {
@@ -453,5 +608,144 @@ mod tests {
     #[should_panic(expected = "EWMA factor")]
     fn rate_tracker_rejects_zero_alpha() {
         let _ = RateTracker::new(0.0);
+    }
+
+    #[test]
+    fn footprints_match_the_docs() {
+        assert_eq!(std::mem::size_of::<Counter>(), 32 * 64);
+        assert_eq!(std::mem::size_of::<Gauge>(), 32 * 64);
+        assert_eq!(std::mem::size_of::<HistogramStripe>(), 576);
+        assert_eq!(std::mem::size_of::<Histogram>(), 18_432);
+    }
+
+    #[test]
+    fn more_live_recorders_than_slots_stay_exact() {
+        const THREADS: usize = 2 * OVERFLOW + 2;
+        const OPS: u64 = 20_000;
+        let _turn = crate::tests::recording_turn();
+        let (counter, gauge, histogram) = (Counter::new(), Gauge::new(), Histogram::new());
+        let barrier = Barrier::new(THREADS);
+        let overflowed = AtomicUsize::new(0);
+        thread::scope(|s| {
+            for t in 0..THREADS as u64 {
+                let (counter, gauge, histogram) = (&counter, &gauge, &histogram);
+                let (barrier, overflowed) = (&barrier, &overflowed);
+                s.spawn(move || {
+                    // Every thread leases before any records in earnest, so
+                    // all of them are live at once and at most 31 own a slot.
+                    if slot() == OVERFLOW {
+                        overflowed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    barrier.wait();
+                    for i in 1..=OPS {
+                        // Yielding often keeps all 64 threads taking turns
+                        // on the cores, so every stripe sees its recorders
+                        // interleave rather than run one after another.
+                        if i % 64 == 0 {
+                            thread::yield_now();
+                        }
+                        counter.inc();
+                        gauge.add(t as i64 + 1);
+                        gauge.sub(t as i64);
+                        histogram.record(i);
+                    }
+                    histogram.record(OPS + t);
+                });
+            }
+        });
+        let threads = THREADS as u64;
+        assert_eq!(counter.get(), threads * OPS);
+        assert_eq!(gauge.get(), (threads * OPS) as i64);
+        let snap = histogram.snapshot();
+        assert_eq!(snap.count, threads * (OPS + 1));
+        let tails: u64 = (0..threads).map(|t| OPS + t).sum();
+        assert_eq!(snap.sum, threads * OPS * (OPS + 1) / 2 + tails);
+        assert_eq!(snap.max, OPS + threads - 1);
+        assert!(
+            overflowed.load(Ordering::Relaxed) >= THREADS - OVERFLOW,
+            "{} of {THREADS} live threads recorded on the overflow stripe",
+            overflowed.load(Ordering::Relaxed)
+        );
+    }
+
+    #[test]
+    fn churned_threads_give_their_slots_back() {
+        let _turn = crate::tests::recording_turn();
+        let (counter, histogram) = (Counter::new(), Histogram::new());
+        // An explicit join waits for the thread's local destructors, so
+        // each lease is back in the pool before the next thread starts.
+        for i in 0..1000u64 {
+            thread::scope(|s| {
+                s.spawn(|| {
+                    counter.inc();
+                    histogram.record(i);
+                })
+                .join()
+                .unwrap()
+            });
+        }
+        let owned = thread::scope(|s| {
+            s.spawn(|| {
+                counter.inc();
+                slot() != OVERFLOW
+            })
+            .join()
+            .unwrap()
+        });
+        assert!(owned, "a fresh thread after 1,000 exits must own a slot");
+        assert_eq!(counter.get(), 1001);
+        let snap = histogram.snapshot();
+        assert_eq!(
+            (snap.count, snap.sum, snap.max),
+            (1000, 999 * 1000 / 2, 999)
+        );
+    }
+
+    /// Records once from a thread-local destructor and notes whether the
+    /// thread's lease had already gone back by then.
+    struct RecordOnExit {
+        counter: Arc<Counter>,
+        histogram: Arc<Histogram>,
+        lease_was_gone: Arc<AtomicBool>,
+    }
+
+    impl Drop for RecordOnExit {
+        fn drop(&mut self) {
+            self.lease_was_gone
+                .store(slot() == OVERFLOW, Ordering::SeqCst);
+            self.counter.inc();
+            self.histogram.record(7);
+        }
+    }
+
+    thread_local! {
+        static ON_EXIT: RefCell<Option<RecordOnExit>> = const { RefCell::new(None) };
+    }
+
+    #[test]
+    fn a_record_after_the_lease_went_back_lands() {
+        let _turn = crate::tests::recording_turn();
+        let counter = Arc::new(Counter::new());
+        let histogram = Arc::new(Histogram::new());
+        let lease_was_gone = Arc::new(AtomicBool::new(false));
+        let on_exit = RecordOnExit {
+            counter: Arc::clone(&counter),
+            histogram: Arc::clone(&histogram),
+            lease_was_gone: Arc::clone(&lease_was_gone),
+        };
+        let recorder = Arc::clone(&counter);
+        thread::spawn(move || {
+            // Thread-local destructors run last registered, first run:
+            // registering `ON_EXIT` before the lease makes it record after
+            // the lease has gone back.
+            ON_EXIT.with(|slot| *slot.borrow_mut() = Some(on_exit));
+            recorder.inc();
+        })
+        .join()
+        .unwrap();
+        assert!(lease_was_gone.load(Ordering::SeqCst));
+        assert_eq!(counter.get(), 2);
+        let snap = histogram.snapshot();
+        assert_eq!((snap.count, snap.sum, snap.max), (1, 7, 7));
     }
 }

@@ -576,8 +576,9 @@ struct ScanRole<T> {
     requests: Vec<ScanRequest<T>>,
     /// The freshness cache, newest entry first.
     cache: Vec<ScanCache<T>>,
-    /// When the last round dispatched; `None` until the first. Arrivals
-    /// within a window of it are a trickle, not a lone request, and wait.
+    /// When the last round dispatched; `None` until the first, and always
+    /// under a zero window, which never reads it. Arrivals within a window
+    /// of it are a trickle, not a lone request, and wait.
     last_dispatch: Option<Instant>,
 }
 
@@ -1030,7 +1031,10 @@ where
         // AND at least one window has passed since the last dispatch —
         // arrivals within a window of it are part of an ongoing trickle and
         // still wait, so sub-window jitter between clients keeps coalescing.
-        let lone = role.requests.len() == 1
+        // A zero window waits for nothing either way, so it skips the test
+        // and the clock reads that feed it.
+        let lone = !window.is_zero()
+            && role.requests.len() == 1
             && self.scan_queue.is_empty()
             && role.last_dispatch.is_none_or(|at| at.elapsed() >= window);
         let wait = if lone { Duration::ZERO } else { window };
@@ -1042,7 +1046,9 @@ where
             drop(window_spans);
         }
         self.serve_scans(std::mem::take(&mut role.requests), &mut role.cache);
-        role.last_dispatch = Some(Instant::now());
+        if !window.is_zero() {
+            role.last_dispatch = Some(Instant::now());
+        }
     }
 }
 

@@ -185,3 +185,21 @@ fn reporter_exits_on_service_shutdown() {
         "reporter kept ticking after shutdown"
     );
 }
+
+#[test]
+fn a_zero_window_records_one_zero_decision_per_scan_round() {
+    let config = ServiceConfig::default();
+    assert_eq!(config.coalescing, Coalescing::Window(Duration::ZERO));
+    let executor = Executor::new(2);
+    let service = SnapshotService::start(sharded_backing(), config, &executor);
+    let client = service.client();
+    client.submit(3, 30).unwrap().wait();
+    // One fresh scan at a time: each is a round of its own.
+    for _ in 0..5 {
+        let values = client.scan(vec![3], Freshness::Fresh).unwrap().wait();
+        assert_eq!(values, vec![30]);
+    }
+    let window = service.stats().window_ns;
+    assert_eq!((window.count, window.max), (5, 0), "{window:?}");
+    service.shutdown();
+}

@@ -2,10 +2,16 @@
 //!
 //! The epoch table and the timestamp camera are process-global, so their
 //! metrics are too: lazily created [`psnap_obs`] handles that the epoch and
-//! [`crate::mv`] modules record into from their cold paths (retire,
-//! collect, prune, help-finalize — never the per-read fast paths, which
-//! stay exactly as the step model prices them). [`register_metrics`] names
-//! the whole family into a registry for scraping.
+//! [`crate::mv`] modules record into. Scans' per-read fast paths record
+//! nothing. Writes do: every multiversioned write installs a version and
+//! prunes its chain in place, so `install`, `prune` and `retire` — and
+//! with them about ten of this family's records (installed, live
+//! versions, chain length, pruned per call, unlinked, retired, bag items)
+//! — run on every single write. That is why a record is a store on a line
+//! only the recording thread writes ([`psnap_obs::metric`]); none of it
+//! counts as a base-object step, so the step model's prices stay exact.
+//! [`register_metrics`] names the whole family into a registry for
+//! scraping.
 
 use std::sync::{Arc, OnceLock};
 
