@@ -1,49 +1,35 @@
-//! A small, dependency-free async runtime.
+//! Timed jobs on a small thread pool, and the waiting primitive every
+//! ticket wait goes through.
 //!
-//! The no-new-deps constraint rules out tokio, so the service's background
-//! work runs on this hand-rolled executor: a fixed pool of worker threads
-//! polling tasks from **one run queue**, wakers built on
-//! [`std::task::Wake`], and a **timer wheel** driven by a dedicated tick
-//! thread for `sleep`-style futures. What is left on it is periodic or
-//! socket-bound — stats reporters, the reshard driver, the flight auditor,
-//! a wire server's acceptor and idle watchdogs; the service pipelines run on
-//! the threads that wait for them (see [`Ticket`](crate::Ticket)). A
-//! [`block_on`] bridge lets synchronous client threads await tickets.
-//! Every thread that waits here — a worker out of tasks, a `block_on`
-//! caller — waits through one primitive, [`WaitSite`]: poll briefly, then
-//! park.
+//! The service's pipelines run on the threads that wait for them (see
+//! [`Ticket`](crate::Ticket)); what is left is work due at a time — stats
+//! reporters, the reshard driver, the flight auditor, a wire server's idle
+//! watchdogs. So an [`Executor`] is a timer: worker threads over **one
+//! deadline heap** of jobs, each run when due and returning when to run
+//! next (`None`: done). A worker with nothing due waits on one condvar
+//! until the earliest deadline, without a timeout while the heap is empty:
+//! an executor with nothing scheduled costs no wake-ups.
 //!
-//! The design favours auditability over raw scheduler throughput: every
-//! scheduling transition is a small state machine on one atomic
-//! (`IDLE → QUEUED → RUNNING → {IDLE, QUEUED}` with a `NOTIFIED` flag for
-//! wake-during-poll), the classic lost-wakeup race is closed by re-checking
-//! the queue under the sleep lock before parking, and dropped executors
-//! simply stop polling — task owners are expected to stop their tasks
-//! first.
+//! [`block_on`] lets synchronous client threads await tickets, through
+//! [`WaitSite`]: poll briefly, then park.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::cmp::Ordering as CmpOrdering;
+use std::collections::BinaryHeap;
 use std::future::Future;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 use psnap_obs::{Counter, Registry};
 use psnap_shmem::chaos::{self, ChaosConfig};
 
-type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
-
 /// Configuration of an [`Executor`].
 #[derive(Clone, Debug)]
 pub struct ExecutorConfig {
     /// Number of worker threads. Clamped to ≥ 1.
     pub workers: usize,
-    /// Granularity of the timer wheel: deadlines are rounded up to the next
-    /// tick, so this bounds the wheel's precision. The tick thread wakes
-    /// only at ticks that hold an entry, never more often than this.
-    pub timer_granularity: Duration,
     /// If set, every worker thread enables the chaos layer with
     /// `(seed + worker index, config)` for its whole life, and so does every
     /// thread that calls [`Handle::enter_chaos`] (seeds continue past the
@@ -58,83 +44,62 @@ impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
             workers: 2,
-            timer_granularity: Duration::from_micros(100),
             chaos: None,
         }
     }
 }
 
-/// Scheduling states of a task (one `AtomicU8` per task).
-const IDLE: u8 = 0; // not queued, not running; a wake must enqueue it
-const QUEUED: u8 = 1; // sitting in the run queue
-const RUNNING: u8 = 2; // being polled by a worker
-const NOTIFIED: u8 = 3; // woken while running; requeue after the poll
-const DONE: u8 = 4; // future completed; wakes are no-ops
+/// A scheduled job: runs when due, returns when to run next (`None`: done).
+type Job = Box<dyn FnMut() -> Option<Instant> + Send>;
 
-struct Task {
-    future: Mutex<Option<BoxFuture>>,
-    state: AtomicU8,
-    exec: Weak<Shared>,
+/// One heap entry, ordered so that the earliest deadline is the heap's
+/// top; `seq` breaks ties in scheduling order.
+struct Due {
+    at: Instant,
+    seq: u64,
+    job: Job,
 }
 
-impl Task {
-    /// Transitions the task towards QUEUED and enqueues it if this call won
-    /// the transition. Safe to call from any thread, any number of times.
-    fn schedule(self: Arc<Self>) {
-        loop {
-            match self.state.load(Ordering::Acquire) {
-                IDLE => {
-                    if self
-                        .state
-                        .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        if let Some(exec) = self.exec.upgrade() {
-                            exec.push(self);
-                        }
-                        return;
-                    }
-                }
-                RUNNING => {
-                    if self
-                        .state
-                        .compare_exchange(RUNNING, NOTIFIED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        return;
-                    }
-                }
-                // Already queued, already notified, or finished: nothing to do.
-                _ => return,
-            }
-        }
+impl PartialEq for Due {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
     }
 }
 
-impl Wake for Task {
-    fn wake(self: Arc<Self>) {
-        self.schedule();
+impl Eq for Due {}
+
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+        Some(self.cmp(other))
     }
-    fn wake_by_ref(self: &Arc<Self>) {
-        Arc::clone(self).schedule();
+}
+
+impl Ord for Due {
+    fn cmp(&self, other: &Self) -> CmpOrdering {
+        // Reversed: `BinaryHeap` is a max-heap.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<Due>,
+    next_seq: u64,
+    shutdown: bool,
+}
+
+impl Timers {
+    fn push(&mut self, at: Instant, job: Job) {
+        self.next_seq += 1;
+        let seq = self.next_seq;
+        self.heap.push(Due { at, seq, job });
     }
 }
 
 struct Shared {
-    queue: Mutex<VecDeque<Arc<Task>>>,
-    /// Guards the sleep/wake protocol: workers re-check the queue while
-    /// holding this lock before parking, and producers notify while holding
-    /// it, so a push can never slip between a worker's last check and its
-    /// park (the classic lost-wakeup race).
-    sleep: Mutex<()>,
-    wakeup: Condvar,
-    /// Workers inside the sleep protocol (incremented under the sleep lock
-    /// before the final queue re-check). Producers consult it so a push
-    /// while the workers are busy never touches the sleep lock; it is taken
-    /// only when someone may actually be parked.
-    sleepers: AtomicUsize,
-    shutdown: AtomicBool,
-    timer: TimerWheel,
+    timers: Mutex<Timers>,
+    /// Rung by a new job, by a worker that leaves jobs behind, at shutdown.
+    due: Condvar,
     workers: usize,
     chaos: Option<(u64, ChaosConfig)>,
     /// Threads that entered the chaos through [`Handle::enter_chaos`] so
@@ -143,326 +108,70 @@ struct Shared {
 }
 
 impl Shared {
-    fn push(&self, task: Arc<Task>) {
-        self.queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(task);
-        // If a worker might be parked (or about to park), synchronize with
-        // it through the sleep lock; a parking worker increments `sleepers`
-        // under that lock *before* its final has-work re-check, so either it
-        // sees this push in the re-check, or this load sees its increment
-        // and the locked notify below reaches its wait.
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.sleep.lock().unwrap_or_else(|e| e.into_inner());
-            self.wakeup.notify_one();
-        }
-    }
-
-    fn pop(&self) -> Option<Arc<Task>> {
-        self.queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front()
+    fn timers(&self) -> MutexGuard<'_, Timers> {
+        self.timers.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// How long a worker parks before it re-checks the queues unprompted. This
-/// crate's unit tests run without the net, so a lost wake-up hangs them
-/// instead of costing 20 ms.
-const PARK_TIMEOUT: Duration = if cfg!(test) {
-    Duration::from_secs(3600)
-} else {
-    Duration::from_millis(20)
-};
-
+/// A worker: runs the heap's top once it is due, waits for it otherwise.
+///
+/// A new job notifies one waiter, and a worker that takes the top while
+/// jobs remain notifies one more to look at the next: a due job never
+/// waits for a worker busy running another while a second one idles.
 fn worker_loop(shared: Arc<Shared>, index: usize) {
     let _chaos_guard = shared
         .chaos
         .clone()
         .map(|(seed, cfg)| chaos::enable(seed.wrapping_add(index as u64), cfg));
-    let mut site = WaitSite::new(serve_waits());
-    loop {
-        if let Some(task) = shared.pop() {
-            poll_task(task);
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Polls the queue first: a producer that finds no sleeper skips
-        // the locked notify, so a push caught here costs neither side a
-        // futex call. The probe is racy; the park protocol behind it is the
-        // one correctness rests on.
-        let task = site.wait(
-            || shared.pop().map(Some),
-            || {
-                let guard = shared.sleep.lock().unwrap_or_else(|e| e.into_inner());
-                // Announce intent to sleep *before* the final re-check: a
-                // producer that misses this increment (reads sleepers == 0,
-                // skips the locked notify) pushed before it, and SeqCst
-                // ordering then guarantees the re-check below sees that
-                // push; a producer that sees the increment takes the sleep
-                // lock, which we hold until `wait` releases it, so its
-                // notify cannot fire in the gap before we park.
-                shared.sleepers.fetch_add(1, Ordering::SeqCst);
-                let idle = shared
-                    .queue
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .is_empty();
-                if idle && !shared.shutdown.load(Ordering::Acquire) {
-                    // The timeout is pure belt-and-braces; correctness rests
-                    // on the re-check above.
-                    let _ = shared.wakeup.wait_timeout(guard, PARK_TIMEOUT);
-                }
-                shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-                None
-            },
-        );
-        if let Some(task) = task {
-            poll_task(task);
-        }
-    }
-}
-
-fn poll_task(task: Arc<Task>) {
-    task.state.store(RUNNING, Ordering::Release);
-    let waker = Waker::from(Arc::clone(&task));
-    let mut cx = Context::from_waker(&waker);
-    let mut slot = task.future.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(future) = slot.as_mut() else {
-        task.state.store(DONE, Ordering::Release);
-        return;
-    };
-    match future.as_mut().poll(&mut cx) {
-        Poll::Ready(()) => {
-            *slot = None;
-            drop(slot);
-            task.state.store(DONE, Ordering::Release);
-        }
-        Poll::Pending => {
-            drop(slot);
-            // RUNNING → IDLE, unless a wake arrived mid-poll (NOTIFIED), in
-            // which case the task goes straight back to its queue.
-            if task
-                .state
-                .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                task.state.store(QUEUED, Ordering::Release);
-                if let Some(exec) = task.exec.upgrade() {
-                    exec.push(task);
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Timer wheel
-// ---------------------------------------------------------------------------
-
-const WHEEL_SLOTS: usize = 256;
-
-struct WheelEntry {
-    /// Absolute tick at which the entry fires.
-    deadline_tick: u64,
-    waker: Waker,
-}
-
-struct WheelState {
-    /// `slots[t % WHEEL_SLOTS]` holds every entry whose deadline tick is
-    /// congruent to `t`; entries of a later lap stay in the slot until their
-    /// tick actually arrives.
-    slots: Vec<Vec<WheelEntry>>,
-    current_tick: u64,
-    /// Smallest `deadline_tick` of any entry, `None` while the wheel is
-    /// empty: what the tick thread sleeps to.
-    earliest: Option<u64>,
-}
-
-struct TimerWheel {
-    state: Mutex<WheelState>,
-    /// Wakes the tick thread when `earliest` moves forward in time (an
-    /// earlier registration, or the first one) and at shutdown.
-    rearm: Condvar,
-    start: Instant,
-    granularity: Duration,
-    shutdown: AtomicBool,
-}
-
-impl TimerWheel {
-    fn new(granularity: Duration) -> TimerWheel {
-        TimerWheel {
-            state: Mutex::new(WheelState {
-                slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-                current_tick: 0,
-                earliest: None,
-            }),
-            rearm: Condvar::new(),
-            start: Instant::now(),
-            granularity: granularity.max(Duration::from_micros(10)),
-            shutdown: AtomicBool::new(false),
-        }
-    }
-
-    fn tick_of(&self, deadline: Instant) -> u64 {
-        let elapsed = deadline.saturating_duration_since(self.start);
-        // Round up: an entry must never fire before its deadline.
-        elapsed.as_nanos().div_ceil(self.granularity.as_nanos()) as u64
-    }
-
-    /// Registers `waker` to fire at `deadline`. Returns false if the deadline
-    /// already passed (the caller should complete immediately).
-    fn register(&self, deadline: Instant, waker: Waker) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let tick = self.tick_of(deadline).max(state.current_tick + 1);
-        if Instant::now() >= deadline {
-            return false;
-        }
-        state.slots[(tick as usize) % WHEEL_SLOTS].push(WheelEntry {
-            deadline_tick: tick,
-            waker,
-        });
-        if state.earliest.is_none_or(|earliest| tick < earliest) {
-            state.earliest = Some(tick);
-            self.rearm.notify_one();
-        }
-        true
-    }
-
-    /// Advances the wheel to the tick matching `now`, waking every entry
-    /// whose tick has been reached.
-    fn advance(&self, now: Instant) {
-        let target = self.tick_of(now);
-        let mut fired = Vec::new();
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            // Walk at most one full lap: beyond that, every slot has been
-            // visited once and filtering by deadline covers the rest.
-            let first = state.current_tick + 1;
-            let last = target.min(state.current_tick + WHEEL_SLOTS as u64);
-            for tick in first..=last {
-                let slot = &mut state.slots[(tick as usize) % WHEEL_SLOTS];
-                let mut i = 0;
-                while i < slot.len() {
-                    if slot[i].deadline_tick <= target {
-                        fired.push(slot.swap_remove(i).waker);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            state.current_tick = target;
-            state.earliest = state
-                .slots
-                .iter()
-                .flatten()
-                .map(|entry| entry.deadline_tick)
-                .min();
-        }
-        for waker in fired {
-            waker.wake();
-        }
-    }
-}
-
-/// The tick thread: sleeps to the earliest registered tick — parked while
-/// the wheel is empty, re-armed by an earlier registration — so an idle
-/// wheel costs no wake-ups at all.
-fn timer_loop(shared: Arc<Shared>) {
-    let timer = &shared.timer;
-    let mut state = timer.state.lock().unwrap_or_else(|e| e.into_inner());
-    while !timer.shutdown.load(Ordering::Acquire) {
-        let Some(tick) = state.earliest else {
-            state = timer.rearm.wait(state).unwrap_or_else(|e| e.into_inner());
-            continue;
-        };
-        let due = timer.start
-            + Duration::from_nanos((timer.granularity.as_nanos() as u64).saturating_mul(tick));
+    let mut timers = shared.timers();
+    while !timers.shutdown {
         let now = Instant::now();
-        if now < due {
-            state = timer
-                .rearm
-                .wait_timeout(state, due - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-            continue;
-        }
-        drop(state);
-        timer.advance(now);
-        state = timer.state.lock().unwrap_or_else(|e| e.into_inner());
-    }
-    drop(state);
-    // Final sweep so no sleeper is stranded across shutdown.
-    shared
-        .timer
-        .advance(Instant::now() + Duration::from_secs(3600));
-}
-
-/// A timer future registered on the executor's wheel; resolves once the
-/// deadline has passed. Created by [`Handle::sleep`].
-pub struct Sleep {
-    shared: Weak<Shared>,
-    deadline: Instant,
-}
-
-impl Future for Sleep {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if Instant::now() >= self.deadline {
-            return Poll::Ready(());
-        }
-        let Some(shared) = self.shared.upgrade() else {
-            // Executor gone: resolve rather than pend forever.
-            return Poll::Ready(());
-        };
-        if shared.timer.register(self.deadline, cx.waker().clone()) {
-            Poll::Pending
-        } else {
-            Poll::Ready(())
+        match timers.heap.peek().map(|top| top.at) {
+            None => timers = shared.due.wait(timers).unwrap_or_else(|e| e.into_inner()),
+            Some(at) if at > now => {
+                timers = (shared.due.wait_timeout(timers, at - now))
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+            }
+            Some(_) => {
+                let mut job = timers.heap.pop().expect("peeked").job;
+                if !timers.heap.is_empty() {
+                    shared.due.notify_one();
+                }
+                drop(timers);
+                let next = job();
+                timers = shared.timers();
+                // After shutdown, back only to be dropped with the rest.
+                if let Some(at) = next {
+                    timers.push(at, job);
+                }
+            }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Public API
-// ---------------------------------------------------------------------------
-
-/// A cheap, cloneable handle for spawning tasks and creating timers on an
-/// [`Executor`]. Handles hold only a weak reference: once the executor is
-/// dropped, `spawn` becomes a no-op and `sleep` resolves immediately.
+/// A cheap, cloneable handle for scheduling jobs on an [`Executor`].
+/// Handles hold only a weak reference: once the executor is dropped,
+/// `schedule` drops its job unrun.
 #[derive(Clone)]
 pub struct Handle {
     shared: Weak<Shared>,
 }
 
 impl Handle {
-    /// Spawns a future onto the executor's run queue. The future runs to
-    /// completion in the background.
-    pub fn spawn<F>(&self, future: F)
+    /// Runs `job` on a worker once `at` has passed, then again at every
+    /// instant it returns, until it returns `None` or the executor is
+    /// dropped. A job runs on one worker at a time and blocks that worker
+    /// while it runs.
+    pub fn schedule<F>(&self, at: Instant, job: F)
     where
-        F: Future<Output = ()> + Send + 'static,
+        F: FnMut() -> Option<Instant> + Send + 'static,
     {
         let Some(shared) = self.shared.upgrade() else {
             return;
         };
-        let task = Arc::new(Task {
-            future: Mutex::new(Some(Box::pin(future))),
-            state: AtomicU8::new(QUEUED),
-            exec: Arc::downgrade(&shared),
-        });
-        shared.push(task);
-    }
-
-    /// A future that resolves once `duration` has elapsed, with the
-    /// executor's timer-wheel granularity.
-    pub fn sleep(&self, duration: Duration) -> Sleep {
-        Sleep {
-            shared: self.shared.clone(),
-            deadline: Instant::now() + duration,
-        }
+        shared.timers().push(at, Box::new(job));
+        shared.due.notify_one();
     }
 
     /// Runs the calling thread under [`ExecutorConfig::chaos`], if that is
@@ -477,18 +186,15 @@ impl Handle {
     }
 }
 
-/// The hand-rolled executor: worker threads over one run queue plus a
-/// timer-wheel thread. Dropping it shuts the workers down; tasks that have
-/// not completed are dropped.
+/// Worker threads over one deadline heap of jobs. Dropping it waits for
+/// the jobs that are running and drops the ones that are not.
 pub struct Executor {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    timer_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Executor {
-    /// An executor with `workers` worker threads and default timer
-    /// granularity.
+    /// An executor with `workers` worker threads.
     pub fn new(workers: usize) -> Executor {
         Executor::with_config(ExecutorConfig {
             workers,
@@ -500,17 +206,13 @@ impl Executor {
     pub fn with_config(config: ExecutorConfig) -> Executor {
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            sleep: Mutex::new(()),
-            wakeup: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            timer: TimerWheel::new(config.timer_granularity),
+            timers: Mutex::default(),
+            due: Condvar::new(),
             workers,
             chaos: config.chaos,
             chaos_entries: AtomicUsize::new(0),
         });
-        let worker_handles = (0..workers)
+        let workers = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -519,56 +221,27 @@ impl Executor {
                     .expect("spawning executor worker")
             })
             .collect();
-        let timer_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("psnap-serve-timer".into())
-                .spawn(move || timer_loop(shared))
-                .expect("spawning timer thread")
-        };
-        Executor {
-            shared,
-            workers: worker_handles,
-            timer_thread: Some(timer_thread),
-        }
+        Executor { shared, workers }
     }
 
-    /// A cloneable spawning/timer handle.
+    /// A cloneable scheduling handle.
     pub fn handle(&self) -> Handle {
         Handle {
             shared: Arc::downgrade(&self.shared),
         }
     }
-
-    /// Spawns a future (see [`Handle::spawn`]).
-    pub fn spawn<F>(&self, future: F)
-    where
-        F: Future<Output = ()> + Send + 'static,
-    {
-        self.handle().spawn(future);
-    }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            // Under the wheel lock, so the tick thread is either before its
-            // shutdown check or already waiting on `rearm`.
-            let _g = (self.shared.timer.state.lock()).unwrap_or_else(|e| e.into_inner());
-            self.shared.timer.shutdown.store(true, Ordering::Release);
-            self.shared.timer.rearm.notify_one();
-        }
-        {
-            let _g = self.shared.sleep.lock().unwrap_or_else(|e| e.into_inner());
-            self.shared.wakeup.notify_all();
-        }
+        self.shared.timers().shutdown = true;
+        self.shared.due.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if let Some(t) = self.timer_thread.take() {
-            let _ = t.join();
-        }
+        // Outside the lock: a job's captures may take locks of their own.
+        let pending = std::mem::take(&mut self.shared.timers().heap);
+        drop(pending);
     }
 }
 
@@ -610,7 +283,7 @@ impl WaitCounters {
     }
 }
 
-/// `serve.wait.*`: executor workers out of tasks, and [`block_on`] callers.
+/// `serve.wait.*`: [`block_on`] callers.
 fn serve_waits() -> &'static WaitCounters {
     static COUNTERS: OnceLock<WaitCounters> = OnceLock::new();
     COUNTERS.get_or_init(|| WaitCounters::named("serve.wait"))
@@ -747,17 +420,6 @@ impl Drop for LentParker {
 /// polls (see [`WaitSite`]: briefly polling, then parked). The synchronous
 /// bridge for client threads waiting on service tickets.
 pub fn block_on<F: Future>(future: F) -> F::Output {
-    drive(future, None).expect("a wait without a deadline ends only with the output")
-}
-
-/// Like [`block_on`], but gives up after `timeout`, returning `None` with
-/// the future dropped. Used for best-effort shutdown paths that must not
-/// hang if the executor driving the other side is already gone.
-pub fn block_on_timeout<F: Future>(future: F, timeout: Duration) -> Option<F::Output> {
-    drive(future, Some(Instant::now() + timeout))
-}
-
-fn drive<F: Future>(future: F, deadline: Option<Instant>) -> Option<F::Output> {
     let mut future = std::pin::pin!(future);
     let mut lent = LentParker::take();
     let Parker { flag, waker, site } = lent.0.as_mut().expect("held until drop");
@@ -766,35 +428,22 @@ fn drive<F: Future>(future: F, deadline: Option<Instant>) -> Option<F::Output> {
     let mut cx = Context::from_waker(waker);
     loop {
         if let Poll::Ready(v) = future.as_mut().poll(&mut cx) {
-            return Some(v);
+            return v;
         }
         // Both phases consume `notified` and nothing else: the completer
         // needs the future's own lock (an `OpCell` mutex) to get to the
         // waker, so a waiter must not be polling the future meanwhile.
-        let woken = site.wait(
-            || flag.notified.swap(false, Ordering::AcqRel).then_some(true),
-            || loop {
+        site.wait(
+            || flag.notified.swap(false, Ordering::AcqRel).then_some(()),
+            || {
                 // `notified` absorbs wakes that landed before the park
                 // (unpark tokens also accumulate; this is belt-and-braces
                 // for spurious unparks and tokens consumed elsewhere).
-                if flag.notified.swap(false, Ordering::AcqRel) {
-                    return true;
-                }
-                match deadline {
-                    None => std::thread::park(),
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return false;
-                        }
-                        std::thread::park_timeout(deadline - now);
-                    }
+                while !flag.notified.swap(false, Ordering::AcqRel) {
+                    std::thread::park();
                 }
             },
         );
-        if !woken {
-            return None;
-        }
     }
 }
 
@@ -802,6 +451,25 @@ fn drive<F: Future>(future: F, deadline: Option<Instant>) -> Option<F::Output> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
+
+    /// Schedules `job` to run once, at `at`.
+    fn run_once(handle: &Handle, at: Instant, job: impl FnOnce() + Send + 'static) {
+        let mut job = Some(job);
+        handle.schedule(at, move || {
+            (job.take()?)();
+            None
+        });
+    }
+
+    /// Waits (30 s at most) for `count` to reach `n`.
+    fn reaches(count: &AtomicU64, n: u64, what: &str) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while count.load(Ordering::SeqCst) < n {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn spawned_tasks_run_to_completion() {
@@ -809,15 +477,11 @@ mod tests {
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..100 {
             let counter = Arc::clone(&counter);
-            exec.spawn(async move {
+            run_once(&exec.handle(), Instant::now(), move || {
                 counter.fetch_add(1, Ordering::SeqCst);
             });
         }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while counter.load(Ordering::SeqCst) < 100 {
-            assert!(Instant::now() < deadline, "tasks did not complete");
-            std::thread::yield_now();
-        }
+        reaches(&counter, 100, "jobs did not complete");
     }
 
     #[test]
@@ -826,215 +490,72 @@ mod tests {
     }
 
     #[test]
-    fn wakers_resume_pending_tasks() {
-        // A future that pends once and is woken from another thread.
-        struct YieldOnce {
-            yielded: bool,
-        }
-        impl Future for YieldOnce {
-            type Output = ();
-            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-                if self.yielded {
-                    Poll::Ready(())
-                } else {
-                    self.yielded = true;
-                    cx.waker().wake_by_ref();
-                    Poll::Pending
-                }
-            }
-        }
+    fn a_job_never_runs_before_its_deadline() {
         let exec = Executor::new(1);
-        let done = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&done);
-        exec.spawn(async move {
-            YieldOnce { yielded: false }.await;
-            flag.store(true, Ordering::SeqCst);
-        });
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !done.load(Ordering::SeqCst) {
-            assert!(Instant::now() < deadline, "self-waking task starved");
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn sleep_respects_its_deadline() {
-        let exec = Executor::new(1);
-        let handle = exec.handle();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let t0 = Instant::now();
-        exec.spawn(async move {
-            handle.sleep(Duration::from_millis(5)).await;
-            done_tx.send(t0.elapsed()).unwrap();
-        });
-        let elapsed = done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("sleep never fired");
-        assert!(
-            elapsed >= Duration::from_millis(5),
-            "sleep fired early: {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn many_sleeps_across_wheel_laps_all_fire() {
-        let exec = Executor::with_config(ExecutorConfig {
-            workers: 2,
-            // Coarse enough that 300 ticks span > one 256-slot lap.
-            timer_granularity: Duration::from_micros(50),
-            ..ExecutorConfig::default()
-        });
-        let handle = exec.handle();
-        let fired = Arc::new(AtomicU64::new(0));
-        let n = 64u64;
-        for i in 0..n {
-            let handle = handle.clone();
-            let fired = Arc::clone(&fired);
-            exec.spawn(async move {
-                // Deadlines from 0..16ms: some land many laps out.
-                handle.sleep(Duration::from_micros(i * 250)).await;
-                fired.fetch_add(1, Ordering::SeqCst);
+        let (ran_tx, ran_rx) = mpsc::channel();
+        for delay in [5, 25].map(Duration::from_millis) {
+            let due = Instant::now() + delay;
+            let ran_tx = ran_tx.clone();
+            exec.handle().schedule(due, move || {
+                ran_tx.send((Instant::now(), due)).unwrap();
+                None
             });
         }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while fired.load(Ordering::SeqCst) < n {
-            assert!(Instant::now() < deadline, "a timer was lost");
-            std::thread::sleep(Duration::from_millis(1));
+        for _ in 0..2 {
+            let (ran, due) = ran_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a job never ran");
+            assert!(ran >= due, "ran {:?} early", due - ran);
         }
     }
 
-    /// A waker that only counts; lets the wheel be driven tick-by-tick
-    /// without threads or clocks.
-    struct CountingWake {
-        wakes: AtomicU64,
-    }
-    impl std::task::Wake for CountingWake {
-        fn wake(self: Arc<Self>) {
-            self.wakes.fetch_add(1, Ordering::SeqCst);
-        }
-        fn wake_by_ref(self: &Arc<Self>) {
-            self.wakes.fetch_add(1, Ordering::SeqCst);
-        }
+    #[test]
+    fn a_job_that_returns_some_runs_again() {
+        let exec = Executor::new(1);
+        let runs = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&runs);
+        exec.handle().schedule(Instant::now(), move || {
+            let run = counted.fetch_add(1, Ordering::SeqCst) + 1;
+            (run < 3).then(|| Instant::now() + Duration::from_millis(1))
+        });
+        reaches(&runs, 3, "a rescheduled job was lost");
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(runs.load(Ordering::SeqCst), 3, "ran on after `None`");
     }
 
-    /// Regression test for far deadlines: an entry more than `WHEEL_SLOTS`
-    /// ticks out shares its slot with an entry one full lap earlier. A
-    /// wheel that fires a slot without checking the entry's absolute
-    /// `deadline_tick` would wake it a whole rotation early. This drives
-    /// `TimerWheel` directly — the `Sleep` future re-checks wall time on
-    /// poll and would quietly re-register, hiding the bug from any
-    /// end-to-end test.
     #[test]
-    fn wheel_entry_beyond_one_lap_does_not_fire_a_rotation_early() {
-        let granularity = Duration::from_millis(1);
-        let wheel = TimerWheel::new(granularity);
-        let far = Arc::new(CountingWake {
-            wakes: AtomicU64::new(0),
-        });
-        // Deadline 2 × WHEEL_SLOTS ticks out: lands in slot
-        // (2·WHEEL_SLOTS) % WHEEL_SLOTS = 0, the same slot a deadline at
-        // tick 0 of any lap would use.
-        let far_ticks = 2 * WHEEL_SLOTS as u32;
-        let deadline = wheel.start + granularity * far_ticks;
-        assert!(wheel.register(deadline, Waker::from(Arc::clone(&far))));
-        // One full lap plus a little: every slot (including the entry's) has
-        // been visited once, but the entry's own tick is still a lap away.
-        let one_lap = wheel.start + granularity * (WHEEL_SLOTS as u32 + 8);
-        wheel.advance(one_lap);
-        assert_eq!(
-            far.wakes.load(Ordering::SeqCst),
-            0,
-            "entry {far_ticks} ticks out fired a full rotation early"
-        );
-        // Advance past the real deadline: now it must fire, exactly once.
-        wheel.advance(wheel.start + granularity * (far_ticks + 1));
-        assert_eq!(
-            far.wakes.load(Ordering::SeqCst),
-            1,
-            "entry lost or duplicated"
-        );
-        // Nothing left behind: further laps never re-fire it.
-        wheel.advance(wheel.start + granularity * (far_ticks * 3));
-        assert_eq!(far.wakes.load(Ordering::SeqCst), 1);
-    }
-
-    /// Same property with near and far entries sharing one slot: advancing
-    /// to the near entry's tick fires it alone; the cohabitant a lap later
-    /// stays put until its own tick.
-    #[test]
-    fn wheel_slot_cohabitants_fire_on_their_own_laps() {
-        let granularity = Duration::from_millis(1);
-        let wheel = TimerWheel::new(granularity);
-        let near = Arc::new(CountingWake {
-            wakes: AtomicU64::new(0),
-        });
-        let far = Arc::new(CountingWake {
-            wakes: AtomicU64::new(0),
-        });
-        let near_ticks = 16u32;
-        let far_ticks = near_ticks + WHEEL_SLOTS as u32; // same slot, next lap
-        assert!(wheel.register(
-            wheel.start + granularity * near_ticks,
-            Waker::from(Arc::clone(&near))
-        ));
-        assert!(wheel.register(
-            wheel.start + granularity * far_ticks,
-            Waker::from(Arc::clone(&far))
-        ));
-        wheel.advance(wheel.start + granularity * (near_ticks + 1));
-        assert_eq!(near.wakes.load(Ordering::SeqCst), 1);
-        assert_eq!(
-            far.wakes.load(Ordering::SeqCst),
-            0,
-            "far entry fired a lap early"
-        );
-        wheel.advance(wheel.start + granularity * (far_ticks + 1));
-        assert_eq!(far.wakes.load(Ordering::SeqCst), 1);
-    }
-
-    /// End-to-end flavour of the far-deadline case: a real sleep of
-    /// 2 × WHEEL_SLOTS × granularity must not resolve early even though its
-    /// wheel slot is swept once per lap. (Kept coarse-grained enough to be
-    /// robust: early firing would undershoot by a whole lap, ~half the
-    /// total, far outside scheduling noise.)
-    #[test]
-    fn sleep_two_full_laps_out_is_not_woken_a_rotation_early() {
-        let granularity = Duration::from_micros(50);
-        let exec = Executor::with_config(ExecutorConfig {
-            workers: 1,
-            timer_granularity: granularity,
-            ..ExecutorConfig::default()
-        });
-        let handle = exec.handle();
-        let total = granularity * (2 * WHEEL_SLOTS as u32); // ~25.6ms
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
+    fn sixty_four_jobs_over_sixteen_ms_all_run() {
+        let exec = Executor::new(2);
+        let ran = Arc::new(AtomicU64::new(0));
+        let n = 64u64;
         let t0 = Instant::now();
-        exec.spawn(async move {
-            handle.sleep(total).await;
-            done_tx.send(t0.elapsed()).unwrap();
-        });
-        let elapsed = done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("far sleep never fired");
-        assert!(
-            elapsed >= total,
-            "sleep of {total:?} resolved after only {elapsed:?}"
-        );
+        for i in 0..n {
+            let (ran, at) = (Arc::clone(&ran), t0 + Duration::from_micros(i * 250));
+            run_once(&exec.handle(), at, move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        reaches(&ran, n, "a job was lost");
     }
 
     #[test]
     fn dropping_the_executor_stops_cleanly_with_pending_tasks() {
         let exec = Executor::new(2);
-        let handle = exec.handle();
+        let captured = Arc::new(());
         for _ in 0..8 {
-            let handle = handle.clone();
-            exec.spawn(async move {
-                handle.sleep(Duration::from_secs(60)).await;
-            });
+            let captured = Arc::clone(&captured);
+            exec.handle()
+                .schedule(Instant::now() + Duration::from_secs(60), move || {
+                    let _ = &captured;
+                    None
+                });
         }
-        // Give workers a moment to pick tasks up, then drop mid-sleep.
+        // Give workers a moment to start waiting, then drop mid-wait.
         std::thread::sleep(Duration::from_millis(5));
+        let t0 = Instant::now();
         drop(exec);
+        assert!(t0.elapsed() < Duration::from_secs(5), "drop waited");
+        assert_eq!(Arc::strong_count(&captured), 1, "a pending job was kept");
     }
 
     #[test]
@@ -1042,12 +563,11 @@ mod tests {
         let exec = Executor::with_config(ExecutorConfig {
             workers: 2,
             chaos: Some((0xC0FFEE, ChaosConfig::aggressive())),
-            ..ExecutorConfig::default()
         });
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..16 {
             let counter = Arc::clone(&counter);
-            exec.spawn(async move {
+            run_once(&exec.handle(), Instant::now(), move || {
                 // Perform base-object steps so the chaos layer has boundaries
                 // to perturb at.
                 let cell = psnap_shmem::VersionedCell::new(0u64);
@@ -1058,31 +578,28 @@ mod tests {
                 counter.fetch_add(1, Ordering::SeqCst);
             });
         }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while counter.load(Ordering::SeqCst) < 16 {
-            assert!(Instant::now() < deadline, "chaos worker starved");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        reaches(&counter, 16, "chaos worker starved");
     }
+
     #[test]
-    fn a_task_spawned_inside_a_poll_starts_on_another_worker_meanwhile() {
+    fn a_job_scheduled_inside_a_job_runs_on_another_worker_meanwhile() {
         let exec = Executor::new(2);
         let inner = exec.handle();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        exec.spawn(async move {
+        let (done_tx, done_rx) = mpsc::channel();
+        run_once(&exec.handle(), Instant::now(), move || {
             let parent_thread = std::thread::current().id();
-            let (child_tx, child_rx) = std::sync::mpsc::channel();
-            inner.spawn(async move {
+            let (child_tx, child_rx) = mpsc::channel();
+            run_once(&inner, Instant::now(), move || {
                 child_tx.send(std::thread::current().id()).unwrap();
             });
             let child_thread = child_rx
                 .recv_timeout(Duration::from_secs(10))
-                .expect("child task did not start while its parent was still being polled");
+                .expect("the child job did not run while its parent was running");
             done_tx.send((parent_thread, child_thread)).unwrap();
         });
         let (parent, child) = done_rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("parent task did not complete");
+            .expect("the parent job did not complete");
         assert_ne!(parent, child);
     }
 
@@ -1091,7 +608,6 @@ mod tests {
         let exec = Executor::with_config(ExecutorConfig {
             workers: 1,
             chaos: Some((7, ChaosConfig::light())),
-            ..ExecutorConfig::default()
         });
         assert!(!chaos::is_enabled());
         let guard = exec.handle().enter_chaos();
@@ -1204,7 +720,7 @@ mod tests {
         let mut nested = Some(Ticket::new(inner));
         let sum = block_on(std::future::poll_fn(move |cx| {
             // Pending, with this thread's waker registered …
-            let first = Pin::new(&mut outer).poll(cx);
+            let first = std::pin::Pin::new(&mut outer).poll(cx);
             // … which fires before a wait nested in the same poll begins.
             let second = nested.take().map_or(0, |inner| {
                 outer_tx.complete(1u64);
@@ -1219,57 +735,51 @@ mod tests {
         completer.join().unwrap();
     }
 
-    #[test]
-    fn block_on_timeout_returns_within_its_deadline_plus_the_poll_cap() {
-        for timeout in [Duration::ZERO, POLL_CAP / 2, Duration::from_millis(3)] {
-            // Twice per timeout: with credit and (after enough long waits)
-            // without, the bound is the same.
-            for _ in 0..=CREDIT {
-                let t0 = Instant::now();
-                assert_eq!(
-                    block_on_timeout(std::future::pending::<()>(), timeout),
-                    None
-                );
-                let took = t0.elapsed();
-                assert!(took >= timeout, "gave up early: {took:?} < {timeout:?}");
-                // Generous against a descheduled test thread, far below the
-                // next thing it could be confused with (a 1 h park).
-                assert!(
-                    took <= timeout + POLL_CAP + Duration::from_millis(250),
-                    "{took:?} for a {timeout:?} timeout"
-                );
-            }
-        }
-    }
-
-    /// 100 000 round trips between this thread (`block_on`) and a task on a
-    /// one-worker executor. Every fourth request is held back for 44–60 µs,
-    /// in 0.1 µs steps: it lands while the worker, its poll phase spent, is
-    /// between its last look at the queue and its park — the window the
-    /// locked re-check closes. `PARK_TIMEOUT` is an hour here, so a wake-up
-    /// lost by either site hangs the test instead of costing 20 ms.
+    /// 100 000 round trips between this thread and a responder thread, both
+    /// waiting through `block_on`. Every fourth request is held back for
+    /// 44–60 µs, in 0.1 µs steps: it lands while the responder, its poll
+    /// phase spent, is between its last look at its doorbell and its park —
+    /// the window `notified` closes. There is no park timeout, so a wake-up
+    /// lost by either side hangs the test.
     #[test]
     fn a_hundred_thousand_round_ping_pong_finishes() {
         use crate::queue::{OpCell, Ticket};
-        /// The requests, and the task's doorbell while it waits for one.
-        type Inbox = Mutex<(VecDeque<(u64, Arc<OpCell<u64>>)>, Option<Arc<OpCell<()>>>)>;
-        let exec = Executor::new(1);
-        let inbox: Arc<Inbox> = Arc::default();
-        let task_inbox = Arc::clone(&inbox);
-        exec.spawn(async move {
-            loop {
-                let bell = {
-                    let mut inbox = task_inbox.lock().unwrap();
-                    for (round, cell) in inbox.0.drain(..) {
-                        cell.complete(round + 1);
-                    }
-                    let bell = OpCell::new();
-                    inbox.1 = Some(Arc::clone(&bell));
-                    bell
-                };
-                Ticket::new(bell).await;
-            }
+        use std::collections::VecDeque;
+        /// The requests, and the responder's doorbell while it waits for one.
+        #[derive(Default)]
+        struct Inbox {
+            requests: VecDeque<(u64, Arc<OpCell<u64>>)>,
+            bell: Option<Arc<OpCell<()>>>,
+            closed: bool,
+        }
+        let inbox: Arc<Mutex<Inbox>> = Arc::default();
+        let responder_inbox = Arc::clone(&inbox);
+        let responder = std::thread::spawn(move || loop {
+            let bell = {
+                let mut inbox = responder_inbox.lock().unwrap();
+                for (round, cell) in inbox.requests.drain(..) {
+                    cell.complete(round + 1);
+                }
+                if inbox.closed {
+                    return;
+                }
+                Arc::clone(inbox.bell.insert(OpCell::new()))
+            };
+            Ticket::new(bell).wait();
         });
+        let send = |request: Option<(u64, Arc<OpCell<u64>>)>| {
+            let bell = {
+                let mut inbox = inbox.lock().unwrap();
+                match request {
+                    Some(request) => inbox.requests.push_back(request),
+                    None => inbox.closed = true,
+                }
+                inbox.bell.take()
+            };
+            if let Some(bell) = bell {
+                bell.complete(());
+            }
+        };
         for round in 0..100_000u64 {
             if round % 4 == 0 {
                 let pause = Duration::from_nanos(44_000 + round / 4 % 160 * 100);
@@ -1279,15 +789,10 @@ mod tests {
                 }
             }
             let cell = OpCell::new();
-            let bell = {
-                let mut inbox = inbox.lock().unwrap();
-                inbox.0.push_back((round, Arc::clone(&cell)));
-                inbox.1.take()
-            };
-            if let Some(bell) = bell {
-                bell.complete(());
-            }
+            send(Some((round, Arc::clone(&cell))));
             assert_eq!(Ticket::new(cell).wait(), round + 1);
         }
+        send(None);
+        responder.join().unwrap();
     }
 }

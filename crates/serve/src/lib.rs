@@ -4,11 +4,9 @@
 //! [`psnap_core::PartialSnapshot`] in-process. This crate adds the layer a
 //! "millions of users" deployment needs between the network and the object:
 //!
-//! * a **hand-rolled async runtime** ([`executor`]) for periodic and
-//!   socket-bound work — one run queue, `std::task::Wake`-based wakers and
-//!   a timer wheel, because the workspace vendors every dependency and
-//!   tokio is out of reach — and [`block_on`], through which a client
-//!   thread waits on a ticket;
+//! * a **timer** ([`executor`]) for periodic work — worker threads over
+//!   one deadline heap of jobs, each returning when it runs next — and
+//!   [`block_on`], through which a client thread waits on a ticket;
 //! * **batched ingestion** ([`service`]) — per-client bounded MPSC queues
 //!   whose submissions are coalesced (last-write-wins per component,
 //!   client batches kept atomic) into single
@@ -55,9 +53,7 @@ pub mod queue;
 pub mod service;
 pub mod testing;
 
-pub use executor::{
-    block_on, block_on_timeout, Executor, ExecutorConfig, Handle, Sleep, WaitCounters, WaitSite,
-};
+pub use executor::{block_on, Executor, ExecutorConfig, Handle, WaitCounters, WaitSite};
 pub use queue::{BoundedQueue, OpCell, SubmitError, Ticket};
 pub use service::{
     ClientHandle, Coalescing, Freshness, PeriodicTask, ScanTicket, ServiceConfig, ServiceObs,

@@ -1144,20 +1144,17 @@ where
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let core = Arc::clone(&self.core);
-        let handle = executor.handle();
-        executor.spawn(async move {
-            loop {
-                handle.sleep(every).await;
-                let closed = core
-                    .clients
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .closed;
-                if closed || flag.load(Ordering::Acquire) {
-                    break;
-                }
-                tick(&core);
+        executor.handle().schedule(Instant::now() + every, move || {
+            let closed = core
+                .clients
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .closed;
+            if closed || flag.load(Ordering::Acquire) {
+                return None;
             }
+            tick(&core);
+            Some(Instant::now() + every)
         });
         PeriodicTask { stop }
     }

@@ -105,7 +105,6 @@ where
             .as_ref()
             .filter(|_| driver.chaos_in_service)
             .map(|c| (c.seed ^ 0x5E44_1CE0, c.config.clone())),
-        ..ExecutorConfig::default()
     });
     // Resharder roles bypass the client API: resharding is operator-plane
     // reconfiguration of the backing object (the serve layer's own driver

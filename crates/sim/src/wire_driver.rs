@@ -64,7 +64,6 @@ where
             .as_ref()
             .filter(|_| driver.chaos_in_service)
             .map(|c| (c.seed ^ 0x313E_D21E, c.config.clone())),
-        ..ExecutorConfig::default()
     });
     let backing = Arc::clone(&snapshot);
     let service = Arc::new(SnapshotService::start(

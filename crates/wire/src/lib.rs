@@ -12,10 +12,10 @@
 //!   precision-safe JSON (decimal strings above 2⁵³). Backpressure is
 //!   explicit: a full ingestion queue answers `{"ok":false,"error":"busy"}`
 //!   — a frame, not a dropped request.
-//! * **Server** ([`server`]): an acceptor task on the service's hand-rolled
-//!   executor; per-connection ingestion queues reusing the in-process
-//!   ticket/backpressure machinery; idle timeouts, half-close draining, and
-//!   graceful shutdown (in-flight tickets resolve and flush before the
+//! * **Server** ([`server`]): an acceptor thread blocked in `accept`;
+//!   per-connection ingestion queues reusing the in-process
+//!   ticket/backpressure machinery; idle timeouts (jobs on the executor's
+//!   deadline heap), half-close draining, and graceful shutdown (in-flight tickets resolve and flush before the
 //!   listener closes). Each request roots a flight-recorder span at frame
 //!   decode, so wire requests appear in span trees end to end.
 //! * **Client** ([`client`]): [`RemoteClientHandle`] mirrors the in-process

@@ -3,9 +3,9 @@
 //!
 //! # Architecture
 //!
-//! One **acceptor task** runs on the service's hand-rolled executor: it
-//! polls a non-blocking listener, sleeping on the executor's timer wheel
-//! between polls, and hands each accepted socket to a connection. Each
+//! One **acceptor thread** per endpoint blocks in `accept` on the listener
+//! it owns and hands each accepted socket to a connection;
+//! [`WireServer::shutdown`] wakes it with one connection of its own. Each
 //! **connection** owns
 //!
 //! * its own [`ClientHandle`] — a per-connection bounded ingestion queue,
@@ -41,9 +41,9 @@
 //!   reading its replies wedges *its* connection (bounded by the
 //!   configured write timeout, which severs it), never an executor worker
 //!   and never the thread that reads, so other connections keep running;
-//! * an optional **idle watchdog task** on the executor: a far-deadline
-//!   timer that severs connections with no activity — no inbound frame,
-//!   no outbound flush, nothing in flight — for the configured timeout.
+//! * an optional **idle watchdog**, a job on the executor's deadline heap
+//!   that severs connections with no activity — no inbound frame, no
+//!   outbound flush, nothing in flight — for the configured timeout.
 //!   A quiet peer waiting on a slow in-flight request is active, not
 //!   idle, and is never severed mid-request.
 //!
@@ -66,8 +66,8 @@
 use std::collections::VecDeque;
 use std::future::Future;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener};
-use std::os::unix::net::UnixListener;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -98,10 +98,6 @@ pub struct WireServerConfig {
     /// flush, or in-flight request) for this long. `None` disables the
     /// watchdog.
     pub idle_timeout: Option<Duration>,
-    /// How long the acceptor sleeps between listener polls once the
-    /// listener has been quiet for a while (it polls faster right after the
-    /// bind and after each accept).
-    pub accept_poll: Duration,
     /// Handshake read deadline: a connection that does not complete its
     /// hello within this window is dropped.
     pub handshake_timeout: Duration,
@@ -117,7 +113,6 @@ impl Default for WireServerConfig {
         WireServerConfig {
             max_frame_len: MAX_FRAME_LEN,
             idle_timeout: None,
-            accept_poll: Duration::from_millis(1),
             handshake_timeout: Duration::from_secs(5),
             write_timeout: Some(Duration::from_secs(30)),
         }
@@ -272,7 +267,8 @@ struct Conn {
     /// treats in-flight requests as activity, so this only has to cover
     /// the quiet gaps between requests.
     last_activity_ns: AtomicU64,
-    /// Set by the reader thread on exit; the drain polls it.
+    /// Set by the reader thread on exit, under `in_flight`'s lock and with
+    /// `drained` signalled: the drain waits for it.
     finished: AtomicBool,
     /// Where the reply pump's thread enters the executor's chaos.
     handle: Handle,
@@ -348,10 +344,11 @@ impl Conn {
         }
     }
 
-    /// Blocks until no request is in flight (bounded by `deadline`).
-    fn wait_drained(&self, deadline: Instant) {
+    /// Blocks until `done` holds of the in-flight count, re-checked each
+    /// time `drained` is signalled (bounded by `deadline`).
+    fn wait_until(&self, deadline: Instant, done: impl Fn(u64) -> bool) {
         let mut n = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
-        while *n > 0 {
+        while !done(*n) {
             let now = Instant::now();
             if now >= deadline {
                 return;
@@ -432,10 +429,11 @@ impl Conn {
 /// completed reply waits behind a pending one) and when it crosses
 /// [`PUMP_FLUSH_BYTES`].
 ///
-/// Runs on a dedicated writer thread, NOT as an executor task: flushes
+/// Runs on a dedicated writer thread, NOT as an executor job: flushes
 /// block on the socket, and so does waiting on a ticket, which runs the
-/// service's rounds whenever their role is free. On its own thread a stall is confined to this connection,
-/// and the socket write timeout severs a peer that stopped reading.
+/// service's rounds whenever their role is free. On its own thread a stall
+/// is confined to this connection, and the socket write timeout severs a
+/// peer that stopped reading.
 fn reply_pump(conn: Arc<Conn>) {
     let mut buf: Vec<u8> = Vec::new();
     let mut unflushed = 0u64;
@@ -517,7 +515,6 @@ where
     epoch: Instant,
     stop: AtomicBool,
     conns: Mutex<Vec<Arc<Conn>>>,
-    acceptor_done: Arc<OpCell<()>>,
 }
 
 impl<S> ServerShared<S>
@@ -540,7 +537,8 @@ where
     shared: Arc<ServerShared<S>>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
-    shut: Mutex<bool>,
+    /// The acceptor thread; `None` once shutdown has begun.
+    acceptor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl<S> WireServer<S>
@@ -558,7 +556,6 @@ where
         executor: &Executor,
     ) -> std::io::Result<WireServer<S>> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let tcp_addr = Some(listener.local_addr()?);
         Ok(Self::start(
             service,
@@ -580,7 +577,6 @@ where
     ) -> std::io::Result<WireServer<S>> {
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
         Ok(Self::start(
             service,
             Listener::Unix(listener),
@@ -606,17 +602,17 @@ where
             epoch: Instant::now(),
             stop: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
-            acceptor_done: OpCell::new(),
         });
         let accept_shared = Arc::clone(&shared);
-        executor.spawn(async move {
-            acceptor(accept_shared, listener).await;
-        });
+        let acceptor = std::thread::Builder::new()
+            .name("psnap-wire-accept".into())
+            .spawn(move || accept_loop(&accept_shared, listener))
+            .expect("spawning the acceptor thread");
         WireServer {
             shared,
             tcp_addr,
             unix_path,
-            shut: Mutex::new(false),
+            acceptor: Mutex::new(Some(acceptor)),
         }
     }
 
@@ -625,8 +621,8 @@ where
         self.tcp_addr
     }
 
-    /// Live connections (racy gauge; finished connections are pruned by
-    /// the acceptor's next pass and by shutdown).
+    /// Live connections (racy gauge; finished connections are pruned at
+    /// the next accept and by shutdown).
     pub fn connection_count(&self) -> usize {
         self.shared
             .conns
@@ -641,18 +637,17 @@ where
     /// every in-flight ticket resolve and its reply flush, then close all
     /// sockets and the listener. Bounded by `timeout` per phase; idempotent.
     pub fn shutdown(&self, timeout: Duration) {
-        let mut done = self.shut.lock().unwrap_or_else(|e| e.into_inner());
-        if *done {
+        let mut running = self.acceptor.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(acceptor) = running.take() else {
             return;
-        }
-        *done = true;
+        };
         self.shared.stop.store(true, Ordering::Release);
-        // Wait for the acceptor to exit: after this no connection can be
-        // added behind the drain's back.
-        let _ = psnap_serve::block_on_timeout(
-            Ticket::new(Arc::clone(&self.shared.acceptor_done)),
-            timeout,
-        );
+        // Wake the acceptor out of `accept` and wait for it to exit: after
+        // this no connection can be added behind the drain's back. A wake-up
+        // that cannot connect leaves it where it is.
+        if self.wake_acceptor(timeout) {
+            let _ = acceptor.join();
+        }
         let conns: Vec<Arc<Conn>> = self
             .shared
             .conns
@@ -666,7 +661,7 @@ where
         // Phase 2: wait for in-flight tickets to resolve and flush.
         let deadline = Instant::now() + timeout;
         for conn in &conns {
-            conn.wait_drained(deadline);
+            conn.wait_until(deadline, |n| n == 0);
         }
         // Phase 3: sever. Readers blocked in `read` wake with an error and
         // finish; the listener (and any socket file) goes away with self.
@@ -675,9 +670,7 @@ where
         }
         let deadline = Instant::now() + timeout;
         for conn in &conns {
-            while !conn.finished.load(Ordering::Acquire) && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_micros(100));
-            }
+            conn.wait_until(deadline, |_| conn.finished.load(Ordering::Acquire));
         }
         self.shared
             .conns
@@ -687,6 +680,16 @@ where
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
+    }
+
+    /// Connects to this endpoint once, so that the acceptor's `accept`
+    /// returns; `false` if the connect failed.
+    fn wake_acceptor(&self, timeout: Duration) -> bool {
+        if let Some(path) = &self.unix_path {
+            return UnixStream::connect(path).is_ok();
+        }
+        self.tcp_addr
+            .is_some_and(|addr| TcpStream::connect_timeout(&addr, timeout).is_ok())
     }
 }
 
@@ -699,22 +702,26 @@ where
     }
 }
 
-/// The acceptor task: polls the non-blocking listener, sleeping on the
-/// executor's timer wheel between polls, and spawns a reader thread per
-/// accepted connection. The pause between polls starts (and restarts after
-/// every accept) at a sixteenth of [`WireServerConfig::accept_poll`] and
-/// doubles up to it: a peer that connects right behind the bind, or right
-/// behind another peer, does not wait out a whole idle-rate pause.
-async fn acceptor<S>(shared: Arc<ServerShared<S>>, listener: Listener)
+/// Pause after a failed `accept` (an aborted handshake, fd pressure)
+/// before the next: a persistent error backs off rather than spins.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
+
+/// The acceptor thread: blocks in `accept` and spawns a connection thread
+/// per accepted socket, until a connection finds `stop` set — the wake-up
+/// from [`WireServer::shutdown`], or a peer that came too late and is
+/// dropped unanswered. The listener closes with this thread.
+fn accept_loop<S>(shared: &Arc<ServerShared<S>>, listener: Listener)
 where
     S: PartialSnapshot<u64> + 'static,
 {
-    let idle_pause = shared.config.accept_poll;
-    let mut pause = idle_pause / 16;
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok(stream) => {
-                spawn_connection(&shared, stream);
+                spawn_connection(shared, stream);
                 // Prune finished connections so a long-lived server with
                 // churning clients does not accumulate dead entries.
                 shared
@@ -722,17 +729,10 @@ where
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .retain(|c| !c.finished.load(Ordering::Acquire));
-                pause = idle_pause / 16;
             }
-            // Nobody there, or a transient accept error (aborted
-            // handshakes, fd pressure): back off rather than spin.
-            Err(_) => {
-                shared.handle.sleep(pause).await;
-                pause = (pause * 2).min(idle_pause);
-            }
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
-    shared.acceptor_done.complete(());
 }
 
 fn spawn_connection<S>(shared: &Arc<ServerShared<S>>, stream: Stream)
@@ -774,40 +774,35 @@ where
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .push(Arc::clone(&conn));
-    // Idle watchdog: a far-deadline timer on the executor's wheel (an idle
-    // timeout of seconds spans many 256-slot laps at the default
-    // granularity). It re-arms after activity — inbound frames, outbound
-    // reply flushes, or requests still in flight — and severs a connection
-    // only once all three have been absent for the timeout.
+    // Idle watchdog: a job on the executor's deadline heap that runs when
+    // the connection would next be idle for the whole timeout. It re-arms
+    // after activity — inbound frames, outbound reply flushes, or requests
+    // still in flight — and severs a connection only once all three have
+    // been absent for the timeout.
     if let Some(idle) = shared.config.idle_timeout {
-        let conn_wd = Arc::clone(&conn);
-        let handle = shared.handle.clone();
-        shared.handle.spawn(async move {
-            let idle_ns = idle.as_nanos() as u64;
-            loop {
-                if conn_wd.finished.load(Ordering::Acquire)
-                    || conn_wd.intake_closed.load(Ordering::Acquire)
-                {
-                    return;
-                }
-                let age = conn_wd
-                    .now_ns()
-                    .saturating_sub(conn_wd.last_activity_ns.load(Ordering::Acquire));
-                if age < idle_ns {
-                    handle.sleep(Duration::from_nanos(idle_ns - age)).await;
-                } else if conn_wd.in_flight_count() > 0 {
-                    // Quiet wire, but a request is still in flight (a slow
-                    // scan, a gated drain): the connection is active, not
-                    // idle. Its reply flush will stamp fresh activity; a
-                    // peer that never reads that reply is the write
-                    // timeout's problem, not ours.
-                    handle.sleep(idle).await;
-                } else {
-                    // Sever both directions: the reader wakes with an error
-                    // and tears the connection down.
-                    conn_wd.sever();
-                    return;
-                }
+        let conn = Arc::clone(&conn);
+        shared.handle.schedule(Instant::now() + idle, move || {
+            if conn.finished.load(Ordering::Acquire) || conn.intake_closed.load(Ordering::Acquire) {
+                return None;
+            }
+            let age = conn
+                .now_ns()
+                .saturating_sub(conn.last_activity_ns.load(Ordering::Acquire));
+            let age = Duration::from_nanos(age);
+            if age < idle {
+                Some(Instant::now() + (idle - age))
+            } else if conn.in_flight_count() > 0 {
+                // Quiet wire, but a request is still in flight (a slow
+                // scan, a gated drain): the connection is active, not
+                // idle. Its reply flush will stamp fresh activity; a peer
+                // that never reads that reply is the write timeout's
+                // problem, not ours.
+                Some(Instant::now() + idle)
+            } else {
+                // Sever both directions: the reader wakes with an error and
+                // tears the connection down.
+                conn.sever();
+                None
             }
         });
     }
@@ -819,6 +814,9 @@ where
             run_connection(&shared, &conn, reader);
             // No more dispatches can arrive: let the pump drain and exit.
             conn.close_pump();
+            // Under the lock the drain waits with, so the signal cannot
+            // land between its check and its wait.
+            let _in_flight = conn.in_flight.lock().unwrap_or_else(|e| e.into_inner());
             conn.finished.store(true, Ordering::Release);
             conn.drained.notify_all();
         })
@@ -953,7 +951,7 @@ where
                 // Half-close: the peer is done sending. Stop intake, let
                 // in-flight replies flush, close our side, done.
                 conn.intake_closed.store(true, Ordering::Release);
-                conn.wait_drained(Instant::now() + Duration::from_secs(30));
+                conn.wait_until(Instant::now() + Duration::from_secs(30), |n| n == 0);
                 conn.stream.shutdown(Shutdown::Both);
                 return;
             }

@@ -85,11 +85,10 @@ const WINDOWS: usize = 5;
 const OPS_PER_WINDOW: u64 = 1000;
 /// How long the process is watched idle for its background allocations.
 const IDLE: Duration = Duration::from_millis(200);
-/// What is left of the background after subtracting its idle rate: the
-/// server's timer-driven tasks (the acceptor polls its listener every
-/// millisecond) allocate about a thousand times a second whatever the
-/// traffic, so their share of a window is known only to the timers'
-/// jitter.
+/// What is left of the background after subtracting its idle rate: an
+/// idle server allocates nothing of its own (its acceptor blocks in
+/// `accept`, and this test schedules no timed jobs), but whatever else
+/// the process does while idle is known only to its jitter.
 const BACKGROUND_TOLERANCE: f64 = 0.05;
 
 /// Allocations per second, process-wide, while no request is in flight.

@@ -142,7 +142,7 @@ fn the_connection_thread_serves_a_wait_free_object_and_only_that() {
     );
 }
 
-/// Occupies every worker of `executor` inside a poll until the returned
+/// Occupies every worker of `executor` inside a job until the returned
 /// sender is dropped: whatever runs meanwhile runs on some other thread.
 fn pin_workers(executor: &Executor, workers: usize) -> std::sync::mpsc::Sender<()> {
     let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
@@ -151,10 +151,11 @@ fn pin_workers(executor: &Executor, workers: usize) -> std::sync::mpsc::Sender<(
     for _ in 0..workers {
         let release_rx = Arc::clone(&release_rx);
         let pinned_tx = pinned_tx.clone();
-        executor.spawn(async move {
+        executor.handle().schedule(Instant::now(), move || {
             pinned_tx.send(()).unwrap();
-            // Blocks the worker itself, not just the task.
+            // Blocks the worker until released.
             let _ = release_rx.lock().unwrap().recv();
+            None
         });
     }
     for _ in 0..workers {
@@ -181,7 +182,7 @@ fn with_every_worker_occupied_the_connection_thread_still_answers() {
         &executor,
     )
     .unwrap();
-    // Accepting is an executor task; everything after it is not.
+    // Nothing a connection does, from its accept on, runs on a worker.
     let client = RemoteClientHandle::connect_unix(&path).unwrap();
     let release = pin_workers(&executor, 2);
 

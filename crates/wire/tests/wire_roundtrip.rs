@@ -587,9 +587,9 @@ fn a_peer_that_stops_reading_stalls_only_its_own_connection() {
     // The reply pump must never occupy an executor worker while blocked on
     // a socket write: two peers that pipeline scans and then stop reading
     // fill their reply buffers and wedge their writers, and with only two
-    // executor workers an executor-task pump would deadlock the whole
-    // service — acceptor, drain loop and scan loop included — for every
-    // client. Healthy traffic must keep flowing while both are wedged.
+    // executor workers, pumps run as executor jobs would stall every timed
+    // job behind them. Healthy traffic must keep flowing while both are
+    // wedged.
     // No write timeout here: the wedge must persist for the whole test.
     const BIG_M: usize = 2048;
     let executor = Executor::new(2);
@@ -832,4 +832,97 @@ fn concurrent_connections_multiplex_without_crosstalk() {
 
     server.shutdown(Duration::from_secs(5));
     service.shutdown();
+}
+
+/// Where a test server listens.
+#[derive(Clone)]
+enum Endpoint {
+    Tcp(std::net::SocketAddr),
+    Unix(std::path::PathBuf),
+}
+
+impl Endpoint {
+    /// A plain connect, no handshake.
+    fn connect_raw(&self) -> std::io::Result<()> {
+        match self {
+            Endpoint::Tcp(addr) => std::net::TcpStream::connect(addr).map(drop),
+            Endpoint::Unix(path) => std::os::unix::net::UnixStream::connect(path).map(drop),
+        }
+    }
+
+    fn connect(&self) -> Result<RemoteClientHandle, WireError> {
+        match self {
+            Endpoint::Tcp(addr) => RemoteClientHandle::connect_tcp(addr),
+            Endpoint::Unix(path) => RemoteClientHandle::connect_unix(path),
+        }
+    }
+}
+
+#[test]
+fn a_blocked_acceptor_shuts_down_and_late_connects_are_refused() {
+    for unix in [false, true] {
+        let executor = Executor::new(2);
+        let service = start_service(&executor, ServiceConfig::default());
+        let start = || {
+            let config = WireServerConfig::default();
+            let service = Arc::clone(&service);
+            if unix {
+                let path = unique_socket_path("acceptor");
+                let server = WireServer::serve_unix(service, &path, config, &executor).unwrap();
+                (server, Endpoint::Unix(path))
+            } else {
+                let server = WireServer::serve_tcp(service, "127.0.0.1:0", config, &executor);
+                let server = server.unwrap();
+                let addr = server.local_addr().unwrap();
+                (server, Endpoint::Tcp(addr))
+            }
+        };
+
+        // Never accepted anything: the acceptor is blocked in `accept`, and
+        // shutdown still returns, well inside its timeout.
+        let (server, endpoint) = start();
+        let t0 = Instant::now();
+        server.shutdown(Duration::from_secs(30));
+        assert!(t0.elapsed() < Duration::from_secs(10), "unix: {unix}");
+        assert!(
+            endpoint.connect_raw().is_err(),
+            "unix {unix}: connect after shutdown"
+        );
+        drop(server);
+
+        // A client connecting over and over while shutdown runs: each
+        // attempt completes its handshake and is drained, or is refused.
+        // None hangs, and once shutdown has returned, all are refused.
+        let (server, endpoint) = start();
+        let handshakes = Arc::new(AtomicU64::new(0));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let connector = {
+            let (endpoint, handshakes) = (endpoint.clone(), Arc::clone(&handshakes));
+            std::thread::spawn(move || {
+                while let Ok(client) = endpoint.connect() {
+                    handshakes.fetch_add(1, Ordering::SeqCst);
+                    match client.submit_blocking(0, 1) {
+                        Ok(()) | Err(WireError::Closed | WireError::ConnectionLost(_)) => {}
+                        Err(other) => panic!("a drained connection answered {other}"),
+                    }
+                    client.close();
+                }
+                done_tx.send(()).unwrap();
+            })
+        };
+        assert!(wait_until(Duration::from_secs(10), || {
+            handshakes.load(Ordering::SeqCst) >= 3
+        }));
+        server.shutdown(Duration::from_secs(5));
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("unix {unix}: a connect during shutdown hung"));
+        connector.join().unwrap();
+        assert!(
+            endpoint.connect_raw().is_err(),
+            "unix {unix}: connect after shutdown"
+        );
+        drop(server);
+        service.shutdown();
+    }
 }

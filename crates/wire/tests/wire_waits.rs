@@ -1,7 +1,7 @@
 //! The waiting sites of a served connection, seen through their counters:
-//! `wire.wait.*` (socket reads, either end) and `serve.wait.*` (executor
-//! workers, `block_on` callers). The counters are process-wide, so the
-//! tests of this file take turns.
+//! `wire.wait.*` (socket reads, either end) and `serve.wait.*` (`block_on`
+//! callers). The counters are process-wide, so the tests of this file take
+//! turns.
 //!
 //! What they assert is counted, never timed: how many waits happen, how
 //! many ended in their poll phase. Polled shares are printed (run with
@@ -120,14 +120,6 @@ impl Waits {
         self.polled + self.parked
     }
 
-    /// Most of the family's waits slept. For executor workers, whose waits
-    /// follow the acceptor's 1 ms timer: shorter than the time slices a
-    /// yielding poller gives away on a loaded box, so some polls pay and
-    /// re-arm the site's credit, but never most.
-    fn mostly_parked(self) -> bool {
-        self.parked > 0 && self.polled * 4 <= self.total()
-    }
-
     /// Prints what share of the family's waits ended in the poll phase.
     fn report(self, what: &str) {
         eprintln!("{what}: {} of {} waits polled", self.polled, self.total());
@@ -200,8 +192,9 @@ fn under_sparse_traffic_the_server_stops_polling_and_the_client_does_not() {
     let tail = SPARSE_REQUESTS - SETTLED_AFTER;
 
     // The server's side alone: its read of the socket waits a whole gap at
-    // a time, so after `CREDIT` such waits it has stopped polling; its
-    // workers wait for timers and mostly sleep.
+    // a time, so after `CREDIT` such waits it has stopped polling; the
+    // connection thread combines every request itself, so nothing waits
+    // through `block_on`, and the executor's workers have nothing to run.
     let mut peer = RawPeer::connect(&rig.path);
     let (wire, serve) = sparse_tail(|i| {
         let reply = if i % 2 == 0 {
@@ -217,7 +210,7 @@ fn under_sparse_traffic_the_server_stops_polling_and_the_client_does_not() {
         assert!(reply.contains("\"ok\""), "{reply}");
     });
     wire.report("sparse server reads");
-    serve.report("sparse worker waits");
+    serve.report("sparse block_on waits");
     assert!(
         wire.parked >= tail,
         "every sparse request is a read that slept: {wire:?}"
@@ -226,9 +219,10 @@ fn under_sparse_traffic_the_server_stops_polling_and_the_client_does_not() {
         wire.polled <= CREDIT,
         "the connection's read half kept polling an idle socket: {wire:?}"
     );
-    assert!(
-        serve.mostly_parked(),
-        "idle workers kept polling: {serve:?}"
+    assert_eq!(
+        serve.total(),
+        0,
+        "an executor worker or a `block_on` caller woke: {serve:?}"
     );
     drop(peer);
 
@@ -296,17 +290,15 @@ fn idle_connections_poll_once_and_then_sleep() {
     let serve = Waits::read("serve.wait").since(before.1);
     let readers = cpu_of_threads("psnap-wire-conn") - before.2;
     let process = cpu_of_threads("") - before.3;
-    // Printed, not asserted: CPU time is the scheduler's. An idle server's
-    // acceptor polls its listener every millisecond through the timer
-    // thread and a worker, which is most of what an idle process uses.
+    // Printed, not asserted: CPU time is the scheduler's. An idle server
+    // has no timer to serve: its acceptor is blocked in `accept` and its
+    // executor's workers wait on an empty heap.
     eprintln!("300 ms idle: {process:?} of CPU, {readers:?} of it the 8 connection threads'");
-    serve.report("idle worker waits");
-    // A worker's waits were long all through the burst (connection threads
-    // answered it), so it is out of credit already and its idle waits,
-    // one per tick of the acceptor's timer, sleep.
-    assert!(
-        serve.mostly_parked(),
-        "idle workers kept polling: {serve:?}"
+    serve.report("idle block_on waits");
+    assert_eq!(
+        serve.total(),
+        0,
+        "an executor worker or a `block_on` caller woke: {serve:?}"
     );
     // Nothing arrives, so none of the eight connection reads returns: each
     // is asleep on its socket, and no client is waiting for anything.
