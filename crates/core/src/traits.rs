@@ -116,33 +116,25 @@ pub trait PartialSnapshot<T: Clone + Send + Sync + 'static>: Send + Sync {
     ///
     /// Multiversioned implementations answer from their version chains in
     /// a bounded number of their own steps, touching only the `r`
-    /// requested registers — no union amplification, no cache, no
-    /// coordination with other readers — and the returned cut linearizes
-    /// inside the call's interval, so it is legal to serve for any
-    /// staleness bound `d >= 0`. The timestamp lets callers cache the cut
-    /// or annotate histories with the linearization point.
-    /// Implementations without version history return `None` (the
-    /// default) and callers fall back to a cache or a full
-    /// [`scan`](PartialSnapshot::scan).
+    /// requested registers — no union amplification, no coordination with
+    /// other readers — and the returned cut linearizes inside the call's
+    /// interval, so it is legal to serve for any staleness bound `d >= 0`.
+    /// The timestamp lets callers annotate histories with the
+    /// linearization point. Implementations without version history return
+    /// `None` (the default) and callers fall back to a full
+    /// [`scan`](PartialSnapshot::scan), whose fresh answer is inside any
+    /// bound.
     fn scan_stale(&self, pid: ProcessId, components: &[usize]) -> Option<(u64, Vec<T>)> {
         let _ = (pid, components);
         None
     }
 
-    /// The shard that owns `component`, for callers that want to group work
-    /// by shard without knowing the concrete router. Unsharded
-    /// implementations keep the default (everything on shard 0).
-    fn shard_of(&self, component: usize) -> usize {
-        let _ = component;
-        0
-    }
-
     /// The generation number of the partition map currently routing this
-    /// object (0 for implementations whose layout is fixed for life). Two
-    /// calls returning the same value bracket a window in which
-    /// [`shard_of`](PartialSnapshot::shard_of) answers were mutually
-    /// consistent — the check the serve layer uses to keep a parallel-union
-    /// grouping from straddling a reshard.
+    /// object (0 for implementations whose layout is fixed for life); an
+    /// accepted [`reshard`](PartialSnapshot::reshard) advances it by one.
+    /// The serve layer reads it generically: its observability snapshot
+    /// reports it, and its reshard driver stamps it on each accepted op's
+    /// span and flight-recorder dump.
     fn generation(&self) -> u64 {
         0
     }
@@ -195,9 +187,6 @@ impl<T: Clone + Send + Sync + 'static, S: PartialSnapshot<T> + ?Sized> PartialSn
     }
     fn scan_stale(&self, pid: ProcessId, components: &[usize]) -> Option<(u64, Vec<T>)> {
         (**self).scan_stale(pid, components)
-    }
-    fn shard_of(&self, component: usize) -> usize {
-        (**self).shard_of(component)
     }
     fn generation(&self) -> u64 {
         (**self).generation()

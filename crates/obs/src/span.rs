@@ -43,7 +43,7 @@ pub const ID_BLOCK: u64 = 256;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanKind {
     /// Root of one client scan: submit to answer. End args: `a` = serving
-    /// tier (0 backing / 1 cache / 2 empty / 3 mv), `b` = latency ns.
+    /// tier (0 backing / 2 empty / 3 mv), `b` = latency ns.
     ScanRequest,
     /// Root of one client submission: submit to applied.
     Ingest,

@@ -14,8 +14,9 @@
 //! * **scan coalescing** — concurrent partial-scan requests are merged
 //!   into one deduplicated [`psnap_shard::ScanUnion`] and one backing scan
 //!   whose results fan back out per request, with per-request freshness
-//!   bounds. The union is a flat O(requested) pass and its cut is moved,
-//!   not copied, into the freshness cache;
+//!   bounds. The union is a flat O(requested) pass; a stale request on a
+//!   multiversioned object is read from the version chains instead, and
+//!   every answer is linearizable;
 //! * **combining** — both pipelines run on the threads that wait for them:
 //!   a waiting [`Ticket`] runs its pipeline's round when nobody else holds
 //!   that pipeline's role (flat combining, with the queues as the

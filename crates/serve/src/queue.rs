@@ -155,8 +155,8 @@ impl<V> OpCell<V> {
 pub(crate) enum Lane {
     /// Submissions: collected from every client queue, applied in chunks.
     Ingest,
-    /// Scan requests: answered from the cache, the version chains or one
-    /// union scan.
+    /// Scan requests: answered inline when empty, else from the version
+    /// chains or by one union scan.
     Scan,
 }
 

@@ -19,17 +19,14 @@
 //!    (optionally waiting a [`Coalescing::Window`] to accumulate more),
 //!    merges their component sets into one deduplicated [`ScanUnion`], runs
 //!    **one** backing scan, and fans each requester's subset back out. A
-//!    projection of one
-//!    linearizable scan is itself a legal scan at the same linearization
-//!    point, which is what the lincheck conformance suite verifies end to
-//!    end. A union job is *plan → scan → fan out → publish*, and only the
-//!    scan costs more than the slots requested: the union is one flat pass
-//!    with no routing (the backing object plans per shard itself), per-job
-//!    bookkeeping (clock, counters, span vectors) is paid once per job, and
-//!    the cut enters the freshness cache by **moving** the two vectors the
-//!    job already holds — the lookup index is built by the first stale
-//!    reader, if one ever comes. `{prefix}.scan.plan_ns`, `.backing_latency_ns`,
-//!    `.fanout_ns` and `.publish_ns` time the four stages per job.
+//!    projection of one linearizable scan is itself a legal scan at the
+//!    same linearization point, which is what the lincheck conformance
+//!    suite verifies end to end. A union job is *plan → scan → fan out*,
+//!    and only the scan costs more than the slots requested: the union is
+//!    one flat pass with no routing (the backing object plans per shard
+//!    itself), and per-job bookkeeping (clock, counters, span vectors) is
+//!    paid once per job. `{prefix}.scan.plan_ns`, `.backing_latency_ns` and
+//!    `.fanout_ns` time the three stages per job.
 //! 3. **Backpressure** — both queue families are bounded; a full queue fails
 //!    the submit with [`SubmitError::Busy`] immediately and enqueues
 //!    nothing. Accepted work is never dropped: every ticket resolves, even
@@ -38,27 +35,26 @@
 //! **The waiter is the combiner.** Nobody runs the pipelines in the
 //! background. Each has a *role*, a try-lock that owns the pipeline's pid
 //! and state (ingestion: `drain_pid` and the pending buffer; scanning:
-//! `scan_pid`, the freshness cache and the last dispatch time), and the
-//! queues are its publication list. A thread that waits on a ticket — or
-//! polls one, or shuts the service down — runs a round of the ticket's
-//! pipeline itself if that role is free; otherwise it waits, and the holder
-//! serves it: a combiner that lets go of a role re-checks its queue and
-//! takes the role again if anything is published, so no request is left
-//! without a combiner. The two roles are independent: a combiner parked in
-//! a scan never delays a write. (Flat combining, after Hendler, Incze,
-//! Shavit & Tzafrir.)
+//! `scan_pid` and the last dispatch time), and the queues are its
+//! publication list. A thread that waits on a ticket — or polls one, or
+//! shuts the service down — runs a round of the ticket's pipeline itself if
+//! that role is free; otherwise it waits, and the holder serves it: a
+//! combiner that lets go of a role re-checks its queue and takes the role
+//! again if anything is published, so no request is left without a
+//! combiner. The two roles are independent: a combiner parked in a scan
+//! never delays a write. (Flat combining, after Hendler, Incze, Shavit &
+//! Tzafrir.)
 //!
-//! Per-request **freshness bounds** sort scans into three serving tiers. A
-//! scan submitted with [`Freshness::Fresh`] is always answered by a backing
-//! scan that starts after the request was published (strict
-//! linearizability). With [`Freshness::AtMostStale`], the service first
-//! tries the **cache tier** — a recent backing scan's union that covers the
-//! request within the bound, an atomic view at zero backing cost — and then
-//! the **mv tier**: if the backing object has version history
-//! ([`PartialSnapshot::scan_stale`]), the request is answered directly from
-//! the version chains, touching only its own components, with no union
-//! amplification and no coalescing wait. Only when both fast tiers decline
-//! does a stale request join the backing tier.
+//! Per-request **freshness bounds** pick a scan's serving tier, and every
+//! answer is linearizable. A request for zero components is answered
+//! inline. A scan submitted with [`Freshness::Fresh`] is answered by a
+//! backing scan that starts after the request was published. With
+//! [`Freshness::AtMostStale`], the service first tries the **mv tier**: if
+//! the backing object has version history ([`PartialSnapshot::scan_stale`]),
+//! the request is answered directly from the version chains, touching only
+//! its own components, with no union amplification and no coalescing wait.
+//! On an object without history the stale request joins the round's union
+//! like a fresh one: a fresh answer is inside any bound.
 //!
 //! The backing tier has one lever, the [`Coalescing::Window`]: how long the
 //! scan combiner waits for more requests before it scans. A lone request at
@@ -66,8 +62,7 @@
 //! round drained goes into one union on the one scan pid: on a
 //! multiversioned store a union scan is one camera tick plus a read per
 //! component, so splitting it by shard would buy parallelism but no
-//! consistency. The freshness cache belongs to the scan role: every entry is
-//! pushed and read under it, newest first.
+//! consistency.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
@@ -101,11 +96,11 @@ pub enum Coalescing {
 pub enum Freshness {
     /// Linearizable: answered by a backing scan started after the request.
     Fresh,
-    /// May be served without a fresh backing scan: from a cached union cut
-    /// at most this old that covers the requested components, or — on
-    /// multiversioned backends — by a bounded targeted read of the version
-    /// chains (`scan_stale`), whose cut is taken inside the request's
-    /// service time and therefore satisfies any bound.
+    /// May be served without a fresh backing scan. On multiversioned
+    /// backends it is a bounded targeted read of the version chains
+    /// (`scan_stale`), whose cut is taken inside the request's service time
+    /// and therefore satisfies any bound. Elsewhere the request joins the
+    /// backing union, since a fresh answer is inside any bound.
     AtMostStale(Duration),
 }
 
@@ -198,81 +193,6 @@ struct ScanRequest<T> {
     span: Span,
 }
 
-/// One backing scan's union view, for freshness-bounded requests. The scan
-/// role keeps the most recent [`CACHE_ENTRIES`] of these; each entry is
-/// one scan's atomic cut and entries are **never merged** — two union jobs
-/// have different linearization points, and a merged map could show a cut
-/// no single scan ever saw.
-struct ScanCache<T> {
-    /// The cut as the scan that took it held it: distinct components and
-    /// their values, in parallel, moved in rather than copied.
-    components: Vec<usize>,
-    values: Vec<T>,
-    taken_at: Instant,
-    /// Partition-map generation the entry was taken under, with each
-    /// component's shard at that time (parallel to `components`). On a
-    /// later generation, only components whose shard assignment actually
-    /// moved are dropped (a projection of an atomic cut is still atomic);
-    /// unmigrated components keep serving. The shards cannot wait for a
-    /// reader the way `by_component` does: once the generation moves, the
-    /// assignment the entry was taken under is gone.
-    generation: u64,
-    shards: Vec<u32>,
-    /// Positions of `components` in ascending component order — the lookup
-    /// index. Empty until the first stale reader consults the entry; most
-    /// entries are evicted without ever being read.
-    by_component: Vec<u32>,
-}
-
-impl<T: Clone> ScanCache<T> {
-    /// The values of `components` if the entry covers them all.
-    fn lookup(&mut self, components: &[usize]) -> Option<Vec<T>> {
-        if self.by_component.is_empty() {
-            self.by_component = (0..self.components.len() as u32).collect();
-            self.by_component
-                .sort_unstable_by_key(|&at| self.components[at as usize]);
-        }
-        components
-            .iter()
-            .map(|component| {
-                self.by_component
-                    .binary_search_by_key(component, |&at| self.components[at as usize])
-                    .ok()
-                    .map(|found| self.values[self.by_component[found] as usize].clone())
-            })
-            .collect()
-    }
-
-    /// Moves the entry to `generation`, dropping every component whose
-    /// shard is no longer the one it was published under. Returns how many
-    /// were dropped.
-    fn revalidate(&mut self, generation: u64, shard_of: impl Fn(usize) -> usize) -> usize {
-        self.generation = generation;
-        let before = self.components.len();
-        let mut kept = 0;
-        for at in 0..before {
-            if shard_of(self.components[at]) == self.shards[at] as usize {
-                self.components.swap(kept, at);
-                self.values.swap(kept, at);
-                self.shards.swap(kept, at);
-                kept += 1;
-            }
-        }
-        if kept < before {
-            self.components.truncate(kept);
-            self.values.truncate(kept);
-            self.shards.truncate(kept);
-            self.by_component.clear();
-        }
-        before - kept
-    }
-}
-
-/// Cache entries kept (newest first). Union jobs and mv-served answers each
-/// push one, so a handful covers the recent past without letting an old
-/// deployment accumulate unbounded state.
-const CACHE_ENTRIES: usize = 8;
-
 /// EWMA weight of the newest heat-rate observation (see
 /// [`ServiceObs::shard_heat_rate`]): responsive within a few ticks, but one
 /// noisy window cannot swing the rate by itself.
@@ -295,16 +215,11 @@ struct Counters {
     scans_busy: Arc<Counter>,
     scans_closed: Arc<Counter>,
     scans_served_backing: Arc<Counter>,
-    scans_served_cache: Arc<Counter>,
     scans_served_mv: Arc<Counter>,
     scans_served_empty: Arc<Counter>,
     backing_scans: Arc<Counter>,
     backing_components: Arc<Counter>,
     requested_components: Arc<Counter>,
-    /// Cache entries lazily revalidated after a reshard (generation moved).
-    cache_revalidated: Arc<Counter>,
-    /// Cached components dropped by revalidation (their shard migrated).
-    cache_invalidated_components: Arc<Counter>,
     /// Submit-to-applied latency per resolved submission (nanoseconds).
     submit_latency: Arc<Histogram>,
     /// Request-to-answer latency per served scan (nanoseconds).
@@ -316,11 +231,9 @@ struct Counters {
     /// including the zero decisions of lone-request dispatch.
     window_ns: Arc<Histogram>,
     /// Per union job, beside `backing_latency`: building the deduplicated
-    /// union, answering every request of the job, and publishing the cut
-    /// to the freshness cache (nanoseconds each).
+    /// union and answering every request of the job (nanoseconds each).
     plan_ns: Arc<Histogram>,
     fanout_ns: Arc<Histogram>,
-    publish_ns: Arc<Histogram>,
     /// Submissions currently queued across all clients.
     ingest_depth: Arc<Gauge>,
     /// Scan requests currently queued.
@@ -333,9 +246,8 @@ struct Counters {
 /// (`submits_ok == submits_resolved` at quiescence), every submitted write is
 /// either applied or coalesced away (`writes_submitted == writes_applied +
 /// writes_coalesced_away`), and every accepted scan is served by exactly one
-/// of the backing, cache, mv, or empty paths (`scans_ok ==
-/// scans_served_backing + scans_served_cache + scans_served_mv +
-/// scans_served_empty`).
+/// of the backing, mv, or empty paths (`scans_ok == scans_served_backing +
+/// scans_served_mv + scans_served_empty`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Submissions accepted into an ingestion queue.
@@ -365,8 +277,6 @@ pub struct ServiceStats {
     pub scans_closed: u64,
     /// Scan requests answered by a backing scan.
     pub scans_served_backing: u64,
-    /// Scan requests answered from the freshness cache.
-    pub scans_served_cache: u64,
     /// Freshness-relaxed requests answered straight from the backing
     /// object's version chains ([`PartialSnapshot::scan_stale`]).
     pub scans_served_mv: u64,
@@ -379,12 +289,6 @@ pub struct ServiceStats {
     pub backing_components: u64,
     /// Components requested by scans served via the backing path.
     pub requested_components: u64,
-    /// Cache entries lazily revalidated after a reshard moved the
-    /// partition-map generation past the entry's.
-    pub cache_revalidated: u64,
-    /// Cached components dropped by revalidation because their shard
-    /// migrated (unmigrated components of the same entry keep serving).
-    pub cache_invalidated_components: u64,
     /// Request-to-answer latency distribution (nanoseconds) over served
     /// scans — count, sum, exact max, and log2-resolution p50/p99.
     pub scan_latency: HistogramSnapshot,
@@ -397,9 +301,6 @@ pub struct ServiceStats {
     pub plan_ns: HistogramSnapshot,
     /// Per-union-job time to answer every request of the job (nanoseconds).
     pub fanout_ns: HistogramSnapshot,
-    /// Per-union-job time to publish the cut to the freshness cache
-    /// (nanoseconds).
-    pub publish_ns: HistogramSnapshot,
 }
 
 impl ServiceStats {
@@ -510,10 +411,6 @@ impl ServiceObs {
                 Json::Num(self.stats.scans_served_backing as f64),
             ),
             (
-                "scans_served_cache",
-                Json::Num(self.stats.scans_served_cache as f64),
-            ),
-            (
                 "scans_served_mv",
                 Json::Num(self.stats.scans_served_mv as f64),
             ),
@@ -523,7 +420,6 @@ impl ServiceObs {
             ("window_ns", hist(&self.stats.window_ns)),
             ("plan_ns", hist(&self.stats.plan_ns)),
             ("fanout_ns", hist(&self.stats.fanout_ns)),
-            ("publish_ns", hist(&self.stats.publish_ns)),
             ("coalescing_ratio", Json::Num(self.coalescing_ratio)),
             (
                 "component_dedup_ratio",
@@ -543,14 +439,6 @@ impl ServiceObs {
             ("generation", Json::Num(self.generation as f64)),
             ("mv_live_versions", Json::Num(self.mv_live_versions as f64)),
             ("mv_chain_len", hist(&self.mv_chain_len)),
-            (
-                "cache_revalidated",
-                Json::Num(self.stats.cache_revalidated as f64),
-            ),
-            (
-                "cache_invalidated_components",
-                Json::Num(self.stats.cache_invalidated_components as f64),
-            ),
             ("flight_dumps", Json::Num(self.flight_dumps as f64)),
         ])
     }
@@ -574,8 +462,6 @@ struct ClientRegistry<T> {
 struct ScanRole<T> {
     /// Requests drained and not yet answered (empty between rounds).
     requests: Vec<ScanRequest<T>>,
-    /// The freshness cache, newest entry first.
-    cache: Vec<ScanCache<T>>,
     /// When the last round dispatched; `None` until the first, and always
     /// under a zero window, which never reads it. Arrivals within a window
     /// of it are a trickle, not a lone request, and wait.
@@ -615,78 +501,6 @@ where
     T: Clone + Send + Sync + 'static,
     S: PartialSnapshot<T>,
 {
-    /// The values of `components` from the newest entry of `cache` that is
-    /// at most `bound` old and covers them all.
-    fn try_cache(
-        &self,
-        cache: &mut Vec<ScanCache<T>>,
-        components: &[usize],
-        bound: Duration,
-    ) -> Option<Vec<T>> {
-        let current_generation = self.snapshot.generation();
-        // Lazy per-shard revalidation: a reshard does not wipe the cache —
-        // an entry taken under an older generation drops only the
-        // components whose shard assignment actually moved (a projection
-        // of an atomic cut is still atomic at the same point), and keeps
-        // serving the rest. Entries drained of every component disappear.
-        for entry in cache.iter_mut() {
-            if entry.generation == current_generation {
-                continue;
-            }
-            let dropped = entry.revalidate(current_generation, |component| {
-                self.snapshot.shard_of(component)
-            });
-            self.counters.cache_revalidated.inc();
-            self.counters
-                .cache_invalidated_components
-                .add(dropped as u64);
-        }
-        cache.retain(|entry| !entry.components.is_empty());
-        // Every entry is pushed under the scan role, so the cache is newest
-        // first and the first entry past the bound ends the search.
-        for entry in cache.iter_mut() {
-            if entry.taken_at.elapsed() > bound {
-                return None;
-            }
-            if let Some(values) = entry.lookup(components) {
-                return Some(values);
-            }
-        }
-        None
-    }
-
-    /// Publishes one scan's atomic cut — distinct `components` and their
-    /// `values`, moved in as they are — as the newest cache entry, tagged
-    /// with the current partition generation and each component's shard
-    /// (the inputs of lazy revalidation — see [`try_cache`]).
-    ///
-    /// [`try_cache`]: ServiceCore::try_cache
-    fn push_cache(
-        &self,
-        cache: &mut Vec<ScanCache<T>>,
-        components: Vec<usize>,
-        values: Vec<T>,
-        taken_at: Instant,
-    ) {
-        let generation = self.snapshot.generation();
-        let shards = components
-            .iter()
-            .map(|&component| self.snapshot.shard_of(component) as u32)
-            .collect();
-        cache.insert(
-            0,
-            ScanCache {
-                components,
-                values,
-                taken_at,
-                generation,
-                shards,
-                by_component: Vec::new(),
-            },
-        );
-        cache.truncate(CACHE_ENTRIES);
-    }
-
     /// Resolves one scan request: records its latency, emits the
     /// [`ScanServe`](TraceKind::ScanServe) event attributed to the
     /// request's span, stamps the root span's end arguments (serving tier,
@@ -732,31 +546,24 @@ where
     }
 
     /// Answers a batch of scan requests under the scan role: empty ones
-    /// inline, freshness-relaxed ones from `cache` or the backing object's
-    /// version chains, and the rest with one union backing scan.
-    fn serve_scans(&self, requests: Vec<ScanRequest<T>>, cache: &mut Vec<ScanCache<T>>) {
+    /// inline, freshness-relaxed ones from the backing object's version
+    /// chains where it has them, and the rest with one union backing scan.
+    fn serve_scans(&self, requests: Vec<ScanRequest<T>>) {
         let mut live = Vec::with_capacity(requests.len());
         for request in requests {
             // An empty request needs no backing work at all; answering it
             // inline keeps it from issuing a zero-width "backing scan" that
-            // would skew the coalescing ratio and wipe the freshness cache
-            // with an empty union.
+            // would skew the coalescing ratio.
             if request.components.is_empty() {
                 self.counters.scans_served_empty.inc();
                 self.complete_scan(request, Instant::now(), 2, 0, Vec::new());
                 continue;
             }
-            if let Freshness::AtMostStale(bound) = request.freshness {
-                // Cache tier first (a map lookup), then the mv tier: a
-                // direct read of the version chains, touching only this
-                // request's components. Both leave the backing-scan
-                // pipeline untouched.
-                if let Some(values) = self.try_cache(cache, &request.components, bound) {
-                    self.counters.scans_served_cache.inc();
-                    self.complete_scan(request, Instant::now(), 1, 0, values);
-                    continue;
-                }
-                let taken_at = Instant::now();
+            if let Freshness::AtMostStale(_) = request.freshness {
+                // The mv tier: a direct read of the version chains, touching
+                // only this request's components and leaving the
+                // backing-scan pipeline untouched. Its cut linearizes inside
+                // this call, so it is fresher than any bound.
                 let mut stale_span = Span::child(request.span.context(), SpanKind::StaleRead);
                 let stale = {
                     let _in_span = span::enter(stale_span.context());
@@ -764,49 +571,31 @@ where
                         .scan_stale(self.config.scan_pid, &request.components)
                 };
                 if let Some((ts, values)) = stale {
-                    // The cut linearizes inside this call, so it is fresher
-                    // than any bound; publish it for the next stale reader.
-                    // A union's positions count up one at a time, so the
-                    // value of each distinct component is the one at the
-                    // position that first names it.
-                    let union = ScanUnion::of([request.components.as_slice()]);
-                    let mut cut = Vec::with_capacity(union.components.len());
-                    for (&at, value) in union.positions.iter().zip(&values) {
-                        if at == cut.len() {
-                            cut.push(value.clone());
-                        }
-                    }
-                    self.push_cache(cache, union.components, cut, taken_at);
                     stale_span.set_args(ts, values.len() as u64);
                     drop(stale_span);
                     self.counters.scans_served_mv.inc();
                     self.complete_scan(request, Instant::now(), 3, ts, values);
                     continue;
                 }
-                drop(stale_span);
             }
             live.push(request);
         }
         if !live.is_empty() {
-            self.run_union_job(live, cache);
+            self.run_union_job(live);
         }
     }
 
     /// Runs one union backing scan for `requests`: builds the deduplicated
-    /// union, scans it, fans each requester's subset back out, and
-    /// publishes the union to `cache`.
-    fn run_union_job(&self, requests: Vec<ScanRequest<T>>, cache: &mut Vec<ScanCache<T>>) {
+    /// union, scans it, and fans each requester's subset back out.
+    fn run_union_job(&self, requests: Vec<ScanRequest<T>>) {
         let started = Instant::now();
         let union = ScanUnion::of(requests.iter().map(|r| r.components.as_slice()));
-        // Exactly one backing scan of the deduplicated union. The cache
-        // timestamp is taken *before* the scan starts: the scan's
-        // linearization point is no earlier than this instant, so
-        // `AtMostStale(d)` measured against it never under-reports
-        // staleness, however long the scan itself takes under contention.
-        let taken_at = Instant::now();
+        // Exactly one backing scan of the deduplicated union.
+        let planned_at = Instant::now();
         // One `BackingScan` child per request in the job: each request's
-        // tree carries the union-scan interval it waited on. Entering the first one attributes the backing object's own
-        // events (scan retries, fallbacks) to this job's trees.
+        // tree carries the union-scan interval it waited on. Entering the
+        // first one attributes the backing object's own events (scan
+        // retries, fallbacks) to this job's trees.
         let mut backing_spans: Vec<Span> = if psnap_obs::span_enabled() {
             requests
                 .iter()
@@ -822,7 +611,7 @@ where
         };
         // The one clock read every request's latency is measured to.
         let scanned_at = Instant::now();
-        let elapsed_ns = scanned_at.duration_since(taken_at).as_nanos() as u64;
+        let elapsed_ns = scanned_at.duration_since(planned_at).as_nanos() as u64;
         let (served, forwarded) = (requests.len() as u64, union.components.len() as u64);
         self.counters.backing_scans.inc();
         self.counters.backing_latency.record(elapsed_ns);
@@ -846,21 +635,11 @@ where
             drop(merge_span);
             self.complete_scan(request, scanned_at, 0, 0, answer);
         }
-        let fanned_out_at = Instant::now();
-        // Answers first, then the cache: the vectors are free to move once
-        // the last request has copied out of them, and no stale reader can
-        // miss the entry — stale requests are served under the same role,
-        // which this job holds until it has returned.
-        self.push_cache(cache, union.components, values, taken_at);
-        let published_at = Instant::now();
         let ns = |from: Instant, to: Instant| to.duration_since(from).as_nanos() as u64;
-        self.counters.plan_ns.record(ns(started, taken_at));
+        self.counters.plan_ns.record(ns(started, planned_at));
         self.counters
             .fanout_ns
-            .record(ns(scanned_at, fanned_out_at));
-        self.counters
-            .publish_ns
-            .record(ns(fanned_out_at, published_at));
+            .record(ns(scanned_at, Instant::now()));
     }
 
     /// Applies `pending` as `update_many` chunks that respect submission
@@ -1045,7 +824,7 @@ where
             self.drain_scans(&mut role.requests);
             drop(window_spans);
         }
-        self.serve_scans(std::mem::take(&mut role.requests), &mut role.cache);
+        self.serve_scans(std::mem::take(&mut role.requests));
         if !window.is_zero() {
             role.last_dispatch = Some(Instant::now());
         }
@@ -1125,7 +904,6 @@ where
             ingest: Mutex::new(Vec::new()),
             scan: Mutex::new(ScanRole {
                 requests: Vec::new(),
-                cache: Vec::new(),
                 last_dispatch: None,
             }),
             heat_rates: Mutex::new(RateTracker::new(HEAT_EWMA_ALPHA)),
@@ -1218,9 +996,9 @@ where
                 let generation = core.snapshot.generation();
                 reshard_span.set_args(generation, 1);
                 drop(reshard_span);
-                // A live migration is the moment cached cuts and in-flight
-                // plans are most at risk — snapshot the recent past while it
-                // is still on hand.
+                // A live migration is the moment in-flight scans and batches
+                // are most at risk — snapshot the recent past while it is
+                // still on hand.
                 if flight::armed() {
                     flight::trigger(
                         AnomalyKind::Reshard,
@@ -1284,7 +1062,6 @@ fn stats_of(c: &Counters) -> ServiceStats {
         scans_busy: c.scans_busy.get(),
         scans_closed: c.scans_closed.get(),
         scans_served_backing: c.scans_served_backing.get(),
-        scans_served_cache: c.scans_served_cache.get(),
         scans_served_mv: c.scans_served_mv.get(),
         scans_served_empty: c.scans_served_empty.get(),
         backing_scans: c.backing_scans.get(),
@@ -1295,9 +1072,6 @@ fn stats_of(c: &Counters) -> ServiceStats {
         window_ns: c.window_ns.snapshot(),
         plan_ns: c.plan_ns.snapshot(),
         fanout_ns: c.fanout_ns.snapshot(),
-        publish_ns: c.publish_ns.snapshot(),
-        cache_revalidated: c.cache_revalidated.get(),
-        cache_invalidated_components: c.cache_invalidated_components.get(),
     }
 }
 
@@ -1446,12 +1220,12 @@ where
     /// * every accepted submission resolves (`ingest.ok == ingest.resolved`);
     /// * every submitted write is applied or coalesced away
     ///   (`ingest.writes == ingest.writes_applied + ingest.writes_coalesced`);
-    /// * every accepted scan is served by exactly one of the backing, cache,
-    ///   mv, or empty paths (`scan.ok == scan.served_backing +
-    ///   scan.served_cache + scan.served_mv + scan.served_empty`).
+    /// * every accepted scan is served by exactly one of the backing, mv, or
+    ///   empty paths (`scan.ok == scan.served_backing + scan.served_mv +
+    ///   scan.served_empty`).
     pub fn register_obs(&self, registry: &Registry, prefix: &str) {
         let c = &self.core.counters;
-        let counters: [(&str, &Arc<Counter>); 20] = [
+        let counters: [(&str, &Arc<Counter>); 17] = [
             ("ingest.ok", &c.submits_ok),
             ("ingest.busy", &c.submits_busy),
             ("ingest.closed", &c.submits_closed),
@@ -1464,17 +1238,11 @@ where
             ("scan.busy", &c.scans_busy),
             ("scan.closed", &c.scans_closed),
             ("scan.served_backing", &c.scans_served_backing),
-            ("scan.served_cache", &c.scans_served_cache),
             ("scan.served_mv", &c.scans_served_mv),
             ("scan.served_empty", &c.scans_served_empty),
             ("scan.backing", &c.backing_scans),
             ("scan.backing_components", &c.backing_components),
             ("scan.requested_components", &c.requested_components),
-            ("scan.cache_revalidated", &c.cache_revalidated),
-            (
-                "scan.cache_invalidated_components",
-                &c.cache_invalidated_components,
-            ),
         ];
         for (name, counter) in counters {
             registry.register(
@@ -1482,14 +1250,13 @@ where
                 Metric::Counter(Arc::clone(counter)),
             );
         }
-        let histograms: [(&str, &Arc<Histogram>); 7] = [
+        let histograms: [(&str, &Arc<Histogram>); 6] = [
             ("ingest.latency_ns", &c.submit_latency),
             ("scan.latency_ns", &c.scan_latency),
             ("scan.backing_latency_ns", &c.backing_latency),
             ("scan.window_ns", &c.window_ns),
             ("scan.plan_ns", &c.plan_ns),
             ("scan.fanout_ns", &c.fanout_ns),
-            ("scan.publish_ns", &c.publish_ns),
         ];
         for (name, histogram) in histograms {
             registry.register(
@@ -1523,7 +1290,6 @@ where
             &[&format!("{prefix}.scan.ok")],
             &[
                 &format!("{prefix}.scan.served_backing"),
-                &format!("{prefix}.scan.served_cache"),
                 &format!("{prefix}.scan.served_mv"),
                 &format!("{prefix}.scan.served_empty"),
             ],

@@ -145,7 +145,4 @@ where
         *self.scans.lock().unwrap_or_else(|e| e.into_inner()) += 1;
         Some(result)
     }
-    fn shard_of(&self, component: usize) -> usize {
-        self.inner.shard_of(component)
-    }
 }

@@ -20,8 +20,8 @@ fn stale_requests_on_mv_backend_never_touch_the_backing_scan() {
     // A direct writer outside the service's pids: mv answers must see it.
     snapshot.update(ProcessId(2), 9, 99);
 
-    // The zero staleness bound makes every cached cut too old, so each of
-    // these requests is answered by `scan_stale` from the version chains.
+    // Every stale request is answered by `scan_stale` from the version
+    // chains, whatever its bound.
     for _ in 0..10 {
         let values = client
             .scan(vec![2, 7, 9], Freshness::AtMostStale(Duration::ZERO))
@@ -36,7 +36,7 @@ fn stale_requests_on_mv_backend_never_touch_the_backing_scan() {
     service.shutdown();
 
     // A backend with no version history has no mv tier to report: the same
-    // requests are answered by backing scans and the cache they fill.
+    // requests join backing unions and read the newest values.
     let service = SnapshotService::start(
         Arc::new(CasPartialSnapshot::new(16, 3, 0u64)),
         ServiceConfig::default(),
@@ -159,10 +159,7 @@ fn parallel_union_jobs_answer_shard_disjoint_batches_correctly() {
     assert_eq!(stats.scans_ok, 200, "{stats:?}");
     assert_eq!(
         stats.scans_ok,
-        stats.scans_served_backing
-            + stats.scans_served_cache
-            + stats.scans_served_mv
-            + stats.scans_served_empty,
+        stats.scans_served_backing + stats.scans_served_mv + stats.scans_served_empty,
         "serving-tier partition violated: {stats:?}"
     );
     service.shutdown();

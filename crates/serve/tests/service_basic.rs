@@ -243,73 +243,46 @@ fn concurrent_scans_coalesce_into_one_backing_scan() {
     service.shutdown();
 }
 
+/// On an object without version history a stale request joins the backing
+/// union: a fresh answer is inside any bound, so it sees every write that
+/// completed before it and costs one backing scan, like a fresh request.
+/// An empty request is still answered inline.
 #[test]
-fn freshness_bounds_choose_between_cache_and_backing() {
+fn stale_requests_on_a_history_free_object_join_the_backing_union() {
     let backing = gated(16);
     let executor = Executor::new(2);
     let service = SnapshotService::start(Arc::clone(&backing), ServiceConfig::default(), &executor);
     let client = service.client();
     client.submit(2, 22).unwrap().wait();
-
-    // A Fresh scan populates the cache.
     assert_eq!(
         client.scan(vec![2, 3], Freshness::Fresh).unwrap().wait(),
         vec![22, 0]
     );
     let after_first = backing.inner_scans();
 
-    // A generously bounded request is served from the cache: no new backing
-    // scan, same atomic view.
-    let cached = client
+    // A write completes after the Fresh scan; a generously bounded request
+    // must still see it, through one backing scan of its own.
+    client.submit(3, 33).unwrap().wait();
+    let stale = client
         .scan(vec![3, 2], Freshness::AtMostStale(Duration::from_secs(600)))
         .unwrap()
         .wait();
-    assert_eq!(cached, vec![0, 22]);
-    assert_eq!(backing.inner_scans(), after_first, "must be a cache hit");
-
-    // A zero bound can never be met by a cache entry; neither can a request
-    // for components the cache does not cover.
-    let _ = client
-        .scan(vec![2], Freshness::AtMostStale(Duration::ZERO))
-        .unwrap()
-        .wait();
+    assert_eq!(stale, vec![33, 22]);
     assert_eq!(backing.inner_scans(), after_first + 1);
-    let _ = client
-        .scan(vec![9], Freshness::AtMostStale(Duration::from_secs(600)))
-        .unwrap()
-        .wait();
-    assert_eq!(
-        backing.inner_scans(),
-        after_first + 2,
-        "uncovered component"
-    );
 
-    // Fresh always pays for a backing scan, cache or no cache.
-    let _ = client.scan(vec![2], Freshness::Fresh).unwrap().wait();
-    assert_eq!(backing.inner_scans(), after_first + 3);
-
-    // An empty request is answered inline: no backing scan, and — crucially —
-    // it must not wipe the freshness cache the previous scan populated.
+    // An empty request is answered inline: no backing scan.
     assert!(client
-        .scan(vec![], Freshness::Fresh)
+        .scan(vec![], Freshness::AtMostStale(Duration::from_secs(600)))
         .unwrap()
         .wait()
         .is_empty());
-    assert_eq!(backing.inner_scans(), after_first + 3);
-    let cached_again = client
-        .scan(vec![2], Freshness::AtMostStale(Duration::from_secs(600)))
-        .unwrap()
-        .wait();
-    assert_eq!(cached_again, vec![22]);
-    assert_eq!(
-        backing.inner_scans(),
-        after_first + 3,
-        "the cache must survive an interleaved empty scan"
-    );
+    assert_eq!(backing.inner_scans(), after_first + 1);
 
     let stats = service.stats();
-    assert_eq!(stats.scans_served_cache, 2);
-    assert_eq!(stats.scans_served_empty, 1);
+    assert_eq!(stats.scans_served_backing, 2, "{stats:?}");
+    assert_eq!(stats.scans_served_mv, 0, "{stats:?}");
+    assert_eq!(stats.scans_served_empty, 1, "{stats:?}");
+    assert_eq!(stats.backing_scans, 2, "{stats:?}");
     service.shutdown();
 }
 
@@ -432,7 +405,7 @@ fn shutdown_resolves_every_accepted_ticket_and_stats_partition() {
     );
     assert_eq!(
         stats.scans_ok,
-        stats.scans_served_backing + stats.scans_served_cache + stats.scans_served_empty,
+        stats.scans_served_backing + stats.scans_served_empty,
         "{stats:?}"
     );
     assert_eq!(stats.submits_closed, 1);

@@ -123,6 +123,12 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
         self.gens.shards()
     }
 
+    /// The shard owning `component` in the current generation (one epoch
+    /// pin; the answer can be stale as soon as a reshard lands).
+    pub fn shard_of(&self, component: usize) -> usize {
+        self.gens.shard_of(component)
+    }
+
     /// A clone of the current partition map (diagnostics and tests).
     pub fn partition_map(&self) -> PartitionMap {
         self.gens.partition_map()
@@ -400,10 +406,6 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
         // makes the combined cut consistent across shards exactly as in
         // `scan`.
         Some(self.scan_with_stamp(pid, components))
-    }
-
-    fn shard_of(&self, component: usize) -> usize {
-        self.gens.shard_of(component)
     }
 
     fn is_wait_free(&self) -> bool {

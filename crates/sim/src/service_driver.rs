@@ -44,11 +44,10 @@ pub struct ServiceDriverConfig {
     /// Capacity of the scan-request queue.
     pub scan_capacity: usize,
     /// Freshness bound every scanner role requests. The default is
-    /// [`Freshness::Fresh`]. `AtMostStale(Duration::ZERO)` routes scans
-    /// through the mv fast path (`scan_stale`) on multiversioned backends
-    /// while keeping the answers checkable against the client-observed
-    /// interval — the cut is taken inside the request's service time, so
-    /// the WGL checker applies unchanged.
+    /// [`Freshness::Fresh`]. Any `AtMostStale` bound routes scans through
+    /// the mv fast path (`scan_stale`) on multiversioned backends and into
+    /// the backing union elsewhere. Either way the cut is taken inside the
+    /// request's service time, so the WGL checker applies unchanged.
     pub scanner_freshness: Freshness,
     /// Also enable the scenario's chaos configuration on the executor
     /// ([`ExecutorConfig::chaos`]): its workers and every thread that enters

@@ -71,10 +71,10 @@ const CLIENT_SCAN_ALLOCATIONS: f64 = 2.0;
 const SERVER_SUBMIT_ALLOCATIONS: f64 = 9.0;
 
 /// Everything else in the process, per r = 16 scan: the decoded component
-/// vector (wire); the ticket's cell, the drained request list, two round
-/// vectors and the freshness-cache entry (serve); the union's two vectors
-/// and the backing scan's result (shard).
-const SERVER_SCAN_ALLOCATIONS: f64 = 9.0;
+/// vector (wire); the ticket's cell, the drained request list and two
+/// round vectors (serve); the union's two vectors and the backing scan's
+/// result (shard).
+const SERVER_SCAN_ALLOCATIONS: f64 = 8.0;
 
 const M: usize = 256;
 const SHARDS: usize = 4;

@@ -4,7 +4,7 @@
 //! the sharded store's scan counters and per-shard heat, and the
 //! service frontend's queue gauges and latency histograms all register
 //! their *live* handles into a single `Registry`, whose partition
-//! invariants (`accepted == resolved`, `scans == backing + cache + empty`,
+//! invariants (`accepted == resolved`, `scans == backing + mv + empty`,
 //! ...) are checked at the end. Trace collection — off by default, it is a
 //! debugging tool, not a production tax — is switched on so the merged
 //! timeline shows one coalesced scan end to end: queue pushes, the drain,

@@ -33,9 +33,9 @@ const AUDITS: u64 = 5_000;
 /// Runs `UPDATERS` transfer threads against `snapshot` while an auditor
 /// checks, with one atomic cross-shard partial scan per check, that no money
 /// is created or destroyed. Midway the auditor splits the shard holding
-/// account 0 and later merges the new shard back; on an unsharded object
-/// both requests are refused.
-fn run(snapshot: Arc<dyn PartialSnapshot<u64>>, label: &str) {
+/// account 0 (as `shard_of` names it) and later merges the new shard back;
+/// on an unsharded object both requests are refused.
+fn run(snapshot: Arc<dyn PartialSnapshot<u64>>, shard_of: impl Fn(usize) -> usize, label: &str) {
     // Every account starts with the same balance; each updater owns a
     // disjoint slice of accounts and moves value between the two ends of
     // its slice, preserving its slice's total.
@@ -72,12 +72,12 @@ fn run(snapshot: Arc<dyn PartialSnapshot<u64>>, label: &str) {
     let mut reshards = Vec::new();
     for round in 0..AUDITS {
         if round == AUDITS / 3 {
-            let shard = snapshot.shard_of(0);
+            let shard = shard_of(0);
             reshards.push(("split", snapshot.reshard(ReshardOp::Split { shard })));
         }
         if round == 2 * AUDITS / 3 {
             let newest = snapshot.shard_sizes().len().saturating_sub(1);
-            let into = snapshot.shard_of(0);
+            let into = shard_of(0);
             reshards.push((
                 "merge",
                 snapshot.reshard(ReshardOp::Merge { from: newest, into }),
@@ -117,6 +117,7 @@ fn main() {
 
     run(
         Arc::new(CasPartialSnapshot::new(M, UPDATERS + 1, 0u64)),
+        |_| 0,
         "unsharded",
     );
 
@@ -128,6 +129,7 @@ fn main() {
     ));
     run(
         Arc::clone(&sharded) as Arc<dyn PartialSnapshot<u64>>,
+        |component| sharded.shard_of(component),
         "sharded-k8",
     );
     // Every balance survived both migrations: the sum of each updater's

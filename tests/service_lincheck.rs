@@ -16,7 +16,7 @@ use partial_snapshot::lincheck::{check_history, check_monotone_history};
 use partial_snapshot::serve::{Coalescing, Freshness};
 use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::sim::{run_scenario_via_service, Scenario, ServiceDriverConfig};
-use partial_snapshot::snapshot::{CasPartialSnapshot, MvSnapshot};
+use partial_snapshot::snapshot::{CasPartialSnapshot, MvSnapshot, PartialSnapshot};
 
 fn driver(coalescing: Coalescing) -> ServiceDriverConfig {
     ServiceDriverConfig {
@@ -90,35 +90,72 @@ fn coalesced_histories_over_the_sharded_store_are_linearizable() {
     }
 }
 
+/// The staleness bounds the stale-history tests request: zero, and one far
+/// longer than any run. Every answer the service gives is linearizable, so
+/// the bound must not matter to the checker.
+const STALE_BOUNDS: [Duration; 2] = [Duration::ZERO, Duration::from_secs(60)];
+
+/// Runs scenario `seed` of `scenario` against `snapshot`, its scanners
+/// requesting `AtMostStale` at each of [`STALE_BOUNDS`] under a 100 µs
+/// coalescing window, and checks every client-observed history with the
+/// exhaustive WGL checker.
+fn assert_stale_histories_linearizable<S>(
+    label: &str,
+    seeds: std::ops::Range<u64>,
+    scenario: impl Fn(u64) -> Scenario,
+    snapshot: impl Fn(&Scenario) -> S,
+) where
+    S: PartialSnapshot<u64> + 'static,
+{
+    for bound in STALE_BOUNDS {
+        for seed in seeds.clone() {
+            let scenario = scenario(seed);
+            let history = run_scenario_via_service(
+                Arc::new(snapshot(&scenario)),
+                &scenario,
+                &ServiceDriverConfig {
+                    coalescing: Coalescing::Window(Duration::from_micros(100)),
+                    scanner_freshness: Freshness::AtMostStale(bound),
+                    ..ServiceDriverConfig::default()
+                },
+            );
+            assert_eq!(history.len(), scenario.total_ops());
+            assert!(
+                check_history(&history).is_linearizable(),
+                "seed {seed}, bound {bound:?}: {label} stale service history not linearizable"
+            );
+        }
+    }
+}
+
 #[test]
 fn mv_backed_stale_histories_are_linearizable() {
-    // Scanners request `AtMostStale(0)`: the zero bound makes the cache tier
-    // unusable (any cached cut is strictly older than the bound), so on a
-    // multiversioned backend every one of these scans is answered by the mv
+    // On a multiversioned backend every stale scan is answered by the mv
     // fast path — `scan_stale`'s announce→tick→read_at cut at its announced
-    // timestamp — with **no** backing union scans. That cut linearizes
-    // inside the request's service time, so the exhaustive WGL checker
-    // applies to the client-observed history unchanged: this is the
-    // conformance proof that coalesced `AtMostStale` answers are legal
-    // snapshots at their announced timestamps.
-    for seed in 0..12 {
-        let scenario = Scenario::random_small(seed ^ 0x57A1E);
-        let snapshot = Arc::new(MvSnapshot::new(scenario.components, 2, 0u64));
-        let history = run_scenario_via_service(
-            Arc::clone(&snapshot),
-            &scenario,
-            &ServiceDriverConfig {
-                coalescing: Coalescing::Window(Duration::from_micros(100)),
-                scanner_freshness: Freshness::AtMostStale(Duration::ZERO),
-                ..ServiceDriverConfig::default()
-            },
-        );
-        assert_eq!(history.len(), scenario.total_ops());
-        assert!(
-            check_history(&history).is_linearizable(),
-            "seed {seed}: mv-backed stale service history not linearizable"
-        );
-    }
+    // timestamp — with **no** backing union scans, whatever its bound. That
+    // cut linearizes inside the request's service time, so the exhaustive
+    // WGL checker applies to the client-observed history unchanged: this is
+    // the conformance proof that `AtMostStale` answers are legal snapshots
+    // at their announced timestamps.
+    assert_stale_histories_linearizable(
+        "mv-backed",
+        0..25,
+        |seed| Scenario::random_small(seed ^ 0x57A1E),
+        |scenario| MvSnapshot::new(scenario.components, 2, 0u64),
+    );
+}
+
+#[test]
+fn cas_backed_stale_histories_are_linearizable() {
+    // A backend without version history has no mv tier: its stale scans
+    // join the round's backing union beside the fresh ones, and are checked
+    // just as strictly.
+    assert_stale_histories_linearizable(
+        "cas-backed",
+        0..25,
+        |seed| Scenario::random_small(seed ^ 0x57A1E),
+        |scenario| CasPartialSnapshot::new(scenario.components, 2, 0u64),
+    );
 }
 
 #[test]
@@ -128,28 +165,19 @@ fn mv_sharded_stale_histories_are_linearizable_with_parallel_unions() {
     // shard, one shared-camera tick), and the Fresh requests that remain
     // go into one cross-shard union on the scan server's pid. Both paths
     // must yield linearizable client-observed histories.
-    for seed in 0..10 {
-        let scenario = Scenario::random_cross_shard(seed ^ 0x3A12D, 2);
-        let snapshot = Arc::new(MvShardedSnapshot::new(
-            scenario.components,
-            2, // drainer + scan server
-            0u64,
-            ShardConfig::multiversioned(2),
-        ));
-        let history = run_scenario_via_service(
-            Arc::clone(&snapshot),
-            &scenario,
-            &ServiceDriverConfig {
-                coalescing: Coalescing::Window(Duration::from_micros(100)),
-                scanner_freshness: Freshness::AtMostStale(Duration::ZERO),
-                ..ServiceDriverConfig::default()
-            },
-        );
-        assert!(
-            check_history(&history).is_linearizable(),
-            "seed {seed}: mv-sharded stale service history not linearizable"
-        );
-    }
+    assert_stale_histories_linearizable(
+        "mv-sharded",
+        0..10,
+        |seed| Scenario::random_cross_shard(seed ^ 0x3A12D, 2),
+        |scenario| {
+            MvShardedSnapshot::new(
+                scenario.components,
+                2, // drainer + scan server
+                0u64,
+                ShardConfig::multiversioned(2),
+            )
+        },
+    );
 }
 
 #[test]
