@@ -31,7 +31,7 @@
 //! * **Wait-freedom and linearizability**: every operation finishes in a
 //!   bounded number of its own steps, and all completed operations are
 //!   consistent with a single sequential order (checked mechanically by the
-//!   `psnap-lincheck` test suites).
+//!   `psnap-sim` lincheck test suites).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};

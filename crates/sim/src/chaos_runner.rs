@@ -1,11 +1,12 @@
 //! Seeded fuzzing of schedules: run many perturbed executions of the same
 //! scenario shape and check every resulting history.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use psnap_core::PartialSnapshot;
-use psnap_lincheck::{check_history, check_monotone_history, History, LinResult, Violation};
 
+use crate::lincheck::{check_history, check_monotone_history, History, LinResult, Violation};
 use crate::runner::run_scenario;
 use crate::scenario::Scenario;
 
@@ -46,7 +47,7 @@ impl FuzzOutcome {
 
 /// Runs `seeds` small adversarial schedules (via [`Scenario::random_small`])
 /// against fresh objects produced by `factory` and WGL-checks every history.
-pub fn fuzz_small_schedules<S, F>(factory: F, seeds: std::ops::Range<u64>) -> FuzzOutcome
+pub fn fuzz_small_schedules<S, F>(factory: F, seeds: Range<u64>) -> FuzzOutcome
 where
     S: PartialSnapshot<u64> + ?Sized + 'static,
     F: Fn(&Scenario) -> Arc<S>,
@@ -72,9 +73,15 @@ where
     }
 }
 
-/// The shared stress-fuzzing loop: runs one scenario per seed against a
-/// fresh object and monotone-checks every history.
-fn fuzz_monotone<S, F, G>(factory: F, make_scenario: G, seeds: std::ops::Range<u64>) -> FuzzOutcome
+/// Runs one stress scenario per seed (`make_scenario(seed)`, typically
+/// [`Scenario::stress`] or [`Scenario::stress_batched`]) against a fresh
+/// object produced by `factory` and applies the scalable monotone checks to
+/// every history.
+pub fn fuzz_stress_schedules<S, F, G>(
+    factory: F,
+    make_scenario: G,
+    seeds: Range<u64>,
+) -> FuzzOutcome
 where
     S: PartialSnapshot<u64> + ?Sized + 'static,
     F: Fn(&Scenario) -> Arc<S>,
@@ -100,77 +107,6 @@ where
         schedules,
         operations,
     }
-}
-
-/// Runs `seeds` large stress schedules against fresh objects produced by
-/// `factory` and applies the scalable monotone checks to every history.
-#[allow(clippy::too_many_arguments)]
-pub fn fuzz_stress_schedules<S, F>(
-    factory: F,
-    components: usize,
-    updaters: usize,
-    scanners: usize,
-    ops_per_updater: usize,
-    ops_per_scanner: usize,
-    r: usize,
-    seeds: std::ops::Range<u64>,
-) -> FuzzOutcome
-where
-    S: PartialSnapshot<u64> + ?Sized + 'static,
-    F: Fn(&Scenario) -> Arc<S>,
-{
-    fuzz_monotone(
-        factory,
-        |seed| {
-            Scenario::stress(
-                components,
-                updaters,
-                scanners,
-                ops_per_updater,
-                ops_per_scanner,
-                r,
-                seed,
-            )
-        },
-        seeds,
-    )
-}
-
-/// Like [`fuzz_stress_schedules`] but with batched updaters: each updater op
-/// is an atomic `update_many` of `batch` components (see
-/// [`Scenario::stress_batched`]).
-#[allow(clippy::too_many_arguments)]
-pub fn fuzz_batched_stress_schedules<S, F>(
-    factory: F,
-    components: usize,
-    updaters: usize,
-    scanners: usize,
-    ops_per_updater: usize,
-    ops_per_scanner: usize,
-    r: usize,
-    batch: usize,
-    seeds: std::ops::Range<u64>,
-) -> FuzzOutcome
-where
-    S: PartialSnapshot<u64> + ?Sized + 'static,
-    F: Fn(&Scenario) -> Arc<S>,
-{
-    fuzz_monotone(
-        factory,
-        |seed| {
-            Scenario::stress_batched(
-                components,
-                updaters,
-                scanners,
-                ops_per_updater,
-                ops_per_scanner,
-                r,
-                batch,
-                seed,
-            )
-        },
-        seeds,
-    )
 }
 
 #[cfg(test)]
@@ -199,12 +135,7 @@ mod tests {
     fn stress_fuzzing_the_cas_snapshot_passes() {
         let outcome = fuzz_stress_schedules(
             |s| Arc::new(CasPartialSnapshot::new(s.components, s.processes(), 0u64)),
-            16,
-            2,
-            2,
-            200,
-            100,
-            4,
+            |seed| Scenario::stress(16, 2, 2, 200, 100, 4, seed),
             0..2,
         );
         assert!(outcome.passed(), "{outcome:?}");

@@ -214,10 +214,10 @@ impl History {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn update(pid: usize, c: usize, v: u64, inv: u64, ret: u64) -> OpRecord {
+    pub(crate) fn update(pid: usize, c: usize, v: u64, inv: u64, ret: u64) -> OpRecord {
         OpRecord {
             pid: ProcessId(pid),
             op: Operation::Update {
@@ -230,7 +230,7 @@ mod tests {
         }
     }
 
-    fn scan(pid: usize, comps: &[usize], vals: &[u64], inv: u64, ret: u64) -> OpRecord {
+    pub(crate) fn scan(pid: usize, comps: &[usize], vals: &[u64], inv: u64, ret: u64) -> OpRecord {
         OpRecord {
             pid: ProcessId(pid),
             op: Operation::Scan {
@@ -239,6 +239,26 @@ mod tests {
             result: OpResult::Values(vals.to_vec()),
             invoked_at: inv,
             returned_at: ret,
+        }
+    }
+
+    pub(crate) fn batch(pid: usize, writes: &[(usize, u64)], inv: u64, ret: u64) -> OpRecord {
+        OpRecord {
+            pid: ProcessId(pid),
+            op: Operation::BatchUpdate {
+                writes: writes.to_vec(),
+            },
+            result: OpResult::Ack,
+            invoked_at: inv,
+            returned_at: ret,
+        }
+    }
+
+    pub(crate) fn history(m: usize, ops: Vec<OpRecord>) -> History {
+        History {
+            ops,
+            components: m,
+            initial: 0,
         }
     }
 

@@ -1,12 +1,12 @@
 //! History recording and linearizability checking for (partial) snapshot
-//! objects.
+//! objects, in one import path.
 //!
 //! The paper's claims about Figures 1–3 are correctness claims —
-//! linearizability and wait-freedom. This crate provides the machinery the
-//! test suites use to verify them mechanically on real concurrent executions:
+//! linearizability and wait-freedom. These are the machinery the test suites
+//! use to verify them mechanically on real concurrent executions:
 //!
 //! * [`history`] — operation records with logical invocation/response
-//!   timestamps, produced by the scenario runner in `psnap-sim`;
+//!   timestamps, produced by the scenario runner;
 //! * [`spec`] — the sequential specification of a partial snapshot object;
 //! * [`wgl`] — an exhaustive Wing–Gong linearizability checker for small
 //!   adversarial histories (up to [`wgl::MAX_OPS`] operations);
@@ -14,15 +14,8 @@
 //!   reads from the future, stale reads, scan-order violations, incomparable
 //!   scans) for stress histories with tens of thousands of operations.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod history;
-pub mod monotone;
-pub mod spec;
-pub mod wgl;
-
-pub use history::{History, LogicalClock, OpRecord, OpResult, Operation};
-pub use monotone::{check_monotone_history, Violation};
-pub use spec::SnapshotSpec;
-pub use wgl::{check_history, LinResult, MAX_OPS};
+pub use crate::history::{History, LogicalClock, OpRecord, OpResult, Operation};
+pub use crate::monotone::{check_monotone_history, Violation};
+pub use crate::spec::SnapshotSpec;
+pub use crate::wgl::{check_history, LinResult, MAX_OPS};
+pub use crate::{history, monotone, spec, wgl};

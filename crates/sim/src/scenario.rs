@@ -7,7 +7,7 @@
 //! [`psnap_core::PartialSnapshot`] implementation and records the history.
 //!
 //! Scenarios follow the *monotone single-writer discipline* expected by the
-//! scalable checker in `psnap-lincheck`: every component is owned by at most
+//! scalable checker in [`crate::lincheck`]: every component is owned by at most
 //! one updater and the values written to it strictly increase. Small
 //! adversarial scenarios (for the exhaustive WGL checker) are generated by
 //! [`Scenario::random_small`].

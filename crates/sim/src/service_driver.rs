@@ -1,77 +1,129 @@
 //! Runs scenarios through the `psnap-serve` frontend instead of calling the
 //! snapshot object directly.
 //!
-//! Every [`Role`] of the scenario becomes a *service client* on its own OS
-//! thread: updaters submit through [`psnap_serve::ClientHandle::submit`],
-//! batch updaters through `submit_batch`, scanners through `scan` with the
-//! configured [`Freshness`] bound ([`Freshness::Fresh`] by default) — each
-//! operation awaited to completion before the
-//! next, so the per-process histories stay sequential. The recorded
-//! [`History`] spans the *client-observed* interval of each operation
-//! (enqueue to ticket resolution), which is exactly what linearizability is
-//! about for a service: the coalesced `update_many` an ingest round issues
-//! and the shared backing scan a scan round issues must both land inside
-//! every participating client's interval. Feeding these histories to the WGL and
-//! monotone checkers is therefore the conformance proof the ISSUE asks for —
-//! a coalesced scan answer must still be a legal linearizable partial scan.
+//! Every [`Role`](crate::Role) of the scenario becomes a *service client* on
+//! its own OS thread: updaters submit through
+//! [`psnap_serve::ClientHandle::submit`], batch updaters through
+//! `submit_batch`, scanners through `scan` with the configured
+//! [`Freshness`] bound ([`Freshness::Fresh`] by default) — each operation
+//! awaited to completion before the next, so the per-process histories stay
+//! sequential. The recorded [`History`] spans the *client-observed* interval
+//! of each operation (enqueue to ticket resolution), which is exactly what
+//! linearizability is about for a service: the coalesced `update_many` an
+//! ingest round issues and the shared backing scan a scan round issues must
+//! both land inside every participating client's interval. Feeding these
+//! histories to the WGL and monotone checkers is therefore the conformance
+//! proof — a coalesced scan answer must still be a legal linearizable
+//! partial scan.
 //!
 //! Chaos wiring: the scenario's chaos configuration is applied to the client
 //! threads — which combine, so the queue seams (ingest combiner parked
 //! mid-coalesce, scan combiner parked mid-union) are exercised by the same
-//! adversarial schedules as the in-process runners — and (via
-//! [`ServiceDriverConfig::chaos_in_service`]) to the executor.
+//! adversarial schedules as the in-process runners — and to the executor.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use psnap_core::PartialSnapshot;
-use psnap_lincheck::{History, LogicalClock, OpRecord, OpResult, Operation};
+use psnap_serve::SubmitError::Busy;
 use psnap_serve::{
-    Coalescing, Executor, ExecutorConfig, Freshness, ServiceConfig, SnapshotService, SubmitError,
+    ClientHandle, Coalescing, Executor, ExecutorConfig, Freshness, ServiceConfig, SnapshotService,
 };
-use psnap_shmem::chaos;
 
-use crate::scenario::{Role, Scenario};
+use crate::lincheck::History;
+use crate::runner::{check_fits, retry_busy, run_roles, Frontend};
+use crate::scenario::Scenario;
+
+/// Executor worker threads of a driven service.
+const WORKERS: usize = 2;
+/// Capacity of each client's ingestion queue.
+const INGEST_CAPACITY: usize = 16;
+/// Capacity of the scan-request queue.
+const SCAN_CAPACITY: usize = 64;
 
 /// How the service is set up for a scenario run.
 #[derive(Clone, Debug)]
 pub struct ServiceDriverConfig {
     /// Scan-merging policy of the service under test.
     pub coalescing: Coalescing,
-    /// Executor worker threads.
-    pub workers: usize,
-    /// Capacity of each client's ingestion queue.
-    pub ingest_capacity: usize,
-    /// Capacity of the scan-request queue.
-    pub scan_capacity: usize,
     /// Freshness bound every scanner role requests. The default is
     /// [`Freshness::Fresh`]. Any `AtMostStale` bound routes scans through
     /// the mv fast path (`scan_stale`) on multiversioned backends and into
     /// the backing union elsewhere. Either way the cut is taken inside the
     /// request's service time, so the WGL checker applies unchanged.
     pub scanner_freshness: Freshness,
-    /// Also enable the scenario's chaos configuration on the executor
-    /// ([`ExecutorConfig::chaos`]): its workers and every thread that enters
-    /// it, such as a wire server's connection and reply-pump threads, which
-    /// run the service pipelines for their connections.
-    pub chaos_in_service: bool,
     /// Scan-latency SLO forwarded to [`ServiceConfig::scan_slo`]: a scan
     /// answered later than this fires the service's latency anomaly
     /// trigger when the flight recorder is armed. `None` (the default)
     /// disables the trigger.
-    pub scan_slo: Option<std::time::Duration>,
+    pub scan_slo: Option<Duration>,
 }
 
 impl Default for ServiceDriverConfig {
     fn default() -> Self {
         ServiceDriverConfig {
-            coalescing: Coalescing::Window(std::time::Duration::ZERO),
-            workers: 2,
-            ingest_capacity: 16,
-            scan_capacity: 64,
+            coalescing: Coalescing::Window(Duration::ZERO),
             scanner_freshness: Freshness::Fresh,
-            chaos_in_service: true,
             scan_slo: None,
         }
+    }
+}
+
+/// Checks that `scenario` fits `snapshot` and starts the service a driver
+/// runs it through. The scenario's chaos also perturbs the executor, seeded
+/// with `chaos_salt` mixed in: its workers and every thread that enters it,
+/// such as a wire server's connection and reply-pump threads, which run the
+/// service pipelines for their connections.
+pub(crate) fn start_service<S>(
+    snapshot: &Arc<S>,
+    scenario: &Scenario,
+    driver: &ServiceDriverConfig,
+    chaos_salt: u64,
+) -> (Executor, SnapshotService<u64, Arc<S>>)
+where
+    S: PartialSnapshot<u64> + 'static,
+{
+    check_fits(&**snapshot, scenario);
+    let executor = Executor::with_config(ExecutorConfig {
+        workers: WORKERS,
+        chaos: scenario
+            .chaos
+            .as_ref()
+            .map(|c| (c.seed ^ chaos_salt, c.config.clone())),
+    });
+    let service = SnapshotService::start(
+        Arc::clone(snapshot),
+        ServiceConfig {
+            ingest_capacity: INGEST_CAPACITY,
+            scan_capacity: SCAN_CAPACITY,
+            coalescing: driver.coalescing,
+            scan_slo: driver.scan_slo,
+            ..ServiceConfig::default()
+        },
+        &executor,
+    );
+    (executor, service)
+}
+
+/// A role's service client: each operation waits for its ticket, `Busy`
+/// rejections are retried.
+struct Client<S: PartialSnapshot<u64>> {
+    handle: ClientHandle<u64, S>,
+    freshness: Freshness,
+}
+
+impl<S: PartialSnapshot<u64> + 'static> Frontend for Client<S> {
+    fn update(&self, component: usize, value: u64) {
+        retry_busy(Busy, || self.handle.submit(component, value)).wait()
+    }
+    fn update_many(&self, writes: &[(usize, u64)]) {
+        retry_busy(Busy, || self.handle.submit_batch(writes.to_vec())).wait()
+    }
+    fn scan(&self, components: &[usize]) -> Vec<u64> {
+        retry_busy(Busy, || {
+            self.handle.scan(components.to_vec(), self.freshness)
+        })
+        .wait()
     }
 }
 
@@ -90,189 +142,20 @@ pub fn run_scenario_via_service<S>(
 where
     S: PartialSnapshot<u64> + 'static,
 {
-    scenario
-        .validate()
-        .expect("scenario must be valid before it is run");
-    assert!(
-        snapshot.components() >= scenario.components,
-        "snapshot object too small for the scenario"
-    );
-    let executor = Executor::with_config(ExecutorConfig {
-        workers: driver.workers.max(1),
-        chaos: scenario
-            .chaos
-            .as_ref()
-            .filter(|_| driver.chaos_in_service)
-            .map(|c| (c.seed ^ 0x5E44_1CE0, c.config.clone())),
-    });
-    // Resharder roles bypass the client API: resharding is operator-plane
-    // reconfiguration of the backing object (the serve layer's own driver
-    // does the same), so they keep a direct handle.
-    let backing = Arc::clone(&snapshot);
-    let service = SnapshotService::start(
-        snapshot,
-        ServiceConfig {
-            ingest_capacity: driver.ingest_capacity,
-            scan_capacity: driver.scan_capacity,
-            coalescing: driver.coalescing,
-            scan_slo: driver.scan_slo,
-            ..ServiceConfig::default()
-        },
-        &executor,
-    );
-
-    let clock = LogicalClock::new();
-    let barrier = Arc::new(std::sync::Barrier::new(scenario.processes()));
-    let n = scenario.processes();
-    let logs: Vec<Vec<OpRecord>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = scenario
-            .roles
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(pid, role)| {
-                let client = service.client();
-                let backing = Arc::clone(&backing);
-                let clock = clock.clone();
-                let barrier = Arc::clone(&barrier);
-                let chaos_cfg = scenario.chaos.clone();
-                let freshness = driver.scanner_freshness;
-                scope.spawn(move || {
-                    let _chaos_guard =
-                        chaos_cfg.map(|c| chaos::enable(c.seed.wrapping_add(pid as u64), c.config));
-                    barrier.wait();
-                    run_client_role(&client, &backing, pid, n, &role, &clock, freshness)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("service client thread panicked"))
-            .collect()
+    let (_executor, service) = start_service(&snapshot, scenario, driver, 0x5E44_1CE0);
+    let history = run_roles(&*snapshot, scenario, false, |_| Client {
+        handle: service.client(),
+        freshness: driver.scanner_freshness,
     });
     service.shutdown();
-    History::from_logs(scenario.components, scenario.initial, logs)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_client_role<S>(
-    client: &psnap_serve::ClientHandle<u64, S>,
-    backing: &S,
-    pid: usize,
-    processes: usize,
-    role: &Role,
-    clock: &LogicalClock,
-    freshness: Freshness,
-) -> Vec<OpRecord>
-where
-    S: PartialSnapshot<u64> + 'static,
-{
-    let mut log = Vec::new();
-    let pid_tag = psnap_shmem::ProcessId(pid);
-    match role {
-        Role::Updater { components, ops } => {
-            for k in 0..*ops {
-                let component = components[k % components.len()];
-                let value = (k as u64 + 1) * processes as u64 + pid as u64 + 1;
-                let invoked_at = clock.now();
-                submit_retrying(client, component, value);
-                let returned_at = clock.now();
-                log.push(OpRecord {
-                    pid: pid_tag,
-                    op: Operation::Update { component, value },
-                    result: OpResult::Ack,
-                    invoked_at,
-                    returned_at,
-                });
-            }
-        }
-        Role::BatchUpdater {
-            components,
-            ops,
-            batch,
-        } => {
-            let width = (*batch).clamp(1, components.len());
-            for k in 0..*ops {
-                let value = (k as u64 + 1) * processes as u64 + pid as u64 + 1;
-                let writes: Vec<(usize, u64)> = (0..width)
-                    .map(|i| (components[(k * width + i) % components.len()], value))
-                    .collect();
-                let invoked_at = clock.now();
-                loop {
-                    match client.submit_batch(writes.clone()) {
-                        Ok(ticket) => {
-                            ticket.wait();
-                            break;
-                        }
-                        Err(SubmitError::Busy) => std::thread::yield_now(),
-                        Err(SubmitError::Closed) => {
-                            panic!("service closed under a live batch updater")
-                        }
-                    }
-                }
-                let returned_at = clock.now();
-                log.push(OpRecord {
-                    pid: pid_tag,
-                    op: Operation::BatchUpdate { writes },
-                    result: OpResult::Ack,
-                    invoked_at,
-                    returned_at,
-                });
-            }
-        }
-        Role::Scanner { scans } => {
-            for components in scans {
-                let invoked_at = clock.now();
-                let values = client
-                    .scan_blocking(components, freshness)
-                    .expect("service closed under a live scanner");
-                let returned_at = clock.now();
-                log.push(OpRecord {
-                    pid: pid_tag,
-                    op: Operation::Scan {
-                        components: components.clone(),
-                    },
-                    result: OpResult::Values(values),
-                    invoked_at,
-                    returned_at,
-                });
-            }
-        }
-        Role::Resharder { ops } => {
-            // Operator-plane reconfiguration against the backing object
-            // while the clients keep the service busy; records nothing.
-            for &op in ops {
-                std::thread::yield_now();
-                let _ = backing.reshard(op);
-                std::thread::yield_now();
-            }
-        }
-    }
-    log
-}
-
-fn submit_retrying<S: PartialSnapshot<u64> + 'static>(
-    client: &psnap_serve::ClientHandle<u64, S>,
-    component: usize,
-    value: u64,
-) {
-    loop {
-        match client.submit(component, value) {
-            Ok(ticket) => {
-                ticket.wait();
-                return;
-            }
-            Err(SubmitError::Busy) => std::thread::yield_now(),
-            Err(SubmitError::Closed) => panic!("service closed under a live updater"),
-        }
-    }
+    history
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lincheck::{check_history, check_monotone_history};
     use psnap_core::CasPartialSnapshot;
-    use psnap_lincheck::{check_history, check_monotone_history};
 
     #[test]
     fn service_histories_of_small_scenarios_are_linearizable() {
@@ -305,7 +188,7 @@ mod tests {
             snapshot,
             &scenario,
             &ServiceDriverConfig {
-                scan_slo: Some(std::time::Duration::ZERO),
+                scan_slo: Some(Duration::ZERO),
                 ..ServiceDriverConfig::default()
             },
         );

@@ -134,41 +134,7 @@ impl Searcher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{OpResult, Operation};
-    use psnap_shmem::ProcessId;
-
-    fn update(pid: usize, c: usize, v: u64, inv: u64, ret: u64) -> OpRecord {
-        OpRecord {
-            pid: ProcessId(pid),
-            op: Operation::Update {
-                component: c,
-                value: v,
-            },
-            result: OpResult::Ack,
-            invoked_at: inv,
-            returned_at: ret,
-        }
-    }
-
-    fn scan(pid: usize, comps: &[usize], vals: &[u64], inv: u64, ret: u64) -> OpRecord {
-        OpRecord {
-            pid: ProcessId(pid),
-            op: Operation::Scan {
-                components: comps.to_vec(),
-            },
-            result: OpResult::Values(vals.to_vec()),
-            invoked_at: inv,
-            returned_at: ret,
-        }
-    }
-
-    fn history(m: usize, ops: Vec<OpRecord>) -> History {
-        History {
-            ops,
-            components: m,
-            initial: 0,
-        }
-    }
+    use crate::history::tests::{batch, history, scan, update};
 
     #[test]
     fn empty_history_is_linearizable() {
@@ -334,18 +300,6 @@ mod tests {
             ],
         );
         assert_eq!(check_history(&bad), LinResult::NotLinearizable);
-    }
-
-    fn batch(pid: usize, writes: &[(usize, u64)], inv: u64, ret: u64) -> OpRecord {
-        OpRecord {
-            pid: ProcessId(pid),
-            op: Operation::BatchUpdate {
-                writes: writes.to_vec(),
-            },
-            result: OpResult::Ack,
-            invoked_at: inv,
-            returned_at: ret,
-        }
     }
 
     #[test]

@@ -15,14 +15,16 @@
 //! comparable across the two drivers.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use psnap_core::PartialSnapshot;
-use psnap_lincheck::{History, LogicalClock, OpRecord, OpResult, Operation};
-use psnap_serve::{Executor, ExecutorConfig, Freshness, ServiceConfig, SnapshotService};
+use psnap_serve::Freshness;
 use psnap_wire::{RemoteClientHandle, WireError, WireServer, WireServerConfig};
 
-use crate::scenario::{Role, Scenario};
-use crate::service_driver::ServiceDriverConfig;
+use crate::lincheck::History;
+use crate::runner::{retry_busy, run_roles, Frontend};
+use crate::scenario::Scenario;
+use crate::service_driver::{start_service, ServiceDriverConfig};
 
 /// Which socket family carries the scenario's traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,6 +33,42 @@ pub enum WireTransport {
     Tcp,
     /// A unix-domain socket in the system temp directory.
     Unix,
+}
+
+/// A role's remote client: each operation waits for its reply, `busy`
+/// replies are retried, and the connection closes gracefully when the role
+/// drops it.
+struct Remote {
+    client: Option<RemoteClientHandle>,
+    freshness: Freshness,
+}
+
+impl Remote {
+    fn retry<T>(&self, op: impl Fn(&RemoteClientHandle) -> Result<T, WireError>) -> T {
+        let client = self.client.as_ref().expect("open until dropped");
+        retry_busy(WireError::Busy, || op(client))
+    }
+}
+
+impl Frontend for Remote {
+    fn update(&self, component: usize, value: u64) {
+        self.retry(|c| c.submit_blocking(component, value))
+    }
+    fn update_many(&self, writes: &[(usize, u64)]) {
+        self.retry(|c| c.submit_batch(writes.to_vec())?.wait())
+    }
+    fn scan(&self, components: &[usize]) -> Vec<u64> {
+        self.retry(|c| c.scan_blocking(components.to_vec(), self.freshness))
+    }
+}
+
+impl Drop for Remote {
+    fn drop(&mut self) {
+        // A failed role unwinds without waiting on the server.
+        if let Some(client) = self.client.take().filter(|_| !std::thread::panicking()) {
+            client.close();
+        }
+    }
 }
 
 /// Runs `scenario` against `snapshot` through a wire server on a real
@@ -50,33 +88,8 @@ pub fn run_scenario_via_wire<S>(
 where
     S: PartialSnapshot<u64> + 'static,
 {
-    scenario
-        .validate()
-        .expect("scenario must be valid before it is run");
-    assert!(
-        snapshot.components() >= scenario.components,
-        "snapshot object too small for the scenario"
-    );
-    let executor = Executor::with_config(ExecutorConfig {
-        workers: driver.workers.max(1),
-        chaos: scenario
-            .chaos
-            .as_ref()
-            .filter(|_| driver.chaos_in_service)
-            .map(|c| (c.seed ^ 0x313E_D21E, c.config.clone())),
-    });
-    let backing = Arc::clone(&snapshot);
-    let service = Arc::new(SnapshotService::start(
-        snapshot,
-        ServiceConfig {
-            ingest_capacity: driver.ingest_capacity,
-            scan_capacity: driver.scan_capacity,
-            coalescing: driver.coalescing,
-            scan_slo: driver.scan_slo,
-            ..ServiceConfig::default()
-        },
-        &executor,
-    ));
+    let (executor, service) = start_service(&snapshot, scenario, driver, 0x313E_D21E);
+    let service = Arc::new(service);
 
     let unix_path = std::env::temp_dir().join(format!(
         "psnap-sim-wire-{}-{:x}.sock",
@@ -98,146 +111,22 @@ where
         ),
     }
     .expect("wire server failed to bind");
-    let connect = || -> RemoteClientHandle {
-        match transport {
+    let history = run_roles(&*snapshot, scenario, false, |_| {
+        let client = match transport {
             WireTransport::Tcp => RemoteClientHandle::connect_tcp(
                 server.local_addr().expect("tcp server has an address"),
             ),
             WireTransport::Unix => RemoteClientHandle::connect_unix(&unix_path),
         }
-        .expect("wire client failed to connect")
-    };
-
-    let clock = LogicalClock::new();
-    let barrier = Arc::new(std::sync::Barrier::new(scenario.processes()));
-    let n = scenario.processes();
-    let logs: Vec<Vec<OpRecord>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = scenario
-            .roles
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(pid, role)| {
-                let client = connect();
-                let backing = Arc::clone(&backing);
-                let clock = clock.clone();
-                let barrier = Arc::clone(&barrier);
-                let chaos_cfg = scenario.chaos.clone();
-                let freshness = driver.scanner_freshness;
-                scope.spawn(move || {
-                    let _chaos_guard = chaos_cfg.map(|c| {
-                        psnap_shmem::chaos::enable(c.seed.wrapping_add(pid as u64), c.config)
-                    });
-                    barrier.wait();
-                    let log = run_remote_role(&client, &*backing, pid, n, &role, &clock, freshness);
-                    client.close();
-                    log
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("wire client thread panicked"))
-            .collect()
+        .expect("wire client failed to connect");
+        Remote {
+            client: Some(client),
+            freshness: driver.scanner_freshness,
+        }
     });
-    server.shutdown(std::time::Duration::from_secs(10));
+    server.shutdown(Duration::from_secs(10));
     service.shutdown();
-    History::from_logs(scenario.components, scenario.initial, logs)
-}
-
-fn run_remote_role<S>(
-    client: &RemoteClientHandle,
-    backing: &S,
-    pid: usize,
-    processes: usize,
-    role: &Role,
-    clock: &LogicalClock,
-    freshness: Freshness,
-) -> Vec<OpRecord>
-where
-    S: PartialSnapshot<u64>,
-{
-    let mut log = Vec::new();
-    let pid_tag = psnap_shmem::ProcessId(pid);
-    match role {
-        Role::Updater { components, ops } => {
-            for k in 0..*ops {
-                let component = components[k % components.len()];
-                let value = (k as u64 + 1) * processes as u64 + pid as u64 + 1;
-                let invoked_at = clock.now();
-                retry_busy(|| client.submit_blocking(component, value));
-                let returned_at = clock.now();
-                log.push(OpRecord {
-                    pid: pid_tag,
-                    op: Operation::Update { component, value },
-                    result: OpResult::Ack,
-                    invoked_at,
-                    returned_at,
-                });
-            }
-        }
-        Role::BatchUpdater {
-            components,
-            ops,
-            batch,
-        } => {
-            let width = (*batch).clamp(1, components.len());
-            for k in 0..*ops {
-                let value = (k as u64 + 1) * processes as u64 + pid as u64 + 1;
-                let writes: Vec<(usize, u64)> = (0..width)
-                    .map(|i| (components[(k * width + i) % components.len()], value))
-                    .collect();
-                let invoked_at = clock.now();
-                retry_busy(|| client.submit_batch(writes.clone())?.wait());
-                let returned_at = clock.now();
-                log.push(OpRecord {
-                    pid: pid_tag,
-                    op: Operation::BatchUpdate { writes },
-                    result: OpResult::Ack,
-                    invoked_at,
-                    returned_at,
-                });
-            }
-        }
-        Role::Scanner { scans } => {
-            for components in scans {
-                let invoked_at = clock.now();
-                let values = retry_busy(|| client.scan_blocking(components.clone(), freshness));
-                let returned_at = clock.now();
-                log.push(OpRecord {
-                    pid: pid_tag,
-                    op: Operation::Scan {
-                        components: components.clone(),
-                    },
-                    result: OpResult::Values(values),
-                    invoked_at,
-                    returned_at,
-                });
-            }
-        }
-        Role::Resharder { ops } => {
-            // Operator-plane reconfiguration stays a direct handle on the
-            // backing object, as in the in-process driver.
-            for &op in ops {
-                std::thread::yield_now();
-                let _ = backing.reshard(op);
-                std::thread::yield_now();
-            }
-        }
-    }
-    log
-}
-
-/// Retries wire-level backpressure; anything else is fatal for the run (a
-/// scenario client must never lose an operation silently).
-fn retry_busy<T>(mut op: impl FnMut() -> Result<T, WireError>) -> T {
-    loop {
-        match op() {
-            Ok(value) => return value,
-            Err(WireError::Busy) => std::thread::yield_now(),
-            Err(other) => panic!("wire operation failed under a live scenario: {other}"),
-        }
-    }
+    history
 }
 
 #[cfg(test)]
@@ -245,8 +134,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    use crate::lincheck::check_history;
     use psnap_core::CasPartialSnapshot;
-    use psnap_lincheck::check_history;
     use psnap_shmem::{chaos, ProcessId};
 
     /// Counts the service's calls into the object by whether the calling
@@ -297,7 +186,7 @@ mod tests {
 
     /// Over the wire the pipeline runs wherever a thread is about to block
     /// on it — an executor worker or the server's connection thread — and
-    /// `chaos_in_service` must perturb it in both places.
+    /// the executor's chaos must perturb it in both places.
     #[test]
     fn chaos_in_service_perturbs_the_pipeline_wherever_the_wire_runs_it() {
         for seed in 0..4 {

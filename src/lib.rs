@@ -7,12 +7,12 @@
 pub use psnap_activeset as activeset;
 pub use psnap_core as snapshot;
 pub use psnap_json as json;
-pub use psnap_lincheck as lincheck;
 pub use psnap_obs as obs;
 pub use psnap_serve as serve;
 pub use psnap_shard as shard;
 pub use psnap_shmem as shmem;
 pub use psnap_sim as sim;
+pub use psnap_sim::lincheck;
 pub use psnap_wire as wire;
 pub use psnap_workloads as workloads;
 

@@ -7,10 +7,7 @@ use std::sync::Arc;
 
 use partial_snapshot::lincheck::{check_history, check_monotone_history};
 use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
-use partial_snapshot::sim::{
-    fuzz_batched_stress_schedules, fuzz_small_schedules, fuzz_stress_schedules, run_scenario,
-    Scenario,
-};
+use partial_snapshot::sim::{fuzz_small_schedules, fuzz_stress_schedules, run_scenario, Scenario};
 use partial_snapshot::snapshot::{
     AfekFullSnapshot, CasPartialSnapshot, LockSnapshot, PartialSnapshot, RegisterPartialSnapshot,
 };
@@ -130,12 +127,7 @@ fn sharded_snapshot_stress_schedules_pass_monotone_checks() {
                 ShardConfig::contiguous(4),
             ))
         },
-        32,
-        3,
-        3,
-        600,
-        300,
-        6,
+        |seed| Scenario::stress(32, 3, 3, 600, 300, 6, seed),
         0..3,
     );
     assert!(outcome.passed(), "{outcome:?}");
@@ -145,12 +137,7 @@ fn sharded_snapshot_stress_schedules_pass_monotone_checks() {
 fn cas_snapshot_stress_schedules_pass_monotone_checks() {
     let outcome = fuzz_stress_schedules(
         |s| Arc::new(CasPartialSnapshot::new(s.components, s.processes(), 0u64)),
-        32,
-        3,
-        3,
-        600,
-        300,
-        6,
+        |seed| Scenario::stress(32, 3, 3, 600, 300, 6, seed),
         0..3,
     );
     assert!(outcome.passed(), "{outcome:?}");
@@ -162,19 +149,13 @@ fn cas_snapshot_stress_schedules_pass_monotone_checks() {
 /// 4-way split).
 #[test]
 fn batched_stress_schedules_pass_monotone_checks() {
-    let cas = fuzz_batched_stress_schedules(
+    let cas = fuzz_stress_schedules(
         |s: &Scenario| Arc::new(CasPartialSnapshot::new(s.components, s.processes(), 0u64)),
-        32,
-        3,
-        3,
-        300,
-        200,
-        6,
-        4,
+        |seed| Scenario::stress_batched(32, 3, 3, 300, 200, 6, 4, seed),
         0..2,
     );
     assert!(cas.passed(), "cas: {cas:?}");
-    let register = fuzz_batched_stress_schedules(
+    let register = fuzz_stress_schedules(
         |s: &Scenario| {
             Arc::new(RegisterPartialSnapshot::new(
                 s.components,
@@ -182,17 +163,11 @@ fn batched_stress_schedules_pass_monotone_checks() {
                 0u64,
             ))
         },
-        32,
-        3,
-        3,
-        300,
-        200,
-        6,
-        4,
+        |seed| Scenario::stress_batched(32, 3, 3, 300, 200, 6, 4, seed),
         0..2,
     );
     assert!(register.passed(), "register: {register:?}");
-    let sharded = fuzz_batched_stress_schedules(
+    let sharded = fuzz_stress_schedules(
         |s: &Scenario| {
             Arc::new(MvShardedSnapshot::new(
                 s.components,
@@ -201,13 +176,7 @@ fn batched_stress_schedules_pass_monotone_checks() {
                 ShardConfig::contiguous(4),
             ))
         },
-        32,
-        3,
-        3,
-        300,
-        200,
-        6,
-        4,
+        |seed| Scenario::stress_batched(32, 3, 3, 300, 200, 6, 4, seed),
         0..2,
     );
     assert!(sharded.passed(), "sharded: {sharded:?}");
@@ -223,12 +192,7 @@ fn register_snapshot_stress_schedules_pass_monotone_checks() {
                 0u64,
             ))
         },
-        32,
-        3,
-        3,
-        600,
-        300,
-        6,
+        |seed| Scenario::stress(32, 3, 3, 600, 300, 6, seed),
         0..3,
     );
     assert!(outcome.passed(), "{outcome:?}");

@@ -8,9 +8,12 @@
 
 use std::sync::Arc;
 
-use partial_snapshot::lincheck::{check_history, check_monotone_history};
+use partial_snapshot::lincheck::{check_history, check_monotone_history, History};
 use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
-use partial_snapshot::sim::{run_scenario, Role, Scenario};
+use partial_snapshot::sim::{
+    run_scenario, run_scenario_via_service, run_scenario_via_wire, Role, Scenario,
+    ServiceDriverConfig, WireTransport,
+};
 use partial_snapshot::snapshot::{PartialSnapshot, ReshardOp};
 
 /// A reshard schedule that is guaranteed to make progress on any two-shard
@@ -87,4 +90,56 @@ fn mv_sharded_stress_history_is_monotone_across_a_reshard_storm() {
     assert_eq!(check_monotone_history(&history), Ok(()));
     assert!(snapshot.reshards() >= 1);
     assert!(snapshot.generation() >= 1);
+}
+
+/// The small reshard storm behind a frontend: the roles' traffic goes
+/// through clients while the resharder migrates the backing object
+/// directly, and every client-observed history must still be linearizable.
+fn reshard_storm_behind(
+    frontend: &str,
+    seeds: std::ops::Range<u64>,
+    run: impl Fn(Arc<MvShardedSnapshot<u64>>, &Scenario) -> History,
+) {
+    for seed in seeds {
+        let scenario = with_resharder(
+            Scenario::random_cross_shard(seed, 2),
+            two_shard_reshard_storm(),
+        );
+        let snapshot = Arc::new(MvShardedSnapshot::new(
+            scenario.components,
+            2, // ingest + scan pids
+            0u64,
+            ShardConfig::multiversioned(2),
+        ));
+        let history = run(Arc::clone(&snapshot), &scenario);
+        assert_eq!(history.len(), scenario.total_ops());
+        assert!(
+            check_history(&history).is_linearizable(),
+            "seed {seed}: {frontend} history spanning a live reshard is not linearizable"
+        );
+        assert!(
+            snapshot.reshards() >= 2,
+            "seed {seed}: the reshard storm behind the {frontend} must migrate (got {})",
+            snapshot.reshards()
+        );
+    }
+}
+
+#[test]
+fn service_small_schedules_stay_linearizable_across_live_reshards() {
+    reshard_storm_behind("service", 0..8, |snapshot, scenario| {
+        run_scenario_via_service(snapshot, scenario, &ServiceDriverConfig::default())
+    });
+}
+
+#[test]
+fn wire_small_schedules_stay_linearizable_across_live_reshards() {
+    reshard_storm_behind("wire", 0..4, |snapshot, scenario| {
+        run_scenario_via_wire(
+            snapshot,
+            scenario,
+            &ServiceDriverConfig::default(),
+            WireTransport::Unix,
+        )
+    });
 }
