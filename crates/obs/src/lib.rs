@@ -27,11 +27,11 @@
 //!   accepted scan is served by exactly one path), and exposes everything
 //!   as text or [`psnap_json`] for scraping;
 //! * [`span`] adds *causality* on top of the flat event stream: a
-//!   [`Span`] is a (id, parent, kind) triple whose begin/end ride the
-//!   existing trace rings, and a [`SpanContext`] crosses threads with a
+//!   [`Span`] is a timed (id, parent, kind) triple recorded by the flight
+//!   recorder when it ends, and a [`SpanContext`] crosses threads with a
 //!   request so one client scan yields a tree spanning submitter, scan
 //!   server, and executor workers. Span collection is opt-in
-//!   ([`set_span_enabled`]) on top of the trace switch;
+//!   ([`set_span_enabled`]), independent of the trace switch;
 //! * [`flight`] is the flight recorder: a bounded process-wide ring of
 //!   recently completed span trees plus a registry snapshot, frozen into a
 //!   [`FlightDump`] (exportable as Chrome trace-event JSON) when an

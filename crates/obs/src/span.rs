@@ -1,16 +1,14 @@
-//! Causal spans over the trace ring: who caused what, across threads.
+//! Causal spans: who caused what, across threads.
 //!
 //! The flat [`trace`] events say *that* a retry or a commit
 //! happened; they cannot say which client request it happened *for*. A
 //! [`Span`] is a timed interval with an identity (`id`), a cause (`parent`),
 //! and a tree (`root`): the serve layer opens a root span per client
 //! request, hands its [`SpanContext`] across queues and executor workers,
-//! and opens child spans around each pipeline stage. Begin/end are ordinary
-//! [`TraceEvent`](crate::TraceEvent)s (kinds
-//! [`SpanBegin`](crate::TraceKind::SpanBegin) /
-//! [`SpanEnd`](crate::TraceKind::SpanEnd)), so spans ride the existing
-//! per-thread rings; ended spans are additionally collected into whole
-//! per-request trees by the [`flight`](crate::flight) recorder.
+//! and opens child spans around each pipeline stage. An ended span is
+//! recorded by the [`flight`](crate::flight) recorder, which collects
+//! whole per-request trees; spans write nothing to the trace rings, whose
+//! flat events carry the id of the span [entered](enter) when they fired.
 //!
 //! Everything here follows the obs discipline of not perturbing what it
 //! measures:
@@ -33,7 +31,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crate::trace::{self, TraceKind};
+use crate::trace;
 
 /// Ids handed to a thread per global `fetch_add` (see [`Span`] docs).
 pub const ID_BLOCK: u64 = 256;
@@ -73,7 +71,7 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Every kind, in `code()` order.
+    /// Every kind, in declaration order.
     pub const ALL: [SpanKind; 11] = [
         SpanKind::ScanRequest,
         SpanKind::Ingest,
@@ -103,17 +101,6 @@ impl SpanKind {
             SpanKind::Audit => "audit",
             SpanKind::WireRequest => "wire_request",
         }
-    }
-
-    /// Numeric code carried in the `b` argument of span begin/end events
-    /// (1-based; 0 means "no kind").
-    pub fn code(&self) -> u64 {
-        *self as u64 + 1
-    }
-
-    /// Inverse of [`code`](SpanKind::code).
-    pub fn from_code(code: u64) -> Option<SpanKind> {
-        SpanKind::ALL.get(code.checked_sub(1)? as usize).copied()
     }
 
     /// Inverse of [`as_str`](SpanKind::as_str).
@@ -151,8 +138,8 @@ impl SpanContext {
 }
 
 /// Span collection switch, **off by default** — same rationale as the trace
-/// switch: every span costs two clock reads, two ring pushes, and one
-/// flight-collector push, a debugging/attribution tool rather than an
+/// switch: every span costs two clock reads and one flight-collector
+/// push, a debugging/attribution tool rather than an
 /// always-on tax. The repo benchmark's `obs.span_overhead_share` prices
 /// exactly this switch.
 static SPAN_ENABLED: AtomicBool = AtomicBool::new(false);
@@ -265,12 +252,12 @@ impl Drop for EnterGuard {
 }
 
 /// A timed causal interval. Begin is the constructor; end is `Drop` (or
-/// [`end`](Span::end) to end early and keep control of the timing). Both
-/// edges emit trace events; the end additionally hands a record to the
-/// [`flight`](crate::flight) collector, which reassembles whole trees.
+/// [`end`](Span::end) to end early and keep control of the timing). The
+/// end hands a record to the [`flight`](crate::flight) collector, which
+/// reassembles whole trees.
 ///
 /// A span constructed while the layer is disabled is inert: id 0, no
-/// events, no collection — so holding spans in request structs costs
+/// collection — so holding spans in request structs costs
 /// nothing in production unless the switch is on.
 #[derive(Debug)]
 pub struct Span {
@@ -353,13 +340,11 @@ impl Span {
     }
 
     fn begin(ctx: SpanContext, parent: u64, kind: SpanKind) -> Span {
-        let begin_ns = trace::now_ns();
-        trace::emit_spanned_at(TraceKind::SpanBegin, ctx.id, parent, kind.code(), begin_ns);
         Span {
             ctx,
             parent,
             kind,
-            begin_ns,
+            begin_ns: trace::now_ns(),
             a: 0,
             b: 0,
         }
@@ -376,8 +361,7 @@ impl Span {
         self.ctx.is_some()
     }
 
-    /// Sets the kind-specific arguments carried on the end event and the
-    /// collected record.
+    /// Sets the kind-specific arguments carried on the collected record.
     pub fn set_args(&mut self, a: u64, b: u64) {
         self.a = a;
         self.b = b;
@@ -392,21 +376,13 @@ impl Drop for Span {
         if !self.ctx.is_some() {
             return;
         }
-        let end_ns = trace::now_ns();
-        trace::emit_spanned_at(
-            TraceKind::SpanEnd,
-            self.ctx.id,
-            self.parent,
-            self.kind.code(),
-            end_ns,
-        );
         crate::flight::record(crate::flight::SpanRecord {
             id: self.ctx.id,
             parent: self.parent,
             root: self.ctx.root,
             kind: self.kind,
             begin_ns: self.begin_ns,
-            end_ns,
+            end_ns: trace::now_ns(),
             thread: crate::thread_index(),
             a: self.a,
             b: self.b,
@@ -485,10 +461,8 @@ mod tests {
     #[test]
     fn kind_codes_round_trip() {
         for kind in SpanKind::ALL {
-            assert_eq!(SpanKind::from_code(kind.code()), Some(kind));
             assert_eq!(SpanKind::parse(kind.as_str()), Some(kind));
         }
-        assert_eq!(SpanKind::from_code(0), None);
-        assert_eq!(SpanKind::from_code(999), None);
+        assert_eq!(SpanKind::parse("no_such_kind"), None);
     }
 }

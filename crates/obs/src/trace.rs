@@ -53,13 +53,6 @@ pub enum TraceKind {
     /// A live reshard retired one partition-map generation for the next
     /// (`a` = new generation, `b` = components migrated).
     Reshard,
-    /// A causal span began (`span` = its id, `a` = parent span id,
-    /// `b` = [`SpanKind`](crate::span::SpanKind) code).
-    SpanBegin,
-    /// A causal span ended (same arguments as [`SpanBegin`]).
-    ///
-    /// [`SpanBegin`]: TraceKind::SpanBegin
-    SpanEnd,
 }
 
 impl TraceKind {
@@ -75,12 +68,10 @@ impl TraceKind {
         TraceKind::ScanServe,
         TraceKind::Prune,
         TraceKind::Reshard,
-        TraceKind::SpanBegin,
-        TraceKind::SpanEnd,
     ];
 
     /// Number of kinds (the width of per-kind drop accounting).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 10;
 
     /// Dense index of this kind (indexes [`Timeline::dropped_by_kind`]).
     pub fn index(self) -> usize {
@@ -100,8 +91,6 @@ impl TraceKind {
             TraceKind::ScanServe => "scan_serve",
             TraceKind::Prune => "prune",
             TraceKind::Reshard => "reshard",
-            TraceKind::SpanBegin => "span_begin",
-            TraceKind::SpanEnd => "span_end",
         }
     }
 }
@@ -123,9 +112,7 @@ pub struct TraceEvent {
     /// What happened.
     pub kind: TraceKind,
     /// The causal span this event belongs to (0 = none): the id of the
-    /// span [entered](crate::span::enter) on the emitting thread, or —
-    /// for [`SpanBegin`](TraceKind::SpanBegin) /
-    /// [`SpanEnd`](TraceKind::SpanEnd) — the span the event is about.
+    /// span [entered](crate::span::enter) on the emitting thread.
     pub span: u64,
     /// First argument (see [`TraceKind`]).
     pub a: u64,
@@ -218,24 +205,13 @@ pub fn emit(kind: TraceKind, a: u64, b: u64) {
 }
 
 /// Like [`emit`], with an explicit span id instead of the thread's
-/// [current](crate::span::current) one (used by the span layer for its own
-/// begin/end events, whose subject span is not the entered one).
+/// [current](crate::span::current) one.
 #[inline]
 pub fn emit_spanned(kind: TraceKind, span: u64, a: u64, b: u64) {
     if !trace_enabled() || !crate::enabled() {
         return;
     }
-    emit_spanned_at(kind, span, a, b, now_ns());
-}
-
-/// Like [`emit_spanned`] with the timestamp already in hand: the span layer
-/// reads the clock once per edge and shares it between the interval
-/// bookkeeping and the ring event, instead of paying two reads.
-#[inline]
-pub(crate) fn emit_spanned_at(kind: TraceKind, span: u64, a: u64, b: u64, at_ns: u64) {
-    if !trace_enabled() || !crate::enabled() {
-        return;
-    }
+    let at_ns = now_ns();
     let thread = crate::thread_index();
     // `try_with`: an emit from inside a thread-local destructor (epoch
     // reclamation during thread exit) finds the ring already destroyed;

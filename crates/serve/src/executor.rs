@@ -1,5 +1,4 @@
-//! Timed jobs on a small thread pool, and the waiting primitive every
-//! ticket wait goes through.
+//! Timed jobs on a small thread pool.
 //!
 //! The service's pipelines run on the threads that wait for them (see
 //! [`Ticket`](crate::Ticket)); what is left is work due at a time — stats
@@ -9,20 +8,13 @@
 //! next (`None`: done). A worker with nothing due waits on one condvar
 //! until the earliest deadline, without a timeout while the heap is empty:
 //! an executor with nothing scheduled costs no wake-ups.
-//!
-//! [`block_on`] lets synchronous client threads await tickets, through
-//! [`WaitSite`]: poll briefly, then park.
 
-use std::cell::Cell;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-use std::future::Future;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
-use std::task::{Context, Poll, Wake, Waker};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::time::Instant;
 
-use psnap_obs::{Counter, Registry};
 use psnap_shmem::chaos::{self, ChaosConfig};
 
 /// Configuration of an [`Executor`].
@@ -245,213 +237,12 @@ impl Drop for Executor {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Waiting: poll, then park
-// ---------------------------------------------------------------------------
-
-/// Longest a wait polls before it parks: about twice what a hand-off to a
-/// sleeping thread costs on a slow box (17–27 µs measured), so a reply that
-/// is on its way is caught, and a wait that outlasts it was going to pay
-/// for a sleep anyway.
-const POLL_CAP: Duration = Duration::from_micros(50);
-
-/// Long waits in a row a [`WaitSite`] pays a poll phase for before it
-/// stops polling: an idle site costs at most `CREDIT × POLL_CAP`, once.
-const CREDIT: u8 = 3;
-
-/// The three counters of one family of waiting sites, created in (and so
-/// readable from) the global [`Registry`]: `<family>.polled` — waits that
-/// ended in the poll phase, nobody slept; `<family>.parked` — waits that
-/// reached the park protocol; `<family>.poll_ns` — time spent in poll
-/// phases, whether they hit or not.
-pub struct WaitCounters {
-    polled: Arc<Counter>,
-    parked: Arc<Counter>,
-    poll_ns: Arc<Counter>,
-}
-
-impl WaitCounters {
-    /// The counters `<family>.{polled, parked, poll_ns}` of the global
-    /// registry, created if absent.
-    pub fn named(family: &str) -> WaitCounters {
-        let counter = |name: &str| Registry::global().counter(&format!("{family}.{name}"));
-        WaitCounters {
-            polled: counter("polled"),
-            parked: counter("parked"),
-            poll_ns: counter("poll_ns"),
-        }
-    }
-}
-
-/// `serve.wait.*`: [`block_on`] callers.
-fn serve_waits() -> &'static WaitCounters {
-    static COUNTERS: OnceLock<WaitCounters> = OnceLock::new();
-    COUNTERS.get_or_init(|| WaitCounters::named("serve.wait"))
-}
-
-/// One place where one thread at a time waits for another to produce
-/// something: it polls for up to `POLL_CAP` (probe, `yield_now`, probe …)
-/// and only then runs the site's park protocol, which is what correctness
-/// rests on — the poll phase may be deleted without losing a wake-up.
-///
-/// A sleeping thread is expensive to hand work to (the waker pays a futex
-/// call, the sleeper a wake-up: 1 µs to tens of µs either side), while a
-/// polling one takes it in the time of a cache miss. Polling is only worth
-/// a core when the wait is short, so the site sizes itself: a wait that
-/// ends within `POLL_CAP`, polled or parked, refills a small credit; one
-/// that does not spends one; at zero the site parks at once, and the next
-/// short wait re-arms it. A busy site never sleeps, an idle one polls
-/// `CREDIT` times and then costs what a plain park costs. `yield_now`
-/// between probes hands the core to any runnable thread, so pollers on an
-/// oversubscribed box do not starve the threads they wait for. Probes are
-/// not base-object steps.
-pub struct WaitSite {
-    credit: u8,
-    counters: &'static WaitCounters,
-}
-
-impl WaitSite {
-    /// A site with full credit, counted under `counters`.
-    pub fn new(counters: &'static WaitCounters) -> WaitSite {
-        WaitSite {
-            credit: CREDIT,
-            counters,
-        }
-    }
-
-    /// Waits for what `probe` looks for. `probe` never blocks and returns
-    /// `Some` once the awaited thing is there (consuming it); `park` is the
-    /// site's blocking protocol, complete by itself, called at most once
-    /// and only after the poll phase came up empty.
-    pub fn wait<T>(&mut self, mut probe: impl FnMut() -> Option<T>, park: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        if self.credit > 0 {
-            let polled_for = loop {
-                if let Some(found) = probe() {
-                    self.credit = CREDIT;
-                    self.counters.polled.inc();
-                    self.counters.poll_ns.add(start.elapsed().as_nanos() as u64);
-                    return found;
-                }
-                let elapsed = start.elapsed();
-                if elapsed >= POLL_CAP {
-                    break elapsed;
-                }
-                std::thread::yield_now();
-            };
-            self.counters.poll_ns.add(polled_for.as_nanos() as u64);
-        }
-        let found = park();
-        self.counters.parked.inc();
-        self.credit = if start.elapsed() <= POLL_CAP {
-            CREDIT
-        } else {
-            self.credit.saturating_sub(1)
-        };
-        found
-    }
-}
-
-// ---------------------------------------------------------------------------
-// block_on
-// ---------------------------------------------------------------------------
-
-struct ThreadWaker {
-    thread: std::thread::Thread,
-    /// Set by `wake`, consumed by the waiting thread: closes the race where
-    /// an unpark lands between the poll and the park, and is what a waiter
-    /// in its poll phase probes.
-    notified: AtomicBool,
-}
-
-impl Wake for ThreadWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.notified.store(true, Ordering::Release);
-        self.thread.unpark();
-    }
-}
-
-/// What a thread needs to wait in [`block_on`]: built once per thread,
-/// lent to one `block_on` at a time.
-struct Parker {
-    flag: Arc<ThreadWaker>,
-    waker: Waker,
-    site: WaitSite,
-}
-
-thread_local! {
-    /// The calling thread's parker, or `None` while a `block_on` on this
-    /// thread holds it (a future that itself calls `block_on` builds a
-    /// second one: two waits must not consume each other's wake-ups).
-    static PARKER: Cell<Option<Parker>> = const { Cell::new(None) };
-}
-
-/// The thread's [`Parker`] on loan; goes back when dropped.
-struct LentParker(Option<Parker>);
-
-impl LentParker {
-    fn take() -> LentParker {
-        let cached = PARKER.try_with(Cell::take).ok().flatten();
-        LentParker(Some(cached.unwrap_or_else(|| {
-            let flag = Arc::new(ThreadWaker {
-                thread: std::thread::current(),
-                notified: AtomicBool::new(false),
-            });
-            Parker {
-                waker: Waker::from(Arc::clone(&flag)),
-                flag,
-                site: WaitSite::new(serve_waits()),
-            }
-        })))
-    }
-}
-
-impl Drop for LentParker {
-    fn drop(&mut self) {
-        let parker = self.0.take();
-        let _ = PARKER.try_with(|slot| slot.set(parker));
-    }
-}
-
-/// Drives a future to completion on the calling thread, waiting between
-/// polls (see [`WaitSite`]: briefly polling, then parked). The synchronous
-/// bridge for client threads waiting on service tickets.
-pub fn block_on<F: Future>(future: F) -> F::Output {
-    let mut future = std::pin::pin!(future);
-    let mut lent = LentParker::take();
-    let Parker { flag, waker, site } = lent.0.as_mut().expect("held until drop");
-    // A wake-up left over from an earlier future on this thread.
-    flag.notified.store(false, Ordering::Relaxed);
-    let mut cx = Context::from_waker(waker);
-    loop {
-        if let Poll::Ready(v) = future.as_mut().poll(&mut cx) {
-            return v;
-        }
-        // Both phases consume `notified` and nothing else: the completer
-        // needs the future's own lock (an `OpCell` mutex) to get to the
-        // waker, so a waiter must not be polling the future meanwhile.
-        site.wait(
-            || flag.notified.swap(false, Ordering::AcqRel).then_some(()),
-            || {
-                // `notified` absorbs wakes that landed before the park
-                // (unpark tokens also accumulate; this is belt-and-braces
-                // for spurious unparks and tokens consumed elsewhere).
-                while !flag.notified.swap(false, Ordering::AcqRel) {
-                    std::thread::park();
-                }
-            },
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Schedules `job` to run once, at `at`.
     fn run_once(handle: &Handle, at: Instant, job: impl FnOnce() + Send + 'static) {
@@ -482,11 +273,6 @@ mod tests {
             });
         }
         reaches(&counter, 100, "jobs did not complete");
-    }
-
-    #[test]
-    fn block_on_returns_future_output() {
-        assert_eq!(block_on(async { 41 + 1 }), 42);
     }
 
     #[test]
@@ -618,181 +404,5 @@ mod tests {
         assert!(!chaos::is_enabled(), "chaos outlived the guard");
         // Without a chaos config there is nothing to enter.
         assert!(Executor::new(1).handle().enter_chaos().is_none());
-    }
-
-    // --- WaitSite and its two sites in this crate --------------------------
-
-    #[test]
-    fn a_wake_during_the_poll_phase_costs_no_park() {
-        let mut site = WaitSite::new(serve_waits());
-        let mut probes = 0;
-        let found = site.wait(
-            || {
-                probes += 1;
-                (probes == 3).then_some("polled")
-            },
-            || panic!("parked although the probe found it"),
-        );
-        assert_eq!((found, probes), ("polled", 3));
-        assert_eq!(site.credit, CREDIT);
-    }
-
-    #[test]
-    fn a_wake_after_the_poll_phase_costs_exactly_one_park() {
-        let mut site = WaitSite::new(serve_waits());
-        let (mut probes, mut parks) = (0, 0);
-        let t0 = Instant::now();
-        let found = site.wait(
-            || {
-                probes += 1;
-                None
-            },
-            || {
-                parks += 1;
-                "parked"
-            },
-        );
-        assert_eq!((found, parks), ("parked", 1));
-        assert!(probes >= 1 && t0.elapsed() >= POLL_CAP);
-        assert_eq!(site.credit, CREDIT - 1, "a long wait spends one credit");
-    }
-
-    #[test]
-    fn credit_decays_to_zero_stops_all_probing_and_one_short_wait_rearms_it() {
-        let mut site = WaitSite::new(serve_waits());
-        for spent in 1..=CREDIT {
-            site.wait(|| None, || ());
-            assert_eq!(site.credit, CREDIT - spent);
-        }
-        // Out of credit: no probe at all, however long the parks take.
-        let mut probes = 0;
-        for _ in 0..5 {
-            site.wait(
-                || {
-                    probes += 1;
-                    None
-                },
-                || std::thread::sleep(POLL_CAP * 2),
-            );
-            assert_eq!((site.credit, probes), (0, 0));
-        }
-        // One wait that a park ends quickly: the site polls again.
-        site.wait(|| -> Option<()> { panic!("probed without credit") }, || ());
-        assert_eq!(site.credit, CREDIT);
-        site.wait(
-            || {
-                probes += 1;
-                Some(())
-            },
-            || panic!("parked although the probe found it"),
-        );
-        assert_eq!(probes, 1);
-    }
-
-    #[test]
-    fn block_on_is_ready_at_once_and_reuses_the_threads_parker() {
-        assert_eq!(block_on(async { 1 }), 1);
-        let first = PARKER.with(|slot| {
-            let parker = slot.take().expect("block_on left its parker behind");
-            let id = Arc::as_ptr(&parker.flag);
-            slot.set(Some(parker));
-            id
-        });
-        assert_eq!(block_on(async { 2 }), 2);
-        let second = PARKER.with(|slot| slot.take().map(|p| Arc::as_ptr(&p.flag)));
-        assert_eq!(second, Some(first), "a second wait built a second waker");
-    }
-
-    #[test]
-    fn a_nested_block_on_does_not_eat_the_outer_wake_up() {
-        use crate::queue::{OpCell, Ticket};
-        // So that the thread has a parker to share, if sharing is the bug.
-        block_on(async {});
-        let (outer, inner) = (OpCell::new(), OpCell::new());
-        let (go, gone) = std::sync::mpsc::channel::<()>();
-        let inner_tx = Arc::clone(&inner);
-        let completer = std::thread::spawn(move || {
-            gone.recv().unwrap();
-            inner_tx.complete(2u64);
-        });
-        let outer_tx = Arc::clone(&outer);
-        let mut outer = Ticket::new(outer);
-        let mut nested = Some(Ticket::new(inner));
-        let sum = block_on(std::future::poll_fn(move |cx| {
-            // Pending, with this thread's waker registered …
-            let first = std::pin::Pin::new(&mut outer).poll(cx);
-            // … which fires before a wait nested in the same poll begins.
-            let second = nested.take().map_or(0, |inner| {
-                outer_tx.complete(1u64);
-                go.send(()).unwrap();
-                block_on(inner)
-            });
-            first.map(|v| v + second)
-        }));
-        // The re-poll the outer wake-up caused; had the nested wait shared
-        // the outer one's flag, it would have consumed it and this hangs.
-        assert_eq!(sum, 1);
-        completer.join().unwrap();
-    }
-
-    /// 100 000 round trips between this thread and a responder thread, both
-    /// waiting through `block_on`. Every fourth request is held back for
-    /// 44–60 µs, in 0.1 µs steps: it lands while the responder, its poll
-    /// phase spent, is between its last look at its doorbell and its park —
-    /// the window `notified` closes. There is no park timeout, so a wake-up
-    /// lost by either side hangs the test.
-    #[test]
-    fn a_hundred_thousand_round_ping_pong_finishes() {
-        use crate::queue::{OpCell, Ticket};
-        use std::collections::VecDeque;
-        /// The requests, and the responder's doorbell while it waits for one.
-        #[derive(Default)]
-        struct Inbox {
-            requests: VecDeque<(u64, Arc<OpCell<u64>>)>,
-            bell: Option<Arc<OpCell<()>>>,
-            closed: bool,
-        }
-        let inbox: Arc<Mutex<Inbox>> = Arc::default();
-        let responder_inbox = Arc::clone(&inbox);
-        let responder = std::thread::spawn(move || loop {
-            let bell = {
-                let mut inbox = responder_inbox.lock().unwrap();
-                for (round, cell) in inbox.requests.drain(..) {
-                    cell.complete(round + 1);
-                }
-                if inbox.closed {
-                    return;
-                }
-                Arc::clone(inbox.bell.insert(OpCell::new()))
-            };
-            Ticket::new(bell).wait();
-        });
-        let send = |request: Option<(u64, Arc<OpCell<u64>>)>| {
-            let bell = {
-                let mut inbox = inbox.lock().unwrap();
-                match request {
-                    Some(request) => inbox.requests.push_back(request),
-                    None => inbox.closed = true,
-                }
-                inbox.bell.take()
-            };
-            if let Some(bell) = bell {
-                bell.complete(());
-            }
-        };
-        for round in 0..100_000u64 {
-            if round % 4 == 0 {
-                let pause = Duration::from_nanos(44_000 + round / 4 % 160 * 100);
-                let t0 = Instant::now();
-                while t0.elapsed() < pause {
-                    std::hint::spin_loop();
-                }
-            }
-            let cell = OpCell::new();
-            send(Some((round, Arc::clone(&cell))));
-            assert_eq!(Ticket::new(cell).wait(), round + 1);
-        }
-        send(None);
-        responder.join().unwrap();
     }
 }

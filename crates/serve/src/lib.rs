@@ -1,12 +1,11 @@
-//! `psnap-serve`: an async service frontend for partial snapshot objects.
+//! `psnap-serve`: a service frontend for partial snapshot objects.
 //!
 //! The store's callers so far all own a thread and call
 //! [`psnap_core::PartialSnapshot`] in-process. This crate adds the layer a
 //! "millions of users" deployment needs between the network and the object:
 //!
 //! * a **timer** ([`executor`]) for periodic work — worker threads over
-//!   one deadline heap of jobs, each returning when it runs next — and
-//!   [`block_on`], through which a client thread waits on a ticket;
+//!   one deadline heap of jobs, each returning when it runs next;
 //! * **batched ingestion** ([`service`]) — per-client bounded MPSC queues
 //!   whose submissions are coalesced (last-write-wins per component,
 //!   client batches kept atomic) into single
@@ -18,9 +17,9 @@
 //!   multiversioned object is read from the version chains instead, and
 //!   every answer is linearizable;
 //! * **combining** — both pipelines run on the threads that wait for them:
-//!   a waiting [`Ticket`] runs its pipeline's round when nobody else holds
-//!   that pipeline's role (flat combining, with the queues as the
-//!   publication list);
+//!   a waiting [`Ticket`] (or one tried with [`Ticket::try_take`]) runs its
+//!   pipeline's round when nobody else holds that pipeline's role (flat
+//!   combining, with the queues as the publication list);
 //! * **backpressure** — full queues reject immediately with
 //!   [`SubmitError::Busy`]; accepted work always completes and the stats
 //!   counters partition exactly.
@@ -53,10 +52,12 @@ pub mod executor;
 pub mod queue;
 pub mod service;
 pub mod testing;
+mod wait;
 
-pub use executor::{block_on, Executor, ExecutorConfig, Handle, WaitCounters, WaitSite};
+pub use executor::{Executor, ExecutorConfig, Handle};
 pub use queue::{BoundedQueue, OpCell, SubmitError, Ticket};
 pub use service::{
     ClientHandle, Coalescing, Freshness, PeriodicTask, ScanTicket, ServiceConfig, ServiceObs,
     ServiceStats, SnapshotService, UpdateTicket,
 };
+pub use wait::{WaitCounters, WaitSite};

@@ -1,5 +1,5 @@
-//! Bounded queues and completion tickets — the plumbing between
-//! synchronous clients and the service's pipelines.
+//! Bounded queues and completion tickets, one-shot cells — the plumbing
+//! between synchronous clients and the service's pipelines.
 //!
 //! The backpressure contract lives here: producers never block and never
 //! allocate unboundedly — a full queue returns [`SubmitError::Busy`]
@@ -9,10 +9,11 @@
 //! thread.
 
 use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Thread;
+
+use crate::wait::SERVE_SITE;
 
 /// Why a submission was rejected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,14 +116,17 @@ impl<I> BoundedQueue<I> {
 
 /// One-shot completion cell linking a queued operation to its waiter: the
 /// pipeline round that serves the operation completes it exactly once, the
-/// [`Ticket`] future resolves with the value.
+/// [`Ticket`] takes the value.
 pub struct OpCell<V> {
     state: Mutex<OpCellState<V>>,
+    /// Set, under the lock, once `value` is in: what a waiter probes.
+    done: AtomicBool,
 }
 
 struct OpCellState<V> {
     value: Option<V>,
-    waker: Option<Waker>,
+    /// The thread parked on the cell, if one is.
+    waiter: Option<Thread>,
 }
 
 impl<V> OpCell<V> {
@@ -131,21 +135,41 @@ impl<V> OpCell<V> {
         Arc::new(OpCell {
             state: Mutex::new(OpCellState {
                 value: None,
-                waker: None,
+                waiter: None,
             }),
+            done: AtomicBool::new(false),
         })
     }
 
     /// Stores the value and wakes the waiter. Must be called at most once.
     pub fn complete(&self, value: V) {
-        let waker = {
-            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let waiter = {
+            let mut s = self.lock();
             debug_assert!(s.value.is_none(), "operation completed twice");
             s.value = Some(value);
-            s.waker.take()
+            self.done.store(true, Ordering::Release);
+            s.waiter.take()
         };
-        if let Some(w) = waker {
-            w.wake();
+        if let Some(thread) = waiter {
+            thread.unpark();
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, OpCellState<V>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn is_done(&self) -> bool {
+        self.done.load(Ordering::Acquire)
+    }
+
+    /// Blocks until the cell is complete. Registered under the lock that
+    /// `complete` sets `done` under, the waiter sees `done` or is unparked;
+    /// the loop absorbs unparks meant for this thread's earlier waits.
+    fn park(&self) {
+        self.lock().waiter = Some(std::thread::current());
+        while !self.is_done() {
+            std::thread::park();
         }
     }
 }
@@ -167,13 +191,13 @@ pub(crate) trait Combine: Send + Sync {
     fn combine_if_free(&self, lane: Lane);
 }
 
-/// The waiter half of an [`OpCell`]: a future resolving with the operation's
-/// result, plus a synchronous [`wait`](Ticket::wait) bridge.
+/// The waiter half of an [`OpCell`]: [`try_take`](Ticket::try_take) looks
+/// once, [`wait`](Ticket::wait) blocks.
 ///
-/// A service ticket is also a combiner: each poll that finds its operation
-/// incomplete first runs a round of the operation's pipeline on the polling
+/// A service ticket is also a combiner: each look that finds its operation
+/// incomplete first runs a round of the operation's pipeline on the calling
 /// thread, if nobody else holds that pipeline's role. Whoever holds it
-/// re-checks the queue after letting go, so a poll that found the role
+/// re-checks the queue after letting go, so a look that found the role
 /// taken can wait without stranding its request.
 pub struct Ticket<V> {
     cell: Arc<OpCell<V>>,
@@ -181,7 +205,7 @@ pub struct Ticket<V> {
 }
 
 impl<V> Ticket<V> {
-    /// Wraps a cell into its waiter future. Polling it only waits: whatever
+    /// Wraps a cell into its waiter. Waiting on it only waits: whatever
     /// completes `cell` runs elsewhere.
     pub fn new(cell: Arc<OpCell<V>>) -> Ticket<V> {
         Ticket {
@@ -202,36 +226,36 @@ impl<V> Ticket<V> {
         }
     }
 
-    /// Blocks the calling thread until the operation completes, running its
-    /// pipeline's rounds whenever the role is free.
-    pub fn wait(self) -> V {
-        crate::executor::block_on(self)
+    /// The operation's result if it is complete — after running its
+    /// pipeline's rounds here if it was not and the role is free — or the
+    /// ticket back: a role another thread holds is never waited for.
+    pub fn try_take(self) -> Result<V, Ticket<V>> {
+        if let Some((pipeline, lane)) = self.pipeline.as_ref().filter(|_| !self.cell.is_done()) {
+            pipeline.combine_if_free(*lane);
+        }
+        let value = self.cell.lock().value.take();
+        value.ok_or(self)
     }
-}
 
-impl<V> Future for Ticket<V> {
-    type Output = V;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<V> {
-        let lock = || self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((pipeline, lane)) = &self.pipeline {
-            if lock().value.is_none() {
-                pipeline.combine_if_free(*lane);
-            }
-        }
-        let mut s = lock();
-        match s.value.take() {
-            Some(v) => Poll::Ready(v),
-            None => {
-                s.waker = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
+    /// Blocks the calling thread until the operation completes: one
+    /// [`try_take`](Ticket::try_take), then a wait through the thread's
+    /// [`WaitSite`](crate::WaitSite): probing the cell's `done` flag
+    /// briefly, then parked.
+    pub fn wait(self) -> V {
+        self.try_take().unwrap_or_else(|ticket| {
+            let cell = &ticket.cell;
+            SERVE_SITE
+                .with_borrow_mut(|site| site.wait(|| cell.is_done().then_some(()), || cell.park()));
+            let value = cell.lock().value.take();
+            value.expect("a wait ends once its cell is complete")
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn try_push_hits_capacity_then_busy() {
@@ -282,5 +306,119 @@ mod tests {
             }
         });
         assert!(q.len() <= 8);
+    }
+
+    /// Whether a thread parks on `cell` within 10 s.
+    fn parked_on<V>(cell: &OpCell<V>) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cell.lock().waiter.is_none() && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        cell.lock().waiter.is_some()
+    }
+
+    #[test]
+    fn a_complete_ticket_returns_without_waiting_and_the_threads_site_is_reused() {
+        let credit = || SERVE_SITE.with_borrow(|site| site.credit);
+        SERVE_SITE.with_borrow_mut(|site| site.credit = 1);
+        let cell = OpCell::new();
+        cell.complete(1u64);
+        assert_eq!(Ticket::new(cell).wait(), 1);
+        assert_eq!(credit(), 1, "a complete ticket reached the site");
+        // Completed only once the waiter has parked, so the wait outlasts a
+        // poll phase and spends the credit of the site it ran on.
+        let cell = OpCell::new();
+        let completer = {
+            let cell = Arc::clone(&cell);
+            std::thread::spawn(move || {
+                let parked = parked_on(&cell);
+                cell.complete(2u64);
+                parked
+            })
+        };
+        assert_eq!(Ticket::new(cell).wait(), 2);
+        assert!(completer.join().unwrap(), "the waiter never parked");
+        assert_eq!(credit(), 0, "the wait ran on a site of its own");
+    }
+
+    #[test]
+    fn completing_another_cell_never_ends_this_wait() {
+        let (a, b) = (OpCell::new(), OpCell::new());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let ticket = Ticket::new(Arc::clone(&a));
+        let waiter = std::thread::spawn(move || tx.send(ticket.wait()).unwrap());
+        assert!(parked_on(&a), "the waiter never parked");
+        // Completing B unparks the waiter, as B's completer does when it
+        // lands after an earlier wait of that thread on B has ended.
+        b.lock().waiter = Some(waiter.thread().clone());
+        b.complete(2u64);
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "ended without A"
+        );
+        a.complete(1u64);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(1));
+        waiter.join().unwrap();
+    }
+
+    /// 100 000 round trips between this thread and a responder thread, both
+    /// waiting through `Ticket::wait`. Every fourth request is held back for
+    /// 44–60 µs, in 0.1 µs steps: it lands while the responder, its poll
+    /// phase spent, is between its last look at its doorbell and its park —
+    /// the window the registration under the cell's lock closes. There is no
+    /// park timeout, so a wake-up lost by either side hangs the test.
+    #[test]
+    fn a_hundred_thousand_round_ping_pong_finishes() {
+        use crate::queue::{OpCell, Ticket};
+        use std::collections::VecDeque;
+        /// The requests, and the responder's doorbell while it waits for one.
+        #[derive(Default)]
+        struct Inbox {
+            requests: VecDeque<(u64, Arc<OpCell<u64>>)>,
+            bell: Option<Arc<OpCell<()>>>,
+            closed: bool,
+        }
+        let inbox: Arc<Mutex<Inbox>> = Arc::default();
+        let responder_inbox = Arc::clone(&inbox);
+        let responder = std::thread::spawn(move || loop {
+            let bell = {
+                let mut inbox = responder_inbox.lock().unwrap();
+                for (round, cell) in inbox.requests.drain(..) {
+                    cell.complete(round + 1);
+                }
+                if inbox.closed {
+                    return;
+                }
+                Arc::clone(inbox.bell.insert(OpCell::new()))
+            };
+            Ticket::new(bell).wait();
+        });
+        let send = |request: Option<(u64, Arc<OpCell<u64>>)>| {
+            let bell = {
+                let mut inbox = inbox.lock().unwrap();
+                match request {
+                    Some(request) => inbox.requests.push_back(request),
+                    None => inbox.closed = true,
+                }
+                inbox.bell.take()
+            };
+            if let Some(bell) = bell {
+                bell.complete(());
+            }
+        };
+        for round in 0..100_000u64 {
+            if round % 4 == 0 {
+                let pause = Duration::from_nanos(44_000 + round / 4 % 160 * 100);
+                let t0 = Instant::now();
+                while t0.elapsed() < pause {
+                    std::hint::spin_loop();
+                }
+            }
+            let cell = OpCell::new();
+            send(Some((round, Arc::clone(&cell))));
+            assert_eq!(Ticket::new(cell).wait(), round + 1);
+        }
+        send(None);
+        responder.join().unwrap();
     }
 }

@@ -1,4 +1,4 @@
-//! [`SnapshotService`]: an async frontend over any [`PartialSnapshot`].
+//! [`SnapshotService`]: a service frontend over any [`PartialSnapshot`].
 //!
 //! Callers stop owning threads that call the snapshot object in-process;
 //! instead they hold a [`ClientHandle`] and publish requests to two
@@ -36,14 +36,14 @@
 //! background. Each has a *role*, a try-lock that owns the pipeline's pid
 //! and state (ingestion: `drain_pid` and the pending buffer; scanning:
 //! `scan_pid` and the last dispatch time), and the queues are its
-//! publication list. A thread that waits on a ticket — or polls one, or
-//! shuts the service down — runs a round of the ticket's pipeline itself if
-//! that role is free; otherwise it waits, and the holder serves it: a
-//! combiner that lets go of a role re-checks its queue and takes the role
-//! again if anything is published, so no request is left without a
-//! combiner. The two roles are independent: a combiner parked in a scan
-//! never delays a write. (Flat combining, after Hendler, Incze, Shavit &
-//! Tzafrir.)
+//! publication list. A thread that waits on a ticket — or tries one with
+//! [`Ticket::try_take`], or shuts the service down — runs a round of the
+//! ticket's pipeline itself if that role is free; otherwise it waits, and
+//! the holder serves it: a combiner that lets go of a role re-checks its
+//! queue and takes the role again if anything is published, so no request
+//! is left without a combiner. The two roles are independent: a combiner
+//! parked in a scan never delays a write. (Flat combining, after Hendler,
+//! Incze, Shavit & Tzafrir.)
 //!
 //! Per-request **freshness bounds** pick a scan's serving tier, and every
 //! answer is linearizable. A request for zero components is answered
@@ -716,11 +716,11 @@ where
     S: PartialSnapshot<T>,
 {
     /// The one combining entry point of both pipelines — used by a waiting
-    /// or polled [`Ticket`] and by shutdown. Takes `lane`'s role if it is
-    /// free (or, for shutdown's final rounds, once the holder lets go), runs
-    /// one round, lets go, and takes the role again while anything is
-    /// published: that re-check after every release is what lets a waiter
-    /// that found the role taken wait without stranding its request.
+    /// or tried [`Ticket`], a `Busy` retry and shutdown. Takes `lane`'s role
+    /// if it is free (or, for shutdown's final rounds, once the holder lets
+    /// go), runs one round, lets go, and takes the role again while anything
+    /// is published: that re-check after every release is what lets a
+    /// waiter that found the role taken wait without stranding its request.
     fn combine(&self, lane: Lane, wait: bool) {
         loop {
             match lane {
@@ -859,7 +859,7 @@ fn open_window_spans<T>(requests: &[ScanRequest<T>], window: Duration) -> Vec<Sp
         .collect()
 }
 
-/// The async service frontend. See the module docs for the architecture.
+/// The service frontend. See the module docs for the architecture.
 ///
 /// Dropping the service closes it without waiting: a combiner mid-round
 /// still answers everything published. Call
@@ -1164,8 +1164,8 @@ where
     /// Whether the backing object is wait-free *right now*
     /// ([`PartialSnapshot::is_wait_free`]). While it holds, every pipeline
     /// round finishes in a bounded number of the combiner's own steps, so a
-    /// transport thread that must not block may combine — poll its tickets
-    /// — instead of handing them to a thread that can wait.
+    /// transport thread that must not block may combine ([`Ticket::try_take`]
+    /// its tickets) instead of handing them to a thread that can wait.
     pub fn is_wait_free(&self) -> bool {
         self.core.snapshot.is_wait_free()
     }
@@ -1515,8 +1515,8 @@ where
         }
     }
 
-    /// Convenience: submit and block until applied, retrying on `Busy` with
-    /// a yield. Returns `false` if the service closed before acceptance.
+    /// Convenience: submit and block until applied, retrying on `Busy`.
+    /// Returns `false` if the service closed before acceptance.
     pub fn submit_blocking(&self, component: usize, value: T) -> bool {
         loop {
             match self.submit(component, value.clone()) {
@@ -1524,7 +1524,7 @@ where
                     ticket.wait();
                     return true;
                 }
-                Err(SubmitError::Busy) => std::thread::yield_now(),
+                Err(SubmitError::Busy) => self.make_room(Lane::Ingest),
                 Err(SubmitError::Closed) => return false,
             }
         }
@@ -1536,10 +1536,17 @@ where
         loop {
             match self.scan(components.to_vec(), freshness) {
                 Ok(ticket) => return Some(ticket.wait()),
-                Err(SubmitError::Busy) => std::thread::yield_now(),
+                Err(SubmitError::Busy) => self.make_room(Lane::Scan),
                 Err(SubmitError::Closed) => return None,
             }
         }
+    }
+
+    /// Before a retry on `Busy`: nothing drains the full queue in the
+    /// background, so run `lane`'s round here if its role is free.
+    fn make_room(&self, lane: Lane) {
+        self.core.combine_if_free(lane);
+        std::thread::yield_now();
     }
 }
 

@@ -239,3 +239,41 @@ fn a_ticket_dropped_unwaited_is_answered_by_a_later_round_or_by_shutdown() {
     assert_eq!(service.client_count(), 0, "the dropped client was pruned");
     registry.assert_invariants();
 }
+
+#[test]
+fn try_take_combines_when_the_role_is_free_and_never_blocks_when_it_is_held() {
+    let backing = Arc::new(GatedSnapshot::new(CasPartialSnapshot::new(8, 2, 0u64)));
+    let executor = Executor::new(2);
+    let service = SnapshotService::start(Arc::clone(&backing), ServiceConfig::default(), &executor);
+    let client = service.client();
+
+    // Both roles free: one look runs the round on this thread.
+    let submitted = client.submit(2, 20).unwrap().try_take();
+    assert!(submitted.is_ok(), "a free ingest role was not taken");
+    let scanned = client.scan(vec![2], Freshness::Fresh).unwrap().try_take();
+    assert_eq!(
+        scanned.ok(),
+        Some(vec![20]),
+        "a free scan role was not taken"
+    );
+
+    // The scan role held by a combiner parked in the gate: the look hands
+    // the ticket back instead of waiting for it.
+    backing.scan_gate.close();
+    let first = client.scan(vec![2], Freshness::Fresh).unwrap();
+    let combiner = std::thread::spawn(move || first.wait());
+    wait_until("the scan combiner to drain its request", || {
+        service.scan_depth() == 0
+    });
+    let ticket = client.scan(vec![2, 3], Freshness::Fresh).unwrap();
+    let t0 = Instant::now();
+    let ticket = match ticket.try_take() {
+        Ok(values) => panic!("answered {values:?} through a closed gate"),
+        Err(ticket) => ticket,
+    };
+    assert!(t0.elapsed() < Duration::from_secs(1), "try_take blocked");
+    backing.scan_gate.open();
+    assert_eq!(combiner.join().unwrap(), vec![20]);
+    assert_eq!(ticket.wait(), vec![20, 0]);
+    service.shutdown();
+}

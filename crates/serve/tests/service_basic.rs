@@ -2,7 +2,7 @@
 //! scan coalescing, freshness bounds, backpressure, and the stats
 //! partitioning discipline.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use psnap_core::CasPartialSnapshot;
@@ -410,4 +410,78 @@ fn shutdown_resolves_every_accepted_ticket_and_stats_partition() {
     );
     assert_eq!(stats.submits_closed, 1);
     assert_eq!(stats.scans_closed, 1);
+}
+
+/// Nothing drains a queue in the background, so a `Busy` retry must make
+/// room itself when the full queue holds tickets nobody waits on.
+#[test]
+fn submit_blocking_makes_room_in_a_queue_of_unwaited_tickets() {
+    let executor = Executor::new(2);
+    let service = SnapshotService::start(
+        CasPartialSnapshot::new(8, 2, 0u64),
+        ServiceConfig {
+            ingest_capacity: 2,
+            ..ServiceConfig::default()
+        },
+        &executor,
+    );
+    let client = service.client();
+    let held: Vec<_> = (0..2u64)
+        .map(|k| client.submit(k as usize, k + 10).unwrap())
+        .collect();
+    assert_eq!(client.submit(2, 0).err(), Some(SubmitError::Busy));
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let applied = client.submit_blocking(2, 12);
+        done_tx.send((applied, client)).unwrap();
+    });
+    let (applied, client) = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("submit_blocking spun on a full queue nobody drains");
+    assert!(applied);
+    for ticket in held {
+        ticket.wait();
+    }
+    assert_eq!(
+        client.scan(vec![0, 1, 2], Freshness::Fresh).unwrap().wait(),
+        vec![10, 11, 12]
+    );
+    service.shutdown();
+}
+
+#[test]
+fn scan_blocking_makes_room_in_a_queue_of_unwaited_tickets() {
+    let executor = Executor::new(2);
+    let service = SnapshotService::start(
+        CasPartialSnapshot::new(8, 2, 0u64),
+        ServiceConfig {
+            scan_capacity: 2,
+            ..ServiceConfig::default()
+        },
+        &executor,
+    );
+    let client = service.client();
+    client.submit(1, 7).unwrap().wait();
+    let held: Vec<_> = (0..2)
+        .map(|_| client.scan(vec![1], Freshness::Fresh).unwrap())
+        .collect();
+    assert_eq!(
+        client.scan(vec![1], Freshness::Fresh).err(),
+        Some(SubmitError::Busy)
+    );
+    let (done_tx, done_rx) = mpsc::channel();
+    let scanner = service.client();
+    std::thread::spawn(move || {
+        done_tx
+            .send(scanner.scan_blocking(&[1, 2], Freshness::Fresh))
+            .unwrap();
+    });
+    let values = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("scan_blocking spun on a full queue nobody drains");
+    assert_eq!(values, Some(vec![7, 0]));
+    for ticket in held {
+        assert_eq!(ticket.wait(), vec![7]);
+    }
+    service.shutdown();
 }

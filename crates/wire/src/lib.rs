@@ -43,8 +43,8 @@
 //!   While the hosted object is **wait-free**
 //!   ([`PartialSnapshot::is_wait_free`](psnap_core::PartialSnapshot::is_wait_free),
 //!   read per request) that is the connection thread itself: before it
-//!   blocks in a socket read with requests in flight it polls their
-//!   tickets. Wait-freedom gates it because only then is every round
+//!   blocks in a socket read with requests in flight it tries their
+//!   tickets (`Ticket::try_take`). Wait-freedom gates it because only then is every round
 //!   bounded by the combiner's own steps; a thread that must get back to
 //!   its socket cannot afford to park behind a lock holder or a gated scan.
 //!   On any other object the connection thread only dispatches, and the

@@ -17,8 +17,8 @@
 //!   request tree assembles beneath it), and dispatches requests. While
 //!   the backing object is **wait-free** it also answers them: every time
 //!   it is about to block in a socket read with requests in flight, it
-//!   polls their tickets in order — a polled service ticket runs its
-//!   pipeline's round on the polling thread when the role is free, so this
+//!   tries their tickets in order — [`Ticket::try_take`] runs the
+//!   pipeline's round on the calling thread when the role is free, so this
 //!   thread combines — serializes the replies that are now complete and
 //!   sends them with one non-blocking send. A round trip then wakes this
 //!   thread and nobody else. Wait-freedom is the licence: a round finishes
@@ -64,15 +64,12 @@
 //! holds no matter how rudely a peer disconnects.
 
 use std::collections::VecDeque;
-use std::future::Future;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, TryLockError};
-use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use psnap_core::PartialSnapshot;
@@ -148,10 +145,25 @@ enum PendingTicket {
 }
 
 impl PendingTicket {
-    fn poll_body(&mut self, cx: &mut Context<'_>) -> Poll<ReplyBody> {
+    /// The reply body if [`Ticket::try_take`] finds it, or the ticket back.
+    fn try_body(self) -> Result<ReplyBody, PendingTicket> {
+        Ok(match self {
+            PendingTicket::Submit(t) => {
+                t.try_take().map_err(PendingTicket::Submit)?;
+                ReplyBody::Submitted
+            }
+            PendingTicket::Scan(t) => ReplyBody::Values(t.try_take().map_err(PendingTicket::Scan)?),
+        })
+    }
+
+    /// The reply body, once the ticket resolves.
+    fn wait_body(self) -> ReplyBody {
         match self {
-            PendingTicket::Submit(t) => Pin::new(t).poll(cx).map(|()| ReplyBody::Submitted),
-            PendingTicket::Scan(t) => Pin::new(t).poll(cx).map(ReplyBody::Values),
+            PendingTicket::Submit(t) => {
+                t.wait();
+                ReplyBody::Submitted
+            }
+            PendingTicket::Scan(t) => ReplyBody::Values(t.wait()),
         }
     }
 }
@@ -466,7 +478,7 @@ fn reply_pump(conn: Arc<Conn>) {
     };
     loop {
         let mut q = conn.pump.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(mut entry) = q.entries.pop_front() else {
+        let Some(entry) = q.entries.pop_front() else {
             let bell = (!q.closed).then(|| Arc::clone(q.doorbell.insert(OpCell::new())));
             drop(q);
             flush(&mut buf, &mut unflushed, &mut dirty);
@@ -477,28 +489,24 @@ fn reply_pump(conn: Arc<Conn>) {
             continue;
         };
         drop(q);
-        match &mut entry {
+        match entry {
             PumpEntry::Frames { bytes, replies } => {
-                buf.extend_from_slice(bytes);
-                unflushed += *replies;
+                buf.extend_from_slice(&bytes);
+                unflushed += replies;
             }
             PumpEntry::Pending(pending) => {
-                let ticket = &mut pending.ticket;
-                let body = match ticket.poll_body(&mut Context::from_waker(Waker::noop())) {
-                    Poll::Ready(body) => body,
-                    Poll::Pending => {
-                        // Genuinely pending: everything serialized so far
-                        // goes out before we wait.
-                        flush(&mut buf, &mut unflushed, &mut dirty);
-                        psnap_serve::block_on(std::future::poll_fn(|cx| ticket.poll_body(cx)))
-                    }
-                };
+                let body = pending.ticket.try_body().unwrap_or_else(|ticket| {
+                    // Genuinely pending: everything serialized so far goes
+                    // out before we wait.
+                    flush(&mut buf, &mut unflushed, &mut dirty);
+                    ticket.wait_body()
+                });
                 encode_reply_into(pending.id, body, &mut buf);
                 unflushed += 1;
+                // The wire span drops with `pending`: the request tree is complete.
             }
         }
         dirty = true;
-        drop(entry); // ends the wire span: the request tree is complete
         if buf.len() >= PUMP_FLUSH_BYTES {
             flush(&mut buf, &mut unflushed, &mut dirty);
         }
@@ -840,29 +848,28 @@ struct ConnReader<'a> {
 }
 
 impl ConnReader<'_> {
-    /// Answers the batch from this thread: polls its tickets in order —
-    /// each poll runs its pipeline's round here if the role is free —
-    /// sends the replies at the head of the batch that are complete with
-    /// one non-blocking send, and leaves the rest, in order, to the reply
-    /// pump.
+    /// Answers the batch from this thread: tries its tickets in order —
+    /// each [`try_take`](Ticket::try_take) runs its pipeline's round here
+    /// if the role is free — sends the replies at the head of the batch
+    /// that are complete with one non-blocking send, and leaves the rest,
+    /// in order, to the reply pump.
     fn settle(&mut self) {
         if self.batch.is_empty() {
             return;
         }
-        let mut cx = Context::from_waker(Waker::noop());
         let mut replies = 0u64;
         self.frames.clear();
         let mut rest = self.batch.drain(..);
         let first_pending = loop {
-            let Some(mut entry) = rest.next() else {
+            let Some(entry) = rest.next() else {
                 break None;
             };
-            match entry.ticket.poll_body(&mut cx) {
-                Poll::Ready(body) => {
+            match entry.ticket.try_body() {
+                Ok(body) => {
                     encode_reply_into(entry.id, body, &mut self.frames);
                     replies += 1;
                 }
-                Poll::Pending => break Some(entry),
+                Err(ticket) => break Some(PendingReply { ticket, ..entry }),
             }
         };
         if replies > 0 {

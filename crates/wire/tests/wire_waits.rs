@@ -1,5 +1,5 @@
 //! The waiting sites of a served connection, seen through their counters:
-//! `wire.wait.*` (socket reads, either end) and `serve.wait.*` (`block_on`
+//! `wire.wait.*` (socket reads, either end) and `serve.wait.*` (`Ticket::wait`
 //! callers). The counters are process-wide, so the tests of this file take
 //! turns.
 //!
@@ -194,7 +194,7 @@ fn under_sparse_traffic_the_server_stops_polling_and_the_client_does_not() {
     // The server's side alone: its read of the socket waits a whole gap at
     // a time, so after `CREDIT` such waits it has stopped polling; the
     // connection thread combines every request itself, so nothing waits
-    // through `block_on`, and the executor's workers have nothing to run.
+    // through `Ticket::wait`, and the executor's workers have nothing to run.
     let mut peer = RawPeer::connect(&rig.path);
     let (wire, serve) = sparse_tail(|i| {
         let reply = if i % 2 == 0 {
@@ -210,7 +210,7 @@ fn under_sparse_traffic_the_server_stops_polling_and_the_client_does_not() {
         assert!(reply.contains("\"ok\""), "{reply}");
     });
     wire.report("sparse server reads");
-    serve.report("sparse block_on waits");
+    serve.report("sparse ticket waits");
     assert!(
         wire.parked >= tail,
         "every sparse request is a read that slept: {wire:?}"
@@ -222,7 +222,7 @@ fn under_sparse_traffic_the_server_stops_polling_and_the_client_does_not() {
     assert_eq!(
         serve.total(),
         0,
-        "an executor worker or a `block_on` caller woke: {serve:?}"
+        "an executor worker or a `Ticket::wait` caller woke: {serve:?}"
     );
     drop(peer);
 
@@ -294,11 +294,11 @@ fn idle_connections_poll_once_and_then_sleep() {
     // has no timer to serve: its acceptor is blocked in `accept` and its
     // executor's workers wait on an empty heap.
     eprintln!("300 ms idle: {process:?} of CPU, {readers:?} of it the 8 connection threads'");
-    serve.report("idle block_on waits");
+    serve.report("idle ticket waits");
     assert_eq!(
         serve.total(),
         0,
-        "an executor worker or a `block_on` caller woke: {serve:?}"
+        "an executor worker or a `Ticket::wait` caller woke: {serve:?}"
     );
     // Nothing arrives, so none of the eight connection reads returns: each
     // is asleep on its socket, and no client is waiting for anything.
