@@ -592,7 +592,7 @@ const E17_SEED: u64 = 0xE17;
 type E17Service = Arc<psnap_serve::SnapshotService<u64, Arc<CasPartialSnapshot<u64>>>>;
 
 /// The shared E17 service fixture: a Cas-backed service with drain
-/// coalescing and room for many per-connection ingestion queues.
+/// coalescing and ingest room for every connection.
 fn e17_service(m: usize) -> (psnap_serve::Executor, E17Service) {
     use psnap_serve::{Coalescing, Executor, ServiceConfig, SnapshotService};
     let executor = Executor::new(2);
@@ -621,9 +621,9 @@ fn e17_queries(m: usize, r: usize) -> Vec<Vec<usize>> {
 /// realistic way clients drive a request/reply transport — it amortizes
 /// the per-op wake-ups (and, over the wire, the per-op syscalls) across a
 /// window — and both transports run the identical loop, so the comparison
-/// stays apples-to-apples. The window is kept well under the service's
-/// per-connection queue capacities so steady-state traffic is not shaped
-/// by backpressure.
+/// stays apples-to-apples. The window is kept well under each
+/// connection's ingest room and the scan queue's capacity so steady-state
+/// traffic is not shaped by backpressure.
 const E17_WINDOW: usize = 16;
 
 /// The loop calls `flush` after every this-many issued ops (the wire
@@ -1027,7 +1027,7 @@ pub fn e17_wire(effort: Effort) -> Report {
              each client pipelining up to 16 ops in flight on both transports — \
              the wire clients corked, flushing every 8 issues) at \
              1/4/16/64 connections. Each wire op crosses frame encode → socket → \
-             decode → per-connection ingestion queue → service → reply frame, \
+             decode → the connection's share of the ingest queue → service → reply frame, \
              so throughput_vs_inproc prices the transport end to end; the latency \
              columns are issue-to-completion, including pipeline queueing. The \
              backend is wait-free, so a connection's own server thread runs the \

@@ -6,8 +6,8 @@
 //!
 //! * a **timer** ([`executor`]) for periodic work — worker threads over
 //!   one deadline heap of jobs, each returning when it runs next;
-//! * **batched ingestion** ([`service`]) — per-client bounded MPSC queues
-//!   whose submissions are coalesced (last-write-wins per component,
+//! * **batched ingestion** ([`service`]) — one ingest queue, in which each
+//!   client may hold a bounded number of submissions, coalesced (last-write-wins per component,
 //!   client batches kept atomic) into single
 //!   [`update_many`](psnap_core::PartialSnapshot::update_many) calls;
 //! * **scan coalescing** — concurrent partial-scan requests are merged
@@ -19,9 +19,9 @@
 //! * **combining** — both pipelines run on the threads that wait for them:
 //!   a waiting [`Ticket`] (or one tried with [`Ticket::try_take`]) runs its
 //!   pipeline's round when nobody else holds that pipeline's role (flat
-//!   combining, with the queues as the publication list);
-//! * **backpressure** — full queues reject immediately with
-//!   [`SubmitError::Busy`]; accepted work always completes and the stats
+//!   combining, with each pipeline's one queue as its publication list);
+//! * **backpressure** — a client at its ingest bound, or a full scan
+//!   queue, is refused immediately with [`SubmitError::Busy`]; accepted work always completes and the stats
 //!   counters partition exactly.
 //!
 //! # Quick start

@@ -83,8 +83,16 @@ impl<I> BoundedQueue<I> {
     /// Moves every queued item into `sink`, preserving FIFO order. Returns
     /// the number of items moved.
     pub fn drain_into(&self, sink: &mut Vec<I>) -> usize {
+        self.drain_into_with(sink, |_| {})
+    }
+
+    /// [`drain_into`](BoundedQueue::drain_into), calling `taken` on each
+    /// item before the queue's lock is let go: whoever sees the queue empty
+    /// also sees every `taken` call of the drain that emptied it.
+    pub(crate) fn drain_into_with(&self, sink: &mut Vec<I>, taken: impl FnMut(&I)) -> usize {
         let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let n = q.items.len();
+        q.items.iter().for_each(taken);
         sink.extend(q.items.drain(..));
         n
     }
@@ -177,7 +185,7 @@ impl<V> OpCell<V> {
 /// The two pipelines of a service, each with its own role.
 #[derive(Clone, Copy)]
 pub(crate) enum Lane {
-    /// Submissions: collected from every client queue, applied in chunks.
+    /// Submissions: drained from the ingest queue, applied in chunks.
     Ingest,
     /// Scan requests: answered inline when empty, else from the version
     /// chains or by one union scan.

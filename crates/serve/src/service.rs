@@ -5,9 +5,10 @@
 //! pipelines, guarded by backpressure:
 //!
 //! 1. **Ingestion** — [`ClientHandle::submit`] / [`ClientHandle::submit_batch`] push writes
-//!    into the client's own bounded MPSC queue and return an
-//!    [`UpdateTicket`]. A round of ingestion collects every client queue,
-//!    concatenates the submissions in arrival order, coalesces duplicate
+//!    into the one shared ingest queue and return an [`UpdateTicket`];
+//!    each client may hold at most [`ServiceConfig::ingest_capacity`]
+//!    submissions in it. A round of ingestion drains that queue, takes the
+//!    submissions in arrival order, coalesces duplicate
 //!    components **last-write-wins** (legal because the whole chunk is
 //!    applied by one `update_many`, i.e. at one linearization point, and a
 //!    superseded write linearizes immediately before its superseder), and
@@ -27,15 +28,16 @@
 //!    itself), and per-job bookkeeping (clock, counters, span vectors) is
 //!    paid once per job. `{prefix}.scan.plan_ns`, `.backing_latency_ns` and
 //!    `.fanout_ns` time the three stages per job.
-//! 3. **Backpressure** — both queue families are bounded; a full queue fails
-//!    the submit with [`SubmitError::Busy`] immediately and enqueues
-//!    nothing. Accepted work is never dropped: every ticket resolves, even
-//!    across [`SnapshotService::shutdown`].
+//! 3. **Backpressure** — both lanes are bounded, the ingest queue per
+//!    client and the scan queue as a whole; a request over its bound fails
+//!    with [`SubmitError::Busy`] immediately and enqueues nothing.
+//!    Accepted work is never dropped: every ticket resolves, even across
+//!    [`SnapshotService::shutdown`].
 //!
 //! **The waiter is the combiner.** Nobody runs the pipelines in the
 //! background. Each has a *role*, a try-lock that owns the pipeline's pid
 //! and state (ingestion: `drain_pid` and the pending buffer; scanning:
-//! `scan_pid` and the last dispatch time), and the queues are its
+//! `scan_pid` and the last dispatch time), and the lane's one queue is its
 //! publication list. A thread that waits on a ticket — or tries one with
 //! [`Ticket::try_take`], or shuts the service down — runs a round of the
 //! ticket's pipeline itself if that role is free; otherwise it waits, and
@@ -64,7 +66,7 @@
 //! component, so splitting it by shard would buy parallelism but no
 //! consistency.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -107,7 +109,8 @@ pub enum Freshness {
 /// Configuration of a [`SnapshotService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Capacity of each client's ingestion queue (submissions, not writes).
+    /// Submissions (not writes) each client may have queued for ingestion
+    /// at once; one more is refused with [`SubmitError::Busy`].
     pub ingest_capacity: usize,
     /// Capacity of the shared scan-request queue.
     pub scan_capacity: usize,
@@ -164,11 +167,13 @@ pub type ScanTicket<T> = Ticket<Vec<T>>;
 struct Submission<T> {
     writes: Vec<(usize, T)>,
     cell: Arc<OpCell<()>>,
+    /// The submitting client's count of queued submissions; the round that
+    /// collects this one gives its slot back.
+    owner: Arc<AtomicUsize>,
     submitted: Instant,
     /// Child span covering the queue dwell; taken and ended at drain time.
-    /// Declared before the root so that a rejected submission (dropped
-    /// whole by `try_push`) ends the child first and its stunted tree
-    /// still assembles.
+    /// Declared before the root so that a refused submission (dropped
+    /// whole) ends the child first and its stunted tree still assembles.
     queue_wait: Option<Span>,
     /// Root of the request's span tree (kind `Ingest`); taken and ended
     /// when the submission resolves. Inert unless spans are enabled.
@@ -234,7 +239,7 @@ struct Counters {
     /// union and answering every request of the job (nanoseconds each).
     plan_ns: Arc<Histogram>,
     fanout_ns: Arc<Histogram>,
-    /// Submissions currently queued across all clients.
+    /// Submissions currently queued.
     ingest_depth: Arc<Gauge>,
     /// Scan requests currently queued.
     scan_depth: Arc<Gauge>,
@@ -250,7 +255,7 @@ struct Counters {
 /// scans_served_mv + scans_served_empty`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Submissions accepted into an ingestion queue.
+    /// Submissions accepted into the ingest queue.
     pub submits_ok: u64,
     /// Submissions rejected with [`SubmitError::Busy`].
     pub submits_busy: u64,
@@ -347,21 +352,23 @@ pub struct ServiceObs {
     pub coalescing_ratio: f64,
     /// Components requested per component actually read.
     pub component_dedup_ratio: f64,
-    /// Submissions currently queued across all clients (live gauge).
+    /// Submissions currently queued (live gauge).
     pub ingest_depth: i64,
     /// Scan requests currently queued (live gauge).
     pub scan_depth: i64,
-    /// Client queues currently registered.
+    /// Live [`ClientHandle`]s.
     pub client_count: usize,
     /// Per-shard operation heat of the backing object (empty when the
     /// backing object is unsharded).
     pub shard_heat: Vec<u64>,
-    /// EWMA-smoothed per-shard heat **rate** (operations per observation
-    /// tick), differentiated from the cumulative [`shard_heat`] counters
-    /// across successive obs snapshots. This is the windowed view a
-    /// reshard policy consumes: a shard that was hot an hour ago but is
-    /// idle now decays toward `0` here while its cumulative counter never
-    /// moves backwards. Zeros on the first snapshot (nothing to diff yet).
+    /// EWMA-smoothed per-shard heat **rate** (operations per tick of the
+    /// reshard driver), differentiated from the cumulative [`shard_heat`]
+    /// counters: the window the driver's policy last decided on. A shard
+    /// that was hot an hour ago but is idle now decays toward `0` here
+    /// while its cumulative counter never moves backwards. Reading it
+    /// advances nothing, so every caller sees the same window. Zeros
+    /// without a [driver](SnapshotService::spawn_reshard_driver) and until
+    /// its second tick (nothing to diff yet).
     ///
     /// [`shard_heat`]: ServiceObs::shard_heat
     pub shard_heat_rate: Vec<f64>,
@@ -444,20 +451,6 @@ impl ServiceObs {
     }
 }
 
-/// The client-queue registry. The `closed` flag lives under the same mutex
-/// as the queue list so shutdown's close sweep, client registration, and an
-/// ingest round's collection are totally ordered: a registration that comes
-/// after the sweep in the mutex order sees `closed == true` and is born
-/// closed, so once shutdown's own round has collected every listed queue,
-/// no queue can ever hold an accepted submission nobody will collect. (A
-/// bare atomic flag cannot give this: a registration could read a stale
-/// `false` with no happens-before edge and accept a write after the final
-/// round, stranding its ticket.)
-struct ClientRegistry<T> {
-    closed: bool,
-    queues: Vec<Arc<BoundedQueue<Submission<T>>>>,
-}
-
 /// What the scan role owns besides `scan_pid`.
 struct ScanRole<T> {
     /// Requests drained and not yet answered (empty between rounds).
@@ -482,17 +475,20 @@ fn take_role<R>(role: &Mutex<R>, wait: bool) -> Option<MutexGuard<'_, R>> {
 struct ServiceCore<T, S> {
     snapshot: S,
     config: ServiceConfig,
-    clients: Mutex<ClientRegistry<T>>,
+    /// Every client's submissions; each [`ClientHandle`] bounds its own
+    /// share, so the queue itself is unbounded.
+    ingest_queue: BoundedQueue<Submission<T>>,
     scan_queue: BoundedQueue<ScanRequest<T>>,
+    /// Live [`ClientHandle`]s.
+    clients: AtomicUsize,
     /// The ingest role: owns `drain_pid` and the pending buffer (drained
     /// submissions not yet applied; empty between rounds).
     ingest: Mutex<Vec<Submission<T>>>,
     /// The scan role.
     scan: Mutex<ScanRole<T>>,
-    /// Differentiates the backing object's cumulative `shard_heat` into
-    /// per-tick rates, advanced once per obs snapshot (see
+    /// The shard heat rates the reshard driver last decided on (see
     /// [`ServiceObs::shard_heat_rate`]).
-    heat_rates: Mutex<RateTracker>,
+    heat_rates: Mutex<Vec<f64>>,
     counters: Counters,
 }
 
@@ -738,13 +734,7 @@ where
                 }
             }
             let published = match lane {
-                Lane::Ingest => self
-                    .clients
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .queues
-                    .iter()
-                    .any(|queue| !queue.is_empty()),
+                Lane::Ingest => !self.ingest_queue.is_empty(),
                 Lane::Scan => !self.scan_queue.is_empty(),
             };
             if !published {
@@ -753,24 +743,15 @@ where
         }
     }
 
-    /// One ingest round: collects every client queue into `pending` and
-    /// applies it.
+    /// One ingest round: drains the ingest queue into `pending`, giving
+    /// each submission's slot back to its client, and applies it.
     fn ingest_round(&self, pending: &mut Vec<Submission<T>>) {
-        {
-            let mut registry = self.clients.lock().unwrap_or_else(|e| e.into_inner());
-            for queue in &registry.queues {
-                queue.drain_into(pending);
-            }
-            // Prune queues of dropped clients: closed means no further push
-            // can succeed, and empty (checked after the drain above) means
-            // nothing accepted is left to resolve — so removal strands no
-            // ticket. This keeps a long-lived service with short-lived
-            // clients from scanning an ever-growing list of dead queues.
-            registry
-                .queues
-                .retain(|queue| !(queue.is_closed() && queue.is_empty()));
-        }
-        if pending.is_empty() {
+        // The slots go back under the queue's lock, so a client that sees
+        // the queue empty has its room back.
+        let collected = self.ingest_queue.drain_into_with(pending, |submission| {
+            submission.owner.fetch_sub(1, Ordering::Relaxed);
+        });
+        if collected == 0 {
             return;
         }
         self.counters.ingest_depth.sub(pending.len() as i64);
@@ -895,18 +876,16 @@ where
         );
         let core = Arc::new(ServiceCore {
             snapshot,
+            ingest_queue: BoundedQueue::new(usize::MAX),
             scan_queue: BoundedQueue::new(config.scan_capacity),
+            clients: AtomicUsize::new(0),
             config,
-            clients: Mutex::new(ClientRegistry {
-                closed: false,
-                queues: Vec::new(),
-            }),
             ingest: Mutex::new(Vec::new()),
             scan: Mutex::new(ScanRole {
                 requests: Vec::new(),
                 last_dispatch: None,
             }),
-            heat_rates: Mutex::new(RateTracker::new(HEAT_EWMA_ALPHA)),
+            heat_rates: Mutex::new(Vec::new()),
             counters: Counters::default(),
         });
         SnapshotService { core }
@@ -923,12 +902,7 @@ where
         let flag = Arc::clone(&stop);
         let core = Arc::clone(&self.core);
         executor.handle().schedule(Instant::now() + every, move || {
-            let closed = core
-                .clients
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .closed;
-            if closed || flag.load(Ordering::Acquire) {
+            if core.ingest_queue.is_closed() || flag.load(Ordering::Acquire) {
                 return None;
             }
             tick(&core);
@@ -955,9 +929,9 @@ where
 
     /// Spawns the online reshard driver on `executor`: every `every`, it
     /// samples the backing object's cumulative shard heat, differentiates
-    /// it into windowed rates (its own [`RateTracker`], so the obs cadence
-    /// cannot distort the decision window), asks the [`ReshardPolicy`] for
-    /// a split/merge, and applies any proposal through
+    /// it into windowed rates at its own fixed cadence, publishes them as
+    /// [`ServiceObs::shard_heat_rate`], asks the [`ReshardPolicy`] for a
+    /// split/merge, and applies any proposal through
     /// [`PartialSnapshot::reshard`] while traffic keeps flowing. On a
     /// backing object that does not support resharding (or reports no
     /// shard heat) the driver ticks harmlessly forever. The task exits
@@ -979,6 +953,7 @@ where
             }
             let sizes = core.snapshot.shard_sizes();
             let window = rates.observe(&heat);
+            *core.heat_rates.lock().unwrap_or_else(|e| e.into_inner()) = window.to_vec();
             let Some(op) = policy.decide(window, &sizes) else {
                 return;
             };
@@ -1085,23 +1060,18 @@ where
     let c = &core.counters;
     let stats = stats_of(c);
     let shard_heat = core.snapshot.shard_heat();
-    let shard_heat_rate = core
+    let mut shard_heat_rate = core
         .heat_rates
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .observe(&shard_heat)
-        .to_vec();
+        .clone();
+    shard_heat_rate.resize(shard_heat.len(), 0.0);
     ServiceObs {
         coalescing_ratio: stats.coalescing_ratio(),
         component_dedup_ratio: stats.component_dedup_ratio(),
         ingest_depth: c.ingest_depth.get(),
         scan_depth: c.scan_depth.get(),
-        client_count: core
-            .clients
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .queues
-            .len(),
+        client_count: core.clients.load(Ordering::Relaxed),
         shard_heat,
         shard_heat_rate,
         generation: core.snapshot.generation(),
@@ -1130,26 +1100,14 @@ where
     T: Clone + Send + Sync + 'static,
     S: PartialSnapshot<T>,
 {
-    /// Registers a new client and returns its submit/scan handle. Each
-    /// client gets its own bounded ingestion queue; dropping the handle
-    /// closes the queue, and an ingest round prunes it once drained.
+    /// A new client's submit/scan handle. Each client may hold up to
+    /// [`ServiceConfig::ingest_capacity`] submissions in the shared ingest
+    /// queue; what it accepted is applied even after the handle drops.
     pub fn client(&self) -> ClientHandle<T, S> {
-        let queue = Arc::new(BoundedQueue::new(self.core.config.ingest_capacity));
-        {
-            // Registration and the closed check happen under the same lock
-            // shutdown uses to close every registered queue, so a queue can
-            // never slip in open after the shutdown sweep (its submissions
-            // would come after shutdown's final round). The lock-guarded
-            // flag is authoritative — an atomic read here could be stale.
-            let mut registry = self.core.clients.lock().unwrap_or_else(|e| e.into_inner());
-            if registry.closed {
-                queue.close();
-            }
-            registry.queues.push(Arc::clone(&queue));
-        }
+        self.core.clients.fetch_add(1, Ordering::Relaxed);
         ClientHandle {
             core: Arc::clone(&self.core),
-            queue,
+            queued: Arc::new(AtomicUsize::new(0)),
             busy_streak: AtomicU64::new(0),
         }
     }
@@ -1175,16 +1133,9 @@ where
         stats_of(&self.core.counters)
     }
 
-    /// Submissions currently queued across all clients (racy gauge).
+    /// Submissions currently queued (racy gauge).
     pub fn ingest_depth(&self) -> usize {
-        self.core
-            .clients
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .queues
-            .iter()
-            .map(|q| q.len())
-            .sum()
+        self.core.ingest_queue.len()
     }
 
     /// Scan requests currently queued (racy gauge).
@@ -1192,15 +1143,9 @@ where
         self.core.scan_queue.len()
     }
 
-    /// Client queues currently registered (racy gauge; dropped clients'
-    /// queues disappear once an ingest round has drained and pruned them).
+    /// Live [`ClientHandle`]s (racy gauge).
     pub fn client_count(&self) -> usize {
-        self.core
-            .clients
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .queues
-            .len()
+        self.core.clients.load(Ordering::Relaxed)
     }
 
     /// One observability snapshot of the live service: stats, derived
@@ -1214,8 +1159,8 @@ where
     /// `{prefix}.ingest.*` / `{prefix}.scan.*`, and declares the counter
     /// partition laws as checkable invariants. The invariants hold at
     /// quiescence (no accepted-but-unapplied work) — after
-    /// [`shutdown`](SnapshotService::shutdown), or whenever both queue
-    /// families are drained:
+    /// [`shutdown`](SnapshotService::shutdown), or whenever both queues are
+    /// drained:
     ///
     /// * every accepted submission resolves (`ingest.ok == ingest.resolved`);
     /// * every submitted write is applied or coalesced away
@@ -1304,21 +1249,11 @@ where
         self.close(true);
     }
 
-    /// Closes every queue and runs the final rounds, waiting for a role
-    /// that is held if `wait`.
+    /// Closes both queues and runs the final rounds, waiting for a role
+    /// that is held if `wait`. A push lands before the close, under the
+    /// queue's lock, and the final rounds collect it, or it is refused.
     fn close(&self, wait: bool) {
-        // Flip the flag and close every registered queue in ONE registry
-        // critical section: a concurrent registration orders against this
-        // block as a whole, so there is no window where the flag is up but
-        // a still-open queue can accept a submission the final round
-        // misses.
-        {
-            let mut registry = self.core.clients.lock().unwrap_or_else(|e| e.into_inner());
-            registry.closed = true;
-            for queue in registry.queues.iter() {
-                queue.close();
-            }
-        }
+        self.core.ingest_queue.close();
         self.core.scan_queue.close();
         self.core.combine(Lane::Ingest, wait);
         self.core.combine(Lane::Scan, wait);
@@ -1340,17 +1275,18 @@ where
 
 /// A client's handle to the service: submits writes and scan requests.
 /// Cloning is deliberate-free — create one handle per logical client via
-/// [`SnapshotService::client`], since each handle owns a bounded queue.
-/// Dropping the handle closes that queue; whatever it already accepted is
-/// still drained (and its tickets resolved) by a later ingest round, which
-/// then prunes it.
+/// [`SnapshotService::client`], since each handle bounds its own share of
+/// the ingest queue. Whatever a dropped handle already accepted is still
+/// applied (and its tickets resolved) by a later ingest round.
 pub struct ClientHandle<T, S>
 where
     T: Clone + Send + Sync + 'static,
     S: PartialSnapshot<T>,
 {
     core: Arc<ServiceCore<T, S>>,
-    queue: Arc<BoundedQueue<Submission<T>>>,
+    /// This client's submissions in the ingest queue, at most
+    /// [`ServiceConfig::ingest_capacity`].
+    queued: Arc<AtomicUsize>,
     /// Consecutive `Busy` rejections (submits and scans) seen by THIS
     /// client, reset by this client's own acceptances only; fires the
     /// flight recorder's busy-burst trigger at
@@ -1386,15 +1322,24 @@ where
         // server's decode-time span), the request tree nests beneath it.
         let root = Span::root_or_child(SpanKind::Ingest);
         let queue_wait = Span::child(root.context(), SpanKind::QueueWait);
+        let room = self.core.config.ingest_capacity.max(1);
         let result = {
             let _in_span = span::enter(root.context());
-            self.queue.try_push(Submission {
+            let submission = Submission {
                 writes,
                 cell: Arc::clone(&cell),
+                owner: Arc::clone(&self.queued),
                 submitted: Instant::now(),
                 span: Some(root),
                 queue_wait: Some(queue_wait),
-            })
+            };
+            // Reserve a slot of this client's room first; a refused push
+            // gives it back below.
+            if self.queued.fetch_add(1, Ordering::Relaxed) < room {
+                self.core.ingest_queue.try_push(submission)
+            } else {
+                Err(SubmitError::Busy)
+            }
         };
         match result {
             Ok(depth) => {
@@ -1406,6 +1351,7 @@ where
                 Ok(Ticket::published(cell, self.core.clone(), Lane::Ingest))
             }
             Err(e) => {
+                self.queued.fetch_sub(1, Ordering::Relaxed);
                 let counter = match e {
                     SubmitError::Busy => &self.core.counters.submits_busy,
                     SubmitError::Closed => &self.core.counters.submits_closed,
@@ -1556,9 +1502,6 @@ where
     S: PartialSnapshot<T>,
 {
     fn drop(&mut self) {
-        // No further pushes can succeed; whatever was accepted is drained by
-        // a later round (a waiter's, or shutdown's), which then prunes the
-        // closed-and-empty queue from the client list.
-        self.queue.close();
+        self.core.clients.fetch_sub(1, Ordering::Relaxed);
     }
 }

@@ -208,15 +208,14 @@ fn chaos_parked_workers_preserve_ingestion_and_scan_conformance() {
 }
 
 /// Seam test for the shutdown drain accounting: clients keep registering
-/// fresh queues and submitting while shutdown runs and the drainer sits
-/// parked mid-apply behind the update gate. Every submission must either be
-/// refused with `Closed` at the push, or be accepted AND have its ticket
-/// resolve — a queue slipping in open after the drainer's exit sample would
-/// strand its tickets and leak the `ingest_depth` gauge. (This is exactly
-/// the race the registry-lock-guarded closed flag removes: with the flag
-/// sampled as a bare atomic outside the lock, a registration could read a
-/// stale `false`, accept a write after the final drain, and hang its
-/// waiter.) The gate parks the drainer deterministically; the rounds vary
+/// and submitting while shutdown runs and the drainer sits parked mid-apply
+/// behind the update gate. Every submission must either be refused with
+/// `Closed` at the push, or be accepted AND have its ticket resolve — a
+/// push accepted after the final round's drain would strand its ticket and
+/// leak the `ingest_depth` gauge. (The one ingest queue rules this out: a
+/// push and shutdown's close take the same queue lock, so a push either
+/// lands before the close, where the final rounds collect it, or is
+/// refused.) The gate parks the drainer deterministically; the rounds vary
 /// the shutdown timing for schedule diversity.
 #[test]
 fn shutdown_racing_late_client_registration_strands_no_ticket() {

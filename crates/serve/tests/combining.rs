@@ -236,6 +236,7 @@ fn a_ticket_dropped_unwaited_is_answered_by_a_later_round_or_by_shutdown() {
         vec![30, 40, 50, 60]
     );
     assert_eq!((service.ingest_depth(), service.scan_depth()), (0, 0));
+    drop(waiter);
     assert_eq!(service.client_count(), 0, "the dropped client was pruned");
     registry.assert_invariants();
 }

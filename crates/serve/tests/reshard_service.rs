@@ -2,7 +2,8 @@
 //! watching windowed shard heat must split a hot shard while submits and
 //! scans keep flowing, scans must stay exact across the cutover, and the
 //! obs snapshot must expose the moving generation and the heat rates the
-//! driver acted on.
+//! driver acted on. Those rates are the driver's own window: reading them
+//! advances nothing.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -186,5 +187,52 @@ fn reshard_driver_is_inert_on_an_unsharded_backing_object() {
     assert_eq!(values, vec![0, 3, 7]);
     assert_eq!(service.obs().generation, 0, "nothing to reshard");
     driver.stop();
+    service.shutdown();
+}
+
+/// `shard_heat_rate` is the window the reshard driver last decided on, not
+/// a window of the obs caller's own: two reads in a row with the driver
+/// stopped see the same rates.
+#[test]
+fn obs_reads_the_drivers_heat_rates_without_advancing_them() {
+    psnap_obs::set_enabled(true); // the heat signal the driver feeds on
+    let backing = Arc::new(MvShardedSnapshot::new(
+        M,
+        2,
+        0u64,
+        ShardConfig::multiversioned(2),
+    ));
+    let executor = Executor::new(2);
+    let service = SnapshotService::start(Arc::clone(&backing), ServiceConfig::default(), &executor);
+    let driver = service.spawn_reshard_driver(
+        &executor,
+        Duration::from_millis(1),
+        ReshardPolicyConfig {
+            // The policy never acts: only the published rates are tested.
+            min_total_rate: f64::INFINITY,
+            ..ReshardPolicyConfig::default()
+        },
+    );
+    let client = service.client();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut round = 0u64;
+    while service.obs().shard_heat_rate.iter().all(|&r| r == 0.0) {
+        assert!(
+            Instant::now() < deadline,
+            "the driver never published a rate"
+        );
+        round += 1;
+        for component in 0..M {
+            assert!(client.submit_blocking(component, round));
+        }
+    }
+    driver.stop();
+    // Let a tick that was already running finish before the two reads.
+    std::thread::sleep(Duration::from_millis(50));
+    let first = service.obs().shard_heat_rate;
+    let second = service.obs().shard_heat_rate;
+    assert_eq!(first, second, "a read advanced the heat-rate window");
+    assert!(first.iter().any(|&r| r > 0.0), "{first:?}");
+    assert_eq!(backing.generation(), 0, "the policy must not have acted");
     service.shutdown();
 }

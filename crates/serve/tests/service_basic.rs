@@ -192,6 +192,51 @@ fn full_ingest_queue_rejects_with_busy_and_nothing_is_lost() {
     service.shutdown();
 }
 
+/// `ingest_capacity` bounds each client's own room in the ingest queue: a
+/// client that filled its room is refused while another client still gets
+/// all of its own.
+#[test]
+fn a_full_client_is_refused_while_another_client_keeps_its_room() {
+    let backing = gated(8);
+    let executor = Executor::new(2);
+    let service = SnapshotService::start(
+        Arc::clone(&backing),
+        ServiceConfig {
+            ingest_capacity: 2,
+            ..ServiceConfig::default()
+        },
+        &executor,
+    );
+    let (a, b) = (service.client(), service.client());
+
+    backing.update_gate.close();
+    let parked = a.submit(0, 1).unwrap();
+    let parked = std::thread::spawn(move || parked.wait());
+    wait_until("drainer to park on the gate", || {
+        service.ingest_depth() == 0
+    });
+    let mut accepted: Vec<_> = (0..2).map(|k| a.submit(1, 10 + k).unwrap()).collect();
+    assert_eq!(a.submit(1, 99).err(), Some(SubmitError::Busy));
+    // A's full room leaves B's alone.
+    accepted.extend((0..2).map(|k| b.submit(2, 20 + k).unwrap()));
+    assert_eq!(b.submit(2, 99).err(), Some(SubmitError::Busy));
+
+    backing.update_gate.open();
+    parked.join().unwrap();
+    for ticket in accepted {
+        ticket.wait();
+    }
+    assert_eq!(
+        a.scan(vec![1, 2], Freshness::Fresh).unwrap().wait(),
+        vec![11, 21],
+        "each client's tail must win; neither refused 99 may appear"
+    );
+    let stats = service.stats();
+    assert_eq!((stats.submits_ok, stats.submits_busy), (5, 2), "{stats:?}");
+    assert_eq!(stats.submits_ok, stats.submits_resolved, "{stats:?}");
+    service.shutdown();
+}
+
 #[test]
 fn concurrent_scans_coalesce_into_one_backing_scan() {
     let backing = gated(32);

@@ -2,51 +2,26 @@
 //! warm-up, an `update` allocates its one version block and a cross-shard
 //! `scan` allocates the vector it returns — at m = 2⁸ as at m = 2¹⁴.
 //!
-//! Allocation calls are counted per thread by a `#[global_allocator]`,
-//! which is why this test has an integration-test binary to itself (and
-//! one test in it: another test's epoch pins could hold back reclamation
-//! and make this thread's garbage bags grow).
+//! Allocation calls are counted per thread by the `#[global_allocator]`
+//! in `tests/support/counting_alloc.rs`, which is why this test has an
+//! integration-test binary to itself (and one test in it: another test's
+//! epoch pins could hold back reclamation and make this thread's garbage
+//! bags grow).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use psnap_core::PartialSnapshot;
 use psnap_shard::{MvShardedSnapshot, ShardConfig};
 use psnap_shmem::ProcessId;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAllocator;
-
-// SAFETY: defers to `System` for every operation; the only addition is a
-// thread-local call counter with no destructor, which allocates nothing.
-// `realloc` and `alloc_zeroed` keep their default bodies, which call
-// `alloc`, so a growing vector counts once per growth.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|calls| calls.set(calls.get() + 1));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
 /// Allocations per call of `op`, over `calls` calls on this thread.
 fn allocations_per_call(calls: u64, mut op: impl FnMut(u64)) -> f64 {
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = counting_alloc::thread_allocations();
     for i in 0..calls {
         op(i);
     }
-    (ALLOCATIONS.with(Cell::get) - before) as f64 / calls as f64
+    (counting_alloc::thread_allocations() - before) as f64 / calls as f64
 }
 
 /// The allocation budget of one `MvShardedSnapshot::update`, written down

@@ -36,7 +36,7 @@ use crate::scenario::Scenario;
 
 /// Executor worker threads of a driven service.
 const WORKERS: usize = 2;
-/// Capacity of each client's ingestion queue.
+/// Submissions each client may have queued for ingestion at once.
 const INGEST_CAPACITY: usize = 16;
 /// Capacity of the scan-request queue.
 const SCAN_CAPACITY: usize = 64;

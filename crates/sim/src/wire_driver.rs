@@ -4,7 +4,7 @@
 //!
 //! This is the [`service_driver`](crate::service_driver) with the transport
 //! inserted: every operation crosses frame encode → socket → frame decode →
-//! per-connection ingestion queue → service → reply frame → ticket, and the
+//! the connection's share of the ingest queue → service → reply frame → ticket, and the
 //! recorded [`History`] spans the *remote-client-observed* interval. Feeding
 //! these histories to the same WGL and monotone checkers proves the wire
 //! layer preserves linearizability — the transport adds latency but must not

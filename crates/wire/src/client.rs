@@ -321,7 +321,7 @@ impl ClientInner {
 
 /// A connected remote client. Cloneable handles are not provided — a
 /// connection is one multiplexed stream; open more connections for more
-/// parallelism (they get independent server-side ingestion queues).
+/// parallelism (each gets its own server-side share of the ingest queue).
 pub struct RemoteClientHandle {
     inner: Arc<ClientInner>,
 }

@@ -10,10 +10,10 @@
 //! * **Protocol** ([`proto`]): versioned `hello`/`welcome` handshake, then
 //!   id-multiplexed submit/scan/stats requests. Values ride as
 //!   precision-safe JSON (decimal strings above 2⁵³). Backpressure is
-//!   explicit: a full ingestion queue answers `{"ok":false,"error":"busy"}`
+//!   explicit: a connection at its ingest bound answers `{"ok":false,"error":"busy"}`
 //!   — a frame, not a dropped request.
 //! * **Server** ([`server`]): an acceptor thread blocked in `accept`;
-//!   per-connection ingestion queues reusing the in-process
+//!   one `ClientHandle` per connection, reusing the in-process
 //!   ticket/backpressure machinery; idle timeouts (jobs on the executor's
 //!   deadline heap), half-close draining, and graceful shutdown (in-flight tickets resolve and flush before the
 //!   listener closes). Each request roots a flight-recorder span at frame

@@ -34,7 +34,7 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// JSON but not as a request the server understands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireErrorKind {
-    /// The connection's ingestion queue (or the scan queue) is at capacity.
+    /// The connection's share of the ingest queue (or the scan queue) is full.
     /// Nothing was enqueued; retry or shed.
     Busy,
     /// The service is shutting down (or the connection is draining) and no

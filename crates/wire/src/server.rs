@@ -8,10 +8,10 @@
 //! [`WireServer::shutdown`] wakes it with one connection of its own. Each
 //! **connection** owns
 //!
-//! * its own [`ClientHandle`] — a per-connection bounded ingestion queue,
-//!   so one slow or hostile connection exhausts *its* queue and sees
-//!   `busy` replies while other connections keep their own capacity (the
-//!   in-process backpressure contract, verbatim, over the wire);
+//! * its own [`ClientHandle`] — a bounded share of the service's one
+//!   ingest queue, so one slow or hostile connection exhausts *its* share
+//!   and sees `busy` replies while other connections keep their own room
+//!   (the in-process backpressure contract, verbatim, over the wire);
 //! * one **connection thread** that reads the socket, decodes frames,
 //!   roots a [`SpanKind::WireRequest`] span at decode time (the in-process
 //!   request tree assembles beneath it), and dispatches requests. While

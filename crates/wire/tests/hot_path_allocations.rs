@@ -4,50 +4,22 @@
 //! number everywhere else in the process (the server's connection thread,
 //! the service it combines on, the object).
 //!
-//! Allocation calls are counted per thread and process-wide by a
-//! `#[global_allocator]`, which is why this test has an integration-test
-//! binary to itself (and one test in it: another test's threads would
-//! allocate into the process-wide count).
+//! Allocation calls are counted per thread and process-wide by the
+//! `#[global_allocator]` in `tests/support/counting_alloc.rs`, which is
+//! why this test has an integration-test binary to itself (and one test in
+//! it: another test's threads would allocate into the process-wide count).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use counting_alloc::{process_allocations, thread_allocations};
 use psnap_core::ProcessId;
 use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
 use psnap_shard::{MvShardedSnapshot, ShardConfig};
 use psnap_wire::{RemoteClientHandle, WireServer, WireServerConfig};
-
-thread_local! {
-    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: defers to `System` for every operation; the only additions are a
-// thread-local call counter with no destructor and a static atomic, neither
-// of which allocates. `realloc` and `alloc_zeroed` keep their default
-// bodies, which call `alloc`, so a growing vector counts once per growth.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCATIONS.try_with(|calls| calls.set(calls.get() + 1));
-        PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// The calling thread's budget for one depth-1 `submit_blocking`: the
 /// one-write vector `submit` builds for `submit_batch` — the request the
@@ -93,10 +65,10 @@ const BACKGROUND_TOLERANCE: f64 = 0.05;
 
 /// Allocations per second, process-wide, while no request is in flight.
 fn background_rate() -> f64 {
-    let before = PROCESS_ALLOCATIONS.load(Ordering::SeqCst);
+    let before = process_allocations();
     let started = Instant::now();
     std::thread::sleep(IDLE);
-    let calls = PROCESS_ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let calls = process_allocations() - before;
     calls as f64 / started.elapsed().as_secs_f64()
 }
 
@@ -106,15 +78,15 @@ fn background_rate() -> f64 {
 fn allocations_per_call(background: f64, mut op: impl FnMut(u64)) -> (f64, f64) {
     let mut least = (f64::MAX, f64::MAX);
     for _ in 0..WINDOWS {
-        let thread_before = THREAD_ALLOCATIONS.with(Cell::get);
-        let process_before = PROCESS_ALLOCATIONS.load(Ordering::SeqCst);
+        let thread_before = thread_allocations();
+        let process_before = process_allocations();
         let started = Instant::now();
         for i in 0..OPS_PER_WINDOW {
             op(i);
         }
         let elapsed = started.elapsed().as_secs_f64();
-        let process = PROCESS_ALLOCATIONS.load(Ordering::SeqCst) - process_before;
-        let thread = THREAD_ALLOCATIONS.with(Cell::get) - thread_before;
+        let process = process_allocations() - process_before;
+        let thread = thread_allocations() - thread_before;
         let rest = process as f64 - thread as f64 - background * elapsed;
         let calls = OPS_PER_WINDOW as f64;
         least = (
