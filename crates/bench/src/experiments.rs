@@ -365,7 +365,7 @@ fn e15_heat_skew(before: &[u64], after: &[u64], sizes: &[usize]) -> f64 {
 /// the storm thread is done, so every migration happens under measured
 /// scan + update traffic.
 fn e15_point(m: usize, r: usize, ops: usize, zipf_s: f64) -> Row {
-    use psnap_core::ReshardOp;
+    use psnap_core::{ReshardOp, Resharding};
 
     let updaters = 2usize;
     // pids 0..updaters write, pid `updaters` scans; the resharder performs

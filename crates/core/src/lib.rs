@@ -62,7 +62,7 @@ pub use entry::Entry;
 pub use lock_snapshot::LockSnapshot;
 pub use mv_snapshot::{MvFamily, MvSnapshot, ParkedUpdate};
 pub use register_snapshot::RegisterPartialSnapshot;
-pub use traits::{PartialSnapshot, ReshardOp};
+pub use traits::{PartialSnapshot, ReshardOp, Resharding};
 pub use view::View;
 
 /// Re-export of the process identifier type used by every operation.

@@ -419,35 +419,17 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
         if components.is_empty() {
             return Vec::new();
         }
+        // Announce, tick, read exactly the requested chains, clear. The tick
+        // closes the timestamp: between ticks every finalized write shares
+        // the camera's current value, so reading at the announced value
+        // without ticking could include one same-timestamp write and miss
+        // another that was acknowledged first.
         let _ = self.family.announce_scan(pid);
         let s = self.camera().tick();
         psnap_obs::trace::emit(psnap_obs::TraceKind::ScanAnnounce, s, 1);
         let values = self.scan_at(pid, components, s);
         self.family.clear_announcement(pid);
         values
-    }
-
-    fn scan_stale(&self, pid: ProcessId, components: &[usize]) -> Option<(u64, Vec<T>)> {
-        validate_args(self.registers.len(), self.max_processes(), pid, components);
-        if components.is_empty() {
-            return Some((self.camera().timestamp(), Vec::new()));
-        }
-        // The one-shot scan protocol, returning its timestamp: announce,
-        // tick, read exactly the requested chains, clear. The tick is not
-        // optional even though the caller tolerates staleness: between
-        // ticks every finalized write shares the camera's current value, so
-        // reading at the *announced* value without ticking can include one
-        // same-timestamp write and miss another that was acknowledged
-        // first — a torn cut no serialization explains. Ticking closes the
-        // timestamp (later finalizes draw a larger one), which makes the
-        // cut linearizable at `s` — trivially within any staleness bound —
-        // while still touching only the `r` requested registers.
-        let _ = self.family.announce_scan(pid);
-        let s = self.camera().tick();
-        psnap_obs::trace::emit(psnap_obs::TraceKind::ScanAnnounce, s, 1);
-        let values = self.scan_at(pid, components, s);
-        self.family.clear_announcement(pid);
-        Some((s, values))
     }
 
     fn is_wait_free(&self) -> bool {

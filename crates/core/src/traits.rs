@@ -6,7 +6,7 @@ use psnap_shmem::ProcessId;
 /// component→shard assignment of a live object without stopping traffic.
 ///
 /// Shard ids refer to the *current* generation's id space (see
-/// [`PartialSnapshot::generation`]); a split appends its new shard at the
+/// [`Resharding::generation`]); a split appends its new shard at the
 /// next free id, a merge leaves the `from` id allocated but empty. Both ops
 /// bump the generation by exactly one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,65 +91,6 @@ pub trait PartialSnapshot<T: Clone + Send + Sync + 'static>: Send + Sync {
 
     /// Short name used in experiment tables.
     fn name(&self) -> &'static str;
-
-    /// Per-shard operation counts ("heat") for sharded implementations:
-    /// element `i` is how many operations have touched shard `i` since
-    /// construction. Unsharded implementations return an empty vector.
-    fn shard_heat(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Components owned per shard under the current partition map: element
-    /// `i` is how many components shard `i` currently routes (`0` for a
-    /// merged-away shard id whose slot stays allocated). Unsharded
-    /// implementations return an empty vector. A reshard policy needs this
-    /// alongside [`shard_heat`](PartialSnapshot::shard_heat): rates alone
-    /// cannot tell an emptied shard from an idle one that still owns
-    /// components.
-    fn shard_sizes(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    /// Optional fast path for freshness-relaxed reads: returns the listed
-    /// components as a consistent cut **at an announced timestamp**,
-    /// together with that timestamp.
-    ///
-    /// Multiversioned implementations answer from their version chains in
-    /// a bounded number of their own steps, touching only the `r`
-    /// requested registers — no union amplification, no coordination with
-    /// other readers — and the returned cut linearizes inside the call's
-    /// interval, so it is legal to serve for any staleness bound `d >= 0`.
-    /// The timestamp lets callers annotate histories with the
-    /// linearization point. Implementations without version history return
-    /// `None` (the default) and callers fall back to a full
-    /// [`scan`](PartialSnapshot::scan), whose fresh answer is inside any
-    /// bound.
-    fn scan_stale(&self, pid: ProcessId, components: &[usize]) -> Option<(u64, Vec<T>)> {
-        let _ = (pid, components);
-        None
-    }
-
-    /// The generation number of the partition map currently routing this
-    /// object (0 for implementations whose layout is fixed for life); an
-    /// accepted [`reshard`](PartialSnapshot::reshard) advances it by one.
-    /// The serve layer reads it generically: its observability snapshot
-    /// reports it, and its reshard driver stamps it on each accepted op's
-    /// span and flight-recorder dump.
-    fn generation(&self) -> u64 {
-        0
-    }
-
-    /// Applies a repartitioning op to a live object, returning `true` if the
-    /// layout changed (the generation advanced by one). The default — and
-    /// every implementation without online resharding — refuses with
-    /// `false`; callers must treat a refusal as "layout unchanged", not an
-    /// error. Implementations that accept must not stop the world: scans,
-    /// updates and batches in flight on the old generation complete
-    /// correctly and linearizably.
-    fn reshard(&self, op: ReshardOp) -> bool {
-        let _ = op;
-        false
-    }
 }
 
 impl<T: Clone + Send + Sync + 'static, S: PartialSnapshot<T> + ?Sized> PartialSnapshot<T>
@@ -179,14 +120,45 @@ impl<T: Clone + Send + Sync + 'static, S: PartialSnapshot<T> + ?Sized> PartialSn
     fn name(&self) -> &'static str {
         (**self).name()
     }
+}
+
+/// Online repartitioning of a sharded implementation: the four operations a
+/// reshard policy reads and drives. The paper's objects are unsharded and do
+/// not implement it; only the sharded stores (and `Arc`s of them) do.
+pub trait Resharding: Send + Sync {
+    /// Per-shard operation counts ("heat"): element `i` is how many
+    /// operations have touched shard `i` since construction.
+    fn shard_heat(&self) -> Vec<u64>;
+
+    /// Components owned per shard under the current partition map: element
+    /// `i` is how many components shard `i` currently routes (`0` for a
+    /// merged-away shard id whose slot stays allocated). A reshard policy
+    /// needs this alongside [`shard_heat`](Resharding::shard_heat): rates
+    /// alone cannot tell an emptied shard from an idle one that still owns
+    /// components.
+    fn shard_sizes(&self) -> Vec<usize>;
+
+    /// The generation number of the partition map currently routing this
+    /// object; an accepted [`reshard`](Resharding::reshard) advances it by
+    /// one. The serve layer's reshard driver stamps it on each accepted op's
+    /// span and flight-recorder dump.
+    fn generation(&self) -> u64;
+
+    /// Applies a repartitioning op to a live object, returning `true` if the
+    /// layout changed (the generation advanced by one). Callers must treat a
+    /// refusal (a degenerate op, such as a split of a shard with fewer than
+    /// two components) as "layout unchanged", not an error.
+    /// Implementations must not stop the world: scans, updates and batches
+    /// in flight on the old generation complete correctly and linearizably.
+    fn reshard(&self, op: ReshardOp) -> bool;
+}
+
+impl<S: Resharding + ?Sized> Resharding for std::sync::Arc<S> {
     fn shard_heat(&self) -> Vec<u64> {
         (**self).shard_heat()
     }
     fn shard_sizes(&self) -> Vec<usize> {
         (**self).shard_sizes()
-    }
-    fn scan_stale(&self, pid: ProcessId, components: &[usize]) -> Option<(u64, Vec<T>)> {
-        (**self).scan_stale(pid, components)
     }
     fn generation(&self) -> u64 {
         (**self).generation()

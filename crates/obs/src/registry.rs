@@ -10,9 +10,9 @@
 //! **Partition invariants** make the stats discipline of the service and the
 //! sharded store checkable at the registry level: an invariant declares that
 //! the counters on its left side must sum to the counters on its right side
-//! (at quiescence), e.g. `scans_ok == served_backing + served_mv +
-//! served_empty`. [`Registry::check_invariants`] evaluates every declared
-//! invariant and reports the violations.
+//! (at quiescence), e.g. `scans_ok == served_backing + served_empty`.
+//! [`Registry::check_invariants`] evaluates every declared invariant and
+//! reports the violations.
 //!
 //! [`SnapshotService`]: ../../psnap_serve/service/struct.SnapshotService.html
 

@@ -41,7 +41,7 @@ pub const ID_BLOCK: u64 = 256;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanKind {
     /// Root of one client scan: submit to answer. End args: `a` = serving
-    /// tier (0 backing / 2 empty / 3 mv), `b` = latency ns.
+    /// path (0 backing / 2 empty), `b` = latency ns.
     ScanRequest,
     /// Root of one client submission: submit to applied.
     Ingest,
@@ -52,9 +52,6 @@ pub enum SpanKind {
     /// One union backing scan (`a` = requests in the job, `b` = deduped
     /// components scanned).
     BackingScan,
-    /// A freshness-relaxed request served from the version chains
-    /// (`scan_stale`; `a` = timestamp of the cut).
-    StaleRead,
     /// Per-request fan-out of a union's results (assemble + complete).
     Merge,
     /// One `update_many` chunk applied by an ingest round
@@ -72,13 +69,12 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in declaration order.
-    pub const ALL: [SpanKind; 11] = [
+    pub const ALL: [SpanKind; 10] = [
         SpanKind::ScanRequest,
         SpanKind::Ingest,
         SpanKind::QueueWait,
         SpanKind::Window,
         SpanKind::BackingScan,
-        SpanKind::StaleRead,
         SpanKind::Merge,
         SpanKind::Apply,
         SpanKind::Reshard,
@@ -94,7 +90,6 @@ impl SpanKind {
             SpanKind::QueueWait => "queue_wait",
             SpanKind::Window => "window",
             SpanKind::BackingScan => "backing_scan",
-            SpanKind::StaleRead => "stale_read",
             SpanKind::Merge => "merge",
             SpanKind::Apply => "apply",
             SpanKind::Reshard => "reshard",

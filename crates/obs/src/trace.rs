@@ -44,8 +44,7 @@ pub enum TraceKind {
     /// A scan round coalesced pending requests into one backing scan
     /// (`a` = requests merged, `b` = deduplicated components read).
     Coalesce,
-    /// A scan request was answered (`a` = 0 backing / 2 empty / 3 mv; for
-    /// mv, `b` = the cut's timestamp).
+    /// A scan request was answered (`a` = 0 backing / 2 empty).
     ScanServe,
     /// A register chain was pruned (`a` = versions unlinked, `b` = chain
     /// length kept).

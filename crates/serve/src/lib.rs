@@ -12,10 +12,8 @@
 //!   [`update_many`](psnap_core::PartialSnapshot::update_many) calls;
 //! * **scan coalescing** — concurrent partial-scan requests are merged
 //!   into one deduplicated [`psnap_shard::ScanUnion`] and one backing scan
-//!   whose results fan back out per request, with per-request freshness
-//!   bounds. The union is a flat O(requested) pass; a stale request on a
-//!   multiversioned object is read from the version chains instead, and
-//!   every answer is linearizable;
+//!   whose results fan back out per request. The union is a flat
+//!   O(requested) pass, and every answer is linearizable;
 //! * **combining** — both pipelines run on the threads that wait for them:
 //!   a waiting [`Ticket`] (or one tried with [`Ticket::try_take`]) runs its
 //!   pipeline's round when nobody else holds that pipeline's role (flat

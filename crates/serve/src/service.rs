@@ -47,18 +47,14 @@
 //! parked in a scan never delays a write. (Flat combining, after Hendler,
 //! Incze, Shavit & Tzafrir.)
 //!
-//! Per-request **freshness bounds** pick a scan's serving tier, and every
-//! answer is linearizable. A request for zero components is answered
-//! inline. A scan submitted with [`Freshness::Fresh`] is answered by a
-//! backing scan that starts after the request was published. With
-//! [`Freshness::AtMostStale`], the service first tries the **mv tier**: if
-//! the backing object has version history ([`PartialSnapshot::scan_stale`]),
-//! the request is answered directly from the version chains, touching only
-//! its own components, with no union amplification and no coalescing wait.
-//! On an object without history the stale request joins the round's union
-//! like a fresh one: a fresh answer is inside any bound.
+//! A round serves a scan in one of two ways, and every answer is
+//! linearizable. A request for zero components is answered inline; every
+//! other request joins the round's union and is answered by a backing scan
+//! that starts after the request was published. There is no separate stale
+//! path: a multiversioned object's scan already reads one timestamp's cut
+//! of exactly the requested chains, so a relaxed bound would buy nothing.
 //!
-//! The backing tier has one lever, the [`Coalescing::Window`]: how long the
+//! The union has one lever, the [`Coalescing::Window`]: how long the
 //! scan combiner waits for more requests before it scans. A lone request at
 //! an idle pipeline is dispatched at once, whatever the window. Everything a
 //! round drained goes into one union on the one scan pid: on a
@@ -66,11 +62,12 @@
 //! component, so splitting it by shard would buy parallelism but no
 //! consistency.
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use psnap_core::{PartialSnapshot, ProcessId};
+use psnap_core::{PartialSnapshot, ProcessId, Resharding};
 use psnap_obs::{
     flight, span, trace, AnomalyKind, Counter, Gauge, Histogram, HistogramSnapshot, Metric,
     RateTracker, Registry, Span, SpanKind, TraceKind,
@@ -93,17 +90,12 @@ pub enum Coalescing {
     Window(Duration),
 }
 
-/// Per-request freshness bound of a scan (see the module docs).
+/// Per-request freshness bound of a scan. Every answer is linearizable
+/// (see the module docs), so `Fresh` is the only bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Freshness {
     /// Linearizable: answered by a backing scan started after the request.
     Fresh,
-    /// May be served without a fresh backing scan. On multiversioned
-    /// backends it is a bounded targeted read of the version chains
-    /// (`scan_stale`), whose cut is taken inside the request's service time
-    /// and therefore satisfies any bound. Elsewhere the request joins the
-    /// backing union, since a fresh answer is inside any bound.
-    AtMostStale(Duration),
 }
 
 /// Configuration of a [`SnapshotService`].
@@ -182,7 +174,6 @@ struct Submission<T> {
 
 struct ScanRequest<T> {
     components: Vec<usize>,
-    freshness: Freshness,
     cell: Arc<OpCell<Vec<T>>>,
     submitted: Instant,
     /// Child span covering the queue dwell; taken and ended at drain time.
@@ -220,7 +211,6 @@ struct Counters {
     scans_busy: Arc<Counter>,
     scans_closed: Arc<Counter>,
     scans_served_backing: Arc<Counter>,
-    scans_served_mv: Arc<Counter>,
     scans_served_empty: Arc<Counter>,
     backing_scans: Arc<Counter>,
     backing_components: Arc<Counter>,
@@ -251,8 +241,8 @@ struct Counters {
 /// (`submits_ok == submits_resolved` at quiescence), every submitted write is
 /// either applied or coalesced away (`writes_submitted == writes_applied +
 /// writes_coalesced_away`), and every accepted scan is served by exactly one
-/// of the backing, mv, or empty paths (`scans_ok == scans_served_backing +
-/// scans_served_mv + scans_served_empty`).
+/// of the backing or empty paths (`scans_ok == scans_served_backing +
+/// scans_served_empty`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Submissions accepted into the ingest queue.
@@ -282,9 +272,6 @@ pub struct ServiceStats {
     pub scans_closed: u64,
     /// Scan requests answered by a backing scan.
     pub scans_served_backing: u64,
-    /// Freshness-relaxed requests answered straight from the backing
-    /// object's version chains ([`PartialSnapshot::scan_stale`]).
-    pub scans_served_mv: u64,
     /// Scan requests for zero components, answered inline without backing
     /// work.
     pub scans_served_empty: u64,
@@ -341,9 +328,10 @@ impl ServiceStats {
 }
 
 /// One observability snapshot of a live service: the counter stats, the
-/// derived ratios, the queue-depth gauges, the backing object's per-shard
-/// heat, and the process-wide multiversion chain gauges — everything the
-/// acceptance dashboard of a deployment needs, in one read.
+/// derived ratios, the queue-depth gauges, the reshard driver's last
+/// reading of the backing store, and the process-wide multiversion chain
+/// gauges — everything the acceptance dashboard of a deployment needs, in
+/// one read.
 #[derive(Clone, Debug)]
 pub struct ServiceObs {
     /// The counter/latency stats (see [`ServiceStats`]).
@@ -358,23 +346,28 @@ pub struct ServiceObs {
     pub scan_depth: i64,
     /// Live [`ClientHandle`]s.
     pub client_count: usize,
-    /// Per-shard operation heat of the backing object (empty when the
-    /// backing object is unsharded).
+    /// Per-shard operation heat of the backing store
+    /// ([`Resharding::shard_heat`]) as the
+    /// [reshard driver](SnapshotService::spawn_reshard_driver) last read it:
+    /// on each tick, and again after each reshard it applies. Empty without
+    /// a driver; the store itself and the registry's `shard.heat.*` counters
+    /// stay readable either way.
     pub shard_heat: Vec<u64>,
     /// EWMA-smoothed per-shard heat **rate** (operations per tick of the
     /// reshard driver), differentiated from the cumulative [`shard_heat`]
     /// counters: the window the driver's policy last decided on. A shard
     /// that was hot an hour ago but is idle now decays toward `0` here
     /// while its cumulative counter never moves backwards. Reading it
-    /// advances nothing, so every caller sees the same window. Zeros
-    /// without a [driver](SnapshotService::spawn_reshard_driver) and until
-    /// its second tick (nothing to diff yet).
+    /// advances nothing, so every caller sees the same window. Empty
+    /// without a [driver](SnapshotService::spawn_reshard_driver), and zeros
+    /// until its second tick (nothing to diff yet).
     ///
     /// [`shard_heat`]: ServiceObs::shard_heat
     pub shard_heat_rate: Vec<f64>,
-    /// Partition-map generation of the backing object: `0` forever on a
-    /// static object, bumped once per accepted reshard on an
-    /// epoch-versioned one.
+    /// Partition-map generation of the backing store
+    /// ([`Resharding::generation`]) as the driver last read it, with the
+    /// same cadence as [`shard_heat`](ServiceObs::shard_heat); `0` without
+    /// a driver.
     pub generation: u64,
     /// Process-wide count of live multiversion chain entries
     /// ([`psnap_shmem::metrics::mv_live_versions`]).
@@ -416,10 +409,6 @@ impl ServiceObs {
             (
                 "scans_served_backing",
                 Json::Num(self.stats.scans_served_backing as f64),
-            ),
-            (
-                "scans_served_mv",
-                Json::Num(self.stats.scans_served_mv as f64),
             ),
             ("submit_latency_ns", hist(&self.stats.submit_latency)),
             ("scan_latency_ns", hist(&self.stats.scan_latency)),
@@ -472,23 +461,48 @@ fn take_role<R>(role: &Mutex<R>, wait: bool) -> Option<MutexGuard<'_, R>> {
     }
 }
 
+/// A field on cache lines of its own. The two queues, the client count and
+/// the two roles are each written by different threads at once; packed side
+/// by side they false-share. Unpadded, the layout `ServiceCore` has now cost
+/// `serve-mix` 5 % of its throughput and 7 % on scan p50 (2-vCPU host,
+/// alternating pairs). 128 bytes also covers adjacent-line prefetch.
+#[repr(align(128))]
+struct Padded<V>(V);
+
+impl<V> Deref for Padded<V> {
+    type Target = V;
+    fn deref(&self) -> &V {
+        &self.0
+    }
+}
+
+/// What the reshard driver last read off the backing store (see
+/// [`ServiceObs::shard_heat`]); empty and generation 0 without a driver.
+#[derive(Default)]
+struct ShardReading {
+    heat: Vec<u64>,
+    /// The heat rates the driver's policy last decided on (see
+    /// [`ServiceObs::shard_heat_rate`]).
+    rates: Vec<f64>,
+    generation: u64,
+}
+
 struct ServiceCore<T, S> {
     snapshot: S,
     config: ServiceConfig,
     /// Every client's submissions; each [`ClientHandle`] bounds its own
     /// share, so the queue itself is unbounded.
-    ingest_queue: BoundedQueue<Submission<T>>,
-    scan_queue: BoundedQueue<ScanRequest<T>>,
+    ingest_queue: Padded<BoundedQueue<Submission<T>>>,
+    scan_queue: Padded<BoundedQueue<ScanRequest<T>>>,
     /// Live [`ClientHandle`]s.
-    clients: AtomicUsize,
+    clients: Padded<AtomicUsize>,
     /// The ingest role: owns `drain_pid` and the pending buffer (drained
     /// submissions not yet applied; empty between rounds).
-    ingest: Mutex<Vec<Submission<T>>>,
+    ingest: Padded<Mutex<Vec<Submission<T>>>>,
     /// The scan role.
-    scan: Mutex<ScanRole<T>>,
-    /// The shard heat rates the reshard driver last decided on (see
-    /// [`ServiceObs::shard_heat_rate`]).
-    heat_rates: Mutex<Vec<f64>>,
+    scan: Padded<Mutex<ScanRole<T>>>,
+    /// Held by the reshard driver for its whole tick.
+    shards: Mutex<ShardReading>,
     counters: Counters,
 }
 
@@ -499,7 +513,7 @@ where
 {
     /// Resolves one scan request: records its latency, emits the
     /// [`ScanServe`](TraceKind::ScanServe) event attributed to the
-    /// request's span, stamps the root span's end arguments (serving tier,
+    /// request's span, stamps the root span's end arguments (serving path,
     /// latency), completes the ticket, and — because the request struct
     /// owns the root [`Span`] — ends the tree, which is the moment the
     /// flight recorder assembles it. Breaching [`ServiceConfig::scan_slo`]
@@ -512,7 +526,6 @@ where
         mut request: ScanRequest<T>,
         answered: Instant,
         tier: u64,
-        tier_b: u64,
         values: Vec<T>,
     ) {
         let latency_ns = answered
@@ -521,7 +534,7 @@ where
         self.counters.scan_latency.record(latency_ns);
         {
             let _in_span = span::enter(request.span.context());
-            trace::emit(TraceKind::ScanServe, tier, tier_b);
+            trace::emit(TraceKind::ScanServe, tier, 0);
         }
         request.span.set_args(tier, latency_ns);
         request.queue_wait.take();
@@ -542,42 +555,17 @@ where
     }
 
     /// Answers a batch of scan requests under the scan role: empty ones
-    /// inline, freshness-relaxed ones from the backing object's version
-    /// chains where it has them, and the rest with one union backing scan.
-    fn serve_scans(&self, requests: Vec<ScanRequest<T>>) {
-        let mut live = Vec::with_capacity(requests.len());
-        for request in requests {
-            // An empty request needs no backing work at all; answering it
-            // inline keeps it from issuing a zero-width "backing scan" that
-            // would skew the coalescing ratio.
-            if request.components.is_empty() {
-                self.counters.scans_served_empty.inc();
-                self.complete_scan(request, Instant::now(), 2, 0, Vec::new());
-                continue;
-            }
-            if let Freshness::AtMostStale(_) = request.freshness {
-                // The mv tier: a direct read of the version chains, touching
-                // only this request's components and leaving the
-                // backing-scan pipeline untouched. Its cut linearizes inside
-                // this call, so it is fresher than any bound.
-                let mut stale_span = Span::child(request.span.context(), SpanKind::StaleRead);
-                let stale = {
-                    let _in_span = span::enter(stale_span.context());
-                    self.snapshot
-                        .scan_stale(self.config.scan_pid, &request.components)
-                };
-                if let Some((ts, values)) = stale {
-                    stale_span.set_args(ts, values.len() as u64);
-                    drop(stale_span);
-                    self.counters.scans_served_mv.inc();
-                    self.complete_scan(request, Instant::now(), 3, ts, values);
-                    continue;
-                }
-            }
-            live.push(request);
+    /// inline, the rest with one union backing scan.
+    fn serve_scans(&self, mut requests: Vec<ScanRequest<T>>) {
+        // An empty request needs no backing work at all; answering it
+        // inline keeps it from issuing a zero-width "backing scan" that
+        // would skew the coalescing ratio.
+        for request in requests.extract_if(.., |request| request.components.is_empty()) {
+            self.counters.scans_served_empty.inc();
+            self.complete_scan(request, Instant::now(), 2, Vec::new());
         }
-        if !live.is_empty() {
-            self.run_union_job(live);
+        if !requests.is_empty() {
+            self.run_union_job(requests);
         }
     }
 
@@ -629,7 +617,7 @@ where
             let answer: Vec<T> = own.iter().map(|&at| values[at].clone()).collect();
             merge_span.set_args(answer.len() as u64, 0);
             drop(merge_span);
-            self.complete_scan(request, scanned_at, 0, 0, answer);
+            self.complete_scan(request, scanned_at, 0, answer);
         }
         let ns = |from: Instant, to: Instant| to.duration_since(from).as_nanos() as u64;
         self.counters.plan_ns.record(ns(started, planned_at));
@@ -876,16 +864,16 @@ where
         );
         let core = Arc::new(ServiceCore {
             snapshot,
-            ingest_queue: BoundedQueue::new(usize::MAX),
-            scan_queue: BoundedQueue::new(config.scan_capacity),
-            clients: AtomicUsize::new(0),
+            ingest_queue: Padded(BoundedQueue::new(usize::MAX)),
+            scan_queue: Padded(BoundedQueue::new(config.scan_capacity)),
+            clients: Padded(AtomicUsize::new(0)),
             config,
-            ingest: Mutex::new(Vec::new()),
-            scan: Mutex::new(ScanRole {
+            ingest: Padded(Mutex::new(Vec::new())),
+            scan: Padded(Mutex::new(ScanRole {
                 requests: Vec::new(),
                 last_dispatch: None,
-            }),
-            heat_rates: Mutex::new(Vec::new()),
+            })),
+            shards: Mutex::default(),
             counters: Counters::default(),
         });
         SnapshotService { core }
@@ -927,64 +915,6 @@ where
         self.spawn_periodic(executor, every, move |core| sink(obs_of(core)))
     }
 
-    /// Spawns the online reshard driver on `executor`: every `every`, it
-    /// samples the backing object's cumulative shard heat, differentiates
-    /// it into windowed rates at its own fixed cadence, publishes them as
-    /// [`ServiceObs::shard_heat_rate`], asks the [`ReshardPolicy`] for a
-    /// split/merge, and applies any proposal through
-    /// [`PartialSnapshot::reshard`] while traffic keeps flowing. On a
-    /// backing object that does not support resharding (or reports no
-    /// shard heat) the driver ticks harmlessly forever. The task exits
-    /// when [`PeriodicTask::stop`] is called or the service shuts down;
-    /// an in-flight reshard completes (it runs synchronously inside the
-    /// tick).
-    pub fn spawn_reshard_driver(
-        &self,
-        executor: &Executor,
-        every: Duration,
-        policy: ReshardPolicyConfig,
-    ) -> PeriodicTask {
-        let mut policy = ReshardPolicy::new(policy);
-        let mut rates = RateTracker::new(HEAT_EWMA_ALPHA);
-        self.spawn_periodic(executor, every, move |core| {
-            let heat = core.snapshot.shard_heat();
-            if heat.is_empty() {
-                return;
-            }
-            let sizes = core.snapshot.shard_sizes();
-            let window = rates.observe(&heat);
-            *core.heat_rates.lock().unwrap_or_else(|e| e.into_inner()) = window.to_vec();
-            let Some(op) = policy.decide(window, &sizes) else {
-                return;
-            };
-            // The store may refuse (single-slot shard, merge of an
-            // already-empty shard, racing driver); only an accepted op
-            // starts the cooldown, so a refused proposal is retried against
-            // fresher rates next tick.
-            let mut reshard_span = Span::root(SpanKind::Reshard);
-            let accepted = {
-                let _in_span = span::enter(reshard_span.context());
-                core.snapshot.reshard(op)
-            };
-            if accepted {
-                policy.note_applied();
-                let generation = core.snapshot.generation();
-                reshard_span.set_args(generation, 1);
-                drop(reshard_span);
-                // A live migration is the moment in-flight scans and batches
-                // are most at risk — snapshot the recent past while it is
-                // still on hand.
-                if flight::armed() {
-                    flight::trigger(
-                        AnomalyKind::Reshard,
-                        format!("accepted {op:?}, now generation {generation}"),
-                        Some(Registry::global()),
-                    );
-                }
-            }
-        })
-    }
-
     /// Spawns the flight-recorder auditor on `executor`: every `every`, it
     /// opens an `Audit` span and checks `registry`'s partition invariants
     /// ([`Registry::check_invariants`]). A violation seen under live
@@ -1020,6 +950,93 @@ where
     }
 }
 
+impl<T, S> SnapshotService<T, S>
+where
+    T: Clone + Send + Sync + 'static,
+    S: PartialSnapshot<T> + Resharding + 'static,
+{
+    /// Spawns the online reshard driver on `executor`: every `every`, it
+    /// samples the backing store's cumulative shard heat, differentiates
+    /// it into windowed rates at its own fixed cadence, publishes heat,
+    /// rates and generation as [`ServiceObs::shard_heat`],
+    /// [`ServiceObs::shard_heat_rate`] and [`ServiceObs::generation`], asks
+    /// the [`ReshardPolicy`] for a split/merge, and applies any proposal
+    /// through [`Resharding::reshard`] while traffic keeps flowing. The task
+    /// exits when [`PeriodicTask::stop`] is called or the service shuts
+    /// down; an in-flight reshard completes (it runs synchronously inside
+    /// the tick).
+    ///
+    /// Only a service over a [`Resharding`] store has a driver:
+    ///
+    /// ```compile_fail
+    /// use std::time::Duration;
+    /// use psnap_core::CasPartialSnapshot;
+    /// use psnap_serve::{Executor, ServiceConfig, SnapshotService};
+    /// use psnap_shard::ReshardPolicyConfig;
+    ///
+    /// let executor = Executor::new(1);
+    /// let snapshot = CasPartialSnapshot::new(8, 2, 0u64);
+    /// let service = SnapshotService::start(snapshot, ServiceConfig::default(), &executor);
+    /// let every = Duration::from_millis(1);
+    /// service.spawn_reshard_driver(&executor, every, ReshardPolicyConfig::default());
+    /// ```
+    pub fn spawn_reshard_driver(
+        &self,
+        executor: &Executor,
+        every: Duration,
+        policy: ReshardPolicyConfig,
+    ) -> PeriodicTask {
+        let mut policy = ReshardPolicy::new(policy);
+        let mut rates = RateTracker::new(HEAT_EWMA_ALPHA);
+        self.spawn_periodic(executor, every, move |core| {
+            // Held for the whole tick, reshard included: an `obs()` that
+            // starts after a reshard returned reads its generation.
+            let mut reading = core.shards.lock().unwrap_or_else(|e| e.into_inner());
+            let heat = core.snapshot.shard_heat();
+            let sizes = core.snapshot.shard_sizes();
+            let window = rates.observe(&heat);
+            *reading = ShardReading {
+                heat,
+                rates: window.to_vec(),
+                generation: core.snapshot.generation(),
+            };
+            let Some(op) = policy.decide(window, &sizes) else {
+                return;
+            };
+            // The store may refuse (single-slot shard, merge of an
+            // already-empty shard, racing driver); only an accepted op
+            // starts the cooldown, so a refused proposal is retried against
+            // fresher rates next tick.
+            let mut reshard_span = Span::root(SpanKind::Reshard);
+            let accepted = {
+                let _in_span = span::enter(reshard_span.context());
+                core.snapshot.reshard(op)
+            };
+            if accepted {
+                policy.note_applied();
+                // A split appends a shard: the reading must show it now,
+                // not a tick later.
+                reading.heat = core.snapshot.shard_heat();
+                reading.generation = core.snapshot.generation();
+                let generation = reading.generation;
+                drop(reading);
+                reshard_span.set_args(generation, 1);
+                drop(reshard_span);
+                // A live migration is the moment in-flight scans and batches
+                // are most at risk — snapshot the recent past while it is
+                // still on hand.
+                if flight::armed() {
+                    flight::trigger(
+                        AnomalyKind::Reshard,
+                        format!("accepted {op:?}, now generation {generation}"),
+                        Some(Registry::global()),
+                    );
+                }
+            }
+        })
+    }
+}
+
 /// Reads the counters into a [`ServiceStats`] (shared by
 /// [`SnapshotService::stats`] and [`obs_of`]).
 fn stats_of(c: &Counters) -> ServiceStats {
@@ -1037,7 +1054,6 @@ fn stats_of(c: &Counters) -> ServiceStats {
         scans_busy: c.scans_busy.get(),
         scans_closed: c.scans_closed.get(),
         scans_served_backing: c.scans_served_backing.get(),
-        scans_served_mv: c.scans_served_mv.get(),
         scans_served_empty: c.scans_served_empty.get(),
         backing_scans: c.backing_scans.get(),
         backing_components: c.backing_components.get(),
@@ -1059,13 +1075,12 @@ where
 {
     let c = &core.counters;
     let stats = stats_of(c);
-    let shard_heat = core.snapshot.shard_heat();
-    let mut shard_heat_rate = core
-        .heat_rates
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
+    let reading = core.shards.lock().unwrap_or_else(|e| e.into_inner());
+    let shard_heat = reading.heat.clone();
+    let mut shard_heat_rate = reading.rates.clone();
     shard_heat_rate.resize(shard_heat.len(), 0.0);
+    let generation = reading.generation;
+    drop(reading);
     ServiceObs {
         coalescing_ratio: stats.coalescing_ratio(),
         component_dedup_ratio: stats.component_dedup_ratio(),
@@ -1074,7 +1089,7 @@ where
         client_count: core.clients.load(Ordering::Relaxed),
         shard_heat,
         shard_heat_rate,
-        generation: core.snapshot.generation(),
+        generation,
         mv_live_versions: psnap_shmem::metrics::mv_live_versions().get(),
         mv_chain_len: psnap_shmem::metrics::mv_chain_len().snapshot(),
         flight_dumps: flight::dump_count(),
@@ -1149,8 +1164,8 @@ where
     }
 
     /// One observability snapshot of the live service: stats, derived
-    /// ratios, queue-depth gauges, the backing object's per-shard heat, and
-    /// the process-wide multiversion chain gauges.
+    /// ratios, queue-depth gauges, the reshard driver's last reading of the
+    /// backing store, and the process-wide multiversion chain gauges.
     pub fn obs(&self) -> ServiceObs {
         obs_of(&self.core)
     }
@@ -1165,12 +1180,11 @@ where
     /// * every accepted submission resolves (`ingest.ok == ingest.resolved`);
     /// * every submitted write is applied or coalesced away
     ///   (`ingest.writes == ingest.writes_applied + ingest.writes_coalesced`);
-    /// * every accepted scan is served by exactly one of the backing, mv, or
-    ///   empty paths (`scan.ok == scan.served_backing + scan.served_mv +
-    ///   scan.served_empty`).
+    /// * every accepted scan is served by exactly one of the backing or
+    ///   empty paths (`scan.ok == scan.served_backing + scan.served_empty`).
     pub fn register_obs(&self, registry: &Registry, prefix: &str) {
         let c = &self.core.counters;
-        let counters: [(&str, &Arc<Counter>); 17] = [
+        let counters: [(&str, &Arc<Counter>); 16] = [
             ("ingest.ok", &c.submits_ok),
             ("ingest.busy", &c.submits_busy),
             ("ingest.closed", &c.submits_closed),
@@ -1183,7 +1197,6 @@ where
             ("scan.busy", &c.scans_busy),
             ("scan.closed", &c.scans_closed),
             ("scan.served_backing", &c.scans_served_backing),
-            ("scan.served_mv", &c.scans_served_mv),
             ("scan.served_empty", &c.scans_served_empty),
             ("scan.backing", &c.backing_scans),
             ("scan.backing_components", &c.backing_components),
@@ -1235,7 +1248,6 @@ where
             &[&format!("{prefix}.scan.ok")],
             &[
                 &format!("{prefix}.scan.served_backing"),
-                &format!("{prefix}.scan.served_mv"),
                 &format!("{prefix}.scan.served_empty"),
             ],
         );
@@ -1410,13 +1422,13 @@ where
         self.push_submission(writes)
     }
 
-    /// Requests a partial scan of `components` under the given freshness
-    /// bound. The ticket resolves with one value per requested component, in
-    /// request order.
+    /// Requests a partial scan of `components`. The ticket resolves with one
+    /// value per requested component, in request order. Every answer is
+    /// fresh, whatever the [`Freshness`].
     pub fn scan(
         &self,
         components: Vec<usize>,
-        freshness: Freshness,
+        _freshness: Freshness,
     ) -> Result<ScanTicket<T>, SubmitError> {
         self.validate_components(components.iter());
         let cell = OpCell::new();
@@ -1432,7 +1444,6 @@ where
             let _in_span = span::enter(root.context());
             self.core.scan_queue.try_push(ScanRequest {
                 components,
-                freshness,
                 cell: Arc::clone(&cell),
                 submitted: Instant::now(),
                 span: root,

@@ -133,16 +133,4 @@ where
     fn name(&self) -> &'static str {
         "gated-test-snapshot"
     }
-    fn shard_heat(&self) -> Vec<u64> {
-        self.inner.shard_heat()
-    }
-    fn scan_stale(&self, pid: ProcessId, components: &[usize]) -> Option<(u64, Vec<T>)> {
-        // Counts toward `inner_scans` only if the inner object actually
-        // answers; the gate still applies so chaos tests can park mv-tier
-        // readers too.
-        self.scan_gate.pass();
-        let result = self.inner.scan_stale(pid, components)?;
-        *self.scans.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        Some(result)
-    }
 }

@@ -1,89 +1,12 @@
-//! The fast-path serving tiers: mv-backed stale reads, lone-request
-//! immediate dispatch, and shard-spanning unions answered by the one scan
-//! server.
+//! The scan pipeline's fast paths: lone-request immediate dispatch, and
+//! shard-spanning unions answered by the one scan server.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use psnap_core::{CasPartialSnapshot, MvSnapshot, PartialSnapshot, ProcessId};
+use psnap_core::CasPartialSnapshot;
 use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
 use psnap_shard::{MvShardedSnapshot, ShardConfig};
-
-#[test]
-fn stale_requests_on_mv_backend_never_touch_the_backing_scan() {
-    let executor = Executor::new(2);
-    let snapshot = Arc::new(MvSnapshot::new(16, 3, 0u64));
-    let service =
-        SnapshotService::start(Arc::clone(&snapshot), ServiceConfig::default(), &executor);
-    let client = service.client();
-    client.submit_batch(vec![(2, 22), (7, 77)]).unwrap().wait();
-    // A direct writer outside the service's pids: mv answers must see it.
-    snapshot.update(ProcessId(2), 9, 99);
-
-    // Every stale request is answered by `scan_stale` from the version
-    // chains, whatever its bound.
-    for _ in 0..10 {
-        let values = client
-            .scan(vec![2, 7, 9], Freshness::AtMostStale(Duration::ZERO))
-            .unwrap()
-            .wait();
-        assert_eq!(values, vec![22, 77, 99]);
-    }
-    let stats = service.stats();
-    assert_eq!(stats.scans_served_mv, 10, "{stats:?}");
-    assert_eq!(stats.scans_served_backing, 0, "{stats:?}");
-    assert_eq!(stats.backing_scans, 0, "{stats:?}");
-    service.shutdown();
-
-    // A backend with no version history has no mv tier to report: the same
-    // requests join backing unions and read the newest values.
-    let service = SnapshotService::start(
-        Arc::new(CasPartialSnapshot::new(16, 3, 0u64)),
-        ServiceConfig::default(),
-        &executor,
-    );
-    let client = service.client();
-    client.submit_batch(vec![(2, 22), (7, 77)]).unwrap().wait();
-    for _ in 0..10 {
-        let values = client
-            .scan(vec![2, 7], Freshness::AtMostStale(Duration::ZERO))
-            .unwrap()
-            .wait();
-        assert_eq!(values, vec![22, 77]);
-    }
-    let stats = service.stats();
-    assert_eq!(stats.scans_served_mv, 0, "{stats:?}");
-    assert!(stats.backing_scans > 0, "{stats:?}");
-    service.shutdown();
-}
-
-#[test]
-fn stale_requests_on_mv_sharded_backend_cross_shards_without_unions() {
-    let executor = Executor::new(2);
-    let snapshot = Arc::new(MvShardedSnapshot::new(
-        32,
-        3,
-        0u64,
-        ShardConfig::multiversioned(4),
-    ));
-    let service =
-        SnapshotService::start(Arc::clone(&snapshot), ServiceConfig::default(), &executor);
-    let client = service.client();
-    // One write per shard (contiguous partition: 8 components per shard).
-    client
-        .submit_batch(vec![(1, 11), (9, 99), (17, 170), (25, 250)])
-        .unwrap()
-        .wait();
-    let values = client
-        .scan(vec![1, 9, 17, 25], Freshness::AtMostStale(Duration::ZERO))
-        .unwrap()
-        .wait();
-    assert_eq!(values, vec![11, 99, 170, 250]);
-    let stats = service.stats();
-    assert_eq!(stats.scans_served_mv, 1, "{stats:?}");
-    assert_eq!(stats.backing_scans, 0, "{stats:?}");
-    service.shutdown();
-}
 
 #[test]
 fn lone_fresh_scan_at_idle_server_skips_the_window() {
@@ -159,8 +82,8 @@ fn parallel_union_jobs_answer_shard_disjoint_batches_correctly() {
     assert_eq!(stats.scans_ok, 200, "{stats:?}");
     assert_eq!(
         stats.scans_ok,
-        stats.scans_served_backing + stats.scans_served_mv + stats.scans_served_empty,
-        "serving-tier partition violated: {stats:?}"
+        stats.scans_served_backing + stats.scans_served_empty,
+        "serving-path partition violated: {stats:?}"
     );
     service.shutdown();
 }

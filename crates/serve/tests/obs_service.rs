@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use psnap_core::Resharding;
 use psnap_obs::Registry;
 use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
 use psnap_shard::{MvShardedSnapshot, ShardConfig};
@@ -87,11 +88,11 @@ fn partition_invariants_hold_over_a_live_service_under_chaos() {
     registry.assert_invariants();
 
     let obs = service.obs();
-    assert_eq!(obs.shard_heat.len(), SHARDS, "one heat counter per shard");
+    let heat = backing.shard_heat();
+    assert_eq!(heat.len(), SHARDS, "one heat counter per shard");
     assert!(
-        obs.shard_heat.iter().sum::<u64>() > 0,
-        "traffic must register as shard heat: {:?}",
-        obs.shard_heat
+        heat.iter().sum::<u64>() > 0,
+        "traffic must register as shard heat: {heat:?}"
     );
     assert!(obs.stats.scan_latency.count >= 80, "{:?}", obs.stats);
     assert!(
@@ -148,7 +149,6 @@ fn stats_reporter_ticks_and_stops() {
     let ticks = seen.lock().unwrap();
     let last = ticks.last().unwrap();
     assert!(last.stats.submits_ok >= 50, "{:?}", last.stats);
-    assert_eq!(last.shard_heat.len(), SHARDS);
     // Snapshots are monotone in the counters they carry.
     for pair in ticks.windows(2) {
         assert!(pair[1].stats.submits_ok >= pair[0].stats.submits_ok);

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use psnap_core::{CasPartialSnapshot, PartialSnapshot, ReshardOp};
+use psnap_core::{CasPartialSnapshot, ReshardOp, Resharding};
 use psnap_json::Json;
 use psnap_obs::{flight, AnomalyKind, FlightDump, Registry, SpanKind};
 use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};

@@ -33,7 +33,7 @@
 //! windowed shard-heat rates into split/merge proposals.
 //!
 //! ```
-//! use psnap_core::{PartialSnapshot, ReshardOp};
+//! use psnap_core::{PartialSnapshot, ReshardOp, Resharding};
 //! use psnap_shard::{MvShardedSnapshot, ShardConfig};
 //! use psnap_shmem::ProcessId;
 //!

@@ -34,7 +34,7 @@
 //! crate's generation core. Operations pin the epoch
 //! ([`psnap_shmem::epoch`]), load the live generation, and work against that
 //! coherent view; single updates enter their shard's writer gate through the
-//! core's raise-then-recheck; [`reshard`](PartialSnapshot::reshard) builds
+//! core's raise-then-recheck; [`reshard`](Resharding::reshard) builds
 //! the next generation, swaps the pointer, and retires the old state through
 //! the epoch module so in-flight readers keep a dereferenceable view.
 //!
@@ -72,7 +72,7 @@
 use std::sync::{Arc, MutexGuard};
 
 use psnap_core::traits::{validate_args, validate_batch_args};
-use psnap_core::{MvFamily, MvSnapshot, PartialSnapshot, ReshardOp};
+use psnap_core::{MvFamily, MvSnapshot, PartialSnapshot, ReshardOp, Resharding};
 use psnap_obs::{trace, Counter, Histogram, Metric, Registry, TraceKind};
 use psnap_shmem::epoch;
 use psnap_shmem::{MvStamp, ProcessId, StepScope};
@@ -153,7 +153,7 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
     /// Registers this store's live metric handles into `registry` under
     /// `{prefix}.*`. Per-shard heat counters are registered for the
     /// generation-0 shards (counters of shards appended by later splits are
-    /// reachable through [`shard_heat`](PartialSnapshot::shard_heat), which
+    /// reachable through [`shard_heat`](Resharding::shard_heat), which
     /// always reflects the live generation).
     pub fn register_obs(&self, registry: &Registry, prefix: &str) {
         registry.register(
@@ -173,68 +173,6 @@ impl<T: Clone + Send + Sync + 'static> MvShardedSnapshot<T> {
             Metric::Histogram(Arc::clone(&self.update_steps)),
         );
         self.gens.register_obs(registry, prefix);
-    }
-
-    /// The one-shot read protocol with the post-tick generation recheck,
-    /// shared by `scan` and `scan_stale`. Returns the timestamp alongside
-    /// the values.
-    fn scan_with_stamp(&self, pid: ProcessId, components: &[usize]) -> (u64, Vec<T>) {
-        let scope = psnap_obs::enabled().then(StepScope::start);
-        let family = &*self.gens.family;
-        let mut values = Vec::with_capacity(components.len());
-        loop {
-            let guard = epoch::pin();
-            let layout = self.gens.load(&guard);
-            // Announce *before* drawing the timestamp: the announcement
-            // lower-bounds `s`, keeping every shard's pruners away from the
-            // versions this scan may select.
-            family.announce_scan(pid);
-            let s = family.camera().tick();
-            // The reshard seam: if the generation moved since the load, a
-            // cutover may have beaten our tick, and post-swap writes could
-            // carry timestamps ≤ s on shard objects this layout never
-            // reads. Retry on the fresh state (bounded by concurrent
-            // reshard events). If the generation is unchanged, any later
-            // swap happens after this tick, so every write the old state
-            // misses is stamped ≥ s and legally ordered after this scan.
-            if !self.gens.is_live(layout) {
-                family.clear_announcement(pid);
-                self.stats_scan_regen.inc();
-                continue;
-            }
-            // Heat counts each involved shard once per scan: a bit per
-            // shard id below 64, and for ids a long run of splits appended
-            // beyond that, a look back over the components already routed.
-            let mut seen = 0u64;
-            let mut involved = 0u64;
-            for (i, &c) in components.iter().enumerate() {
-                let (shard, slot) = layout.router.route(c);
-                let first = if shard < 64 {
-                    let bit = 1u64 << shard;
-                    let first = seen & bit == 0;
-                    seen |= bit;
-                    first
-                } else {
-                    !components[..i]
-                        .iter()
-                        .any(|&prior| layout.router.route(prior).0 == shard)
-                };
-                if first {
-                    involved += 1;
-                    layout.heat[shard].inc();
-                }
-                values.push(layout.inner[shard].read_slot(slot, s, &guard));
-            }
-            family.clear_announcement(pid);
-            if involved > 1 {
-                self.stats_cross.inc();
-            }
-            trace::emit(TraceKind::ScanAnnounce, s, involved);
-            if let Some(scope) = scope {
-                self.scan_steps.record(scope.finish().total());
-            }
-            return (s, values);
-        }
     }
 
     /// Starts a cross-shard `update_many` and **parks it mid-batch**: every
@@ -388,24 +326,69 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
         }
     }
 
+    /// The one-shot read protocol with the post-tick generation recheck
+    /// (see the module docs).
     fn scan(&self, pid: ProcessId, components: &[usize]) -> Vec<T> {
         validate_args(self.m, self.n, pid, components);
         if components.is_empty() {
             return Vec::new();
         }
-        self.scan_with_stamp(pid, components).1
-    }
-
-    fn scan_stale(&self, pid: ProcessId, components: &[usize]) -> Option<(u64, Vec<T>)> {
-        validate_args(self.m, self.n, pid, components);
-        if components.is_empty() {
-            return Some((self.gens.family.camera().timestamp(), Vec::new()));
+        let scope = psnap_obs::enabled().then(StepScope::start);
+        let family = &*self.gens.family;
+        let mut values = Vec::with_capacity(components.len());
+        loop {
+            let guard = epoch::pin();
+            let layout = self.gens.load(&guard);
+            // Announce *before* drawing the timestamp: the announcement
+            // lower-bounds `s`, keeping every shard's pruners away from the
+            // versions this scan may select.
+            family.announce_scan(pid);
+            let s = family.camera().tick();
+            // The reshard seam: if the generation moved since the load, a
+            // cutover may have beaten our tick, and post-swap writes could
+            // carry timestamps ≤ s on shard objects this layout never
+            // reads. Retry on the fresh state (bounded by concurrent
+            // reshard events). If the generation is unchanged, any later
+            // swap happens after this tick, so every write the old state
+            // misses is stamped ≥ s and legally ordered after this scan.
+            if !self.gens.is_live(layout) {
+                family.clear_announcement(pid);
+                self.stats_scan_regen.inc();
+                continue;
+            }
+            // Heat counts each involved shard once per scan: a bit per
+            // shard id below 64, and for ids a long run of splits appended
+            // beyond that, a look back over the components already routed.
+            let mut seen = 0u64;
+            let mut involved = 0u64;
+            for (i, &c) in components.iter().enumerate() {
+                let (shard, slot) = layout.router.route(c);
+                let first = if shard < 64 {
+                    let bit = 1u64 << shard;
+                    let first = seen & bit == 0;
+                    seen |= bit;
+                    first
+                } else {
+                    !components[..i]
+                        .iter()
+                        .any(|&prior| layout.router.route(prior).0 == shard)
+                };
+                if first {
+                    involved += 1;
+                    layout.heat[shard].inc();
+                }
+                values.push(layout.inner[shard].read_slot(slot, s, &guard));
+            }
+            family.clear_announcement(pid);
+            if involved > 1 {
+                self.stats_cross.inc();
+            }
+            trace::emit(TraceKind::ScanAnnounce, s, involved);
+            if let Some(scope) = scope {
+                self.scan_steps.record(scope.finish().total());
+            }
+            return values;
         }
-        // The same one-shot protocol, returning its timestamp: it touches
-        // only the requested registers, and the single published timestamp
-        // makes the combined cut consistent across shards exactly as in
-        // `scan`.
-        Some(self.scan_with_stamp(pid, components))
     }
 
     fn is_wait_free(&self) -> bool {
@@ -422,7 +405,9 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
     fn name(&self) -> &'static str {
         "mv-sharded-partial-snapshot"
     }
+}
 
+impl<T: Clone + Send + Sync + 'static> Resharding for MvShardedSnapshot<T> {
     fn shard_heat(&self) -> Vec<u64> {
         self.gens.heat()
     }

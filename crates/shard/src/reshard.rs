@@ -15,8 +15,8 @@
 //! unambiguous signal, and rate-limit actions with a cooldown so one noisy
 //! window never causes a split/merge ping-pong.
 //!
-//! [`shard_heat`]: psnap_core::PartialSnapshot::shard_heat
-//! [`reshard`]: psnap_core::PartialSnapshot::reshard
+//! [`shard_heat`]: psnap_core::Resharding::shard_heat
+//! [`reshard`]: psnap_core::Resharding::reshard
 
 use psnap_core::ReshardOp;
 

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use psnap_core::{PartialSnapshot, ReshardOp};
+use psnap_core::{PartialSnapshot, ReshardOp, Resharding};
 use psnap_shard::{
     MvShardedSnapshot, Partition, PartitionMap, ScanUnion, ShardConfig, ShardRouter,
 };

@@ -32,6 +32,6 @@ pub mod wire_driver;
 
 pub use chaos_runner::{fuzz_small_schedules, fuzz_stress_schedules, FuzzOutcome};
 pub use runner::run_scenario;
-pub use scenario::{Role, Scenario, ScenarioChaos};
+pub use scenario::{ReshardTarget, Role, Scenario, ScenarioChaos};
 pub use service_driver::{run_scenario_via_service, ServiceDriverConfig};
 pub use wire_driver::{run_scenario_via_wire, WireTransport};

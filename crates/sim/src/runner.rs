@@ -57,7 +57,7 @@ where
         snapshot.max_processes() >= scenario.processes(),
         "snapshot object configured for fewer processes than the scenario needs"
     );
-    run_roles(&**snapshot, scenario, true, |pid| Direct {
+    run_roles(scenario, true, |pid| Direct {
         object: &**snapshot,
         pid: ProcessId(pid),
     })
@@ -77,19 +77,14 @@ pub(crate) fn check_fits<S: PartialSnapshot<u64> + ?Sized>(snapshot: &S, scenari
 /// Runs every role of `scenario` on its own scoped thread and builds the
 /// history. `connect` opens each role's frontend on the calling thread, in
 /// pid order; the role's thread drops it when the role is done, still under
-/// the role's chaos. Resharder roles act on `backing` directly. Only a
+/// the role's chaos. Resharder roles act on the store they carry. Only a
 /// direct run registers each thread as its role's process (`register_pids`):
 /// behind a service the object's processes are the service's own.
-pub(crate) fn run_roles<S, F>(
-    backing: &S,
+pub(crate) fn run_roles<F: Frontend + Send>(
     scenario: &Scenario,
     register_pids: bool,
     mut connect: impl FnMut(usize) -> F,
-) -> History
-where
-    S: PartialSnapshot<u64> + ?Sized,
-    F: Frontend + Send,
-{
+) -> History {
     let clock = LogicalClock::new();
     let barrier = Barrier::new(scenario.processes());
     let logs = std::thread::scope(|scope| {
@@ -107,7 +102,7 @@ where
                         .as_ref()
                         .map(|c| chaos::enable(c.seed.wrapping_add(pid as u64), c.config.clone()));
                     barrier.wait();
-                    let log = run_role(&frontend, backing, pid, scenario.processes(), role, clock);
+                    let log = run_role(&frontend, pid, scenario.processes(), role, clock);
                     drop(frontend);
                     log
                 })
@@ -123,9 +118,8 @@ where
 
 /// Runs one role: its operations go through `frontend` one at a time, each
 /// timed on the shared `clock`.
-fn run_role<S: PartialSnapshot<u64> + ?Sized>(
+fn run_role(
     frontend: &impl Frontend,
-    backing: &S,
     pid: usize,
     processes: usize,
     role: &Role,
@@ -157,16 +151,16 @@ fn run_role<S: PartialSnapshot<u64> + ?Sized>(
         Role::Scanner { scans } => Box::new(scans.iter().map(|components| Operation::Scan {
             components: components.clone(),
         })),
-        Role::Resharder { ops } => {
+        Role::Resharder { ops, store } => {
             // Environment reconfiguration: migrate the layout under the
             // other roles' feet and record nothing — any tear it causes is
             // charged to the operations that observed it. Behind a service
-            // or a socket it stays operator-plane work on the backing
-            // object. Yielding between ops lets real traffic interleave
-            // with each migration.
+            // or a socket it stays operator-plane work on the store itself.
+            // Yielding between ops lets real traffic interleave with each
+            // migration.
             for &op in ops {
                 std::thread::yield_now();
-                let _ = backing.reshard(op);
+                let _ = store.0.reshard(op);
                 std::thread::yield_now();
             }
             return Vec::new();
@@ -262,22 +256,24 @@ mod tests {
 
     #[test]
     fn resharder_roles_record_nothing_and_preserve_the_checkers() {
+        use crate::scenario::ReshardTarget;
         use psnap_core::ReshardOp;
         use psnap_shard::{MvShardedSnapshot, ShardConfig};
         let mut scenario = Scenario::stress(16, 2, 2, 60, 30, 5, 11);
+        let snapshot = Arc::new(MvShardedSnapshot::new(
+            16,
+            scenario.processes() + 1,
+            0u64,
+            ShardConfig::multiversioned(2),
+        ));
         scenario.roles.push(Role::Resharder {
             ops: vec![
                 ReshardOp::Split { shard: 0 },
                 ReshardOp::Split { shard: 1 },
                 ReshardOp::Merge { from: 2, into: 0 },
             ],
+            store: ReshardTarget(snapshot.clone()),
         });
-        let snapshot = Arc::new(MvShardedSnapshot::new(
-            16,
-            scenario.processes(),
-            0u64,
-            ShardConfig::multiversioned(2),
-        ));
         let history = run_scenario(&snapshot, &scenario);
         assert_eq!(
             history.len(),

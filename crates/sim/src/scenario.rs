@@ -12,6 +12,10 @@
 //! adversarial scenarios (for the exhaustive WGL checker) are generated by
 //! [`Scenario::random_small`].
 
+use std::fmt;
+use std::sync::Arc;
+
+use psnap_core::{ReshardOp, Resharding};
 use psnap_shmem::chaos::ChaosConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -46,17 +50,29 @@ pub enum Role {
         /// Each entry is the component set of one scan.
         scans: Vec<Vec<usize>>,
     },
-    /// Issue the listed reshard operations, in order, against the live
-    /// store. Resharding is *environment reconfiguration*, not a snapshot
-    /// operation: it records nothing in the history (a refused op — on a
-    /// store without resharding, say — is silently skipped), so the same
-    /// checkers apply unchanged and any atomicity violation the migration
-    /// causes shows up as a torn scan or lost update in the other
-    /// processes' records.
+    /// Issue the listed reshard operations, in order, against `store`.
+    /// Resharding is *environment reconfiguration*, not a snapshot
+    /// operation: it records nothing in the history (a refused op is
+    /// silently skipped), so the same checkers apply unchanged and any
+    /// atomicity violation the migration causes shows up as a torn scan or
+    /// lost update in the other processes' records.
     Resharder {
         /// The reshard ops to issue, in order, yielding between them.
-        ops: Vec<psnap_core::ReshardOp>,
+        ops: Vec<ReshardOp>,
+        /// The store they migrate: the object under test, or the one
+        /// behind its service.
+        store: ReshardTarget,
     },
+}
+
+/// The live store a [`Role::Resharder`] migrates.
+#[derive(Clone)]
+pub struct ReshardTarget(pub Arc<dyn Resharding>);
+
+impl fmt::Debug for ReshardTarget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ReshardTarget(generation {})", self.0.generation())
+    }
 }
 
 /// Chaos (schedule perturbation) configuration for a scenario.

@@ -4,9 +4,7 @@
 //! Every [`Role`](crate::Role) of the scenario becomes a *service client* on
 //! its own OS thread: updaters submit through
 //! [`psnap_serve::ClientHandle::submit`], batch updaters through
-//! `submit_batch`, scanners through `scan` with the configured
-//! [`Freshness`] bound ([`Freshness::Fresh`] by default) — each operation
-//! awaited to completion before the next, so the per-process histories stay
+//! `submit_batch`, scanners through `scan` — each operation awaited to completion before the next, so the per-process histories stay
 //! sequential. The recorded [`History`] spans the *client-observed* interval
 //! of each operation (enqueue to ticket resolution), which is exactly what
 //! linearizability is about for a service: the coalesced `update_many` an
@@ -46,12 +44,6 @@ const SCAN_CAPACITY: usize = 64;
 pub struct ServiceDriverConfig {
     /// Scan-merging policy of the service under test.
     pub coalescing: Coalescing,
-    /// Freshness bound every scanner role requests. The default is
-    /// [`Freshness::Fresh`]. Any `AtMostStale` bound routes scans through
-    /// the mv fast path (`scan_stale`) on multiversioned backends and into
-    /// the backing union elsewhere. Either way the cut is taken inside the
-    /// request's service time, so the WGL checker applies unchanged.
-    pub scanner_freshness: Freshness,
     /// Scan-latency SLO forwarded to [`ServiceConfig::scan_slo`]: a scan
     /// answered later than this fires the service's latency anomaly
     /// trigger when the flight recorder is armed. `None` (the default)
@@ -63,7 +55,6 @@ impl Default for ServiceDriverConfig {
     fn default() -> Self {
         ServiceDriverConfig {
             coalescing: Coalescing::Window(Duration::ZERO),
-            scanner_freshness: Freshness::Fresh,
             scan_slo: None,
         }
     }
@@ -109,7 +100,6 @@ where
 /// rejections are retried.
 struct Client<S: PartialSnapshot<u64>> {
     handle: ClientHandle<u64, S>,
-    freshness: Freshness,
 }
 
 impl<S: PartialSnapshot<u64> + 'static> Frontend for Client<S> {
@@ -121,7 +111,7 @@ impl<S: PartialSnapshot<u64> + 'static> Frontend for Client<S> {
     }
     fn scan(&self, components: &[usize]) -> Vec<u64> {
         retry_busy(Busy, || {
-            self.handle.scan(components.to_vec(), self.freshness)
+            self.handle.scan(components.to_vec(), Freshness::Fresh)
         })
         .wait()
     }
@@ -143,9 +133,8 @@ where
     S: PartialSnapshot<u64> + 'static,
 {
     let (_executor, service) = start_service(&snapshot, scenario, driver, 0x5E44_1CE0);
-    let history = run_roles(&*snapshot, scenario, false, |_| Client {
+    let history = run_roles(scenario, false, |_| Client {
         handle: service.client(),
-        freshness: driver.scanner_freshness,
     });
     service.shutdown();
     history

@@ -40,7 +40,6 @@ pub enum WireTransport {
 /// drops it.
 struct Remote {
     client: Option<RemoteClientHandle>,
-    freshness: Freshness,
 }
 
 impl Remote {
@@ -58,7 +57,7 @@ impl Frontend for Remote {
         self.retry(|c| c.submit_batch(writes.to_vec())?.wait())
     }
     fn scan(&self, components: &[usize]) -> Vec<u64> {
-        self.retry(|c| c.scan_blocking(components.to_vec(), self.freshness))
+        self.retry(|c| c.scan_blocking(components.to_vec(), Freshness::Fresh))
     }
 }
 
@@ -111,7 +110,7 @@ where
         ),
     }
     .expect("wire server failed to bind");
-    let history = run_roles(&*snapshot, scenario, false, |_| {
+    let history = run_roles(scenario, false, |_| {
         let client = match transport {
             WireTransport::Tcp => RemoteClientHandle::connect_tcp(
                 server.local_addr().expect("tcp server has an address"),
@@ -121,7 +120,6 @@ where
         .expect("wire client failed to connect");
         Remote {
             client: Some(client),
-            freshness: driver.scanner_freshness,
         }
     });
     server.shutdown(Duration::from_secs(10));

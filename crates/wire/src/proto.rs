@@ -20,8 +20,6 @@
 //!   them back without a `Json` tree; any other document takes the general
 //!   route.
 
-use std::time::Duration;
-
 use psnap_json::Json;
 use psnap_serve::Freshness;
 
@@ -94,7 +92,7 @@ pub enum RequestBody {
     Scan {
         /// The requested components, in reply order.
         components: Vec<usize>,
-        /// `Fresh`, or `AtMostStale` with a nanosecond bound.
+        /// Always `Fresh` (`"fresh"` on the wire).
         freshness: Freshness,
     },
     /// One observability snapshot of the service ([`ServiceObs`] JSON).
@@ -137,19 +135,11 @@ pub enum ReplyBody {
 fn freshness_to_json(freshness: &Freshness) -> Json {
     match freshness {
         Freshness::Fresh => Json::Str("fresh".into()),
-        Freshness::AtMostStale(bound) => Json::obj([(
-            "stale_ns",
-            Json::u64(bound.as_nanos().min(u64::MAX as u128) as u64),
-        )]),
     }
 }
 
 fn freshness_from_json(json: &Json) -> Option<Freshness> {
-    if json.as_str() == Some("fresh") {
-        return Some(Freshness::Fresh);
-    }
-    let ns = json.get("stale_ns")?.as_u64_precise()?;
-    Some(Freshness::AtMostStale(Duration::from_nanos(ns)))
+    (json.as_str() == Some("fresh")).then_some(Freshness::Fresh)
 }
 
 impl Request {
@@ -463,11 +453,6 @@ impl Request {
                 out.extend_from_slice(b"],\"freshness\":");
                 match freshness {
                     Freshness::Fresh => out.extend_from_slice(b"\"fresh\""),
-                    Freshness::AtMostStale(bound) => {
-                        out.extend_from_slice(b"{\"stale_ns\":");
-                        push_u64(out, bound.as_nanos().min(u64::MAX as u128) as u64);
-                        out.push(b'}');
-                    }
                 }
                 out.extend_from_slice(b",\"id\":");
                 push_u64(out, self.id);
@@ -509,14 +494,8 @@ impl Request {
                 }
             }
             s.lit("],\"freshness\":")?;
-            let freshness = if s.lit("\"fresh\"").is_some() {
-                Freshness::Fresh
-            } else {
-                s.lit("{\"stale_ns\":")?;
-                let ns = s.u64_value()?;
-                s.lit("}")?;
-                Freshness::AtMostStale(Duration::from_nanos(ns))
-            };
+            s.lit("\"fresh\"")?;
+            let freshness = Freshness::Fresh;
             s.lit(",\"id\":")?;
             let id = s.u64_value()?;
             s.lit(",\"op\":\"scan\"")?;
@@ -738,7 +717,7 @@ mod tests {
                 id: 0,
                 body: RequestBody::Scan {
                     components: vec![],
-                    freshness: Freshness::AtMostStale(Duration::from_millis(250)),
+                    freshness: Freshness::Fresh,
                 },
             },
             Request {
@@ -803,6 +782,7 @@ mod tests {
             r#"{"id":1,"op":"scan","components":[0]}"#,
             r#"{"id":1,"op":"scan","components":[0],"freshness":"stale"}"#,
             r#"{"id":1,"op":"scan","components":[0],"freshness":{"stale_ns":-4}}"#,
+            r#"{"id":1,"op":"scan","components":[0],"freshness":{"stale_ns":250000000}}"#,
         ] {
             let json = Json::parse(text).unwrap();
             assert!(Request::from_json(&json).is_none(), "accepted: {text}");
@@ -829,7 +809,7 @@ mod tests {
                 id: (1 << 53) + 1,
                 body: RequestBody::Scan {
                     components: vec![],
-                    freshness: Freshness::AtMostStale(Duration::from_millis(250)),
+                    freshness: Freshness::Fresh,
                 },
             },
             Request {
@@ -898,6 +878,7 @@ mod tests {
             r#"{"id":1,"op":"submit","writes":[]}"#, // empty batch
             r#"{"id":1,"op":"submit","writes":[[1,2],]}"#, // trailing comma
             r#"{"id":1,"op":"scan","components":[2],"freshness":"stale"}"#,
+            r#"{"components":[2],"freshness":{"stale_ns":250000000},"id":1,"op":"scan"}"#,
             r#"{"id":18446744073709551616,"op":"stats"}"#, // > u64
         ] {
             assert_eq!(Request::parse_wire(text), None, "accepted: {text}");

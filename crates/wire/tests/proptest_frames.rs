@@ -5,8 +5,6 @@
 
 use std::io::Read;
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 use psnap_json::Json;
 use psnap_serve::Freshness;
@@ -45,19 +43,15 @@ fn request() -> impl Strategy<Value = Request> {
             id,
             body: RequestBody::Submit { writes },
         });
-    let scan = (
-        wire_u64(),
-        proptest::collection::vec(component(), 0..24),
-        prop_oneof![Just(None), wire_u64().prop_map(Some)],
-    )
-        .prop_map(|(id, components, stale_ns)| Request {
-            id,
-            body: RequestBody::Scan {
-                components,
-                freshness: stale_ns.map_or(Freshness::Fresh, |ns| {
-                    Freshness::AtMostStale(Duration::from_nanos(ns))
-                }),
-            },
+    let scan =
+        (wire_u64(), proptest::collection::vec(component(), 0..24)).prop_map(|(id, components)| {
+            Request {
+                id,
+                body: RequestBody::Scan {
+                    components,
+                    freshness: Freshness::Fresh,
+                },
+            }
         });
     let stats = wire_u64().prop_map(|id| Request {
         id,

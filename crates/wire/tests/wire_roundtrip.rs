@@ -96,12 +96,6 @@ fn tcp_submit_scan_stats_roundtrip() {
         vec![big]
     );
 
-    // Stale reads are permitted wire-side too.
-    let stale = client
-        .scan_blocking(vec![0], Freshness::AtMostStale(Duration::from_secs(60)))
-        .unwrap();
-    assert_eq!(stale, vec![111]);
-
     let stats = client.stats().unwrap();
     let rendered = stats.to_string_compact();
     assert!(

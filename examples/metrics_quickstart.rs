@@ -4,7 +4,7 @@
 //! the sharded store's scan counters and per-shard heat, and the
 //! service frontend's queue gauges and latency histograms all register
 //! their *live* handles into a single `Registry`, whose partition
-//! invariants (`accepted == resolved`, `scans == backing + mv + empty`,
+//! invariants (`accepted == resolved`, `scans == backing + empty`,
 //! ...) are checked at the end. Trace collection — off by default, it is a
 //! debugging tool, not a production tax — is switched on so the merged
 //! timeline shows one coalesced scan end to end: queue pushes, the drain,
@@ -27,6 +27,7 @@ use partial_snapshot::obs::{self as obs, Registry, TraceKind};
 use partial_snapshot::serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
 use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::shmem;
+use partial_snapshot::snapshot::Resharding;
 
 const M: usize = 64;
 const SHARDS: usize = 4;
@@ -64,10 +65,15 @@ fn main() {
     service.register_obs(registry, "serve");
 
     // A periodic reporter samples the full ServiceObs while traffic runs.
-    let reporter = service.spawn_stats_reporter(&executor, Duration::from_millis(5), |o| {
+    // No reshard driver runs here, so the heat is read off the store.
+    let store = Arc::clone(&backing);
+    let reporter = service.spawn_stats_reporter(&executor, Duration::from_millis(5), move |o| {
         eprintln!(
             "[reporter] ingest_depth={} scan_depth={} coalescing={:.2}x heat={:?}",
-            o.ingest_depth, o.scan_depth, o.coalescing_ratio, o.shard_heat
+            o.ingest_depth,
+            o.scan_depth,
+            o.coalescing_ratio,
+            store.shard_heat()
         );
     });
 
@@ -85,14 +91,9 @@ fn main() {
             let client = service.client();
             scope.spawn(move || {
                 let window: Vec<usize> = (0..12).map(|i| (r * 5 + i * 3) % M).collect();
-                for k in 0..OPS / 4 {
-                    let freshness = if k % 4 == 0 {
-                        Freshness::Fresh
-                    } else {
-                        Freshness::AtMostStale(Duration::from_millis(1))
-                    };
+                for _ in 0..OPS / 4 {
                     client
-                        .scan_blocking(&window, freshness)
+                        .scan_blocking(&window, Freshness::Fresh)
                         .expect("service closed");
                 }
             });

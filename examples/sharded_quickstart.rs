@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::shmem::ProcessId;
-use partial_snapshot::snapshot::{CasPartialSnapshot, PartialSnapshot, ReshardOp};
+use partial_snapshot::snapshot::{CasPartialSnapshot, PartialSnapshot, ReshardOp, Resharding};
 
 const M: usize = 256; // components (accounts)
 const SHARDS: usize = 8;
@@ -32,10 +32,14 @@ const AUDITS: u64 = 5_000;
 
 /// Runs `UPDATERS` transfer threads against `snapshot` while an auditor
 /// checks, with one atomic cross-shard partial scan per check, that no money
-/// is created or destroyed. Midway the auditor splits the shard holding
-/// account 0 (as `shard_of` names it) and later merges the new shard back;
-/// on an unsharded object both requests are refused.
-fn run(snapshot: Arc<dyn PartialSnapshot<u64>>, shard_of: impl Fn(usize) -> usize, label: &str) {
+/// is created or destroyed. Given the `sharded` store behind `snapshot`,
+/// the auditor splits the shard holding account 0 midway and later merges
+/// the new shard back; an unsharded object keeps its layout.
+fn run(
+    snapshot: Arc<dyn PartialSnapshot<u64>>,
+    sharded: Option<&MvShardedSnapshot<u64>>,
+    label: &str,
+) {
     // Every account starts with the same balance; each updater owns a
     // disjoint slice of accounts and moves value between the two ends of
     // its slice, preserving its slice's total.
@@ -71,17 +75,19 @@ fn run(snapshot: Arc<dyn PartialSnapshot<u64>>, shard_of: impl Fn(usize) -> usiz
     // pair must always sum to 2 × BALANCE, ± one in-flight transfer.
     let mut reshards = Vec::new();
     for round in 0..AUDITS {
-        if round == AUDITS / 3 {
-            let shard = shard_of(0);
-            reshards.push(("split", snapshot.reshard(ReshardOp::Split { shard })));
-        }
-        if round == 2 * AUDITS / 3 {
-            let newest = snapshot.shard_sizes().len().saturating_sub(1);
-            let into = shard_of(0);
-            reshards.push((
-                "merge",
-                snapshot.reshard(ReshardOp::Merge { from: newest, into }),
-            ));
+        if let Some(store) = sharded {
+            if round == AUDITS / 3 {
+                let shard = store.shard_of(0);
+                reshards.push(("split", store.reshard(ReshardOp::Split { shard })));
+            }
+            if round == 2 * AUDITS / 3 {
+                let newest = store.shard_sizes().len().saturating_sub(1);
+                let into = store.shard_of(0);
+                reshards.push((
+                    "merge",
+                    store.reshard(ReshardOp::Merge { from: newest, into }),
+                ));
+            }
         }
         let u = (round as usize) % UPDATERS;
         let pair = [u * per, u * per + per - 1];
@@ -117,7 +123,7 @@ fn main() {
 
     run(
         Arc::new(CasPartialSnapshot::new(M, UPDATERS + 1, 0u64)),
-        |_| 0,
+        None,
         "unsharded",
     );
 
@@ -129,7 +135,7 @@ fn main() {
     ));
     run(
         Arc::clone(&sharded) as Arc<dyn PartialSnapshot<u64>>,
-        |component| sharded.shard_of(component),
+        Some(&sharded),
         "sharded-k8",
     );
     // Every balance survived both migrations: the sum of each updater's

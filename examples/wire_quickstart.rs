@@ -88,21 +88,16 @@ fn main() {
                 client.close(); // half-close: replies already drained
             });
         }
-        // Readers value small portfolios, accepting slightly stale answers
-        // so requests coalesce into shared backing scans server-side. The
-        // blocking wrappers are the simple non-pipelined call shape.
+        // Readers value small portfolios; concurrent requests coalesce into
+        // shared backing scans server-side. The blocking wrappers are the
+        // simple non-pipelined call shape.
         for r in 0..READERS {
             scope.spawn(move || {
                 let client = RemoteClientHandle::connect_tcp(addr).expect("connect reader");
                 let portfolio: Vec<usize> = (0..6).map(|i| (r * 5 + i * 3) % M).collect();
                 let mut sum = 0u64;
-                for k in 0..OPS {
-                    let freshness = if k % 4 == 0 {
-                        Freshness::Fresh
-                    } else {
-                        Freshness::AtMostStale(Duration::from_millis(1))
-                    };
-                    match client.scan_blocking(portfolio.clone(), freshness) {
+                for _ in 0..OPS {
+                    match client.scan_blocking(portfolio.clone(), Freshness::Fresh) {
                         Ok(values) => sum += values.iter().sum::<u64>(),
                         Err(WireError::Busy) => std::thread::yield_now(),
                         Err(e) => panic!("reader {r}: {e}"),

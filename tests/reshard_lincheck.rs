@@ -11,10 +11,10 @@ use std::sync::Arc;
 use partial_snapshot::lincheck::{check_history, check_monotone_history, History};
 use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::sim::{
-    run_scenario, run_scenario_via_service, run_scenario_via_wire, Role, Scenario,
+    run_scenario, run_scenario_via_service, run_scenario_via_wire, ReshardTarget, Role, Scenario,
     ServiceDriverConfig, WireTransport,
 };
-use partial_snapshot::snapshot::{PartialSnapshot, ReshardOp};
+use partial_snapshot::snapshot::{ReshardOp, Resharding};
 
 /// A reshard schedule that is guaranteed to make progress on any two-shard
 /// layout: the merge is always accepted (two allocated ids, distinct), after
@@ -30,24 +30,29 @@ fn two_shard_reshard_storm() -> Vec<ReshardOp> {
     ]
 }
 
-fn with_resharder(mut scenario: Scenario, ops: Vec<ReshardOp>) -> Scenario {
-    scenario.roles.push(Role::Resharder { ops });
-    scenario
+/// Appends a resharder role that issues `ops` against `store`.
+fn push_resharder(
+    scenario: &mut Scenario,
+    ops: Vec<ReshardOp>,
+    store: &Arc<MvShardedSnapshot<u64>>,
+) {
+    scenario.roles.push(Role::Resharder {
+        ops,
+        store: ReshardTarget(store.clone()),
+    });
 }
 
 #[test]
 fn mv_sharded_small_schedules_stay_linearizable_across_live_reshards() {
     for seed in 0..25u64 {
-        let scenario = with_resharder(
-            Scenario::random_cross_shard(seed, 2),
-            two_shard_reshard_storm(),
-        );
+        let mut scenario = Scenario::random_cross_shard(seed, 2);
         let snapshot = Arc::new(MvShardedSnapshot::new(
             scenario.components,
-            scenario.processes(),
+            scenario.processes() + 1, // the resharder's slot too
             0u64,
             ShardConfig::multiversioned(2),
         ));
+        push_resharder(&mut scenario, two_shard_reshard_storm(), &snapshot);
         let history = run_scenario(&snapshot, &scenario);
         assert!(
             check_history(&history).is_linearizable(),
@@ -64,11 +69,18 @@ fn mv_sharded_small_schedules_stay_linearizable_across_live_reshards() {
 #[test]
 fn mv_sharded_stress_history_is_monotone_across_a_reshard_storm() {
     let mut scenario = Scenario::stress(24, 3, 3, 200, 120, 6, 42);
+    let snapshot = Arc::new(MvShardedSnapshot::new(
+        24,
+        scenario.processes() + 1, // the resharder's slot too
+        0u64,
+        ShardConfig::multiversioned(3),
+    ));
     // A longer storm over a three-shard layout; ids that have gone invalid
     // or empty by the time an op fires are refused harmlessly, the rest
     // keep the layout churning under the full stress workload.
-    scenario.roles.push(Role::Resharder {
-        ops: vec![
+    push_resharder(
+        &mut scenario,
+        vec![
             ReshardOp::Split { shard: 0 },
             ReshardOp::Split { shard: 1 },
             ReshardOp::Merge { from: 3, into: 0 },
@@ -77,13 +89,8 @@ fn mv_sharded_stress_history_is_monotone_across_a_reshard_storm() {
             ReshardOp::Split { shard: 0 },
             ReshardOp::Merge { from: 5, into: 2 },
         ],
-    });
-    let snapshot = Arc::new(MvShardedSnapshot::new(
-        24,
-        scenario.processes(),
-        0u64,
-        ShardConfig::multiversioned(3),
-    ));
+        &snapshot,
+    );
     let history = run_scenario(&snapshot, &scenario);
     assert_eq!(history.len(), scenario.total_ops());
     history.validate_well_formed().unwrap();
@@ -93,24 +100,22 @@ fn mv_sharded_stress_history_is_monotone_across_a_reshard_storm() {
 }
 
 /// The small reshard storm behind a frontend: the roles' traffic goes
-/// through clients while the resharder migrates the backing object
-/// directly, and every client-observed history must still be linearizable.
+/// through clients while the resharder migrates the backing object it
+/// carries, and every client-observed history must still be linearizable.
 fn reshard_storm_behind(
     frontend: &str,
     seeds: std::ops::Range<u64>,
     run: impl Fn(Arc<MvShardedSnapshot<u64>>, &Scenario) -> History,
 ) {
     for seed in seeds {
-        let scenario = with_resharder(
-            Scenario::random_cross_shard(seed, 2),
-            two_shard_reshard_storm(),
-        );
+        let mut scenario = Scenario::random_cross_shard(seed, 2);
         let snapshot = Arc::new(MvShardedSnapshot::new(
             scenario.components,
             2, // ingest + scan pids
             0u64,
             ShardConfig::multiversioned(2),
         ));
+        push_resharder(&mut scenario, two_shard_reshard_storm(), &snapshot);
         let history = run(Arc::clone(&snapshot), &scenario);
         assert_eq!(history.len(), scenario.total_ops());
         assert!(

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use partial_snapshot::lincheck::{check_history, check_monotone_history};
-use partial_snapshot::serve::{Coalescing, Freshness};
+use partial_snapshot::serve::Coalescing;
 use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::sim::{run_scenario_via_service, Scenario, ServiceDriverConfig};
 use partial_snapshot::snapshot::{CasPartialSnapshot, MvSnapshot, PartialSnapshot};
@@ -90,16 +90,10 @@ fn coalesced_histories_over_the_sharded_store_are_linearizable() {
     }
 }
 
-/// The staleness bounds the stale-history tests request: zero, and one far
-/// longer than any run. Every answer the service gives is linearizable, so
-/// the bound must not matter to the checker.
-const STALE_BOUNDS: [Duration; 2] = [Duration::ZERO, Duration::from_secs(60)];
-
-/// Runs scenario `seed` of `scenario` against `snapshot`, its scanners
-/// requesting `AtMostStale` at each of [`STALE_BOUNDS`] under a 100 µs
-/// coalescing window, and checks every client-observed history with the
+/// Runs scenario `seed` of `scenario` against `snapshot` under a 100 µs
+/// coalescing window and checks every client-observed history with the
 /// exhaustive WGL checker.
-fn assert_stale_histories_linearizable<S>(
+fn assert_windowed_histories_linearizable<S>(
     label: &str,
     seeds: std::ops::Range<u64>,
     scenario: impl Fn(u64) -> Scenario,
@@ -107,37 +101,27 @@ fn assert_stale_histories_linearizable<S>(
 ) where
     S: PartialSnapshot<u64> + 'static,
 {
-    for bound in STALE_BOUNDS {
-        for seed in seeds.clone() {
-            let scenario = scenario(seed);
-            let history = run_scenario_via_service(
-                Arc::new(snapshot(&scenario)),
-                &scenario,
-                &ServiceDriverConfig {
-                    coalescing: Coalescing::Window(Duration::from_micros(100)),
-                    scanner_freshness: Freshness::AtMostStale(bound),
-                    ..ServiceDriverConfig::default()
-                },
-            );
-            assert_eq!(history.len(), scenario.total_ops());
-            assert!(
-                check_history(&history).is_linearizable(),
-                "seed {seed}, bound {bound:?}: {label} stale service history not linearizable"
-            );
-        }
+    for seed in seeds {
+        let scenario = scenario(seed);
+        let history = run_scenario_via_service(
+            Arc::new(snapshot(&scenario)),
+            &scenario,
+            &driver(Coalescing::Window(Duration::from_micros(100))),
+        );
+        assert_eq!(history.len(), scenario.total_ops());
+        assert!(
+            check_history(&history).is_linearizable(),
+            "seed {seed}: {label} windowed service history not linearizable"
+        );
     }
 }
 
 #[test]
-fn mv_backed_stale_histories_are_linearizable() {
-    // On a multiversioned backend every stale scan is answered by the mv
-    // fast path — `scan_stale`'s announce→tick→read_at cut at its announced
-    // timestamp — with **no** backing union scans, whatever its bound. That
-    // cut linearizes inside the request's service time, so the exhaustive
-    // WGL checker applies to the client-observed history unchanged: this is
-    // the conformance proof that `AtMostStale` answers are legal snapshots
-    // at their announced timestamps.
-    assert_stale_histories_linearizable(
+fn mv_backed_windowed_histories_are_linearizable() {
+    // The only service-level WGL check of a single `MvSnapshot`: its union
+    // scans are announce→tick→read_at cuts, which must linearize inside
+    // every requester's interval.
+    assert_windowed_histories_linearizable(
         "mv-backed",
         0..25,
         |seed| Scenario::random_small(seed ^ 0x57A1E),
@@ -146,11 +130,8 @@ fn mv_backed_stale_histories_are_linearizable() {
 }
 
 #[test]
-fn cas_backed_stale_histories_are_linearizable() {
-    // A backend without version history has no mv tier: its stale scans
-    // join the round's backing union beside the fresh ones, and are checked
-    // just as strictly.
-    assert_stale_histories_linearizable(
+fn cas_backed_windowed_histories_are_linearizable() {
+    assert_windowed_histories_linearizable(
         "cas-backed",
         0..25,
         |seed| Scenario::random_small(seed ^ 0x57A1E),
@@ -159,20 +140,17 @@ fn cas_backed_stale_histories_are_linearizable() {
 }
 
 #[test]
-fn mv_sharded_stale_histories_are_linearizable_with_parallel_unions() {
-    // Cross-shard scenarios over the multiversioned sharded store: stale
-    // requests ride the sharded `scan_stale` (announce every involved
-    // shard, one shared-camera tick), and the Fresh requests that remain
-    // go into one cross-shard union on the scan server's pid. Both paths
-    // must yield linearizable client-observed histories.
-    assert_stale_histories_linearizable(
+fn mv_sharded_windowed_histories_are_linearizable() {
+    // Cross-shard scenarios over the multiversioned sharded store: every
+    // scan goes into one cross-shard union on the scan role's pid.
+    assert_windowed_histories_linearizable(
         "mv-sharded",
         0..10,
         |seed| Scenario::random_cross_shard(seed ^ 0x3A12D, 2),
         |scenario| {
             MvShardedSnapshot::new(
                 scenario.components,
-                2, // drainer + scan server
+                2, // ingest + scan roles
                 0u64,
                 ShardConfig::multiversioned(2),
             )
