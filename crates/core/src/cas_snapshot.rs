@@ -217,7 +217,6 @@ impl<T: Clone + Send + Sync + 'static, A: ActiveSet> PartialSnapshot<T>
         }
         self.counters[pid.index()].store(seq + batch.len() as u64, Ordering::Relaxed);
         drop(phase);
-        psnap_obs::trace::emit(psnap_obs::TraceKind::BatchCommit, batch.len() as u64, 1);
     }
 
     fn scan(&self, pid: ProcessId, components: &[usize]) -> Vec<T> {
@@ -233,11 +232,6 @@ impl<T: Clone + Send + Sync + 'static, A: ActiveSet> PartialSnapshot<T>
         announced.dedup();
         let announced = Arc::new(announced);
         self.announcements[pid.index()].store_arc(Arc::clone(&announced));
-        psnap_obs::trace::emit(
-            psnap_obs::TraceKind::ScanAnnounce,
-            announced.len() as u64,
-            0,
-        );
         // join
         let ticket = self.scanners.join(pid);
         // embedded-scan, inside a batch-validated window: a clean double

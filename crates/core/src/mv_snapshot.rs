@@ -411,7 +411,6 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
             self.prune_slot(*component, bound);
         }
         drop(serial);
-        psnap_obs::trace::emit(psnap_obs::TraceKind::BatchCommit, batch.len() as u64, 1);
     }
 
     fn scan(&self, pid: ProcessId, components: &[usize]) -> Vec<T> {
@@ -426,7 +425,6 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
         // another that was acknowledged first.
         let _ = self.family.announce_scan(pid);
         let s = self.camera().tick();
-        psnap_obs::trace::emit(psnap_obs::TraceKind::ScanAnnounce, s, 1);
         let values = self.scan_at(pid, components, s);
         self.family.clear_announcement(pid);
         values

@@ -192,11 +192,6 @@ impl<T: Clone + Send + Sync + 'static, A: ActiveSet> PartialSnapshot<T>
         announced.dedup();
         let announced = Arc::new(announced);
         self.announcements[pid.index()].store_arc(Arc::clone(&announced));
-        psnap_obs::trace::emit(
-            psnap_obs::TraceKind::ScanAnnounce,
-            announced.len() as u64,
-            0,
-        );
         // join; embedded-scan (batch-validated, see `crate::batch`); leave
         let ticket = self.scanners.join(pid);
         let view = self.batches.validated(|| self.embedded_scan(&announced));

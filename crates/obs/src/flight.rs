@@ -50,9 +50,9 @@ pub struct SpanRecord {
     pub root: u64,
     /// Pipeline stage.
     pub kind: SpanKind,
-    /// Begin, nanoseconds on the process trace clock.
+    /// Begin, nanoseconds on the process clock ([`now_ns`](crate::span::now_ns)).
     pub begin_ns: u64,
-    /// End, nanoseconds on the process trace clock.
+    /// End, nanoseconds on the process clock ([`now_ns`](crate::span::now_ns)).
     pub end_ns: u64,
     /// Dense index of the thread the span ended on.
     pub thread: usize,
@@ -292,7 +292,7 @@ pub struct FlightDump {
     /// Free-form trigger detail (the violated invariant, the slow
     /// request's latency, ...).
     pub detail: String,
-    /// When it fired, nanoseconds on the process trace clock.
+    /// When it fired, nanoseconds on the process clock ([`now_ns`](crate::span::now_ns)).
     pub at_ns: u64,
     /// The completed trees at freeze time, oldest first.
     pub trees: Vec<SpanTree>,
@@ -419,7 +419,7 @@ pub fn trigger(
     let dump = FlightDump {
         reason,
         detail,
-        at_ns: crate::trace::now_ns(),
+        at_ns: crate::span::now_ns(),
         trees,
         metrics: registry.map(Registry::to_json).unwrap_or(Json::Null),
         dropped_spans,

@@ -14,28 +14,22 @@
 //! * [`Histogram`] buckets values by log2 and tracks the exact maximum on
 //!   the side, so `p50`/`p99`/`max` come out of a read without any
 //!   recording-side sorting;
-//! * [`trace`] keeps a bounded ring of timestamped events *per thread*
-//!   (scan announce/retry/fallback, help-finalize, batch commit, epoch
-//!   advance, queue push/drain, coalesce decisions), drained on demand into
-//!   one merged timeline — overflow drops the oldest events and is
-//!   accounted, never silent. Event collection is **opt-in**
-//!   ([`set_trace_enabled`]): each event costs a clock read and a ring
-//!   push, a price worth paying for a debugging window but not on every
-//!   production operation;
 //! * [`Registry`] names metrics into process-wide families, carries
 //!   declarative **partition invariants** over its counters (e.g. every
 //!   accepted scan is served by exactly one path), and exposes everything
 //!   as text or [`psnap_json`] for scraping;
-//! * [`span`] adds *causality* on top of the flat event stream: a
-//!   [`Span`] is a timed (id, parent, kind) triple recorded by the flight
-//!   recorder when it ends, and a [`SpanContext`] crosses threads with a
-//!   request so one client scan yields a tree spanning submitter, scan
-//!   server, and executor workers. Span collection is opt-in
-//!   ([`set_span_enabled`]), independent of the trace switch;
+//! * [`span`] adds *causality* on top of the counters: a [`Span`] is a
+//!   timed (id, parent, kind) triple recorded by the flight recorder when
+//!   it ends, and a [`SpanContext`] crosses threads with a request so one
+//!   client scan yields a tree spanning submitter, scan server, and
+//!   executor workers. Span collection is opt-in ([`set_span_enabled`]);
 //! * [`flight`] is the flight recorder: a bounded process-wide ring of
 //!   recently completed span trees plus a registry snapshot, frozen into a
 //!   [`FlightDump`] (exportable as Chrome trace-event JSON) when an
 //!   [anomaly trigger](flight::trigger) fires.
+//!
+//! Counters count, spans time, the flight recorder keeps the trees: that
+//! is the one event record. There is no separate event log.
 //!
 //! The whole layer sits behind one global switch ([`set_enabled`]): when
 //! disabled, every record path is a single relaxed load and an early
@@ -50,7 +44,6 @@ pub mod flight;
 pub mod metric;
 pub mod registry;
 pub mod span;
-pub mod trace;
 
 pub use flight::{AnomalyKind, FlightDump, SpanRecord, SpanTree};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, RateTracker};
@@ -59,7 +52,6 @@ pub use span::{
     set_span_enabled, set_span_sample_every, span_enabled, span_sample_every, Span, SpanContext,
     SpanKind,
 };
-pub use trace::{set_trace_enabled, trace_enabled, Timeline, TraceEvent, TraceKind};
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -67,10 +59,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 /// off, every record path returns after one relaxed load.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Turns recording on or off process-wide. Disabling mid-run freezes every
-/// metric where it stands (partition invariants still hold — all the legs
-/// of a partition stop together). The repo benchmark uses it to price the
-/// instrumentation itself.
+/// Turns recording on or off process-wide: metrics, and spans begun from
+/// now on. Disabling mid-run freezes every metric where it stands
+/// (partition invariants still hold — all the legs of a partition stop
+/// together). The repo benchmark uses it to price the instrumentation
+/// itself.
 pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::SeqCst);
 }
@@ -81,6 +74,12 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// Does nothing: counters, spans and the flight recorder are the one event
+/// record, so there is no separate event log to switch. Kept so callers
+/// that bracket a traced window with it keep compiling; use
+/// [`set_span_enabled`] to record request trees.
+pub fn set_trace_enabled(_enabled: bool) {}
+
 static NEXT_THREAD_INDEX: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
@@ -88,10 +87,10 @@ thread_local! {
 }
 
 /// A small id for the calling thread, assigned on first use and never
-/// reused. It labels trace events and spans only — metrics record into the
-/// thread's leased metric slot instead ([`metric`]) — and is unrelated to
-/// the paper's process-id space. During thread exit (the id already
-/// destroyed) it degrades to 0.
+/// reused. It labels spans only — metrics record into the thread's leased
+/// metric slot instead ([`metric`]) — and is unrelated to the paper's
+/// process-id space. During thread exit (the id already destroyed) it
+/// degrades to 0.
 #[inline]
 pub fn thread_index() -> usize {
     THREAD_INDEX.try_with(|i| *i).unwrap_or(0)

@@ -1,14 +1,13 @@
 //! Causal spans: who caused what, across threads.
 //!
-//! The flat [`trace`] events say *that* a retry or a commit
-//! happened; they cannot say which client request it happened *for*. A
-//! [`Span`] is a timed interval with an identity (`id`), a cause (`parent`),
-//! and a tree (`root`): the serve layer opens a root span per client
-//! request, hands its [`SpanContext`] across queues and executor workers,
-//! and opens child spans around each pipeline stage. An ended span is
-//! recorded by the [`flight`](crate::flight) recorder, which collects
-//! whole per-request trees; spans write nothing to the trace rings, whose
-//! flat events carry the id of the span [entered](enter) when they fired.
+//! Counters say *that* a retry or a commit happened; they cannot say which
+//! client request it happened *for*. A [`Span`] is a timed interval with an
+//! identity (`id`), a cause (`parent`), and a tree (`root`): the serve
+//! layer opens a root span per client request, hands its [`SpanContext`]
+//! across queues and executor workers, and opens child spans around each
+//! pipeline stage. An ended span is recorded by the
+//! [`flight`](crate::flight) recorder, which collects whole per-request
+//! trees.
 //!
 //! Everything here follows the obs discipline of not perturbing what it
 //! measures:
@@ -22,19 +21,29 @@
 //! * cross-thread causality is **explicit**: a [`SpanContext`] is `Copy`
 //!   and travels inside the work item (a queue entry, a coalesced batch, a
 //!   union job), never through hidden global state. The only ambient state
-//!   is the per-thread *current* span ([`current`] / [`enter`]), which
-//!   exists so deep layers (shard scan retries, batch commits, epoch
-//!   advances) stamp their flat events with the span that caused them
-//!   without threading arguments through every signature.
+//!   is the per-thread *entered* span ([`enter`] / [`current_context`]),
+//!   which exists so a transport can root the in-process request tree
+//!   under its decode-time span (see [`Span::root_or_child`]).
+//!
+//! Timestamps ([`now_ns`]) are nanoseconds since the process clock's first
+//! read — comparable across threads, meaningless across processes.
 
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use crate::trace;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Ids handed to a thread per global `fetch_add` (see [`Span`] docs).
 pub const ID_BLOCK: u64 = 256;
+
+/// Nanoseconds on the process clock (comparable across threads,
+/// meaningless across processes). Spans and the flight recorder share it,
+/// so every timestamp in a dump lives on one axis.
+pub fn now_ns() -> u64 {
+    static START: OnceLock<Instant> = OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
 
 /// The stage vocabulary of the serve pipeline, one variant per interval
 /// worth attributing latency to.
@@ -132,11 +141,10 @@ impl SpanContext {
     }
 }
 
-/// Span collection switch, **off by default** — same rationale as the trace
-/// switch: every span costs two clock reads and one flight-collector
-/// push, a debugging/attribution tool rather than an
-/// always-on tax. The repo benchmark's `obs.span_overhead_share` prices
-/// exactly this switch.
+/// Span collection switch, **off by default**: every span costs two clock
+/// reads and one flight-collector push, a debugging/attribution tool
+/// rather than an always-on tax. The repo benchmark's
+/// `obs.span_overhead_share` prices exactly this switch.
 static SPAN_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turns span collection on or off process-wide. Spans begun while enabled
@@ -207,15 +215,6 @@ thread_local! {
     static CURRENT: Cell<SpanContext> = const { Cell::new(SpanContext::NONE) };
 }
 
-/// The id of the span currently entered on this thread (0 = none). Every
-/// [`trace::emit`] stamps this onto its event, which is how shard-level
-/// events (scan retries, batch commits, reshards) gain a span argument
-/// without any signature change.
-#[inline]
-pub fn current() -> u64 {
-    CURRENT.try_with(Cell::get).unwrap_or(SpanContext::NONE).id
-}
-
 /// The full context of the span currently entered on this thread
 /// ([`SpanContext::NONE`] when none). This is what lets a transport layer
 /// root a request tree at frame decode: it enters the decode-time span, and
@@ -227,8 +226,8 @@ pub fn current_context() -> SpanContext {
 }
 
 /// Marks `ctx` as the thread's current span until the guard drops (the
-/// previous current span is restored). Used around backing-object calls so
-/// events emitted underneath attribute to the request being served.
+/// previous current span is restored). Spans begun underneath with
+/// [`Span::root_or_child`] parent under `ctx`.
 pub fn enter(ctx: SpanContext) -> EnterGuard {
     let prev = current_context();
     let _ = CURRENT.try_with(|c| c.set(ctx));
@@ -339,7 +338,7 @@ impl Span {
             ctx,
             parent,
             kind,
-            begin_ns: trace::now_ns(),
+            begin_ns: now_ns(),
             a: 0,
             b: 0,
         }
@@ -377,7 +376,7 @@ impl Drop for Span {
             root: self.ctx.root,
             kind: self.kind,
             begin_ns: self.begin_ns,
-            end_ns: trace::now_ns(),
+            end_ns: now_ns(),
             thread: crate::thread_index(),
             a: self.a,
             b: self.b,
@@ -418,17 +417,17 @@ mod tests {
     fn enter_restores_the_previous_span() {
         let outer = SpanContext { id: 41, root: 41 };
         let inner = SpanContext { id: 42, root: 41 };
-        assert_eq!(current(), 0);
+        assert_eq!(current_context(), SpanContext::NONE);
         {
             let _g1 = enter(outer);
-            assert_eq!(current(), 41);
+            assert_eq!(current_context(), outer);
             {
                 let _g2 = enter(inner);
-                assert_eq!(current(), 42);
+                assert_eq!(current_context(), inner);
             }
-            assert_eq!(current(), 41);
+            assert_eq!(current_context(), outer);
         }
-        assert_eq!(current(), 0);
+        assert_eq!(current_context(), SpanContext::NONE);
     }
 
     #[test]

@@ -66,9 +66,8 @@ impl<I> BoundedQueue<I> {
     }
 
     /// Enqueues `item`, or rejects it with `Busy` (full) / `Closed` (shut
-    /// down). On success the caller gets the depth of the queue with its
-    /// item in it.
-    pub fn try_push(&self, item: I) -> Result<usize, SubmitError> {
+    /// down).
+    pub fn try_push(&self, item: I) -> Result<(), SubmitError> {
         let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if q.closed {
             return Err(SubmitError::Closed);
@@ -77,7 +76,7 @@ impl<I> BoundedQueue<I> {
             return Err(SubmitError::Busy);
         }
         q.items.push_back(item);
-        Ok(q.items.len())
+        Ok(())
     }
 
     /// Moves every queued item into `sink`, preserving FIFO order. Returns
@@ -268,13 +267,15 @@ mod tests {
     #[test]
     fn try_push_hits_capacity_then_busy() {
         let q = BoundedQueue::new(2);
-        assert_eq!(q.try_push(1), Ok(1));
-        assert_eq!(q.try_push(2), Ok(2));
+        assert_eq!(q.try_push(1), Ok(()));
+        assert_eq!(q.try_push(2), Ok(()));
+        assert_eq!(q.len(), 2);
         assert_eq!(q.try_push(3), Err(SubmitError::Busy));
         let mut sink = Vec::new();
         assert_eq!(q.drain_into(&mut sink), 2);
         assert_eq!(sink, vec![1, 2]);
-        assert_eq!(q.try_push(3), Ok(1));
+        assert_eq!(q.try_push(3), Ok(()));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

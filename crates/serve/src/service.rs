@@ -69,8 +69,8 @@ use std::time::{Duration, Instant};
 
 use psnap_core::{PartialSnapshot, ProcessId, Resharding};
 use psnap_obs::{
-    flight, span, trace, AnomalyKind, Counter, Gauge, Histogram, HistogramSnapshot, Metric,
-    RateTracker, Registry, Span, SpanKind, TraceKind,
+    flight, AnomalyKind, Counter, Gauge, Histogram, HistogramSnapshot, Metric, RateTracker,
+    Registry, Span, SpanKind,
 };
 use psnap_shard::{last_write_wins, ReshardPolicy, ReshardPolicyConfig, ScanUnion};
 
@@ -511,16 +511,14 @@ where
     T: Clone + Send + Sync + 'static,
     S: PartialSnapshot<T>,
 {
-    /// Resolves one scan request: records its latency, emits the
-    /// [`ScanServe`](TraceKind::ScanServe) event attributed to the
-    /// request's span, stamps the root span's end arguments (serving path,
-    /// latency), completes the ticket, and — because the request struct
-    /// owns the root [`Span`] — ends the tree, which is the moment the
-    /// flight recorder assembles it. Breaching [`ServiceConfig::scan_slo`]
-    /// fires the latency trigger *after* the tree is collected, so the
-    /// dump always contains the offending request. `answered` is the
-    /// instant the latency is measured to; a union job reads the clock once
-    /// for all its requests.
+    /// Resolves one scan request: records its latency, stamps the root
+    /// span's end arguments (serving path, latency), completes the ticket,
+    /// and — because the request struct owns the root [`Span`] — ends the
+    /// tree, which is the moment the flight recorder assembles it.
+    /// Breaching [`ServiceConfig::scan_slo`] fires the latency trigger
+    /// *after* the tree is collected, so the dump always contains the
+    /// offending request. `answered` is the instant the latency is measured
+    /// to; a union job reads the clock once for all its requests.
     fn complete_scan(
         &self,
         mut request: ScanRequest<T>,
@@ -532,10 +530,6 @@ where
             .saturating_duration_since(request.submitted)
             .as_nanos() as u64;
         self.counters.scan_latency.record(latency_ns);
-        {
-            let _in_span = span::enter(request.span.context());
-            trace::emit(TraceKind::ScanServe, tier, 0);
-        }
         request.span.set_args(tier, latency_ns);
         request.queue_wait.take();
         request.cell.complete(values);
@@ -577,9 +571,7 @@ where
         // Exactly one backing scan of the deduplicated union.
         let planned_at = Instant::now();
         // One `BackingScan` child per request in the job: each request's
-        // tree carries the union-scan interval it waited on. Entering the
-        // first one attributes the backing object's own events (scan
-        // retries, fallbacks) to this job's trees.
+        // tree carries the union-scan interval it waited on.
         let mut backing_spans: Vec<Span> = if psnap_obs::span_enabled() {
             requests
                 .iter()
@@ -588,11 +580,7 @@ where
         } else {
             Vec::new()
         };
-        let values: Vec<T> = {
-            let _in_span =
-                span::enter(backing_spans.first().map(Span::context).unwrap_or_default());
-            self.snapshot.scan(self.config.scan_pid, &union.components)
-        };
+        let values: Vec<T> = self.snapshot.scan(self.config.scan_pid, &union.components);
         // The one clock read every request's latency is measured to.
         let scanned_at = Instant::now();
         let elapsed_ns = scanned_at.duration_since(planned_at).as_nanos() as u64;
@@ -604,7 +592,6 @@ where
             .requested_components
             .add(union.positions.len() as u64);
         self.counters.scans_served_backing.add(served);
-        trace::emit(TraceKind::Coalesce, served, forwarded);
         for backing_span in &mut backing_spans {
             backing_span.set_args(served, forwarded);
         }
@@ -642,8 +629,7 @@ where
             let chunk = &pending[start..end];
             let writes = coalesce_last_write_wins(chunk);
             // The `Apply` span is parented under the chunk's first
-            // submission (inert when spans are off); entering it attributes
-            // the backing object's `BatchCommit` event to that tree.
+            // submission (inert when spans are off).
             let mut apply_span = Span::child(
                 pending[start]
                     .span
@@ -652,10 +638,7 @@ where
                     .unwrap_or_default(),
                 SpanKind::Apply,
             );
-            {
-                let _in_span = span::enter(apply_span.context());
-                self.snapshot.update_many(self.config.drain_pid, &writes);
-            }
+            self.snapshot.update_many(self.config.drain_pid, &writes);
             apply_span.set_args(writes.len() as u64, (width - writes.len()) as u64);
             drop(apply_span);
             self.counters.batches_applied.inc();
@@ -743,7 +726,6 @@ where
             return;
         }
         self.counters.ingest_depth.sub(pending.len() as i64);
-        trace::emit(TraceKind::QueueDrain, 0, pending.len() as u64);
         for submission in pending.iter_mut() {
             submission.queue_wait.take();
         }
@@ -757,7 +739,6 @@ where
         let drained = &mut requests[before..];
         if !drained.is_empty() {
             self.counters.scan_depth.sub(drained.len() as i64);
-            trace::emit(TraceKind::QueueDrain, 1, drained.len() as u64);
             for request in drained {
                 request.queue_wait.take();
             }
@@ -1008,11 +989,7 @@ where
             // starts the cooldown, so a refused proposal is retried against
             // fresher rates next tick.
             let mut reshard_span = Span::root(SpanKind::Reshard);
-            let accepted = {
-                let _in_span = span::enter(reshard_span.context());
-                core.snapshot.reshard(op)
-            };
-            if accepted {
+            if core.snapshot.reshard(op) {
                 policy.note_applied();
                 // A split appends a shard: the reading must show it now,
                 // not a tick later.
@@ -1336,7 +1313,6 @@ where
         let queue_wait = Span::child(root.context(), SpanKind::QueueWait);
         let room = self.core.config.ingest_capacity.max(1);
         let result = {
-            let _in_span = span::enter(root.context());
             let submission = Submission {
                 writes,
                 cell: Arc::clone(&cell),
@@ -1354,12 +1330,11 @@ where
             }
         };
         match result {
-            Ok(depth) => {
+            Ok(()) => {
                 self.busy_streak.store(0, Ordering::Relaxed);
                 self.core.counters.submits_ok.inc();
                 self.core.counters.writes_submitted.add(width);
                 self.core.counters.ingest_depth.inc();
-                trace::emit(TraceKind::QueuePush, 0, depth as u64);
                 Ok(Ticket::published(cell, self.core.clone(), Lane::Ingest))
             }
             Err(e) => {
@@ -1440,22 +1415,18 @@ where
         // nests beneath the transport root instead.
         let root = Span::root_or_child(SpanKind::ScanRequest);
         let queue_wait = Span::child(root.context(), SpanKind::QueueWait);
-        let result = {
-            let _in_span = span::enter(root.context());
-            self.core.scan_queue.try_push(ScanRequest {
-                components,
-                cell: Arc::clone(&cell),
-                submitted: Instant::now(),
-                span: root,
-                queue_wait: Some(queue_wait),
-            })
-        };
+        let result = self.core.scan_queue.try_push(ScanRequest {
+            components,
+            cell: Arc::clone(&cell),
+            submitted: Instant::now(),
+            span: root,
+            queue_wait: Some(queue_wait),
+        });
         match result {
-            Ok(depth) => {
+            Ok(()) => {
                 self.busy_streak.store(0, Ordering::Relaxed);
                 self.core.counters.scans_ok.inc();
                 self.core.counters.scan_depth.inc();
-                trace::emit(TraceKind::QueuePush, 1, depth as u64);
                 Ok(Ticket::published(cell, self.core.clone(), Lane::Scan))
             }
             Err(e) => {
@@ -1489,9 +1460,9 @@ where
 
     /// Convenience: request a scan and block for the values, retrying on
     /// `Busy`. Returns `None` if the service closed before acceptance.
-    pub fn scan_blocking(&self, components: &[usize], freshness: Freshness) -> Option<Vec<T>> {
+    pub fn scan_blocking(&self, components: &[usize]) -> Option<Vec<T>> {
         loop {
-            match self.scan(components.to_vec(), freshness) {
+            match self.scan(components.to_vec(), Freshness::Fresh) {
                 Ok(ticket) => return Some(ticket.wait()),
                 Err(SubmitError::Busy) => self.make_room(Lane::Scan),
                 Err(SubmitError::Closed) => return None,

@@ -173,7 +173,7 @@ fn chaos_parked_workers_preserve_ingestion_and_scan_conformance() {
                     assert!(Instant::now() < deadline, "scanner starved");
                     let all: Vec<usize> = (0..12).collect();
                     let values = client
-                        .scan_blocking(&all, Freshness::Fresh)
+                        .scan_blocking(&all)
                         .expect("service closed under a live scanner");
                     for (c, &v) in values.iter().enumerate() {
                         assert!(

@@ -73,7 +73,7 @@ fn partition_invariants_hold_over_a_live_service_under_chaos() {
                 let all: Vec<usize> = (0..M).collect();
                 for _ in 0..40 {
                     let values = client
-                        .scan_blocking(&all, Freshness::Fresh)
+                        .scan_blocking(&all)
                         .expect("service closed under a live scanner");
                     assert_eq!(values.len(), M);
                 }
@@ -137,7 +137,7 @@ fn stats_reporter_ticks_and_stops() {
         assert!(client.submit_blocking(op as usize % M, op + 1));
     }
     let all: Vec<usize> = (0..M).collect();
-    client.scan_blocking(&all, Freshness::Fresh).unwrap();
+    client.scan_blocking(&all).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(30);
     while seen.lock().unwrap().len() < 3 {

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use psnap_core::{ReshardOp, Resharding};
-use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
+use psnap_serve::{Coalescing, Executor, ServiceConfig, SnapshotService};
 use psnap_shard::{MvShardedSnapshot, ReshardPolicyConfig, ShardConfig};
 
 const M: usize = 64;
@@ -66,7 +66,7 @@ fn reshard_driver_splits_a_hot_shard_under_live_traffic() {
         // writer, so a fresh scan straddling any reshard must still read
         // exactly this round everywhere — a mixed vector is a torn cut.
         assert_eq!(
-            client.scan_blocking(&hot, Freshness::Fresh).unwrap(),
+            client.scan_blocking(&hot).unwrap(),
             vec![round; M / 4],
             "scan tore across the reshard at round {round}"
         );
@@ -79,7 +79,7 @@ fn reshard_driver_splits_a_hot_shard_under_live_traffic() {
     }
     let all: Vec<usize> = (0..M).collect();
     assert_eq!(
-        client.scan_blocking(&all, Freshness::Fresh).unwrap(),
+        client.scan_blocking(&all).unwrap(),
         vec![round; M],
         "post-split scan must see the post-split writes exactly"
     );
@@ -134,7 +134,7 @@ fn a_reader_after_a_reshard_reads_migrated_and_unmigrated_components() {
     // two components that will stay (0 and 5), one that will migrate (20)
     // and one on the untouched shard (40).
     let request = [0, 5, 20, 40];
-    let values = client.scan_blocking(&request, Freshness::Fresh).unwrap();
+    let values = client.scan_blocking(&request).unwrap();
     assert_eq!(values, vec![100, 105, 120, 140]);
     let before = service.stats();
     assert_eq!(before.backing_scans, 1);
@@ -150,16 +150,11 @@ fn a_reader_after_a_reshard_reads_migrated_and_unmigrated_components() {
 
     // Unmigrated components, duplicates and all.
     assert_eq!(
-        client
-            .scan_blocking(&[40, 0, 5, 0], Freshness::Fresh)
-            .unwrap(),
+        client.scan_blocking(&[40, 0, 5, 0]).unwrap(),
         vec![940, 900, 905, 900]
     );
     // A migrated component beside an unmigrated one.
-    assert_eq!(
-        client.scan_blocking(&[5, 20], Freshness::Fresh).unwrap(),
-        vec![905, 920]
-    );
+    assert_eq!(client.scan_blocking(&[5, 20]).unwrap(), vec![905, 920]);
     let after = service.stats();
     assert_eq!(after.backing_scans, before.backing_scans + 2, "{after:?}");
 

@@ -511,9 +511,7 @@ fn scan_blocking_makes_room_in_a_queue_of_unwaited_tickets() {
     let (done_tx, done_rx) = mpsc::channel();
     let scanner = service.client();
     std::thread::spawn(move || {
-        done_tx
-            .send(scanner.scan_blocking(&[1, 2], Freshness::Fresh))
-            .unwrap();
+        done_tx.send(scanner.scan_blocking(&[1, 2])).unwrap();
     });
     let values = done_rx
         .recv_timeout(Duration::from_secs(10))

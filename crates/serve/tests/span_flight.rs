@@ -79,7 +79,7 @@ fn run_traffic() -> Vec<psnap_obs::SpanTree> {
                 let all: Vec<usize> = (0..M).collect();
                 for _ in 0..SCANS_EACH {
                     let values = client
-                        .scan_blocking(&all, Freshness::Fresh)
+                        .scan_blocking(&all)
                         .expect("service closed under a live scanner");
                     assert_eq!(values.len(), M);
                 }
@@ -110,7 +110,6 @@ fn run_traffic() -> Vec<psnap_obs::SpanTree> {
 fn every_scan_tree_is_rooted_at_its_submit_with_no_orphans() {
     let _serial = SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     psnap_obs::set_enabled(true);
-    psnap_obs::set_trace_enabled(true);
     psnap_obs::set_span_enabled(true);
     flight::reset();
     flight::set_tree_capacity(8192);
@@ -118,7 +117,6 @@ fn every_scan_tree_is_rooted_at_its_submit_with_no_orphans() {
     let trees = run_traffic();
 
     psnap_obs::set_span_enabled(false);
-    psnap_obs::set_trace_enabled(false);
 
     // Structural integrity of every tree, whatever its kind: the root is
     // first and parentless, every span belongs to the root's tree, and
@@ -163,11 +161,19 @@ fn every_scan_tree_is_rooted_at_its_submit_with_no_orphans() {
     );
     for tree in &served {
         assert_eq!(tree.spans_of(SpanKind::QueueWait).count(), 1);
+        // Tier 2 answers empty requests only, and this traffic has none:
+        // every scan is backing-served and carries its union fan-out.
         let tier = tree.root().a;
-        assert!(tier <= 3, "unknown serving tier {tier}");
-        if tier == 0 {
-            // Backing-served scans carry their union fan-out stages.
-            assert!(tree.spans_of(SpanKind::Merge).count() >= 1);
+        assert_eq!(tier, 0, "non-empty scan served on tier {tier}");
+        assert!(tree.spans_of(SpanKind::Merge).count() >= 1);
+        // Each backing scan records the requests its union served and the
+        // deduplicated components it read: every scanner reads all M.
+        for backing in tree.spans_of(SpanKind::BackingScan) {
+            assert!(
+                backing.a >= 1,
+                "backing scan served no request: {backing:?}"
+            );
+            assert_eq!(backing.b, M as u64, "union read {} of {M}", backing.b);
         }
     }
     // The union path actually ran somewhere in the run, and its backing
@@ -195,7 +201,6 @@ fn every_scan_tree_is_rooted_at_its_submit_with_no_orphans() {
 fn flight_dump_of_live_traffic_round_trips_through_json() {
     let _serial = SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     psnap_obs::set_enabled(true);
-    psnap_obs::set_trace_enabled(true);
     psnap_obs::set_span_enabled(true);
     flight::reset();
     flight::set_tree_capacity(8192);
@@ -216,7 +221,6 @@ fn flight_dump_of_live_traffic_round_trips_through_json() {
     .expect("armed trigger freezes a dump");
     flight::set_armed(false);
     psnap_obs::set_span_enabled(false);
-    psnap_obs::set_trace_enabled(false);
 
     assert_eq!(dump.trees.len(), trees.len());
     let text = dump.to_json().to_string_pretty();
@@ -240,7 +244,6 @@ fn flight_dump_of_live_traffic_round_trips_through_json() {
     // real scan can meet fires `latency_slo`, and the dump must carry the
     // triggering request's own tree and survive psnap-json exactly.
     flight::reset();
-    psnap_obs::set_trace_enabled(true);
     psnap_obs::set_span_enabled(true);
     flight::set_armed(true);
     let slo = Duration::from_nanos(1);
@@ -256,11 +259,10 @@ fn flight_dump_of_live_traffic_round_trips_through_json() {
     let client = service.client();
     assert!(client.submit_blocking(3, 33));
     let all: Vec<usize> = (0..M).collect();
-    client.scan_blocking(&all, Freshness::Fresh).unwrap();
+    client.scan_blocking(&all).unwrap();
     service.shutdown();
     flight::set_armed(false);
     psnap_obs::set_span_enabled(false);
-    psnap_obs::set_trace_enabled(false);
     let dumps = flight::take_dumps();
     let induced = dumps
         .iter()
@@ -400,7 +402,6 @@ fn flight_auditor_dumps_a_held_violation_and_only_that() {
     let _serial = SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     flight::reset();
     flight::set_tree_capacity(8192);
-    psnap_obs::set_trace_enabled(true);
     psnap_obs::set_span_enabled(true);
     flight::set_armed(true);
     let tick = Duration::from_millis(1);
@@ -465,6 +466,5 @@ fn flight_auditor_dumps_a_held_violation_and_only_that() {
     service.shutdown();
     flight::set_armed(false);
     psnap_obs::set_span_enabled(false);
-    psnap_obs::set_trace_enabled(false);
     flight::reset();
 }

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use psnap_core::{MvFamily, MvSnapshot, ReshardOp};
-use psnap_obs::{trace, Counter, Metric, Registry, TraceKind};
+use psnap_obs::{Counter, Metric, Registry};
 use psnap_shmem::epoch::{self, Guard};
 use psnap_shmem::steps::{self, OpKind};
 
@@ -295,10 +295,6 @@ impl<T: Clone + Send + Sync + 'static> Generations<T> {
             }
             next.inner.push(Arc::new(fresh));
         }
-        let generation = next.map.generation();
-        let migrated = (0..next.map.components())
-            .filter(|&c| old.map.shard_of(c) != next.map.shard_of(c))
-            .count() as u64;
         let unlinked = self
             .live
             .swap(Box::into_raw(Box::new(next)), Ordering::AcqRel);
@@ -315,7 +311,6 @@ impl<T: Clone + Send + Sync + 'static> Generations<T> {
         // until they are done with it.
         unsafe { epoch::retire(unlinked) };
         self.reshards.inc();
-        trace::emit(TraceKind::Reshard, generation, migrated);
         true
     }
 

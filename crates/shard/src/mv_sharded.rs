@@ -73,7 +73,7 @@ use std::sync::{Arc, MutexGuard};
 
 use psnap_core::traits::{validate_args, validate_batch_args};
 use psnap_core::{MvFamily, MvSnapshot, PartialSnapshot, ReshardOp, Resharding};
-use psnap_obs::{trace, Counter, Histogram, Metric, Registry, TraceKind};
+use psnap_obs::{Counter, Histogram, Metric, Registry};
 use psnap_shmem::epoch;
 use psnap_shmem::{MvStamp, ProcessId, StepScope};
 
@@ -317,10 +317,7 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
                 layout.inner[*shard].prune_slot(slot, bound);
             }
         }
-        let groups = by_shard.len() as u64;
-        let total = by_shard.iter().map(|(_, sub)| sub.len()).sum::<usize>() as u64;
         drop(serial);
-        trace::emit(TraceKind::BatchCommit, total, groups);
         if let Some(scope) = scope {
             self.update_steps.record(scope.finish().total());
         }
@@ -383,7 +380,6 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvShardedSnapshot<
             if involved > 1 {
                 self.stats_cross.inc();
             }
-            trace::emit(TraceKind::ScanAnnounce, s, involved);
             if let Some(scope) = scope {
                 self.scan_steps.record(scope.finish().total());
             }

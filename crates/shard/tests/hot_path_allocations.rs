@@ -52,8 +52,8 @@ fn updates_and_cross_shard_scans_allocate_only_what_they_return() {
         let update = |i: u64| store.update(writer, request[i as usize % R], i + 1);
         let scan = |_| assert_eq!(store.scan(scanner, &request).len(), R);
 
-        // Warm-up: the epoch bags, the metric and trace thread indices and
-        // every chain reach their steady state.
+        // Warm-up: the epoch bags, the metric slots and every chain reach
+        // their steady state.
         allocations_per_call(4096, update);
         allocations_per_call(256, scan);
 

@@ -335,7 +335,6 @@ fn try_advance() -> u64 {
         .is_ok()
     {
         crate::metrics::epoch_advances().inc();
-        psnap_obs::trace::emit(psnap_obs::TraceKind::EpochAdvance, g + 1, 0);
     }
     GLOBAL_EPOCH.load(Ordering::SeqCst)
 }

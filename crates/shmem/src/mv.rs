@@ -220,7 +220,6 @@ impl StampSlot {
             let t = camera.timestamp();
             if self.publish(cur, t) {
                 crate::metrics::mv_help_finalized().inc();
-                psnap_obs::trace::emit(psnap_obs::TraceKind::HelpFinalize, t, 0);
                 return Some(t);
             }
         }
@@ -255,7 +254,6 @@ impl StampSlot {
                 if self.publish(cur, t) {
                     debug_assert!(t > s);
                     crate::metrics::mv_help_finalized().inc();
-                    psnap_obs::trace::emit(psnap_obs::TraceKind::HelpFinalize, t, 0);
                     return None;
                 }
                 continue;
@@ -654,11 +652,6 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
         if unlinked > 0 {
             crate::metrics::mv_unlinked().add(unlinked);
             crate::metrics::mv_live_versions().sub(unlinked as i64);
-            psnap_obs::trace::emit(
-                psnap_obs::TraceKind::Prune,
-                unlinked,
-                len.saturating_sub(unlinked),
-            );
         }
     }
 }

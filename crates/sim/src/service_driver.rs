@@ -167,7 +167,6 @@ mod tests {
         // A zero SLO makes every served scan a violation: the driver's
         // passthrough must reach the service, and each dump must carry the
         // offending request's span tree ending in a ScanRequest root.
-        psnap_obs::set_trace_enabled(true);
         psnap_obs::set_span_enabled(true);
         psnap_obs::flight::reset();
         psnap_obs::flight::set_armed(true);
@@ -183,7 +182,6 @@ mod tests {
         );
         psnap_obs::flight::set_armed(false);
         psnap_obs::set_span_enabled(false);
-        psnap_obs::set_trace_enabled(false);
         assert!(check_history(&history).is_linearizable());
         let dumps = psnap_obs::flight::take_dumps();
         // random_small always has at least one scanner, so the zero SLO

@@ -18,7 +18,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use psnap_core::PartialSnapshot;
-use psnap_serve::Freshness;
 use psnap_wire::{RemoteClientHandle, WireError, WireServer, WireServerConfig};
 
 use crate::lincheck::History;
@@ -57,7 +56,7 @@ impl Frontend for Remote {
         self.retry(|c| c.submit_batch(writes.to_vec())?.wait())
     }
     fn scan(&self, components: &[usize]) -> Vec<u64> {
-        self.retry(|c| c.scan_blocking(components.to_vec(), Freshness::Fresh))
+        self.retry(|c| c.scan_blocking(components.to_vec()))
     }
 }
 

@@ -550,12 +550,8 @@ impl RemoteClientHandle {
     }
 
     /// Blocking scan.
-    pub fn scan_blocking(
-        &self,
-        components: Vec<usize>,
-        freshness: Freshness,
-    ) -> Result<Vec<u64>, WireError> {
-        self.scan(components, freshness)?.wait()
+    pub fn scan_blocking(&self, components: Vec<usize>) -> Result<Vec<u64>, WireError> {
+        self.scan(components, Freshness::Fresh)?.wait()
     }
 
     /// Fetches the server's observability snapshot (blocking).

@@ -74,7 +74,7 @@
 //!
 //! let client = RemoteClientHandle::connect_tcp(addr).unwrap();
 //! client.submit_blocking(3, 42).unwrap();
-//! assert_eq!(client.scan_blocking(vec![3], Freshness::Fresh).unwrap(), vec![42]);
+//! assert_eq!(client.scan_blocking(vec![3]).unwrap(), vec![42]);
 //! ```
 //!
 //! [`SnapshotService`]: psnap_serve::SnapshotService

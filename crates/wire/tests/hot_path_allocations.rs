@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use counting_alloc::{process_allocations, thread_allocations};
 use psnap_core::ProcessId;
-use psnap_serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
+use psnap_serve::{Coalescing, Executor, ServiceConfig, SnapshotService};
 use psnap_shard::{MvShardedSnapshot, ShardConfig};
 use psnap_wire::{RemoteClientHandle, WireServer, WireServerConfig};
 
@@ -134,15 +134,12 @@ fn depth_one_submits_and_scans_allocate_only_their_declared_budget() {
             .unwrap()
     };
     let scan = |_| {
-        let values = client
-            .scan_blocking(request.clone(), Freshness::Fresh)
-            .unwrap();
+        let values = client.scan_blocking(request.clone()).unwrap();
         assert_eq!(values.len(), R);
     };
 
     // Warm-up: the pending table, the frame buffers, the epoch bags, the
-    // metric and trace thread indices and every chain reach their steady
-    // state.
+    // metric slots and every chain reach their steady state.
     for i in 0..4096 {
         submit(i);
         scan(i);

@@ -106,10 +106,7 @@ where
     let client = RemoteClientHandle::connect_unix(&path).unwrap();
     for op in 1..=50u64 {
         client.submit_blocking(3, op).unwrap();
-        assert_eq!(
-            client.scan_blocking(vec![3], Freshness::Fresh).unwrap(),
-            vec![op]
-        );
+        assert_eq!(client.scan_blocking(vec![3]).unwrap(), vec![op]);
     }
     client.close();
     server.shutdown(Duration::from_secs(5));
@@ -187,10 +184,7 @@ fn with_every_worker_occupied_the_connection_thread_still_answers() {
     let release = pin_workers(&executor, 2);
 
     client.submit_blocking(2, 7).unwrap();
-    assert_eq!(
-        client.scan_blocking(vec![2], Freshness::Fresh).unwrap(),
-        vec![7]
-    );
+    assert_eq!(client.scan_blocking(vec![2]).unwrap(), vec![7]);
 
     // One flush, far deeper than the connection's 64-slot ingestion queue
     // and the 256-slot scan queue: rather than refuse for want of room its
@@ -437,9 +431,7 @@ fn threads_sharing_a_connection_hand_the_read_turn_to_each_other() {
                 let component = t as usize;
                 for op in 1..=ROUND_TRIPS {
                     client.submit_blocking(component, op).unwrap();
-                    let values = client
-                        .scan_blocking(vec![component], Freshness::Fresh)
-                        .unwrap();
+                    let values = client.scan_blocking(vec![component]).unwrap();
                     assert_eq!(values, vec![op], "thread {t} read a stale value");
                 }
             })

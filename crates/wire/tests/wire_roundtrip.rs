@@ -69,9 +69,7 @@ fn tcp_submit_scan_stats_roundtrip() {
     for c in 0..M {
         client.submit_blocking(c, (c as u64 + 1) * 10).unwrap();
     }
-    let values = client
-        .scan_blocking((0..M).collect(), Freshness::Fresh)
-        .unwrap();
+    let values = client.scan_blocking((0..M).collect()).unwrap();
     let expected: Vec<u64> = (0..M as u64).map(|c| (c + 1) * 10).collect();
     assert_eq!(values, expected);
 
@@ -82,19 +80,14 @@ fn tcp_submit_scan_stats_roundtrip() {
         .wait()
         .unwrap();
     assert_eq!(
-        client
-            .scan_blocking(vec![0, 5, 15], Freshness::Fresh)
-            .unwrap(),
+        client.scan_blocking(vec![0, 5, 15]).unwrap(),
         vec![111, 555, 999]
     );
 
     // Values above 2^53 survive the JSON wire format exactly.
     let big = (1u64 << 53) + 7;
     client.submit_blocking(2, big).unwrap();
-    assert_eq!(
-        client.scan_blocking(vec![2], Freshness::Fresh).unwrap(),
-        vec![big]
-    );
+    assert_eq!(client.scan_blocking(vec![2]).unwrap(), vec![big]);
 
     let stats = client.stats().unwrap();
     let rendered = stats.to_string_compact();
@@ -124,10 +117,7 @@ fn unix_socket_roundtrip() {
     let client = RemoteClientHandle::connect_unix(&path).unwrap();
     assert_eq!(client.components(), M);
     client.submit_blocking(7, 77).unwrap();
-    assert_eq!(
-        client.scan_blocking(vec![7], Freshness::Fresh).unwrap(),
-        vec![77]
-    );
+    assert_eq!(client.scan_blocking(vec![7]).unwrap(), vec![77]);
     client.close();
     server.shutdown(Duration::from_secs(5));
     assert!(!path.exists(), "socket file not removed on shutdown");
@@ -218,10 +208,7 @@ fn out_of_range_requests_answer_bad_request_and_the_connection_survives() {
 
     // The connection is still healthy.
     client.submit_blocking(0, 5).unwrap();
-    assert_eq!(
-        client.scan_blocking(vec![0], Freshness::Fresh).unwrap(),
-        vec![5]
-    );
+    assert_eq!(client.scan_blocking(vec![0]).unwrap(), vec![5]);
 
     client.close();
     server.shutdown(Duration::from_secs(5));
@@ -281,10 +268,7 @@ fn replies_to_dropped_tickets_are_discarded_not_unknown() {
 
     // The next round trip reads past all of them to its own reply.
     client.submit_blocking(2, 7).unwrap();
-    assert_eq!(
-        client.scan_blocking(vec![2], Freshness::Fresh).unwrap(),
-        vec![7]
-    );
+    assert_eq!(client.scan_blocking(vec![2]).unwrap(), vec![7]);
     assert_eq!(
         client.unknown_replies(),
         0,
@@ -513,9 +497,7 @@ fn oversized_requests_fail_locally_and_spare_the_connection() {
     assert_eq!(first.wait(), Ok(()));
     assert_eq!(second.wait(), Ok(()));
     assert_eq!(
-        client
-            .scan_blocking(vec![0, 1, 2], Freshness::Fresh)
-            .unwrap(),
+        client.scan_blocking(vec![0, 1, 2]).unwrap(),
         vec![7, 11, 22]
     );
 
@@ -682,7 +664,7 @@ fn a_peer_that_stops_reading_stalls_only_its_own_connection() {
         let client = RemoteClientHandle::connect_unix(&healthy_path).unwrap();
         for op in 1..=50u64 {
             with_busy_retry!(client.submit_blocking(0, op));
-            let values = with_busy_retry!(client.scan_blocking(vec![0], Freshness::Fresh));
+            let values = with_busy_retry!(client.scan_blocking(vec![0]));
             assert_eq!(values, vec![op]);
             progress.store(op, Ordering::Release);
         }
@@ -813,9 +795,7 @@ fn concurrent_connections_multiplex_without_crosstalk() {
                     client.submit_blocking(component, op + 1).unwrap();
                     // Interleave scans so replies genuinely arrive out of
                     // submission order across the multiplexed ids.
-                    let values = client
-                        .scan_blocking(vec![component], Freshness::Fresh)
-                        .unwrap();
+                    let values = client.scan_blocking(vec![component]).unwrap();
                     assert_eq!(values.len(), 1);
                     assert!(values[0] > op, "scan went backwards");
                 }

@@ -237,7 +237,7 @@ fn under_sparse_traffic_the_server_stops_polling_and_the_client_does_not() {
         if i % 2 == 0 {
             client.submit_blocking(3, i).unwrap();
         } else {
-            let seen = client.scan_blocking(vec![3], Freshness::Fresh).unwrap();
+            let seen = client.scan_blocking(vec![3]).unwrap();
             assert_eq!(seen, vec![i - 1]);
         }
     });
@@ -276,7 +276,7 @@ fn idle_connections_poll_once_and_then_sleep() {
     for round in 0..50u64 {
         for client in &clients {
             client.submit_blocking(3, round).unwrap();
-            client.scan_blocking(vec![3], Freshness::Fresh).unwrap();
+            client.scan_blocking(vec![3]).unwrap();
         }
     }
     let before = (
@@ -334,7 +334,7 @@ fn ten_thousand_round_unix_ping_pong_finishes() {
         if round % 2 == 0 {
             client.submit_blocking(5, round).unwrap();
         } else {
-            let seen = client.scan_blocking(vec![5], Freshness::Fresh).unwrap();
+            let seen = client.scan_blocking(vec![5]).unwrap();
             assert_eq!(seen, vec![round - 1]);
         }
     }

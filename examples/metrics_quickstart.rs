@@ -5,14 +5,12 @@
 //! service frontend's queue gauges and latency histograms all register
 //! their *live* handles into a single `Registry`, whose partition
 //! invariants (`accepted == resolved`, `scans == backing + empty`,
-//! ...) are checked at the end. Trace collection — off by default, it is a
-//! debugging tool, not a production tax — is switched on so the merged
-//! timeline shows one coalesced scan end to end: queue pushes, the drain,
-//! the coalesce, and the per-request serves. Span collection is switched
-//! on too, so the flight recorder assembles one causal tree per request;
-//! the example dumps a served scan's tree (queue wait → window → backing
-//! scan → merge, with the time each stage ate) and shows the dump's
-//! Chrome trace-event export.
+//! ...) are checked at the end. Span collection — off by default, it is a
+//! debugging tool, not a production tax — is switched on, so the flight
+//! recorder assembles one causal tree per request; the example dumps a
+//! served scan's tree (queue wait → window → backing scan → merge, with
+//! the time each stage ate) and shows the dump's Chrome trace-event
+//! export.
 //!
 //! Run with:
 //!
@@ -23,8 +21,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use partial_snapshot::obs::{self as obs, Registry, TraceKind};
-use partial_snapshot::serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
+use partial_snapshot::obs::{self as obs, Registry};
+use partial_snapshot::serve::{Coalescing, Executor, ServiceConfig, SnapshotService};
 use partial_snapshot::shard::{MvShardedSnapshot, ShardConfig};
 use partial_snapshot::shmem;
 use partial_snapshot::snapshot::Resharding;
@@ -36,10 +34,8 @@ const READERS: usize = 4;
 const OPS: usize = 200;
 
 fn main() {
-    // Tracing is opt-in; turn it on before the traffic of interest. Spans
-    // are a second opt-in on top: begin/end events ride the same rings,
-    // and completed trees land in the flight recorder.
-    obs::set_trace_enabled(true);
+    // Spans are opt-in; turn them on before the traffic of interest.
+    // Completed trees land in the flight recorder.
     obs::set_span_enabled(true);
 
     let backing = Arc::new(MvShardedSnapshot::new(
@@ -92,9 +88,7 @@ fn main() {
             scope.spawn(move || {
                 let window: Vec<usize> = (0..12).map(|i| (r * 5 + i * 3) % M).collect();
                 for _ in 0..OPS / 4 {
-                    client
-                        .scan_blocking(&window, Freshness::Fresh)
-                        .expect("service closed");
+                    client.scan_blocking(&window).expect("service closed");
                 }
             });
         }
@@ -109,36 +103,6 @@ fn main() {
     // At quiescence the declared partitions must balance exactly.
     registry.assert_invariants();
     println!("all partition invariants hold");
-
-    // The merged timeline. Find one coalesced backing scan and show its
-    // neighborhood: the queue pushes feeding it, the drain, the coalesce
-    // and the serves it fanned out to.
-    let timeline = obs::trace::drain_timeline();
-    println!(
-        "\n=== trace timeline: {} events ({} dropped to ring overflow) ===",
-        timeline.events.len(),
-        timeline.dropped
-    );
-    let best = timeline
-        .events
-        .iter()
-        .position(|e| e.kind == TraceKind::Coalesce && e.a > 1);
-    match best {
-        Some(i) => {
-            let lo = i.saturating_sub(6);
-            let hi = (i + 6).min(timeline.events.len());
-            println!("one coalesced scan, in context:");
-            for event in &timeline.events[lo..hi] {
-                let marker = if event.kind == TraceKind::Coalesce {
-                    " <-- this backing scan answered several client scans"
-                } else {
-                    ""
-                };
-                println!("  {event}{marker}");
-            }
-        }
-        None => println!("(no multi-request coalesce this run — try more readers)"),
-    }
 
     // The span-tree dump: one served scan, as the flight recorder saw it —
     // the whole causal story of a single request, not a flat histogram.

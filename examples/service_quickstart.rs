@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use partial_snapshot::serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
+use partial_snapshot::serve::{Coalescing, Executor, ServiceConfig, SnapshotService};
 use partial_snapshot::snapshot::CasPartialSnapshot;
 
 const M: usize = 128; // instruments
@@ -55,9 +55,7 @@ fn main() {
             scope.spawn(move || {
                 let portfolio: Vec<usize> = (0..8).map(|i| (r * 4 + i * 3) % M).collect();
                 for _ in 0..OPS {
-                    let values = client
-                        .scan_blocking(&portfolio, Freshness::Fresh)
-                        .expect("service closed");
+                    let values = client.scan_blocking(&portfolio).expect("service closed");
                     let total: u64 = values.iter().sum();
                     assert!(total >= 8 * 1_000, "a valuation can never shrink here");
                 }

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use partial_snapshot::serve::{Coalescing, Executor, Freshness, ServiceConfig, SnapshotService};
+use partial_snapshot::serve::{Coalescing, Executor, ServiceConfig, SnapshotService};
 use partial_snapshot::snapshot::CasPartialSnapshot;
 use partial_snapshot::wire::{RemoteClientHandle, WireError, WireServer, WireServerConfig};
 
@@ -97,7 +97,7 @@ fn main() {
                 let portfolio: Vec<usize> = (0..6).map(|i| (r * 5 + i * 3) % M).collect();
                 let mut sum = 0u64;
                 for _ in 0..OPS {
-                    match client.scan_blocking(portfolio.clone(), Freshness::Fresh) {
+                    match client.scan_blocking(portfolio.clone()) {
                         Ok(values) => sum += values.iter().sum::<u64>(),
                         Err(WireError::Busy) => std::thread::yield_now(),
                         Err(e) => panic!("reader {r}: {e}"),

@@ -116,10 +116,7 @@ fn op_stream_steps(kind: ImplKind) -> u64 {
             .map(|i| ((round as usize + 7 * i) % 32, round))
             .collect();
         let mut apply = obs::Span::root(obs::SpanKind::Apply);
-        {
-            let _in_span = obs::span::enter(apply.context());
-            snap.update_many(ProcessId(0), &batch);
-        }
+        snap.update_many(ProcessId(0), &batch);
         apply.set_args(batch.len() as u64, 0);
         drop(apply);
         snap.scan(ProcessId(1), &[1, 8, 15, 22, 29]);
@@ -127,18 +124,17 @@ fn op_stream_steps(kind: ImplKind) -> u64 {
     scope.finish().total()
 }
 
-/// Metrics, trace events and spans are bookkeeping beside the algorithm,
-/// never base-object operations: the same op stream costs exactly the same
-/// steps with each layer off and on. (What the layers cost in time is the
+/// Metrics and spans are bookkeeping beside the algorithm, never
+/// base-object operations: the same op stream costs exactly the same steps
+/// with each layer off and on. (What the layers cost in time is the
 /// repo benchmark's `obs.metrics_overhead_share` / `obs.span_overhead_share`.)
 #[test]
 fn observability_adds_zero_base_object_steps() {
-    let was = (obs::enabled(), obs::trace_enabled(), obs::span_enabled());
+    let was = (obs::enabled(), obs::span_enabled());
     for kind in [ImplKind::Cas, ImplKind::MV_SHARDED_4] {
         let mut steps = Vec::new();
         for (metrics, spans) in [(false, false), (true, false), (false, true), (true, true)] {
             obs::set_enabled(metrics);
-            obs::set_trace_enabled(spans);
             obs::set_span_enabled(spans);
             steps.push(op_stream_steps(kind));
         }
@@ -146,8 +142,7 @@ fn observability_adds_zero_base_object_steps() {
         assert_eq!(steps, [steps[0]; 4], "{kind:?}: observability moved steps");
     }
     obs::set_enabled(was.0);
-    obs::set_trace_enabled(was.1);
-    obs::set_span_enabled(was.2);
+    obs::set_span_enabled(was.1);
 }
 
 /// The introduction's motivation. An updater moves value around the stocks
