@@ -76,6 +76,18 @@
 //! timestamp at least as large as the bound the pruner used, and the
 //! version it needs is never detached. A batch reads the bound once for all
 //! the registers it touched.
+//!
+//! The camera and the announcement slots share lines by who writes them.
+//! The family's first 64-byte line holds the camera and the slots of pids
+//! 0–6; pids 7 and up continue seven to a line on the lines that follow, in
+//! the same allocation. Scans write these lines: the tick, and each scan's
+//! announce and clear of its own slot (a reshard's cutover ticks too).
+//! Writers only read them: a finalize reads the camera, a prune bound reads
+//! the camera and every slot. So a scan's announce and tick hit one line
+//! back to back, and a prune bound at n ≤ 7 reads one line. The batch
+//! serializer (taken only by batches and reshards) and the slot count sit
+//! apart, in the family's own allocation. Each register is a line of its
+//! own (see [`psnap_shmem::mv`]'s "Version layout").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -87,15 +99,38 @@ use psnap_shmem::{MvRegister, MvStamp, ProcessId, TimestampCamera};
 use crate::batch::dedupe_last_write_wins;
 use crate::traits::{validate_args, validate_batch_args, PartialSnapshot};
 
+/// Announcement slots on one [`FamilyLine`]: the line's eight words less
+/// the camera word.
+const SLOTS_PER_LINE: usize = 7;
+
+/// One cache line of a family's shared words. The family's first line holds
+/// the camera and the announcement slots of pids 0–6; every later line holds
+/// the slots of the next seven pids and leaves its camera word unused.
+#[repr(C, align(64))]
+struct FamilyLine {
+    camera: TimestampCamera,
+    slots: [AtomicU64; SLOTS_PER_LINE],
+}
+
+impl FamilyLine {
+    fn new() -> Self {
+        FamilyLine {
+            camera: TimestampCamera::new(),
+            slots: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
 /// What a family of multiversioned objects shares — one object alone, or
 /// every shard of every generation of a sharded store: the timestamp camera
 /// that orders writes across all of them, the per-process scan
 /// announcements pruners respect, and the serializer that makes
 /// overlapping batches install in one consistent per-register order.
 pub struct MvFamily {
-    camera: TimestampCamera,
-    /// Per-process announced scan timestamps (0 = no scan in progress).
-    announce: Box<[AtomicU64]>,
+    /// The camera and the announced scan timestamps (0 = no scan in
+    /// progress), in one allocation; see [`FamilyLine`].
+    lines: Box<[FamilyLine]>,
+    processes: usize,
     batches: Mutex<()>,
 }
 
@@ -104,20 +139,28 @@ impl MvFamily {
     pub fn new(max_processes: usize) -> Self {
         assert!(max_processes > 0, "at least one process must be allowed");
         MvFamily {
-            camera: TimestampCamera::new(),
-            announce: (0..max_processes).map(|_| AtomicU64::new(0)).collect(),
+            lines: (0..max_processes.div_ceil(SLOTS_PER_LINE))
+                .map(|_| FamilyLine::new())
+                .collect(),
+            processes: max_processes,
             batches: Mutex::new(()),
         }
     }
 
     /// Processes the family admits.
     pub fn max_processes(&self) -> usize {
-        self.announce.len()
+        self.processes
     }
 
     /// The shared timestamp camera.
     pub fn camera(&self) -> &TimestampCamera {
-        &self.camera
+        &self.lines[0].camera
+    }
+
+    /// `pid`'s announcement slot.
+    fn slot(&self, pid: ProcessId) -> &AtomicU64 {
+        let p = pid.index();
+        &self.lines[p / SLOTS_PER_LINE].slots[p % SLOTS_PER_LINE]
     }
 
     /// The batch serializer. Scans and single updates never touch it; a
@@ -133,16 +176,16 @@ impl MvFamily {
     /// from detaching the scan's versions. Returns the announced timestamp
     /// (a lower bound on the `s` the tick will draw).
     pub fn announce_scan(&self, pid: ProcessId) -> u64 {
-        let a = self.camera.timestamp();
+        let a = self.camera().timestamp();
         steps::record(OpKind::Write);
-        self.announce[pid.index()].store(a, Ordering::SeqCst);
+        self.slot(pid).store(a, Ordering::SeqCst);
         a
     }
 
     /// Clears `pid`'s scan announcement (one write).
     pub fn clear_announcement(&self, pid: ProcessId) {
         steps::record(OpKind::Write);
-        self.announce[pid.index()].store(0, Ordering::SeqCst);
+        self.slot(pid).store(0, Ordering::SeqCst);
     }
 
     /// The bound a pruner must respect: the oldest of the camera's current
@@ -152,8 +195,9 @@ impl MvFamily {
     /// timestamp is at least the camera value already recorded. One camera
     /// read plus one read per process.
     pub fn prune_bound(&self) -> u64 {
-        let mut bound = self.camera.timestamp();
-        for slot in &self.announce {
+        let mut bound = self.camera().timestamp();
+        let slots = self.lines.iter().flat_map(|line| &line.slots);
+        for slot in slots.take(self.processes) {
             steps::record(OpKind::Read);
             let a = slot.load(Ordering::SeqCst);
             if a != 0 {
@@ -194,7 +238,7 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
 
     /// The shared timestamp camera.
     pub fn camera(&self) -> &TimestampCamera {
-        &self.family.camera
+        self.family.camera()
     }
 
     /// The family this object belongs to.
@@ -209,7 +253,7 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
     pub fn scan_at(&self, pid: ProcessId, components: &[usize], s: u64) -> Vec<T> {
         validate_args(self.registers.len(), self.max_processes(), pid, components);
         debug_assert!(
-            self.family.announce[pid.index()].load(Ordering::SeqCst) != 0,
+            self.family.slot(pid).load(Ordering::SeqCst) != 0,
             "scan_at without a live announcement"
         );
         // One epoch pin for the whole sweep.
@@ -227,7 +271,7 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
     #[inline]
     pub fn read_slot(&self, slot: usize, s: u64, pin: &Guard) -> T {
         self.registers[slot]
-            .read_pinned(s, &self.family.camera, pin)
+            .read_pinned(s, self.family.camera(), pin)
             .clone()
     }
 
@@ -379,7 +423,7 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
         // that meet it pending help-finalize — so its finalize takes at most
         // two rounds. A write dropped against a published winner has no
         // version to prune.
-        if self.registers[component].write(value, &self.family.camera) {
+        if self.registers[component].write(value, self.family.camera()) {
             self.prune_slot(component, self.family.prune_bound());
         }
     }
@@ -642,6 +686,77 @@ mod tests {
                 snap.registers[c].chain_len()
             );
         }
+    }
+
+    #[test]
+    fn the_camera_and_the_first_seven_announcements_share_one_line() {
+        for n in [2usize, 9] {
+            let family = MvFamily::new(n);
+            let line = |addr: usize| addr / 64;
+            let camera = family.camera() as *const TimestampCamera as usize;
+            assert_eq!(camera % 64, 0, "n = {n}: the camera starts a line");
+            for pid in 0..n {
+                let slot = family.slot(ProcessId(pid)) as *const AtomicU64 as usize;
+                assert_eq!(
+                    line(slot),
+                    line(camera) + pid / 7,
+                    "n = {n}: pid {pid}'s slot is on the wrong line"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn announcements_past_the_first_line_hold_back_pruning() {
+        // At n = 9, pid 8's slot sits on the family's second line: a prune
+        // bound that missed it would unlink the version the scan selects,
+        // and the read would panic.
+        let snap = Arc::new(MvSnapshot::new(4, 9, 0u64));
+        let scanner = ProcessId(8);
+        for round in 1..=50u64 {
+            snap.update(ProcessId(0), 0, 10 * round);
+            let _ = snap.family().announce_scan(scanner);
+            let s = snap.camera().tick();
+            // The writer's updates, each pruning below the family's bound,
+            // land between the scan's tick and its read.
+            for k in 1..=3 {
+                snap.update(ProcessId(0), 0, 10 * round + k);
+            }
+            assert_eq!(snap.scan_at(scanner, &[0], s), vec![10 * round]);
+            snap.family().clear_announcement(scanner);
+        }
+        // Cleared: no announcement holds the prune bound back.
+        assert_eq!(snap.family().prune_bound(), snap.camera().timestamp());
+        snap.update(ProcessId(0), 0, 1);
+        snap.update(ProcessId(0), 1, 1);
+
+        // The same with a writer racing on another thread: it writes `v` to
+        // component 0, then 1, so every cut reads (v, v) or (v + 1, v).
+        let stop = Arc::new(AtomicBool::new(false));
+        let updater = {
+            let snap = Arc::clone(&snap);
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                let mut v = 2u64;
+                while !stop.load(Ordering::Relaxed) {
+                    snap.update(ProcessId(0), 0, v);
+                    snap.update(ProcessId(0), 1, v);
+                    v += 1;
+                }
+            })
+        };
+        let mut last = 0u64;
+        for _ in 0..2000 {
+            let got = snap.scan(scanner, &[0, 1]);
+            assert!(
+                got[0] == got[1] || got[0] == got[1] + 1,
+                "torn cut: {got:?}"
+            );
+            assert!(got[1] >= last, "component 1 went backwards");
+            last = got[1];
+        }
+        stop.store(true, Ordering::Relaxed);
+        updater.join().unwrap();
     }
 
     #[test]

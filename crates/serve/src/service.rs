@@ -997,7 +997,7 @@ where
                 reading.generation = core.snapshot.generation();
                 let generation = reading.generation;
                 drop(reading);
-                reshard_span.set_args(generation, 1);
+                reshard_span.set_args(generation, 0);
                 drop(reshard_span);
                 // A live migration is the moment in-flight scans and batches
                 // are most at risk — snapshot the recent past while it is

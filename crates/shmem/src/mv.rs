@@ -70,6 +70,25 @@
 //! One slot protocol — read-for-a-scan, finalize, resolve-a-winner, peek —
 //! serves both kinds of slot.
 //!
+//! The shared words sit on cache lines laid out by who writes them, so that
+//! a line moves between cores only when its writing party changes:
+//!
+//! * **The register's line.** An [`MvRegister`] is one 64-byte-aligned line
+//!   of its own: the chain head and the single-pruner flag. Its writers
+//!   write it (the install compare&swap, the pruner flag's take and
+//!   release); scans read the head. Packed registers would put four heads
+//!   on a line, and every write would invalidate three neighbours' heads
+//!   under a scanner reading them.
+//! * **The version block.** A version's own stamp slot is written by its
+//!   writer's finalize or a scan's help-finalize (or floor raise), its
+//!   `next` link by the register's pruner; scans read both. Blocks come
+//!   from the plain allocator, not aligned to a line: aligned allocation
+//!   made every write slower by more than it saved the scans.
+//! * **The camera.** Ticked by every scan, read by every finalize and every
+//!   prune bound. The layer above puts it on one line with the scans'
+//!   announcement slots (`MvFamily` in `psnap-core`), so a scan's writes
+//!   land on one line.
+//!
 //! # Pruning
 //!
 //! Chains are kept short by [`MvRegister::prune`]: given the timestamp
@@ -396,6 +415,11 @@ impl<T> MvNode<T> {
 ///   chain below the captured head is immutable);
 /// * [`prune`](MvRegister::prune) unlinks versions no live or future scan
 ///   can select, reclaiming them through [`crate::epoch`].
+///
+/// A register fills one cache line of its own (see "Version layout" in the
+/// module docs): a writer's head compare&swap and pruner-flag writes never
+/// invalidate a neighbouring register's head.
+#[repr(align(64))]
 pub struct MvRegister<T> {
     head: AtomicPtr<MvNode<T>>,
     /// Single-pruner lock: pruning rewrites `next` pointers, and one pruner
@@ -792,6 +816,12 @@ mod tests {
         let stamp = MvStamp::pending_single();
         reg.install(Arc::new(v), stamp.clone());
         stamp.finalize(camera)
+    }
+
+    #[test]
+    fn a_register_fills_a_cache_line_of_its_own() {
+        assert_eq!(std::mem::align_of::<MvRegister<u64>>(), 64);
+        assert_eq!(std::mem::size_of::<MvRegister<u64>>(), 64);
     }
 
     #[test]
