@@ -81,17 +81,28 @@ impl WaitSite {
     /// `Some` once the awaited thing is there (consuming it); `park` is the
     /// site's blocking protocol, complete by itself, called at most once
     /// and only after the poll phase came up empty.
-    pub fn wait<T>(&mut self, mut probe: impl FnMut() -> Option<T>, park: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
+    pub fn wait<T>(&mut self, probe: impl FnMut() -> Option<T>, park: impl FnOnce() -> T) -> T {
+        self.wait_with_clock(Instant::now, probe, park)
+    }
+
+    /// [`wait`](WaitSite::wait) with the time read from `now`, so a test
+    /// can say how long each probe and park took.
+    pub(crate) fn wait_with_clock<T>(
+        &mut self,
+        mut now: impl FnMut() -> Instant,
+        mut probe: impl FnMut() -> Option<T>,
+        park: impl FnOnce() -> T,
+    ) -> T {
+        let start = now();
         if self.credit > 0 {
             let polled_for = loop {
                 if let Some(found) = probe() {
                     self.credit = CREDIT;
                     self.counters.polled.inc();
-                    self.counters.poll_ns.add(start.elapsed().as_nanos() as u64);
+                    self.counters.poll_ns.add((now() - start).as_nanos() as u64);
                     return found;
                 }
-                let elapsed = start.elapsed();
+                let elapsed = now() - start;
                 if elapsed >= POLL_CAP {
                     break elapsed;
                 }
@@ -101,7 +112,7 @@ impl WaitSite {
         }
         let found = park();
         self.counters.parked.inc();
-        self.credit = if start.elapsed() <= POLL_CAP {
+        self.credit = if now() - start <= POLL_CAP {
             CREDIT
         } else {
             self.credit.saturating_sub(1)
@@ -119,15 +130,47 @@ thread_local! {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
+
+    /// A clock that moves only when told to: probes and parks say how long
+    /// they took, so no assertion depends on how the scheduler treats the
+    /// test thread.
+    struct TestClock {
+        start: Instant,
+        elapsed: Cell<Duration>,
+    }
+
+    impl TestClock {
+        fn new() -> TestClock {
+            TestClock {
+                start: Instant::now(),
+                elapsed: Cell::new(Duration::ZERO),
+            }
+        }
+
+        fn now(&self) -> Instant {
+            self.start + self.elapsed.get()
+        }
+
+        fn advance(&self, by: Duration) {
+            self.elapsed.set(self.elapsed.get() + by);
+        }
+    }
 
     #[test]
     fn a_wake_during_the_poll_phase_costs_no_park() {
+        let clock = TestClock::new();
         let mut site = WaitSite::new(serve_waits());
         let mut probes = 0;
-        let found = site.wait(
+        let found = site.wait_with_clock(
+            || clock.now(),
             || {
                 probes += 1;
+                // Each probe takes a tenth of the cap: the third is well
+                // inside the poll phase.
+                clock.advance(POLL_CAP / 10);
                 (probes == 3).then_some("polled")
             },
             || panic!("parked although the probe found it"),
@@ -138,47 +181,61 @@ mod tests {
 
     #[test]
     fn a_wake_after_the_poll_phase_costs_exactly_one_park() {
+        let clock = TestClock::new();
         let mut site = WaitSite::new(serve_waits());
         let (mut probes, mut parks) = (0, 0);
-        let t0 = Instant::now();
-        let found = site.wait(
+        let found = site.wait_with_clock(
+            || clock.now(),
             || {
                 probes += 1;
+                clock.advance(POLL_CAP / 4);
                 None
             },
             || {
                 parks += 1;
+                clock.advance(POLL_CAP);
                 "parked"
             },
         );
-        assert_eq!((found, parks), ("parked", 1));
-        assert!(probes >= 1 && t0.elapsed() >= POLL_CAP);
+        assert_eq!((found, parks, probes), ("parked", 1, 4));
         assert_eq!(site.credit, CREDIT - 1, "a long wait spends one credit");
     }
 
     #[test]
     fn credit_decays_to_zero_stops_all_probing_and_one_short_wait_rearms_it() {
+        let clock = TestClock::new();
         let mut site = WaitSite::new(serve_waits());
+        let long_park = || clock.advance(POLL_CAP * 2);
+        let empty_probe = || -> Option<()> {
+            clock.advance(POLL_CAP / 4);
+            None
+        };
         for spent in 1..=CREDIT {
-            site.wait(|| None, || ());
+            site.wait_with_clock(|| clock.now(), empty_probe, long_park);
             assert_eq!(site.credit, CREDIT - spent);
         }
         // Out of credit: no probe at all, however long the parks take.
         let mut probes = 0;
         for _ in 0..5 {
-            site.wait(
+            site.wait_with_clock(
+                || clock.now(),
                 || {
                     probes += 1;
                     None
                 },
-                || std::thread::sleep(POLL_CAP * 2),
+                long_park,
             );
             assert_eq!((site.credit, probes), (0, 0));
         }
         // One wait that a park ends quickly: the site polls again.
-        site.wait(|| -> Option<()> { panic!("probed without credit") }, || ());
+        site.wait_with_clock(
+            || clock.now(),
+            || -> Option<()> { panic!("probed without credit") },
+            || clock.advance(POLL_CAP / 2),
+        );
         assert_eq!(site.credit, CREDIT);
-        site.wait(
+        site.wait_with_clock(
+            || clock.now(),
             || {
                 probes += 1;
                 Some(())

@@ -46,7 +46,10 @@ use std::time::{Duration, Instant};
 use psnap_json::Json;
 use psnap_serve::Freshness;
 
-use crate::frame::{encode_frame, encode_frame_with, read_frame, read_frame_into, FrameError};
+use crate::frame::{
+    buffered_frame, encode_frame, encode_frame_with, read_frame, read_frame_into, FrameError,
+    HEADER_LEN,
+};
 use crate::proto::{
     hello_json, parse_handshake_answer, Reply, ReplyBody, Request, RequestBody, WireErrorKind,
     PROTOCOL_VERSION,
@@ -235,20 +238,22 @@ impl ClientInner {
                 return;
             }
         }
-        match read_frame_into(&mut half.stream, self.max_frame, &mut half.payload) {
-            Ok(()) => {}
-            Err(FrameError::Eof) => return self.fail_all_pending("server closed the connection"),
-            Err(e) => return self.fail_all_pending(&format!("read: {e}")),
-        }
-        // Fast path first (the canonical shape), general JSON route for
-        // everything else (stats replies in particular).
-        let reply = std::str::from_utf8(&half.payload).ok().and_then(|text| {
-            Reply::parse_wire(text).or_else(|| {
-                Json::parse(text)
-                    .ok()
-                    .and_then(|json| Reply::from_json(&json))
-            })
-        });
+        // A frame already whole in the buffer is parsed where it lies;
+        // only one that is not is read (copied) into the payload buffer.
+        let reply = match buffered_frame(half.stream.buffer(), self.max_frame) {
+            Some(payload) => {
+                let (reply, spans) = (Reply::from_wire(payload), HEADER_LEN + payload.len());
+                half.stream.consume(spans);
+                reply
+            }
+            None => match read_frame_into(&mut half.stream, self.max_frame, &mut half.payload) {
+                Ok(()) => Reply::from_wire(&half.payload),
+                Err(FrameError::Eof) => {
+                    return self.fail_all_pending("server closed the connection")
+                }
+                Err(e) => return self.fail_all_pending(&format!("read: {e}")),
+            },
+        };
         let Some(reply) = reply else {
             self.fail_all_pending("undecodable reply frame");
             self.stream.shutdown(Shutdown::Both);

@@ -149,8 +149,9 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Vec<u8>, FrameErr
 }
 
 /// Reads one frame's payload into `payload` (cleared first), reusing its
-/// allocation — the per-connection read loops call this with one
-/// long-lived buffer so steady-state traffic allocates nothing per frame.
+/// allocation — the per-connection read loops call this, with one
+/// long-lived buffer, for each frame not already whole in their read
+/// buffer, so no frame allocates.
 /// Same error contract as [`read_frame`]; the length cap is enforced
 /// before the buffer grows.
 pub fn read_frame_into(
@@ -173,6 +174,20 @@ pub fn read_frame_into(
         return Err(FrameError::Truncated { missing: len });
     }
     Ok(())
+}
+
+/// The payload of the frame at the head of `buffered` — a reader's buffer —
+/// if the whole frame is there and its length is within `max_len`; the
+/// frame then spans `HEADER_LEN` + the payload's length bytes. Otherwise
+/// `None`, and [`read_frame_into`] reads the frame (and reports whatever is
+/// wrong with it).
+pub(crate) fn buffered_frame(buffered: &[u8], max_len: usize) -> Option<&[u8]> {
+    let (header, rest) = buffered.split_first_chunk::<HEADER_LEN>()?;
+    let len = u32::from_be_bytes(*header) as usize;
+    if len > max_len {
+        return None;
+    }
+    rest.get(..len)
 }
 
 /// Reads one frame and decodes it as UTF-8 text.

@@ -64,7 +64,7 @@
 //! holds no matter how rudely a peer disconnects.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -78,7 +78,8 @@ use psnap_obs::{span, Span, SpanKind};
 use psnap_serve::{ClientHandle, Executor, Handle, OpCell, SnapshotService, SubmitError, Ticket};
 
 use crate::frame::{
-    encode_frame, encode_frame_with, read_frame, read_frame_into, FrameError, MAX_FRAME_LEN,
+    buffered_frame, encode_frame, encode_frame_with, read_frame, read_frame_into, FrameError,
+    HEADER_LEN, MAX_FRAME_LEN,
 };
 use crate::proto::{
     parse_hello, reject_json, welcome_json, Reply, ReplyBody, Request, RequestBody, WireErrorKind,
@@ -884,7 +885,13 @@ impl ConnReader<'_> {
 impl Read for ConnReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         self.settle();
-        self.stream.read(buf)
+        let read = self.stream.read(buf)?;
+        // Inbound bytes are activity: stamped once per socket read, however
+        // many frames the read brought.
+        if read > 0 {
+            self.conn.touch();
+        }
+        Ok(read)
     }
 }
 
@@ -939,7 +946,7 @@ where
     // --- Request loop ----------------------------------------------------
     // Buffered from here on: a burst of pipelined frames costs one read
     // syscall per buffer fill instead of two per frame (header + payload).
-    let mut reader = std::io::BufReader::with_capacity(
+    let mut reader = BufReader::with_capacity(
         64 * 1024,
         ConnReader {
             stream: reader,
@@ -950,9 +957,18 @@ where
     );
     let client = shared.service.client();
     let components = shared.service.components();
+    let max_frame = shared.config.max_frame_len;
     let mut payload = Vec::new();
     loop {
-        match read_frame_into(&mut reader, shared.config.max_frame_len, &mut payload) {
+        // A frame already whole in the buffer is decoded where it lies (and
+        // consumed once answered); only one that is not is read — copied —
+        // into `payload`.
+        let buffered = buffered_frame(reader.buffer(), max_frame).map(<[u8]>::len);
+        let read = match buffered {
+            Some(_) => Ok(()),
+            None => read_frame_into(&mut reader, max_frame, &mut payload),
+        };
+        match read {
             Ok(()) => {}
             Err(FrameError::Eof) => {
                 // Half-close: the peer is done sending. Stop intake, let
@@ -975,13 +991,12 @@ where
                 return;
             }
         };
-        conn.touch();
 
         // Whether this thread may answer the request itself: only a
         // wait-free backing object finishes in a bounded number of its
         // own steps.
         let combining = shared.service.is_wait_free();
-        let attempt = |reader: &mut ConnReader<'_>| {
+        let attempt = |reader: &mut BufReader<ConnReader<'_>>| {
             // Root the request tree at frame decode: the service's own
             // request root (ingest / scan request) nests beneath this span,
             // so a wire request shows up in the flight recorder as one tree
@@ -991,34 +1006,37 @@ where
             // Fast path first: the canonical document shape parses with a
             // strict scanner; anything else (whitespace, reordered keys,
             // foreign clients) takes the general JSON route.
-            let request = std::str::from_utf8(&payload).ok().and_then(|text| {
-                Request::parse_wire(text).or_else(|| {
-                    Json::parse(text)
-                        .ok()
-                        .and_then(|json| Request::from_json(&json))
-                })
-            });
+            let frame = match buffered {
+                Some(len) => &reader.buffer()[HEADER_LEN..HEADER_LEN + len],
+                None => &payload[..],
+            };
+            let request = Request::from_wire(frame);
+            let len = frame.len();
             // Undecodable request: answer `bad_request` with id 0 (the id,
             // if any, did not parse) and keep the connection — framing is
             // intact, only this payload was malformed.
             let request = request.ok_or((0, WireErrorKind::BadRequest))?;
-            wire_span.set_args(request.body.opcode(), payload.len() as u64);
+            wire_span.set_args(request.body.opcode(), len as u64);
             let id = request.id;
             if conn.intake_closed.load(Ordering::Acquire) {
                 return Err((id, WireErrorKind::Closed));
             }
-            let combining = combining.then_some(reader);
+            let combining = combining.then(|| reader.get_mut());
             dispatch(
                 shared, conn, &client, components, request, wire_span, combining,
             )
             .map_err(|kind| (id, kind))
         };
-        let mut outcome = attempt(reader.get_mut());
+        let mut outcome = attempt(&mut reader);
         if matches!(outcome, Err((_, WireErrorKind::Busy))) && !reader.get_ref().batch.is_empty() {
             // About to refuse for want of room that this thread's own
-            // unsettled batch may be holding: do that work first.
+            // unsettled batch may be holding: do that work first. (Settling
+            // reads nothing, so a buffered frame is still where it was.)
             reader.get_mut().settle();
-            outcome = attempt(reader.get_mut());
+            outcome = attempt(&mut reader);
+        }
+        if let Some(len) = buffered {
+            reader.consume(HEADER_LEN + len);
         }
         if let Err((id, kind)) = outcome {
             let reply = Reply {

@@ -31,8 +31,8 @@ const CLIENT_SUBMIT_ALLOCATIONS: f64 = 1.0;
 
 /// The calling thread's budget for one depth-1 r = 16 `scan_blocking`:
 /// the caller's component vector, and the vector of values the ticket
-/// hands back — parsed into one allocation sized by counting the reply's
-/// items first.
+/// hands back — parsed, where the reply frame lies in the read buffer,
+/// into one allocation sized by an exact count of the reply's items.
 const CLIENT_SCAN_ALLOCATIONS: f64 = 2.0;
 
 /// Everything else in the process, per submit — all of it on the server's
@@ -43,10 +43,10 @@ const CLIENT_SCAN_ALLOCATIONS: f64 = 2.0;
 const SERVER_SUBMIT_ALLOCATIONS: f64 = 9.0;
 
 /// Everything else in the process, per r = 16 scan: the decoded component
-/// vector (wire); the ticket's cell, the drained request list and two
-/// round vectors (serve); the union's two vectors and the backing scan's
-/// result (shard).
-const SERVER_SCAN_ALLOCATIONS: f64 = 8.0;
+/// vector (wire); the ticket's cell, the drained request list and the
+/// round's vector of answers (serve); the union's two vectors and the
+/// backing scan's result (shard).
+const SERVER_SCAN_ALLOCATIONS: f64 = 7.0;
 
 const M: usize = 256;
 const SHARDS: usize = 4;

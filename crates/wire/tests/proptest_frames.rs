@@ -17,19 +17,49 @@ use psnap_wire::{
 /// switches to decimal strings.
 const MAX_SAFE: u64 = 1 << 53;
 
-/// A `u64` at one of the codec's edges — one and two digits, either side
-/// of the number/string switch, the largest value — or anywhere.
+/// The codec's edges: zero, both sides of every change in digit count
+/// (10^k − 1 and 10^k, k = 1…19) — among them the eight- and sixteen-digit
+/// word boundaries of the decoder and the encoder — both sides of the
+/// number/string switch at 2^53, and the largest value.
+const EDGES: [u64; 43] = {
+    let mut edges = [0; 43];
+    let mut power = 1;
+    let mut k = 1;
+    while k <= 19 {
+        power *= 10;
+        edges[2 * k - 1] = power - 1;
+        edges[2 * k] = power;
+        k += 1;
+    }
+    edges[39] = MAX_SAFE - 1;
+    edges[40] = MAX_SAFE;
+    edges[41] = MAX_SAFE + 1;
+    edges[42] = u64::MAX;
+    edges
+};
+
+/// A `u64` at one of the codec's [`EDGES`] or anywhere.
 fn wire_u64() -> impl Strategy<Value = u64> {
-    const EDGES: [u64; 7] = [0, 9, 10, MAX_SAFE - 1, MAX_SAFE, MAX_SAFE + 1, u64::MAX];
     prop_oneof![(0..EDGES.len()).prop_map(|i| EDGES[i]), 0u64..=u64::MAX]
 }
 
 /// A component index. The general path carries components as JSON
-/// numbers, so they stay at or below 2^53 (the same edges, from below).
+/// numbers, so they stay at or below 2^53: the edges up to 10^15, then
+/// 2^53 − 1 and 2^53 itself.
 fn component() -> impl Strategy<Value = usize> {
-    const EDGES: [usize; 5] = [0, 9, 10, MAX_SAFE as usize - 1, MAX_SAFE as usize];
+    const COMPONENT_EDGES: [usize; 33] = {
+        let mut edges = [0; 33];
+        let mut i = 0;
+        while i < 31 {
+            edges[i] = EDGES[i] as usize;
+            i += 1;
+        }
+        edges[31] = MAX_SAFE as usize - 1;
+        edges[32] = MAX_SAFE as usize;
+        edges
+    };
     prop_oneof![
-        (0..EDGES.len()).prop_map(|i| EDGES[i]),
+        (0..COMPONENT_EDGES.len()).prop_map(|i| COMPONENT_EDGES[i]),
         0usize..=MAX_SAFE as usize
     ]
 }
@@ -256,6 +286,99 @@ proptest! {
         };
         prop_assert_eq!(parsed.as_ref(), Some(&reply));
         prop_assert_eq!(frame, encode_frame(reply.to_wire_string().as_bytes()));
+    }
+}
+
+/// Canonical request and reply texts, for the mutation property.
+fn canonical_text() -> impl Strategy<Value = (String, bool)> {
+    prop_oneof![
+        request().prop_map(|r| (r.to_wire_string(), true)),
+        reply().prop_map(|r| (r.to_wire_string(), false))
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One byte of a canonical document replaced by any byte: the strict
+    /// scanner either declines or reads exactly what the general parser
+    /// reads. (Whatever it accepts is ASCII, so the text is UTF-8.)
+    #[test]
+    fn a_mutated_document_is_declined_or_read_as_the_general_path_reads_it(
+        document in canonical_text(),
+        at in 0usize..1_000_000,
+        byte in 0u8..=255,
+    ) {
+        let (text, is_request) = document;
+        let mut bytes = text.into_bytes();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        let general = || Json::parse(std::str::from_utf8(&bytes).expect("accepted bytes are UTF-8"));
+        if is_request {
+            if let Some(fast) = Request::parse_wire(&bytes) {
+                prop_assert_eq!(Request::from_json(&general().unwrap()), Some(fast));
+            }
+        } else if let Some(fast) = Reply::parse_wire(&bytes) {
+            prop_assert_eq!(Reply::from_json(&general().unwrap()), Some(fast));
+        }
+    }
+}
+
+/// Documents the strict scanner must decline — numbers past `u64::MAX`, too
+/// long, zero-padded or quoted though small, and digits that run into
+/// anything but the byte the canonical shape puts after them — whether or
+/// not the general path accepts them.
+#[test]
+fn the_strict_scanner_declines_what_is_not_canonical() {
+    let over = ["18446744073709551616", "99999999999999999999"];
+    let mut requests = Vec::new();
+    let mut replies = Vec::new();
+    for n in over {
+        requests.push(format!(r#"{{"id":{n},"op":"stats"}}"#));
+        requests.push(format!(r#"{{"id":"{n}","op":"stats"}}"#));
+        requests.push(format!(r#"{{"id":1,"op":"submit","writes":[[0,"{n}"]]}}"#));
+        requests.push(format!(r#"{{"id":1,"op":"submit","writes":[[0,{n}]]}}"#));
+        replies.push(format!(r#"{{"id":1,"ok":true,"values":[{n}]}}"#));
+        replies.push(format!(r#"{{"id":1,"ok":true,"values":["{n}",7]}}"#));
+        replies.push(format!(r#"{{"id":"{n}","ok":true}}"#));
+    }
+    let long = "1".repeat(21);
+    requests.push(format!(r#"{{"id":"{long}","op":"stats"}}"#));
+    replies.push(format!(r#"{{"id":1,"ok":true,"values":["{long}"]}}"#));
+    // Zero-padded: the value fits, the spelling is not canonical.
+    for padded in ["0000000012", "00000000", "0000000000000000123"] {
+        requests.push(format!(
+            r#"{{"components":[{padded}],"freshness":"fresh","id":1,"op":"scan"}}"#
+        ));
+        replies.push(format!(r#"{{"id":1,"ok":true,"values":[{padded},5]}}"#));
+    }
+    // Quoted although at or below 2^53.
+    for small in ["0", "7", "123456789", "9007199254740992"] {
+        requests.push(format!(r#"{{"id":"{small}","op":"stats"}}"#));
+        replies.push(format!(r#"{{"id":1,"ok":true,"values":["{small}"]}}"#));
+    }
+    // Digits running into a byte other than the `,`, `]`, `}` or `"`
+    // that the shape puts there.
+    for tail in ["x", " ", ".5", "e3", "-", "\u{e9}", "\u{0}"] {
+        requests.push(format!(r#"{{"id":12345678{tail},"op":"stats"}}"#));
+        requests.push(format!(
+            r#"{{"components":[1{tail},2],"freshness":"fresh","id":1,"op":"scan"}}"#
+        ));
+        requests.push(format!(
+            r#"{{"id":1,"op":"submit","writes":[[3,123456789012{tail}]]}}"#
+        ));
+        replies.push(format!(
+            r#"{{"id":1,"ok":true,"values":[1,22222222{tail}]}}"#
+        ));
+        replies.push(format!(
+            r#"{{"id":1,"ok":true,"values":["9007199254740993{tail}"]}}"#
+        ));
+    }
+    for text in &requests {
+        assert_eq!(Request::parse_wire(text), None, "accepted: {text}");
+    }
+    for text in &replies {
+        assert_eq!(Reply::parse_wire(text), None, "accepted: {text}");
     }
 }
 
