@@ -362,7 +362,7 @@ fn e15_heat_skew(before: &[u64], after: &[u64], sizes: &[usize]) -> f64 {
 /// scan; a storm thread splits the hottest owning shard three times (scored
 /// by heat-window delta, falling back to slot count when the heat signal is
 /// flat) and then merges the coldest survivor. The storm phase loops until
-/// the storm thread is done, so every migration happens under measured
+/// the storm thread is done, so every reshard happens under measured
 /// scan + update traffic.
 fn e15_point(m: usize, r: usize, ops: usize, zipf_s: f64) -> Row {
     use psnap_core::{ReshardOp, Resharding};
@@ -386,7 +386,7 @@ fn e15_point(m: usize, r: usize, ops: usize, zipf_s: f64) -> Row {
                 let mut rng = StdRng::seed_from_u64(E15_SEED ^ ((u as u64) << 7));
                 // Single-writer discipline: updater `u` owns the components
                 // with parity `u` and writes strictly increasing values to
-                // each, so any torn or lost migration shows up as a
+                // each, so any torn or lost write shows up as a
                 // monotonicity violation at the scanner.
                 let mut counts = vec![0u64; m];
                 while !stop.load(Ordering::Relaxed) {
@@ -445,7 +445,7 @@ fn e15_point(m: usize, r: usize, ops: usize, zipf_s: f64) -> Row {
     let heat_a = snapshot.shard_heat();
     let skew_before = e15_heat_skew(&heat0, &heat_a, &sizes0);
 
-    // Phase B: the storm thread migrates while the scanner keeps measuring.
+    // Phase B: the storm thread reshards while the scanner keeps measuring.
     let storm_done = Arc::new(AtomicBool::new(false));
     let storm = {
         let snapshot = Arc::clone(&snapshot);
@@ -538,7 +538,7 @@ fn e15_point(m: usize, r: usize, ops: usize, zipf_s: f64) -> Row {
         .with("baseline_p99_ns", baseline_stats.p99)
         .with("reshard_p50_ns", through_stats.p50)
         .with("reshard_p99_ns", through_stats.p99)
-        // The longest a scan waited out a migration.
+        // The slowest scan while the storm ran.
         .with("worst_stall_ns", through_stats.max)
         .with("p99_ratio", ratio(through_stats.p99, baseline_stats.p99))
         // Hottest owning shard / mean owning shard; targeted splits should
@@ -566,11 +566,12 @@ pub fn e15_reshard(effort: Effort) -> Report {
              two-shard layout vs through a heat-targeted reshard storm \
              (split-hottest ×3 then merge-coldest), two single-writer Zipf \
              updaters running throughout, scans drawn from 12 Zipf-popular \
-             query shapes. The store migrates behind the shared timestamp \
-             camera — writers and scanners keep running during the copy. \
-             Every scan is checked for per-component monotonicity against \
-             the single-writer discipline; torn_scans and failed_scans must \
-             be zero (migration moves values exactly, across every \
+             query shapes. A shard is a label over one multiversioned \
+             object, so a reshard swaps the partition map and moves no \
+             register — writers and scanners never wait for it, nor it for \
+             them. Every scan is checked for per-component monotonicity \
+             against the single-writer discipline; torn_scans and \
+             failed_scans must be zero (every value survives every \
              generation). Heat skew (hottest/mean owning shard) is sampled \
              before and after: targeted splits divide the hot shard's load, \
              so skew_after < skew_before under a skewed distribution"
@@ -1169,11 +1170,11 @@ mod tests {
         // 2 Zipf skews.
         assert_shape(&report, &[("points", 2)]);
         for p in report.rows("points") {
-            // The hard acceptance bar, host-independent: migration moves
-            // every value exactly, so no scan ever tears or fails.
+            // The hard acceptance bar, host-independent: every value
+            // survives every reshard, so no scan ever tears or fails.
             assert_eq!(int(p, "torn_scans"), 0, "{p:?}");
             assert_eq!(int(p, "failed_scans"), 0, "{p:?}");
-            // The storm really migrated under traffic.
+            // The storm really resharded under traffic.
             assert!(int(p, "reshards") >= 1, "{p:?}");
             assert!(int(p, "generation") >= int(p, "reshards"), "{p:?}");
             assert_eq!(int(p, "shards_before"), 2, "{p:?}");

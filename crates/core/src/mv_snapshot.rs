@@ -57,17 +57,16 @@
 //! register mid-batch raised the stamp's floor above its own timestamp, so
 //! the whole batch — every register, installed or not — is consistently
 //! excluded. All-or-nothing with no write gate and no blocked scan;
-//! concurrent batches are serialized against each other by a mutex (shared
-//! across a sharded family) exactly as the other implementations serialize
-//! theirs, which scans never touch.
+//! concurrent batches are serialized against each other by a mutex exactly
+//! as the other implementations serialize theirs, which scans never touch.
 //!
 //! # Pruning and announcements
 //!
 //! The announcement slots belong to the object's [`MvFamily`], beside the
-//! camera and the batch serializer: one slot per process, shared by every
-//! shard of every generation of a sharded store, so a scan announces once
-//! however many shards it reads. Writers prune the registers they touch
-//! below one **prune bound** ([`MvFamily::prune_bound`]): the oldest of the
+//! camera and the batch serializer: one slot per process, so a scan
+//! announces once however many registers it reads. Writers prune the
+//! registers they touch below one **prune bound**
+//! ([`MvFamily::prune_bound`]): the oldest of the
 //! live announcements and the camera's current value. After a prune a chain
 //! holds at most one version per live scan, plus the camera's, plus pending
 //! ones ([`MvRegister::prune`]). The announcement is written *before* the
@@ -81,18 +80,17 @@
 //! The family's first 64-byte line holds the camera and the slots of pids
 //! 0–6; pids 7 and up continue seven to a line on the lines that follow, in
 //! the same allocation. Scans write these lines: the tick, and each scan's
-//! announce and clear of its own slot (a reshard's cutover ticks too).
+//! announce and clear of its own slot.
 //! Writers only read them: a finalize reads the camera, a prune bound reads
 //! the camera and every slot. So a scan's announce and tick hit one line
 //! back to back, and a prune bound at n ≤ 7 reads one line. The batch
-//! serializer (taken only by batches and reshards) and the slot count sit
-//! apart, in the family's own allocation. Each register is a line of its
-//! own (see [`psnap_shmem::mv`]'s "Version layout").
+//! serializer (taken only by batches) and the slot count sit apart, in the
+//! object itself. Each register is a line of its own (see
+//! [`psnap_shmem::mv`]'s "Version layout").
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
-use psnap_shmem::epoch::Guard;
 use psnap_shmem::steps::{self, OpKind};
 use psnap_shmem::{MvRegister, MvStamp, ProcessId, TimestampCamera};
 
@@ -121,10 +119,9 @@ impl FamilyLine {
     }
 }
 
-/// What a family of multiversioned objects shares — one object alone, or
-/// every shard of every generation of a sharded store: the timestamp camera
-/// that orders writes across all of them, the per-process scan
-/// announcements pruners respect, and the serializer that makes
+/// What the operations of a multiversioned object share beyond its
+/// registers: the timestamp camera that orders every write, the per-process
+/// scan announcements pruners respect, and the serializer that makes
 /// overlapping batches install in one consistent per-register order.
 pub struct MvFamily {
     /// The camera and the announced scan timestamps (0 = no scan in
@@ -136,7 +133,7 @@ pub struct MvFamily {
 
 impl MvFamily {
     /// A family for processes `0..max_processes`, camera at 1.
-    pub fn new(max_processes: usize) -> Self {
+    fn new(max_processes: usize) -> Self {
         assert!(max_processes > 0, "at least one process must be allowed");
         MvFamily {
             lines: (0..max_processes.div_ceil(SLOTS_PER_LINE))
@@ -163,18 +160,12 @@ impl MvFamily {
         &self.lines[p / SLOTS_PER_LINE].slots[p % SLOTS_PER_LINE]
     }
 
-    /// The batch serializer. Scans and single updates never touch it; a
-    /// reshard holds it across its whole migration.
-    pub fn batches(&self) -> &Mutex<()> {
-        &self.batches
-    }
-
     /// Announces an upcoming scan by process `pid`: one camera read plus one
     /// write into the announcement slot. Must happen **before** the scan's
     /// timestamp is drawn — the announced value is a lower bound on it, and
-    /// the ordering is what keeps pruners, on every member of the family,
-    /// from detaching the scan's versions. Returns the announced timestamp
-    /// (a lower bound on the `s` the tick will draw).
+    /// the ordering is what keeps pruners from detaching the scan's
+    /// versions. Returns the announced timestamp (a lower bound on the `s`
+    /// the tick will draw).
     pub fn announce_scan(&self, pid: ProcessId) -> u64 {
         let a = self.camera().timestamp();
         steps::record(OpKind::Write);
@@ -212,27 +203,18 @@ impl MvFamily {
 pub struct MvSnapshot<T> {
     /// `R[1..m]` — one multiversioned register per component.
     registers: Vec<MvRegister<T>>,
-    /// Camera, announcements and batch serializer, shared with every other
-    /// member of the family.
-    family: Arc<MvFamily>,
+    /// Camera, announcements and batch serializer.
+    family: MvFamily,
 }
 
 impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
     /// Creates an object with `m` components, all holding `initial`, usable
-    /// by processes `0..max_processes`, in a family of its own.
+    /// by processes `0..max_processes`.
     pub fn new(m: usize, max_processes: usize, initial: T) -> Self {
-        Self::in_family(m, initial, Arc::new(MvFamily::new(max_processes)))
-    }
-
-    /// Creates an object in `family` — the constructor sharded compositions
-    /// use, so that one timestamp orders writes across every shard, one
-    /// announcement covers a scan on all of them, and overlapping batches
-    /// anywhere in the family install in one consistent order.
-    pub fn in_family(m: usize, initial: T, family: Arc<MvFamily>) -> Self {
         assert!(m > 0, "a snapshot object needs at least one component");
         MvSnapshot {
             registers: (0..m).map(|_| MvRegister::new(initial.clone())).collect(),
-            family,
+            family: MvFamily::new(max_processes),
         }
     }
 
@@ -241,8 +223,8 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
         self.family.camera()
     }
 
-    /// The family this object belongs to.
-    pub fn family(&self) -> &Arc<MvFamily> {
+    /// The object's camera, announcements and batch serializer.
+    pub fn family(&self) -> &MvFamily {
         &self.family
     }
 
@@ -256,67 +238,27 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
             self.family.slot(pid).load(Ordering::SeqCst) != 0,
             "scan_at without a live announcement"
         );
+        self.read_at(components, s)
+    }
+
+    /// [`scan_at`](Self::scan_at) on arguments already validated.
+    fn read_at(&self, components: &[usize], s: u64) -> Vec<T> {
         // One epoch pin for the whole sweep.
         let pin = psnap_shmem::epoch::pin();
+        let camera = self.family.camera();
         components
             .iter()
-            .map(|&c| self.read_slot(c, s, &pin))
+            .map(|&c| self.registers[c].read_pinned(s, camera, &pin).clone())
             .collect()
     }
 
-    /// A copy of one slot's value at announced timestamp `s`, cloned under
-    /// the caller's epoch pin — a scan's per-component read. The caller
-    /// must hold a live announcement in this object's family (the same
-    /// protocol as [`scan_at`](Self::scan_at)) so pruners keep the version.
-    #[inline]
-    pub fn read_slot(&self, slot: usize, s: u64, pin: &Guard) -> T {
-        self.registers[slot]
-            .read_pinned(s, self.family.camera(), pin)
-            .clone()
-    }
-
-    /// The finalized version history of `slot`, oldest-first — what a
-    /// reshard migration copies out of a source shard once it is frozen
-    /// (writers drained, batches excluded by the serializer). See
-    /// [`psnap_shmem::MvRegister::finalized_versions`].
-    pub fn slot_versions(&self, slot: usize) -> Vec<(u64, T)> {
-        self.registers[slot].finalized_versions()
-    }
-
-    /// Installs a version whose timestamp is **already published** into
-    /// `slot` — the install half of a reshard migration copy. The frozen
-    /// timestamp keeps the copied version winning exactly the scans its
-    /// original did: it never shadows a post-cutover write (those carry
-    /// strictly larger timestamps, see
-    /// [`psnap_shmem::TimestampCamera::cutover`]) and never advances a
-    /// pre-cutover value past the scans that already excluded it.
-    pub fn install_frozen(&self, slot: usize, t: u64, value: T) {
-        self.registers[slot].install_value(value, MvStamp::finalized(t));
-        psnap_shmem::metrics::mv_migrated_versions().inc();
-    }
-
-    /// Prunes `slot`'s chain below `bound`, a value of
+    /// Prunes `component`'s chain below `bound`, a value of
     /// [`MvFamily::prune_bound`] read after the write it follows. Writers
     /// call this on the registers they touched; a batch reads the bound
     /// once for all of them.
     #[inline]
-    pub fn prune_slot(&self, slot: usize, bound: u64) {
-        self.registers[slot].prune(&[bound]);
-    }
-
-    /// Installs `writes` as **pending** versions sharing `stamp`, without
-    /// finalizing: the building block of batched updates and of the
-    /// wait-freedom harness's deterministic parked-writer seam. The batch
-    /// is invisible to every scan until the stamp is finalized; the caller
-    /// must hold the batch serializer if `writes` is part of a larger batch
-    /// and must eventually finalize the stamp (see
-    /// [`begin_parked_update_many`](Self::begin_parked_update_many) for the
-    /// packaged version).
-    pub fn install_pending(&self, pid: ProcessId, writes: &[(usize, T)], stamp: &MvStamp) {
-        validate_batch_args(self.registers.len(), self.max_processes(), pid, writes);
-        for (component, value) in writes {
-            self.registers[*component].install_value(value.clone(), stamp.clone());
-        }
+    fn prune(&self, component: usize, bound: u64) {
+        self.registers[component].prune(&[bound]);
     }
 
     /// Starts an `update_many` and **parks it mid-batch**: every version is
@@ -365,7 +307,7 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
     /// read, one hop read, and at most `scanners + 1` floor
     /// compare&swap-with-reread rounds (floors strictly increase, at most
     /// once per concurrent scan). A sharded store's scan costs the same:
-    /// it announces once for the whole family.
+    /// its shards are labels over one such object.
     pub fn scan_step_budget(r: usize, max_chain: usize, scanners: usize) -> u64 {
         let per_version = 2 + 2 * (scanners as u64 + 1);
         4 + (r as u64) * (1 + max_chain as u64 * per_version)
@@ -398,7 +340,7 @@ impl<T: Clone + Send + Sync + 'static> Drop for ParkedUpdate<'_, T> {
         self.stamp.finalize(snapshot.camera());
         let bound = snapshot.family.prune_bound();
         for &c in &self.components {
-            snapshot.prune_slot(c, bound);
+            snapshot.prune(c, bound);
         }
     }
 }
@@ -424,7 +366,7 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
         // two rounds. A write dropped against a published winner has no
         // version to prune.
         if self.registers[component].write(value, self.family.camera()) {
-            self.prune_slot(component, self.family.prune_bound());
+            self.prune(component, self.family.prune_bound());
         }
     }
 
@@ -452,7 +394,7 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
         stamp.finalize(self.camera());
         let bound = self.family.prune_bound();
         for (component, _) in &batch {
-            self.prune_slot(*component, bound);
+            self.prune(*component, bound);
         }
         drop(serial);
     }
@@ -469,7 +411,7 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
         // another that was acknowledged first.
         let _ = self.family.announce_scan(pid);
         let s = self.camera().tick();
-        let values = self.scan_at(pid, components, s);
+        let values = self.read_at(components, s);
         self.family.clear_announcement(pid);
         values
     }
@@ -497,6 +439,7 @@ mod tests {
     use super::*;
     use psnap_shmem::StepScope;
     use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
     use std::thread;
 
     #[test]

@@ -11,13 +11,13 @@ use psnap_shmem::ProcessId;
 /// bump the generation by exactly one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReshardOp {
-    /// Split `shard` in two: the slot-order first half of its components
-    /// stays put, the rest move to a freshly appended shard.
+    /// Split `shard` in two: the first half of its components, in index
+    /// order, keeps the label, the rest take a freshly appended shard's.
     Split {
         /// The shard to split (must own at least two components).
         shard: usize,
     },
-    /// Move every component of `from` onto `into`, leaving `from` empty.
+    /// Relabel every component of `from` as `into`'s, leaving `from` empty.
     Merge {
         /// The shard to drain (becomes empty).
         from: usize,
@@ -124,21 +124,23 @@ impl<T: Clone + Send + Sync + 'static, S: PartialSnapshot<T> + ?Sized> PartialSn
 
 /// Online repartitioning of a sharded implementation: the four operations a
 /// reshard policy reads and drives. The paper's objects are unsharded and do
-/// not implement it; only the sharded stores (and `Arc`s of them) do.
+/// not implement it; only the sharded store (and `Arc`s of it) does, and
+/// there a shard is a label over one object's registers, so a reshard
+/// changes the labels and moves no value.
 pub trait Resharding: Send + Sync {
     /// Per-shard operation counts ("heat"): element `i` is how many
     /// operations have touched shard `i` since construction.
     fn shard_heat(&self) -> Vec<u64>;
 
     /// Components owned per shard under the current partition map: element
-    /// `i` is how many components shard `i` currently routes (`0` for a
+    /// `i` is how many components shard `i` currently labels (`0` for a
     /// merged-away shard id whose slot stays allocated). A reshard policy
     /// needs this alongside [`shard_heat`](Resharding::shard_heat): rates
     /// alone cannot tell an emptied shard from an idle one that still owns
     /// components.
     fn shard_sizes(&self) -> Vec<usize>;
 
-    /// The generation number of the partition map currently routing this
+    /// The generation number of the partition map currently labelling this
     /// object; an accepted [`reshard`](Resharding::reshard) advances it by
     /// one. The serve layer's reshard driver stamps it on each accepted op's
     /// span and flight-recorder dump.
@@ -149,7 +151,8 @@ pub trait Resharding: Send + Sync {
     /// refusal (a degenerate op, such as a split of a shard with fewer than
     /// two components) as "layout unchanged", not an error.
     /// Implementations must not stop the world: scans, updates and batches
-    /// in flight on the old generation complete correctly and linearizably.
+    /// in flight on the old generation complete correctly and linearizably,
+    /// and the reshard must not wait for them.
     fn reshard(&self, op: ReshardOp) -> bool;
 }
 

@@ -245,7 +245,7 @@ pub fn reset() {
 pub enum AnomalyKind {
     /// A burst of consecutive `Busy` backpressure rejections.
     BusyBurst,
-    /// An accepted online reshard migration.
+    /// An accepted online reshard.
     Reshard,
     /// A request's latency exceeded the configured SLO.
     LatencySlo,

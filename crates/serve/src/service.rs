@@ -24,10 +24,10 @@
 //!    same linearization point, which is what the lincheck conformance
 //!    suite verifies end to end. A union job is *plan → scan → fan out*,
 //!    and only the scan costs more than the slots requested: the union is
-//!    one flat pass with no routing (the backing object plans per shard
-//!    itself), and per-job bookkeeping (clock, counters, span vectors) is
-//!    paid once per job. `{prefix}.scan.plan_ns`, `.backing_latency_ns` and
-//!    `.fanout_ns` time the three stages per job.
+//!    one flat pass with no routing (the backing object needs none), and
+//!    per-job bookkeeping (clock, counters, span vectors) is paid once per
+//!    job. `{prefix}.scan.plan_ns`, `.backing_latency_ns` and `.fanout_ns`
+//!    time the three stages per job.
 //! 3. **Backpressure** — both lanes are bounded, the ingest queue per
 //!    client and the scan queue as a whole; a request over its bound fails
 //!    with [`SubmitError::Busy`] immediately and enqueues nothing.
@@ -999,9 +999,8 @@ where
                 drop(reading);
                 reshard_span.set_args(generation, 0);
                 drop(reshard_span);
-                // A live migration is the moment in-flight scans and batches
-                // are most at risk — snapshot the recent past while it is
-                // still on hand.
+                // A reshard changes what the heat signal means — snapshot the
+                // recent past while it is still on hand.
                 if flight::armed() {
                     flight::trigger(
                         AnomalyKind::Reshard,

@@ -1,6 +1,6 @@
 //! End-to-end online resharding through the service: a reshard driver
 //! watching windowed shard heat must split a hot shard while submits and
-//! scans keep flowing, scans must stay exact across the cutover, and the
+//! scans keep flowing, scans must stay exact across the reshard, and the
 //! obs snapshot must expose the moving generation and the heat rates the
 //! driver acted on. Those rates are the driver's own window: reading them
 //! advances nothing.
@@ -110,10 +110,10 @@ fn reshard_driver_splits_a_hot_shard_under_live_traffic() {
     service.shutdown();
 }
 
-/// A reader after a reshard reads the version chains that moved with their
-/// components: migrated and unmigrated components alike read their newest
-/// values, each request through one backing union scan. Nothing answers
-/// from a cut taken before the layout moved.
+/// A reader after a reshard reads every component's newest value, whether
+/// the split relabelled it ("migrated") or not, each request through one
+/// backing union scan. Nothing answers from a cut taken before the layout
+/// moved.
 #[test]
 fn a_reader_after_a_reshard_reads_migrated_and_unmigrated_components() {
     let backing = Arc::new(MvShardedSnapshot::new(
@@ -130,9 +130,9 @@ fn a_reader_after_a_reshard_reads_migrated_and_unmigrated_components() {
     }
 
     // Shard 0 owns 0..32 and shard 1 owns 32..64; splitting shard 0 keeps
-    // 0..16 in place and moves 16..32 to a new shard. One union job covers
-    // two components that will stay (0 and 5), one that will migrate (20)
-    // and one on the untouched shard (40).
+    // 0..16 on it and relabels 16..32 as a new shard. One union job covers
+    // two components that will stay (0 and 5), one that will be relabelled
+    // (20) and one on the untouched shard (40).
     let request = [0, 5, 20, 40];
     let values = client.scan_blocking(&request).unwrap();
     assert_eq!(values, vec![100, 105, 120, 140]);

@@ -86,9 +86,9 @@ fn run_traffic() -> Vec<psnap_obs::SpanTree> {
             });
         }
         // The reshard storm: operator-plane splits and merges against the
-        // live backing object, so scans keep crossing generation cutovers
+        // live backing object, so scans keep crossing generation swaps
         // while their spans are in flight. Rejected ops are fine — the
-        // storm only needs some accepted migrations.
+        // storm only needs some accepted reshards.
         let storm = Arc::clone(&backing);
         scope.spawn(move || {
             for round in 0..24 {

@@ -2,35 +2,34 @@
 //! snapshot store.
 //!
 //! The paper's partial snapshot object makes a scan pay for the `r`
-//! components it reads instead of the full `m` — but a single object still
-//! funnels every process through one set of coordination registers, which
-//! caps update throughput long before the component space does. This crate
-//! adds the scaling layer: [`MvShardedSnapshot`] partitions the component
-//! space across `K` multiversioned shards (contiguous ranges or hashed, see
-//! [`Partition`]) that share one timestamp camera. An `update` lands on one
-//! shard; a cross-shard `scan` draws a single timestamp and reads the newest
-//! version at or below it on every shard it touches — bounded steps under
-//! any writer behaviour, no retries, no latch. A cross-shard `update_many`
-//! commits by publishing one timestamp. Because the store implements
+//! components it reads instead of the full `m`. This crate puts shard
+//! labels on that component space: [`MvShardedSnapshot`] keeps every
+//! component in one multiversioned object (one timestamp camera, after Wei
+//! et al.) and partitions the components across `K` shards — contiguous
+//! ranges or hashed, see [`Partition`] — whose per-shard heat tells a
+//! policy where load lands. An `update` counts against one shard; a
+//! cross-shard `scan` draws a single timestamp and reads the newest version
+//! at or below it for every component — bounded steps under any writer
+//! behaviour, no retries, no latch. A cross-shard `update_many` commits by
+//! publishing one timestamp. Because the store implements
 //! [`psnap_core::PartialSnapshot`], the scenario runner, both
 //! linearizability checkers and the service frontend apply to it unchanged.
 //!
 //! # Online resharding
 //!
-//! The store routes through an **epoch-versioned [`PartitionMap`]** (a
+//! The labels come from an **epoch-versioned [`PartitionMap`]** (a
 //! generation number plus the component→shard assignment), so the layout
 //! can change while traffic is live: [`psnap_core::ReshardOp`] splits a hot
-//! shard or merges a cold one away, migrating version history behind one
-//! camera cutover with scans and updates still running (see
-//! [`mv_sharded`]'s module docs). The crate-private `generations` module
-//! owns that mechanism: the routing state of one generation (map, router,
-//! shards, per-shard writer gates, heat counters), the pointer to the live
-//! one and its reclamation through `psnap_shmem::epoch`, the pinned load,
-//! the writer entry that raises a shard's gate and *then* re-checks that
-//! the shard is not frozen and the generation not replaced, and the
-//! migration itself. It is also the only module exempt from the crate-wide
-//! lint below. [`ReshardPolicy`] is the pure decision core that turns
-//! windowed shard-heat rates into split/merge proposals.
+//! shard or merges a cold one away by publishing a new map — no register
+//! moves (see [`mv_sharded`]'s module docs). The crate-private `generations`
+//! module owns the live map: one generation's labels and heat counters, the
+//! pointer to the live one and its reclamation through
+//! `psnap_shmem::epoch`, the pinned load and the compare-exchange that
+//! publishes a successor. It is also the only module exempt from the
+//! crate-wide lint below. [`ReshardPolicy`] is the pure decision core that
+//! turns windowed shard-heat rates into split/merge proposals, and
+//! [`ShardRouter`] plans a scan per shard for callers that want the
+//! decomposition.
 //!
 //! ```
 //! use psnap_core::{PartialSnapshot, ReshardOp, Resharding};
@@ -43,7 +42,7 @@
 //! snapshot.update(ProcessId(1), 900, 9000);  // lands on another
 //! // One atomic partial scan spanning both shards:
 //! assert_eq!(snapshot.scan(ProcessId(2), &[17, 900]), vec![170, 9000]);
-//! // Split the shard that holds component 17; values move with it.
+//! // Split the shard that holds component 17; every value stays put.
 //! assert!(snapshot.reshard(ReshardOp::Split { shard: snapshot.shard_of(17) }));
 //! assert_eq!(snapshot.scan(ProcessId(2), &[17, 900]), vec![170, 9000]);
 //! ```
@@ -58,7 +57,7 @@ pub mod mv_sharded;
 pub mod partition;
 pub mod reshard;
 
-pub use mv_sharded::{MvShardedParked, MvShardedSnapshot};
+pub use mv_sharded::MvShardedSnapshot;
 pub use partition::{
     last_write_wins, Partition, PartitionMap, ScanPlan, ScanUnion, ShardConfig, ShardRouter,
 };

@@ -115,8 +115,8 @@ thread_local! {
 /// Resolves duplicate components **last-write-wins**: the surviving
 /// `(component, value)` pairs in first-written order, each carrying the value
 /// of its component's final occurrence. `batches` are read in order, as if
-/// concatenated. The single definition of batch semantics for the service's
-/// ingest rounds and both sharded stores' `update_many` paths.
+/// concatenated. The service's ingest rounds resolve batches with it, the
+/// same semantics every object's `update_many` gives a single batch.
 pub fn last_write_wins<'a, T: 'a>(
     batches: impl IntoIterator<Item = &'a [(usize, T)], IntoIter: Clone>,
 ) -> Vec<(usize, &'a T)> {
@@ -223,7 +223,7 @@ impl ShardConfig {
     }
 }
 
-/// An epoch-versioned component→shard assignment: the *routing state* of a
+/// An epoch-versioned component→shard assignment: the shard labels of a
 /// sharded snapshot object at one generation of its life.
 ///
 /// The static [`Partition`] policy only seeds generation 0; every subsequent
@@ -248,8 +248,6 @@ pub struct PartitionMap {
     /// Shard id space `0..shards` (ids stay stable across ops; splits append,
     /// merges empty a shard in place).
     shards: usize,
-    /// The policy that seeded generation 0 (provenance only).
-    partition: Partition,
 }
 
 impl PartitionMap {
@@ -308,7 +306,6 @@ impl PartitionMap {
             generation: 0,
             assignment,
             shards: effective,
-            partition,
         }
     }
 
@@ -326,11 +323,6 @@ impl PartitionMap {
     /// merge).
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// The policy that seeded generation 0.
-    pub fn partition(&self) -> Partition {
-        self.partition
     }
 
     /// The shard owning `component`.
@@ -360,10 +352,9 @@ impl PartitionMap {
 
     /// Splits `shard` into two: the first ⌈size/2⌉ of its components (in
     /// slot order) stay on `shard`, the rest move to a **new shard appended
-    /// at id `shards`**. Keeping a slot-order *prefix* in place is what lets
-    /// a live store reuse the split shard's backing object for the kept half
-    /// — the survivors' slots do not change. Returns `None` if the shard
-    /// owns fewer than two components (nothing to split).
+    /// at id `shards`**. Keeping a slot-order *prefix* in place keeps the
+    /// survivors' slots in a router built from the new map. Returns `None`
+    /// if the shard owns fewer than two components (nothing to split).
     pub fn split(&self, shard: usize) -> Option<PartitionMap> {
         if shard >= self.shards {
             return None;
@@ -408,9 +399,9 @@ impl PartitionMap {
 /// table, so routing is one array read regardless of how the map came about.
 /// The mapping is a bijection from `0..m` onto `{(s, i) : s < shards, i <
 /// shard_size(s)}` — every component lands in exactly one slot of exactly one
-/// shard, which is what makes the sharded object's per-shard sub-scans cover
-/// exactly the requested components. Slots within a shard are assigned in
-/// ascending component order.
+/// shard, which is what makes a plan's per-shard sub-scans cover exactly the
+/// requested components. Slots within a shard are assigned in ascending
+/// component order.
 #[derive(Clone, Debug)]
 pub struct ShardRouter {
     /// `routes[c] = (shard, slot)`.
@@ -419,8 +410,6 @@ pub struct ShardRouter {
     sizes: Vec<usize>,
     /// `inverse[shard][slot] = component`.
     inverse: Vec<Vec<usize>>,
-    partition: Partition,
-    generation: u64,
 }
 
 impl ShardRouter {
@@ -449,29 +438,12 @@ impl ShardRouter {
             routes,
             sizes,
             inverse,
-            partition: map.partition(),
-            generation: map.generation(),
         }
-    }
-
-    /// Number of components `m`.
-    pub fn components(&self) -> usize {
-        self.routes.len()
     }
 
     /// Effective number of shards.
     pub fn shards(&self) -> usize {
         self.sizes.len()
-    }
-
-    /// The partition policy that seeded this router's map lineage.
-    pub fn partition(&self) -> Partition {
-        self.partition
-    }
-
-    /// The generation of the partition map this router was built from.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Number of components owned by `shard`.
@@ -489,33 +461,6 @@ impl ShardRouter {
     /// The inverse of [`route`](Self::route).
     pub fn component_of(&self, shard: usize, slot: usize) -> usize {
         self.inverse[shard][slot]
-    }
-
-    /// Resolves a batch's duplicate components [`last_write_wins`] and
-    /// groups the surviving writes by shard as `(shard, [(slot, value)])`,
-    /// shards ascending and slots ascending within each — the write-side
-    /// counterpart of [`plan`](Self::plan), shared by both sharded stores'
-    /// `update_many` paths so the batch semantics cannot drift apart.
-    pub fn group_last_write_wins<T: Clone>(
-        &self,
-        writes: &[(usize, T)],
-    ) -> Vec<(usize, Vec<(usize, T)>)> {
-        let mut routed: Vec<(usize, usize, &T)> = last_write_wins([writes])
-            .into_iter()
-            .map(|(component, value)| {
-                let (shard, slot) = self.route(component);
-                (shard, slot, value)
-            })
-            .collect();
-        routed.sort_unstable_by_key(|&(shard, slot, _)| (shard, slot));
-        let mut by_shard: Vec<(usize, Vec<(usize, T)>)> = Vec::new();
-        for (shard, slot, value) in routed {
-            match by_shard.last_mut() {
-                Some((last, sub)) if *last == shard => sub.push((slot, value.clone())),
-                _ => by_shard.push((shard, vec![(slot, value.clone())])),
-            }
-        }
-        by_shard
     }
 
     /// Decomposes a scan request into per-shard sub-scans.
@@ -763,37 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_writes_are_ascending_by_shard_then_slot() {
-        for partition in [Partition::Contiguous, Partition::Hashed] {
-            let router = ShardRouter::new(32, 4, partition);
-            let writes: Vec<(usize, u64)> = [31usize, 4, 17, 4, 0, 25, 9, 31, 16]
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (c, i as u64))
-                .collect();
-            let by_shard = router.group_last_write_wins(&writes);
-            assert!(
-                by_shard.windows(2).all(|w| w[0].0 < w[1].0),
-                "{partition:?}"
-            );
-            let mut seen = Vec::new();
-            for (shard, sub) in &by_shard {
-                assert!(sub.windows(2).all(|w| w[0].0 < w[1].0), "{partition:?}");
-                for &(slot, value) in sub {
-                    seen.push((router.component_of(*shard, slot), value));
-                }
-            }
-            seen.sort_unstable();
-            // Components 4 and 31 keep their last value (3 and 7).
-            assert_eq!(
-                seen,
-                vec![(0, 4), (4, 3), (9, 6), (16, 8), (17, 2), (25, 5), (31, 7)],
-                "{partition:?}"
-            );
-        }
-    }
-
-    #[test]
     fn flat_index_survives_growth_shrinkage_and_stamp_wrap() {
         let mut index = FlatIndex::new();
         // A large pass leaves its slots behind; a small pass after it must
@@ -834,7 +748,6 @@ mod tests {
                 "kept component {c} moved slots"
             );
         }
-        assert_eq!(after.generation(), 1);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The sharded store's hot path allocates only what it hands back: after
 //! warm-up, an `update` allocates its one version block and a cross-shard
-//! `scan` allocates the vector it returns — at m = 2⁸ as at m = 2¹⁴.
+//! `scan` allocates the vector it returns — at m = 2⁸ as at m = 2¹⁴. A
+//! batch, cross-shard or not, allocates what the unsharded object's batch
+//! does.
 //!
 //! Allocation calls are counted per thread by the `#[global_allocator]`
 //! in `tests/support/counting_alloc.rs`, which is why this test has an
@@ -26,17 +28,27 @@ fn allocations_per_call(calls: u64, mut op: impl FnMut(u64)) -> f64 {
 
 /// The allocation budget of one `MvShardedSnapshot::update`, written down
 /// the way `MvSnapshot::scan_step_budget` writes down steps: the version
-/// it installs is one block — value and stamp slot inline. Routing, the
-/// writer gate, the prune bound, the prune itself and the retirement of
-/// the version it unlinks allocate nothing once the epoch bags have grown
-/// to their working size.
+/// it installs is one block — value and stamp slot inline. The heat
+/// count, the prune bound, the prune itself and the retirement of the
+/// version it unlinks allocate nothing once the epoch bags have grown to
+/// their working size.
 const UPDATE_ALLOCATIONS: f64 = 1.0;
 
 /// The allocation budget of one `MvShardedSnapshot::scan`: the result
-/// vector. A scan routes each component and reads it straight into the
-/// result — no plan, no per-shard vectors — and announces once for the
-/// whole family.
+/// vector. A scan reads each component straight into the result — no plan,
+/// no per-shard vectors — and announces once.
 const SCAN_ALLOCATIONS: f64 = 1.0;
+
+/// The allocation budget of one one-write `update_many`: the dedupe's map
+/// node and the vector it collects into, then the single update's version
+/// block.
+const ONE_WRITE_ALLOCATIONS: f64 = 3.0;
+
+/// The allocation budget of one four-write `update_many` with a write on
+/// each shard: the dedupe's map node and vector, the batch's shared stamp
+/// and one version block per write. The batch goes to the one inner object
+/// whole, so grouping by shard allocates nothing.
+const BATCH4_ALLOCATIONS: f64 = 7.0;
 
 const SHARDS: usize = 4;
 const R: usize = 16;
@@ -51,6 +63,12 @@ fn updates_and_cross_shard_scans_allocate_only_what_they_return() {
         let scanner = ProcessId(1);
         let update = |i: u64| store.update(writer, request[i as usize % R], i + 1);
         let scan = |_| assert_eq!(store.scan(scanner, &request).len(), R);
+        let one_write = |i: u64| store.update_many(writer, &[(request[i as usize % R], i + 1)]);
+        // One write on each shard: request[4j..4j + 4] sits on shard j.
+        let batch4 = |i: u64| {
+            let at = |j: usize| request[(j * 4 + i as usize) % R];
+            store.update_many(writer, &[(at(0), i), (at(1), i), (at(2), i), (at(3), i)]);
+        };
 
         // Warm-up: the epoch bags, the metric slots and every chain reach
         // their steady state.
@@ -66,6 +84,17 @@ fn updates_and_cross_shard_scans_allocate_only_what_they_return() {
         assert_eq!(
             per_scan, SCAN_ALLOCATIONS,
             "m = {m}: a cross-shard r = {R} scan made {per_scan:.3} allocations"
+        );
+        let per_one_write = allocations_per_call(8192, one_write);
+        assert_eq!(
+            per_one_write, ONE_WRITE_ALLOCATIONS,
+            "m = {m}: a one-write update_many made {per_one_write:.3} allocations"
+        );
+        allocations_per_call(1024, batch4);
+        let per_batch4 = allocations_per_call(4096, batch4);
+        assert_eq!(
+            per_batch4, BATCH4_ALLOCATIONS,
+            "m = {m}: a four-shard update_many made {per_batch4:.3} allocations"
         );
         // Interleaved, as a scanner and a writer sharing the store would
         // run them (here on one thread, so the counts stay exact).

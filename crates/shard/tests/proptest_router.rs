@@ -356,7 +356,6 @@ proptest! {
             prop_assert_eq!(total, m, "components lost or invented");
             prop_assert!(owners.iter().all(|&n| n == 1), "double ownership");
             let router = ShardRouter::from_map(&map);
-            prop_assert_eq!(router.generation(), map.generation());
             for c in 0..m {
                 let (s, i) = router.route(c);
                 prop_assert_eq!(s, map.shard_of(c));
@@ -367,7 +366,7 @@ proptest! {
 
     /// The live multiversioned store under the same arbitrary reshard
     /// sequences: every component keeps its value across every accepted
-    /// migration, and the store's generation tracks the map's.
+    /// reshard, and the store's generation tracks the map's.
     #[test]
     fn live_reshard_sequences_preserve_values(
         m in 1usize..48,
@@ -384,7 +383,7 @@ proptest! {
         let all: Vec<usize> = (0..m).collect();
         for (a, b, split_flag) in ops {
             let is_split = split_flag == 1;
-            let shards = snap.shards();
+            let shards = snap.shard_sizes().len();
             let op = if is_split {
                 ReshardOp::Split { shard: a % shards }
             } else {

@@ -86,18 +86,6 @@ global_metric!(
     Histogram
 );
 global_metric!(
-    /// Camera cutovers published (one per reshard migration — see
-    /// [`crate::TimestampCamera::cutover`]).
-    mv_cutovers,
-    Counter
-);
-global_metric!(
-    /// Versions copied across registers by reshard migrations, with their
-    /// original timestamps frozen.
-    mv_migrated_versions,
-    Counter
-);
-global_metric!(
     /// Versions unlinked per effective prune (0 records mean the prune
     /// found nothing dead).
     mv_pruned_per_call,
@@ -150,14 +138,6 @@ pub fn register_metrics(registry: &Registry) {
     registry.register(
         "shmem.mv.chain_len",
         Metric::Histogram(Arc::clone(mv_chain_len())),
-    );
-    registry.register(
-        "shmem.mv.cutovers",
-        Metric::Counter(Arc::clone(mv_cutovers())),
-    );
-    registry.register(
-        "shmem.mv.migrated_versions",
-        Metric::Counter(Arc::clone(mv_migrated_versions())),
     );
     registry.register(
         "shmem.mv.pruned_per_call",

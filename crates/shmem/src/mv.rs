@@ -64,8 +64,7 @@
 //! * a version installed with an explicit [`MvStamp`]
 //!   ([`MvRegister::install_value`]) points at that stamp's shared slot:
 //!   every version of a batch shares one, which is what makes the batch
-//!   commit at one finalize. (Migration copies carry an already-final
-//!   stamp the same way.)
+//!   commit at one finalize.
 //!
 //! One slot protocol — read-for-a-scan, finalize, resolve-a-winner, peek —
 //! serves both kinds of slot.
@@ -147,20 +146,6 @@ impl TimestampCamera {
     pub fn tick(&self) -> u64 {
         steps::record(OpKind::FetchInc);
         self.clock.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Publishes a **cutover boundary**: one tick, returning the smallest
-    /// timestamp any *subsequent* finalize can receive. This is the single
-    /// shared timestamp a reshard migration hides behind — every version
-    /// finalized before the call sits strictly below the returned value,
-    /// every finalize that starts after it lands at or above, so copying
-    /// pre-cutover versions (with their original timestamps frozen via
-    /// [`MvStamp::finalized`]) into new registers can never collide with a
-    /// post-cutover write's timestamp. One fetch&increment step, counted in
-    /// `shmem.mv.cutovers`.
-    pub fn cutover(&self) -> u64 {
-        crate::metrics::mv_cutovers().inc();
-        self.tick() + 1
     }
 }
 
@@ -325,12 +310,6 @@ impl MvStamp {
     /// [`finalize`](Self::finalize).
     pub fn pending_batch() -> Self {
         MvStamp::with(encode_floor(0))
-    }
-
-    /// A stamp already finalized at `t` (used for migration copies, which
-    /// keep the timestamp their original was published with).
-    pub fn finalized(t: u64) -> Self {
-        MvStamp::with(encode_final(t))
     }
 
     /// The finalized timestamp, if any (diagnostics; no step recorded).
@@ -718,30 +697,6 @@ impl<T: Clone + Send + Sync + 'static> MvRegister<T> {
         (t, value.clone())
     }
 
-    /// Every **finalized** version currently in the chain, oldest-first:
-    /// `(timestamp, value)` pairs in the order a migration must re-install
-    /// them into a fresh register so that chain-position tie-breaks are
-    /// preserved (install pushes to the head, so installing oldest-first
-    /// leaves the newest at the head, exactly as here). Pending versions are
-    /// skipped — the caller (a reshard migration) runs after the source
-    /// register is frozen, when none can exist. Diagnostics-priced: no steps
-    /// recorded.
-    pub fn finalized_versions(&self) -> Vec<(u64, T)> {
-        let _guard = epoch::pin();
-        let mut out: Vec<(u64, T)> = Vec::new();
-        let mut cur = self.head.load(Ordering::Acquire);
-        while !cur.is_null() {
-            // Safety: protected by the epoch pin.
-            let node = unsafe { &*cur };
-            if let Some(t) = node.stamp().peek() {
-                out.push((t, node.value.clone()));
-            }
-            cur = node.next.load(Ordering::Acquire);
-        }
-        out.reverse();
-        out
-    }
-
     /// The newest version's value and finalized timestamp, if finalized
     /// (diagnostics and tests; no steps recorded).
     pub fn peek_newest(&self) -> (T, Option<u64>) {
@@ -957,9 +912,10 @@ mod tests {
     #[test]
     fn resolve_winner_publishes_singles_and_defers_to_batches() {
         let camera = TimestampCamera::new();
-        // A finalized winner resolves immediately.
-        let done = MvStamp::finalized(3);
-        assert_eq!(done.resolve_winner(&camera), Some(3));
+        // A finalized winner resolves immediately, to its own timestamp.
+        let done = MvStamp::pending_single();
+        let t_done = done.finalize(&camera);
+        assert_eq!(done.resolve_winner(&camera), Some(t_done));
         // A pending single winner is published on the spot (the loser's
         // drop is then linearizable: the publication is inside its
         // interval).
@@ -1058,23 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn cutover_bounds_every_later_finalize_from_below() {
-        let camera = TimestampCamera::new();
-        let reg = MvRegister::new(0u64);
-        let t_before = finalized_install(&reg, &camera, 1);
-        let boundary = camera.cutover();
-        assert!(
-            t_before < boundary,
-            "pre-cutover version above the boundary"
-        );
-        let t_after = finalized_install(&reg, &camera, 2);
-        assert!(
-            t_after >= boundary,
-            "post-cutover finalize {t_after} below the boundary {boundary}"
-        );
-    }
-
-    #[test]
     fn stamped_reads_report_the_winning_timestamp() {
         let camera = TimestampCamera::new();
         let reg = MvRegister::new(0u64);
@@ -1086,34 +1025,6 @@ mod tests {
             (0, 0),
             "initial version carries timestamp 0"
         );
-    }
-
-    #[test]
-    fn finalized_versions_come_out_oldest_first_and_reinstall_faithfully() {
-        let camera = TimestampCamera::new();
-        let reg = MvRegister::new(0u64);
-        let mut expected = vec![(0u64, 0u64)];
-        for v in [7u64, 8, 9] {
-            camera.tick();
-            expected.push((finalized_install(&reg, &camera, v), v));
-        }
-        // A parked batch must be skipped: its timestamp is undecided.
-        reg.install(Arc::new(99), MvStamp::pending_batch());
-        let versions = reg.finalized_versions();
-        assert_eq!(versions, expected);
-        // Re-installing oldest-first into a fresh register reproduces every
-        // read the source could answer (the migration copy's contract).
-        let copy = MvRegister::new(0u64);
-        for &(t, v) in &versions {
-            copy.install_value(v, MvStamp::finalized(t));
-        }
-        for s in 0..=camera.timestamp() {
-            assert_eq!(
-                copy.read_at(s, &camera),
-                reg.read_at(s, &camera),
-                "copy diverges at timestamp {s}"
-            );
-        }
     }
 
     #[test]

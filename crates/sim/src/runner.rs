@@ -152,12 +152,12 @@ fn run_role(
             components: components.clone(),
         })),
         Role::Resharder { ops, store } => {
-            // Environment reconfiguration: migrate the layout under the
+            // Environment reconfiguration: reshard the layout under the
             // other roles' feet and record nothing — any tear it causes is
             // charged to the operations that observed it. Behind a service
             // or a socket it stays operator-plane work on the store itself.
             // Yielding between ops lets real traffic interleave with each
-            // migration.
+            // reshard.
             for &op in ops {
                 std::thread::yield_now();
                 let _ = store.0.reshard(op);

@@ -54,18 +54,18 @@ pub enum Role {
     /// Resharding is *environment reconfiguration*, not a snapshot
     /// operation: it records nothing in the history (a refused op is
     /// silently skipped), so the same checkers apply unchanged and any
-    /// atomicity violation the migration causes shows up as a torn scan or
+    /// atomicity violation the reshard causes shows up as a torn scan or
     /// lost update in the other processes' records.
     Resharder {
         /// The reshard ops to issue, in order, yielding between them.
         ops: Vec<ReshardOp>,
-        /// The store they migrate: the object under test, or the one
+        /// The store they reshard: the object under test, or the one
         /// behind its service.
         store: ReshardTarget,
     },
 }
 
-/// The live store a [`Role::Resharder`] migrates.
+/// The live store a [`Role::Resharder`] reshards.
 #[derive(Clone)]
 pub struct ReshardTarget(pub Arc<dyn Resharding>);
 

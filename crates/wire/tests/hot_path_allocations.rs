@@ -38,14 +38,14 @@ const CLIENT_SCAN_ALLOCATIONS: f64 = 2.0;
 /// Everything else in the process, per submit — all of it on the server's
 /// connection thread, which combines: the decoded write vector (wire); the
 /// ticket's cell and the ingest round's batch (serve); and, in the
-/// object's `update_many`, four for grouping the writes by shard, the
-/// batch's pending stamp and the one version block.
-const SERVER_SUBMIT_ALLOCATIONS: f64 = 9.0;
+/// object's `update_many`, the dedupe's map node and vector and the one
+/// version block.
+const SERVER_SUBMIT_ALLOCATIONS: f64 = 6.0;
 
 /// Everything else in the process, per r = 16 scan: the decoded component
 /// vector (wire); the ticket's cell, the drained request list and the
 /// round's vector of answers (serve); the union's two vectors and the
-/// backing scan's result (shard).
+/// backing scan's result (object).
 const SERVER_SCAN_ALLOCATIONS: f64 = 7.0;
 
 const M: usize = 256;

@@ -1,12 +1,12 @@
 //! Quickstart for the sharded partial snapshot store (`psnap-shard`).
 //!
-//! A `MvShardedSnapshot` partitions the component space over multiversioned
-//! shards that share one timestamp camera: updates to different shards never
-//! contend, and a scan that spans shards reads every shard at one timestamp,
-//! so it stays atomic without retrying or waiting. The layout can change
-//! while traffic runs: a split moves half of a shard's components to a new
-//! shard, a merge folds one shard into another, and the version history
-//! moves with them. This example runs the same transfer workload against
+//! A `MvShardedSnapshot` keeps every component in one multiversioned object
+//! with one timestamp camera and labels the components with shards: a scan
+//! that spans shards reads every component at one timestamp, so it stays
+//! atomic without retrying or waiting. The layout can change while traffic
+//! runs: a split gives half of a shard's components a new shard's label, a
+//! merge folds one shard's label into another, and no value moves. This
+//! example runs the same transfer workload against
 //! the unsharded Figure 3 object and the sharded store, splitting and
 //! merging the sharded one mid-run, and audits every cross-shard scan.
 //!
@@ -138,7 +138,7 @@ fn main() {
         Some(&sharded),
         "sharded-k8",
     );
-    // Every balance survived both migrations: the sum of each updater's
+    // Every balance survived both reshards: the sum of each updater's
     // slice is what it started as.
     let all: Vec<usize> = (0..M).collect();
     let balances = sharded.scan(ProcessId(0), &all);

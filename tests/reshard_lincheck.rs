@@ -1,5 +1,5 @@
 //! Linearizability across **live resharding**: adversarial schedules run
-//! while a resharder migrates the partition map under the traffic, and the
+//! while a resharder swaps the partition map under the traffic, and the
 //! recorded histories face the same checkers as every static layout —
 //! exhaustive Wing–Gong for small schedules, the scalable monotone checks
 //! for stress schedules. A reshard records nothing in the history, so any
@@ -60,7 +60,7 @@ fn mv_sharded_small_schedules_stay_linearizable_across_live_reshards() {
         );
         assert!(
             snapshot.reshards() >= 2,
-            "seed {seed}: the reshard storm must actually migrate (got {})",
+            "seed {seed}: the reshard storm must actually reshard (got {})",
             snapshot.reshards()
         );
     }
@@ -100,7 +100,7 @@ fn mv_sharded_stress_history_is_monotone_across_a_reshard_storm() {
 }
 
 /// The small reshard storm behind a frontend: the roles' traffic goes
-/// through clients while the resharder migrates the backing object it
+/// through clients while the resharder reshards the backing object it
 /// carries, and every client-observed history must still be linearizable.
 fn reshard_storm_behind(
     frontend: &str,
@@ -124,7 +124,7 @@ fn reshard_storm_behind(
         );
         assert!(
             snapshot.reshards() >= 2,
-            "seed {seed}: the reshard storm behind the {frontend} must migrate (got {})",
+            "seed {seed}: the reshard storm behind the {frontend} must reshard (got {})",
             snapshot.reshards()
         );
     }
