@@ -135,13 +135,15 @@ impl Drop for BatchWriteGuard<'_> {
 }
 
 /// Resolves duplicate components of one batch last-write-wins and drops the
-/// rest, returning `(component, value)` in ascending component order.
+/// rest, returning `(component, value)` in ascending component order. One
+/// allocation, the returned vector: the writes are taken last to first and
+/// stably sorted by component, so each component's run starts with its last
+/// write, which `dedup` keeps.
 pub(crate) fn dedupe_last_write_wins<T: Clone>(writes: &[(usize, T)]) -> Vec<(usize, &T)> {
-    let mut latest: std::collections::BTreeMap<usize, &T> = std::collections::BTreeMap::new();
-    for (component, value) in writes {
-        latest.insert(*component, value);
-    }
-    latest.into_iter().collect()
+    let mut latest: Vec<(usize, &T)> = writes.iter().rev().map(|(c, v)| (*c, v)).collect();
+    latest.sort_by_key(|&(component, _)| component);
+    latest.dedup_by_key(|&mut (component, _)| component);
+    latest
 }
 
 #[cfg(test)]

@@ -11,13 +11,22 @@
 //! ```text
 //! scan(i1, …, ir)                     update(i, v)                update_many(batch)
 //!   announce[id] ← camera.timestamp     write R[i] ← v:             lock batches
-//!   s ← camera.tick                       install (v, own slot)     stamp ← pending
-//!   for j: vj ← copy of the version       finalize own slot         install every (i, v, stamp)
-//!          of R[ij] with the largest    b ← prune bound             finalize stamp     ← the commit
-//!          timestamp ≤ s                prune R[i] below b          b ← prune bound
-//!   announce[id] ← 0                                                prune every R[i] below b
-//!   return (v1, …, vr)                                              unlock
+//!   s ← camera.tick                       mark ordered, install     stamp ← pending
+//!   for j: vj ← copy of the version         (v, own slot)           mark ordered, install
+//!          of R[ij] with the largest      finalize own slot           every (i, v, stamp)
+//!          timestamp ≤ s, walking       b ← prune bound             finalize stamp     ← the commit
+//!          from the head and stopping   prune R[i] below b          b ← prune bound
+//!          at the first ordered                                     prune every R[i] below b
+//!          version ≤ s                                              unlock
+//!   announce[id] ← 0
+//!   return (v1, …, vr)
 //! ```
+//!
+//! "Mark ordered" is the install's check that every version below its own
+//! is already finalized, so none can end above it; a scan stops at such a
+//! version once it selects it ([`psnap_shmem::mv`]'s "Ordered versions").
+//! A quiescent scan of r components takes 4 + 2r steps: announce (two),
+//! tick, clear, and one head and one stamp read per component.
 //!
 //! The returned cut is the state of the object at the instant the camera
 //! moved past `s` — possibly *older* than the scan's return point, but
@@ -306,8 +315,10 @@ impl<T: Clone + Send + Sync + 'static> MvSnapshot<T> {
     /// Per component: one head read, then per version visited one stamp
     /// read, one hop read, and at most `scanners + 1` floor
     /// compare&swap-with-reread rounds (floors strictly increase, at most
-    /// once per concurrent scan). A sharded store's scan costs the same:
-    /// its shards are labels over one such object.
+    /// once per concurrent scan). An upper bound: a scan stops at the first
+    /// ordered version it selects, without its hop read, so a quiescent
+    /// scan takes 4 + 2r steps. A sharded store's scan costs the same: its
+    /// shards are labels over one such object.
     pub fn scan_step_budget(r: usize, max_chain: usize, scanners: usize) -> u64 {
         let per_version = 2 + 2 * (scanners as u64 + 1);
         4 + (r as u64) * (1 + max_chain as u64 * per_version)
@@ -371,6 +382,10 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
     }
 
     fn update_many(&self, pid: ProcessId, writes: &[(usize, T)]) {
+        // A one-write batch is a single update: no dedupe, no shared stamp.
+        if let [(component, value)] = writes {
+            return self.update(pid, *component, value.clone());
+        }
         validate_batch_args(self.registers.len(), self.max_processes(), pid, writes);
         let batch = dedupe_last_write_wins(writes);
         match batch.len() {
@@ -420,7 +435,8 @@ impl<T: Clone + Send + Sync + 'static> PartialSnapshot<T> for MvSnapshot<T> {
         // Scans take a fixed number of steps per version visited, with no
         // retry loop; chains below a captured head are immutable, so the
         // step count is bounded at the scan's first read. Single updates
-        // are one install attempt plus a finalize of at most two rounds
+        // are one install attempt (its ordered check reads at most the
+        // chain below the head) plus a finalize of at most two rounds
         // (scans help-finalize pending single stamps, so the writer's
         // compare&swap fails at most once — to a helper that already
         // completed its work). (Batches serialize against each other, like
@@ -508,6 +524,26 @@ mod tests {
     }
 
     #[test]
+    fn a_quiescent_scan_costs_four_steps_plus_two_per_component() {
+        // Announce (camera read + slot write), tick and clear, then per
+        // component a head read and one stamp read: every head is ordered
+        // and finalized, so no read walks below it — whether the register
+        // was never written, written once, or written over an unpruned
+        // chain by a batch.
+        let snap = MvSnapshot::new(256, 2, 0u64);
+        snap.update_many(ProcessId(0), &[(0, 1), (16, 1), (32, 1)]);
+        for r in [1usize, 4, 16] {
+            let comps: Vec<usize> = (0..r).map(|k| k * 16).collect();
+            for &c in comps.iter().step_by(2) {
+                snap.update(ProcessId(0), c, r as u64);
+            }
+            let scope = StepScope::start();
+            let _ = snap.scan(ProcessId(1), &comps);
+            assert_eq!(scope.finish().total(), 4 + 2 * r as u64, "r = {r}");
+        }
+    }
+
+    #[test]
     fn scans_complete_in_budget_while_a_batch_is_parked() {
         // The deterministic seam: a batch installed but not committed. A
         // scan must finish within its budget and see the pre-batch state;
@@ -539,9 +575,9 @@ mod tests {
         let scope = StepScope::start();
         snap.update(ProcessId(0), 512, 2);
         let steps = scope.finish().total();
-        // install (1 CAS) + finalize (slot read + camera read + CAS) +
-        // prune bounds (camera read + n announcement reads) + prune
-        // (try-lock CAS + short walk).
+        // ordered check (1 stamp read) + install (1 CAS) + finalize (slot
+        // read + camera read + CAS) + prune bounds (camera read + n
+        // announcement reads) + prune (try-lock CAS + short walk).
         assert!(
             steps <= 12 + snap.max_processes() as u64,
             "quiescent update took {steps} steps"

@@ -52,11 +52,43 @@
 //! one register of the batch too early exclude the batch *everywhere*.
 //! All-or-nothing without a write gate and without blocking scans.
 //!
+//! # Ordered versions: where a read stops
+//!
+//! Every version's timestamp is drawn from the camera *after* its install
+//! (a batch finalizes after its last install; a single write, a helper or a
+//! losing writer after reading the version from the chain). So when a
+//! writer, just before its install compare&swap, finds every version below
+//! its own already finalized — those timestamps were drawn before it looked
+//! — none of them can end up above its own. The writer records that in the
+//! version's **ordered** mark: true iff every version from the one it links
+//! to down to the first ordered version (or the chain's end) is finalized.
+//! Below the first ordered version the check meets, induction covers the
+//! rest; the register's initial version (timestamp 0, nothing below) is
+//! ordered; and pruning only unlinks versions, so a mark never becomes
+//! false. The check costs the writer one stamp read per version it meets
+//! (plus a hop read past each unordered one): one read when the head is an
+//! ordered, finalized version, as it is between writes.
+//!
+//! A read therefore stops at the first ordered version whose timestamp
+//! resolves to `t ≤ s`: every version below it is finalized at or below
+//! `t`, and the chain-newer version wins a tie, so none can be selected.
+//! None of them is pending either, so the stop skips no help-finalize and
+//! no floor raise. A version pushed over a pending one — a single write
+//! over a batch mid-commit — is not ordered, and a read walks past it as
+//! before: the batch below may still finalize above it. This is the
+//! *timestamp-ordered version list* of Wei et al.'s constant-time
+//! snapshots, which stamp a head before anything is pushed over it. A
+//! writer here cannot stamp another writer's pending batch, so the order is
+//! recorded where it already holds instead of enforced. A quiescent read is
+//! one head read and one stamp read.
+//!
 //! # Version layout
 //!
 //! A version is **one heap block**: its value inline, its own stamp slot,
-//! an optional pointer to a shared slot, and the link to the next-older
-//! version. Which slot is *the* stamp depends on how the version was made:
+//! an optional pointer to a shared slot, the link to the next-older version
+//! and the ordered mark (a plain `bool`, written while the block is still
+//! private and published with it). Which slot is *the* stamp depends on how
+//! the version was made:
 //!
 //! * a single write ([`MvRegister::write`]) and a register's initial
 //!   version stamp in their own slot — nothing is shared, so a write
@@ -80,7 +112,8 @@
 //!   under a scanner reading them.
 //! * **The version block.** A version's own stamp slot is written by its
 //!   writer's finalize or a scan's help-finalize (or floor raise), its
-//!   `next` link by the register's pruner; scans read both. Blocks come
+//!   `next` link by the register's pruner; scans read both, and the
+//!   ordered mark, which nobody writes after publication. Blocks come
 //!   from the plain allocator, not aligned to a line: aligned allocation
 //!   made every write slower by more than it saved the scans.
 //! * **The camera.** Ticked by every scan, read by every finalize and every
@@ -357,6 +390,11 @@ struct MvNode<T> {
     shared: Option<MvStamp>,
     /// The next-older version; null at the end of the chain.
     next: AtomicPtr<MvNode<T>>,
+    /// Nothing below this version can outrank it: every version below was
+    /// finalized before this one was published (see "Ordered versions" in
+    /// the module docs). Set by `MvRegister::push` while the node is
+    /// private; never changes once published.
+    ordered: bool,
     value: T,
 }
 
@@ -366,8 +404,35 @@ impl<T> MvNode<T> {
             own: StampSlot::new(own),
             shared,
             next: AtomicPtr::new(std::ptr::null_mut()),
+            ordered: false,
             value,
         }))
+    }
+
+    /// Whether a version pushed over `below` is ordered: every version from
+    /// `below` down to the first ordered one (or the chain's end) is
+    /// finalized. One read step per stamp read and per hop.
+    ///
+    /// # Safety
+    ///
+    /// `below` is null or a version of a register's chain, loaded while the
+    /// caller was pinned, and the caller is still pinned.
+    unsafe fn ordered_over(mut below: *const MvNode<T>) -> bool {
+        while !below.is_null() {
+            // Safety: the caller's pin keeps `below` and every version its
+            // chain links to from being freed.
+            let node = unsafe { &*below };
+            steps::record(OpKind::Read);
+            if node.stamp().peek().is_none() {
+                return false;
+            }
+            if node.ordered {
+                return true;
+            }
+            steps::record(OpKind::Read);
+            below = node.next.load(Ordering::Acquire);
+        }
+        true
     }
 
     /// The slot that decides this version's timestamp.
@@ -390,8 +455,9 @@ impl<T> MvNode<T> {
 ///   usually shared, stamp — a batch's sub-writes;
 /// * [`read_at`](MvRegister::read_at) returns the version with the largest
 ///   finalized timestamp `≤ s` (ties go to the chain-newest version),
-///   resolving pending versions on the way (bounded, no retries — the
-///   chain below the captured head is immutable);
+///   resolving pending versions on the way and stopping at the first
+///   ordered version it selects (bounded, no retries — the chain below the
+///   captured head is immutable);
 /// * [`prune`](MvRegister::prune) unlinks versions no live or future scan
 ///   can select, reclaiming them through [`crate::epoch`].
 ///
@@ -419,30 +485,37 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
     pub fn new(initial: T) -> Self {
         crate::metrics::mv_installed().inc();
         crate::metrics::mv_live_versions().inc();
+        let node = MvNode::alloc(initial, encode_final(0), None);
+        // Safety: private until the register exists. Nothing lies below the
+        // initial version.
+        unsafe { (*node).ordered = true };
         MvRegister {
-            head: AtomicPtr::new(MvNode::alloc(initial, encode_final(0), None)),
+            head: AtomicPtr::new(node),
             pruner: AtomicBool::new(false),
         }
     }
 
-    /// Publishes `node` at the head, one compare&swap step per attempt. A
-    /// lost race re-links the node behind the winner and retries, unless
-    /// `drop_for(winner)` says the write may be dropped instead — then the
-    /// node, never shared, is freed here and `false` returned. A caller
-    /// whose `drop_for` reads the winner must be pinned.
+    /// Publishes `node` at the head, one compare&swap step per attempt,
+    /// after marking it ordered or not over the version it links to. A lost
+    /// race re-links and re-marks the node behind the winner and retries,
+    /// unless `drop_for(winner)` says the write may be dropped instead —
+    /// then the node, never shared, is freed here and `false` returned. The
+    /// caller must be pinned, and `node`'s stamp must not be finalized
+    /// before this returns.
     fn push(&self, node: *mut MvNode<T>, mut drop_for: impl FnMut(&MvNode<T>) -> bool) -> bool {
-        // Safety: `node` stays private to this thread until the CAS below
-        // publishes it.
-        let private = unsafe { &*node };
-        private
-            .next
-            .store(self.head.load(Ordering::Acquire), Ordering::Relaxed);
+        let mut below = self.head.load(Ordering::Acquire);
         loop {
-            let expected = private.next.load(Ordering::Relaxed);
+            // Safety: `node` stays private to this thread until the CAS
+            // below publishes it, which also publishes both fields; `below`
+            // is the head or a winner, loaded under the caller's pin.
+            unsafe {
+                (*node).next.store(below, Ordering::Relaxed);
+                (*node).ordered = MvNode::ordered_over(below);
+            }
             steps::record(OpKind::Cas);
             match self
                 .head
-                .compare_exchange(expected, node, Ordering::AcqRel, Ordering::Acquire)
+                .compare_exchange(below, node, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {
                     crate::metrics::mv_installed().inc();
@@ -455,16 +528,16 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
                     drop(unsafe { Box::from_raw(node) });
                     return false;
                 }
-                Err(winner) => private.next.store(winner, Ordering::Relaxed),
+                Err(winner) => below = winner,
             }
         }
     }
 
     /// The **single write**: installs `value` as a new version stamped in
-    /// its own slot and publishes its timestamp. One allocation, one
-    /// compare&swap per install attempt, then a finalize of at most two
-    /// rounds (scans help-finalize pending singles). Returns `false` if the
-    /// write was dropped instead of installed.
+    /// its own slot and publishes its timestamp. One allocation, an ordered
+    /// check and one compare&swap per install attempt, then a finalize of
+    /// at most two rounds (scans help-finalize pending singles). Returns
+    /// `false` if the write was dropped instead of installed.
     ///
     /// A lost install race may only be dropped ("linearize immediately
     /// before the winner", the Section 4.2 argument) once the winner's
@@ -499,15 +572,24 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
     /// attempt means a concurrent install succeeded). Batch sub-writes use
     /// this: a batch's version must enter the chain so the batch is
     /// all-or-nothing over its components.
+    ///
+    /// `stamp` must still be pending when this returns: a version's ordered
+    /// mark relies on its timestamp being drawn after its install (batches
+    /// finalize after their last install anyway).
     pub fn install_value(&self, value: T, stamp: MvStamp) {
-        // No pin needed: a lost race never reads the winner.
+        debug_assert!(stamp.peek().is_none(), "installed a finalized stamp");
+        // Pinned: the ordered mark reads the chain below the head, which a
+        // concurrent prune may unlink and retire.
+        let _guard = epoch::pin();
         self.push(MvNode::alloc(value, 0, Some(stamp)), |_| false);
     }
 
     /// The chain-newest version with the largest finalized timestamp `≤ s`
     /// and that timestamp, valid while `_guard` pins the caller. Pending
     /// versions met along the way are resolved per [`MvStamp`]'s protocol:
-    /// singles help-finalized, batch floors raised.
+    /// singles help-finalized, batch floors raised. The walk stops after
+    /// the first ordered version whose timestamp is `≤ s` (see the module
+    /// docs' "Ordered versions").
     fn select<'a>(&'a self, s: u64, camera: &TimestampCamera, _guard: &'a Guard) -> (u64, &'a T) {
         steps::record(OpKind::Read);
         let mut cur = self.head.load(Ordering::Acquire);
@@ -521,6 +603,12 @@ impl<T: Send + Sync + 'static> MvRegister<T> {
                 // (chain-newest) wins.
                 if best.is_none_or(|(bt, _)| t > bt) {
                     best = Some((t, &node.value));
+                }
+                // Every version below an ordered one is finalized at or
+                // below its timestamp: none can win, and none is pending,
+                // so stopping skips no help-finalize and no floor raise.
+                if node.ordered {
+                    break;
                 }
             }
             steps::record(OpKind::Read);
@@ -673,11 +761,15 @@ impl<T: Clone + Send + Sync + 'static> MvRegister<T> {
     /// versions met along the way are resolved per [`MvStamp`]'s protocol:
     /// singles help-finalized, batch floors raised.
     ///
-    /// Bounded: the walk covers exactly the chain below the head captured
+    /// Bounded: the walk covers at most the chain below the head captured
     /// by one read, and that chain is immutable (pruning only unlinks
     /// versions no announced timestamp can select, and an unlinked
-    /// version's own `next` still leads back into the kept chain). Each
-    /// version visited costs a stamp resolution plus one hop read.
+    /// version's own `next` still leads back into the kept chain). It stops
+    /// at the first ordered version it selects — nothing below can outrank
+    /// it or is pending (see the module docs' "Ordered versions") — so a
+    /// read of a quiescent register costs one head read and one stamp read.
+    /// Each other version visited costs a stamp resolution plus one hop
+    /// read.
     ///
     /// # Panics
     ///
@@ -893,11 +985,12 @@ mod tests {
     fn write_lands_and_publishes_its_own_stamp() {
         let camera = TimestampCamera::new();
         let reg = MvRegister::new(0u64);
-        // Uncontended, a single write is one install CAS plus one finalize
-        // round: slot read, camera read, CAS.
+        // Uncontended, a single write is the ordered check (one stamp read:
+        // the head below is finalized and ordered), one install CAS, then
+        // one finalize round: slot read, camera read, CAS.
         let scope = StepScope::start();
         assert!(reg.write(1, &camera), "an uncontended write lands");
-        assert_eq!(scope.finish().total(), 4);
+        assert_eq!(scope.finish().total(), 5);
         assert!(reg.write(2, &camera));
         assert_eq!(reg.chain_len(), 3);
         let (newest, stamp) = reg.peek_newest();
@@ -1027,6 +1120,20 @@ mod tests {
         );
     }
 
+    /// The ordered marks of `reg`'s chain, newest first.
+    fn marks(reg: &MvRegister<u64>) -> Vec<bool> {
+        let _guard = epoch::pin();
+        let mut marks = Vec::new();
+        let mut cur = reg.head.load(Ordering::Acquire);
+        while !cur.is_null() {
+            // Safety: protected by the pin.
+            let node = unsafe { &*cur };
+            marks.push(node.ordered);
+            cur = node.next.load(Ordering::Acquire);
+        }
+        marks
+    }
+
     #[test]
     fn quiescent_read_is_a_constant_handful_of_steps() {
         let camera = TimestampCamera::new();
@@ -1037,9 +1144,73 @@ mod tests {
         let v = reg.read_at(camera.timestamp(), &camera);
         let steps = scope.finish();
         assert_eq!(v, 5);
-        // Camera read + head read + one stamp read + the hop to the end of
-        // the single-version chain.
-        assert!(steps.total() <= 4, "quiescent read took {steps}");
+        // Camera read + head read + one stamp read: the head is ordered, so
+        // the read stops there without the hop to the chain's end.
+        assert_eq!(steps.total(), 3, "quiescent read took {steps}");
+    }
+
+    #[test]
+    fn a_read_stops_at_the_first_ordered_version_it_selects() {
+        let camera = TimestampCamera::new();
+        let reg = MvRegister::new(0u64);
+        for v in 1..=3 {
+            assert!(reg.write(v, &camera));
+        }
+        // Unpruned: four versions, each pushed over a finalized, ordered one.
+        assert_eq!(marks(&reg), vec![true; 4]);
+        let s = camera.tick();
+        let scope = StepScope::start();
+        assert_eq!(reg.read_at(s, &camera), 3);
+        // Head read + one stamp read, whatever lies below.
+        assert_eq!(scope.finish().total(), 2);
+    }
+
+    #[test]
+    fn a_version_pushed_over_a_pending_batch_is_not_ordered_and_scans_still_raise_the_floor() {
+        let camera = TimestampCamera::new();
+        let reg = MvRegister::new(0u64);
+        // A batcher parked mid-commit; its version sits over the finalized
+        // initial one, so it is ordered itself.
+        let batch = MvStamp::pending_batch();
+        reg.install(Arc::new(10), batch.clone());
+        // A single write over the pending batch: finalized at once, but the
+        // batch below may still finalize above it.
+        assert!(reg.write(5, &camera));
+        assert_eq!(marks(&reg), vec![false, true, true]);
+        let s = camera.tick();
+        assert_eq!(reg.read_at(s, &camera), 5);
+        // The read walked past the single to the batch and raised its floor
+        // to its own timestamp.
+        assert_eq!(batch.peek(), None, "scans must not finalize a batch");
+        assert_eq!(batch.slot.0.load(Ordering::SeqCst), encode_floor(s));
+        let t = batch.finalize(&camera);
+        assert!(t > s);
+        // Now the buried batch wins later scans, and a write over the chain
+        // is ordered again: the check walks through the unordered single to
+        // the ordered batch.
+        assert_eq!(reg.read_at(camera.tick(), &camera), 10);
+        assert!(reg.write(7, &camera));
+        assert_eq!(marks(&reg), vec![true, false, true, true]);
+        assert_eq!(reg.read_at(camera.tick(), &camera), 7);
+    }
+
+    #[test]
+    fn a_version_pushed_over_a_pending_single_is_not_ordered() {
+        let camera = TimestampCamera::new();
+        let reg = MvRegister::new(0u64);
+        // A single writer parked between install and finalize.
+        let parked = MvStamp::pending_single();
+        reg.install(Arc::new(1), parked.clone());
+        let stamp = MvStamp::pending_single();
+        reg.install(Arc::new(2), stamp.clone());
+        assert_eq!(marks(&reg), vec![false, true, true]);
+        let t2 = stamp.finalize(&camera);
+        // The scan walks past the unordered head, help-finalizes the parked
+        // single above itself and stops at the ordered initial version.
+        let s = camera.tick();
+        assert!(t2 <= s);
+        assert_eq!(reg.read_at(s, &camera), 2);
+        assert!(parked.peek().is_some_and(|t| t > s));
     }
 
     #[test]

@@ -220,6 +220,142 @@ proptest! {
     }
 }
 
+/// One scripted step of the early-stop differential run.
+#[derive(Clone, Debug)]
+enum MixStep {
+    /// Install a version with a pending single-write stamp and finalize it.
+    Write,
+    /// Install a version with a pending single-write stamp and leave it
+    /// pending (a writer parked between install and finalize).
+    ParkSingle,
+    /// Install a version with a pending batch stamp and leave it pending
+    /// (a batcher parked mid-commit).
+    ParkBatch,
+    /// Finalize the still-pending stamp at this index, modulo their count:
+    /// parked writers commit in random order.
+    Finalize(usize),
+    /// Announce, tick and hold the timestamp, as in the headline proptest.
+    Pin,
+    /// Tick and read once at the fresh timestamp.
+    Read,
+    /// Prune with the live pins plus the camera as bounds.
+    Prune,
+}
+
+fn mix_strategy() -> impl Strategy<Value = MixStep> {
+    prop_oneof![
+        Just(MixStep::Write),
+        Just(MixStep::Write),
+        Just(MixStep::ParkSingle),
+        Just(MixStep::ParkBatch),
+        (0usize..8).prop_map(MixStep::Finalize),
+        (0usize..8).prop_map(MixStep::Finalize),
+        Just(MixStep::Pin),
+        Just(MixStep::Read),
+        Just(MixStep::Read),
+        Just(MixStep::Prune),
+    ]
+}
+
+/// What a read at `s` must return: the tag of the version with the largest
+/// finalized timestamp `≤ s`, the chain-newest (latest installed) on a tie.
+/// `versions` holds every version ever installed, oldest first, with its
+/// stamp (`None` for the initial version, finalized at 0); pruned ones are
+/// included, because pruning keeps every version a protected read selects.
+fn model_read(versions: &[(Option<MvStamp>, u64)], s: u64) -> u64 {
+    let mut best: Option<(u64, u64)> = None;
+    for (stamp, tag) in versions {
+        let t = stamp.as_ref().map_or(Some(0), MvStamp::peek);
+        if let Some(t) = t.filter(|&t| t <= s) {
+            if best.is_none_or(|(bt, _)| t >= bt) {
+                best = Some((t, *tag));
+            }
+        }
+    }
+    best.expect("the initial version is finalized at 0").1
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The early stop against a model that never stops early: singles and
+    /// batch stamps installed on one register, finalized in random order,
+    /// mixed with pins and prunes. Every read — at each live pin after
+    /// every step, and at a fresh tick — returns the version with the
+    /// largest finalized timestamp at or below its own, the chain-newest on
+    /// a tie. A read may stop at an ordered version only if nothing below
+    /// it can still outrank it; a mark that overlooked a pending version
+    /// below would return the version above a batch that committed later.
+    #[test]
+    fn reads_return_the_newest_largest_finalized_timestamp_at_or_below_them(
+        script in proptest::collection::vec(mix_strategy(), 1..100),
+    ) {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let camera = TimestampCamera::new();
+        let reg = MvRegister::new(Payload::new(0, &drops));
+        let mut versions: Vec<(Option<MvStamp>, u64)> = vec![(None, 0)];
+        let mut pins: Vec<u64> = Vec::new();
+        let read = |s: u64, versions: &[(Option<MvStamp>, u64)]| {
+            let guard = epoch::pin();
+            let got = reg.read_pinned(s, &camera, &guard);
+            got.verify();
+            // The model is consulted after the read: stamps the read
+            // help-finalized landed above `s` and change nothing.
+            assert_eq!(got.tag, model_read(versions, s), "read at {s}");
+        };
+        for (tag, step) in (1u64..).zip(&script) {
+            match step {
+                MixStep::Write | MixStep::ParkSingle | MixStep::ParkBatch => {
+                    let stamp = match step {
+                        MixStep::ParkBatch => MvStamp::pending_batch(),
+                        _ => MvStamp::pending_single(),
+                    };
+                    reg.install_value(Payload::new(tag, &drops), stamp.clone());
+                    if matches!(step, MixStep::Write) {
+                        stamp.finalize(&camera);
+                    }
+                    versions.push((Some(stamp), tag));
+                }
+                MixStep::Finalize(k) => {
+                    let pending: Vec<&MvStamp> = versions
+                        .iter()
+                        .filter_map(|(stamp, _)| stamp.as_ref())
+                        .filter(|stamp| stamp.peek().is_none())
+                        .collect();
+                    if !pending.is_empty() {
+                        pending[k % pending.len()].finalize(&camera);
+                    }
+                }
+                MixStep::Pin => {
+                    let a = camera.timestamp();
+                    prop_assert_eq!(camera.tick(), a);
+                    pins.push(a);
+                }
+                MixStep::Read => read(camera.tick(), &versions),
+                MixStep::Prune => {
+                    let mut bounds = pins.clone();
+                    bounds.push(camera.timestamp());
+                    bounds.sort_unstable_by(|a, b| b.cmp(a));
+                    bounds.dedup();
+                    reg.prune(&bounds);
+                }
+            }
+            for &pin in &pins {
+                read(pin, &versions);
+            }
+        }
+        // Every parked writer commits, in install order; then a fresh read
+        // and every pin agree with the model once more.
+        for stamp in versions.iter().filter_map(|(stamp, _)| stamp.as_ref()) {
+            stamp.finalize(&camera);
+        }
+        read(camera.tick(), &versions);
+        for &pin in &pins {
+            read(pin, &versions);
+        }
+    }
+}
+
 /// The observability satellite of the pruning contract: the process-global
 /// `shmem.mv.*` metrics must account this test's installs, its prune's
 /// observed chain length and its unlinks. Other tests in this binary hit

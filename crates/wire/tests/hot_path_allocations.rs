@@ -37,10 +37,10 @@ const CLIENT_SCAN_ALLOCATIONS: f64 = 2.0;
 
 /// Everything else in the process, per submit — all of it on the server's
 /// connection thread, which combines: the decoded write vector (wire); the
-/// ticket's cell and the ingest round's batch (serve); and, in the
-/// object's `update_many`, the dedupe's map node and vector and the one
-/// version block.
-const SERVER_SUBMIT_ALLOCATIONS: f64 = 6.0;
+/// ticket's cell and the ingest round's batch (serve); and the one version
+/// block of the single update the object's `update_many` passes a
+/// one-write batch to.
+const SERVER_SUBMIT_ALLOCATIONS: f64 = 4.0;
 
 /// Everything else in the process, per r = 16 scan: the decoded component
 /// vector (wire); the ticket's cell, the drained request list and the
